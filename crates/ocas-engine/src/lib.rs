@@ -8,10 +8,31 @@
 //!   algorithm end-to-end and their outputs are validated against the OCAL
 //!   reference interpreter in the test suite. Used at small scale.
 //! * **Simulated** — relations are cardinality + width only; every I/O
-//!   request is still issued block-by-block against the device simulators
+//!   request is still accounted block by block by the device simulators
 //!   (so seeks, erase blocks and read/write interference are enacted
 //!   exactly), while the in-memory inner loops are accounted analytically
 //!   through the CPU model. Used at the paper's multi-gigabyte scales.
+//!
+//! **Run requests in simulated mode.** The cost of simulating a plan must
+//! not grow with how finely the plan slices a sequential scan — the paper's
+//! cost model charges the scan by what the device does, and the worst
+//! candidates are exactly the ones that block their loops badly. So where
+//! the executor can prove that a whole pass is nothing but a scan, it issues
+//! the pass as one [`StorageBackend::read_run`](ocas_storage::StorageBackend::read_run)
+//! instead of one `read` per block: the inner pass of a simulated
+//! block-nested-loops join whenever the output sink cannot flush before the
+//! pass ends (always for `Output::Discard`; for `Output::ToDevice` when the
+//! rows the pass emits still fit the output buffer). Compares and emitted
+//! rows for such a pass are taken in closed form (the emission recurrence
+//! in fixed point when that is exact, replayed without touching the device
+//! when it is not), and the simulator answers the run with the same clock,
+//! counters and head position as the loop, to the last bit. Everything else
+//! keeps the per-request loop, because there the request *order* is the
+//! experiment: a pass during which the sink flushes interleaves writes with
+//! the reads (the paper's read/write interference rows), and faithful mode
+//! moves real rows per block and must issue the same stream on the
+//! simulator and on real files. A parity test holds the two paths
+//! bit-equal.
 //!
 //! The CPU model is what the paper's estimator deliberately ignores (§7.3:
 //! "OCAS does not currently model computation costs … underestimation grows

@@ -947,6 +947,18 @@ impl Relation {
         Ok(n)
     }
 
+    /// Reads the whole relation front to back in blocks of `count > 0`
+    /// tuples, charging the device: the request stream of calling
+    /// [`read_block`](Relation::read_block) at `0, count, 2 * count, …`,
+    /// issued as one run request for the full blocks plus a read for the
+    /// shorter last block, if any.
+    pub fn read_scan<B: StorageBackend>(&self, sm: &mut B, count: u64) -> Result<(), StorageError> {
+        let full = self.card / count;
+        sm.read_run(self.file, 0, count * self.tuple_bytes, full)?;
+        self.read_block(sm, full * count, count)?;
+        Ok(())
+    }
+
     /// The rows of a block (faithful mode), as a borrowed flat view.
     ///
     /// Streamed relations serve the view from their bounded cache window,

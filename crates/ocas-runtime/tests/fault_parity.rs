@@ -5,6 +5,10 @@
 //! syscall paths (via [`FileBackend::with_faults`]), and both sides must
 //! report identical recovery counters.
 //!
+//! A run request (`read_run`) is its requests, one by one, on both: a spec
+//! at an index inside a run fires there, not at the run's first request
+//! and not never.
+//!
 //! Requests stay under the 1 MiB chunking threshold so one trait-level
 //! request equals one syscall-level request and the per-device fault
 //! indices line up by construction. `TornWriteBack` is excluded: the
@@ -168,4 +172,63 @@ proptest! {
         prop_assert_eq!(sc, fc);
         prop_assert!(sc.gave_up >= 1);
     }
+
+    /// A fault scheduled *inside* a run request fires at that request on
+    /// both backends, with the same outcome and counters: neither
+    /// overrides `read_run`, so each issues the run as single reads, every
+    /// one of which consumes a per-device index. (`Faulted` handing the
+    /// run to the simulator's fast path would skip the index entirely —
+    /// most requests of this run are read-ahead hits the HDD model never
+    /// visits.)
+    #[test]
+    fn a_fault_inside_a_run_fires_at_its_request_on_both_backends(
+        k in 1u64..RUN_REQUESTS + 1,
+        kind in 0u32..3,
+        retry in 0u32..2,
+    ) {
+        let kind = match kind {
+            0 => FaultKind::Transient,
+            1 => FaultKind::ShortRead,
+            _ => FaultKind::Latency(0.002),
+        };
+        let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
+        // Per-device indices: 0 is the alloc, 1..=RUN_REQUESTS the run.
+        let plan = FaultPlan::new().with("HDD", FaultOp::Read, k, kind);
+        let h = presets::hdd_ram(1 << 22);
+        let mut sim = Faulted::new(StorageSim::from_hierarchy(&h), plan.clone(), policy);
+        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
+            .unwrap()
+            .with_faults(plan, policy);
+
+        let sim_out = drive_run(&mut sim);
+        let fb_out = drive_run(&mut fb);
+        prop_assert_eq!(&sim_out, &fb_out);
+        let (outcome, counters) = sim_out;
+        prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", k);
+        match (kind, retry) {
+            (FaultKind::Latency(_), _) | (_, 1) => prop_assert_eq!(outcome, "ok"),
+            _ => prop_assert!(
+                outcome.contains(&format!("read request {k} on `HDD`")),
+                "fired elsewhere: {}", outcome
+            ),
+        }
+    }
+}
+
+/// Requests in the run of [`drive_run`]: 64 to a page, so all but one in
+/// 64 are read-ahead hits on the simulated HDD.
+const RUN_REQUESTS: u64 = 512;
+
+/// Allocates a file and reads it as one run; returns the outcome and the
+/// recovery counters.
+fn drive_run<B: StorageBackend>(b: &mut B) -> (String, ocas_storage::RecoveryCounters) {
+    let unit = 64;
+    let f = b
+        .alloc("HDD", unit * RUN_REQUESTS)
+        .expect("alloc is not faulted");
+    let outcome = match b.read_run(f, 0, unit, RUN_REQUESTS) {
+        Ok(()) => "ok".to_string(),
+        Err(e) => format!("err: {e}"),
+    };
+    (outcome, b.recovery_counters().expect("injector present"))
 }

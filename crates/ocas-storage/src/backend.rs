@@ -13,7 +13,7 @@ use crate::manager::{FileId, StorageError, StorageSim};
 /// A clocked storage layer: named devices, extent allocation, read/write
 /// request accounting and (for real backends) actual data transfer.
 ///
-/// Two kinds of request coexist:
+/// Three kinds of request coexist:
 ///
 /// * **Accounting requests** ([`read`](StorageBackend::read) /
 ///   [`write`](StorageBackend::write)) carry no payload. The simulator
@@ -24,6 +24,11 @@ use crate::manager::{FileId, StorageError, StorageSim};
 ///   additionally carry the payload, so faithful-mode outputs land
 ///   byte-for-byte in real files. The simulator treats them exactly like
 ///   the accounting variant — both backends see identical request streams.
+/// * **Run requests** ([`read_run`](StorageBackend::read_run)) stand for a
+///   sequence of equal accounting reads laid end to end — a scan issued
+///   block by block. They are shorthand, not a new kind of I/O: the default
+///   body issues the reads one by one, and only the simulator answers the
+///   whole run at once (same clock and counters, to the last bit).
 ///
 /// [`materialize`](StorageBackend::materialize) is the setup path: it
 /// places input data into a file *without* charging the clock or counters,
@@ -34,6 +39,36 @@ pub trait StorageBackend {
 
     /// Reads `len` bytes at `offset` within `file` (accounting request).
     fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError>;
+
+    /// A run request: `count` sequential accounting reads of `unit` bytes,
+    /// request `j` covering `[offset + j * unit, offset + (j + 1) * unit)`
+    /// of `file`.
+    ///
+    /// The default body *is* that loop of [`read`](StorageBackend::read)
+    /// calls, and every backend whose behaviour depends on seeing requests
+    /// one at a time must keep it: a real backend moves bytes per request,
+    /// and [`Faulted`](crate::Faulted) numbers requests per device so that
+    /// a [`FaultPlan`](crate::FaultPlan) fires at the same index on every
+    /// backend — it must not forward a run to its inner backend, or the
+    /// requests inside the run would bypass injection and shift every later
+    /// index. Only a backend that can *prove* the same clock, counters and
+    /// device state without visiting each request may override it;
+    /// [`StorageSim`] does (an HDD charges nothing for the requests its
+    /// read-ahead window already covers), with one documented difference:
+    /// it rejects a run that leaves the file before charging anything,
+    /// where the loop charges the in-bounds prefix first.
+    fn read_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        for j in 0..count {
+            self.read(file, offset + j * unit, unit)?;
+        }
+        Ok(())
+    }
 
     /// Writes `len` bytes at `offset` within `file` (accounting request).
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError>;
@@ -115,6 +150,16 @@ impl StorageBackend for StorageSim {
 
     fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         StorageSim::read(self, file, offset, len)
+    }
+
+    fn read_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        StorageSim::read_run(self, file, offset, unit, count)
     }
 
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {

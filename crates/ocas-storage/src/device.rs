@@ -65,24 +65,44 @@ impl HddSim {
             return 0.0;
         }
         let mut t = 0.0;
-        let (charge_start, charged) =
-            if start >= self.head.saturating_sub(self.pagesize) && start < self.head {
-                // Overlaps the current read-ahead window: pay only the new
-                // pages, no seek.
-                (self.head, end - self.head)
-            } else {
-                if start != self.head {
-                    t += self.seek_seconds;
-                    self.stats.seeks += 1;
-                }
-                (start, span)
-            };
-        let _ = charge_start;
+        let charged = if start >= self.head.saturating_sub(self.pagesize) && start < self.head {
+            // Overlaps the current read-ahead window: pay only the new
+            // pages, no seek.
+            end - self.head
+        } else {
+            if start != self.head {
+                t += self.seek_seconds;
+                self.stats.seeks += 1;
+            }
+            span
+        };
         t += charged as f64 * self.secs_per_byte_read;
         self.head = end;
         self.stats.bytes_read += charged;
         self.stats.busy_seconds += t;
         t
+    }
+
+    /// `count` back-to-back reads of `unit` bytes starting at `offset`,
+    /// adding each request's seconds to `clock` in request order — the
+    /// same floating-point sums, counters and head position as calling
+    /// [`read`](HddSim::read) `count` times, at the cost of the requests
+    /// the device is *charged* for only.
+    ///
+    /// Once request `j` has been served the head sits on the page boundary
+    /// at or past its end, so every later request that ends at or before
+    /// the head (index below `(head - offset) / unit`) starts inside the
+    /// read-ahead window: `read` would return `0.0` for it without touching
+    /// a counter, and the run steps over all of them at once.
+    pub fn read_run(&mut self, offset: u64, unit: u64, count: u64, clock: &mut f64) {
+        let mut j = 0;
+        while j < count {
+            *clock += self.read(offset + j * unit, unit);
+            j += 1;
+            if unit > 0 && self.head > offset {
+                j = j.max(((self.head - offset) / unit).min(count));
+            }
+        }
     }
 
     /// Writes `len` bytes at `offset`; returns simulated seconds.
@@ -212,6 +232,23 @@ impl DeviceSim {
                 d.stats.bytes_read += len;
                 0.0
             }
+        }
+    }
+
+    /// `count` back-to-back reads of `unit` bytes starting at `offset`,
+    /// each request's seconds added to `clock` in request order: equal to
+    /// the last bit to `count` calls of [`read`](DeviceSim::read). Only the
+    /// HDD can skip work (see [`HddSim::read_run`]); flash charges every
+    /// request, so it keeps the loop, and RAM only counts bytes.
+    pub fn read_run(&mut self, offset: u64, unit: u64, count: u64, clock: &mut f64) {
+        match self {
+            DeviceSim::Hdd(d) => d.read_run(offset, unit, count, clock),
+            DeviceSim::Flash(d) => {
+                for j in 0..count {
+                    *clock += d.read(offset + j * unit, unit);
+                }
+            }
+            DeviceSim::Ram(d) => d.stats.bytes_read += unit * count,
         }
     }
 

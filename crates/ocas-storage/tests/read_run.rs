@@ -1,0 +1,107 @@
+//! `StorageSim::read_run` against the loop of `read` it stands for: same
+//! clock, same device counters, same device state afterwards — to the last
+//! bit, on every device kind — and the one documented difference (a run
+//! leaving the file is rejected before anything is charged).
+
+use ocas_hierarchy::presets;
+use ocas_storage::{DeviceStats, FileId, StorageError, StorageSim};
+use proptest::prelude::*;
+
+const PAGE: u64 = 4096;
+const FILE_LEN: u64 = 16 << 20;
+
+/// A simulator with one file per device kind, each preceded by a 5000-byte
+/// file so the run's file does not start on a page boundary of its device.
+fn sim() -> (StorageSim, [(&'static str, FileId); 3]) {
+    let mut sm = StorageSim::from_hierarchy(&presets::hdd_flash_ram(64 << 20));
+    let files = ["HDD", "SSD", "RAM"].map(|device| {
+        sm.alloc(device, 5000).expect("padding fits");
+        (device, sm.alloc(device, FILE_LEN).expect("file fits"))
+    });
+    (sm, files)
+}
+
+/// Everything observable about a device and the clock, floats as bits.
+fn observe(sm: &StorageSim, device: &str) -> (u64, DeviceStats, u64) {
+    let stats = sm.device_stats(device).expect("device exists");
+    (sm.clock().to_bits(), stats, stats.busy_seconds.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    #[test]
+    fn read_run_equals_the_loop_of_reads(
+        (device, unit_kind, unit_draw, offset) in (0usize..3, 0u32..5, 1u64..PAGE, 0u64..3 * PAGE),
+        (count, prior_kind, prior_at, prior_len) in
+            (0u64..700, 0u32..4, 0u64..FILE_LEN - 4 * PAGE, 1u64..4 * PAGE),
+        probe_at in 0u64..FILE_LEN - PAGE,
+    ) {
+        let unit = match unit_kind {
+            0 => unit_draw,          // below the page size, dividing it or not
+            1 => 1 + unit_draw % 64, // many requests per page
+            2 => PAGE,               // exactly a page
+            3 => PAGE + unit_draw,   // above, not dividing
+            _ => 3 * PAGE,           // a multiple of the page size
+        };
+        let count = count.min((FILE_LEN - offset) / unit);
+
+        let (mut run, files) = sim();
+        let (mut looped, _) = sim();
+        let (device, file) = files[device];
+        for sm in [&mut run, &mut looped] {
+            // Leave the head anywhere: nowhere, after a read, after a write,
+            // or right where the run starts (the read-ahead overlap case).
+            match prior_kind {
+                0 => {}
+                1 => sm.read(file, prior_at, prior_len).unwrap(),
+                2 => sm.write(file, prior_at, prior_len).unwrap(),
+                _ => sm.read(file, offset.saturating_sub(prior_len), prior_len).unwrap(),
+            }
+        }
+
+        run.read_run(file, offset, unit, count).unwrap();
+        for j in 0..count {
+            looped.read(file, offset + j * unit, unit).unwrap();
+        }
+        prop_assert_eq!(observe(&run, device), observe(&looped, device),
+            "{} run of {} x {} B at {}", device, count, unit, offset);
+
+        // The next request sees the same device state (head, open block).
+        for sm in [&mut run, &mut looped] {
+            sm.read(file, probe_at, PAGE).unwrap();
+        }
+        prop_assert_eq!(observe(&run, device), observe(&looped, device),
+            "{} probe at {} after the run", device, probe_at);
+    }
+}
+
+/// The documented difference: the run checks its whole extent up front and
+/// charges nothing when it would leave the file; the loop fails at the
+/// first out-of-bounds request, after charging the ones before it.
+#[test]
+fn out_of_bounds_run_is_rejected_before_anything_is_charged() {
+    let (mut run, files) = sim();
+    let (mut looped, _) = sim();
+    let (device, file) = files[0];
+    let (unit, count) = (PAGE, FILE_LEN / PAGE + 1);
+
+    let untouched = observe(&run, device);
+    assert!(matches!(
+        run.read_run(file, 0, unit, count),
+        Err(StorageError::OutOfBounds { .. })
+    ));
+    assert_eq!(observe(&run, device), untouched);
+
+    let failed_at = (0..count).find(|j| looped.read(file, j * unit, unit).is_err());
+    assert_eq!(failed_at, Some(count - 1));
+    assert_eq!(
+        looped.device_stats(device).unwrap().bytes_read,
+        FILE_LEN + PAGE,
+        "the loop charged the in-bounds prefix (page-rounded: the file starts mid-page)"
+    );
+
+    // An empty run asks for nothing, wherever it points.
+    run.read_run(file, FILE_LEN + 1, unit, 0).unwrap();
+    assert_eq!(observe(&run, device), untouched);
+}

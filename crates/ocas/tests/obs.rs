@@ -71,6 +71,53 @@ fn sim_span_attribution_reconstructs_simulator_seconds() {
     assert!(chrome.contains("\"ph\":\"X\""));
 }
 
+/// Table 1 row 1 at paper scale: the winner reads its 2^26-tuple inner
+/// relation one tuple at a time, four times over, and the executor issues
+/// each of those passes as one run request — so the recording is a handful
+/// of spans, not 2.7e8 occurrences, and they still add up to the
+/// simulator's seconds.
+#[test]
+fn paper_scale_bnl_records_one_span_per_run_and_keeps_the_identity() {
+    let e = experiments::bnl_no_writeout();
+    let synth = e.synthesize().expect("synthesis succeeds");
+    ocas_obs::start();
+    let seconds = e.execute(&synth).expect("execution succeeds");
+    let trace = ocas_obs::finish().expect("recorder was active");
+
+    let sim_events: u64 = trace
+        .events
+        .iter()
+        .filter(|ev| ev.clock == Clock::Sim)
+        .map(|ev| 1 + ev.merged)
+        .sum();
+    assert!(sim_events < 100, "{sim_events} simulated-clock occurrences");
+
+    let runs: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|ev| trace.track(ev) == "dev:HDD" && ev.name == "read_run")
+        .collect();
+    assert!(!runs.is_empty(), "no run span recorded");
+    for run in &runs {
+        let arg = |name: &str| run.args.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        assert_eq!(arg("requests"), Some((1u64 << 26) as f64));
+        assert_eq!(arg("bytes"), Some((1u64 << 30) as f64));
+        assert!(arg("seeks").is_some());
+    }
+
+    let attributed: f64 = trace
+        .span_seconds_by_track(Clock::Sim)
+        .iter()
+        .filter(|(t, _)| t.starts_with("dev:") || t.as_str() == "cpu")
+        .map(|(_, s)| s)
+        .sum();
+    let rel = (attributed - seconds).abs() / seconds;
+    assert!(
+        rel < 0.01,
+        "attributed {attributed:.6}s vs simulator {seconds:.6}s (relative error {rel:.4})"
+    );
+}
+
 /// The engine operator span carries the executed plan's name and its
 /// row/byte attribution args.
 #[test]
