@@ -10,10 +10,10 @@
 //! per-tuple heap allocation anywhere between a relation's buffer and the
 //! output sink.
 
+use crate::key_index::KeyIndex;
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{Relation, Row, RowBuf, RowsView};
 use ocas_storage::{CacheSim, CacheStats, StorageBackend, StorageError, StorageSim};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Execution errors.
@@ -890,6 +890,7 @@ impl<B: StorageBackend> Executor<B> {
             JoinPred::KeyEq => 1.0 / l.key_range.max(r.key_range).max(1) as f64,
         };
         let mut carry = 0.0f64;
+        let mut index = KeyIndex::new();
         for b in 0..partitions as usize {
             if self.faithful() {
                 let lb = &lbuckets[b];
@@ -905,22 +906,19 @@ impl<B: StorageBackend> Executor<B> {
                     let f = self.sm.alloc(spill, rbytes)?;
                     self.sm.read(f, 0, rbytes)?;
                 }
-                // In-memory hash join of the pair: build an index table
-                // over the left batch, probe with the right rows.
-                let mut table: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-                for (n, row) in lb.iter().enumerate() {
-                    table.entry(row[0]).or_default().push(n as u32);
+                // In-memory hash join of the pair: index the left batch
+                // by key, probe with the right rows.
+                if pred == JoinPred::KeyEq {
+                    index.build(lb);
                 }
                 hashes += (lb.len() + rb.len()) as u64;
                 for y in rb.iter() {
                     match pred {
                         JoinPred::KeyEq => {
-                            if let Some(matches) = table.get(&y[0]) {
-                                *compares += matches.len() as u64;
-                                for x in matches {
-                                    emits += 1;
-                                    sink.emit_concat(&mut self.sm, lb.row(*x as usize), y)?;
-                                }
+                            for x in index.matches(lb, y[0]) {
+                                *compares += 1;
+                                emits += 1;
+                                sink.emit_concat(&mut self.sm, x, y)?;
                             }
                         }
                         JoinPred::Cross => {

@@ -43,11 +43,13 @@
 #![warn(missing_docs)]
 
 pub mod exec;
+pub mod key_index;
 pub mod lower;
 pub mod plan;
 pub mod rel;
 
 pub use exec::{merge_bufs, merge_rows, ExecError, ExecStats, Executor};
+pub use key_index::KeyIndex;
 pub use lower::{lower, LowerError, WorkloadHint};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 pub use rel::{

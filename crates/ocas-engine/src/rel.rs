@@ -220,11 +220,11 @@ impl RowBuf {
     pub fn decode_into(&mut self, bytes: &[u8]) {
         let row_bytes = self.width * 8;
         let whole = bytes.len() / row_bytes * row_bytes;
-        self.data.reserve(whole / 8);
-        for c in bytes[..whole].chunks_exact(8) {
-            self.data
-                .push(i64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
+        self.data.extend(
+            bytes[..whole]
+                .chunks_exact(8)
+                .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
     }
 
     /// Decodes a fresh batch from `bytes` for a known tuple width.

@@ -14,9 +14,8 @@
 //! configured buffers regardless of input cardinality.
 
 use crate::backend::FileBackend;
-use ocas_engine::{MergeKind, Output, Relation, RowBuf};
+use ocas_engine::{KeyIndex, MergeKind, Output, Relation, RowBuf};
 use ocas_storage::{FileId, StorageBackend, StorageError};
-use std::collections::BTreeMap;
 
 /// Algorithm failures.
 #[derive(Debug)]
@@ -144,7 +143,7 @@ impl SpillAlloc {
     }
 
     /// Writes `bytes` (whole `tb`-byte tuples) as one or more spill
-    /// extents, returning `(file, bytes)` per extent in row order. On
+    /// extents, appending `(file, bytes)` per extent to `out` in row order. On
     /// capacity exhaustion the extent size halves — a contiguous slice of
     /// a sorted batch is still a sorted run, a slice of a bucket buffer is
     /// still bucket-pure — and when single-tuple extents no longer fit it
@@ -154,9 +153,9 @@ impl SpillAlloc {
         fb: &mut FileBackend,
         bytes: &[u8],
         tb: u64,
-    ) -> Result<Vec<(FileId, u64)>, AlgoError> {
+        out: &mut Vec<(FileId, u64)>,
+    ) -> Result<(), AlgoError> {
         let rows = bytes.len() as u64 / tb;
-        let mut out = Vec::new();
         let mut start = 0u64;
         let mut chunk = rows;
         while start < rows {
@@ -184,7 +183,7 @@ impl SpillAlloc {
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -336,6 +335,9 @@ struct RunReader {
     width: usize,
     next: u64,
     buf: RowBuf,
+    /// Rows in `buf`, cached at refill: `RowBuf::len` divides, and `head`
+    /// runs once or more per merged row.
+    rows: usize,
     pos: usize,
     b_in: u64,
 }
@@ -348,6 +350,7 @@ impl RunReader {
             width,
             next: 0,
             buf: RowBuf::new(width),
+            rows: 0,
             pos: 0,
             b_in: b_in.max(1),
         }
@@ -359,15 +362,16 @@ impl RunReader {
 
     /// Resident buffer bytes.
     fn resident_bytes(&self) -> u64 {
-        (self.buf.len() * self.width * 8) as u64
+        (self.rows * self.width * 8) as u64
     }
 
     /// Refills the buffer if it is exhausted and tuples remain on disk.
     fn ensure(&mut self, fb: &mut FileBackend) -> Result<(), AlgoError> {
-        if self.pos >= self.buf.len() && self.next < self.card {
+        if self.pos >= self.rows && self.next < self.card {
             let take = self.b_in.min(self.card - self.next);
             self.buf.clear();
             fb.read_rows(self.file, self.next, take, self.width, &mut self.buf)?;
+            self.rows = take as usize;
             self.pos = 0;
             self.next += take;
         }
@@ -376,7 +380,7 @@ impl RunReader {
 
     /// The buffered head row, by reference (no I/O — call `ensure` first).
     fn head(&self) -> Option<&[i64]> {
-        if self.pos < self.buf.len() {
+        if self.pos < self.rows {
             Some(self.buf.row(self.pos))
         } else {
             None
@@ -386,6 +390,93 @@ impl RunReader {
     /// Steps past the buffered head row.
     fn advance(&mut self) {
         self.pos += 1;
+    }
+}
+
+/// True when reader `a`'s head is merged before reader `b`'s: the smaller
+/// row, the lower reader on a tie (which keeps the merge stable), and any
+/// row before an exhausted reader.
+fn merges_first(readers: &[RunReader], a: usize, b: usize) -> bool {
+    match (readers[a].head(), readers[b].head()) {
+        (Some(x), Some(y)) => match x.cmp(y) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Greater => false,
+            std::cmp::Ordering::Equal => a < b,
+        },
+        (Some(_), None) => true,
+        (None, Some(_)) => false,
+        (None, None) => a < b,
+    }
+}
+
+/// A tournament tree over the readers of one merge: `nodes[0]` is the
+/// reader whose head is merged next, `nodes[1..]` the loser of each match
+/// on the way up (heap layout; reader `i` is leaf `k + i`). After the
+/// winner advances only its own path is replayed — `log2(k)` comparisons a
+/// row instead of a scan of every reader.
+struct LoserTree {
+    nodes: Vec<usize>,
+}
+
+impl LoserTree {
+    fn new(readers: &[RunReader]) -> LoserTree {
+        let k = readers.len();
+        // Play every match bottom-up; `winners[n]` is who left node `n`.
+        let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
+        let mut nodes = vec![0; k];
+        for n in (1..k).rev() {
+            let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+            let a_wins = merges_first(readers, a, b);
+            winners[n] = if a_wins { a } else { b };
+            nodes[n] = if a_wins { b } else { a };
+        }
+        nodes[0] = winners[1];
+        LoserTree { nodes }
+    }
+
+    fn winner(&self) -> usize {
+        self.nodes[0]
+    }
+
+    /// Replays the matches of reader `i` (the last winner) after its head
+    /// changed.
+    fn replay(&mut self, readers: &[RunReader], i: usize) {
+        let mut winner = i;
+        let mut n = (readers.len() + i) / 2;
+        while n > 0 {
+            if merges_first(readers, self.nodes[n], winner) {
+                std::mem::swap(&mut self.nodes[n], &mut winner);
+            }
+            n /= 2;
+        }
+        self.nodes[0] = winner;
+    }
+}
+
+/// Merges the sorted runs behind `readers` (at least one) into one sorted
+/// stream, handing `emit` the readers and the index of the one whose head
+/// is the next row. A refill is issued only for the reader that just
+/// advanced, and only after `emit` returned — so whatever `emit` writes
+/// precedes the read, as it would in a loop that refilled every reader
+/// before each pick.
+fn merge_runs(
+    fb: &mut FileBackend,
+    readers: &mut [RunReader],
+    mut emit: impl FnMut(&mut FileBackend, &[RunReader], usize) -> Result<(), AlgoError>,
+) -> Result<(), AlgoError> {
+    for r in readers.iter_mut() {
+        r.ensure(fb)?;
+    }
+    let mut tree = LoserTree::new(readers);
+    loop {
+        let i = tree.winner();
+        if readers[i].head().is_none() {
+            return Ok(()); // the best reader is exhausted: all are
+        }
+        emit(fb, readers, i)?;
+        readers[i].advance();
+        readers[i].ensure(fb)?;
+        tree.replay(readers, i);
     }
 }
 
@@ -438,6 +529,7 @@ fn sort_inner(
     let mut runs: Vec<RunFile> = Vec::new();
     let mut batch = RowBuf::new(width);
     let mut encode_buf: Vec<u8> = Vec::new();
+    let mut extents: Vec<(FileId, u64)> = Vec::new();
     let mut at = 0u64;
     while at < input.card {
         let take = run_tuples.min(input.card - at);
@@ -447,12 +539,12 @@ fn sort_inner(
         encode_buf.clear();
         batch.encode_into(8, &mut encode_buf);
         gauge.note(take * tb * 2); // batch + its encoding
-        for (file, bytes) in spill.spill_rows(fb, &encode_buf, tb)? {
-            runs.push(RunFile {
-                file,
-                card: bytes / tb,
-            });
-        }
+        extents.clear();
+        spill.spill_rows(fb, &encode_buf, tb, &mut extents)?;
+        runs.extend(extents.iter().map(|&(file, bytes)| RunFile {
+            file,
+            card: bytes / tb,
+        }));
         at += take;
     }
 
@@ -474,47 +566,30 @@ fn sort_inner(
                 .map(|r| RunReader::new(r.file, r.card, width, b_in))
                 .collect();
             let mut out_buf = RowBuf::with_capacity(width, b_out as usize);
+            let mut buffered = 0u64;
             let mut written = 0u64;
-            loop {
-                // Refill exhausted buffers, then pick the smallest head by
-                // reference (no copies on this hot path; first reader wins
-                // ties, keeping the merge stable).
-                for r in readers.iter_mut() {
-                    r.ensure(fb)?;
-                }
-                let mut best: Option<usize> = None;
-                for (i, r) in readers.iter().enumerate() {
-                    if let Some(head) = r.head() {
-                        let better = match best {
-                            Some(b) => head < readers[b].head().expect("best has a head"),
-                            None => true,
-                        };
-                        if better {
-                            best = Some(i);
-                        }
-                    }
-                }
-                let Some(i) = best else { break };
-                out_buf.push(readers[i].head().expect("ensured head"));
-                readers[i].advance();
-                if out_buf.len() as u64 >= b_out {
+            merge_runs(fb, &mut readers, |fb, readers, i| {
+                out_buf.push(readers[i].head().expect("the winner has a head"));
+                buffered += 1;
+                if buffered >= b_out {
                     encode_buf.clear();
                     out_buf.encode_into(8, &mut encode_buf);
                     fb.write_bytes(merged, written * tb, &encode_buf)?;
-                    written += out_buf.len() as u64;
+                    written += buffered;
                     gauge.note(
                         readers.iter().map(RunReader::resident_bytes).sum::<u64>()
-                            + 2 * out_buf.len() as u64 * tb,
+                            + 2 * buffered * tb,
                     );
                     out_buf.clear();
+                    buffered = 0;
                 }
-            }
-            if !out_buf.is_empty() {
+                Ok(())
+            })?;
+            if buffered > 0 {
                 encode_buf.clear();
                 out_buf.encode_into(8, &mut encode_buf);
                 fb.write_bytes(merged, written * tb, &encode_buf)?;
-                written += out_buf.len() as u64;
-                out_buf.clear();
+                written += buffered;
             }
             debug_assert_eq!(written, total);
             next.push(RunFile {
@@ -598,7 +673,7 @@ fn partition_side(
                 buckets[b].extend_from_slice(&col.to_le_bytes());
             }
             if buckets[b].len() as u64 >= per_bucket_buf {
-                parts.extents[b].extend(spill.spill_rows(fb, &buckets[b], tb)?);
+                spill.spill_rows(fb, &buckets[b], tb, &mut parts.extents[b])?;
                 buckets[b].clear();
             }
         }
@@ -607,7 +682,7 @@ fn partition_side(
     }
     for (b, buf) in buckets.iter().enumerate() {
         if !buf.is_empty() {
-            parts.extents[b].extend(spill.spill_rows(fb, buf, tb)?);
+            spill.spill_rows(fb, buf, tb, &mut parts.extents[b])?;
         }
     }
     Ok(parts)
@@ -686,6 +761,7 @@ fn grace_inner(
     let mut sink = RealSink::new(output, lw + rw, left.tuple_bytes + right.tuple_bytes);
     let mut lb = RowBuf::new(lw);
     let mut rb = RowBuf::new(rw);
+    let mut index = KeyIndex::new();
     for b in 0..partitions as usize {
         read_bucket(fb, &lparts.extents[b], lw, &mut lb)?;
         read_bucket(fb, &rparts.extents[b], rw, &mut rb)?;
@@ -697,15 +773,10 @@ fn grace_inner(
                 }
             }
         } else {
-            let mut table: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-            for (n, row) in lb.iter().enumerate() {
-                table.entry(row[0]).or_default().push(n as u32);
-            }
+            index.build(&lb);
             for y in rb.iter() {
-                if let Some(matches) = table.get(&y[0]) {
-                    for x in matches {
-                        sink.emit_concat(fb, lb.row(*x as usize), y)?;
-                    }
+                for x in index.matches(&lb, y[0]) {
+                    sink.emit_concat(fb, x, y)?;
                 }
             }
         }
@@ -943,4 +1014,80 @@ fn dedup_inner(
         gauge.note(reader.resident_bytes() + sink.resident_bytes());
     }
     sink.finish(fb, gauge)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::PoolConfig;
+    use ocas_engine::RelSpec;
+    use ocas_hierarchy::presets;
+    use proptest::prelude::*;
+
+    fn backend() -> FileBackend {
+        FileBackend::from_hierarchy(&presets::hdd_ram(1 << 25), PoolConfig::default()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The merge kernel against a stable sort of the concatenation:
+        /// any number of runs (one, powers of two and not, up to 16),
+        /// unequal and empty ones, keys from a domain small enough that
+        /// most rows tie — and a tie goes to the lower run.
+        #[test]
+        fn merge_runs_is_the_stable_sort_of_the_concatenation(
+            (width, b_in) in (1usize..3, 1u64..6),
+            lens in proptest::collection::vec(0usize..13, 1..17),
+            draws in proptest::collection::vec((0i64..5, 0i64..2), 200..201),
+        ) {
+            let mut fb = backend();
+            let mut draw = draws.iter().cycle();
+            let mut readers = Vec::new();
+            let mut tagged: Vec<(Vec<i64>, usize)> = Vec::new();
+            for (run, &len) in lens.iter().enumerate() {
+                let mut rows = RowBuf::new(width);
+                for _ in 0..len {
+                    let (a, b) = *draw.next().expect("cycled");
+                    rows.push(&[a, b][..width]);
+                }
+                rows.sort();
+                tagged.extend(rows.iter().map(|r| (r.to_vec(), run)));
+                let file = fb.alloc("HDD", (len * width * 8).max(1) as u64).unwrap();
+                fb.materialize(file, 0, &rows.encode()).unwrap();
+                readers.push(RunReader::new(file, len as u64, width, b_in));
+            }
+            let mut got: Vec<(Vec<i64>, usize)> = Vec::new();
+            merge_runs(&mut fb, &mut readers, |_, readers, i| {
+                got.push((readers[i].head().expect("has a head").to_vec(), i));
+                Ok(())
+            })
+            .unwrap();
+            tagged.sort(); // by row, then by run: the stable order
+            prop_assert_eq!(got, tagged);
+        }
+
+        /// The whole sort, run formation included, at the degenerate buffer
+        /// sizes: one-tuple input and output buffers, fan-ins that are not
+        /// powers of two, inputs shorter than one run.
+        #[test]
+        fn external_sort_sorts_at_every_buffer_geometry(
+            (fan_in, b_in, b_out) in (2u64..17, 1u64..4, 1u64..4),
+            (card, wide, key_range) in (0u64..260, 0u32..2, 1u64..40),
+        ) {
+            let mut fb = backend();
+            let spec = match wide {
+                0 => RelSpec::ints("L", "HDD", card),
+                _ => RelSpec::pairs("L", "HDD", card),
+            }
+            .with_key_range(key_range);
+            let rel = Relation::create(&mut fb, &spec, true, fan_in * 1000 + card).unwrap();
+            let mut want = rel.collect_rows().expect("faithful rows");
+            want.sort();
+            let run = external_sort(&mut fb, &rel, fan_in, b_in, b_out, "HDD", &Output::Discard)
+                .unwrap();
+            prop_assert_eq!(run.rows, card);
+            prop_assert_eq!(run.output, want);
+        }
+    }
 }

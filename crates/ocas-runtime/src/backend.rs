@@ -9,6 +9,7 @@ use ocas_storage::fault::{FaultOp, FaultPlan, FaultState, RetryPolicy};
 use ocas_storage::{DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How wall-clock timing relates to the physical disk.
@@ -81,7 +82,7 @@ fn try_direct_open(_path: &Path, _page: usize) -> Option<std::fs::File> {
     None
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct FileMeta {
     device: usize,
     offset: u64,
@@ -89,7 +90,12 @@ struct FileMeta {
 }
 
 struct DeviceFile {
-    name: String,
+    /// Shared so the fault path can hold the name across a request without
+    /// copying it.
+    name: Arc<str>,
+    /// Obs track names (`dev:<name>`, `pool:<name>`), built once.
+    dev_track: String,
+    pool_track: String,
     pool: BufferPool,
     stats: DeviceStats,
     /// Next byte position a purely sequential request would start at —
@@ -109,14 +115,13 @@ impl DeviceFile {
         }
         ocas_obs::span(
             ocas_obs::Clock::Wall,
-            &format!("dev:{}", self.name),
+            &self.dev_track,
             name,
             start,
             dur,
             &[("bytes", bytes as f64), ("seeks", u64::from(seek) as f64)],
         );
         let s = self.pool.stats();
-        let track = format!("pool:{}", self.name);
         for (counter, cur, prev) in [
             ("hits", s.hits, self.obs_pool.hits),
             ("misses", s.misses, self.obs_pool.misses),
@@ -126,7 +131,7 @@ impl DeviceFile {
             if cur > prev {
                 ocas_obs::counter(
                     ocas_obs::Clock::Wall,
-                    &track,
+                    &self.pool_track,
                     counter,
                     start + dur,
                     (cur - prev) as f64,
@@ -247,7 +252,9 @@ impl FileBackend {
             device_by_name.insert(props.name.clone(), devices.len());
             capacity.push(props.size);
             devices.push(DeviceFile {
-                name: props.name.clone(),
+                name: props.name.as_str().into(),
+                dev_track: format!("dev:{}", props.name),
+                pool_track: format!("pool:{}", props.name),
                 pool: BufferPool::new(file, page, cfg.frames, cfg.policy)
                     .with_direct(direct)
                     .with_label(&props.name),
@@ -332,7 +339,7 @@ impl FileBackend {
         let Some(mut inj) = self.injector.take() else {
             return attempt(self, len);
         };
-        let device = self.devices[d].name.clone();
+        let device = Arc::clone(&self.devices[d].name);
         let mut retried = false;
         let mut try_no = 0u32;
         let out = loop {
@@ -375,7 +382,7 @@ impl FileBackend {
                 }
                 Some(ocas_storage::FaultKind::NoSpace) => {
                     break Err(StorageError::NoSpace {
-                        device: device.clone(),
+                        device: device.to_string(),
                         requested: len,
                     });
                 }
@@ -389,13 +396,13 @@ impl FileBackend {
                         break Err(e);
                     }
                     StorageError::Transient {
-                        device: device.clone(),
+                        device: device.to_string(),
                         op: op.name(),
                         request: idx,
                     }
                 }
                 Some(_) => StorageError::Transient {
-                    device: device.clone(),
+                    device: device.to_string(),
                     op: op.name(),
                     request: idx,
                 },
@@ -429,16 +436,20 @@ impl FileBackend {
             .ok_or(StorageError::UnknownFile(file.0))
     }
 
-    fn check(&self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        let m = self.meta(file)?;
-        if offset + len > m.len {
-            return Err(StorageError::OutOfBounds {
+    /// Bounds-checks `[offset, offset + len)` against `file`'s extent and
+    /// resolves it to `(device index, absolute device position)` — once per
+    /// request. An end past `u64::MAX` is out of bounds like any other
+    /// (reported saturated, as the simulator does), never a wrapped pass.
+    fn locate(&self, file: FileId, offset: u64, len: u64) -> Result<(usize, u64), StorageError> {
+        let m = *self.meta(file)?;
+        match offset.checked_add(len) {
+            Some(end) if end <= m.len => Ok((m.device, m.offset + offset)),
+            end => Err(StorageError::OutOfBounds {
                 file: file.0,
-                end: offset + len,
+                end: end.unwrap_or(u64::MAX),
                 len: m.len,
-            });
+            }),
         }
-        Ok(())
     }
 
     /// Charged read of real bytes into `buf` — the data path the
@@ -450,29 +461,17 @@ impl FileBackend {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), StorageError> {
-        if self.injector.is_none() {
-            return self.read_into_raw(file, offset, buf);
-        }
-        self.check(file, offset, buf.len() as u64)?;
-        let d = self.meta(file)?.device;
+        let (d, pos) = self.locate(file, offset, buf.len() as u64)?;
         self.faulted_io(d, FaultOp::Read, buf.len() as u64, |b, take| {
-            b.read_into_raw(file, offset, &mut buf[..take as usize])
+            b.read_device(d, pos, &mut buf[..take as usize])
         })
     }
 
-    /// The uninjected body of [`read_into`](FileBackend::read_into).
-    fn read_into_raw(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), StorageError> {
-        self.check(file, offset, buf.len() as u64)?;
-        let m = self.meta(file)?.clone();
-        let pos = m.offset + offset;
+    /// One charged, uninjected read at device position `pos`.
+    fn read_device(&mut self, d: usize, pos: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         let w0 = ocas_obs::wall_now();
         let t0 = Instant::now();
-        let d = &mut self.devices[m.device];
+        let d = &mut self.devices[d];
         let seek = pos != d.position;
         if seek {
             d.stats.seeks += 1;
@@ -488,29 +487,17 @@ impl FileBackend {
     }
 
     fn write_impl(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        if self.injector.is_none() {
-            return self.write_impl_raw(file, offset, data);
-        }
-        self.check(file, offset, data.len() as u64)?;
-        let d = self.meta(file)?.device;
+        let (d, pos) = self.locate(file, offset, data.len() as u64)?;
         self.faulted_io(d, FaultOp::Write, data.len() as u64, |b, take| {
-            b.write_impl_raw(file, offset, &data[..take as usize])
+            b.write_device(d, pos, &data[..take as usize])
         })
     }
 
-    /// The uninjected body of the charged write path.
-    fn write_impl_raw(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), StorageError> {
-        self.check(file, offset, data.len() as u64)?;
-        let m = self.meta(file)?.clone();
-        let pos = m.offset + offset;
+    /// One charged, uninjected write at device position `pos`.
+    fn write_device(&mut self, d: usize, pos: u64, data: &[u8]) -> Result<(), StorageError> {
         let w0 = ocas_obs::wall_now();
         let t0 = Instant::now();
-        let d = &mut self.devices[m.device];
+        let d = &mut self.devices[d];
         let seek = pos != d.position;
         if seek {
             d.stats.seeks += 1;
@@ -577,24 +564,22 @@ impl FileBackend {
     /// Uncharged read of real bytes — the harvest path for pulling results
     /// back out after a measured run (no clock, no counters, no seek).
     pub fn peek(&mut self, file: FileId, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.check(file, offset, buf.len() as u64)?;
-        let m = self.meta(file)?.clone();
-        self.devices[m.device].pool.read(m.offset + offset, buf)
+        let (d, pos) = self.locate(file, offset, buf.len() as u64)?;
+        self.devices[d].pool.read(pos, buf)
     }
 
     /// Pins the pages backing `[offset, offset+len)` of `file` so the pool
     /// cannot evict them (hot block buffers).
     pub fn pin(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.check(file, offset, len)?;
-        let m = self.meta(file)?.clone();
-        self.devices[m.device].pool.pin(m.offset + offset, len)?;
+        let (d, pos) = self.locate(file, offset, len)?;
+        self.devices[d].pool.pin(pos, len)?;
         Ok(())
     }
 
     /// Releases a [`pin`](FileBackend::pin). Cleanup path: a stale id is
     /// ignored rather than panicking.
     pub fn unpin(&mut self, file: FileId, offset: u64, len: u64) {
-        if let Some(m) = self.files.get(file.0).cloned() {
+        if let Some(&m) = self.files.get(file.0) {
             self.devices[m.device].pool.unpin(m.offset + offset, len);
         }
     }
@@ -631,7 +616,7 @@ impl FileBackend {
     pub fn pool_stats(&self) -> Vec<(String, PoolStats)> {
         self.devices
             .iter()
-            .map(|d| (d.name.clone(), d.pool.stats()))
+            .map(|d| (d.name.to_string(), d.pool.stats()))
             .collect()
     }
 
@@ -639,7 +624,7 @@ impl FileBackend {
     pub fn all_device_stats(&self) -> Vec<(String, DeviceStats)> {
         self.devices
             .iter()
-            .map(|d| (d.name.clone(), d.stats))
+            .map(|d| (d.name.to_string(), d.stats))
             .collect()
     }
 }
@@ -722,11 +707,10 @@ impl StorageBackend for FileBackend {
     }
 
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.check(file, offset, data.len() as u64)?;
-        let m = self.meta(file)?.clone();
+        let (d, pos) = self.locate(file, offset, data.len() as u64)?;
         // Through the pool (cache coherence) but uncharged and without
         // disturbing the sequential-position seek accounting.
-        self.devices[m.device].pool.write(m.offset + offset, data)
+        self.devices[d].pool.write(pos, data)
     }
 
     fn charge_cpu(&mut self, _seconds: f64) {

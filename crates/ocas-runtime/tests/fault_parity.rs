@@ -232,3 +232,39 @@ fn drive_run<B: StorageBackend>(b: &mut B) -> (String, ocas_storage::RecoveryCou
     };
     (outcome, b.recovery_counters().expect("injector present"))
 }
+
+/// A request whose `offset + len` overflows `u64` is `OutOfBounds` on both
+/// backends, read or write, injected or not — identically reported, never a
+/// panic (debug) and never a wrapped sum slipping past the bounds check
+/// (release).
+#[test]
+fn an_overflowing_request_end_is_out_of_bounds_on_both_backends() {
+    fn probe<B: StorageBackend>(b: &mut B) -> Vec<String> {
+        let f = b.alloc("HDD", 4096).expect("fits");
+        let (offset, len) = (u64::MAX - 1, 8);
+        let mut outcomes = vec![
+            b.read(f, offset, len),
+            b.write(f, offset, len),
+            b.write_bytes(f, offset, &[0u8; 8]),
+        ];
+        // The ordinary case on the same file, for contrast: one byte past.
+        outcomes.push(b.read(f, 4090, 7));
+        outcomes
+            .into_iter()
+            .map(|r| match r {
+                Err(e @ ocas_storage::StorageError::OutOfBounds { .. }) => e.to_string(),
+                other => panic!("expected OutOfBounds, got {other:?}"),
+            })
+            .collect()
+    }
+    let h = presets::hdd_ram(1 << 22);
+    let sim = probe(&mut StorageSim::from_hierarchy(&h));
+    let plain = probe(&mut FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap());
+    let injected = probe(
+        &mut FileBackend::from_hierarchy(&h, PoolConfig::default())
+            .unwrap()
+            .with_faults(FaultPlan::new(), RetryPolicy::default()),
+    );
+    assert_eq!(sim, plain);
+    assert_eq!(sim, injected);
+}

@@ -167,6 +167,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The native kernels — `KeyIndex` bucket joins, loser-tree merges —
+    /// against their simulator twins through the runtime, row for row:
+    /// heavily duplicated keys, one-row buckets and buffers, partition
+    /// counts and fan-ins that are not powers of two.
+    #[test]
+    fn native_grace_and_sort_match_their_twins_row_for_row(
+        cards in (1u64..320, 1u64..220),
+        (key_range, partitions) in (1u64..50, 1u64..12),
+        (fan_in, b_in, b_out) in (2u64..8, 1u64..24, 1u64..24),
+        seed in 0u64..1000,
+    ) {
+        let rt = Runtime::new(unit_page_hierarchy());
+        let output = Output::ToDevice { device: "HDD".into(), buffer_bytes: 512 };
+        let join_specs = [
+            RelSpec::pairs("R", "HDD", cards.0).with_key_range(key_range),
+            RelSpec::pairs("S", "HDD", cards.1).with_key_range(key_range),
+        ];
+        let join = Plan::GraceJoin {
+            left: 0,
+            right: 1,
+            partitions,
+            buffer_bytes: 1 << 11,
+            spill: "HDD".into(),
+            pred: JoinPred::KeyEq,
+            output: output.clone(),
+        };
+        let report = rt.run_plan(&join, &join_specs, seed).unwrap();
+        prop_assert!(report.outputs_match(), "join: {} real vs {} simulated rows",
+            report.output.len(), report.sim_output.len());
+
+        let sort_specs = [RelSpec::pairs("L", "HDD", cards.0).with_key_range(key_range)];
+        let sort = Plan::ExternalSort {
+            input: 0,
+            fan_in,
+            b_in,
+            b_out,
+            scratch: "HDD".into(),
+            output,
+        };
+        let report = rt.run_plan(&sort, &sort_specs, seed).unwrap();
+        prop_assert_eq!(report.output.len() as u64, cards.0);
+        prop_assert!(report.output.is_sorted());
+        prop_assert!(report.outputs_match(), "sort");
+    }
+}
+
 #[test]
 fn real_grace_join_is_correct_and_matches_simulator() {
     let h = unit_page_hierarchy();
