@@ -11,6 +11,7 @@
 //! output sink.
 
 use crate::key_index::KeyIndex;
+use crate::key_scan::KeyColumns;
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{Relation, Row, RowBuf, RowsView};
 use ocas_storage::{CacheSim, CacheStats, StorageBackend, StorageError, StorageSim};
@@ -57,7 +58,11 @@ pub struct ExecStats {
     pub seconds: f64,
     /// Rows produced (exact in faithful mode, modeled in simulated mode).
     pub output_rows: u64,
-    /// Tuple comparisons performed/modeled.
+    /// Tuple comparisons performed/modeled. A faithful block-nested-loops
+    /// join counts the pairs its synthesized loops range over (outer block
+    /// x inner block, per block pair) — the quantity the cost model and the
+    /// CPU model reason about — however the executor finds the matches
+    /// among them.
     pub compares: u64,
     /// Output rows materialized in faithful mode, one flat batch (`None`
     /// in simulated mode or when the executor's output collection is
@@ -256,7 +261,7 @@ impl Sink {
         let collected = self
             .collected
             .as_ref()
-            .map_or(0, |c| (c.len() * c.width()) as u64 * 8);
+            .map_or(0, |c| c.as_slice().len() as u64 * 8);
         self.encoded.len() as u64 + collected
     }
 
@@ -669,47 +674,66 @@ impl<B: StorageBackend> Executor<B> {
         let inner_blocks = i.card.div_ceil(k2);
         let mut emits: u64 = 0;
         let mut carry = 0.0f64;
+        let mut keys = KeyColumns::default();
         let mut oidx = 0;
         while oidx < o.card {
             let on = o.read_block(&mut self.sm, oidx, k1)?;
-            // At paper scale the per-pair count is astronomically
-            // CPU-bound; real block joins hash the resident block (build
-            // once per outer block amortized + one probe per inner tuple),
-            // which is what simulated mode models per inner block.
-            let build_share = on / inner_blocks.max(1);
-            let pass = (!self.faithful())
-                .then(|| emitted_over(on, k2, i.card, density, carry))
-                .filter(|(rows, _)| sink.absorbs(*rows));
-            if let Some((rows, carry_after)) = pass {
-                // The sink cannot flush before the pass ends, so the device
-                // sees nothing but the inner scan: issue it as one run.
-                i.read_scan(&mut self.sm, k2)?;
-                *compares += i.card + inner_blocks * build_share;
-                carry = carry_after;
-                emits += rows;
-                sink.emit_bulk(&mut self.sm, rows)?;
-            } else {
+            if self.faithful() {
+                // The outer block is resolved, and its key column taken,
+                // once; every inner block then streams past it. Matches are
+                // found by scanning key columns (see `key_scan`), but
+                // `compares` stays what the model counts: the pairs the
+                // synthesized loops range over.
+                let orows = o.block_rows(oidx, on);
+                keys.set_outer(orows);
+                // High-water mark of what streams past the outer block:
+                // the inner window plus the sink's staging.
+                let mut streamed = None;
                 let mut iidx = 0;
                 while iidx < i.card {
                     let in_n = i.read_block(&mut self.sm, iidx, k2)?;
-                    if self.faithful() {
-                        // Faithful mode runs the literal nested loops.
-                        *compares += on * in_n;
-                        let orows = o.block_rows(oidx, on);
-                        let irows = i.block_rows(iidx, in_n);
-                        self.join_tile(
-                            orows, irows, oidx, iidx, otb, itb, tiling, pred, &mut sink, &mut emits,
-                        )?;
-                        let res = o.resident_bytes() + i.resident_bytes() + sink.resident_bytes();
-                        self.note_peak(res);
-                    } else {
+                    *compares += on * in_n;
+                    let irows = i.block_rows(iidx, in_n);
+                    keys.set_inner(irows);
+                    self.join_tile(
+                        orows, irows, &mut keys, oidx, iidx, otb, itb, tiling, pred, &mut sink,
+                        &mut emits,
+                    )?;
+                    streamed = streamed.max(Some(i.resident_bytes() + sink.resident_bytes()));
+                    iidx += in_n.max(1);
+                }
+                if let Some(streamed) = streamed {
+                    self.note_peak(o.resident_bytes() + streamed);
+                }
+            } else {
+                // At paper scale the per-pair count is astronomically
+                // CPU-bound; real block joins hash the resident block (build
+                // once per outer block amortized + one probe per inner
+                // tuple), which is what simulated mode models per inner
+                // block.
+                let build_share = on / inner_blocks.max(1);
+                let pass = Some(emitted_over(on, k2, i.card, density, carry))
+                    .filter(|(rows, _)| sink.absorbs(*rows));
+                if let Some((rows, carry_after)) = pass {
+                    // The sink cannot flush before the pass ends, so the
+                    // device sees nothing but the inner scan: issue it as
+                    // one run.
+                    i.read_scan(&mut self.sm, k2)?;
+                    *compares += i.card + inner_blocks * build_share;
+                    carry = carry_after;
+                    emits += rows;
+                    sink.emit_bulk(&mut self.sm, rows)?;
+                } else {
+                    let mut iidx = 0;
+                    while iidx < i.card {
+                        let in_n = i.read_block(&mut self.sm, iidx, k2)?;
                         *compares += in_n + build_share;
                         let whole;
                         (whole, carry) = emit_step(expected_rows(on, in_n, density), carry);
                         emits += whole;
                         sink.emit_bulk(&mut self.sm, whole)?;
+                        iidx += in_n.max(1);
                     }
-                    iidx += in_n.max(1);
                 }
             }
             oidx += on.max(1);
@@ -718,15 +742,21 @@ impl<B: StorageBackend> Executor<B> {
         sink.finish(&mut self.sm)
     }
 
-    // Never inlined: this pair loop is where faithful joins spend their
-    // time, and inlined into `run_bnl` its code (2.7 vs 4.3 ns per pair,
-    // measured) depended on the shape of the caller around it.
+    /// Joins one outer block with one inner block, tile pair by tile pair,
+    /// emitting in the nested loop's order: outer tile, inner tile, outer
+    /// row, inner row. `keys` holds the two blocks' key columns.
+    ///
+    /// Everything the cost and cache models see is the nested loop's — one
+    /// outer-tuple access and one inner-tile sweep per outer row of every
+    /// tile pair — and none of it depends on how the matches are found;
+    /// the literal pair loop is kept as this function's test oracle
+    /// (`join_tile_literal`).
     #[allow(clippy::too_many_arguments)]
-    #[inline(never)]
     fn join_tile(
         &mut self,
         orows: RowsView<'_>,
         irows: RowsView<'_>,
+        keys: &mut KeyColumns,
         obase: u64,
         ibase: u64,
         otb: u64,
@@ -744,6 +774,85 @@ impl<B: StorageBackend> Executor<B> {
             Some(t) => (t.outer.max(1) as usize, t.inner.max(1) as usize),
             None => (orows.len().max(1), irows.len().max(1)),
         };
+        let (olen, ilen) = (orows.len(), irows.len());
+        let (ow, iw) = (orows.width(), irows.width());
+        let mut ob = 0;
+        while ob < olen {
+            let oend = (ob + to).min(olen);
+            let mut ib = 0;
+            while ib < ilen {
+                let iend = (ib + ti).min(ilen);
+                // With a cache simulator attached, accounting is batched
+                // per outer row: one `access` for the outer tuple, one
+                // `access_tuples` for the whole inner tile — exactly the
+                // per-tuple access stream (pinned by a parity test in
+                // `ocas-storage`) at per-line instead of per-tuple cost.
+                if let Some(c) = &mut self.cache {
+                    for x in ob..oend {
+                        c.access(oaddr(x), otb);
+                        c.access_tuples(iaddr(ib), itb, (iend - ib) as u64);
+                    }
+                }
+                match pred {
+                    // Emit-bound: every pair is a row.
+                    JoinPred::Cross => {
+                        let osub = &orows.as_slice()[ob * ow..oend * ow];
+                        let isub = &irows.as_slice()[ib * iw..iend * iw];
+                        for x in osub.chunks_exact(ow) {
+                            for y in isub.chunks_exact(iw) {
+                                *emits += 1;
+                                sink.emit_concat(&mut self.sm, x, y)?;
+                            }
+                        }
+                    }
+                    JoinPred::KeyEq => {
+                        let mut from = 0;
+                        while from < oend - ob {
+                            from = keys.find(ob..oend, ib..iend, from);
+                            for (x, y) in keys.pairs() {
+                                *emits += 1;
+                                sink.emit_concat(
+                                    &mut self.sm,
+                                    orows.row(ob + x),
+                                    irows.row(ib + y),
+                                )?;
+                            }
+                        }
+                    }
+                }
+                ib = iend;
+            }
+            ob = oend;
+        }
+        Ok(())
+    }
+
+    /// The faithful pair loop as every BNL plan ran it before the
+    /// key-column scan: row-major, one strided compare and one branch per
+    /// pair. Kept as the oracle [`join_tile`](Executor::join_tile) is held
+    /// to — same rows in the same order, same emit count, same cache
+    /// statistics.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn join_tile_literal(
+        &mut self,
+        orows: RowsView<'_>,
+        irows: RowsView<'_>,
+        obase: u64,
+        ibase: u64,
+        otb: u64,
+        itb: u64,
+        tiling: Option<crate::plan::Tiling>,
+        pred: JoinPred,
+        sink: &mut Sink,
+        emits: &mut u64,
+    ) -> Result<(), ExecError> {
+        let oaddr = |idx: usize| (1u64 << 42) + (obase + idx as u64) * otb;
+        let iaddr = |idx: usize| (2u64 << 42) + (ibase + idx as u64) * itb;
+        let (to, ti) = match tiling {
+            Some(t) => (t.outer.max(1) as usize, t.inner.max(1) as usize),
+            None => (orows.len().max(1), irows.len().max(1)),
+        };
         let (ow, iw) = (orows.width(), irows.width());
         let mut ob = 0;
         while ob < orows.len() {
@@ -751,13 +860,6 @@ impl<B: StorageBackend> Executor<B> {
             let mut ib = 0;
             while ib < irows.len() {
                 let iend = (ib + ti).min(irows.len());
-                // The pair loop always drives off chunk iterators over the
-                // flat tiles (no per-row index arithmetic or bounds
-                // checks). With a cache simulator attached, accounting is
-                // batched per outer row: one `access` for the outer tuple,
-                // one `access_tuples` for the whole inner tile — exactly
-                // the per-tuple access stream (pinned by a parity test in
-                // `ocas-storage`) at per-line instead of per-tuple cost.
                 let osub = &orows.as_slice()[ob * ow..oend * ow];
                 let isub = &irows.as_slice()[ib * iw..iend * iw];
                 for (i, x) in osub.chunks_exact(ow).enumerate() {
@@ -1472,6 +1574,7 @@ mod tests {
     use super::*;
     use crate::rel::RelSpec;
     use ocas_hierarchy::presets;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn setup(faithful: bool, ram: u64) -> Executor {
         let h = presets::hdd_ram(ram);
@@ -1668,6 +1771,221 @@ mod tests {
             .collect();
         assert_eq!(sorted(got), sorted(expect));
         assert!(stats.seconds > 0.0);
+    }
+
+    /// One tile-join case of the differential test below.
+    struct TileCase {
+        orows: RowBuf,
+        irows: RowBuf,
+        tiling: Option<crate::plan::Tiling>,
+        pred: JoinPred,
+        cache: bool,
+    }
+
+    /// `len` rows of `width` columns: the key drawn from `range` values
+    /// starting at `base`, then (from width 2) the row's own number, so
+    /// that an emitted row names the pair that produced it.
+    fn tile_block(len: usize, width: usize, range: u64, base: i64, rng: &mut StdRng) -> RowBuf {
+        let mut data = Vec::with_capacity(len * width);
+        for id in 0..len {
+            data.push(base.wrapping_add(rng.gen_range(0..range) as i64));
+            data.extend((1..width).map(|col| (id * 8 + col) as i64));
+        }
+        RowBuf::from_vec(data, width)
+    }
+
+    /// Runs one tile join through the key-column kernel or the literal
+    /// pair loop; returns the emit count, the emitted rows in order, their
+    /// digest and the cache statistics.
+    fn run_tile(case: &TileCase, literal: bool) -> (u64, RowBuf, u64, Option<CacheStats>) {
+        let mut ex = setup(true, 1 << 25);
+        if case.cache {
+            ex = ex.with_cache(CacheSim::new(8 * 1024, 64, 2));
+        }
+        let (o, i) = (case.orows.as_view(), case.irows.as_view());
+        let (otb, itb) = (o.width() as u64 * 8, i.width() as u64 * 8);
+        let mut sink = ex.sink(&Output::Discard, otb + itb, o.width() + i.width());
+        let mut emits = 0;
+        let (tiling, pred) = (case.tiling, case.pred);
+        if literal {
+            ex.join_tile_literal(o, i, 40, 7, otb, itb, tiling, pred, &mut sink, &mut emits)
+        } else {
+            let mut keys = KeyColumns::default();
+            keys.set_outer(o);
+            keys.set_inner(i);
+            ex.join_tile(
+                o, i, &mut keys, 40, 7, otb, itb, tiling, pred, &mut sink, &mut emits,
+            )
+        }
+        .unwrap();
+        let (rows, collected, digest) = sink.finish(&mut ex.sm).unwrap();
+        assert_eq!(rows, emits);
+        let cache = ex.cache.as_ref().map(|c| c.stats());
+        (emits, collected.unwrap(), digest.unwrap(), cache)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The key-column kernel against the literal pair loop it replaced:
+        /// the same rows in the same order (from width 2 every row carries
+        /// its row number, so that is the same (outer row, inner row)
+        /// pairs), the same emit count and digest and — with a cache
+        /// simulator attached — the same cache statistics. Every pair of
+        /// tile shapes around the chunk width and at the tuned block size,
+        /// each with its own draw of widths, tiling (tiles that do not
+        /// divide the block), key density, key sign and domain end.
+        #[test]
+        fn tile_join_equals_the_literal_pair_loop(seed in 0u64..1_000_000) {
+            const SHAPES: [usize; 8] = [0, 1, 2, 31, 32, 33, 64, 4096];
+            for (n, (on, in_n)) in SHAPES
+                .iter()
+                .flat_map(|on| SHAPES.iter().map(move |in_n| (*on, *in_n)))
+                .enumerate()
+            {
+                let mut rng = StdRng::seed_from_u64(seed * 64 + n as u64);
+                let pairs = on * in_n;
+                // Every pair matches; duplicates; moderately sparse; sparse
+                // — the dense ones only while the output stays small.
+                let range = match rng.gen_range(0..4u32) {
+                    0 if pairs <= 1 << 16 => 1,
+                    0 | 1 if pairs <= 1 << 20 => 5,
+                    0..=2 => 300,
+                    _ => 1 << 40,
+                };
+                let base = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => -(range as i64 / 2) - 1,
+                    2 => i64::MIN,
+                    _ => i64::MAX - (range as i64 - 1),
+                };
+                let tiling = match rng.gen_range(0..4u32) {
+                    0 | 1 => None,
+                    2 => Some(crate::plan::Tiling { outer: 7, inner: 33 }),
+                    _ => Some(crate::plan::Tiling { outer: 100, inner: 3 }),
+                };
+                let case = TileCase {
+                    orows: tile_block(on, rng.gen_range(1..5), range, base, &mut rng),
+                    irows: tile_block(in_n, rng.gen_range(1..5), range, base, &mut rng),
+                    tiling,
+                    // Cross emits every pair: small shapes only.
+                    pred: if pairs <= 1 << 12 && rng.gen_range(0..4u32) == 0 {
+                        JoinPred::Cross
+                    } else {
+                        JoinPred::KeyEq
+                    },
+                    // (Not on the 16M-pair shape: it would take the debug
+                    // build seconds per case.)
+                    cache: pairs < 1 << 24 && rng.gen_range(0..2u32) == 0,
+                };
+                let (got, want) = (run_tile(&case, false), run_tile(&case, true));
+                proptest::prop_assert!(
+                    got == want,
+                    "{} x {} rows, {:?}, {:?}, key range {} from {}: {} vs {} rows, cache {:?} vs {:?}",
+                    on, in_n, case.tiling, case.pred, range, base, got.0, want.0, got.3, want.3
+                );
+            }
+        }
+    }
+
+    /// Two relations of `cards`, seeded from `seed`, registered with `ex`;
+    /// returns their plan indices.
+    fn add_pair<B: StorageBackend>(
+        ex: &mut Executor<B>,
+        cards: (u64, u64),
+        seed: u64,
+    ) -> (usize, usize) {
+        let mut add = |name: &str, card: u64, seed: u64| {
+            let spec = RelSpec::pairs(name, "HDD", card).with_key_range(40);
+            let rel = Relation::create(&mut ex.sm, &spec, true, seed).unwrap();
+            ex.add_relation(rel)
+        };
+        (add("R", cards.0, seed), add("S", cards.1, seed + 1))
+    }
+
+    /// The tuned shape at test scale: a block size that is no multiple of
+    /// the scan's chunk width, the inner relation a few tuples at a time.
+    fn tuned_bnl(outer: usize, inner: usize, k2: u64, output: Output) -> Plan {
+        Plan::BnlJoin {
+            outer,
+            inner,
+            k1: 37,
+            k2,
+            tiling: None,
+            pred: JoinPred::KeyEq,
+            order_inputs: false,
+            output,
+        }
+    }
+
+    /// An executor is reused across plans: the second of two BNL joins
+    /// over *different* relations of the *same* cardinalities must not see
+    /// anything of the first (a key column kept by position or length
+    /// would).
+    #[test]
+    fn a_reused_executor_joins_the_relations_in_front_of_it() {
+        for k2 in [1, 3] {
+            let mut ex = setup(true, 1 << 25);
+            let (r1, s1) = add_pair(&mut ex, (300, 200), 1);
+            let (r2, s2) = add_pair(&mut ex, (300, 200), 11);
+            let first = ex.run(&tuned_bnl(r1, s1, k2, Output::Discard)).unwrap();
+            let second = ex.run(&tuned_bnl(r2, s2, k2, Output::Discard)).unwrap();
+            assert_ne!(first.output_digest, second.output_digest);
+
+            let mut fresh = setup(true, 1 << 25);
+            let (r, s) = add_pair(&mut fresh, (300, 200), 11);
+            let want = fresh.run(&tuned_bnl(r, s, k2, Output::Discard)).unwrap();
+            assert_eq!(second.output, want.output, "k2 = {k2}");
+            assert_eq!(second.output_digest, want.output_digest);
+            assert_eq!(second.compares, 300 * 200);
+            let rows = |i: usize| fresh.rels[i].collect_rows().unwrap().to_rows();
+            assert_eq!(
+                sorted(second.output.unwrap().to_rows()),
+                sorted(brute_join(&rows(r), &rows(s), JoinPred::KeyEq))
+            );
+        }
+    }
+
+    /// A run whose sink fails in the middle of a tile leaves nothing
+    /// behind: the next run on the same executor is the clean run, row for
+    /// row.
+    #[test]
+    fn a_sink_failure_mid_tile_does_not_poison_the_next_run() {
+        use ocas_storage::{FaultKind, FaultOp, FaultPlan, Faulted, RetryPolicy};
+        let output = Output::ToDevice {
+            device: "HDD2".into(),
+            buffer_bytes: 256,
+        };
+        for k2 in [1, 3] {
+            // The sink is alone on HDD2: request 0 allocates its extent,
+            // request 3 is its third flush — no room left on the device.
+            let plan = FaultPlan::new().with("HDD2", FaultOp::Write, 3, FaultKind::NoSpace);
+            let sm = StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 22));
+            let mut ex = Executor::new(
+                Faulted::new(sm, plan, RetryPolicy::none()),
+                Mode::Faithful,
+                CpuModel::default(),
+            );
+            let (r, s) = add_pair(&mut ex, (300, 200), 5);
+            let failed = ex.run(&tuned_bnl(r, s, k2, output.clone()));
+            assert!(
+                matches!(
+                    failed,
+                    Err(ExecError::Storage(StorageError::NoSpace { .. }))
+                ),
+                "{failed:?}"
+            );
+            let retried = ex.run(&tuned_bnl(r, s, k2, output.clone())).unwrap();
+
+            let sm = StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 22));
+            let mut clean = Executor::new(sm, Mode::Faithful, CpuModel::default());
+            let (r, s) = add_pair(&mut clean, (300, 200), 5);
+            let want = clean.run(&tuned_bnl(r, s, k2, output.clone())).unwrap();
+            assert!(want.output_rows > 24, "the fault must land mid-run");
+            assert_eq!(retried.output, want.output, "k2 = {k2}");
+            assert_eq!(retried.output_digest, want.output_digest);
+            assert_eq!(retried.peak_resident_bytes, want.peak_resident_bytes);
+        }
     }
 
     #[test]

@@ -733,7 +733,7 @@ impl BlockCache {
     }
 
     fn resident_bytes(&self) -> u64 {
-        (self.buf.len() * self.buf.width()) as u64 * 8
+        self.buf.as_slice().len() as u64 * 8
     }
 
     /// Drops the window's allocation (setup scratch release: relations
@@ -991,7 +991,7 @@ impl Relation {
     pub fn resident_bytes(&self) -> u64 {
         match &self.source {
             RowSource::Virtual => 0,
-            RowSource::Materialized(rows) => (rows.len() * rows.width()) as u64 * 8,
+            RowSource::Materialized(rows) => rows.as_slice().len() as u64 * 8,
             RowSource::Streamed { cache, .. } => cache.resident_bytes(),
         }
     }

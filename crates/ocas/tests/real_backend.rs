@@ -1,8 +1,10 @@
 //! The acceptance check for the real-I/O backend: a **synthesized** GRACE
-//! hash join and 2ᵏ-way external merge-sort run end-to-end through the
-//! `ocas-runtime` `FileBackend` on real temp files, and their outputs are
-//! byte-identical to (1) the OCAL reference interpreter evaluating the
-//! naive specification and (2) the simulator's faithful mode.
+//! hash join, 2ᵏ-way external merge-sort and block-nested-loops join run
+//! end-to-end through the `ocas-runtime` `FileBackend` on real temp files,
+//! and their outputs are byte-identical to (1) the OCAL reference
+//! interpreter evaluating the naive specification (for the BNL join: the
+//! plan's own blocked loop nest, row for row) and (2) the simulator's
+//! faithful mode.
 //!
 //! Synthesis happens at the experiments' paper scale (that is where GRACE
 //! and wide merges win); execution happens at faithful scale with the
@@ -30,6 +32,34 @@ fn rows_for(spec: &RelSpec, seed: u64) -> Vec<Row> {
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort();
     rows
+}
+
+/// The rows of an interpreter result whose elements are (nested) tuples of
+/// integers: `<<a, b>, <c, d>>` -> `[a, b, c, d]`.
+fn interpreter_rows(v: &ocal::Value) -> Vec<Row> {
+    v.as_list()
+        .unwrap()
+        .iter()
+        .map(|row| {
+            row.to_string()
+                .chars()
+                .filter(|c| c.is_ascii_digit() || *c == ' ' || *c == '-')
+                .collect::<String>()
+                .split_whitespace()
+                .map(|t| t.parse().unwrap())
+                .collect()
+        })
+        .collect()
+}
+
+/// Binary relations as interpreter inputs.
+fn pair_inputs(rels: &[(&str, &[Row])]) -> BTreeMap<String, ocal::Value> {
+    rels.iter()
+        .map(|(name, rows)| {
+            let pairs: Vec<(i64, i64)> = rows.iter().map(|r| (r[0], r[1])).collect();
+            (name.to_string(), ocal::Value::pair_list(&pairs))
+        })
+        .collect()
 }
 
 #[test]
@@ -78,36 +108,11 @@ fn synthesized_grace_join_runs_on_real_files_three_way_identical() {
     // encoded bytes of the canonically sorted row sets).
     let rrows = rows_for(&rel_specs[0], seed);
     let srows = rows_for(&rel_specs[1], seed + 1);
-    let inputs: BTreeMap<String, ocal::Value> = [
-        (
-            "R".to_string(),
-            ocal::Value::pair_list(&rrows.iter().map(|r| (r[0], r[1])).collect::<Vec<_>>()),
-        ),
-        (
-            "S".to_string(),
-            ocal::Value::pair_list(&srows.iter().map(|r| (r[0], r[1])).collect::<Vec<_>>()),
-        ),
-    ]
-    .into_iter()
-    .collect();
+    let inputs = pair_inputs(&[("R", &rrows), ("S", &srows)]);
     let v = ocal::Evaluator::new()
         .run(&e.spec.program, &inputs)
         .expect("interpreter");
-    let interp: Vec<Row> = v
-        .as_list()
-        .unwrap()
-        .iter()
-        .map(|row| {
-            // <<a, b>, <c, d>> -> [a, b, c, d]
-            let pair = row.to_string();
-            pair.chars()
-                .filter(|c| c.is_ascii_digit() || *c == ' ' || *c == '-')
-                .collect::<String>()
-                .split_whitespace()
-                .map(|t| t.parse().unwrap())
-                .collect()
-        })
-        .collect();
+    let interp = interpreter_rows(&v);
     assert!(!interp.is_empty(), "degenerate join");
     assert_eq!(
         encode_rows(&sorted(report.output.to_rows())),
@@ -124,6 +129,88 @@ fn synthesized_grace_join_runs_on_real_files_three_way_identical() {
         .clone();
     assert!(hdd.bytes_written >= (300 + 200) * 16, "{hdd:?}");
     assert!(report.wall_seconds > 0.0 && report.sim_seconds > 0.0);
+}
+
+/// The block-nested-loops join in the shape the synthesizer tunes it to —
+/// one relation blocked as large as RAM allows, the other streaming past it
+/// a tuple at a time — lowered from the synthesized program with the block
+/// scaled down to faithful data (37 tuples: no multiple of the key scan's
+/// chunk width), and once more with the stream three tuples at a time.
+/// Here the output is held to the interpreter **row for row**: the same
+/// loop nest, evaluated with the same block sizes, emits in the order the
+/// plan must.
+#[test]
+fn synthesized_bnl_join_runs_on_real_files_three_way_identical() {
+    let e = experiments::bnl_no_writeout();
+    let synth = e.synthesize().expect("synthesis");
+    assert!(
+        verify::is_block_nested_loops(&synth.best.program),
+        "winner is not a BNL join: {}",
+        ocal::pretty(&synth.best.program)
+    );
+    let cx = ocas_engine::lower::LowerCtx {
+        params: synth.best.params.keys().map(|k| (k.clone(), 37)).collect(),
+        relations: [("R".to_string(), 0usize), ("S".to_string(), 1)].into(),
+        output: Output::Discard,
+        scratch: "HDD".into(),
+    };
+    let lowered = ocas_engine::lower(&synth.best.program, e.spec.hint, &cx).expect("lowering");
+    let Plan::BnlJoin {
+        outer,
+        inner,
+        k1: 37,
+        k2: 1,
+        ..
+    } = lowered
+    else {
+        panic!("lowered to {lowered:?}");
+    };
+
+    let rel_specs = vec![
+        RelSpec::pairs("R", "HDD", 150).with_key_range(60),
+        RelSpec::pairs("S", "HDD", 400).with_key_range(60),
+    ];
+    let seed = 17;
+    let rows = [
+        rows_for(&rel_specs[0], seed),
+        rows_for(&rel_specs[1], seed + 1),
+    ];
+    let inputs = pair_inputs(&[("O", &rows[outer]), ("I", &rows[inner])]);
+    let loops = ocal::parse(
+        "for (oB [k1] <- O) for (iB [k2] <- I) for (o <- oB) for (i <- iB) \
+         if o.1 == i.1 then [<o, i>] else []",
+    )
+    .unwrap();
+    let rt = ocas_runtime::Runtime::new(e.hierarchy.clone());
+
+    for k2 in [1, 3] {
+        let mut plan = lowered.clone();
+        if let Plan::BnlJoin {
+            k2: inner_block, ..
+        } = &mut plan
+        {
+            *inner_block = k2;
+        }
+        // (2) real ≡ simulator faithful mode, byte for byte.
+        let report = rt
+            .run_plan(&plan, &rel_specs, seed)
+            .expect("real execution");
+        assert!(report.outputs_match(), "k2 = {k2}");
+
+        // (1) real ≡ OCAL reference interpreter, in emission order.
+        let v = ocal::Evaluator::new()
+            .with_param("k1", 37)
+            .with_param("k2", k2)
+            .run(&loops, &inputs)
+            .expect("interpreter");
+        let interp = interpreter_rows(&v);
+        assert!(!interp.is_empty(), "degenerate join");
+        assert_eq!(
+            encode_rows(&report.output.to_rows()),
+            encode_rows(&interp),
+            "k2 = {k2}: real output differs from the OCAL interpreter"
+        );
+    }
 }
 
 #[test]
