@@ -13,7 +13,7 @@
 use crate::key_index::KeyIndex;
 use crate::key_scan::KeyColumns;
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
-use crate::rel::{Relation, Row, RowBuf, RowsView};
+use crate::rel::{BlockBuf, Relation, Row, RowBuf, RowsView};
 use ocas_storage::{CacheSim, CacheStats, StorageBackend, StorageError, StorageSim};
 use std::fmt;
 
@@ -662,7 +662,6 @@ impl<B: StorageBackend> Executor<B> {
         };
         let mut o = self.rel(oi)?.clone();
         let mut i = self.rel(ii)?.clone();
-        let (otb, itb) = (o.tuple_bytes, i.tuple_bytes);
         let out_width = o.tuple_bytes + i.tuple_bytes;
         let out_cols = (o.width + i.width) as usize;
         let mut sink = self.sink(output, out_width, out_cols);
@@ -673,39 +672,13 @@ impl<B: StorageBackend> Executor<B> {
         };
         let inner_blocks = i.card.div_ceil(k2);
         let mut emits: u64 = 0;
-        let mut carry = 0.0f64;
-        let mut keys = KeyColumns::default();
-        let mut oidx = 0;
-        while oidx < o.card {
-            let on = o.read_block(&mut self.sm, oidx, k1)?;
-            if self.faithful() {
-                // The outer block is resolved, and its key column taken,
-                // once; every inner block then streams past it. Matches are
-                // found by scanning key columns (see `key_scan`), but
-                // `compares` stays what the model counts: the pairs the
-                // synthesized loops range over.
-                let orows = o.block_rows(oidx, on);
-                keys.set_outer(orows);
-                // High-water mark of what streams past the outer block:
-                // the inner window plus the sink's staging.
-                let mut streamed = None;
-                let mut iidx = 0;
-                while iidx < i.card {
-                    let in_n = i.read_block(&mut self.sm, iidx, k2)?;
-                    *compares += on * in_n;
-                    let irows = i.block_rows(iidx, in_n);
-                    keys.set_inner(irows);
-                    self.join_tile(
-                        orows, irows, &mut keys, oidx, iidx, otb, itb, tiling, pred, &mut sink,
-                        &mut emits,
-                    )?;
-                    streamed = streamed.max(Some(i.resident_bytes() + sink.resident_bytes()));
-                    iidx += in_n.max(1);
-                }
-                if let Some(streamed) = streamed {
-                    self.note_peak(o.resident_bytes() + streamed);
-                }
-            } else {
+        if self.faithful() {
+            emits = self.bnl_faithful(&mut o, &mut i, k1, k2, tiling, pred, &mut sink, compares)?;
+        } else {
+            let mut carry = 0.0f64;
+            let mut oidx = 0;
+            while oidx < o.card {
+                let on = o.read_block(&mut self.sm, oidx, k1)?;
                 // At paper scale the per-pair count is astronomically
                 // CPU-bound; real block joins hash the resident block (build
                 // once per outer block amortized + one probe per inner
@@ -735,11 +708,66 @@ impl<B: StorageBackend> Executor<B> {
                         iidx += in_n.max(1);
                     }
                 }
+                oidx += on.max(1);
             }
-            oidx += on.max(1);
         }
         self.charge_cpu(*compares, emits, 0);
         sink.finish(&mut self.sm)
+    }
+
+    /// The faithful arm of [`run_bnl`](Executor::run_bnl): every block is
+    /// a [`Relation::load_block`], so on a backend that holds the payload
+    /// the join is computed on the bytes it read. Returns the emitted rows.
+    #[allow(clippy::too_many_arguments)]
+    fn bnl_faithful(
+        &mut self,
+        o: &mut Relation,
+        i: &mut Relation,
+        k1: u64,
+        k2: u64,
+        tiling: Option<crate::plan::Tiling>,
+        pred: JoinPred,
+        sink: &mut Sink,
+        compares: &mut u64,
+    ) -> Result<u64, ExecError> {
+        let (otb, itb) = (o.tuple_bytes, i.tuple_bytes);
+        let mut emits: u64 = 0;
+        let mut keys = KeyColumns::default();
+        let (mut oblock, mut iblock) = (BlockBuf::default(), BlockBuf::default());
+        let mut oidx = 0;
+        while oidx < o.card {
+            // The outer block is resolved, and its key column taken,
+            // once; every inner block then streams past it. Matches are
+            // found by scanning key columns (see `key_scan`), but
+            // `compares` stays what the model counts: the pairs the
+            // synthesized loops range over.
+            let on = k1.min(o.card - oidx);
+            let orows = o.load_block(&mut self.sm, oidx, k1, &mut oblock)?;
+            keys.set_outer(orows);
+            // High-water mark of what streams past the outer block:
+            // the inner block (or the window it is generated from) plus
+            // the sink's staging.
+            let mut streamed = None;
+            let mut iidx = 0;
+            while iidx < i.card {
+                let in_n = k2.min(i.card - iidx);
+                let irows = i.load_block(&mut self.sm, iidx, k2, &mut iblock)?;
+                *compares += on * in_n;
+                keys.set_inner(irows);
+                self.join_tile(
+                    orows, irows, &mut keys, oidx, iidx, otb, itb, tiling, pred, sink, &mut emits,
+                )?;
+                streamed = streamed.max(Some(
+                    i.resident_bytes() + iblock.resident_bytes() + sink.resident_bytes(),
+                ));
+                iidx += in_n;
+            }
+            if let Some(streamed) = streamed {
+                self.note_peak(o.resident_bytes() + oblock.resident_bytes() + streamed);
+            }
+            oidx += on;
+        }
+        Ok(emits)
     }
 
     /// Joins one outer block with one inner block, tile pair by tile pair,
@@ -1435,44 +1463,60 @@ impl<B: StorageBackend> Executor<B> {
         if b_in == 0 {
             return Err(ExecError::BadParameter("zero aggregate buffer"));
         }
-        let mut rel = self.rel(input)?.clone();
+        let rel = self.rel(input)?.clone();
+        if self.faithful() {
+            return self.aggregate_faithful(rel, b_in, compares);
+        }
         // Simulated mode coalesces the single sequential stream into ~4 MiB
         // requests: for one cursor moving forward, every device model
         // charges by the page-rounded high-water mark, so the totals (bytes,
         // seeks, seconds) are identical at any request granularity — but the
         // paper-scale scans (4 GiB in b_in-tuple blocks) stop costing 10⁸
         // host-side calls.
-        let step = if self.faithful() {
-            b_in
-        } else {
-            let chunk_tuples = ((4u64 << 20) / rel.tuple_bytes.max(1)).max(1);
-            b_in.max(chunk_tuples.next_multiple_of(b_in))
-        };
+        let chunk_tuples = ((4u64 << 20) / rel.tuple_bytes.max(1)).max(1);
+        let step = b_in.max(chunk_tuples.next_multiple_of(b_in));
         let mut idx = 0;
-        let mut sum: i64 = 0;
-        let mut count: i64 = 0;
         while idx < rel.card {
             let n = rel.read_block(&mut self.sm, idx, step)?;
             *compares += n;
-            if self.faithful() {
-                for row in rel.block_rows(idx, n).iter() {
-                    sum = sum.wrapping_add(row[0]);
-                    count += 1;
-                }
-                self.note_peak(rel.resident_bytes());
-            }
             idx += n.max(1);
         }
         self.charge_cpu(*compares, 1, 0);
+        Ok((1, None, None))
+    }
+
+    /// The faithful arm of [`run_aggregate`](Executor::run_aggregate): one
+    /// [`Relation::load_block`] per `b_in` tuples, averaged as they arrive.
+    fn aggregate_faithful(
+        &mut self,
+        mut rel: Relation,
+        b_in: u64,
+        compares: &mut u64,
+    ) -> Result<OpResult, ExecError> {
+        let mut block = BlockBuf::default();
+        let mut sum: i64 = 0;
+        let mut count: i64 = 0;
+        // Residency changes with the block buffer or the generator's
+        // window, not with the executor: tracked here, reported once.
+        let mut peak = 0;
+        let mut idx = 0;
+        while idx < rel.card {
+            let n = b_in.min(rel.card - idx);
+            let rows = rel.load_block(&mut self.sm, idx, b_in, &mut block)?;
+            for row in rows.iter() {
+                sum = sum.wrapping_add(row[0]);
+                count += 1;
+            }
+            peak = peak.max(rel.resident_bytes() + block.resident_bytes());
+            idx += n;
+        }
+        *compares += rel.card;
+        self.note_peak(peak);
+        self.charge_cpu(*compares, 1, 0);
         let avg = if count > 0 { sum / count } else { 0 };
-        let (output, digest) = if self.faithful() {
-            let digest = fnv_values(FNV_OFFSET, &[avg]);
-            let out = self.collect_output.then(|| RowBuf::from_rows(&[vec![avg]]));
-            (out, Some(digest))
-        } else {
-            (None, None)
-        };
-        Ok((1, output, digest))
+        let digest = fnv_values(FNV_OFFSET, &[avg]);
+        let out = self.collect_output.then(|| RowBuf::from_rows(&[vec![avg]]));
+        Ok((1, out, Some(digest)))
     }
 }
 

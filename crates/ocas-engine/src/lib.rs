@@ -34,6 +34,21 @@
 //! simulator and on real files. A parity test holds the two paths
 //! bit-equal.
 //!
+//! **Blocks carry data.** The faithful arms of the block-nested-loops join
+//! and of the aggregation read every block through
+//! [`Relation::load_block`]: one
+//! [`StorageBackend::read_data`](ocas_storage::StorageBackend::read_data)
+//! request — charged, counted and faulted exactly like the accounting read
+//! the simulated arm issues — whose rows are decoded from the bytes the
+//! backend handed back when it holds a payload (real files), and served by
+//! the relation's generator when it does not (the simulator). So on real
+//! files these operators compute on what they read, their peak residency is
+//! the blocks they decoded, and a twin comparison can fail because of what
+//! is in a file. The simulated arms never call it. The other templates'
+//! generic arms still take their rows from the generator on every backend;
+//! the real backend runs those through its native implementations, which
+//! decode what they read.
+//!
 //! **Faithful pair loop.** A faithful block-nested-loops join compares every
 //! tuple of the resident outer block with every tuple of the inner block
 //! streaming past it, and the plan the synthesizer tunes gives all of RAM
@@ -79,6 +94,6 @@ pub use key_index::KeyIndex;
 pub use lower::{lower, LowerError, WorkloadHint};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 pub use rel::{
-    decode_rows, encode_rows, GenMode, RelSpec, Relation, Row, RowBuf, RowGen, RowsView,
+    decode_rows, encode_rows, BlockBuf, GenMode, RelSpec, Relation, Row, RowBuf, RowGen, RowsView,
     SortedEmitter, DEFAULT_CACHE_BYTES,
 };

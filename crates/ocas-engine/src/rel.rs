@@ -220,8 +220,15 @@ impl RowBuf {
     pub fn decode_into(&mut self, bytes: &[u8]) {
         let row_bytes = self.width * 8;
         let whole = bytes.len() / row_bytes * row_bytes;
+        self.extend_le(&bytes[..whole]);
+    }
+
+    /// Appends the 8-byte LE columns in `bytes` (whole rows, the caller's
+    /// promise).
+    #[inline]
+    fn extend_le(&mut self, bytes: &[u8]) {
         self.data.extend(
-            bytes[..whole]
+            bytes
                 .chunks_exact(8)
                 .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
         );
@@ -327,6 +334,32 @@ pub fn decode_rows(bytes: &[u8], width: usize) -> Vec<Row> {
                 .collect()
         })
         .collect()
+}
+
+/// The reusable buffers behind [`Relation::load_block`]: the bytes of the
+/// last block read and the rows decoded from them.
+#[derive(Debug)]
+pub struct BlockBuf {
+    bytes: Vec<u8>,
+    rows: RowBuf,
+}
+
+impl Default for BlockBuf {
+    fn default() -> BlockBuf {
+        BlockBuf {
+            bytes: Vec::new(),
+            rows: RowBuf::new(1),
+        }
+    }
+}
+
+impl BlockBuf {
+    /// Tuple bytes of the block currently decoded here: 0 when the last
+    /// block came from the relation's generator instead (and is counted in
+    /// [`Relation::resident_bytes`]).
+    pub fn resident_bytes(&self) -> u64 {
+        self.rows.data.len() as u64 * 8
+    }
 }
 
 /// Declarative description of a relation to allocate/generate.
@@ -945,6 +978,44 @@ impl Relation {
             sm.read(self.file, index * self.tuple_bytes, n * self.tuple_bytes)?;
         }
         Ok(n)
+    }
+
+    /// Reads a block like [`read_block`](Relation::read_block) — the same
+    /// request, charged and counted the same — and returns its rows.
+    ///
+    /// The rows are decoded from the bytes the backend handed back when it
+    /// holds a payload (a real file backend): what the operator computes on
+    /// is then what is in the file, whatever the generator would have
+    /// produced. A backend without payload (the simulator) gets the block
+    /// from the relation's generator, as [`block_rows`](Relation::block_rows)
+    /// serves it. So does a relation whose columns are narrower than 8
+    /// bytes: its file holds truncated values and the in-memory rows stay
+    /// authoritative, so it does not follow its file.
+    pub fn load_block<'a, B: StorageBackend>(
+        &'a mut self,
+        sm: &mut B,
+        index: u64,
+        count: u64,
+        buf: &'a mut BlockBuf,
+    ) -> Result<RowsView<'a>, StorageError> {
+        let n = count.min(self.card.saturating_sub(index));
+        buf.rows.data.clear();
+        if n == 0 {
+            return Ok(RowsView::empty());
+        }
+        let len = (n * self.tuple_bytes) as usize;
+        if buf.bytes.len() < len {
+            buf.bytes.resize(len, 0);
+        }
+        let bytes = &mut buf.bytes[..len];
+        let holds_payload = sm.read_data(self.file, index * self.tuple_bytes, bytes)?;
+        if holds_payload && self.tuple_bytes == u64::from(self.width) * 8 {
+            buf.rows.width = self.width as usize;
+            buf.rows.extend_le(bytes);
+            Ok(buf.rows.as_view())
+        } else {
+            Ok(self.block_rows(index, n))
+        }
     }
 
     /// Reads the whole relation front to back in blocks of `count > 0`

@@ -1,7 +1,8 @@
 //! The real-I/O storage backend: one temp file per hierarchy device, each
-//! fronted by a page-granular [`BufferPool`], implementing the engine's
-//! [`StorageBackend`] seam with per-device I/O counters that mirror the
-//! simulator's [`DeviceStats`].
+//! fronted by a page-granular [`BufferPool`] and a small read-ahead window
+//! for forward cursors, implementing the engine's [`StorageBackend`] seam —
+//! data reads hand back what the file holds — with per-device I/O counters
+//! that mirror the simulator's [`DeviceStats`].
 
 use crate::pool::{BufferPool, PolicyKind, PoolStats};
 use ocas_hierarchy::Hierarchy;
@@ -89,6 +90,24 @@ struct FileMeta {
     len: u64,
 }
 
+/// Where one bounds-checked request lands: the device, the absolute
+/// position on it, and where the file's extent ends there.
+#[derive(Debug, Clone, Copy)]
+struct Located {
+    device: usize,
+    pos: u64,
+    extent_end: u64,
+}
+
+/// Longest transfer one request moves; longer accounting and data requests
+/// are issued as a sequence of these.
+const CHUNK: usize = 1 << 20;
+
+/// Pages in a device's read-ahead window (see [`FileBackend`]). At least
+/// two, so that a sub-page request always fits the window it refills;
+/// measured flat from 4 to 32 on a one-tuple scan.
+const WINDOW_PAGES: usize = 8;
+
 struct DeviceFile {
     /// Shared so the fault path can hold the name across a request without
     /// copying it.
@@ -104,9 +123,46 @@ struct DeviceFile {
     /// Pool statistics as of the last emitted obs counter sample, so
     /// tracing emits per-request deltas (only read while tracing).
     obs_pool: PoolStats,
+    /// The read-ahead window: `window[ahead]` are the device's bytes from
+    /// `position` on, as the pool last served them. Empty after anything
+    /// but a sequential sub-page read.
+    window: Vec<u8>,
+    ahead: std::ops::Range<usize>,
 }
 
 impl DeviceFile {
+    /// Forgets the window: the device's bytes or extents are about to
+    /// change, or its position is about to move some other way.
+    fn drop_window(&mut self) {
+        self.ahead = 0..0;
+    }
+
+    /// Serves the sequential sub-page read `buf` at `pos` and reads ahead:
+    /// one pool read from `pos` to the end of the window's last page, or of
+    /// the file's extent if that comes first. A corrupt page past the
+    /// request ends the window in front of it instead of failing a request
+    /// that does not cover it (the pool fills in order, so everything
+    /// before that page is good); it fails the request that reaches it.
+    fn refill(&mut self, pos: u64, extent_end: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.drop_window();
+        let pb = self.pool.page_bytes() as u64;
+        let end = ((pos / pb + WINDOW_PAGES as u64) * pb).min(extent_end);
+        let n = (end - pos) as usize;
+        if self.window.len() < n {
+            self.window.resize(WINDOW_PAGES * pb as usize, 0);
+        }
+        let valid = match self.pool.read(pos, &mut self.window[..n]) {
+            Ok(()) => n,
+            Err(StorageError::CorruptPage { page, .. }) if page * pb >= pos + buf.len() as u64 => {
+                (page * pb - pos) as usize
+            }
+            Err(e) => return Err(e),
+        };
+        buf.copy_from_slice(&self.window[..buf.len()]);
+        self.ahead = buf.len()..valid;
+        Ok(())
+    }
+
     /// Records one charged request as a wall-clock span on this device's
     /// track, plus counter deltas for any buffer-pool activity it caused.
     fn obs_request(&mut self, name: &'static str, start: f64, dur: f64, bytes: u64, seek: bool) {
@@ -164,6 +220,37 @@ struct Injector {
 /// The backend is built for **faithful-scale** runs (real rows, real
 /// bytes). Simulated-mode plans model multi-terabyte transfers; pointing
 /// one at a `FileBackend` would faithfully write that much filler.
+///
+/// # The read-ahead window
+///
+/// The plans the synthesizer tunes stream a relation one tuple at a time —
+/// the paper's model prices the second sequential request at nothing — so
+/// each device keeps a small read-ahead window (`WINDOW_PAGES` pages, a
+/// constant). A read shorter than a page that starts where the device's
+/// last request ended refills it with **one** pool read, from the request
+/// to the end of the window's last page or of the file's extent, whichever
+/// comes first; the requests that follow sequentially are a copy out of it
+/// and a pointer bump.
+///
+/// * *Counted per request, window or not:* `bytes_read`, the sequential
+///   position and `seeks` in [`DeviceStats`], the per-device request index
+///   a [`FaultPlan`] is keyed to (every request passes the injector), and
+///   an obs span when tracing. Pool statistics move when the pool is asked:
+///   a page is missed, verified and admitted once, by the refill, instead
+///   of being hit once per tuple afterwards.
+/// * *Not timed:* a request served from the window reads no clock — there
+///   is no I/O in it to time. The refill is timed like any pool read, on
+///   the request that caused it.
+/// * *Dropped by:* any `write`/`write_bytes`/`materialize` on the device
+///   (its bytes change), `truncate_device` (its extents change), and any
+///   read that is not such a sequential sub-page one (the position moves
+///   some other way). So the window never holds a byte the pool would not
+///   return, and a torn page surfaces as `CorruptPage` on the request that
+///   reaches it — a corrupt page that only the read-ahead touched ends the
+///   window in front of it and fails nobody else.
+/// * *Not in anyone's `resident_bytes`:* like the pool's frames it is the
+///   hierarchy's memory level holding device pages, not tuples an operator
+///   keeps; the operator's share is the block it decoded.
 pub struct FileBackend {
     dir: PathBuf,
     keep_dir: bool,
@@ -261,6 +348,8 @@ impl FileBackend {
                 stats: DeviceStats::default(),
                 position: 0,
                 obs_pool: PoolStats::default(),
+                window: Vec::new(),
+                ahead: 0..0,
             });
         }
         let n = devices.len();
@@ -329,7 +418,25 @@ impl FileBackend {
     /// issues the real request for `take` bytes — short-transfer faults
     /// re-issue with half the length (charging the partial work) before
     /// failing the attempt transiently.
+    #[inline]
     fn faulted_io<T>(
+        &mut self,
+        d: usize,
+        op: FaultOp,
+        len: u64,
+        mut attempt: impl FnMut(&mut FileBackend, u64) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        if self.injector.is_none() {
+            return attempt(self, len);
+        }
+        self.injected_io(d, op, len, attempt)
+    }
+
+    /// [`faulted_io`](FileBackend::faulted_io) on a backend with an
+    /// injector: the plan is consulted per attempt, transients are retried.
+    /// Out of line, so that the uninjected request stays a short path.
+    #[inline(never)]
+    fn injected_io<T>(
         &mut self,
         d: usize,
         op: FaultOp,
@@ -437,13 +544,17 @@ impl FileBackend {
     }
 
     /// Bounds-checks `[offset, offset + len)` against `file`'s extent and
-    /// resolves it to `(device index, absolute device position)` — once per
-    /// request. An end past `u64::MAX` is out of bounds like any other
-    /// (reported saturated, as the simulator does), never a wrapped pass.
-    fn locate(&self, file: FileId, offset: u64, len: u64) -> Result<(usize, u64), StorageError> {
+    /// resolves it to a device position — once per request. An end past
+    /// `u64::MAX` is out of bounds like any other (reported saturated, as
+    /// the simulator does), never a wrapped pass.
+    fn locate(&self, file: FileId, offset: u64, len: u64) -> Result<Located, StorageError> {
         let m = *self.meta(file)?;
         match offset.checked_add(len) {
-            Some(end) if end <= m.len => Ok((m.device, m.offset + offset)),
+            Some(end) if end <= m.len => Ok(Located {
+                device: m.device,
+                pos: m.offset + offset,
+                extent_end: m.offset + m.len,
+            }),
             end => Err(StorageError::OutOfBounds {
                 file: file.0,
                 end: end.unwrap_or(u64::MAX),
@@ -461,22 +572,52 @@ impl FileBackend {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), StorageError> {
-        let (d, pos) = self.locate(file, offset, buf.len() as u64)?;
-        self.faulted_io(d, FaultOp::Read, buf.len() as u64, |b, take| {
-            b.read_device(d, pos, &mut buf[..take as usize])
+        let at = self.locate(file, offset, buf.len() as u64)?;
+        self.faulted_io(at.device, FaultOp::Read, buf.len() as u64, |b, take| {
+            b.read_device(at, &mut buf[..take as usize])
         })
     }
 
-    /// One charged, uninjected read at device position `pos`.
-    fn read_device(&mut self, d: usize, pos: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+    /// One charged, uninjected read at a located position.
+    #[inline]
+    fn read_device(&mut self, at: Located, buf: &mut [u8]) -> Result<(), StorageError> {
+        let d = &mut self.devices[at.device];
+        if at.pos != d.position || buf.len() > d.ahead.len() {
+            return self.read_pool(at, buf);
+        }
+        // The pointer bump: counted like any request, but the bytes are
+        // already here — no pool lookup, and nothing worth timing.
+        let from = d.ahead.start;
+        buf.copy_from_slice(&d.window[from..from + buf.len()]);
+        d.ahead.start += buf.len();
+        d.position += buf.len() as u64;
+        d.stats.bytes_read += buf.len() as u64;
+        if ocas_obs::enabled() {
+            d.obs_request("read", ocas_obs::wall_now(), 0.0, buf.len() as u64, false);
+        }
+        Ok(())
+    }
+
+    /// [`read_device`](FileBackend::read_device) for a request the window
+    /// does not hold: through the pool, timed, refilling the window when
+    /// the request is a sequential sub-page one.
+    fn read_pool(&mut self, at: Located, buf: &mut [u8]) -> Result<(), StorageError> {
+        let Located {
+            pos, extent_end, ..
+        } = at;
+        let d = &mut self.devices[at.device];
         let w0 = ocas_obs::wall_now();
         let t0 = Instant::now();
-        let d = &mut self.devices[d];
         let seek = pos != d.position;
         if seek {
             d.stats.seeks += 1;
         }
-        d.pool.read(pos, buf)?;
+        if !seek && buf.len() < d.pool.page_bytes() {
+            d.refill(pos, extent_end, buf)?;
+        } else {
+            d.drop_window();
+            d.pool.read(pos, buf)?;
+        }
         d.position = pos + buf.len() as u64;
         d.stats.bytes_read += buf.len() as u64;
         let dt = t0.elapsed().as_secs_f64();
@@ -487,9 +628,9 @@ impl FileBackend {
     }
 
     fn write_impl(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let (d, pos) = self.locate(file, offset, data.len() as u64)?;
-        self.faulted_io(d, FaultOp::Write, data.len() as u64, |b, take| {
-            b.write_device(d, pos, &data[..take as usize])
+        let at = self.locate(file, offset, data.len() as u64)?;
+        self.faulted_io(at.device, FaultOp::Write, data.len() as u64, |b, take| {
+            b.write_device(at.device, at.pos, &data[..take as usize])
         })
     }
 
@@ -498,6 +639,7 @@ impl FileBackend {
         let w0 = ocas_obs::wall_now();
         let t0 = Instant::now();
         let d = &mut self.devices[d];
+        d.drop_window();
         let seek = pos != d.position;
         if seek {
             d.stats.seeks += 1;
@@ -564,15 +706,15 @@ impl FileBackend {
     /// Uncharged read of real bytes — the harvest path for pulling results
     /// back out after a measured run (no clock, no counters, no seek).
     pub fn peek(&mut self, file: FileId, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        let (d, pos) = self.locate(file, offset, buf.len() as u64)?;
-        self.devices[d].pool.read(pos, buf)
+        let at = self.locate(file, offset, buf.len() as u64)?;
+        self.devices[at.device].pool.read(at.pos, buf)
     }
 
     /// Pins the pages backing `[offset, offset+len)` of `file` so the pool
     /// cannot evict them (hot block buffers).
     pub fn pin(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        let (d, pos) = self.locate(file, offset, len)?;
-        self.devices[d].pool.pin(pos, len)?;
+        let at = self.locate(file, offset, len)?;
+        self.devices[at.device].pool.pin(at.pos, len)?;
         Ok(())
     }
 
@@ -669,7 +811,7 @@ impl StorageBackend for FileBackend {
         let mut remaining = len;
         let mut at = offset;
         while remaining > 0 {
-            let chunk = remaining.min(1 << 20) as usize;
+            let chunk = remaining.min(CHUNK as u64) as usize;
             if self.scratch.len() < chunk {
                 self.scratch.resize(chunk, 0);
             }
@@ -683,12 +825,28 @@ impl StorageBackend for FileBackend {
         Ok(())
     }
 
+    fn read_data(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        // The requests `read` issues for this length, into the caller's
+        // buffer instead of the scratch.
+        let mut at = offset;
+        for chunk in buf.chunks_mut(CHUNK) {
+            self.read_into(file, at, chunk)?;
+            at += chunk.len() as u64;
+        }
+        Ok(true)
+    }
+
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         // Accounting write: move that many real filler bytes.
         let mut remaining = len;
         let mut at = offset;
         while remaining > 0 {
-            let chunk = remaining.min(1 << 20) as usize;
+            let chunk = remaining.min(CHUNK as u64) as usize;
             if self.scratch.len() < chunk {
                 self.scratch.resize(chunk, 0);
             }
@@ -707,10 +865,12 @@ impl StorageBackend for FileBackend {
     }
 
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let (d, pos) = self.locate(file, offset, data.len() as u64)?;
+        let at = self.locate(file, offset, data.len() as u64)?;
         // Through the pool (cache coherence) but uncharged and without
         // disturbing the sequential-position seek accounting.
-        self.devices[d].pool.write(pos, data)
+        let d = &mut self.devices[at.device];
+        d.drop_window();
+        d.pool.write(at.pos, data)
     }
 
     fn charge_cpu(&mut self, _seconds: f64) {
@@ -752,6 +912,7 @@ impl StorageBackend for FileBackend {
     fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
         let d = self.device_idx(device)?;
         self.allocated[d] = self.allocated[d].min(mark);
+        self.devices[d].drop_window();
         Ok(())
     }
 

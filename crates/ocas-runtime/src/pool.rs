@@ -403,6 +403,11 @@ impl BufferPool {
         off..off + self.page_bytes
     }
 
+    /// Page size in bytes.
+    pub fn page_bytes(&self) -> usize {
+        self.page_bytes
+    }
+
     /// Pool statistics so far.
     pub fn stats(&self) -> PoolStats {
         self.stats

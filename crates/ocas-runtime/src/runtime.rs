@@ -66,9 +66,10 @@ pub struct RealReport {
     pub output: RowBuf,
     /// Output rows of the simulated faithful twin.
     pub sim_output: RowBuf,
-    /// High-water mark of resident tuple bytes inside the native
-    /// out-of-core algorithms (`None` for plans that run through the
-    /// generic executor, whose faithful mode holds relations in memory).
+    /// High-water mark of resident tuple bytes of the real execution: the
+    /// native out-of-core algorithms' own gauge, or
+    /// [`ExecStats::peak_resident_bytes`](ocas_engine::ExecStats) for plans
+    /// that run through the generic executor.
     pub peak_resident_bytes: Option<u64>,
     /// Per-device I/O counters of the real execution.
     pub real_devices: Vec<(String, DeviceStats)>,
@@ -269,7 +270,8 @@ impl Runtime {
                 }
                 let stats = ex.run(plan)?;
                 fb = ex.sm;
-                (None, Some(stats.output.unwrap_or_default()))
+                let peak = stats.peak_resident_bytes;
+                (None, Some((stats.output.unwrap_or_default(), Some(peak))))
             }
         };
         // Write-back and sync belong to the measured run: without this,
@@ -290,7 +292,7 @@ impl Runtime {
                 }
                 (out, Some(run.peak_resident_bytes))
             }
-            None => (generic.unwrap_or_default(), None),
+            None => generic.unwrap_or_default(),
         };
         let io_seconds = fb.clock();
         let real_devices = fb.all_device_stats();

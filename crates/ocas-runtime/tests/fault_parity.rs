@@ -9,16 +9,25 @@
 //! at an index inside a run fires there, not at the run's first request
 //! and not never.
 //!
+//! The same holds for the one-tuple data reads of the faithful operators,
+//! which the file backend serves from a read-ahead window: a request the
+//! window answers still consumes its index, so a spec planted in the middle
+//! of a window fires there. What the window must not do is read a fault
+//! into a request that does not cover it, or hide one from a request that
+//! does — the torn-page test at the end.
+//!
 //! Requests stay under the 1 MiB chunking threshold so one trait-level
 //! request equals one syscall-level request and the per-device fault
 //! indices line up by construction. `TornWriteBack` is excluded: the
 //! simulator holds no page data to tear, so it is the one kind whose
 //! *consequences* (not classification) are backend-specific.
 
+use ocas_engine::{CpuModel, Executor, JoinPred, Mode, Output, Plan, RelSpec, Relation};
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig};
 use ocas_storage::{
-    FaultKind, FaultOp, FaultPlan, Faulted, RetryPolicy, StorageBackend, StorageSim,
+    FaultKind, FaultOp, FaultPlan, Faulted, RecoveryCounters, RetryPolicy, StorageBackend,
+    StorageError, StorageSim,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -213,6 +222,152 @@ proptest! {
             ),
         }
     }
+
+    /// The faithful aggregate at `b_in = 1` and the BNL join at `k2 = 1`:
+    /// a thousand one-tuple data reads, 32 to the page and 256 to the file
+    /// backend's window. A spec at any of them fires at that request on
+    /// both backends, recovers or gives up the same way, and leaves the same
+    /// answer.
+    #[test]
+    fn a_fault_inside_a_window_fires_at_its_request_on_both_backends(
+        (join, k) in (0u32..2, 0u64..TUPLE_REQUESTS),
+        kind in 0u32..3,
+        retry in 0u32..2,
+    ) {
+        let kind = match kind {
+            0 => FaultKind::Transient,
+            1 => FaultKind::ShortRead,
+            _ => FaultKind::Latency(0.002),
+        };
+        let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
+        // Per-device indices: one alloc per relation, the join's outer
+        // block, then the one-tuple stream.
+        let (plan, specs, first) = if join == 1 {
+            let plan = Plan::BnlJoin {
+                outer: 0,
+                inner: 1,
+                k1: 37,
+                k2: 1,
+                tiling: None,
+                pred: JoinPred::KeyEq,
+                order_inputs: false,
+                output: Output::Discard,
+            };
+            let specs = vec![
+                RelSpec::pairs("R", "HDD", 30).with_key_range(40),
+                RelSpec::pairs("S", "HDD", TUPLE_REQUESTS).with_key_range(40),
+            ];
+            (plan, specs, 3)
+        } else {
+            let plan = Plan::Aggregate { input: 0, b_in: 1 };
+            (plan, vec![RelSpec::ints("L", "HDD", TUPLE_REQUESTS)], 1)
+        };
+        let at = first + k;
+        let faults = FaultPlan::new().with("HDD", FaultOp::Read, at, kind);
+        let h = presets::hdd_ram(1 << 22);
+        let pool = PoolConfig { page_bytes: 256, ..PoolConfig::default() };
+        let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
+        let fb = FileBackend::from_hierarchy(&h, pool).unwrap().with_faults(faults, policy);
+
+        let sim_out = run_faithful(sim, &plan, &specs);
+        let fb_out = run_faithful(fb, &plan, &specs);
+        prop_assert_eq!(&sim_out, &fb_out);
+        let (outcome, counters) = sim_out;
+        prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", at);
+        match (kind, retry) {
+            (FaultKind::Latency(_), _) | (_, 1) => prop_assert!(outcome.starts_with("ok"), "{}", outcome),
+            _ => prop_assert!(
+                outcome.contains(&format!("read request {at} on `HDD`")),
+                "fired elsewhere: {}", outcome
+            ),
+        }
+    }
+}
+
+/// One-tuple requests in the stream of
+/// `a_fault_inside_a_window_fires_at_its_request_on_both_backends`.
+const TUPLE_REQUESTS: u64 = 1000;
+
+/// Creates `specs` on `backend` and runs `plan` faithfully; returns the
+/// outcome (the output rows, or the typed error) and the recovery counters.
+fn run_faithful<B: StorageBackend>(
+    backend: B,
+    plan: &Plan,
+    specs: &[RelSpec],
+) -> (String, RecoveryCounters) {
+    let mut ex = Executor::new(backend, Mode::Faithful, CpuModel::disabled());
+    for (i, spec) in specs.iter().enumerate() {
+        let rel = Relation::create(&mut ex.sm, spec, true, 9 + i as u64).expect("setup");
+        ex.add_relation(rel);
+    }
+    let outcome = match ex.run(plan) {
+        Ok(stats) => format!("ok: {:?}", stats.output.expect("collected").as_slice()),
+        Err(e) => format!("err: {e}"),
+    };
+    (
+        outcome,
+        ex.sm.recovery_counters().expect("injector present"),
+    )
+}
+
+/// The one kind the parity tests leave out, on the file backend alone: a
+/// torn write-back under a one-tuple stream. The window had read the page
+/// ahead *before* it was rewritten, and reads it ahead again afterwards,
+/// when it is torn on the file: the requests in front of the page are
+/// served (a fault on a page a request does not cover is not that request's
+/// fault), and the first request on the page is `CorruptPage` — not the
+/// bytes the window once held, and not the half-written ones.
+#[test]
+fn a_torn_page_fails_the_first_tuple_on_it_and_none_before() {
+    const PAGE: u64 = 256;
+    let h = presets::hdd_ram(1 << 22);
+    let pool = PoolConfig {
+        page_bytes: PAGE as usize,
+        frames: 2,
+        ..PoolConfig::default()
+    };
+    // HDD requests: 0 the alloc, 1-2 two tuples, 3 the rewrite of page 3.
+    let plan = FaultPlan::new().with("HDD", FaultOp::Write, 3, FaultKind::TornWriteBack);
+    let mut fb = FileBackend::from_hierarchy(&h, pool)
+        .unwrap()
+        .with_faults(plan, RetryPolicy::default());
+    let f = fb.alloc("HDD", 8 * PAGE).unwrap();
+    let old: Vec<u8> = (0..8 * PAGE).map(|i| (i * 3 + 1) as u8).collect();
+    fb.materialize(f, 0, &old).unwrap();
+    fb.flush().unwrap();
+
+    let mut tuple = [0u8; 8];
+    for at in [0, 8] {
+        assert!(fb.read_data(f, at, &mut tuple).unwrap());
+        assert_eq!(tuple, old[at as usize..at as usize + 8]);
+    }
+    // Page 3 is rewritten, and torn on its way out of the two-frame pool.
+    fb.write_bytes(f, 3 * PAGE, &vec![0xAB; PAGE as usize])
+        .unwrap();
+    for page in [5, 6] {
+        fb.write_bytes(f, page * PAGE, &vec![0xCD; PAGE as usize])
+            .unwrap();
+    }
+    assert_eq!(fb.recovery_counters().unwrap().torn_write_backs, 1);
+
+    let mut at = 16;
+    let err = loop {
+        match fb.read_data(f, at, &mut tuple) {
+            Ok(_) => assert_eq!(tuple, old[at as usize..at as usize + 8], "tuple at {at}"),
+            Err(e) => break e,
+        }
+        at += 8;
+    };
+    assert_eq!(at, 3 * PAGE, "{err}");
+    assert!(
+        matches!(err, StorageError::CorruptPage { ref device, page: 3 } if device == "HDD"),
+        "{err:?}"
+    );
+    // Still corrupt, still typed, on the next attempt.
+    assert!(matches!(
+        fb.read_data(f, at, &mut tuple),
+        Err(StorageError::CorruptPage { page: 3, .. })
+    ));
 }
 
 /// Requests in the run of [`drive_run`]: 64 to a page, so all but one in

@@ -5,6 +5,13 @@
 //! The property tests use a hierarchy with `pagesize = 1` so the
 //! simulator's page rounding is the identity and its byte counters are
 //! directly comparable with the real backend's raw request totals.
+//!
+//! Which kind each test is (ROADMAP, "Reading real-backend numbers"): the
+//! tests up to `eviction_policies_all_produce_correct_results` compare two
+//! executions over the same generated rows and would pass on an executor
+//! that never looked at its files; `tampered_files_*` at the end are the
+//! **"follows the file"** tests — they change the bytes under a relation
+//! after its creation and require the real output to change with them.
 
 use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation};
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
@@ -41,41 +48,65 @@ type BothRuns = (
 /// Runs `plan` faithfully on both backends over identical relations and
 /// returns `(sim outputs, real outputs, sim bytes, real bytes)`.
 fn run_both(plan: &Plan, specs: &[RelSpec], seed: u64) -> BothRuns {
+    let report = report_over_files(plan, specs, seed, |_, _| {});
+    let hdd = |devices: &[(String, ocas_storage::DeviceStats)]| {
+        let (_, d) = devices.iter().find(|(name, _)| name == "HDD").unwrap();
+        (d.bytes_read, d.bytes_written)
+    };
+    let (sim_bytes, real_bytes) = (hdd(&report.sim_devices), hdd(&report.real_devices));
+    (report.sim_output, report.output, sim_bytes, real_bytes)
+}
+
+/// One real execution over files a test may have tampered with after their
+/// creation, next to its clean simulator twin, as the
+/// [`ocas_runtime::RealReport`] that `Runtime::run_plan` would hand out for
+/// it (timing and recovery fields left empty).
+fn report_over_files(
+    plan: &Plan,
+    specs: &[RelSpec],
+    seed: u64,
+    tamper: impl FnOnce(&mut FileBackend, &[Relation]),
+) -> ocas_runtime::RealReport {
     let h = unit_page_hierarchy();
-
-    let sm = StorageSim::from_hierarchy(&h);
-    let mut sim = Executor::new(sm, Mode::Faithful, CpuModel::disabled());
+    let mut sim = Executor::new(
+        StorageSim::from_hierarchy(&h),
+        Mode::Faithful,
+        CpuModel::disabled(),
+    );
+    let pool = PoolConfig {
+        page_bytes: 4096,
+        frames: 64,
+        policy: PolicyKind::Lru,
+        ..PoolConfig::default()
+    };
+    let mut fb = FileBackend::from_hierarchy(&h, pool).unwrap();
+    let mut rels = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        let rel = Relation::create(&mut sim.sm, spec, true, seed + i as u64).unwrap();
-        sim.add_relation(rel);
+        let twin = Relation::create(&mut sim.sm, spec, true, seed + i as u64).unwrap();
+        sim.add_relation(twin);
+        rels.push(Relation::create(&mut fb, spec, true, seed + i as u64).unwrap());
     }
-    let sim_stats = sim.run(plan).expect("simulated run");
-    let sim_dev = StorageSim::device_stats(&sim.sm, "HDD").unwrap();
-
-    let fb = FileBackend::from_hierarchy(
-        &h,
-        PoolConfig {
-            page_bytes: 4096,
-            frames: 64,
-            policy: PolicyKind::Lru,
-            ..PoolConfig::default()
-        },
-    )
-    .unwrap();
+    tamper(&mut fb, &rels);
     let mut real = Executor::new(fb, Mode::Faithful, CpuModel::disabled());
-    for (i, spec) in specs.iter().enumerate() {
-        let rel = Relation::create(&mut real.sm, spec, true, seed + i as u64).unwrap();
+    for rel in rels {
         real.add_relation(rel);
     }
+    let sim_stats = sim.run(plan).expect("simulated run");
     let real_stats = real.run(plan).expect("real run");
-    let real_dev = StorageBackend::device_stats(&real.sm, "HDD").unwrap();
-
-    (
-        sim_stats.output.unwrap_or_default(),
-        real_stats.output.unwrap_or_default(),
-        (sim_dev.bytes_read, sim_dev.bytes_written),
-        (real_dev.bytes_read, real_dev.bytes_written),
-    )
+    let sim_hdd = StorageSim::device_stats(&sim.sm, "HDD").unwrap();
+    ocas_runtime::RealReport {
+        wall_seconds: 0.0,
+        io_seconds: real.sm.clock(),
+        sim_seconds: sim_stats.seconds,
+        output: real_stats.output.unwrap_or_default(),
+        sim_output: sim_stats.output.unwrap_or_default(),
+        peak_resident_bytes: Some(real_stats.peak_resident_bytes),
+        real_devices: real.sm.all_device_stats(),
+        sim_devices: vec![("HDD".to_string(), sim_hdd)],
+        pools: real.sm.pool_stats(),
+        direct_io: false,
+        recovery: None,
+    }
 }
 
 proptest! {
@@ -426,4 +457,143 @@ fn narrow_column_output_uses_the_on_disk_tuple_format() {
     f.read_exact(&mut got).unwrap();
     let want: Vec<u8> = out_rows.iter().map(|r| r[0].to_le_bytes()[0]).collect();
     assert_eq!(got, want, "on-disk bytes are col_bytes-wide LE columns");
+}
+
+/// Overwrites `rel`'s file with `rows` (uncharged, like its creation).
+fn rewrite(fb: &mut FileBackend, rel: &Relation, rows: &ocas_engine::RowBuf) {
+    assert_eq!(rows.len() as u64, rel.card);
+    fb.materialize(rel.file, 0, &rows.encode()).unwrap();
+}
+
+/// A "follows the file" test. The aggregate, one tuple and one page at a
+/// time: untampered it agrees with its twin and with the interpreter's
+/// `avg`; over a file whose bytes are not what the generator yields, the
+/// real average is the file's, the twin's is still the generator's, and
+/// `outputs_match` says so.
+#[test]
+fn tampered_files_move_the_real_average_and_not_the_twins() {
+    let specs = [RelSpec::ints("L", "HDD", 3_000).with_key_range(1 << 20)];
+    let seed = 5;
+    let generated = {
+        let mut sm = StorageSim::from_hierarchy(&unit_page_hierarchy());
+        let rel = Relation::create(&mut sm, &specs[0], true, seed).unwrap();
+        rel.collect_rows().unwrap()
+    };
+    let avg_of = |rows: &ocas_engine::RowBuf| {
+        let inputs = [("L".to_string(), ocal::Value::int_list(rows.as_slice()))].into();
+        let v = ocal::Evaluator::new()
+            .run(&ocal::parse("avg(L)").unwrap(), &inputs)
+            .expect("interpreter");
+        v.as_int().unwrap()
+    };
+    // Not a permutation of the generated values: every one moved up.
+    let tampered = ocas_engine::RowBuf::from_vec(
+        generated.as_slice().iter().map(|v| v + 1_000_000).collect(),
+        1,
+    );
+    assert_ne!(avg_of(&generated), avg_of(&tampered));
+
+    for b_in in [1, 512] {
+        let plan = Plan::Aggregate { input: 0, b_in };
+        let clean = report_over_files(&plan, &specs, seed, |_, _| {});
+        assert!(clean.outputs_match(), "b_in = {b_in}");
+        assert_eq!(clean.output.row(0), [avg_of(&generated)], "b_in = {b_in}");
+
+        let moved = report_over_files(&plan, &specs, seed, |fb, rels| {
+            rewrite(fb, &rels[0], &tampered)
+        });
+        assert_eq!(moved.output.row(0), [avg_of(&tampered)], "b_in = {b_in}");
+        assert_eq!(moved.sim_output, clean.sim_output, "b_in = {b_in}");
+        assert!(!moved.outputs_match(), "b_in = {b_in}");
+        // The same requests either way: what moved is the payload.
+        let requests = |r: &ocas_runtime::RealReport| -> Vec<(u64, u64)> {
+            let counts = r.real_devices.iter().map(|(_, d)| (d.bytes_read, d.seeks));
+            counts.collect()
+        };
+        assert_eq!(requests(&moved), requests(&clean), "b_in = {b_in}");
+    }
+}
+
+/// A "follows the file" test. The block-nested-loops join in the shape the
+/// synthesizer tunes (`k1 = 37` against a stream of one or three tuples):
+/// untampered, row for row what its twin and the interpreter's loop nest
+/// emit; with the inner file rewritten, row for row the join of the outer
+/// relation with what the file now holds.
+#[test]
+fn tampered_files_move_the_real_join_and_not_the_twins() {
+    let specs = [
+        RelSpec::pairs("R", "HDD", 150).with_key_range(60),
+        RelSpec::pairs("S", "HDD", 400).with_key_range(60),
+    ];
+    let seed = 17;
+    let generated: Vec<ocas_engine::RowBuf> = {
+        let mut sm = StorageSim::from_hierarchy(&unit_page_hierarchy());
+        (0..2)
+            .map(|i| {
+                let rel = Relation::create(&mut sm, &specs[i], true, seed + i as u64).unwrap();
+                rel.collect_rows().unwrap()
+            })
+            .collect()
+    };
+    let loops = ocal::parse(
+        "for (oB [k1] <- O) for (iB [k2] <- I) for (o <- oB) for (i <- iB) \
+         if o.1 == i.1 then [<o, i>] else []",
+    )
+    .unwrap();
+    let join_of = |outer: &ocas_engine::RowBuf, inner: &ocas_engine::RowBuf, k2: u64| {
+        let pairs = |rows: &ocas_engine::RowBuf| {
+            let pairs: Vec<(i64, i64)> = rows.iter().map(|r| (r[0], r[1])).collect();
+            ocal::Value::pair_list(&pairs)
+        };
+        let inputs = [
+            ("O".to_string(), pairs(outer)),
+            ("I".to_string(), pairs(inner)),
+        ]
+        .into();
+        let v = ocal::Evaluator::new()
+            .with_param("k1", 37)
+            .with_param("k2", k2)
+            .run(&loops, &inputs)
+            .expect("interpreter");
+        // `<<a, b>, <c, d>>` -> `[a, b, c, d]`.
+        let flat: Vec<i64> = v
+            .to_string()
+            .split(|c: char| !c.is_ascii_digit() && c != '-')
+            .filter(|t| !t.is_empty())
+            .map(|t| t.parse().unwrap())
+            .collect();
+        ocas_engine::RowBuf::from_vec(flat, 4)
+    };
+    // The inner relation with its key column reversed: the same keys, so
+    // the join stays as dense, on other rows and in another order.
+    let tampered = {
+        let mut keys: Vec<i64> = generated[1].iter().map(|r| r[0]).collect();
+        keys.reverse();
+        let rows = generated[1].iter().zip(keys).flat_map(|(r, k)| [k, r[1]]);
+        ocas_engine::RowBuf::from_vec(rows.collect(), 2)
+    };
+
+    for k2 in [1, 3] {
+        let plan = Plan::BnlJoin {
+            outer: 0,
+            inner: 1,
+            k1: 37,
+            k2,
+            tiling: None,
+            pred: JoinPred::KeyEq,
+            order_inputs: false,
+            output: Output::Discard,
+        };
+        let clean = report_over_files(&plan, &specs, seed, |_, _| {});
+        assert!(clean.outputs_match(), "k2 = {k2}");
+        assert!(!clean.output.is_empty(), "degenerate join");
+        assert_eq!(clean.output, join_of(&generated[0], &generated[1], k2));
+
+        let moved = report_over_files(&plan, &specs, seed, |fb, rels| {
+            rewrite(fb, &rels[1], &tampered)
+        });
+        assert_eq!(moved.output, join_of(&generated[0], &tampered, k2));
+        assert_eq!(moved.sim_output, clean.sim_output, "k2 = {k2}");
+        assert!(!moved.outputs_match(), "k2 = {k2}");
+    }
 }

@@ -13,17 +13,25 @@ use crate::manager::{FileId, StorageError, StorageSim};
 /// A clocked storage layer: named devices, extent allocation, read/write
 /// request accounting and (for real backends) actual data transfer.
 ///
-/// Three kinds of request coexist:
+/// Four kinds of request coexist:
 ///
 /// * **Accounting requests** ([`read`](StorageBackend::read) /
 ///   [`write`](StorageBackend::write)) carry no payload. The simulator
 ///   charges modeled time; a real backend moves that many actual bytes
-///   (reading into a scratch buffer, writing filler) so wall-clock time is
+///   (reading and dropping them, writing filler) so wall-clock time is
 ///   honest even where the engine models data flow analytically.
-/// * **Data requests** ([`write_bytes`](StorageBackend::write_bytes))
+/// * **Data writes** ([`write_bytes`](StorageBackend::write_bytes))
 ///   additionally carry the payload, so faithful-mode outputs land
 ///   byte-for-byte in real files. The simulator treats them exactly like
 ///   the accounting variant — both backends see identical request streams.
+/// * **Data reads** ([`read_data`](StorageBackend::read_data)) are the
+///   other direction: an accounting read that also hands the payload back
+///   where the backend holds one. A real backend fills the caller's buffer
+///   and says so, and the faithful operators then compute on those bytes;
+///   the simulator charges the read and answers "no payload", and the
+///   caller falls back to the relation's generator. Either way the request
+///   is charged, counted and faulted exactly like the accounting read of
+///   the same length.
 /// * **Run requests** ([`read_run`](StorageBackend::read_run)) stand for a
 ///   sequence of equal accounting reads laid end to end — a scan issued
 ///   block by block. They are shorthand, not a new kind of I/O: the default
@@ -68,6 +76,21 @@ pub trait StorageBackend {
             self.read(file, offset + j * unit, unit)?;
         }
         Ok(())
+    }
+
+    /// Reads `buf.len()` bytes at `offset` within `file` (data read).
+    /// Charged and counted exactly like [`read`](StorageBackend::read) of
+    /// `buf.len()` bytes. `Ok(true)` means `buf` now holds the file's
+    /// bytes; `Ok(false)` — the default — means this backend holds no
+    /// payload and `buf` is unspecified.
+    fn read_data(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        self.read(file, offset, buf.len() as u64)?;
+        Ok(false)
     }
 
     /// Writes `len` bytes at `offset` within `file` (accounting request).

@@ -505,6 +505,18 @@ impl<B: StorageBackend> StorageBackend for Faulted<B> {
         })
     }
 
+    fn read_data(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        let device = self.inner.device_of(file).to_string();
+        self.run_charged(&device, FaultOp::Read, buf.len() as u64, |inner, take| {
+            inner.read_data(file, offset, &mut buf[..take as usize])
+        })
+    }
+
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         let device = self.inner.device_of(file).to_string();
         self.run_charged(&device, FaultOp::Write, len, |inner, take| {
