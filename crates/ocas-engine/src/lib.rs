@@ -74,6 +74,23 @@
 //! Cross joins are emit-bound and keep the plain loop; the literal pair
 //! loop survives as the test oracle the kernel is held to.
 //!
+//! **Merge kernel.** The k-way merge of an external sort is a batch
+//! kernel too ([`MergeHeads`], `merge_kernel`): the head key of every run's
+//! buffered piece is cached in one small array, and one call moves a whole
+//! output batch — by a branch-free minimum scan over the cached keys up to
+//! 16 runs (every fan-in a committed plan uses), by a loser tree over the
+//! same keys above that. Rows are only compared when keys tie, a full tie
+//! goes to the lower run (the merge is stable, so which cursor advances —
+//! and with it the request order — is that of the literal merge), and a
+//! run without a buffered row reads `i64::MAX`, a tie on which is settled
+//! on liveness. The call returns as soon as the run that just advanced is
+//! out of buffered rows: refilling it is the caller's I/O, and happens
+//! after the caller has flushed a batch the same row completed. Like the
+//! key-column scan it is non-generic, cannot fail, and is compiled once
+//! into this crate; `tests/merge_throughput.rs` gates it against the
+//! literal loser-tree loop (at least 1.3x at 8 runs, no slower at 2 and at
+//! 32), and the literal loop survives as the test oracle.
+//!
 //! The CPU model is what the paper's estimator deliberately ignores (§7.3:
 //! "OCAS does not currently model computation costs … underestimation grows
 //! the more CPU intensive a task is"); enabling it in the engine while the
@@ -86,12 +103,14 @@ pub mod exec;
 pub mod key_index;
 mod key_scan;
 pub mod lower;
+mod merge_kernel;
 pub mod plan;
 pub mod rel;
 
 pub use exec::{merge_bufs, merge_rows, ExecError, ExecStats, Executor};
 pub use key_index::KeyIndex;
 pub use lower::{lower, LowerError, WorkloadHint};
+pub use merge_kernel::{MergeHeads, MergeStop};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 pub use rel::{
     decode_rows, encode_rows, BlockBuf, GenMode, RelSpec, Relation, Row, RowBuf, RowGen, RowsView,

@@ -114,6 +114,12 @@ impl RowBuf {
         self.data.push(v);
     }
 
+    /// The raw row-major buffer, for an in-crate kernel that appends whole
+    /// rows to it.
+    pub(crate) fn raw_mut(&mut self) -> &mut Vec<i64> {
+        &mut self.data
+    }
+
     /// Appends the concatenation `a ++ b` as one row (joins).
     pub fn push_concat(&mut self, a: &[i64], b: &[i64]) {
         debug_assert_eq!(a.len() + b.len(), self.width, "row width mismatch");

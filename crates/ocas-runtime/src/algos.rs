@@ -12,9 +12,43 @@
 //! tuple-holding buffer is metered: [`AlgoRun::peak_resident_bytes`] is the
 //! high-water mark of resident tuple memory, which stays bounded by the
 //! configured buffers regardless of input cardinality.
+//!
+//! # What a spill stream costs
+//!
+//! The paper charges one `InitCom` per non-contiguous request and prices a
+//! GRACE flush as a seek *to that bucket's partition file*; a spill stream
+//! here is laid out, and read back, the way it was written.
+//!
+//! * **Who owns an extent.** A GRACE bucket is a stream with extents of its
+//!   own: `partition_side` appends a bucket's flushes to extents reserved
+//!   for that bucket, `PARTITION_EXTENT_PAGES` pool pages at a time and
+//!   never less than one staging buffer, whole pages from a page boundary —
+//!   so no two buckets share a page, and `read_bucket` reads each extent's
+//!   filled prefix with one request. A reservation that does not fit halves
+//!   down to one staging buffer's pages, then fails over; `SpillGuard`
+//!   truncates everything on error. A sort run is one extent per sorted
+//!   batch (split only under capacity pressure).
+//! * **Why 16 pages.** Long enough that a bucket comes back in a few
+//!   requests instead of one per staging buffer, short enough that a bucket
+//!   which never fills one wastes little of the device; 4 to 64 measured
+//!   flat.
+//! * **What the last pass writes.** The merge pass that leaves a single run
+//!   is the output pass: its batches go to the output device's extent or
+//!   onto the collected rows, not to a scratch run that a copy-out pass
+//!   would move once more. An input that forms a single run is not spilled.
+//! * **What is still page-at-a-time.** The writes: a flush shorter than a
+//!   page goes through a pool frame, and the pool writes back and checksums
+//!   every run and partition page on eviction — which is also why a torn
+//!   partition page still surfaces as `CorruptPage` on the bucket read that
+//!   reaches it.
+//!
+//! The merge itself is [`ocas_engine::MergeHeads`], a batch kernel over
+//! cached head keys; `merge_group` drives it in the request order of a
+//! row-at-a-time loop (a full batch is written before the refill read of
+//! the cursor it exhausted).
 
 use crate::backend::FileBackend;
-use ocas_engine::{KeyIndex, MergeKind, Output, Relation, RowBuf};
+use ocas_engine::{KeyIndex, MergeHeads, MergeKind, MergeStop, Output, Relation, RowBuf};
 use ocas_storage::{FileId, StorageBackend, StorageError};
 
 /// Algorithm failures.
@@ -142,12 +176,11 @@ impl SpillAlloc {
         }
     }
 
-    /// Writes `bytes` (whole `tb`-byte tuples) as one or more spill
-    /// extents, appending `(file, bytes)` per extent to `out` in row order. On
+    /// Writes `bytes` (whole `tb`-byte tuples, one sorted batch) as one
+    /// spill extent — one run — appending `(file, bytes)` to `out`. On
     /// capacity exhaustion the extent size halves — a contiguous slice of
-    /// a sorted batch is still a sorted run, a slice of a bucket buffer is
-    /// still bucket-pure — and when single-tuple extents no longer fit it
-    /// fails over to the alternate device.
+    /// a sorted batch is still a sorted run — and when single-tuple extents
+    /// no longer fit it fails over to the alternate device.
     fn spill_rows(
         &mut self,
         fb: &mut FileBackend,
@@ -185,6 +218,62 @@ impl SpillAlloc {
         }
         Ok(())
     }
+
+    /// Reserves the next extent of one spill stream: whole pool pages from
+    /// a page boundary (the device's watermark is padded up to one first),
+    /// [`PARTITION_EXTENT_PAGES`] of them and never less than hold
+    /// `stage_bytes`, the stream's longest append. A reservation that does
+    /// not fit halves down to that floor, then fails over to the alternate
+    /// device and starts again at full size.
+    fn reserve(&mut self, fb: &mut FileBackend, stage_bytes: u64) -> Result<Extent, AlgoError> {
+        let mut shrunk_to: Option<u64> = None;
+        loop {
+            let page = fb.page_bytes(&self.device)?;
+            let floor = stage_bytes.div_ceil(page).max(1);
+            let pages = shrunk_to.unwrap_or(PARTITION_EXTENT_PAGES.max(floor));
+            let pad = fb
+                .watermark(&self.device)
+                .map_or(0, |mark| mark.next_multiple_of(page) - mark);
+            let aligned = match pad {
+                0 => Ok(()),
+                _ => fb.alloc(&self.device, pad).map(|_| ()),
+            };
+            match aligned.and_then(|()| fb.alloc(&self.device, pages * page)) {
+                Ok(file) => {
+                    return Ok(Extent {
+                        file,
+                        cap: pages * page,
+                        filled: 0,
+                    })
+                }
+                Err(e) if e.is_capacity() => {
+                    if pages > floor {
+                        shrunk_to = Some((pages / 2).max(floor));
+                        fb.note_degradation(&self.device, "shrink");
+                    } else {
+                        self.fail_over(fb, e)?;
+                        shrunk_to = None;
+                    }
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// Pool pages a spill stream reserves at a time. Large enough that reading
+/// a bucket back is a few long requests instead of one per staging buffer,
+/// small enough that a bucket that never fills one wastes little of the
+/// device: the GRACE window measured flat (0.164-0.172 s) from 4 to 64.
+const PARTITION_EXTENT_PAGES: u64 = 16;
+
+/// One reserved piece of a spill stream: the first `filled` of its `cap`
+/// bytes hold tuples, appended in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    file: FileId,
+    cap: u64,
+    filled: u64,
 }
 
 /// What one native out-of-core execution produced.
@@ -393,97 +482,102 @@ impl RunReader {
     }
 }
 
-/// True when reader `a`'s head is merged before reader `b`'s: the smaller
-/// row, the lower reader on a tie (which keeps the merge stable), and any
-/// row before an exhausted reader.
-fn merges_first(readers: &[RunReader], a: usize, b: usize) -> bool {
-    match (readers[a].head(), readers[b].head()) {
-        (Some(x), Some(y)) => match x.cmp(y) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a < b,
-        },
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (None, None) => a < b,
-    }
+/// The rows a merge cursor holds that the merge kernel has not been handed
+/// yet: all of a freshly filled buffer, none of one the kernel reported dry.
+fn buffered(r: &RunReader) -> &[i64] {
+    &r.buf.as_slice()[r.pos * r.width..r.rows * r.width]
 }
 
-/// A tournament tree over the readers of one merge: `nodes[0]` is the
-/// reader whose head is merged next, `nodes[1..]` the loser of each match
-/// on the way up (heap layout; reader `i` is leaf `k + i`). After the
-/// winner advances only its own path is replayed — `log2(k)` comparisons a
-/// row instead of a scan of every reader.
-struct LoserTree {
-    nodes: Vec<usize>,
+/// Where the batches of one merge go.
+enum MergeDest<'a> {
+    /// Into one contiguous extent, batch after batch from its start: a
+    /// merged run on the scratch device, or — on the last pass — the
+    /// sort's output extent.
+    Extent(FileId),
+    /// Onto the collected rows of a [`Output::Discard`] run (the last pass
+    /// only).
+    Rows(&'a mut RowBuf),
 }
 
-impl LoserTree {
-    fn new(readers: &[RunReader]) -> LoserTree {
-        let k = readers.len();
-        // Play every match bottom-up; `winners[n]` is who left node `n`.
-        let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
-        let mut nodes = vec![0; k];
-        for n in (1..k).rev() {
-            let (a, b) = (winners[2 * n], winners[2 * n + 1]);
-            let a_wins = merges_first(readers, a, b);
-            winners[n] = if a_wins { a } else { b };
-            nodes[n] = if a_wins { b } else { a };
-        }
-        nodes[0] = winners[1];
-        LoserTree { nodes }
-    }
-
-    fn winner(&self) -> usize {
-        self.nodes[0]
-    }
-
-    /// Replays the matches of reader `i` (the last winner) after its head
-    /// changed.
-    fn replay(&mut self, readers: &[RunReader], i: usize) {
-        let mut winner = i;
-        let mut n = (readers.len() + i) / 2;
-        while n > 0 {
-            if merges_first(readers, self.nodes[n], winner) {
-                std::mem::swap(&mut self.nodes[n], &mut winner);
-            }
-            n /= 2;
-        }
-        self.nodes[0] = winner;
-    }
-}
-
-/// Merges the sorted runs behind `readers` (at least one) into one sorted
-/// stream, handing `emit` the readers and the index of the one whose head
-/// is the next row. A refill is issued only for the reader that just
-/// advanced, and only after `emit` returned — so whatever `emit` writes
-/// precedes the read, as it would in a loop that refilled every reader
-/// before each pick.
-fn merge_runs(
+/// Merges the sorted `runs` into `dest`, `b_out` rows a batch, through one
+/// `b_in`-row cursor per run and the engine's batch merge kernel.
+///
+/// The request order is that of a loop which refills every cursor before
+/// picking each row: a cursor is refilled only once its last buffered row
+/// is out, and a batch which that row completed is written *before* the
+/// refill is read. Every written batch — the last, partial one too — is
+/// metered: the cursors' buffers, the batch, and its encoding when it goes
+/// to a device.
+#[allow(clippy::too_many_arguments)]
+fn merge_group(
     fb: &mut FileBackend,
-    readers: &mut [RunReader],
-    mut emit: impl FnMut(&mut FileBackend, &[RunReader], usize) -> Result<(), AlgoError>,
+    runs: &[RunFile],
+    width: usize,
+    b_in: u64,
+    b_out: u64,
+    mut dest: MergeDest<'_>,
+    encode_buf: &mut Vec<u8>,
+    gauge: &mut MemGauge,
 ) -> Result<(), AlgoError> {
+    let tb = width as u64 * 8;
+    let mut readers: Vec<RunReader> = runs
+        .iter()
+        .map(|r| RunReader::new(r.file, r.card, width, b_in))
+        .collect();
     for r in readers.iter_mut() {
         r.ensure(fb)?;
     }
-    let mut tree = LoserTree::new(readers);
+    let mut heads = MergeHeads::new(
+        width,
+        &readers.iter().map(buffered).collect::<Vec<&[i64]>>(),
+    );
+    let mut batch = RowBuf::with_capacity(width, b_out as usize);
+    let mut written = 0u64;
     loop {
-        let i = tree.winner();
-        if readers[i].head().is_none() {
-            return Ok(()); // the best reader is exhausted: all are
+        let stop = heads.fill(
+            &readers.iter().map(buffered).collect::<Vec<&[i64]>>(),
+            b_out as usize - batch.len(),
+            &mut batch,
+        );
+        let rows = batch.len() as u64;
+        if rows == b_out || (stop == MergeStop::Done && rows > 0) {
+            let cursors: u64 = readers.iter().map(RunReader::resident_bytes).sum();
+            match &mut dest {
+                MergeDest::Extent(file) => {
+                    gauge.note(cursors + 2 * rows * tb);
+                    encode_buf.clear();
+                    batch.encode_into(8, encode_buf);
+                    fb.write_bytes(*file, written * tb, encode_buf)?;
+                }
+                MergeDest::Rows(collected) => {
+                    gauge.note(cursors + rows * tb);
+                    collected.extend_raw(batch.as_slice());
+                }
+            }
+            written += rows;
+            batch.clear();
         }
-        emit(fb, readers, i)?;
-        readers[i].advance();
-        readers[i].ensure(fb)?;
-        tree.replay(readers, i);
+        match stop {
+            MergeStop::Full => {}
+            MergeStop::Dry(i) => {
+                // The kernel took every buffered row: the cursor is due.
+                readers[i].pos = readers[i].rows;
+                readers[i].ensure(fb)?;
+            }
+            MergeStop::Done => {
+                debug_assert_eq!(written, runs.iter().map(|r| r.card).sum::<u64>());
+                return Ok(());
+            }
+        }
     }
 }
 
 /// Runs a real 2ᵏ-way external merge-sort: sorted run formation on the
 /// scratch device, then `fan_in`-way merge passes with `b_in`-tuple input
-/// buffers and a `b_out`-tuple output buffer, finally streaming the sorted
-/// result to `output`.
+/// buffers and a `b_out`-tuple output buffer. The last pass — the one that
+/// leaves a single run — is the output pass: its batches go to `output`,
+/// not to one more scratch run that would have to be copied out. An input
+/// that forms a single run is never spilled at all.
 #[allow(clippy::too_many_arguments)]
 pub fn external_sort(
     fb: &mut FileBackend,
@@ -520,15 +614,40 @@ fn sort_inner(
     let (b_in, b_out) = (b_in.max(1), b_out.max(1));
     let mut gauge = MemGauge::default();
 
+    let run_tuples = (fan_in * b_in + b_out).max(1);
+    let mut sink = RealSink::new(output, width, tb);
+    let mut batch = RowBuf::new(width);
+    let mut encode_buf: Vec<u8> = Vec::new();
+    if input.card <= run_tuples {
+        // An input that forms a single run goes from the sorted batch to
+        // the sink: nothing to merge, so nothing to spill.
+        if input.card > 0 {
+            fb.read_rows(input.file, 0, input.card, width, &mut batch)?;
+            batch.sort();
+            match output {
+                Output::ToDevice { device, .. } => {
+                    batch.encode_into(8, &mut encode_buf);
+                    gauge.note(input.card * tb * 2);
+                    let out_file = fb.alloc(device, input.card * tb)?;
+                    fb.write_bytes(out_file, 0, &encode_buf)?;
+                    sink.extents.push((out_file, input.card * tb));
+                }
+                Output::Discard => {
+                    gauge.note(input.card * tb);
+                    sink.collected = batch;
+                }
+            }
+            sink.rows = input.card;
+        }
+        return sink.finish(fb, gauge);
+    }
+
     // Run formation under the merge's memory footprint: fan_in input
     // buffers plus the output buffer. A sorted batch normally becomes one
     // run; under capacity pressure the spill allocator splits it into
     // several smaller (still sorted) runs or fails over devices.
     let mut spill = SpillAlloc::new(fb, scratch);
-    let run_tuples = (fan_in * b_in + b_out).max(1);
     let mut runs: Vec<RunFile> = Vec::new();
-    let mut batch = RowBuf::new(width);
-    let mut encode_buf: Vec<u8> = Vec::new();
     let mut extents: Vec<(FileId, u64)> = Vec::new();
     let mut at = 0u64;
     while at < input.card {
@@ -547,9 +666,11 @@ fn sort_inner(
         }));
         at += take;
     }
+    drop(batch); // the merges hold cursors and one output batch instead
 
-    // Merge passes: fan_in runs at a time until one run remains.
-    while runs.len() > 1 {
+    // Merge passes onto the scratch device, fan_in runs at a time, until
+    // one more pass leaves a single run.
+    while runs.len() > fan_in as usize {
         let mut next: Vec<RunFile> = Vec::new();
         for group in runs.chunks(fan_in as usize) {
             if group.len() == 1 {
@@ -561,37 +682,16 @@ fn sort_inner(
             }
             let total: u64 = group.iter().map(|r| r.card).sum();
             let merged = spill.alloc(fb, (total * tb).max(1))?;
-            let mut readers: Vec<RunReader> = group
-                .iter()
-                .map(|r| RunReader::new(r.file, r.card, width, b_in))
-                .collect();
-            let mut out_buf = RowBuf::with_capacity(width, b_out as usize);
-            let mut buffered = 0u64;
-            let mut written = 0u64;
-            merge_runs(fb, &mut readers, |fb, readers, i| {
-                out_buf.push(readers[i].head().expect("the winner has a head"));
-                buffered += 1;
-                if buffered >= b_out {
-                    encode_buf.clear();
-                    out_buf.encode_into(8, &mut encode_buf);
-                    fb.write_bytes(merged, written * tb, &encode_buf)?;
-                    written += buffered;
-                    gauge.note(
-                        readers.iter().map(RunReader::resident_bytes).sum::<u64>()
-                            + 2 * buffered * tb,
-                    );
-                    out_buf.clear();
-                    buffered = 0;
-                }
-                Ok(())
-            })?;
-            if buffered > 0 {
-                encode_buf.clear();
-                out_buf.encode_into(8, &mut encode_buf);
-                fb.write_bytes(merged, written * tb, &encode_buf)?;
-                written += buffered;
-            }
-            debug_assert_eq!(written, total);
+            merge_group(
+                fb,
+                group,
+                width,
+                b_in,
+                b_out,
+                MergeDest::Extent(merged),
+                &mut encode_buf,
+                &mut gauge,
+            )?;
             next.push(RunFile {
                 file: merged,
                 card: total,
@@ -600,46 +700,58 @@ fn sort_inner(
         runs = next;
     }
 
-    // Stream the final run to the output destination.
-    let mut sink = RealSink::new(output, width, tb);
-    if let Some(last) = runs.first() {
-        match output {
-            Output::ToDevice { device, .. } => {
-                let out_file = fb.alloc(device, (last.card * tb).max(1))?;
-                let chunk = b_out.max(1);
-                let mut bytes: Vec<u8> = Vec::new();
-                let mut at = 0u64;
-                while at < last.card {
-                    let take = chunk.min(last.card - at);
-                    bytes.resize((take * tb) as usize, 0);
-                    fb.read_into(last.file, at * tb, &mut bytes[..(take * tb) as usize])?;
-                    fb.write_bytes(out_file, at * tb, &bytes[..(take * tb) as usize])?;
-                    gauge.note(take * tb);
-                    at += take;
-                }
-                sink.rows = last.card;
-                sink.extents.push((out_file, last.card * tb));
-            }
-            Output::Discard => {
-                // Verification path: stream the run into the collected rows.
-                let mut reader = RunReader::new(last.file, last.card, width, b_out);
-                loop {
-                    reader.ensure(fb)?;
-                    let Some(row) = reader.head() else { break };
-                    sink.collected.push(row);
-                    sink.rows += 1;
-                    reader.advance();
-                }
-            }
+    // That pass is the output pass.
+    let dest = match output {
+        Output::ToDevice { device, .. } => {
+            let out_file = fb.alloc(device, input.card * tb)?;
+            sink.extents.push((out_file, input.card * tb));
+            MergeDest::Extent(out_file)
         }
-    }
+        Output::Discard => {
+            // Reserved once: the cardinality is known.
+            sink.collected = RowBuf::with_capacity(width, input.card as usize);
+            MergeDest::Rows(&mut sink.collected)
+        }
+    };
+    merge_group(
+        fb,
+        &runs,
+        width,
+        b_in,
+        b_out,
+        dest,
+        &mut encode_buf,
+        &mut gauge,
+    )?;
+    sink.rows = input.card;
     sink.finish(fb, gauge)
 }
 
-/// One side's partition files after the GRACE partition pass.
+/// One side's partition streams after the GRACE partition pass.
 struct Partitions {
-    /// Spilled extents per bucket, in spill order.
-    extents: Vec<Vec<(FileId, u64)>>,
+    /// Each bucket's extents, in reservation order: a bucket is a stream
+    /// with extents of its own, so reading it back touches its pages only.
+    extents: Vec<Vec<Extent>>,
+}
+
+/// Appends `bytes` (whole tuples, at most `stage_bytes` of them) to a spill
+/// stream: into the room left in its last extent, or into a fresh
+/// reservation when they do not fit there.
+fn append_to_stream(
+    fb: &mut FileBackend,
+    spill: &mut SpillAlloc,
+    stream: &mut Vec<Extent>,
+    bytes: &[u8],
+    stage_bytes: u64,
+) -> Result<(), AlgoError> {
+    let len = bytes.len() as u64;
+    if !stream.last().is_some_and(|e| e.cap - e.filled >= len) {
+        stream.push(spill.reserve(fb, stage_bytes)?);
+    }
+    let extent = stream.last_mut().expect("just reserved");
+    fb.write_bytes(extent.file, extent.filled, bytes)?;
+    extent.filled += len;
+    Ok(())
 }
 
 fn partition_side(
@@ -654,6 +766,8 @@ fn partition_side(
     let tb = rel.tuple_bytes;
     let block = (buffer_bytes / tb).max(1);
     let per_bucket_buf = (buffer_bytes / partitions.max(1)).max(tb);
+    // A staging buffer is flushed by the tuple that fills it.
+    let stage_bytes = per_bucket_buf.div_ceil(tb) * tb;
     let mut buckets: Vec<Vec<u8>> = vec![Vec::new(); partitions as usize];
     let mut parts = Partitions {
         extents: vec![Vec::new(); partitions as usize],
@@ -673,7 +787,7 @@ fn partition_side(
                 buckets[b].extend_from_slice(&col.to_le_bytes());
             }
             if buckets[b].len() as u64 >= per_bucket_buf {
-                spill.spill_rows(fb, &buckets[b], tb, &mut parts.extents[b])?;
+                append_to_stream(fb, spill, &mut parts.extents[b], &buckets[b], stage_bytes)?;
                 buckets[b].clear();
             }
         }
@@ -682,22 +796,23 @@ fn partition_side(
     }
     for (b, buf) in buckets.iter().enumerate() {
         if !buf.is_empty() {
-            spill.spill_rows(fb, buf, tb, &mut parts.extents[b])?;
+            append_to_stream(fb, spill, &mut parts.extents[b], buf, stage_bytes)?;
         }
     }
     Ok(parts)
 }
 
+/// Reads one bucket back: one request per extent, for its filled prefix.
 fn read_bucket(
     fb: &mut FileBackend,
-    extents: &[(FileId, u64)],
+    extents: &[Extent],
     width: usize,
     out: &mut RowBuf,
 ) -> Result<(), AlgoError> {
     out.clear();
-    for (file, bytes) in extents {
-        let rows = *bytes / (width as u64 * 8);
-        fb.read_rows(*file, 0, rows, width, out)?;
+    for extent in extents {
+        let rows = extent.filled / (width as u64 * 8);
+        fb.read_rows(extent.file, 0, rows, width, out)?;
     }
     Ok(())
 }
@@ -1028,34 +1143,229 @@ mod tests {
         FileBackend::from_hierarchy(&presets::hdd_ram(1 << 25), PoolConfig::default()).unwrap()
     }
 
+    /// True when reader `a`'s head is merged before reader `b`'s: the smaller
+    /// row, the lower reader on a tie (which keeps the merge stable), and any
+    /// row before an exhausted reader.
+    fn merges_first(readers: &[RunReader], a: usize, b: usize) -> bool {
+        match (readers[a].head(), readers[b].head()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => a < b,
+            },
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => a < b,
+        }
+    }
+
+    /// A tournament tree over the readers of one merge: `nodes[0]` is the
+    /// reader whose head is merged next, `nodes[1..]` the loser of each match
+    /// on the way up (heap layout; reader `i` is leaf `k + i`). After the
+    /// winner advances only its own path is replayed — `log2(k)` comparisons a
+    /// row instead of a scan of every reader.
+    struct LoserTree {
+        nodes: Vec<usize>,
+    }
+
+    impl LoserTree {
+        fn new(readers: &[RunReader]) -> LoserTree {
+            let k = readers.len();
+            // Play every match bottom-up; `winners[n]` is who left node `n`.
+            let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
+            let mut nodes = vec![0; k];
+            for n in (1..k).rev() {
+                let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+                let a_wins = merges_first(readers, a, b);
+                winners[n] = if a_wins { a } else { b };
+                nodes[n] = if a_wins { b } else { a };
+            }
+            nodes[0] = winners[1];
+            LoserTree { nodes }
+        }
+
+        fn winner(&self) -> usize {
+            self.nodes[0]
+        }
+
+        /// Replays the matches of reader `i` (the last winner) after its head
+        /// changed.
+        fn replay(&mut self, readers: &[RunReader], i: usize) {
+            let mut winner = i;
+            let mut n = (readers.len() + i) / 2;
+            while n > 0 {
+                if merges_first(readers, self.nodes[n], winner) {
+                    std::mem::swap(&mut self.nodes[n], &mut winner);
+                }
+                n /= 2;
+            }
+            self.nodes[0] = winner;
+        }
+    }
+
+    /// Merges the sorted runs behind `readers` (at least one) into one sorted
+    /// stream, handing `emit` the readers and the index of the one whose head
+    /// is the next row. A refill is issued only for the reader that just
+    /// advanced, and only after `emit` returned — so whatever `emit` writes
+    /// precedes the read, as it would in a loop that refilled every reader
+    /// before each pick.
+    fn merge_runs(
+        fb: &mut FileBackend,
+        readers: &mut [RunReader],
+        mut emit: impl FnMut(&mut FileBackend, &[RunReader], usize) -> Result<(), AlgoError>,
+    ) -> Result<(), AlgoError> {
+        for r in readers.iter_mut() {
+            r.ensure(fb)?;
+        }
+        let mut tree = LoserTree::new(readers);
+        loop {
+            let i = tree.winner();
+            if readers[i].head().is_none() {
+                return Ok(()); // the best reader is exhausted: all are
+            }
+            emit(fb, readers, i)?;
+            readers[i].advance();
+            readers[i].ensure(fb)?;
+            tree.replay(readers, i);
+        }
+    }
+
+    /// Writes `rows` (uncharged) as one file on `device`.
+    fn file_of(fb: &mut FileBackend, device: &str, rows: &RowBuf) -> FileId {
+        let bytes = rows.encode();
+        let file = fb.alloc(device, (bytes.len() as u64).max(1)).unwrap();
+        fb.materialize(file, 0, &bytes).unwrap();
+        file
+    }
+
+    /// The rows of a finished run: collected, or read back (uncharged) from
+    /// its output extents.
+    fn harvest(fb: &mut FileBackend, run: AlgoRun) -> RowBuf {
+        let mut out = run.output;
+        for (file, bytes) in &run.out_extents {
+            let rows = bytes / (run.out_width as u64 * 8);
+            fb.peek_rows(*file, 0, rows, run.out_width, &mut out)
+                .unwrap();
+        }
+        out
+    }
+
+    /// The charged requests on `device`'s obs track, in order.
+    fn requests(trace: &ocas_obs::Trace, device: &str) -> Vec<(&'static str, u64)> {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.kind == ocas_obs::EventKind::Span && trace.track(e) == device)
+            .map(|e| {
+                let bytes = e.args.iter().find(|(name, _)| *name == "bytes");
+                (e.name, bytes.expect("a request has bytes").1 as u64)
+            })
+            .collect()
+    }
+
+    /// The request order of the merge, pinned on the device's obs track:
+    /// the write of a full batch precedes the refill read of the cursor
+    /// whose last row completed it.
+    #[test]
+    fn a_full_batch_is_written_before_the_cursor_it_exhausted_is_refilled() {
+        let mut fb = backend();
+        // Two batches of 12 (fan_in * b_in + b_out), every row of the first
+        // below every row of the second: cursor 0 runs dry exactly when a
+        // 4-row batch fills, three times, then cursor 1 does the same.
+        let rows: Vec<i64> = (0..12).rev().chain((12..24).rev()).collect();
+        let file = file_of(&mut fb, "HDD", &RowBuf::from_vec(rows, 1));
+        let rel = Relation::attach(file, 24, 1, 24);
+        let out = Output::ToDevice {
+            device: "HDD".into(),
+            buffer_bytes: 32,
+        };
+        ocas_obs::start();
+        let run = external_sort(&mut fb, &rel, 2, 4, 4, "HDD", &out).unwrap();
+        let trace = ocas_obs::finish().expect("recording");
+        assert_eq!(
+            harvest(&mut fb, run).as_slice(),
+            (0..24).collect::<Vec<i64>>()
+        );
+        let (r, w) = (("read", 32), ("write", 32));
+        let want = [
+            // Run formation: two sorted batches, two runs.
+            ("read", 96),
+            ("write", 96),
+            ("read", 96),
+            ("write", 96),
+            // The output pass: both cursors filled, then a write per batch,
+            // each before the refill it triggered; a run's last batch
+            // triggers none.
+            r,
+            r,
+            w,
+            r,
+            w,
+            r,
+            w,
+            w,
+            r,
+            w,
+            r,
+            w,
+        ];
+        assert_eq!(requests(&trace, "dev:HDD"), want);
+    }
+
+    /// A merge whose output never fills a batch is metered all the same:
+    /// its cursors and the partial batch it wrote.
+    #[test]
+    fn a_merge_shorter_than_one_batch_is_still_metered() {
+        let mut fb = backend();
+        let runs: Vec<RunFile> = [[1i64, 4, 7], [2, 5, 8]]
+            .iter()
+            .map(|rows| RunFile {
+                file: file_of(&mut fb, "HDD", &RowBuf::from_vec(rows.to_vec(), 1)),
+                card: 3,
+            })
+            .collect();
+        let mut gauge = MemGauge::default();
+        let mut collected = RowBuf::new(1);
+        let dest = MergeDest::Rows(&mut collected);
+        merge_group(&mut fb, &runs, 1, 2, 100, dest, &mut Vec::new(), &mut gauge).unwrap();
+        assert_eq!(collected.as_slice(), [1, 2, 4, 5, 7, 8]);
+        // Two one-row cursor tails (the second refills) and six batch rows.
+        assert_eq!(gauge.peak, (2 + 6) * 8);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
-        /// The merge kernel against a stable sort of the concatenation:
-        /// any number of runs (one, powers of two and not, up to 16),
-        /// unequal and empty ones, keys from a domain small enough that
-        /// most rows tie — and a tie goes to the lower run.
+        /// The literal merge against a stable sort of the concatenation,
+        /// and the batch merge against the literal one: any number of runs
+        /// (one, powers of two and not, up to 17 — past the kernel's scan
+        /// into its tree), widths 1 to 3, unequal and empty runs, keys from
+        /// a domain small enough that most rows tie — and a tie goes to the
+        /// lower run — with both extreme keys in it; rows collected and
+        /// rows written to an extent.
         #[test]
         fn merge_runs_is_the_stable_sort_of_the_concatenation(
-            (width, b_in) in (1usize..3, 1u64..6),
-            lens in proptest::collection::vec(0usize..13, 1..17),
-            draws in proptest::collection::vec((0i64..5, 0i64..2), 200..201),
+            (width, b_in, b_out) in (1usize..4, 1u64..6, 1u64..9),
+            lens in proptest::collection::vec(0usize..13, 1..18),
+            draws in proptest::collection::vec((0i64..5, 0i64..2, 0i64..2), 200..201),
         ) {
             let mut fb = backend();
             let mut draw = draws.iter().cycle();
             let mut readers = Vec::new();
+            let mut runs = Vec::new();
             let mut tagged: Vec<(Vec<i64>, usize)> = Vec::new();
             for (run, &len) in lens.iter().enumerate() {
                 let mut rows = RowBuf::new(width);
                 for _ in 0..len {
-                    let (a, b) = *draw.next().expect("cycled");
-                    rows.push(&[a, b][..width]);
+                    let (a, b, c) = *draw.next().expect("cycled");
+                    let key = match a { 0 => i64::MIN, 4 => i64::MAX, a => a };
+                    rows.push(&[key, b, c][..width]);
                 }
                 rows.sort();
                 tagged.extend(rows.iter().map(|r| (r.to_vec(), run)));
-                let file = fb.alloc("HDD", (len * width * 8).max(1) as u64).unwrap();
-                fb.materialize(file, 0, &rows.encode()).unwrap();
+                let file = file_of(&mut fb, "HDD", &rows);
                 readers.push(RunReader::new(file, len as u64, width, b_in));
+                runs.push(RunFile { file, card: len as u64 });
             }
             let mut got: Vec<(Vec<i64>, usize)> = Vec::new();
             merge_runs(&mut fb, &mut readers, |_, readers, i| {
@@ -1064,30 +1374,65 @@ mod tests {
             })
             .unwrap();
             tagged.sort(); // by row, then by run: the stable order
-            prop_assert_eq!(got, tagged);
+            prop_assert_eq!(&got, &tagged);
+
+            let want: Vec<i64> = tagged.iter().flat_map(|(row, _)| row.iter().copied()).collect();
+            let (mut gauge, mut encode_buf) = (MemGauge::default(), Vec::new());
+            let mut collected = RowBuf::new(width);
+            let dest = MergeDest::Rows(&mut collected);
+            merge_group(&mut fb, &runs, width, b_in, b_out, dest, &mut encode_buf, &mut gauge)
+                .unwrap();
+            prop_assert_eq!(collected.as_slice(), want.as_slice());
+            let merged = fb.alloc("HDD", (want.len() as u64 * 8).max(1)).unwrap();
+            let dest = MergeDest::Extent(merged);
+            merge_group(&mut fb, &runs, width, b_in, b_out, dest, &mut encode_buf, &mut gauge)
+                .unwrap();
+            let mut written = RowBuf::new(width);
+            fb.peek_rows(merged, 0, (want.len() / width) as u64, width, &mut written).unwrap();
+            prop_assert_eq!(written.as_slice(), want.as_slice());
         }
 
         /// The whole sort, run formation included, at the degenerate buffer
         /// sizes: one-tuple input and output buffers, fan-ins that are not
-        /// powers of two, inputs shorter than one run.
+        /// powers of two, inputs that form no run, one run (never spilled)
+        /// and several merge levels, keys up to `i64::MAX` — collected, and
+        /// written to the scratch device or to another one.
         #[test]
         fn external_sort_sorts_at_every_buffer_geometry(
             (fan_in, b_in, b_out) in (2u64..17, 1u64..4, 1u64..4),
             (card, wide, key_range) in (0u64..260, 0u32..2, 1u64..40),
         ) {
-            let mut fb = backend();
+            let h = presets::two_hdd_ram(1 << 25);
+            let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
             let spec = match wide {
                 0 => RelSpec::ints("L", "HDD", card),
                 _ => RelSpec::pairs("L", "HDD", card),
             }
             .with_key_range(key_range);
-            let rel = Relation::create(&mut fb, &spec, true, fan_in * 1000 + card).unwrap();
-            let mut want = rel.collect_rows().expect("faithful rows");
+            let width = spec.width as usize;
+            let drawn = Relation::create(&mut fb, &spec, true, fan_in * 1000 + card).unwrap();
+            // The top of the key range becomes the top of the key domain.
+            let rows: Vec<i64> = drawn
+                .collect_rows()
+                .expect("faithful rows")
+                .iter()
+                .flat_map(|row| {
+                    let top = row[0] == key_range as i64 - 1;
+                    std::iter::once(if top { i64::MAX } else { row[0] }).chain(row[1..].iter().copied())
+                })
+                .collect();
+            let mut want = RowBuf::from_vec(rows, width);
+            let rel = Relation::attach(file_of(&mut fb, "HDD", &want), card, width as u32, key_range);
             want.sort();
-            let run = external_sort(&mut fb, &rel, fan_in, b_in, b_out, "HDD", &Output::Discard)
-                .unwrap();
-            prop_assert_eq!(run.rows, card);
-            prop_assert_eq!(run.output, want);
+            for output in [
+                Output::Discard,
+                Output::ToDevice { device: "HDD".into(), buffer_bytes: 64 },
+                Output::ToDevice { device: "HDD2".into(), buffer_bytes: 64 },
+            ] {
+                let run = external_sort(&mut fb, &rel, fan_in, b_in, b_out, "HDD", &output).unwrap();
+                prop_assert_eq!(run.rows, card);
+                prop_assert_eq!(&harvest(&mut fb, run), &want, "{:?}", output);
+            }
         }
     }
 }

@@ -400,6 +400,13 @@ impl FileBackend {
         self.spill_fallback.as_deref()
     }
 
+    /// The page size of `device`'s buffer pool, in bytes: the unit a spill
+    /// stream aligns its extents to, so that no two streams share a page.
+    pub fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        let d = self.device_idx(device)?;
+        Ok(self.devices[d].pool.page_bytes() as u64)
+    }
+
     /// Total pages currently pinned across every device pool.
     pub fn pinned_pages(&self) -> u64 {
         self.devices.iter().map(|d| d.pool.pinned_frames()).sum()

@@ -29,10 +29,11 @@
 //!   replaced, and there is nothing to verify it against. A page *with* a
 //!   recorded checksum is still fetched and verified first, so an overwrite
 //!   never masks a torn write-back.
-//! * **No per-page allocation or seek.** Page I/O is positional
+//! * **No per-page allocation, seek or scan.** Page I/O is positional
 //!   (`read_at`/`write_all_at`), a miss reads into a spare buffer that is
-//!   swapped with the victim's, and the pinned set handed to the policy is
-//!   kept incrementally.
+//!   swapped with the victim's, the pinned set handed to the policy is
+//!   kept incrementally, and the LRU and FIFO policies keep their frames in
+//!   stamp order, so a victim is the head of a list.
 //!
 //! None of this is visible in [`PoolStats`] or in the order of evictions
 //! and write-backs: a whole page served by a run or claimed by an
@@ -126,11 +127,73 @@ pub trait EvictionPolicy: std::fmt::Debug {
     fn victim(&mut self, pinned: &[bool]) -> Option<usize>;
 }
 
-/// Least-recently-used eviction via logical timestamps.
+/// Frames ordered by logical timestamp, as an index: a doubly linked list
+/// threaded through one array of neighbour pairs, oldest stamp at the head.
+/// A frame gets the newest stamp by moving to the tail; the victim is the
+/// first unpinned frame from the head — the frame a scan for the smallest
+/// stamp among unpinned frames would find, without a pass over every frame
+/// per eviction.
+#[derive(Debug, Default)]
+struct StampOrder {
+    /// The `(older, newer)` neighbours of each stamped frame.
+    links: Vec<Option<Neighbours>>,
+    oldest: Option<usize>,
+    newest: Option<usize>,
+}
+
+type Neighbours = (Option<usize>, Option<usize>);
+
+impl StampOrder {
+    fn neighbours(&mut self, frame: usize) -> &mut Neighbours {
+        self.links[frame].as_mut().expect("a neighbour is stamped")
+    }
+
+    /// Gives `frame` the newest stamp (dropping the one it had).
+    fn stamp(&mut self, frame: usize) {
+        self.clear(frame);
+        if frame >= self.links.len() {
+            self.links.resize(frame + 1, None);
+        }
+        self.links[frame] = Some((self.newest, None));
+        match self.newest {
+            Some(prev) => self.neighbours(prev).1 = Some(frame),
+            None => self.oldest = Some(frame),
+        }
+        self.newest = Some(frame);
+    }
+
+    /// Takes `frame`'s stamp away, if it has one.
+    fn clear(&mut self, frame: usize) {
+        let Some((older, newer)) = self.links.get_mut(frame).and_then(Option::take) else {
+            return;
+        };
+        match older {
+            Some(prev) => self.neighbours(prev).1 = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(next) => self.neighbours(next).0 = older,
+            None => self.newest = older,
+        }
+    }
+
+    /// The unpinned frame with the oldest stamp.
+    fn oldest_unpinned(&self, pinned: &[bool]) -> Option<usize> {
+        let mut next = self.oldest;
+        while let Some(frame) = next {
+            if !pinned.get(frame).copied().unwrap_or(false) {
+                return Some(frame);
+            }
+            next = self.links[frame].expect("a linked frame is stamped").1;
+        }
+        None
+    }
+}
+
+/// Least-recently-used eviction: every access stamps its frame anew.
 #[derive(Debug, Default)]
 pub struct LruPolicy {
-    stamp: Vec<u64>,
-    now: u64,
+    order: StampOrder,
 }
 
 impl EvictionPolicy for LruPolicy {
@@ -139,28 +202,19 @@ impl EvictionPolicy for LruPolicy {
     }
 
     fn admit(&mut self, frame: usize) {
-        if frame >= self.stamp.len() {
-            self.stamp.resize(frame + 1, 0);
-        }
-        self.touch(frame);
+        self.order.stamp(frame);
     }
 
     fn touch(&mut self, frame: usize) {
-        self.now += 1;
-        self.stamp[frame] = self.now;
+        self.order.stamp(frame);
     }
 
     fn remove(&mut self, frame: usize) {
-        self.stamp[frame] = 0;
+        self.order.clear(frame);
     }
 
     fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        self.stamp
-            .iter()
-            .enumerate()
-            .filter(|(f, s)| **s > 0 && !pinned.get(*f).copied().unwrap_or(false))
-            .min_by_key(|(_, s)| **s)
-            .map(|(f, _)| f)
+        self.order.oldest_unpinned(pinned)
     }
 }
 
@@ -222,8 +276,7 @@ impl EvictionPolicy for ClockPolicy {
 /// First-in-first-out eviction (admission order, ignores accesses).
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
-    stamp: Vec<u64>,
-    now: u64,
+    order: StampOrder,
 }
 
 impl EvictionPolicy for FifoPolicy {
@@ -232,26 +285,17 @@ impl EvictionPolicy for FifoPolicy {
     }
 
     fn admit(&mut self, frame: usize) {
-        if frame >= self.stamp.len() {
-            self.stamp.resize(frame + 1, 0);
-        }
-        self.now += 1;
-        self.stamp[frame] = self.now;
+        self.order.stamp(frame);
     }
 
     fn touch(&mut self, _frame: usize) {}
 
     fn remove(&mut self, frame: usize) {
-        self.stamp[frame] = 0;
+        self.order.clear(frame);
     }
 
     fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        self.stamp
-            .iter()
-            .enumerate()
-            .filter(|(f, s)| **s > 0 && !pinned.get(*f).copied().unwrap_or(false))
-            .min_by_key(|(_, s)| **s)
-            .map(|(f, _)| f)
+        self.order.oldest_unpinned(pinned)
     }
 }
 
@@ -730,6 +774,83 @@ mod tests {
             .unwrap();
         file.set_len(1 << 20).unwrap();
         BufferPool::new(file, 64, capacity, policy)
+    }
+
+    /// The per-frame timestamps and per-eviction scan that [`StampOrder`]
+    /// indexes, as its oracle: `victim` is the unpinned frame with the
+    /// smallest stamp.
+    #[derive(Default)]
+    struct StampScan {
+        stamp: Vec<u64>,
+        now: u64,
+    }
+
+    impl StampScan {
+        fn stamp(&mut self, frame: usize) {
+            if frame >= self.stamp.len() {
+                self.stamp.resize(frame + 1, 0);
+            }
+            self.now += 1;
+            self.stamp[frame] = self.now;
+        }
+
+        fn clear(&mut self, frame: usize) {
+            if let Some(s) = self.stamp.get_mut(frame) {
+                *s = 0;
+            }
+        }
+
+        fn victim(&self, pinned: &[bool]) -> Option<usize> {
+            self.stamp
+                .iter()
+                .enumerate()
+                .filter(|(f, s)| **s > 0 && !pinned.get(*f).copied().unwrap_or(false))
+                .min_by_key(|(_, s)| **s)
+                .map(|(f, _)| f)
+        }
+    }
+
+    #[test]
+    fn stamp_order_picks_the_victims_of_a_stamp_scan() {
+        const FRAMES: usize = 9;
+        let (mut order, mut scan) = (StampOrder::default(), StampScan::default());
+        let mut pinned = vec![false; FRAMES - 2]; // shorter than the frames: unpinned past it
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let frame = (x >> 8) as usize % FRAMES;
+            match x % 8 {
+                0..=3 => {
+                    order.stamp(frame);
+                    scan.stamp(frame);
+                }
+                4 => {
+                    order.clear(frame);
+                    scan.clear(frame);
+                }
+                5 => {
+                    if let Some(p) = pinned.get_mut(frame) {
+                        *p = !*p;
+                    }
+                }
+                _ => {
+                    // Evict: the victim loses its stamp, as in the pool.
+                    let victim = order.oldest_unpinned(&pinned);
+                    assert_eq!(victim, scan.victim(&pinned), "step {step}");
+                    if let Some(v) = victim {
+                        order.clear(v);
+                        scan.clear(v);
+                    }
+                }
+            }
+            assert_eq!(
+                order.oldest_unpinned(&pinned),
+                scan.victim(&pinned),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

@@ -201,7 +201,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The native kernels — `KeyIndex` bucket joins, loser-tree merges —
+    /// The native kernels — `KeyIndex` bucket joins, batch-kernel merges —
     /// against their simulator twins through the runtime, row for row:
     /// heavily duplicated keys, one-row buckets and buffers, partition
     /// counts and fan-ins that are not powers of two.

@@ -145,13 +145,20 @@ fn failed_sort_leaves_no_spill_extents_and_no_pins() {
     assert!(rec.gave_up >= 1);
 }
 
-/// Satellite: a persistent injected failure mid-GRACE-partition surfaces a
-/// typed error and leaves the backend clean.
+/// Satellite: a persistent injected failure mid-GRACE-partition — on the
+/// first append, or forty requests into the streams — surfaces a typed
+/// error and leaves the backend clean.
 #[test]
 fn failed_grace_partition_leaves_no_spill_extents_and_no_pins() {
+    for first_fault in [0, 40] {
+        failed_grace_partition(first_fault);
+    }
+}
+
+fn failed_grace_partition(first_fault: u64) {
     let h = presets::two_hdd_ram(1 << 22);
     let mut plan = FaultPlan::new();
-    for at in 0..256 {
+    for at in first_fault..first_fault + 256 {
         plan = plan.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
     }
     let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
@@ -212,4 +219,143 @@ fn transient_faults_are_absorbed_by_retries() {
     assert!(rec.retry_successes >= 2);
     assert_eq!(rec.gave_up, 0);
     assert!(rec.latency_spikes <= 1);
+}
+
+/// A bucket's extent reservation that meets ENOSPC halves — sixteen pages
+/// down to the one page that holds a staging buffer — and only then fails
+/// over, once; the join's answer does not change.
+#[test]
+fn no_space_on_a_bucket_reservation_halves_it_then_fails_over() {
+    let h = presets::two_hdd_ram(1 << 22);
+    let specs = [
+        RelSpec::pairs("L", "HDD", 900).with_key_range(60),
+        RelSpec::pairs("R", "HDD", 700).with_key_range(60),
+    ];
+    let join = |fb: &mut FileBackend| {
+        let l = Relation::create(fb, &specs[0], true, 3).unwrap();
+        let r = Relation::create(fb, &specs[1], true, 4).unwrap();
+        algos::grace_join(fb, &l, &r, 4, 2048, "HDD2", false, &Output::Discard).unwrap()
+    };
+    let oracle = sorted_rows(join(&mut backend(&h)).output);
+    assert!(!oracle.is_empty(), "join oracle must produce rows");
+
+    // HDD2 sees nothing but the spill: its request 0 is the first bucket's
+    // reservation, and every failed attempt is the next request.
+    for (refusals, shrinks, failovers) in [(2, 2, 0), (4, 4, 0), (5, 4, 1)] {
+        let mut plan = FaultPlan::new();
+        for at in 0..refusals {
+            plan = plan.with("HDD2", FaultOp::Alloc, at, FaultKind::NoSpace);
+        }
+        let mut fb = backend(&h)
+            .with_faults(plan, RetryPolicy::default())
+            .with_spill_fallback("HDD");
+        let run = join(&mut fb);
+        assert_eq!(sorted_rows(run.output), oracle, "{refusals} refusals");
+        let rec = fb.recovery_counters().expect("counters with injector");
+        assert_eq!(rec.no_space_faults, refusals, "{refusals} refusals");
+        assert_eq!(rec.degraded_shrinks, shrinks, "{refusals} refusals");
+        assert_eq!(rec.degraded_failovers, failovers, "{refusals} refusals");
+        let spilled = fb.device_stats("HDD2").unwrap().bytes_written;
+        assert_eq!(
+            spilled == 0,
+            failovers == 1,
+            "a failover moves every stream"
+        );
+        assert_eq!(fb.pinned_pages(), 0);
+    }
+}
+
+/// A failure in the middle of the sort's output pass — the pass that
+/// writes to the output device, here a second one — leaves no spill bytes,
+/// nothing on the output device past its entry mark, and no pins.
+#[test]
+fn failed_output_pass_leaves_neither_spill_nor_output_bytes() {
+    let h = presets::two_hdd_ram(1 << 22);
+    // Output-device writes fail for good from the third batch on.
+    let mut plan = FaultPlan::new();
+    for at in 3..259 {
+        plan = plan.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
+    }
+    let mut fb = backend(&h).with_faults(plan, RetryPolicy::default());
+    let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 5).unwrap();
+    let marks = [fb.watermark("HDD").unwrap(), fb.watermark("HDD2").unwrap()];
+    let out = Output::ToDevice {
+        device: "HDD2".into(),
+        buffer_bytes: 1 << 10,
+    };
+    let err = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD", &out)
+        .expect_err("persistent output faults must fail the sort");
+    assert!(
+        matches!(
+            &err,
+            AlgoError::Storage(StorageError::Transient { device, .. }) if device == "HDD2"
+        ),
+        "expected a typed transient error, got: {err}"
+    );
+    let written = fb.device_stats("HDD2").unwrap().bytes_written;
+    assert!(written > 0, "the pass was under way: {written} bytes out");
+    assert_eq!(fb.watermark("HDD").unwrap(), marks[0], "leaked spill runs");
+    assert_eq!(fb.watermark("HDD2").unwrap(), marks[1], "leaked output");
+    assert_eq!(fb.pinned_pages(), 0);
+}
+
+/// A torn write-back of a partition page is silent while the bucket is
+/// written and surfaces as `CorruptPage` on the bucket read that reaches
+/// the page — a typed error, and a clean backend after it.
+#[test]
+fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
+    let h = presets::two_hdd_ram(1 << 22);
+    // Four frames, and staging buffers of exactly one page: every flush
+    // dirties a whole page, the fifth evicts the first — torn, its second
+    // half never reaches the file.
+    let cfg = PoolConfig {
+        page_bytes: 4096,
+        frames: 4,
+        ..PoolConfig::default()
+    };
+    let plan = FaultPlan::new().with("HDD2", FaultOp::Write, 1, FaultKind::TornWriteBack);
+    let mut fb = FileBackend::from_hierarchy(&h, cfg)
+        .unwrap()
+        .with_faults(plan, RetryPolicy::default());
+    let l = Relation::create(
+        &mut fb,
+        &RelSpec::pairs("L", "HDD", 4096).with_key_range(500),
+        true,
+        6,
+    )
+    .unwrap();
+    let r = Relation::create(
+        &mut fb,
+        &RelSpec::pairs("R", "HDD", 2048).with_key_range(500),
+        true,
+        7,
+    )
+    .unwrap();
+    let mark = fb.watermark("HDD2").unwrap();
+    let err = algos::grace_join(
+        &mut fb,
+        &l,
+        &r,
+        4,
+        4 * 4096,
+        "HDD2",
+        false,
+        &Output::Discard,
+    )
+    .expect_err("the torn page must not be joined");
+    assert!(
+        matches!(
+            &err,
+            AlgoError::Storage(StorageError::CorruptPage { device, .. }) if device == "HDD2"
+        ),
+        "expected CorruptPage, got: {err}"
+    );
+    let rec = fb.recovery_counters().expect("counters with injector");
+    assert_eq!(rec.torn_write_backs, 1);
+    assert_eq!(rec.corrupt_pages_detected, 1);
+    // Both relations were partitioned in full before any bucket was read.
+    let spilled = fb.device_stats("HDD2").unwrap().bytes_written;
+    assert_eq!(spilled, l.bytes() + r.bytes());
+    assert_eq!(fb.watermark("HDD2").unwrap(), mark, "leaked spill extents");
+    assert_eq!(fb.pinned_pages(), 0);
 }
