@@ -631,7 +631,7 @@ pub fn bench_doc(
     Json::obj(pairs)
 }
 
-/// Checks a document against the `ocas-bench/v3` schema. Sections may be
+/// Checks a document against the [`SCHEMA`] schema. Sections may be
 /// empty arrays (a partial regeneration) but must be present and
 /// well-typed; every `real` entry must carry both clocks.
 pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {

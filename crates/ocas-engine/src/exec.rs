@@ -13,8 +13,8 @@
 use crate::key_index::KeyIndex;
 use crate::key_scan::KeyColumns;
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
-use crate::rel::{BlockBuf, Relation, Row, RowBuf, RowsView};
-use ocas_storage::{CacheSim, CacheStats, StorageBackend, StorageError, StorageSim};
+use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
+use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
 
 /// Execution errors.
@@ -69,10 +69,20 @@ pub struct ExecStats {
     /// switched off for larger-than-RAM faithful runs).
     pub output: Option<RowBuf>,
     /// FNV-1a digest over every emitted row's column values, in emission
-    /// order (`Some` in faithful mode). Lets two faithful twins —
-    /// simulator and real backend — be compared without materializing
-    /// either output.
+    /// order: `Some` for a faithful run that did not collect its output
+    /// (one witness per run — nothing is hashed for rows that are kept;
+    /// [`ExecStats::digest`] gives the digest of either). Lets two faithful
+    /// twins — simulator and real backend — be compared without
+    /// materializing either output.
     pub output_digest: Option<u64>,
+    /// Columns per output row.
+    pub output_width: usize,
+    /// Where a faithful run's [`Output::ToDevice`] rows can be read back
+    /// from: `(file, bytes)`, the rows in emission order from the file's
+    /// start, `output_width` 8-byte columns each. `None` for narrower
+    /// columns and for an output that outgrew the sink's wrap-around
+    /// window (witnessed by its row count and digest).
+    pub output_extent: Option<(FileId, u64)>,
     /// High-water mark of resident tuple bytes the faithful data path
     /// held during this run: relation cache windows (or the whole batch
     /// for legacy materialized relations), sort-emitter state, and the
@@ -83,6 +93,15 @@ pub struct ExecStats {
     /// Fault-injection and recovery counters reported by the backend
     /// (`None` for backends that neither inject faults nor degrade).
     pub recovery: Option<ocas_storage::RecoveryCounters>,
+}
+
+impl ExecStats {
+    /// The emission digest of a faithful run: `output_digest`, or the same
+    /// fold over the collected rows.
+    pub fn digest(&self) -> Option<u64> {
+        let rows = self.output.as_ref();
+        (self.output_digest).or_else(|| rows.map(|o| fnv_values(FNV_OFFSET, o.as_slice())))
+    }
 }
 
 /// The plan executor: owns the storage backend, the relation table and
@@ -199,10 +218,14 @@ struct Sink {
     pending: u64,
     rows: u64,
     /// True for faithful runs: real payload bytes are encoded for device
-    /// outputs and every emitted row folds into `digest`.
+    /// outputs, and the emitted rows are witnessed — kept in `collected`,
+    /// or else folded into `digest`.
     faithful: bool,
+    /// Columns per output row.
+    width: usize,
     collected: Option<RowBuf>,
-    /// Running FNV-1a digest over emitted rows (faithful mode).
+    /// Running FNV-1a digest over emitted rows (faithful mode, when they
+    /// are not collected).
     digest: u64,
     /// `Some(col_bytes)` when every column encodes as the same number of
     /// little-endian bytes (`tuple_bytes / columns`); `None` falls back to
@@ -214,7 +237,7 @@ struct Sink {
     /// One pre-allocated output extent, written sequentially with
     /// wrap-around; keeps metadata O(1) even for 100+ GB simulated outputs
     /// while preserving the head-movement behaviour of streaming writes.
-    extent: Option<(ocas_storage::FileId, u64)>,
+    extent: Option<(FileId, u64)>,
     cursor: u64,
 }
 
@@ -242,6 +265,7 @@ impl Sink {
             pending: 0,
             rows: 0,
             faithful,
+            width: ncols,
             collected: (faithful && collect).then(|| RowBuf::new(ncols)),
             digest: FNV_OFFSET,
             codec,
@@ -257,6 +281,7 @@ impl Sink {
 
     /// Resident staging bytes: encoded-but-unflushed payload plus (when
     /// output collection is on) the collected rows.
+    #[inline]
     fn resident_bytes(&self) -> u64 {
         let collected = self
             .collected
@@ -299,16 +324,43 @@ impl Sink {
         }
     }
 
-    /// Emits one row given as a slice.
-    fn emit_slice<B: StorageBackend>(&mut self, sm: &mut B, row: &[i64]) -> Result<(), ExecError> {
-        if self.encoding() {
-            self.encode_cols(row.iter());
-        }
-        if self.faithful {
-            self.digest = fnv_values(self.digest, row);
-        }
+    /// Makes room for `rows` collected rows at once: the bound an operator
+    /// knows on its output, so that collecting does not grow by doubling.
+    fn reserve(&mut self, rows: u64) {
         if let Some(c) = &mut self.collected {
-            c.push(row);
+            c.raw_mut().reserve(rows as usize * self.width);
+        }
+    }
+
+    /// Witnesses `values` (a row, rows, or the pieces of one in order): kept
+    /// when collecting, else folded into the digest of a faithful run.
+    #[inline(always)]
+    fn witness(&mut self, values: &[i64]) {
+        if let Some(c) = &mut self.collected {
+            c.raw_mut().extend_from_slice(values);
+        } else if self.faithful {
+            self.digest = fnv_values(self.digest, values);
+        }
+    }
+
+    /// Emits one row given as a slice: for a consumed output the witness
+    /// and a count, inlined into the streaming operators' per-row loops;
+    /// staging a row for a device is the out-of-line part.
+    #[inline(always)]
+    fn emit_slice<B: StorageBackend>(&mut self, sm: &mut B, row: &[i64]) -> Result<(), ExecError> {
+        self.witness(row);
+        if matches!(self.output, Output::Discard) {
+            self.rows += 1;
+            return Ok(());
+        }
+        self.stage_slice(sm, row)
+    }
+
+    /// The device-bound half of [`emit_slice`](Sink::emit_slice).
+    #[inline(never)]
+    fn stage_slice<B: StorageBackend>(&mut self, sm: &mut B, row: &[i64]) -> Result<(), ExecError> {
+        if self.faithful {
+            self.encode_cols(row.iter());
         }
         self.emit_bulk(sm, 1)
     }
@@ -323,12 +375,8 @@ impl Sink {
         if self.encoding() {
             self.encode_cols(a.iter().chain(b.iter()));
         }
-        if self.faithful {
-            self.digest = fnv_values(fnv_values(self.digest, a), b);
-        }
-        if let Some(c) = &mut self.collected {
-            c.push_concat(a, b);
-        }
+        self.witness(a);
+        self.witness(b);
         self.emit_bulk(sm, 1)
     }
 
@@ -341,9 +389,7 @@ impl Sink {
         if view.is_empty() {
             return Ok(());
         }
-        if self.faithful {
-            self.digest = fnv_values(self.digest, view.as_slice());
-        }
+        self.witness(view.as_slice());
         if self.encoding() {
             match self.codec {
                 Some(8) => {
@@ -358,9 +404,6 @@ impl Sink {
                     }
                 }
             }
-        }
-        if let Some(c) = &mut self.collected {
-            c.extend_view(view);
         }
         self.emit_bulk(sm, view.len() as u64)
     }
@@ -433,14 +476,33 @@ impl Sink {
     fn finish<B: StorageBackend>(mut self, sm: &mut B) -> Result<OpResult, ExecError> {
         let pending = self.pending;
         self.flush_bytes(sm, pending)?;
-        let digest = self.faithful.then_some(self.digest);
-        Ok((self.rows, self.collected, digest))
+        let bytes = self.rows * self.tuple_bytes;
+        // Real rows, all of them still there, eight bytes a column.
+        let extent = self
+            .extent
+            .filter(|(_, len)| self.faithful && self.codec == Some(8) && bytes <= *len)
+            .map(|(file, _)| (file, bytes));
+        Ok(OpResult {
+            rows: self.rows,
+            width: self.width,
+            digest: (self.faithful && self.collected.is_none()).then_some(self.digest),
+            output: self.collected,
+            extent,
+        })
     }
 }
 
-/// What one operator produced: emitted rows, the collected batch (when
-/// faithful collection is on) and the emission digest (faithful mode).
-type OpResult = (u64, Option<RowBuf>, Option<u64>);
+/// What one operator produced: emitted rows, their witness (the collected
+/// batch or else the emission digest, in faithful mode) and the extent a
+/// device-bound output can be read back from.
+#[derive(Default)]
+struct OpResult {
+    rows: u64,
+    width: usize,
+    output: Option<RowBuf>,
+    digest: Option<u64>,
+    extent: Option<(FileId, u64)>,
+}
 
 impl<B: StorageBackend> Executor<B> {
     /// Builds an executor over any storage backend.
@@ -516,7 +578,7 @@ impl<B: StorageBackend> Executor<B> {
         let w0 = ocas_obs::wall_now();
         self.peak_resident = 0;
         let mut compares: u64 = 0;
-        let (rows, output, digest) = match plan {
+        let op = match plan {
             Plan::BnlJoin {
                 outer,
                 inner,
@@ -621,7 +683,7 @@ impl<B: StorageBackend> Executor<B> {
                 start,
                 dur,
                 &[
-                    ("output_rows", rows as f64),
+                    ("output_rows", op.rows as f64),
                     ("compares", compares as f64),
                     ("peak_resident_bytes", self.peak_resident as f64),
                 ],
@@ -629,10 +691,12 @@ impl<B: StorageBackend> Executor<B> {
         }
         Ok(ExecStats {
             seconds: self.sm.clock() - t0,
-            output_rows: rows,
+            output_rows: op.rows,
             compares,
-            output,
-            output_digest: digest,
+            output: op.output,
+            output_digest: op.digest,
+            output_width: op.width,
+            output_extent: op.extent,
             peak_resident_bytes: self.peak_resident,
             cache: self.cache.as_ref().map(|c| c.stats()),
             recovery: self.sm.recovery_counters(),
@@ -1201,9 +1265,15 @@ impl<B: StorageBackend> Executor<B> {
         if b_in == 0 {
             return Err(ExecError::BadParameter("zero merge buffer"));
         }
-        let mut l = self.rel(left)?.clone();
-        let mut r = self.rel(right)?.clone();
+        let l = self.rel(left)?.clone();
+        let r = self.rel(right)?.clone();
         let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize);
+        *compares += l.card + r.card;
+        if self.faithful() {
+            self.merge_faithful((left, l), (right, r), kind, b_in, &mut sink)?;
+            self.charge_cpu(*compares, sink.rows, 0);
+            return sink.finish(&mut self.sm);
+        }
 
         // Read both inputs in alternating b_in blocks (streaming merge),
         // emitting output as the stream advances so writes interleave with
@@ -1240,123 +1310,107 @@ impl<B: StorageBackend> Executor<B> {
                     consumed += n;
                 }
             }
-            if !self.faithful() {
-                let e = (consumed as f64 * out_fraction) as u64;
-                emits += e;
-                sink.emit_bulk(&mut self.sm, e)?;
-            }
-        }
-        *compares += l.card + r.card;
-
-        if self.faithful() {
-            if !l.has_rows() {
-                return Err(ExecError::MissingRows(left));
-            }
-            if !r.has_rows() {
-                return Err(ExecError::MissingRows(right));
-            }
-            // Streaming two-cursor merge over bounded block views — the
-            // same semantics as [`merge_bufs`] (pinned by tests) without
-            // materializing either input or the merged result.
-            let (mut ai, mut bi) = (0u64, 0u64);
-            let mut last: Vec<i64> = Vec::new();
-            let mut have_last = false;
-            let mut ha: Vec<i64> = Vec::new();
-            let mut hb: Vec<i64> = Vec::new();
-            loop {
-                let a_has = ai < l.card;
-                let b_has = bi < r.card;
-                ha.clear();
-                hb.clear();
-                if a_has {
-                    ha.extend_from_slice(l.block_rows(ai, 1).row(0));
-                }
-                if b_has {
-                    hb.extend_from_slice(r.block_rows(bi, 1).row(0));
-                }
-                match kind {
-                    MergeKind::MultisetUnionSorted | MergeKind::SetUnion => {
-                        if !a_has && !b_has {
-                            break;
-                        }
-                        let take_a = !b_has || (a_has && ha.as_slice() <= hb.as_slice());
-                        let row: &[i64] = if take_a { &ha } else { &hb };
-                        if kind == MergeKind::MultisetUnionSorted || !have_last || last != row {
-                            emits += 1;
-                            sink.emit_slice(&mut self.sm, row)?;
-                            if kind == MergeKind::SetUnion {
-                                last.clear();
-                                last.extend_from_slice(row);
-                                have_last = true;
-                            }
-                        }
-                        if take_a {
-                            ai += 1;
-                        } else {
-                            bi += 1;
-                        }
-                    }
-                    MergeKind::MultisetUnionVm => {
-                        if !a_has && !b_has {
-                            break;
-                        }
-                        if a_has && b_has && ha[0] == hb[0] {
-                            emits += 1;
-                            sink.emit_slice(&mut self.sm, &[ha[0], ha[1] + hb[1]])?;
-                            ai += 1;
-                            bi += 1;
-                        } else if a_has && (!b_has || ha[0] < hb[0]) {
-                            emits += 1;
-                            sink.emit_slice(&mut self.sm, &ha)?;
-                            ai += 1;
-                        } else {
-                            emits += 1;
-                            sink.emit_slice(&mut self.sm, &hb)?;
-                            bi += 1;
-                        }
-                    }
-                    MergeKind::MultisetDiffSorted => {
-                        if !a_has {
-                            break;
-                        }
-                        if b_has && hb.as_slice() < ha.as_slice() {
-                            bi += 1;
-                        } else if b_has && hb == ha {
-                            ai += 1;
-                            bi += 1;
-                        } else {
-                            emits += 1;
-                            sink.emit_slice(&mut self.sm, &ha)?;
-                            ai += 1;
-                        }
-                    }
-                    MergeKind::MultisetDiffVm => {
-                        if !a_has {
-                            break;
-                        }
-                        if b_has && hb[0] < ha[0] {
-                            bi += 1;
-                        } else if b_has && hb[0] == ha[0] {
-                            let m = ha[1] - hb[1];
-                            if m > 0 {
-                                emits += 1;
-                                sink.emit_slice(&mut self.sm, &[ha[0], m])?;
-                            }
-                            ai += 1;
-                            bi += 1;
-                        } else {
-                            emits += 1;
-                            sink.emit_slice(&mut self.sm, &ha)?;
-                            ai += 1;
-                        }
-                    }
-                }
-                let res = l.resident_bytes() + r.resident_bytes() + sink.resident_bytes();
-                self.note_peak(res);
-            }
+            let e = (consumed as f64 * out_fraction) as u64;
+            emits += e;
+            sink.emit_bulk(&mut self.sm, e)?;
         }
         self.charge_cpu(*compares, emits, 0);
         sink.finish(&mut self.sm)
+    }
+
+    /// The faithful arm of [`run_merge`](Executor::run_merge): two block
+    /// cursors and, for the set union, the last emitted row — the online
+    /// form of [`merge_bufs`], which the tests hold it to. A cursor is
+    /// refilled only when its block is exhausted, and a difference stops
+    /// reading its right input once the left one is dry.
+    fn merge_faithful(
+        &mut self,
+        (left, l): (usize, Relation),
+        (right, r): (usize, Relation),
+        kind: MergeKind,
+        b_in: u64,
+        sink: &mut Sink,
+    ) -> Result<(), ExecError> {
+        use std::cmp::Ordering::{Equal, Less};
+        // Rows of <value, multiplicity>, keyed by the value.
+        let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
+        if l.width != r.width || (vm && l.width != 2) {
+            return Err(ExecError::BadParameter(
+                "merge inputs must share a width (two columns for value-multiplicity kinds)",
+            ));
+        }
+        let diff = matches!(
+            kind,
+            MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
+        );
+        sink.reserve(l.card + if diff { 0 } else { r.card });
+        let mut a = BlockCursor::new(l, b_in);
+        let mut b = BlockCursor::new(r, b_in);
+        // The last emitted row (set-union dedup), in a reused buffer; empty
+        // — which no row is — until there is one.
+        let mut last: Vec<i64> = Vec::new();
+        loop {
+            ensure(&mut self.sm, &mut a, left)?;
+            if !(diff && a.head().is_none()) {
+                ensure(&mut self.sm, &mut b, right)?;
+            }
+            self.note_peak(a.resident_bytes() + b.resident_bytes() + sink.resident_bytes());
+            let (ha, hb) = (a.head(), b.head());
+            match kind {
+                MergeKind::MultisetUnionSorted | MergeKind::SetUnion => {
+                    let take_a = hb.map_or(true, |y| ha.is_some_and(|x| x <= y));
+                    let Some(row) = (if take_a { ha } else { hb }) else {
+                        return Ok(());
+                    };
+                    if kind == MergeKind::MultisetUnionSorted || last != row {
+                        sink.emit_slice(&mut self.sm, row)?;
+                        if kind == MergeKind::SetUnion {
+                            last.clear();
+                            last.extend_from_slice(row);
+                        }
+                    }
+                    if take_a {
+                        a.advance();
+                    } else {
+                        b.advance();
+                    }
+                }
+                MergeKind::MultisetUnionVm => match (ha, hb) {
+                    (None, None) => return Ok(()),
+                    (Some(x), Some(y)) if x[0] == y[0] => {
+                        sink.emit_slice(&mut self.sm, &[x[0], x[1] + y[1]])?;
+                        a.advance();
+                        b.advance();
+                    }
+                    (Some(x), y) if y.map_or(true, |y| x[0] < y[0]) => {
+                        sink.emit_slice(&mut self.sm, x)?;
+                        a.advance();
+                    }
+                    (_, y) => {
+                        sink.emit_slice(&mut self.sm, y.expect("the side that remains"))?;
+                        b.advance();
+                    }
+                },
+                MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm => {
+                    let Some(x) = ha else { return Ok(()) };
+                    let key = if vm { 1 } else { x.len() };
+                    match hb.map(|y| (y[..key].cmp(&x[..key]), y)) {
+                        Some((Less, _)) => b.advance(),
+                        Some((Equal, y)) => {
+                            if vm && x[1] > y[1] {
+                                sink.emit_slice(&mut self.sm, &[x[0], x[1] - y[1]])?;
+                            }
+                            a.advance();
+                            b.advance();
+                        }
+                        _ => {
+                            sink.emit_slice(&mut self.sm, x)?;
+                            a.advance();
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn run_columns(
@@ -1368,7 +1422,7 @@ impl<B: StorageBackend> Executor<B> {
         if columns.is_empty() || b_in == 0 {
             return Err(ExecError::BadParameter("columns/b_in"));
         }
-        let mut rels: Vec<Relation> = columns
+        let rels: Vec<Relation> = columns
             .iter()
             .map(|c| self.rel(*c).cloned())
             .collect::<Result<_, _>>()?;
@@ -1376,30 +1430,41 @@ impl<B: StorageBackend> Executor<B> {
         let out_bytes: u64 = rels.iter().map(|r| r.tuple_bytes).sum();
         let out_cols: usize = rels.iter().map(|r| r.width.max(1) as usize).sum();
         let mut sink = self.sink(output, out_bytes, out_cols);
-        // One reused scratch row for the zipped tuple (no per-row alloc).
-        let mut zipped: Vec<i64> = Vec::with_capacity(out_cols);
-        // Round-robin block reads across the columns (seeks between files).
-        let mut idx = 0;
-        while idx < card {
-            let mut n = 0;
-            for r in &rels {
-                n = r.read_block(&mut self.sm, idx, b_in)?;
-            }
-            if self.faithful() {
-                for off in 0..n {
-                    zipped.clear();
-                    for r in rels.iter_mut() {
-                        zipped.extend_from_slice(r.block_rows(idx + off, 1).row(0));
-                    }
-                    sink.emit_slice(&mut self.sm, &zipped)?;
+        if self.faithful() {
+            // One cursor per column, advanced in lock-step; the zip stops
+            // at the shortest column.
+            sink.reserve(card);
+            let over = |mut r: Relation| {
+                r.card = card;
+                BlockCursor::new(r, b_in)
+            };
+            let mut cursors: Vec<BlockCursor> = rels.into_iter().map(over).collect();
+            // One reused scratch row for the zipped tuple (no per-row alloc).
+            let mut zipped: Vec<i64> = Vec::with_capacity(out_cols);
+            for _ in 0..card {
+                zipped.clear();
+                for (cursor, column) in cursors.iter_mut().zip(columns) {
+                    ensure(&mut self.sm, cursor, *column)?;
+                    zipped.extend_from_slice(cursor.head().expect("within card"));
+                    cursor.advance();
                 }
-                let res =
-                    rels.iter().map(Relation::resident_bytes).sum::<u64>() + sink.resident_bytes();
+                sink.emit_slice(&mut self.sm, &zipped)?;
+                let res = cursors.iter().map(BlockCursor::resident_bytes).sum::<u64>()
+                    + sink.resident_bytes();
                 self.note_peak(res);
-            } else {
-                sink.emit_bulk(&mut self.sm, n)?;
             }
-            idx += n.max(1);
+        } else {
+            // Round-robin block reads across the columns (seeks between
+            // files).
+            let mut idx = 0;
+            while idx < card {
+                let mut n = 0;
+                for r in &rels {
+                    n = r.read_block(&mut self.sm, idx, b_in)?;
+                }
+                sink.emit_bulk(&mut self.sm, n)?;
+                idx += n.max(1);
+            }
         }
         self.charge_cpu(0, card, 0);
         sink.finish(&mut self.sm)
@@ -1415,42 +1480,41 @@ impl<B: StorageBackend> Executor<B> {
         if b_in == 0 {
             return Err(ExecError::BadParameter("zero dedup buffer"));
         }
-        let mut rel = self.rel(input)?.clone();
+        let rel = self.rel(input)?.clone();
         let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
-        let mut idx = 0;
-        // The last emitted row, in a reused buffer (no per-row alloc).
-        let mut last: Vec<i64> = Vec::new();
-        let mut have_last = false;
-        let mut emitted = 0u64;
-        while idx < rel.card {
-            let n = rel.read_block(&mut self.sm, idx, b_in)?;
-            // The staggered formulation (⟨tail(L), L⟩) maintains a second
-            // cursor one element behind: a literal implementation streams
-            // the list twice.
-            let _ = rel.read_block(&mut self.sm, idx.saturating_sub(1), b_in)?;
-            *compares += n;
-            if self.faithful() {
-                for row in rel.block_rows(idx, n).iter() {
-                    if !have_last || last != row {
-                        emitted += 1;
-                        sink.emit_slice(&mut self.sm, row)?;
-                        last.clear();
-                        last.extend_from_slice(row);
-                        have_last = true;
-                    }
+        *compares += rel.card;
+        if self.faithful() {
+            // One cursor and the last emitted row, in a reused buffer (empty,
+            // which no row is, until there is one): every block is read once.
+            sink.reserve(rel.card);
+            let mut cursor = BlockCursor::new(rel, b_in);
+            let mut last: Vec<i64> = Vec::new();
+            loop {
+                ensure(&mut self.sm, &mut cursor, input)?;
+                let Some(row) = cursor.head() else { break };
+                if last != row {
+                    sink.emit_slice(&mut self.sm, row)?;
+                    last.clear();
+                    last.extend_from_slice(row);
                 }
-                let res = rel.resident_bytes() + sink.resident_bytes();
-                self.note_peak(res);
-            } else {
+                cursor.advance();
+                self.note_peak(cursor.resident_bytes() + sink.resident_bytes());
+            }
+        } else {
+            let mut idx = 0;
+            while idx < rel.card {
+                let n = rel.read_block(&mut self.sm, idx, b_in)?;
+                // The staggered formulation (⟨tail(L), L⟩) maintains a second
+                // cursor one element behind: a literal implementation streams
+                // the list twice.
+                let _ = rel.read_block(&mut self.sm, idx.saturating_sub(1), b_in)?;
                 // Modeling assumption: half the sorted input is duplicated;
                 // emit as the stream advances so writes interleave.
-                let e = n / 2;
-                emitted += e;
-                sink.emit_bulk(&mut self.sm, e)?;
+                sink.emit_bulk(&mut self.sm, n / 2)?;
+                idx += n.max(1);
             }
-            idx += n.max(1);
         }
-        self.charge_cpu(*compares, emitted, 0);
+        self.charge_cpu(*compares, sink.rows, 0);
         sink.finish(&mut self.sm)
     }
 
@@ -1482,7 +1546,11 @@ impl<B: StorageBackend> Executor<B> {
             idx += n.max(1);
         }
         self.charge_cpu(*compares, 1, 0);
-        Ok((1, None, None))
+        Ok(OpResult {
+            rows: 1,
+            width: 1,
+            ..OpResult::default()
+        })
     }
 
     /// The faithful arm of [`run_aggregate`](Executor::run_aggregate): one
@@ -1514,9 +1582,31 @@ impl<B: StorageBackend> Executor<B> {
         self.note_peak(peak);
         self.charge_cpu(*compares, 1, 0);
         let avg = if count > 0 { sum / count } else { 0 };
-        let digest = fnv_values(FNV_OFFSET, &[avg]);
-        let out = self.collect_output.then(|| RowBuf::from_rows(&[vec![avg]]));
-        Ok((1, out, Some(digest)))
+        // One witness, like a sink's: the row, or else its digest.
+        let output = self.collect_output.then(|| RowBuf::from_vec(vec![avg], 1));
+        Ok(OpResult {
+            rows: 1,
+            width: 1,
+            digest: output.is_none().then(|| fnv_values(FNV_OFFSET, &[avg])),
+            output,
+            extent: None,
+        })
+    }
+}
+
+/// [`BlockCursor::ensure`] for the cursor over relation `rel`: a request
+/// that comes back without rows means the relation can only be read on a
+/// backend that holds its payload.
+#[inline]
+fn ensure<B: StorageBackend>(
+    sm: &mut B,
+    cursor: &mut BlockCursor,
+    rel: usize,
+) -> Result<(), ExecError> {
+    if cursor.ensure(sm)? {
+        Ok(())
+    } else {
+        Err(ExecError::MissingRows(rel))
     }
 }
 
@@ -1607,16 +1697,10 @@ pub fn merge_bufs(a: &RowBuf, b: &RowBuf, kind: MergeKind) -> RowBuf {
     out
 }
 
-/// Row-level reference semantics of the merge operators over boundary
-/// rows — kept as the oracle the batched [`merge_bufs`] is tested against.
-pub fn merge_rows(a: &[Row], b: &[Row], kind: MergeKind) -> Vec<Row> {
-    merge_bufs(&RowBuf::from_rows(a), &RowBuf::from_rows(b), kind).to_rows()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rel::RelSpec;
+    use crate::rel::{RelSpec, Row};
     use ocas_hierarchy::presets;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -1694,7 +1778,7 @@ mod tests {
             oidx += on.max(1);
         }
         ex.charge_cpu(compares, emits, 0);
-        let (output_rows, ..) = sink.finish(&mut ex.sm).unwrap();
+        let output_rows = sink.finish(&mut ex.sm).unwrap().rows;
         (ex.sm.clock() - t0, output_rows, compares)
     }
 
@@ -1839,9 +1923,9 @@ mod tests {
     }
 
     /// Runs one tile join through the key-column kernel or the literal
-    /// pair loop; returns the emit count, the emitted rows in order, their
-    /// digest and the cache statistics.
-    fn run_tile(case: &TileCase, literal: bool) -> (u64, RowBuf, u64, Option<CacheStats>) {
+    /// pair loop; returns the emit count, the emitted rows in order and the
+    /// cache statistics.
+    fn run_tile(case: &TileCase, literal: bool) -> (u64, RowBuf, Option<CacheStats>) {
         let mut ex = setup(true, 1 << 25);
         if case.cache {
             ex = ex.with_cache(CacheSim::new(8 * 1024, 64, 2));
@@ -1862,10 +1946,10 @@ mod tests {
             )
         }
         .unwrap();
-        let (rows, collected, digest) = sink.finish(&mut ex.sm).unwrap();
-        assert_eq!(rows, emits);
+        let done = sink.finish(&mut ex.sm).unwrap();
+        assert_eq!(done.rows, emits);
         let cache = ex.cache.as_ref().map(|c| c.stats());
-        (emits, collected.unwrap(), digest.unwrap(), cache)
+        (emits, done.output.expect("collected"), cache)
     }
 
     proptest::proptest! {
@@ -1874,8 +1958,8 @@ mod tests {
         /// The key-column kernel against the literal pair loop it replaced:
         /// the same rows in the same order (from width 2 every row carries
         /// its row number, so that is the same (outer row, inner row)
-        /// pairs), the same emit count and digest and — with a cache
-        /// simulator attached — the same cache statistics. Every pair of
+        /// pairs), the same emit count and — with a cache simulator
+        /// attached — the same cache statistics. Every pair of
         /// tile shapes around the chunk width and at the tuned block size,
         /// each with its own draw of widths, tiling (tiles that do not
         /// divide the block), key density, key sign and domain end.
@@ -1926,7 +2010,7 @@ mod tests {
                 proptest::prop_assert!(
                     got == want,
                     "{} x {} rows, {:?}, {:?}, key range {} from {}: {} vs {} rows, cache {:?} vs {:?}",
-                    on, in_n, case.tiling, case.pred, range, base, got.0, want.0, got.3, want.3
+                    on, in_n, case.tiling, case.pred, range, base, got.0, want.0, got.2, want.2
                 );
             }
         }
@@ -1974,13 +2058,13 @@ mod tests {
             let (r2, s2) = add_pair(&mut ex, (300, 200), 11);
             let first = ex.run(&tuned_bnl(r1, s1, k2, Output::Discard)).unwrap();
             let second = ex.run(&tuned_bnl(r2, s2, k2, Output::Discard)).unwrap();
-            assert_ne!(first.output_digest, second.output_digest);
+            assert_ne!(first.digest(), second.digest());
 
             let mut fresh = setup(true, 1 << 25);
             let (r, s) = add_pair(&mut fresh, (300, 200), 11);
             let want = fresh.run(&tuned_bnl(r, s, k2, Output::Discard)).unwrap();
             assert_eq!(second.output, want.output, "k2 = {k2}");
-            assert_eq!(second.output_digest, want.output_digest);
+            assert_eq!(second.digest(), want.digest());
             assert_eq!(second.compares, 300 * 200);
             let rows = |i: usize| fresh.rels[i].collect_rows().unwrap().to_rows();
             assert_eq!(
@@ -2027,7 +2111,7 @@ mod tests {
             let want = clean.run(&tuned_bnl(r, s, k2, output.clone())).unwrap();
             assert!(want.output_rows > 24, "the fault must land mid-run");
             assert_eq!(retried.output, want.output, "k2 = {k2}");
-            assert_eq!(retried.output_digest, want.output_digest);
+            assert_eq!(retried.digest(), want.digest());
             assert_eq!(retried.peak_resident_bytes, want.peak_resident_bytes);
         }
     }
@@ -2151,7 +2235,8 @@ mod tests {
 
     /// The emission digest is stable across output collection on/off and
     /// across row sources — the comparison handle for faithful twins too
-    /// large to materialize.
+    /// large to materialize — and a run carries one witness of its output:
+    /// the rows, or the digest folded as they were emitted.
     #[test]
     fn output_digest_is_collection_and_source_independent() {
         let spec = RelSpec::ints("L", "HDD", 3_000)
@@ -2172,11 +2257,11 @@ mod tests {
         let a = run(crate::rel::GenMode::Streamed, true);
         let b = run(crate::rel::GenMode::Streamed, false);
         let c = run(crate::rel::GenMode::Materialized, true);
-        assert!(a.output.is_some() && b.output.is_none());
+        assert!(a.output.is_some() && a.output_digest.is_none());
+        assert!(b.output.is_none() && b.output_digest.is_some());
         assert_eq!(a.output_rows, b.output_rows);
-        assert_eq!(a.output_digest, b.output_digest);
-        assert_eq!(a.output_digest, c.output_digest);
-        assert!(a.output_digest.is_some());
+        assert_eq!(a.digest(), b.output_digest);
+        assert_eq!(a.digest(), c.digest());
         // Different data ⇒ different digest.
         let mut ex = setup(true, 1 << 25);
         let l = Relation::create(&mut ex.sm, &spec, true, 14).unwrap();
@@ -2188,7 +2273,7 @@ mod tests {
                 output: Output::Discard,
             })
             .unwrap();
-        assert_ne!(a.output_digest, d.output_digest);
+        assert_ne!(a.digest(), d.digest());
     }
 
     #[test]
@@ -2221,6 +2306,9 @@ mod tests {
 
     #[test]
     fn merge_kinds_reference_semantics() {
+        let merge_rows = |a: &[Row], b: &[Row], kind| {
+            merge_bufs(&RowBuf::from_rows(a), &RowBuf::from_rows(b), kind).to_rows()
+        };
         let a: Vec<Row> = vec![vec![1], vec![2], vec![2], vec![5]];
         let b: Vec<Row> = vec![vec![2], vec![3], vec![5]];
         assert_eq!(

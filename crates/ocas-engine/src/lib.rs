@@ -34,20 +34,26 @@
 //! simulator and on real files. A parity test holds the two paths
 //! bit-equal.
 //!
-//! **Blocks carry data.** The faithful arms of the block-nested-loops join
-//! and of the aggregation read every block through
-//! [`Relation::load_block`]: one
+//! **Block cursors.** Every faithful operator reads its rows with one
 //! [`StorageBackend::read_data`](ocas_storage::StorageBackend::read_data)
-//! request — charged, counted and faulted exactly like the accounting read
-//! the simulated arm issues — whose rows are decoded from the bytes the
-//! backend handed back when it holds a payload (real files), and served by
-//! the relation's generator when it does not (the simulator). So on real
-//! files these operators compute on what they read, their peak residency is
-//! the blocks they decoded, and a twin comparison can fail because of what
-//! is in a file. The simulated arms never call it. The other templates'
-//! generic arms still take their rows from the generator on every backend;
-//! the real backend runs those through its native implementations, which
-//! decode what they read.
+//! per block — charged, counted and faulted exactly like the accounting
+//! read the simulated arm issues. One function in `rel.rs` asks whether the
+//! backend handed a payload back, and it is the only place that does: if so
+//! (real files, 8-byte columns) the block is decoded from those bytes — the
+//! operator computes on what it read, a [`Relation::attach`]ed file needs no
+//! generator, and a twin comparison can fail because of what is in a file —
+//! else (the simulator) it is the relation's generator's. The nested-loops
+//! join and the aggregation take whole blocks ([`Relation::load_block`]);
+//! merge pass, column zip and duplicate removal pull rows through one
+//! [`BlockCursor`] per input, refilled when its block is exhausted, and that
+//! loop is their only implementation, on the simulator and on real files.
+//! So *faithful* mode issues what a real run issues (a difference stops
+//! reading its right input once the left one is dry, a duplicate removal
+//! reads each block once), while *simulated* mode models the paper-scale
+//! pattern the estimator prices (both merge inputs in alternating blocks to
+//! the end, a second, staggered scan for the duplicate removal) and never
+//! touches a cursor. The faithful sort and GRACE arms still compute on the
+//! generator's rows; the real backend runs those two natively.
 //!
 //! **Faithful pair loop.** A faithful block-nested-loops join compares every
 //! tuple of the resident outer block with every tuple of the inner block
@@ -107,12 +113,12 @@ mod merge_kernel;
 pub mod plan;
 pub mod rel;
 
-pub use exec::{merge_bufs, merge_rows, ExecError, ExecStats, Executor};
+pub use exec::{merge_bufs, ExecError, ExecStats, Executor};
 pub use key_index::KeyIndex;
 pub use lower::{lower, LowerError, WorkloadHint};
 pub use merge_kernel::{MergeHeads, MergeStop};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 pub use rel::{
-    decode_rows, encode_rows, BlockBuf, GenMode, RelSpec, Relation, Row, RowBuf, RowGen, RowsView,
-    SortedEmitter, DEFAULT_CACHE_BYTES,
+    decode_rows, encode_rows, BlockBuf, BlockCursor, GenMode, RelSpec, Relation, Row, RowBuf,
+    RowGen, RowsView, SortedEmitter, DEFAULT_CACHE_BYTES,
 };

@@ -217,4 +217,19 @@ impl Plan {
             Plan::Aggregate { .. } => "aggregate",
         }
     }
+
+    /// Where the plan's rows go (an aggregate's one row is consumed by the
+    /// CPU).
+    pub fn output(&self) -> &Output {
+        match self {
+            Plan::BnlJoin { output, .. }
+            | Plan::NaiveJoin { output, .. }
+            | Plan::GraceJoin { output, .. }
+            | Plan::ExternalSort { output, .. }
+            | Plan::MergePass { output, .. }
+            | Plan::ColumnZip { output, .. }
+            | Plan::DedupSorted { output, .. } => output,
+            Plan::Aggregate { .. } => &Output::Discard,
+        }
+    }
 }

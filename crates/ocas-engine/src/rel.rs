@@ -363,6 +363,7 @@ impl BlockBuf {
     /// Tuple bytes of the block currently decoded here: 0 when the last
     /// block came from the relation's generator instead (and is counted in
     /// [`Relation::resident_bytes`]).
+    #[inline]
     pub fn resident_bytes(&self) -> u64 {
         self.rows.data.len() as u64 * 8
     }
@@ -965,12 +966,6 @@ impl Relation {
         self.card * self.tuple_bytes
     }
 
-    /// True when the relation carries faithful rows (streamed or
-    /// materialized).
-    pub fn has_rows(&self) -> bool {
-        !matches!(self.source, RowSource::Virtual)
-    }
-
     /// Reads a block of `count` tuples starting at tuple `index`, charging
     /// the device; returns the actual count read.
     pub fn read_block<B: StorageBackend>(
@@ -1005,23 +1000,41 @@ impl Relation {
         buf: &'a mut BlockBuf,
     ) -> Result<RowsView<'a>, StorageError> {
         let n = count.min(self.card.saturating_sub(index));
-        buf.rows.data.clear();
         if n == 0 {
+            buf.rows.data.clear();
             return Ok(RowsView::empty());
         }
+        if self.fetch_block(sm, index, n, buf)? {
+            Ok(buf.rows.as_view())
+        } else {
+            Ok(self.block_rows(index, n))
+        }
+    }
+
+    /// The one payload-or-generator decision (see `load_block`): the data
+    /// read of the `n > 0` tuples at `index`, decoded into `buf` when that
+    /// returns `true`; `false` leaves `buf` empty — the generator's block.
+    #[inline]
+    fn fetch_block<B: StorageBackend>(
+        &self,
+        sm: &mut B,
+        index: u64,
+        n: u64,
+        buf: &mut BlockBuf,
+    ) -> Result<bool, StorageError> {
+        buf.rows.data.clear();
         let len = (n * self.tuple_bytes) as usize;
         if buf.bytes.len() < len {
             buf.bytes.resize(len, 0);
         }
         let bytes = &mut buf.bytes[..len];
         let holds_payload = sm.read_data(self.file, index * self.tuple_bytes, bytes)?;
-        if holds_payload && self.tuple_bytes == u64::from(self.width) * 8 {
+        let decode = holds_payload && self.tuple_bytes == u64::from(self.width) * 8;
+        if decode {
             buf.rows.width = self.width as usize;
             buf.rows.extend_le(bytes);
-            Ok(buf.rows.as_view())
-        } else {
-            Ok(self.block_rows(index, n))
         }
+        Ok(decode)
     }
 
     /// Reads the whole relation front to back in blocks of `count > 0`
@@ -1065,6 +1078,7 @@ impl Relation {
     /// Resident row bytes this relation currently holds in host memory:
     /// the cache window for streamed sources, the whole batch for the
     /// materialized oracle, 0 for virtual relations.
+    #[inline]
     pub fn resident_bytes(&self) -> u64 {
         match &self.source {
             RowSource::Virtual => 0,
@@ -1115,6 +1129,86 @@ impl Relation {
                 })
             }
         }
+    }
+}
+
+/// A forward cursor over a relation's tuples, `b_in` to the block: the
+/// input side of the streaming operators (merge pass, column zip, duplicate
+/// removal), on every backend.
+///
+/// When its block runs dry the cursor issues **one** data read for the next
+/// `b_in` tuples — [`Relation::load_block`]'s request, under its
+/// payload-or-generator rule — and keeps the rows: decoded from the file on
+/// a backend that holds it (so a [`Relation::attach`]ed file works), copied
+/// from the generator otherwise. Nothing above it knows which it was.
+#[derive(Debug)]
+pub struct BlockCursor {
+    rel: Relation,
+    block: BlockBuf,
+    b_in: u64,
+    /// The first tuple not read yet.
+    next: u64,
+    /// Rows in `block`, cached at refill ([`RowBuf::len`] divides, and
+    /// `head` runs once or more per row).
+    rows: usize,
+    pos: usize,
+}
+
+impl BlockCursor {
+    /// A cursor at the start of `rel`, reading `b_in > 0` tuples a request.
+    pub fn new(rel: Relation, b_in: u64) -> BlockCursor {
+        let mut block = BlockBuf::default();
+        block.rows.width = rel.width.max(1) as usize;
+        BlockCursor {
+            rel,
+            block,
+            b_in,
+            next: 0,
+            rows: 0,
+            pos: 0,
+        }
+    }
+
+    /// Reads the next block if this one is exhausted and tuples remain on
+    /// the device. `Ok(false)` means a request was issued and produced no
+    /// rows: the backend holds no payload and the relation no generator.
+    #[inline]
+    pub fn ensure<B: StorageBackend>(&mut self, sm: &mut B) -> Result<bool, StorageError> {
+        if self.pos < self.rows || self.next >= self.rel.card {
+            return Ok(true);
+        }
+        let n = self.b_in.min(self.rel.card - self.next);
+        if !self.rel.fetch_block(sm, self.next, n, &mut self.block)? {
+            let rows = self.rel.block_rows(self.next, n);
+            self.block.rows.data.extend_from_slice(rows.as_slice());
+        }
+        self.rows = self.block.rows.len();
+        self.pos = 0;
+        self.next += n;
+        Ok(self.rows as u64 == n)
+    }
+
+    /// The row under the cursor (no I/O; call `ensure` first): `None` once
+    /// the relation is exhausted.
+    #[inline]
+    pub fn head(&self) -> Option<&[i64]> {
+        // Sliced here: `RowBuf::row` would be a call per row, the executor's
+        // loops being instantiated in the crate that runs them.
+        let (rows, w) = (&self.block.rows, self.block.rows.width);
+        (self.pos < self.rows).then(|| &rows.data[self.pos * w..(self.pos + 1) * w])
+    }
+
+    /// Steps past the row under the cursor.
+    #[inline]
+    pub fn advance(&mut self) {
+        self.pos += 1;
+    }
+
+    /// Resident tuple bytes: the block, plus the generator's window where
+    /// the rows came from one.
+    #[inline]
+    pub fn resident_bytes(&self) -> u64 {
+        self.rel.resident_bytes() + self.block.resident_bytes()
     }
 }
 
@@ -1231,7 +1325,7 @@ mod tests {
         let spec = RelSpec::pairs("R", "HDD", 1000);
         let mut r = Relation::create(&mut sm, &spec, true, 42).unwrap();
         assert_eq!(r.bytes(), 16_000);
-        assert!(r.has_rows());
+        assert!(r.collect_rows().is_some());
         assert_eq!(r.collect_rows().unwrap().len(), 1000);
         let n = r.read_block(&mut sm, 990, 100).unwrap();
         assert_eq!(n, 10, "clamped at the end");
@@ -1265,7 +1359,7 @@ mod tests {
         let mut sm = StorageSim::from_hierarchy(&h);
         let spec = RelSpec::pairs("R", "HDD", 1 << 20);
         let mut r = Relation::create(&mut sm, &spec, false, 0).unwrap();
-        assert!(!r.has_rows());
+        assert!(r.collect_rows().is_none());
         assert!(r.collect_rows().is_none());
         assert!(r.block_rows(0, 10).is_empty());
     }

@@ -1,17 +1,19 @@
-//! Genuinely out-of-core algorithm implementations over the real backend.
+//! The two templates that run natively on the real backend: out-of-core
+//! external merge-sort and GRACE hash join.
 //!
-//! The engine's faithful mode computes results in memory and *accounts* the
-//! out-of-core I/O; these implementations do the opposite of a shortcut:
-//! the 2ᵏ-way external merge-sort really forms sorted runs on the scratch
-//! device and merges them `fan_in` at a time through bounded buffers, the
-//! GRACE hash join really spills partition files and joins co-buckets read
-//! back from disk, and the streaming templates (merge passes, column zips,
-//! duplicate removal) advance bounded per-input cursors — **no template
-//! materializes its input**. Every byte they touch flows through the
+//! The engine's faithful sort and GRACE arms compute their results in memory
+//! and *account* the out-of-core I/O; these implementations do the opposite
+//! of a shortcut: the 2ᵏ-way merge-sort really forms sorted runs on the
+//! scratch device and merges them `fan_in` at a time through bounded
+//! buffers, and the GRACE join really spills partition files and joins
+//! co-buckets read back from disk. Every byte flows through the
 //! [`FileBackend`]'s buffer pools onto actual temp files, and every
-//! tuple-holding buffer is metered: [`AlgoRun::peak_resident_bytes`] is the
-//! high-water mark of resident tuple memory, which stays bounded by the
-//! configured buffers regardless of input cardinality.
+//! tuple-holding buffer is metered ([`AlgoRun::peak_resident_bytes`] stays
+//! bounded by the configured buffers whatever the input cardinality). Every
+//! other template — merge passes, column zips, duplicate removal, nested
+//! loops, aggregation — runs on real files through the generic executor
+//! over block cursors ([`crate::Runtime::execute`]); there is no second
+//! implementation of those here.
 //!
 //! # What a spill stream costs
 //!
@@ -48,7 +50,7 @@
 //! the cursor it exhausted).
 
 use crate::backend::FileBackend;
-use ocas_engine::{KeyIndex, MergeHeads, MergeKind, MergeStop, Output, Relation, RowBuf};
+use ocas_engine::{ExecStats, KeyIndex, MergeHeads, MergeStop, Output, Relation, RowBuf};
 use ocas_storage::{FileId, StorageBackend, StorageError};
 
 /// Algorithm failures.
@@ -87,19 +89,20 @@ fn check_width(rel: &Relation) -> Result<usize, AlgoError> {
     Ok(w)
 }
 
-/// Scope guard over the devices an algorithm allocates on: snapshots their
+/// Scope guard over the devices a run allocates on: snapshots their
 /// allocation watermarks at entry so the error path can roll everything
-/// back. The public algorithm entry points call [`SpillGuard::cleanup`] on
-/// every failure — pinned pages are released and each device is truncated
-/// to its entry mark, so a failed run leaves no spill extents or pinned
-/// frames behind. The success path simply drops the guard: outputs are
-/// harvested after the measured window and must survive.
-struct SpillGuard {
+/// back. Every entry point that runs a plan on a [`FileBackend`] calls
+/// [`SpillGuard::cleanup`] on failure — pinned pages are released and each
+/// device is truncated to its entry mark, so a failed run leaves no spill
+/// extents, output extent or pinned frames behind. The success path simply
+/// drops the guard: outputs are harvested after the measured window and
+/// must survive.
+pub(crate) struct SpillGuard {
     marks: Vec<(String, u64)>,
 }
 
 impl SpillGuard {
-    fn new(fb: &FileBackend, scratch: Option<&str>, output: &Output) -> SpillGuard {
+    pub(crate) fn new(fb: &FileBackend, scratch: Option<&str>, output: &Output) -> SpillGuard {
         let mut devices: Vec<&str> = Vec::new();
         if let Some(s) = scratch {
             devices.push(s);
@@ -119,7 +122,7 @@ impl SpillGuard {
         SpillGuard { marks }
     }
 
-    fn cleanup(self, fb: &mut FileBackend) {
+    pub(crate) fn cleanup(self, fb: &mut FileBackend) {
         fb.release_all_pins();
         for (device, mark) in &self.marks {
             let _ = fb.truncate_device(device, *mark);
@@ -276,12 +279,12 @@ struct Extent {
     filled: u64,
 }
 
-/// What one native out-of-core execution produced.
+/// What one execution on real files produced.
 #[derive(Debug)]
 pub struct AlgoRun {
     /// Collected output rows. Only populated for [`Output::Discard`] runs
     /// (the verification path); device-bound runs leave this empty and are
-    /// harvested from [`AlgoRun::out_extents`] after the measured window.
+    /// read back with [`AlgoRun::harvest`] after the measured window.
     pub output: RowBuf,
     /// Rows emitted.
     pub rows: u64,
@@ -294,6 +297,32 @@ pub struct AlgoRun {
     /// (input cursors, bucket staging, run buffers, the output staging
     /// buffer, and — for `Discard` runs — the collected rows).
     pub peak_resident_bytes: u64,
+}
+
+impl From<ExecStats> for AlgoRun {
+    /// A faithful run of the generic executor on real files.
+    fn from(stats: ExecStats) -> AlgoRun {
+        AlgoRun {
+            output: (stats.output).unwrap_or_else(|| RowBuf::new(stats.output_width)),
+            rows: stats.output_rows,
+            out_extents: stats.output_extent.into_iter().collect(),
+            out_width: stats.output_width,
+            peak_resident_bytes: stats.peak_resident_bytes,
+        }
+    }
+}
+
+impl AlgoRun {
+    /// The run's output rows: collected, or read back (uncharged) from the
+    /// extents a device-bound run wrote.
+    pub fn harvest(self, fb: &mut FileBackend) -> Result<RowBuf, StorageError> {
+        let mut out = self.output;
+        for (file, bytes) in &self.out_extents {
+            let rows = bytes / (self.out_width as u64 * 8);
+            fb.peek_rows(*file, 0, rows, self.out_width, &mut out)?;
+        }
+        Ok(out)
+    }
 }
 
 /// Tracks the high-water mark of resident tuple bytes.
@@ -352,20 +381,6 @@ impl RealSink {
         for col in row {
             self.buffer.extend_from_slice(&col.to_le_bytes());
         }
-    }
-
-    fn emit(&mut self, fb: &mut FileBackend, row: &[i64]) -> Result<(), AlgoError> {
-        self.rows += 1;
-        if let Output::ToDevice { .. } = self.output {
-            self.encode_row(row);
-            if self.buffer.len() >= self.cap {
-                self.flush(fb)?;
-            }
-        }
-        if self.collect {
-            self.collected.push(row);
-        }
-        Ok(())
     }
 
     /// Emits the join row `a ++ b` without materializing it first.
@@ -445,10 +460,6 @@ impl RunReader {
         }
     }
 
-    fn over(rel: &Relation, width: usize, b_in: u64) -> RunReader {
-        RunReader::new(rel.file, rel.card, width, b_in)
-    }
-
     /// Resident buffer bytes.
     fn resident_bytes(&self) -> u64 {
         (self.rows * self.width * 8) as u64
@@ -468,6 +479,7 @@ impl RunReader {
     }
 
     /// The buffered head row, by reference (no I/O — call `ensure` first).
+    #[cfg(test)]
     fn head(&self) -> Option<&[i64]> {
         if self.pos < self.rows {
             Some(self.buf.row(self.pos))
@@ -477,6 +489,7 @@ impl RunReader {
     }
 
     /// Steps past the buffered head row.
+    #[cfg(test)]
     fn advance(&mut self) {
         self.pos += 1;
     }
@@ -899,238 +912,6 @@ fn grace_inner(
     sink.finish(fb, gauge)
 }
 
-/// Runs a real streaming merge pass over two sorted relations: two bounded
-/// `b_in`-tuple cursors advance through the inputs, the [`MergeKind`]
-/// logic emits incrementally — resident memory is two input buffers plus
-/// the output staging buffer, independent of input cardinality.
-pub fn merge_pass(
-    fb: &mut FileBackend,
-    left: &Relation,
-    right: &Relation,
-    kind: MergeKind,
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, None, output);
-    match merge_inner(fb, left, right, kind, b_in, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-fn merge_inner(
-    fb: &mut FileBackend,
-    left: &Relation,
-    right: &Relation,
-    kind: MergeKind,
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let lw = check_width(left)?;
-    let rw = check_width(right)?;
-    if lw != rw {
-        return Err(AlgoError::Unsupported("merge inputs must share a width"));
-    }
-    let mut gauge = MemGauge::default();
-    let mut a = RunReader::over(left, lw, b_in.max(1));
-    let mut b = RunReader::over(right, rw, b_in.max(1));
-    let mut sink = RealSink::new(output, lw, left.tuple_bytes);
-    // The last emitted row (set-union dedup), in a reused buffer.
-    let mut last: Vec<i64> = Vec::new();
-    let mut have_last = false;
-    let mut vm_row: [i64; 2];
-
-    loop {
-        a.ensure(fb)?;
-        b.ensure(fb)?;
-        gauge.note(a.resident_bytes() + b.resident_bytes() + sink.resident_bytes());
-        let (ha, hb) = (a.head(), b.head());
-        match kind {
-            MergeKind::MultisetUnionSorted | MergeKind::SetUnion => {
-                let take_a = match (ha, hb) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(x), Some(y)) => x <= y,
-                };
-                let row = if take_a {
-                    a.head().expect("checked")
-                } else {
-                    b.head().expect("checked")
-                };
-                if kind == MergeKind::MultisetUnionSorted || !have_last || last != row {
-                    sink.emit(fb, row)?;
-                    if kind == MergeKind::SetUnion {
-                        last.clear();
-                        last.extend_from_slice(row);
-                        have_last = true;
-                    }
-                }
-                if take_a {
-                    a.advance();
-                } else {
-                    b.advance();
-                }
-            }
-            MergeKind::MultisetUnionVm => match (ha, hb) {
-                (None, None) => break,
-                (Some(x), Some(y)) if x[0] == y[0] => {
-                    vm_row = [x[0], x[1] + y[1]];
-                    sink.emit(fb, &vm_row)?;
-                    a.advance();
-                    b.advance();
-                }
-                (Some(x), y) if y.is_none() || x[0] < y.expect("some")[0] => {
-                    sink.emit(fb, x)?;
-                    a.advance();
-                }
-                _ => {
-                    sink.emit(fb, hb.expect("remaining side"))?;
-                    b.advance();
-                }
-            },
-            MergeKind::MultisetDiffSorted => match (ha, hb) {
-                (None, _) => break,
-                (Some(x), Some(y)) if y < x => b.advance(),
-                (Some(x), Some(y)) if y == x => {
-                    a.advance();
-                    b.advance();
-                }
-                (Some(x), _) => {
-                    sink.emit(fb, x)?;
-                    a.advance();
-                }
-            },
-            MergeKind::MultisetDiffVm => match (ha, hb) {
-                (None, _) => break,
-                (Some(x), Some(y)) if y[0] < x[0] => b.advance(),
-                (Some(x), Some(y)) if y[0] == x[0] => {
-                    let m = x[1] - y[1];
-                    if m > 0 {
-                        vm_row = [x[0], m];
-                        sink.emit(fb, &vm_row)?;
-                    }
-                    a.advance();
-                    b.advance();
-                }
-                (Some(x), _) => {
-                    sink.emit(fb, x)?;
-                    a.advance();
-                }
-            },
-        }
-    }
-    sink.finish(fb, gauge)
-}
-
-/// Runs a real column-store read: one bounded cursor per column advances in
-/// lock-step, zipping rows through a reused scratch tuple — resident
-/// memory is `columns.len()` input buffers plus the output staging buffer.
-pub fn column_zip(
-    fb: &mut FileBackend,
-    columns: &[Relation],
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, None, output);
-    match zip_inner(fb, columns, b_in, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-fn zip_inner(
-    fb: &mut FileBackend,
-    columns: &[Relation],
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    if columns.is_empty() {
-        return Err(AlgoError::Unsupported("column zip needs columns"));
-    }
-    let widths: Vec<usize> = columns.iter().map(check_width).collect::<Result<_, _>>()?;
-    let out_width: usize = widths.iter().sum();
-    let card = columns.iter().map(|c| c.card).min().unwrap_or(0);
-    let out_bytes: u64 = columns.iter().map(|c| c.tuple_bytes).sum();
-    let mut gauge = MemGauge::default();
-    let mut readers: Vec<RunReader> = columns
-        .iter()
-        .zip(&widths)
-        .map(|(c, w)| {
-            let mut r = RunReader::over(c, *w, b_in.max(1));
-            r.card = card; // zip stops at the shortest column
-            r
-        })
-        .collect();
-    let mut sink = RealSink::new(output, out_width, out_bytes);
-    let mut zipped: Vec<i64> = Vec::with_capacity(out_width);
-    for _ in 0..card {
-        zipped.clear();
-        for r in readers.iter_mut() {
-            r.ensure(fb)?;
-            zipped.extend_from_slice(r.head().expect("within card"));
-            r.advance();
-        }
-        sink.emit(fb, &zipped)?;
-        gauge.note(
-            readers.iter().map(RunReader::resident_bytes).sum::<u64>() + sink.resident_bytes(),
-        );
-    }
-    sink.finish(fb, gauge)
-}
-
-/// Runs a real streaming duplicate removal over a sorted relation: one
-/// bounded cursor, one remembered row — resident memory is a single input
-/// buffer plus the output staging buffer.
-pub fn dedup_sorted(
-    fb: &mut FileBackend,
-    input: &Relation,
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, None, output);
-    match dedup_inner(fb, input, b_in, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-fn dedup_inner(
-    fb: &mut FileBackend,
-    input: &Relation,
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let width = check_width(input)?;
-    let mut gauge = MemGauge::default();
-    let mut reader = RunReader::over(input, width, b_in.max(1));
-    let mut sink = RealSink::new(output, width, input.tuple_bytes);
-    let mut last: Vec<i64> = Vec::new();
-    let mut have_last = false;
-    loop {
-        reader.ensure(fb)?;
-        let Some(row) = reader.head() else { break };
-        if !have_last || last != row {
-            sink.emit(fb, row)?;
-            last.clear();
-            last.extend_from_slice(row);
-            have_last = true;
-        }
-        reader.advance();
-        gauge.note(reader.resident_bytes() + sink.resident_bytes());
-    }
-    sink.finish(fb, gauge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1238,18 +1019,6 @@ mod tests {
         file
     }
 
-    /// The rows of a finished run: collected, or read back (uncharged) from
-    /// its output extents.
-    fn harvest(fb: &mut FileBackend, run: AlgoRun) -> RowBuf {
-        let mut out = run.output;
-        for (file, bytes) in &run.out_extents {
-            let rows = bytes / (run.out_width as u64 * 8);
-            fb.peek_rows(*file, 0, rows, run.out_width, &mut out)
-                .unwrap();
-        }
-        out
-    }
-
     /// The charged requests on `device`'s obs track, in order.
     fn requests(trace: &ocas_obs::Trace, device: &str) -> Vec<(&'static str, u64)> {
         trace
@@ -1283,7 +1052,7 @@ mod tests {
         let run = external_sort(&mut fb, &rel, 2, 4, 4, "HDD", &out).unwrap();
         let trace = ocas_obs::finish().expect("recording");
         assert_eq!(
-            harvest(&mut fb, run).as_slice(),
+            run.harvest(&mut fb).unwrap().as_slice(),
             (0..24).collect::<Vec<i64>>()
         );
         let (r, w) = (("read", 32), ("write", 32));
@@ -1431,7 +1200,7 @@ mod tests {
             ] {
                 let run = external_sort(&mut fb, &rel, fan_in, b_in, b_out, "HDD", &output).unwrap();
                 prop_assert_eq!(run.rows, card);
-                prop_assert_eq!(&harvest(&mut fb, run), &want, "{:?}", output);
+                prop_assert_eq!(&run.harvest(&mut fb).unwrap(), &want, "{:?}", output);
             }
         }
     }

@@ -17,15 +17,14 @@
 //!   one sparse temp file per hierarchy device, bump-allocated extents
 //!   (the simulator's allocator, re-enacted on disk), per-device I/O
 //!   counters mirroring [`ocas_storage::DeviceStats`], wall-clock charging.
-//! * [`algos`] + [`Runtime`] — genuinely out-of-core algorithm
+//! * [`algos`] + [`Runtime`] — the two genuinely out-of-core native
 //!   implementations (external merge-sort runs and GRACE partitions really
-//!   spill to disk; merge passes, column zips and duplicate removal stream
-//!   through bounded cursors — peak resident tuple memory is metered and
-//!   independent of input cardinality) and the entry point that runs a
-//!   plan for real alongside its simulated twin, returning a
-//!   [`RealReport`] with both. [`TimingMode::DiskBounded`] bounds
-//!   wall-clock by the disk (fsync + `O_DIRECT` where available) instead
-//!   of the kernel page cache.
+//!   spill to disk) and the entry point that runs a plan for real — those
+//!   two natively, every other template through the generic executor over
+//!   block cursors, peak resident tuple memory metered either way —
+//!   alongside its simulated twin, returning a [`RealReport`] with both.
+//!   [`TimingMode::DiskBounded`] bounds wall-clock by the disk (fsync +
+//!   `O_DIRECT` where available) instead of the kernel page cache.
 //!
 //! When is which mode authoritative? The **simulator** for paper-scale
 //! claims (terabyte workloads, exact modeled devices); the **real backend**

@@ -1,10 +1,10 @@
 //! The runtime entry point: execute one physical plan for real, with a
 //! twin simulated run for side-by-side seconds.
 
-use crate::algos::{self, AlgoError, AlgoRun};
+use crate::algos::{self, AlgoError, AlgoRun, SpillGuard};
 use crate::backend::{FileBackend, PoolConfig};
 use crate::pool::PoolStats;
-use ocas_engine::{CpuModel, ExecError, Executor, Mode, Plan, RelSpec, Relation, RowBuf};
+use ocas_engine::{CpuModel, ExecError, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::Hierarchy;
 use ocas_storage::{
     DeviceStats, FaultPlan, RecoveryCounters, RetryPolicy, StorageBackend, StorageError, StorageSim,
@@ -62,14 +62,17 @@ pub struct RealReport {
     pub io_seconds: f64,
     /// Simulated seconds of the identical plan on the device simulator.
     pub sim_seconds: f64,
-    /// Output rows of the real execution, one flat batch.
+    /// Output rows of the real execution, one flat batch. A device-bound
+    /// output is read back from its device after the measured window; one
+    /// that cannot be (columns narrower than 8 bytes, or more than the
+    /// generic executor's 1 GiB output window) is left empty.
     pub output: RowBuf,
     /// Output rows of the simulated faithful twin.
     pub sim_output: RowBuf,
-    /// High-water mark of resident tuple bytes of the real execution: the
-    /// native out-of-core algorithms' own gauge, or
-    /// [`ExecStats::peak_resident_bytes`](ocas_engine::ExecStats) for plans
-    /// that run through the generic executor.
+    /// High-water mark of resident tuple bytes of the real execution:
+    /// [`ExecStats::peak_resident_bytes`](ocas_engine::ExecStats) of the
+    /// generic executor, or — for external sort and the GRACE join, the
+    /// two templates that run natively — the algorithm's own gauge.
     pub peak_resident_bytes: Option<u64>,
     /// Per-device I/O counters of the real execution.
     pub real_devices: Vec<(String, DeviceStats)>,
@@ -160,8 +163,8 @@ impl Runtime {
     }
 
     /// Dispatches the native out-of-core implementation for `plan`, if one
-    /// exists (everything except the nested-loop joins and aggregation,
-    /// which stream through the generic executor).
+    /// exists: external sort and the GRACE join. This is the one place a
+    /// plan is matched to what runs it on real files.
     fn run_native(
         fb: &mut FileBackend,
         rels: &[Relation],
@@ -170,7 +173,7 @@ impl Runtime {
         let rel = |i: usize| -> Result<&Relation, RuntimeError> {
             rels.get(i).ok_or(ExecError::BadRelation(i).into())
         };
-        let run = match plan {
+        Ok(match plan {
             Plan::ExternalSort {
                 input,
                 fan_in,
@@ -205,39 +208,41 @@ impl Runtime {
                 matches!(pred, ocas_engine::JoinPred::Cross),
                 output,
             )?),
-            Plan::MergePass {
-                left,
-                right,
-                kind,
-                b_in,
-                output,
-            } => Some(algos::merge_pass(
-                fb,
-                rel(*left)?,
-                rel(*right)?,
-                *kind,
-                *b_in,
-                output,
-            )?),
-            Plan::ColumnZip {
-                columns,
-                b_in,
-                output,
-            } => {
-                let cols: Vec<Relation> = columns
-                    .iter()
-                    .map(|c| rel(*c).cloned())
-                    .collect::<Result<_, _>>()?;
-                Some(algos::column_zip(fb, &cols, *b_in, output)?)
-            }
-            Plan::DedupSorted {
-                input,
-                b_in,
-                output,
-            } => Some(algos::dedup_sorted(fb, rel(*input)?, *b_in, output)?),
             _ => None,
-        };
-        Ok(run)
+        })
+    }
+
+    /// Executes `plan` over `rels` on real files. External sort and the
+    /// GRACE join run their out-of-core implementations in [`algos`]; every
+    /// other template runs through the generic executor in faithful mode,
+    /// on the rows its block reads return. A device-bound output is not
+    /// collected while the plan runs: [`AlgoRun::harvest`] reads it back
+    /// afterwards, outside whatever the caller measures.
+    ///
+    /// The backend is handed back whatever happened. After a failure every
+    /// device is at its entry watermark and no page is pinned.
+    pub fn execute(
+        mut fb: FileBackend,
+        rels: &[Relation],
+        plan: &Plan,
+    ) -> (FileBackend, Result<AlgoRun, RuntimeError>) {
+        match Self::run_native(&mut fb, rels, plan) {
+            Ok(Some(run)) => return (fb, Ok(run)),
+            Err(e) => return (fb, Err(e)),
+            Ok(None) => {}
+        }
+        let guard = SpillGuard::new(&fb, None, plan.output());
+        let collect = matches!(plan.output(), Output::Discard);
+        let mut ex =
+            Executor::new(fb, Mode::Faithful, CpuModel::disabled()).with_output_collection(collect);
+        ex.rels = rels.to_vec();
+        let stats = ex.run(plan);
+        let mut fb = ex.sm;
+        let run = stats.map(AlgoRun::from).map_err(|e| {
+            guard.cleanup(&mut fb);
+            e.into()
+        });
+        (fb, run)
     }
 
     /// Runs `plan` for real against temp files, then runs the identical
@@ -259,41 +264,17 @@ impl Runtime {
             rels.push(Relation::create(&mut fb, spec, true, seed + i as u64)?);
         }
         let t0 = Instant::now();
-        let (native, generic) = match Self::run_native(&mut fb, &rels, plan)? {
-            Some(run) => (Some(run), None),
-            None => {
-                // Nested-loop joins and aggregation run through the generic
-                // executor: same faithful semantics, I/O against real files.
-                let mut ex = Executor::new(fb, Mode::Faithful, CpuModel::disabled());
-                for rel in &rels {
-                    ex.add_relation(rel.clone());
-                }
-                let stats = ex.run(plan)?;
-                fb = ex.sm;
-                let peak = stats.peak_resident_bytes;
-                (None, Some((stats.output.unwrap_or_default(), Some(peak))))
-            }
-        };
+        let (mut fb, run) = Self::execute(fb, &rels, plan);
+        let run = run?;
         // Write-back and sync belong to the measured run: without this,
         // outputs small enough to sit in the buffer pools would be "free".
         fb.flush()?;
         let wall_seconds = t0.elapsed().as_secs_f64();
 
         // Harvest (uncharged, outside the measured window): device-bound
-        // native runs read their output extents back for verification.
-        let (output, peak_resident_bytes) = match native {
-            Some(run) => {
-                let mut out = run.output;
-                if out.is_empty() && !run.out_extents.is_empty() {
-                    for (file, bytes) in &run.out_extents {
-                        let rows = bytes / (run.out_width as u64 * 8);
-                        fb.peek_rows(*file, 0, rows, run.out_width, &mut out)?;
-                    }
-                }
-                (out, Some(run.peak_resident_bytes))
-            }
-            None => generic.unwrap_or_default(),
-        };
+        // runs read their output extents back for verification.
+        let peak_resident_bytes = Some(run.peak_resident_bytes);
+        let output = run.harvest(&mut fb)?;
         let io_seconds = fb.clock();
         let real_devices = fb.all_device_stats();
         let pools = fb.pool_stats();

@@ -22,7 +22,7 @@
 //! simulator holds no page data to tear, so it is the one kind whose
 //! *consequences* (not classification) are backend-specific.
 
-use ocas_engine::{CpuModel, Executor, JoinPred, Mode, Output, Plan, RelSpec, Relation};
+use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation};
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig};
 use ocas_storage::{
@@ -280,6 +280,56 @@ proptest! {
                 outcome.contains(&format!("read request {at} on `HDD`")),
                 "fired elsewhere: {}", outcome
             ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The streaming templates run one implementation on both backends, so
+    /// this holds by construction — pinned so that it stays true: a sorted
+    /// union and a duplicate removal under a fault at any request of their
+    /// streams, reads and output writes alike, fail at that request or
+    /// recover on both backends, with identical counters and the same rows.
+    #[test]
+    fn a_fault_in_a_cursor_stream_is_the_same_fault_on_both_backends(
+        (dedup, k) in (0u32..2, 0u64..40),
+        kind in 0u32..4,
+        retry in 0u32..2,
+    ) {
+        let kind = match kind {
+            0 => FaultKind::Transient,
+            1 => FaultKind::ShortRead,
+            2 => FaultKind::ShortWrite,
+            _ => FaultKind::Latency(0.002),
+        };
+        let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
+        let output = Output::ToDevice { device: "HDD".into(), buffer_bytes: 256 };
+        let sorted = |name: &str, card| RelSpec::ints(name, "HDD", card).sorted().with_key_range(300);
+        let (plan, specs) = if dedup == 1 {
+            (Plan::DedupSorted { input: 0, b_in: 24, output }, vec![sorted("L", 900)])
+        } else {
+            let kind = MergeKind::MultisetUnionSorted;
+            let plan = Plan::MergePass { left: 0, right: 1, kind, b_in: 24, output };
+            (plan, vec![sorted("A", 500), sorted("B", 400)])
+        };
+        // Past the allocations: somewhere in the first 40 requests of the
+        // interleaved reads and flushes.
+        let at = specs.len() as u64 + k;
+        let faults = FaultPlan::new().with("HDD", FaultOp::Any, at, kind);
+        let h = presets::hdd_ram(1 << 22);
+        let pool = PoolConfig { page_bytes: 256, ..PoolConfig::default() };
+        let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
+        let fb = FileBackend::from_hierarchy(&h, pool).unwrap().with_faults(faults, policy);
+
+        let sim_out = run_faithful(sim, &plan, &specs);
+        let fb_out = run_faithful(fb, &plan, &specs);
+        prop_assert_eq!(&sim_out, &fb_out);
+        let (outcome, counters) = sim_out;
+        prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", at);
+        if matches!(kind, FaultKind::Latency(_)) || retry == 1 {
+            prop_assert!(outcome.starts_with("ok"), "{}", outcome);
         }
     }
 }

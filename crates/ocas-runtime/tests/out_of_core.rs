@@ -1,45 +1,76 @@
-//! The native out-of-core templates: merge passes, column zips and
-//! duplicate removal stream blocks through the buffer pool like sort and
-//! GRACE — correct against the engine's reference semantics, with peak
-//! resident tuple memory bounded by the configured buffers (NOT by input
-//! cardinality), and the fsync/`O_DIRECT` disk-bounded timing mode
+//! The streaming templates out of core: merge passes, column zips and
+//! duplicate removal stream blocks of real files through the buffer pool
+//! like sort and GRACE — correct against the engine's reference semantics,
+//! with peak resident tuple memory bounded by the configured buffers (NOT
+//! by input cardinality), and the fsync/`O_DIRECT` disk-bounded timing mode
 //! produces identical results.
+//!
+//! The templates run on two routes, and the tests take both: the generic
+//! executor handed a [`FileBackend`] directly, and the runtime's entry
+//! points ([`Runtime::run_plan`], [`Runtime::execute`]), which run the same
+//! executor with device-bound outputs left on their device until the
+//! harvest. The relations of the direct route are attached files without a
+//! generator, so these are "follows the file" tests: the rows can only have
+//! come from the bytes the block reads returned.
 
-use ocas_engine::{merge_bufs, MergeKind, Output, Plan, RelSpec, Relation, RowBuf};
+use ocas_engine::{
+    merge_bufs, CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf,
+};
 use ocas_hierarchy::presets;
 use ocas_runtime::{algos, FileBackend, PoolConfig, Runtime, TimingMode};
 use ocas_storage::StorageBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Generates a sorted unary relation of `card` tuples directly on the
-/// backend, in bounded chunks — the in-memory `rows` stay `None`, so the
-/// input never resides in RAM (the setup a peak-memory claim needs).
-fn streamed_sorted_ints(fb: &mut FileBackend, device: &str, card: u64, seed: u64) -> Relation {
-    let file = fb.alloc(device, (card * 8).max(1)).unwrap();
+/// Generates a sorted relation of `card` tuples directly on the backend,
+/// in bounded chunks — the relation is attached, without in-memory rows, so
+/// the input never resides in RAM (the setup a peak-memory claim needs).
+/// Width 1 is a sorted list with duplicates; width 2 is `<value,
+/// multiplicity>` pairs, values strictly increasing.
+fn streamed_sorted(fb: &mut FileBackend, card: u64, width: usize, seed: u64) -> Relation {
+    let tb = width as u64 * 8;
+    let file = fb.alloc("HDD", (card * tb).max(1)).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cur = 0i64;
     let mut at = 0u64;
     let chunk = 64 * 1024u64;
-    let mut buf = RowBuf::new(1);
+    let mut buf = RowBuf::new(width);
     let mut bytes = Vec::new();
     while at < card {
         let take = chunk.min(card - at);
         buf.clear();
         for _ in 0..take {
-            cur += rng.gen_range(0..3i64);
-            buf.push(&[cur]);
+            if width == 1 {
+                cur += rng.gen_range(0..3i64);
+                buf.push(&[cur]);
+            } else {
+                cur += rng.gen_range(1..3i64);
+                buf.push(&[cur, rng.gen_range(1..5i64)]);
+            }
         }
         bytes.clear();
         buf.encode_into(8, &mut bytes);
-        fb.materialize(file, at * 8, &bytes).unwrap();
+        fb.materialize(file, at * tb, &bytes).unwrap();
         at += take;
     }
-    Relation::attach(file, card, 1, card.max(1))
+    Relation::attach(file, card, width as u32, card.max(1))
+}
+
+fn streamed_sorted_ints(fb: &mut FileBackend, card: u64, seed: u64) -> Relation {
+    streamed_sorted(fb, card, 1, seed)
+}
+
+/// The generic executor on `fb`, faithful, over `rels` (plan index =
+/// position).
+fn executor(fb: FileBackend, rels: &[Relation], collect: bool) -> Executor<FileBackend> {
+    let mut ex =
+        Executor::new(fb, Mode::Faithful, CpuModel::disabled()).with_output_collection(collect);
+    ex.rels = rels.to_vec();
+    ex
 }
 
 #[test]
-fn native_merge_zip_dedup_match_the_simulator_through_the_runtime() {
+fn merge_zip_dedup_match_the_simulator_through_the_runtime() {
     let h = presets::hdd_ram(1 << 22);
     let rt = Runtime::new(h);
 
@@ -72,7 +103,7 @@ fn native_merge_zip_dedup_match_the_simulator_through_the_runtime() {
         assert!(!report.output.is_empty(), "{kind:?} produced no rows");
         assert!(
             report.peak_resident_bytes.is_some(),
-            "{kind:?} must run the native path"
+            "{kind:?} must meter its resident tuples"
         );
     }
 
@@ -120,28 +151,47 @@ fn native_merge_zip_dedup_match_the_simulator_through_the_runtime() {
 
 /// The headline out-of-core property: the streaming templates' resident
 /// tuple memory is bounded by the configured buffers — below the RAM
-/// device size — even when the input is orders of magnitude larger. The
-/// inputs are generated straight onto the backing files (`rows: None`),
-/// so nothing about the setup holds the relations in memory either.
+/// device size — even when the input is orders of magnitude larger, on both
+/// routes. On the direct one the inputs are generated straight onto the
+/// backing files and attached, so nothing about the setup holds the
+/// relations in memory either; through `run_plan` the bound holds because
+/// a device-bound output stays on its device until the harvest.
 #[test]
 fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     let ram_bytes: u64 = 256 * 1024;
     let h = presets::hdd_ram(ram_bytes);
     let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
     // 800k + 400k tuples = 9.6 MB of input against a 256 KiB RAM device.
-    let a = streamed_sorted_ints(&mut fb, "HDD", 800_000, 1);
-    let b = streamed_sorted_ints(&mut fb, "HDD", 400_000, 2);
+    let a = streamed_sorted_ints(&mut fb, 800_000, 1);
+    let b = streamed_sorted_ints(&mut fb, 400_000, 2);
     let input_bytes = a.bytes() + b.bytes();
     assert!(input_bytes > 30 * ram_bytes, "input dwarfs RAM");
     let out = Output::ToDevice {
         device: "HDD".into(),
         buffer_bytes: 16 * 1024,
     };
+    let merge = Plan::MergePass {
+        left: 0,
+        right: 1,
+        kind: MergeKind::MultisetUnionSorted,
+        b_in: 1024,
+        output: out.clone(),
+    };
+    let dedup = Plan::DedupSorted {
+        input: 0,
+        b_in: 1024,
+        output: out.clone(),
+    };
+    let zip = Plan::ColumnZip {
+        columns: vec![0, 1],
+        b_in: 1024,
+        output: out.clone(),
+    };
+    let mut ex = executor(fb, &[a.clone(), b.clone()], false);
 
     // Merge: 2 x b_in-tuple cursors + one 16 KiB staging buffer.
-    let run =
-        algos::merge_pass(&mut fb, &a, &b, MergeKind::MultisetUnionSorted, 1024, &out).unwrap();
-    assert_eq!(run.rows, 1_200_000);
+    let run = ex.run(&merge).unwrap();
+    assert_eq!(run.output_rows, 1_200_000);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
         "merge peak {} exceeds the {} B RAM device",
@@ -150,8 +200,8 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     );
 
     // Dedup: one cursor + staging.
-    let run = algos::dedup_sorted(&mut fb, &a, 1024, &out).unwrap();
-    assert!(run.rows > 0 && run.rows <= a.card);
+    let run = ex.run(&dedup).unwrap();
+    assert!(run.output_rows > 0 && run.output_rows <= a.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
         "dedup peak {}",
@@ -159,9 +209,8 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     );
 
     // Zip: one cursor per column + staging.
-    let cols = [a.clone(), b.clone()];
-    let run = algos::column_zip(&mut fb, &cols, 1024, &out).unwrap();
-    assert_eq!(run.rows, b.card);
+    let run = ex.run(&zip).unwrap();
+    assert_eq!(run.output_rows, b.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
         "zip peak {}",
@@ -169,7 +218,7 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     );
 
     // External sort under the same bound: fan_in*b_in + b_out tuples.
-    let run = algos::external_sort(&mut fb, &b, 4, 512, 1024, "HDD", &out).unwrap();
+    let run = algos::external_sort(&mut ex.sm, &b, 4, 512, 1024, "HDD", &out).unwrap();
     assert_eq!(run.rows, b.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
@@ -177,31 +226,85 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
         run.peak_resident_bytes,
         ram_bytes
     );
+    drop(ex);
+
+    // The same three plans through the runtime, over generated relations
+    // of the same sizes: the whole output comes back, and was never held.
+    let rt = Runtime::new(h);
+    let specs = [
+        RelSpec::ints("A", "HDD", 800_000).sorted(),
+        RelSpec::ints("B", "HDD", 400_000).sorted(),
+    ];
+    for (plan, rows) in [
+        (merge, Some(1_200_000)),
+        (dedup, None),
+        (zip, Some(400_000)),
+    ] {
+        let report = rt.run_plan(&plan, &specs, 3).unwrap();
+        assert!(report.outputs_match(), "{}", plan.name());
+        assert!(!report.output.is_empty(), "{}", plan.name());
+        if let Some(rows) = rows {
+            assert_eq!(report.output.len(), rows, "{}", plan.name());
+        }
+        let peak = report.peak_resident_bytes.expect("metered");
+        assert!(peak <= ram_bytes, "{} peak {peak}", plan.name());
+    }
 }
 
 /// Correctness of the streaming merge against the engine's batch-level
-/// reference semantics, on data read back from the real files.
+/// reference semantics, on data read back from the real files: every
+/// [`MergeKind`], on both routes.
 #[test]
-fn native_merge_agrees_with_reference_semantics_on_disk_data() {
+fn streaming_merge_agrees_with_reference_semantics_on_disk_data() {
     let h = presets::hdd_ram(1 << 22);
     let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
-    let a = streamed_sorted_ints(&mut fb, "HDD", 5_000, 7);
-    let b = streamed_sorted_ints(&mut fb, "HDD", 3_000, 8);
+    // Relations 0, 1: sorted lists; 2, 3: value-multiplicity pairs.
+    let rels = [
+        streamed_sorted_ints(&mut fb, 5_000, 7),
+        streamed_sorted_ints(&mut fb, 3_000, 8),
+        streamed_sorted(&mut fb, 5_000, 2, 9),
+        streamed_sorted(&mut fb, 3_000, 2, 10),
+    ];
     // Read the generated inputs back (uncharged) for the oracle.
-    let mut abuf = RowBuf::new(1);
-    let mut bbuf = RowBuf::new(1);
-    fb.peek_rows(a.file, 0, a.card, 1, &mut abuf).unwrap();
-    fb.peek_rows(b.file, 0, b.card, 1, &mut bbuf).unwrap();
-    for kind in [
-        MergeKind::SetUnion,
-        MergeKind::MultisetUnionSorted,
-        MergeKind::MultisetDiffSorted,
+    let bufs: Vec<RowBuf> = rels
+        .iter()
+        .map(|rel| {
+            let mut buf = RowBuf::new(rel.width as usize);
+            fb.peek_rows(rel.file, 0, rel.card, rel.width as usize, &mut buf)
+                .unwrap();
+            buf
+        })
+        .collect();
+    for (kind, left) in [
+        (MergeKind::SetUnion, 0),
+        (MergeKind::MultisetUnionSorted, 0),
+        (MergeKind::MultisetDiffSorted, 0),
+        (MergeKind::MultisetUnionVm, 2),
+        (MergeKind::MultisetDiffVm, 2),
     ] {
-        let run = algos::merge_pass(&mut fb, &a, &b, kind, 128, &Output::Discard).unwrap();
+        let plan = Plan::MergePass {
+            left,
+            right: left + 1,
+            kind,
+            b_in: 128,
+            output: Output::Discard,
+        };
+        let want = merge_bufs(&bufs[left], &bufs[left + 1], kind);
+        assert!(!want.is_empty(), "{kind:?} is degenerate");
+
+        let mut ex = executor(fb, &rels, true);
+        let direct = ex.run(&plan).unwrap();
         assert_eq!(
-            run.output,
-            merge_bufs(&abuf, &bbuf, kind),
+            direct.output.as_ref(),
+            Some(&want),
             "{kind:?} diverged from reference semantics"
+        );
+        let (back, run) = Runtime::execute(ex.sm, &rels, &plan);
+        fb = back;
+        assert_eq!(
+            run.unwrap().output,
+            want,
+            "{kind:?} diverged through the runtime"
         );
     }
 }

@@ -11,9 +11,15 @@
 //! executions over the same generated rows and would pass on an executor
 //! that never looked at its files; `tampered_files_*` at the end are the
 //! **"follows the file"** tests — they change the bytes under a relation
-//! after its creation and require the real output to change with them.
+//! after its creation and require the real output to change with them, on
+//! both routes a plan takes to real files: the generic executor handed a
+//! `FileBackend` directly, and `Runtime::execute` (what `Runtime::run_plan`
+//! runs between creating the relations and harvesting the output).
 
-use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation};
+use ocas_engine::{
+    merge_bufs, CpuModel, ExecError, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec,
+    Relation, RowBuf,
+};
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
 use ocas_runtime::{FileBackend, PolicyKind, PoolConfig, Runtime};
 use ocas_storage::{StorageBackend, StorageSim};
@@ -48,13 +54,22 @@ type BothRuns = (
 /// Runs `plan` faithfully on both backends over identical relations and
 /// returns `(sim outputs, real outputs, sim bytes, real bytes)`.
 fn run_both(plan: &Plan, specs: &[RelSpec], seed: u64) -> BothRuns {
-    let report = report_over_files(plan, specs, seed, |_, _| {});
+    let report = report_over_files(plan, specs, seed, Route::Executor, |_, _| {});
     let hdd = |devices: &[(String, ocas_storage::DeviceStats)]| {
         let (_, d) = devices.iter().find(|(name, _)| name == "HDD").unwrap();
         (d.bytes_read, d.bytes_written)
     };
     let (sim_bytes, real_bytes) = (hdd(&report.sim_devices), hdd(&report.real_devices));
     (report.sim_output, report.output, sim_bytes, real_bytes)
+}
+
+/// How a plan gets to real files.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// `Executor<FileBackend>`, output collected.
+    Executor,
+    /// `Runtime::execute`, output harvested.
+    Runtime,
 }
 
 /// One real execution over files a test may have tampered with after their
@@ -65,6 +80,7 @@ fn report_over_files(
     plan: &Plan,
     specs: &[RelSpec],
     seed: u64,
+    route: Route,
     tamper: impl FnOnce(&mut FileBackend, &[Relation]),
 ) -> ocas_runtime::RealReport {
     let h = unit_page_hierarchy();
@@ -87,23 +103,34 @@ fn report_over_files(
         rels.push(Relation::create(&mut fb, spec, true, seed + i as u64).unwrap());
     }
     tamper(&mut fb, &rels);
-    let mut real = Executor::new(fb, Mode::Faithful, CpuModel::disabled());
-    for rel in rels {
-        real.add_relation(rel);
-    }
     let sim_stats = sim.run(plan).expect("simulated run");
-    let real_stats = real.run(plan).expect("real run");
+    let (fb, output, peak) = match route {
+        Route::Executor => {
+            let mut real = Executor::new(fb, Mode::Faithful, CpuModel::disabled());
+            real.rels = rels;
+            let stats = real.run(plan).expect("real run");
+            let output = stats.output.expect("collected");
+            (real.sm, output, stats.peak_resident_bytes)
+        }
+        Route::Runtime => {
+            let (mut fb, run) = Runtime::execute(fb, &rels, plan);
+            let run = run.expect("real run");
+            let peak = run.peak_resident_bytes;
+            let output = run.harvest(&mut fb).expect("harvest");
+            (fb, output, peak)
+        }
+    };
     let sim_hdd = StorageSim::device_stats(&sim.sm, "HDD").unwrap();
     ocas_runtime::RealReport {
         wall_seconds: 0.0,
-        io_seconds: real.sm.clock(),
+        io_seconds: fb.clock(),
         sim_seconds: sim_stats.seconds,
-        output: real_stats.output.unwrap_or_default(),
+        real_devices: fb.all_device_stats(),
+        pools: fb.pool_stats(),
+        output,
         sim_output: sim_stats.output.unwrap_or_default(),
-        peak_resident_bytes: Some(real_stats.peak_resident_bytes),
-        real_devices: real.sm.all_device_stats(),
+        peak_resident_bytes: Some(peak),
         sim_devices: vec![("HDD".to_string(), sim_hdd)],
-        pools: real.sm.pool_stats(),
         direct_io: false,
         recovery: None,
     }
@@ -495,11 +522,11 @@ fn tampered_files_move_the_real_average_and_not_the_twins() {
 
     for b_in in [1, 512] {
         let plan = Plan::Aggregate { input: 0, b_in };
-        let clean = report_over_files(&plan, &specs, seed, |_, _| {});
+        let clean = report_over_files(&plan, &specs, seed, Route::Executor, |_, _| {});
         assert!(clean.outputs_match(), "b_in = {b_in}");
         assert_eq!(clean.output.row(0), [avg_of(&generated)], "b_in = {b_in}");
 
-        let moved = report_over_files(&plan, &specs, seed, |fb, rels| {
+        let moved = report_over_files(&plan, &specs, seed, Route::Executor, |fb, rels| {
             rewrite(fb, &rels[0], &tampered)
         });
         assert_eq!(moved.output.row(0), [avg_of(&tampered)], "b_in = {b_in}");
@@ -584,16 +611,167 @@ fn tampered_files_move_the_real_join_and_not_the_twins() {
             order_inputs: false,
             output: Output::Discard,
         };
-        let clean = report_over_files(&plan, &specs, seed, |_, _| {});
+        let clean = report_over_files(&plan, &specs, seed, Route::Executor, |_, _| {});
         assert!(clean.outputs_match(), "k2 = {k2}");
         assert!(!clean.output.is_empty(), "degenerate join");
         assert_eq!(clean.output, join_of(&generated[0], &generated[1], k2));
 
-        let moved = report_over_files(&plan, &specs, seed, |fb, rels| {
+        let moved = report_over_files(&plan, &specs, seed, Route::Executor, |fb, rels| {
             rewrite(fb, &rels[1], &tampered)
         });
         assert_eq!(moved.output, join_of(&generated[0], &tampered, k2));
         assert_eq!(moved.sim_output, clean.sim_output, "k2 = {k2}");
         assert!(!moved.outputs_match(), "k2 = {k2}");
     }
+}
+
+/// "Follows the file" tests for the three streaming templates, on both
+/// routes. One input file is rewritten after its creation (still sorted
+/// where the template needs that): the real output is the union / zip /
+/// duplicate-free list *of what the files now hold*, row for row; the twin's
+/// output does not move; `outputs_match` turns false; and the requests are
+/// those of the untampered run — what moved is the payload. On the parent of
+/// this change the direct route computed all three on the generator's rows.
+#[test]
+fn tampered_files_move_the_real_union_zip_and_dedup_and_not_the_twins() {
+    let seed = 23;
+    let generated = |spec: &RelSpec, i: u64| {
+        let mut sm = StorageSim::from_hierarchy(&unit_page_hierarchy());
+        let rel = Relation::create(&mut sm, spec, true, seed + i).unwrap();
+        rel.collect_rows().unwrap()
+    };
+    let sorted = |name: &str, card| {
+        RelSpec::ints(name, "HDD", card)
+            .sorted()
+            .with_key_range(300)
+    };
+    let to_hdd = Output::ToDevice {
+        device: "HDD".into(),
+        buffer_bytes: 512,
+    };
+    // (plan, specs, which relation is rewritten and how, what the output
+    // must then be — computed from the rows each file holds).
+    type Case = (
+        Plan,
+        Vec<RelSpec>,
+        (usize, fn(i64) -> i64),
+        fn(&[RowBuf]) -> RowBuf,
+    );
+    let cases: Vec<Case> = vec![
+        (
+            Plan::MergePass {
+                left: 0,
+                right: 1,
+                kind: MergeKind::MultisetUnionSorted,
+                b_in: 48,
+                output: to_hdd.clone(),
+            },
+            vec![sorted("A", 900), sorted("B", 700)],
+            (1, |v| 2 * v + 1),
+            |files| merge_bufs(&files[0], &files[1], MergeKind::MultisetUnionSorted),
+        ),
+        (
+            Plan::ColumnZip {
+                columns: vec![0, 1, 2],
+                b_in: 40,
+                output: Output::Discard,
+            },
+            (1..=3)
+                .map(|i| RelSpec::ints(&format!("C{i}"), "HDD", 600))
+                .collect(),
+            (2, |v| -v),
+            |files| {
+                let rows = (0..files[0].len()).flat_map(|i| files.iter().map(move |f| f.row(i)[0]));
+                RowBuf::from_vec(rows.collect(), 3)
+            },
+        ),
+        (
+            Plan::DedupSorted {
+                input: 0,
+                b_in: 64,
+                output: to_hdd,
+            },
+            vec![sorted("L", 1_000)],
+            (0, |v| v / 7),
+            |files| {
+                let mut rows = files[0].clone();
+                rows.dedup();
+                rows
+            },
+        ),
+    ];
+    for (plan, specs, (victim, rewrite_value), expected) in cases {
+        let name = plan.name();
+        let files: Vec<RowBuf> = (specs.iter().zip(0..))
+            .map(|(spec, i)| generated(spec, i))
+            .collect();
+        let mut tampered = files.clone();
+        let moved_rows = files[victim].as_slice().iter().map(|v| rewrite_value(*v));
+        tampered[victim] = RowBuf::from_vec(moved_rows.collect(), 1);
+        assert_ne!(
+            expected(&files),
+            expected(&tampered),
+            "{name}: tamper harder"
+        );
+
+        for route in [Route::Executor, Route::Runtime] {
+            let clean = report_over_files(&plan, &specs, seed, route, |_, _| {});
+            assert!(clean.outputs_match(), "{name} {route:?}");
+            assert_eq!(clean.output, expected(&files), "{name} {route:?}");
+
+            let moved = report_over_files(&plan, &specs, seed, route, |fb, rels| {
+                rewrite(fb, &rels[victim], &tampered[victim])
+            });
+            assert_eq!(moved.output, expected(&tampered), "{name} {route:?}");
+            assert_eq!(moved.sim_output, clean.sim_output, "{name} {route:?}");
+            assert!(!moved.outputs_match(), "{name} {route:?}");
+            let requests = |r: &ocas_runtime::RealReport| -> Vec<(u64, u64, u64)> {
+                let counts = r.real_devices.iter();
+                counts
+                    .map(|(_, d)| (d.bytes_read, d.bytes_written, d.seeks))
+                    .collect()
+            };
+            let same_size = moved.output.len() == clean.output.len();
+            if same_size {
+                assert_eq!(requests(&moved), requests(&clean), "{name} {route:?}");
+            } else {
+                // The dedup writes fewer rows; it reads the same.
+                let reads = |r| requests(r).iter().map(|c| c.0).collect::<Vec<_>>();
+                assert_eq!(reads(&moved), reads(&clean), "{name} {route:?}");
+            }
+        }
+    }
+}
+
+/// A "follows the file" test: a relation that is nothing but an attached
+/// file — no generator — runs through the generic executor on a backend
+/// that hands its payload back, and is a typed `MissingRows` on the
+/// simulator, which cannot.
+#[test]
+fn an_attached_file_runs_where_its_payload_is_and_is_missing_rows_elsewhere() {
+    let h = unit_page_hierarchy();
+    let rows = RowBuf::from_vec((0..500).map(|v| v / 3).collect(), 1);
+    let plan = Plan::DedupSorted {
+        input: 0,
+        b_in: 32,
+        output: Output::Discard,
+    };
+    fn attached<B: StorageBackend>(sm: B, rows: &RowBuf) -> Executor<B> {
+        let mut ex = Executor::new(sm, Mode::Faithful, CpuModel::disabled());
+        let file = ex.sm.alloc("HDD", rows.len() as u64 * 8).unwrap();
+        ex.sm.materialize(file, 0, &rows.encode()).unwrap();
+        ex.add_relation(Relation::attach(file, rows.len() as u64, 1, 1));
+        ex
+    }
+    let fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
+    let stats = attached(fb, &rows).run(&plan).unwrap();
+    let mut want = rows.clone();
+    want.dedup();
+    assert_eq!(stats.output, Some(want));
+
+    let on_sim = attached(StorageSim::from_hierarchy(&h), &rows).run(&plan);
+    assert!(
+        matches!(on_sim, Err(ExecError::MissingRows(0))),
+        "{on_sim:?}"
+    );
 }

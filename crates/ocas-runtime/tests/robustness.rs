@@ -1,12 +1,13 @@
-//! Robustness of the native out-of-core algorithms: graceful ENOSPC
-//! degradation (shrink spill extents, fail over to an alternate device)
-//! keeps results correct, and every failure path — injected or genuine —
-//! leaves the backend clean: no spill extents past the entry watermark,
-//! no pinned pages, and typed errors rather than panics.
+//! Robustness of plans run on real files — the native out-of-core
+//! algorithms and the generic executor behind `Runtime::execute`: graceful
+//! ENOSPC degradation (shrink spill extents, fail over to an alternate
+//! device) keeps results correct, and every failure path — injected or
+//! genuine — leaves the backend clean: no spill or output extents past the
+//! entry watermark, no pinned pages, and typed errors rather than panics.
 
-use ocas_engine::{Output, RelSpec, Relation, RowBuf};
+use ocas_engine::{ExecError, JoinPred, MergeKind, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::{presets, DeviceKind, Hierarchy, NodeProps};
-use ocas_runtime::{algos, AlgoError, FileBackend, PoolConfig};
+use ocas_runtime::{algos, AlgoError, FileBackend, PoolConfig, Runtime, RuntimeError};
 use ocas_storage::{FaultKind, FaultOp, FaultPlan, RetryPolicy, StorageBackend, StorageError};
 
 /// RAM root with the input HDD, a deliberately tiny scratch device, and a
@@ -357,5 +358,126 @@ fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
     let spilled = fb.device_stats("HDD2").unwrap().bytes_written;
     assert_eq!(spilled, l.bytes() + r.bytes());
     assert_eq!(fb.watermark("HDD2").unwrap(), mark, "leaked spill extents");
+    assert_eq!(fb.pinned_pages(), 0);
+}
+
+/// The generic branch of `Runtime::execute` under a write fault that
+/// exhausts the retry budget in the middle of a device-bound output — a
+/// sorted union, and a block-nested-loops join with write-out: a typed
+/// `StorageError`, and on the backend that outlives the run the output
+/// device is back at its entry watermark with nothing pinned.
+#[test]
+fn failed_generic_run_leaves_its_output_device_at_the_entry_watermark() {
+    let h = presets::two_hdd_ram(1 << 22);
+    let out = Output::ToDevice {
+        device: "HDD2".into(),
+        buffer_bytes: 1 << 10,
+    };
+    let union = Plan::MergePass {
+        left: 0,
+        right: 1,
+        kind: MergeKind::MultisetUnionSorted,
+        b_in: 64,
+        output: out.clone(),
+    };
+    let join = Plan::BnlJoin {
+        outer: 0,
+        inner: 1,
+        k1: 256,
+        k2: 16,
+        tiling: None,
+        pred: JoinPred::KeyEq,
+        order_inputs: false,
+        output: out,
+    };
+    for plan in [union, join] {
+        // Output-device writes fail for good from the third flush on (HDD2
+        // sees nothing else: request 0 allocates the sink's extent).
+        let mut faults = FaultPlan::new();
+        for at in 3..259 {
+            faults = faults.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
+        }
+        let mut fb = backend(&h).with_faults(faults, RetryPolicy::default());
+        let specs = [
+            RelSpec::ints("A", "HDD", 1_500)
+                .sorted()
+                .with_key_range(400),
+            RelSpec::ints("B", "HDD", 1_200)
+                .sorted()
+                .with_key_range(400),
+        ];
+        let rels: Vec<Relation> = (specs.iter().zip(5..))
+            .map(|(spec, seed)| Relation::create(&mut fb, spec, true, seed).unwrap())
+            .collect();
+        let marks = [fb.watermark("HDD").unwrap(), fb.watermark("HDD2").unwrap()];
+
+        let (fb, run) = Runtime::execute(fb, &rels, &plan);
+        let err = run.expect_err("persistent output faults must fail the run");
+        assert!(
+            matches!(
+                &err,
+                RuntimeError::Exec(ExecError::Storage(StorageError::Transient { device, .. }))
+                    if device == "HDD2"
+            ),
+            "{}: expected a typed transient error, got: {err}",
+            plan.name()
+        );
+        let written = fb.device_stats("HDD2").unwrap().bytes_written;
+        assert!(written > 0, "{}: the run was under way", plan.name());
+        assert_eq!(fb.watermark("HDD").unwrap(), marks[0], "{}", plan.name());
+        assert_eq!(
+            fb.watermark("HDD2").unwrap(),
+            marks[1],
+            "{}: leaked output",
+            plan.name()
+        );
+        assert_eq!(fb.pinned_pages(), 0, "{}", plan.name());
+        assert!(fb.recovery_counters().expect("injector").gave_up >= 1);
+    }
+}
+
+/// A torn write-back of a page of an *input* relation is silent until a
+/// block cursor's refill reaches the page, and is `CorruptPage` there — not
+/// before, and not a wrong answer.
+#[test]
+fn torn_input_page_surfaces_on_the_refill_that_reaches_it() {
+    const PAGE: u64 = 4096;
+    let h = presets::hdd_ram(1 << 22);
+    let cfg = PoolConfig {
+        page_bytes: PAGE as usize,
+        frames: 4,
+        ..PoolConfig::default()
+    };
+    // The run's first request schedules the tear for the next write-back:
+    // the relation's last pages are still dirty in the four-frame pool, and
+    // reading its first pages evicts them — the first one torn.
+    let faults = FaultPlan::new().with("HDD", FaultOp::Read, 1, FaultKind::TornWriteBack);
+    let mut fb = FileBackend::from_hierarchy(&h, cfg)
+        .unwrap()
+        .with_faults(faults, RetryPolicy::default());
+    let pages = 16;
+    let spec = RelSpec::ints("L", "HDD", pages * PAGE / 8)
+        .sorted()
+        .with_key_range(3_000);
+    let rel = Relation::create(&mut fb, &spec, true, 9).unwrap();
+    let plan = Plan::DedupSorted {
+        input: 0,
+        // A page a request.
+        b_in: PAGE / 8,
+        output: Output::Discard,
+    };
+    let (fb, run) = Runtime::execute(fb, &[rel], &plan);
+    let err = run.expect_err("the torn page must not be read as data");
+    let RuntimeError::Exec(ExecError::Storage(StorageError::CorruptPage { device, page })) = &err
+    else {
+        panic!("expected CorruptPage, got: {err}");
+    };
+    assert_eq!(device, "HDD");
+    // One of the four pages that were still dirty, and every refill before
+    // it succeeded: exactly `page` blocks were read in full.
+    assert!((pages - 4..pages).contains(page), "page {page}");
+    assert_eq!(fb.device_stats("HDD").unwrap().bytes_read, page * PAGE);
+    let rec = fb.recovery_counters().expect("injector");
+    assert_eq!((rec.torn_write_backs, rec.corrupt_pages_detected), (1, 1));
     assert_eq!(fb.pinned_pages(), 0);
 }

@@ -1,0 +1,364 @@
+//! The request stream of the streaming templates — merge pass, column zip,
+//! duplicate removal — on real files, as a test instead of a claim.
+//!
+//! Two kinds of assertion (ROADMAP, "Reading real-backend numbers"):
+//!
+//! * **Counts.** `DeviceStats.{bytes_read, bytes_written, seeks}` and
+//!   `PoolStats.{hits, misses}` of four plans through [`Runtime::execute`]
+//!   are pinned to the numbers PR 22's hand-written `algos::{merge_pass,
+//!   column_zip, dedup_sorted}` produced for the same relations (measured
+//!   on that commit; each is derived below from the input bytes). The
+//!   generic executor over block cursors replaced those functions and must
+//!   issue what they issued.
+//! * **Order.** Every request the operators issue is recorded with its
+//!   offset (a forwarding [`StorageBackend`] wrapper: obs spans carry bytes
+//!   but no offsets) on real files and on the simulator in faithful mode.
+//!   The two sequences are identical — the property that makes the
+//!   simulator twin a twin — and on directed inputs they are the literal
+//!   ones: a cursor is refilled only when its block is exhausted, a
+//!   difference reads nothing of its right input once the left one is dry,
+//!   a duplicate removal reads each block once. The `dev:HDD` obs track of
+//!   the runtime's run shows the same requests.
+//!
+//! These run in debug builds too: nothing here is a timing.
+
+use ocas_engine::{CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf};
+use ocas_hierarchy::presets;
+use ocas_runtime::{FileBackend, PoolConfig, PoolStats, Runtime};
+use ocas_storage::{DeviceStats, FileId, StorageBackend, StorageError, StorageSim};
+
+/// One charged request: `(is_write, file, offset, len)`.
+type Request = (bool, usize, u64, u64);
+
+/// Forwards everything to `inner`, keeping a log of the charged requests.
+struct Recording<B> {
+    inner: B,
+    log: Vec<Request>,
+}
+
+impl<B: StorageBackend> StorageBackend for Recording<B> {
+    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
+        self.inner.alloc(device, len)
+    }
+    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+        self.log.push((false, file.0, offset, len));
+        self.inner.read(file, offset, len)
+    }
+    fn read_data(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        self.log.push((false, file.0, offset, buf.len() as u64));
+        self.inner.read_data(file, offset, buf)
+    }
+    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+        self.log.push((true, file.0, offset, len));
+        self.inner.write(file, offset, len)
+    }
+    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.log.push((true, file.0, offset, data.len() as u64));
+        self.inner.write_bytes(file, offset, data)
+    }
+    fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.inner.materialize(file, offset, data)
+    }
+    fn charge_cpu(&mut self, seconds: f64) {
+        self.inner.charge_cpu(seconds)
+    }
+    fn clock(&self) -> f64 {
+        self.inner.clock()
+    }
+    fn obs_clock(&self) -> ocas_obs::Clock {
+        self.inner.obs_clock()
+    }
+    fn len(&self, file: FileId) -> u64 {
+        self.inner.len(file)
+    }
+    fn device_of(&self, file: FileId) -> &str {
+        self.inner.device_of(file)
+    }
+    fn device_stats(&self, device: &str) -> Option<DeviceStats> {
+        self.inner.device_stats(device)
+    }
+    fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
+        self.inner.truncate_device(device, mark)
+    }
+    fn watermark(&self, device: &str) -> Option<u64> {
+        self.inner.watermark(device)
+    }
+}
+
+/// What relation `i` of a case holds.
+enum Input {
+    /// Generated from a spec, seeded `seed + i` (as `Runtime::run_plan` does).
+    Spec(RelSpec),
+    /// These unary rows, written to an attached file (no generator).
+    Rows(Vec<i64>),
+}
+
+fn relations<B: StorageBackend>(sm: &mut B, inputs: &[Input], seed: u64) -> Vec<Relation> {
+    let create = |(i, input): (usize, &Input)| match input {
+        Input::Spec(spec) => Relation::create(sm, spec, true, seed + i as u64).unwrap(),
+        Input::Rows(rows) => {
+            let file = sm.alloc("HDD", (rows.len() as u64 * 8).max(1)).unwrap();
+            let bytes = RowBuf::from_vec(rows.clone(), 1).encode();
+            sm.materialize(file, 0, &bytes).unwrap();
+            Relation::attach(file, rows.len() as u64, 1, 1)
+        }
+    };
+    inputs.iter().enumerate().map(create).collect()
+}
+
+/// Runs `plan` faithfully on `sm` through the generic executor and returns
+/// the charged requests it issued, in order, with the output's digest.
+fn recorded<B: StorageBackend>(sm: B, inputs: &[Input], plan: &Plan) -> (Vec<Request>, u64) {
+    let mut sm = Recording {
+        inner: sm,
+        log: Vec::new(),
+    };
+    let rels = relations(&mut sm, inputs, SEED);
+    let mut ex =
+        Executor::new(sm, Mode::Faithful, CpuModel::disabled()).with_output_collection(false);
+    ex.rels = rels;
+    let stats = ex.run(plan).expect("recorded run");
+    (ex.sm.log, stats.output_digest.expect("not collected"))
+}
+
+const SEED: u64 = 11;
+
+fn file_backend() -> FileBackend {
+    FileBackend::from_hierarchy(&presets::hdd_ram(1 << 20), PoolConfig::default()).unwrap()
+}
+
+/// Runs `plan` through the runtime's entry point on real files, tracing it,
+/// and returns the HDD's device and pool counters, the harvested output and
+/// the `(is_write, bytes)` of every request on the `dev:HDD` obs track.
+fn through_the_runtime(
+    inputs: &[Input],
+    plan: &Plan,
+) -> (DeviceStats, PoolStats, RowBuf, Vec<(bool, u64)>) {
+    let mut fb = file_backend();
+    let rels = relations(&mut fb, inputs, SEED);
+    ocas_obs::start();
+    let (mut fb, run) = Runtime::execute(fb, &rels, plan);
+    let trace = ocas_obs::finish().expect("recording");
+    // The counters of the run alone: the harvest is pool reads too.
+    let device = fb.device_stats("HDD").unwrap();
+    let (_, pool) = fb
+        .pool_stats()
+        .into_iter()
+        .find(|(d, _)| d == "HDD")
+        .unwrap();
+    let output = run.expect("clean run").harvest(&mut fb).unwrap();
+    let spans = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == ocas_obs::EventKind::Span && trace.track(e) == "dev:HDD")
+        .map(|e| {
+            let bytes = e.args.iter().find(|(name, _)| *name == "bytes");
+            (
+                e.name == "write",
+                bytes.expect("a request has bytes").1 as u64,
+            )
+        })
+        .collect();
+    (device, pool, output, spans)
+}
+
+fn to_hdd() -> Output {
+    Output::ToDevice {
+        device: "HDD".into(),
+        buffer_bytes: 1 << 10,
+    }
+}
+
+/// The counts of one plan through the runtime, the request sequence of the
+/// same plan recorded on files and on the simulator (identical), and that
+/// the runtime's obs track shows that sequence. Returns the counts and the
+/// sequence.
+fn check_case(inputs: &[Input], plan: &Plan) -> ((DeviceStats, PoolStats), Vec<Request>) {
+    let (device, pool, output, spans) = through_the_runtime(inputs, plan);
+    let (on_file, file_digest) = recorded(file_backend(), inputs, plan);
+    let sim = StorageSim::from_hierarchy(&presets::hdd_ram(1 << 20));
+    let attached = inputs.iter().any(|i| matches!(i, Input::Rows(_)));
+    if !attached {
+        // (An attached file has no rows for the simulator to compute on.)
+        let (on_sim, sim_digest) = recorded(sim, inputs, plan);
+        assert_eq!(
+            on_sim,
+            on_file,
+            "{}: the twin issues other requests",
+            plan.name()
+        );
+        assert_eq!(sim_digest, file_digest, "{}", plan.name());
+    }
+    let logged: Vec<(bool, u64)> = on_file.iter().map(|r| (r.0, r.3)).collect();
+    assert_eq!(spans, logged, "{}: obs track", plan.name());
+    let moved = |write: bool| -> u64 { on_file.iter().filter(|r| r.0 == write).map(|r| r.3).sum() };
+    assert_eq!(device.bytes_read, moved(false), "{}", plan.name());
+    assert_eq!(device.bytes_written, moved(true), "{}", plan.name());
+    if matches!(plan.output(), Output::ToDevice { .. }) {
+        assert_eq!(device.bytes_written, output.as_slice().len() as u64 * 8);
+    }
+    ((device, pool), on_file)
+}
+
+/// `(bytes_read, bytes_written, seeks, pool hits, pool misses)`.
+fn counts((device, pool): (DeviceStats, PoolStats)) -> [u64; 5] {
+    [
+        device.bytes_read,
+        device.bytes_written,
+        device.seeks,
+        pool.hits,
+        pool.misses,
+    ]
+}
+
+/// The reads of `file` in `log`, as `(offset, len)` in tuples.
+fn reads_of(log: &[Request], file: usize) -> Vec<(u64, u64)> {
+    let of_file = log.iter().filter(|r| !r.0 && r.1 == file);
+    of_file.map(|r| (r.2 / 8, r.3 / 8)).collect()
+}
+
+/// Every block of a `card`-tuple relation once, front to back.
+fn each_block_once(card: u64, b_in: u64) -> Vec<(u64, u64)> {
+    let blocks = (0..card.div_ceil(b_in)).map(|k| k * b_in);
+    blocks.map(|at| (at, b_in.min(card - at))).collect()
+}
+
+fn sorted_ints(name: &str, card: u64, key_range: u64) -> Input {
+    Input::Spec(
+        RelSpec::ints(name, "HDD", card)
+            .sorted()
+            .with_key_range(key_range),
+    )
+}
+
+#[test]
+fn sorted_union_issues_the_native_requests_and_refills_on_exhaustion() {
+    let b_in = 100;
+    let plan = |kind| Plan::MergePass {
+        left: 0,
+        right: 1,
+        kind,
+        b_in,
+        output: to_hdd(),
+    };
+    let inputs = [
+        sorted_ints("A", 5_000, 3_000),
+        sorted_ints("B", 3_000, 3_000),
+    ];
+    let (got, log) = check_case(&inputs, &plan(MergeKind::MultisetUnionSorted));
+    // 8,000 tuples in, 8,000 out, 8 bytes each.
+    assert_eq!(counts(got), [64_000, 64_000, 137, 166, 32], "as on PR 22");
+    assert_eq!(reads_of(&log, 0), each_block_once(5_000, b_in));
+    assert_eq!(reads_of(&log, 1), each_block_once(3_000, b_in));
+
+    // Directed: everything in A sorts before anything in B, so B's second
+    // block is due only when all of A and B's first block are out. (A merge
+    // that read ahead, or alternated blocks, would read it earlier.)
+    let inputs = [
+        Input::Rows((0..300).collect()),
+        Input::Rows((1_000..1_200).collect()),
+    ];
+    let b_in = 64;
+    let plan = Plan::MergePass {
+        left: 0,
+        right: 1,
+        kind: MergeKind::MultisetUnionSorted,
+        b_in,
+        output: Output::Discard,
+    };
+    let (_, log) = check_case(&inputs, &plan);
+    let reads: Vec<(usize, u64)> = log.iter().map(|r| (r.1, r.2 / 8)).collect();
+    let want = [
+        (0, 0),
+        (1, 0),
+        (0, 64),
+        (0, 128),
+        (0, 192),
+        (0, 256),
+        (1, 64),
+        (1, 128),
+        (1, 192),
+    ];
+    assert_eq!(reads, want);
+}
+
+#[test]
+fn a_difference_stops_reading_its_right_input_when_the_left_one_is_dry() {
+    let b_in = 100;
+    let plan = |b_in, output| Plan::MergePass {
+        left: 0,
+        right: 1,
+        kind: MergeKind::MultisetDiffSorted,
+        b_in,
+        output,
+    };
+    // A's 1,000 values end below 500; B's 4,000 spread over 0..4,000.
+    let inputs = [sorted_ints("A", 1_000, 500), sorted_ints("B", 4_000, 4_000)];
+    let (got, log) = check_case(&inputs, &plan(b_in, to_hdd()));
+    // All 1,000 tuples of A and the first six blocks of B in, 632 out.
+    assert_eq!(counts(got), [12_800, 5_056, 18, 27, 11], "as on PR 22");
+    assert_eq!(reads_of(&log, 0), each_block_once(1_000, b_in));
+    assert_eq!(reads_of(&log, 1), each_block_once(4_000, b_in)[..6]);
+
+    // Directed, and the case a loop that refills both cursors before it
+    // looks at either gets wrong: A's last row cancels against the last row
+    // of B's second block, so A runs dry at the moment B's cursor is due.
+    // Nothing of B is read after that (PR 22's `merge_pass` read one more
+    // block here).
+    let inputs = [
+        Input::Rows((0..128).collect()),
+        Input::Rows((0..10_000).collect()),
+    ];
+    let (_, log) = check_case(&inputs, &plan(64, Output::Discard));
+    assert_eq!(reads_of(&log, 0), [(0, 64), (64, 64)]);
+    assert_eq!(reads_of(&log, 1), [(0, 64), (64, 64)]);
+    let last_of_a = log.iter().rposition(|r| r.1 == 0).unwrap();
+    assert_eq!(log.len() - last_of_a, 2, "one read of B follows A's last");
+}
+
+#[test]
+fn a_column_zip_reads_its_columns_round_robin_a_block_at_a_time() {
+    let (card, b_in) = (2_500, 64);
+    let columns = |i: u64| Input::Spec(RelSpec::ints(&format!("C{i}"), "HDD", card));
+    let inputs = [columns(1), columns(2), columns(3)];
+    let plan = Plan::ColumnZip {
+        columns: vec![0, 1, 2],
+        b_in,
+        output: to_hdd(),
+    };
+    let (got, log) = check_case(&inputs, &plan);
+    // Three columns of 2,500 ints in, 2,500 rows of three out.
+    assert_eq!(counts(got), [60_000, 60_000, 159, 195, 30], "as on PR 22");
+    let reads: Vec<(usize, u64, u64)> = log
+        .iter()
+        .filter(|r| !r.0)
+        .map(|r| (r.1, r.2 / 8, r.3 / 8))
+        .collect();
+    let want: Vec<(usize, u64, u64)> = each_block_once(card, b_in)
+        .into_iter()
+        .flat_map(|(at, n)| (0..3).map(move |column| (column, at, n)))
+        .collect();
+    assert_eq!(reads, want);
+}
+
+#[test]
+fn a_duplicate_removal_reads_every_block_once() {
+    let (card, b_in) = (7_000, 96);
+    let inputs = [sorted_ints("L", card, 2_000)];
+    let plan = Plan::DedupSorted {
+        input: 0,
+        b_in,
+        output: to_hdd(),
+    };
+    let (got, log) = check_case(&inputs, &plan);
+    // 7,000 tuples in, the 1,934 distinct ones out.
+    assert_eq!(counts(got), [56_000, 15_472, 29, 126, 18], "as on PR 22");
+    let reads = reads_of(&log, 0);
+    assert_eq!(reads.len() as u64, card.div_ceil(b_in));
+    assert_eq!(reads, each_block_once(card, b_in));
+}

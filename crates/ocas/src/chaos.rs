@@ -24,7 +24,7 @@ use crate::experiments::{self, ExpError, Experiment};
 use crate::synth::Synthesis;
 use ocas_engine::{lower, CpuModel, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::Hierarchy;
-use ocas_runtime::{algos, FileBackend, PoolConfig};
+use ocas_runtime::{FileBackend, PoolConfig, Runtime};
 use ocas_storage::{FaultPlan, Faulted, RecoveryCounters, RetryPolicy, StorageBackend, StorageSim};
 use std::collections::BTreeMap;
 
@@ -162,58 +162,23 @@ fn classify(result: Result<RowBuf, String>, oracle: &RowBuf) -> ChaosOutcome {
     }
 }
 
-/// Dispatches the four native out-of-core algorithms (the chaos plans are
-/// all native shapes).
-fn run_native(fb: &mut FileBackend, w: &ChaosWorkload) -> Result<RowBuf, String> {
+/// Creates the workload's relations on `fb` and executes its plan through
+/// the runtime's entry point ([`Runtime::execute`]), harvesting the output.
+/// The backend comes back whatever happened, so that the caller can look
+/// at what a failed run left behind.
+fn run_real(mut fb: FileBackend, w: &ChaosWorkload) -> (FileBackend, Result<RowBuf, String>) {
     let mut rels = Vec::new();
     for (i, spec) in w.rel_specs.iter().enumerate() {
-        let rel = Relation::create(fb, spec, true, w.data_seed + i as u64)
-            .map_err(|e| format!("setup: {e}"))?;
-        rels.push(rel);
+        match Relation::create(&mut fb, spec, true, w.data_seed + i as u64) {
+            Ok(rel) => rels.push(rel),
+            Err(e) => return (fb, Err(format!("setup: {e}"))),
+        }
     }
-    let run = match &w.plan {
-        Plan::ExternalSort {
-            input,
-            fan_in,
-            b_in,
-            b_out,
-            scratch,
-            output,
-        } => algos::external_sort(fb, &rels[*input], *fan_in, *b_in, *b_out, scratch, output),
-        Plan::GraceJoin {
-            left,
-            right,
-            partitions,
-            buffer_bytes,
-            spill,
-            pred,
-            output,
-        } => algos::grace_join(
-            fb,
-            &rels[*left],
-            &rels[*right],
-            *partitions,
-            *buffer_bytes,
-            spill,
-            matches!(pred, ocas_engine::JoinPred::Cross),
-            output,
-        ),
-        Plan::MergePass {
-            left,
-            right,
-            kind,
-            b_in,
-            output,
-        } => algos::merge_pass(fb, &rels[*left], &rels[*right], *kind, *b_in, output),
-        Plan::DedupSorted {
-            input,
-            b_in,
-            output,
-        } => algos::dedup_sorted(fb, &rels[*input], *b_in, output),
-        other => return Err(format!("chaos harness cannot run {other:?}")),
-    }
-    .map_err(|e| e.to_string())?;
-    Ok(run.output)
+    let (mut fb, run) = Runtime::execute(fb, &rels, &w.plan);
+    let output = run
+        .map_err(|e| e.to_string())
+        .and_then(|run| run.harvest(&mut fb).map_err(|e| e.to_string()));
+    (fb, output)
 }
 
 /// Runs one workload under one fault seed against **real temp files**,
@@ -222,11 +187,11 @@ fn run_native(fb: &mut FileBackend, w: &ChaosWorkload) -> Result<RowBuf, String>
 /// Panics only on fault-independent setup failures (temp dir creation);
 /// anything downstream of injection must surface typed.
 pub fn run_file(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
-    let mut fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())
+    let fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())
         .expect("backend setup")
         .with_faults(plan_for(w, fault_seed), RetryPolicy::default());
     let dir = fb.dir().to_path_buf();
-    let result = run_native(&mut fb, w);
+    let (fb, result) = run_real(fb, w);
     let pinned_pages = fb.pinned_pages();
     let counters = fb.recovery_counters().unwrap_or_default();
     drop(fb);
@@ -241,12 +206,15 @@ pub fn run_file(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
     }
 }
 
-/// Runs one workload under one fault seed on the **device simulator**
-/// (faults interposed via [`Faulted`], charged to the simulated clock).
-pub fn run_sim(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
+/// Executes the workload's plan on the device simulator under `faults`
+/// (interposed via [`Faulted`], charged to the simulated clock).
+fn run_faulted_sim(
+    w: &ChaosWorkload,
+    faults: FaultPlan,
+) -> (Result<RowBuf, String>, RecoveryCounters) {
     let sim = Faulted::new(
         StorageSim::from_hierarchy(&w.hierarchy),
-        plan_for(w, fault_seed),
+        faults,
         RetryPolicy::default(),
     );
     let mut ex = Executor::new(sim, Mode::Faithful, CpuModel::disabled());
@@ -259,12 +227,18 @@ pub fn run_sim(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
         let stats = ex.run(&w.plan).map_err(|e| e.to_string())?;
         Ok(stats.output.unwrap_or_default())
     })();
+    (result, ex.sm.counters())
+}
+
+/// Runs one workload under one fault seed on the **device simulator**.
+pub fn run_sim(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
+    let (result, counters) = run_faulted_sim(w, plan_for(w, fault_seed));
     ChaosRun {
         workload: w.name,
         backend: "sim",
         fault_seed,
         outcome: classify(result, &w.oracle_sim),
-        counters: ex.sm.counters(),
+        counters,
         pinned_pages: 0,
         leaked_dir: false,
     }
@@ -308,16 +282,6 @@ fn workload(
     rel_specs: Vec<RelSpec>,
     data_seed: u64,
 ) -> Result<ChaosWorkload, ExpError> {
-    // Simulator oracle.
-    let sm = StorageSim::from_hierarchy(&e.hierarchy);
-    let mut ex = Executor::new(sm, Mode::Faithful, CpuModel::disabled());
-    for (i, spec) in rel_specs.iter().enumerate() {
-        let rel = Relation::create(&mut ex.sm, spec, true, data_seed + i as u64)?;
-        ex.add_relation(rel);
-    }
-    let oracle_sim = ex.run(&plan)?.output.unwrap_or_default();
-
-    // File-backend oracle (clean run of the native algorithms).
     let mut w = ChaosWorkload {
         name,
         hierarchy: e.hierarchy.clone(),
@@ -325,10 +289,12 @@ fn workload(
         rel_specs,
         data_seed,
         oracle_file: RowBuf::new(1),
-        oracle_sim,
+        oracle_sim: RowBuf::new(1),
     };
-    let mut fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())?;
-    w.oracle_file = run_native(&mut fb, &w).expect("clean oracle run cannot fail");
+    let clean = "clean oracle run cannot fail";
+    w.oracle_sim = run_faulted_sim(&w, FaultPlan::new()).0.expect(clean);
+    let fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())?;
+    w.oracle_file = run_real(fb, &w).1.expect(clean);
     Ok(w)
 }
 

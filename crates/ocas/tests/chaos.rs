@@ -112,3 +112,21 @@ fn chaos_suite_exercises_typed_errors() {
     }
     assert!(typed > 0, "no fault seed ever produced a typed error");
 }
+
+/// A plan that names a relation its workload does not have is a typed
+/// `BadRelation` error on both backends, for all four plan shapes — never
+/// an index out of bounds.
+#[test]
+fn a_plan_over_a_missing_relation_is_a_typed_error() {
+    for w in workloads() {
+        let mut bad = w.clone();
+        bad.rel_specs.clear();
+        for run in [chaos::run_file(&bad, 1), chaos::run_sim(&bad, 1)] {
+            check(&run);
+            let ChaosOutcome::TypedError(e) = &run.outcome else {
+                panic!("{}/{}: {:?}", run.workload, run.backend, run.outcome);
+            };
+            assert!(e.contains("no relation with index 0"), "{e}");
+        }
+    }
+}

@@ -80,34 +80,28 @@ proptest! {
         mut a in proptest::collection::vec(0i64..30, 0..50),
         mut b in proptest::collection::vec(0i64..30, 0..50),
     ) {
-        use ocas_engine::exec::merge_rows;
-        use ocas_engine::MergeKind;
+        use ocas_engine::{merge_bufs, MergeKind, RowBuf};
         a.sort();
         b.sort();
-        let ar: Vec<Vec<i64>> = a.iter().map(|v| vec![*v]).collect();
-        let br: Vec<Vec<i64>> = b.iter().map(|v| vec![*v]).collect();
+        let merge = |a: &[i64], b: &[i64], kind| {
+            let (a, b) = (RowBuf::from_vec(a.to_vec(), 1), RowBuf::from_vec(b.to_vec(), 1));
+            merge_bufs(&a, &b, kind).as_slice().to_vec()
+        };
 
         // Multiset union = sorted concatenation.
         let mut concat = a.clone();
         concat.extend_from_slice(&b);
         concat.sort();
-        let got: Vec<i64> = merge_rows(&ar, &br, MergeKind::MultisetUnionSorted)
-            .into_iter().map(|r| r[0]).collect();
-        prop_assert_eq!(got, concat);
+        prop_assert_eq!(merge(&a, &b, MergeKind::MultisetUnionSorted), concat);
 
         // Set union over deduplicated inputs = BTreeSet union.
-        let ad: Vec<Vec<i64>> = {
-            let mut v = a.clone(); v.dedup(); v.into_iter().map(|x| vec![x]).collect()
-        };
-        let bd: Vec<Vec<i64>> = {
-            let mut v = b.clone(); v.dedup(); v.into_iter().map(|x| vec![x]).collect()
-        };
+        let (mut ad, mut bd) = (a.clone(), b.clone());
+        ad.dedup();
+        bd.dedup();
         let want: Vec<i64> = a.iter().chain(b.iter()).copied()
             .collect::<std::collections::BTreeSet<i64>>()
             .into_iter().collect();
-        let got: Vec<i64> = merge_rows(&ad, &bd, MergeKind::SetUnion)
-            .into_iter().map(|r| r[0]).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(merge(&ad, &bd, MergeKind::SetUnion), want);
 
         // Multiset difference respects multiplicities.
         let mut counts: BTreeMap<i64, i64> = BTreeMap::new();
@@ -116,9 +110,7 @@ proptest! {
         let want: Vec<i64> = counts.iter()
             .flat_map(|(v, c)| std::iter::repeat(*v).take((*c).max(0) as usize))
             .collect();
-        let got: Vec<i64> = merge_rows(&ar, &br, MergeKind::MultisetDiffSorted)
-            .into_iter().map(|r| r[0]).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(merge(&a, &b, MergeKind::MultisetDiffSorted), want);
     }
 
     /// Figure 5's worst-case size analysis upper-bounds the true output
