@@ -19,7 +19,7 @@ use crate::size::{
 use crate::CostError;
 use ocal::{BlockSize, DefName, Expr, SeqAnnot};
 use ocas_hierarchy::{Hierarchy, NodeId};
-use ocas_symbolic::{eval, simplify, Env, EvalError, Expr as Sym};
+use ocas_symbolic::{simplify, Compiled, Env, Expr as Sym, Normal, Rat, Slots};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Symbolic event totals for one directed edge.
@@ -130,36 +130,28 @@ impl Events {
         out
     }
 
-    /// Simplifies every embedded expression.
-    pub fn simplified(&self) -> Events {
-        Events {
-            edges: self
-                .edges
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        *k,
-                        EdgeEvents {
-                            init: simplify(&v.init),
-                            bytes: simplify(&v.bytes),
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Converts the event totals into seconds using the hierarchy's edge
-    /// weights: `Σ init·InitCom + bytes·UnitTr`.
-    pub fn seconds(&self, h: &Hierarchy) -> Result<Sym, CostError> {
-        let mut total = Sym::zero();
+    /// Simplifies every embedded expression and converts the totals into
+    /// seconds using the hierarchy's edge weights, `Σ init·InitCom +
+    /// bytes·UnitTr` — each edge normalised once, the seconds formed as a
+    /// linear combination of those normal forms rather than by simplifying
+    /// the weighted sum of the simplified edges all over again.
+    pub fn priced(&self, h: &Hierarchy) -> Result<(Events, Sym), CostError> {
+        let mut edges = BTreeMap::new();
+        let mut total = Normal::default();
         for ((from, to), ev) in &self.edges {
             let pair = h.edge(*from, *to).map_err(CostError::Hierarchy)?;
-            let init = Sym::rat(pair.init_com.num(), pair.init_com.den());
-            let unit = Sym::rat(pair.unit_tr.num(), pair.unit_tr.den());
-            total = total + ev.init.clone() * init + ev.bytes.clone() * unit;
+            let (init, bytes) = (Normal::of(&ev.init), Normal::of(&ev.bytes));
+            total.add_scaled(Rat::new(pair.init_com.num(), pair.init_com.den()), &init);
+            total.add_scaled(Rat::new(pair.unit_tr.num(), pair.unit_tr.den()), &bytes);
+            edges.insert(
+                (*from, *to),
+                EdgeEvents {
+                    init: init.expr(),
+                    bytes: bytes.expr(),
+                },
+            );
         }
-        Ok(simplify(&total))
+        Ok((Events { edges }, total.expr()))
     }
 }
 
@@ -233,7 +225,14 @@ pub const B_OUT: &str = "b_out";
 /// streaming definitions (`hashPartition`, `partition`).
 pub const B_IN: &str = "b_in";
 
-/// The cost estimation engine (one per program × hierarchy × layout).
+/// How many free parameters [`CostEngine`]'s placement evaluation binds to
+/// its two trial values before it gives up and calls the size infinite.
+const MAX_FREE_PARAMS: usize = 15;
+
+/// The cost estimation engine: one per specification × hierarchy × layout,
+/// i.e. one per synthesis — [`CostEngine::cost`] takes `&self`, keeps
+/// nothing between programs, and the synthesizer's cost workers share one
+/// engine by reference.
 pub struct CostEngine<'h> {
     h: &'h Hierarchy,
     inputs: BTreeMap<String, (Annot, NodeId)>,
@@ -322,19 +321,24 @@ impl<'h> CostEngine<'h> {
     /// the optimizer will choose them to satisfy the capacity constraints,
     /// so the placement question is "can any parameter choice make this
     /// fit?" — approximated by taking the minimum over a small and a large
-    /// parameter assignment.
+    /// parameter assignment. A formula with more than [`MAX_FREE_PARAMS`]
+    /// free parameters, or one that does not evaluate, counts as infinite
+    /// (so the value spills).
     fn numeric(&self, s: &Sym) -> f64 {
-        let simplified = simplify(s);
-        let try_with = |default: f64| -> f64 {
-            let mut env = self.stats.clone();
-            for _ in 0..16 {
-                match eval(&simplified, &env) {
-                    Ok(v) => return v,
-                    Err(EvalError::UnboundVariable(v)) => env.set(v, default),
-                    Err(_) => return f64::INFINITY,
-                }
+        let mut slots = Slots::new();
+        let formula = Compiled::new(&simplify(s), &mut slots);
+        slots.bind_env(&self.stats);
+        let free: Vec<usize> = (0..slots.len())
+            .filter(|i| slots.get(*i).is_none())
+            .collect();
+        if free.len() > MAX_FREE_PARAMS {
+            return f64::INFINITY;
+        }
+        let mut try_with = |default: f64| -> f64 {
+            for slot in &free {
+                slots.set(*slot, default);
             }
-            f64::INFINITY
+            formula.eval(&mut slots).unwrap_or(f64::INFINITY)
         };
         try_with(1.0).min(try_with(1e9))
     }
@@ -386,8 +390,7 @@ impl<'h> CostEngine<'h> {
                 self.charge_write_path(&mut ev, self.root(), mo, &size, &mut ctx);
             }
         }
-        let events = ev.simplified();
-        let seconds = events.seconds(self.h)?;
+        let (events, seconds) = ev.priced(self.h)?;
         // Assemble constraints.
         let mut constraints = ctx.seq_constraints.clone();
         if ctx.used_b_out {
@@ -1450,4 +1453,48 @@ fn find_unfoldr_blocks(e: &Expr) -> Option<(BlockSize, BlockSize)> {
         return Some((b_in.clone(), b_out.clone()));
     }
     e.children().iter().find_map(|c| find_unfoldr_blocks(c))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ocas_hierarchy::presets;
+
+    fn engine(h: &Hierarchy) -> CostEngine<'_> {
+        let stats = Env::new().with("x", 1000.0);
+        CostEngine::new(h, &Layout::default(), BTreeMap::new(), stats, 8).unwrap()
+    }
+
+    #[test]
+    fn placement_takes_the_smaller_of_a_small_and_a_large_assignment() {
+        let h = presets::hdd_ram(1 << 20);
+        let e = engine(&h);
+        let (x, k) = (Sym::var("x"), Sym::var("k"));
+        // Free parameters are tried at 1 and at 1e9; cardinalities are fixed.
+        assert_eq!(e.numeric(&(x.clone() * k.clone())), 1000.0);
+        assert_eq!(
+            e.numeric(&(x.clone() / k.clone())),
+            1000.0 * 1e9f64.powi(-1)
+        );
+        assert_eq!(e.numeric(&x), 1000.0);
+        // What does not evaluate does not fit — at either trial value, or
+        // at one of them (log2(k - 1) is not finite at k = 1).
+        assert_eq!(e.numeric(&(x - Sym::int(1000)).recip()), f64::INFINITY);
+        assert_eq!(e.numeric(&(k - Sym::int(1)).log2()), (1e9f64 - 1.0).log2());
+    }
+
+    #[test]
+    fn a_size_with_too_many_free_parameters_does_not_fit() {
+        let h = presets::hdd_ram(1 << 20);
+        let e = engine(&h);
+        let sum_of = |n: usize| {
+            Sym::Add(
+                (0..n)
+                    .map(|i| Sym::var(format!("p{i}")))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(e.numeric(&sum_of(MAX_FREE_PARAMS)), MAX_FREE_PARAMS as f64);
+        assert_eq!(e.numeric(&sum_of(MAX_FREE_PARAMS + 1)), f64::INFINITY);
+    }
 }

@@ -19,14 +19,28 @@
 //!    incumbent until the iterate is feasible and the step small;
 //! 4. the result is rounded to integers, repairing feasibility downward.
 //!
-//! A simple [`ladder_search`] (powers of two, exhaustive per coordinate) is
-//! provided as the ablation baseline the paper's "maximize k" heuristic
-//! corresponds to.
+//! [`ladder_search`] (powers of two, exhaustive per coordinate — what the
+//! paper's "maximize k" heuristic corresponds to) is the cheap tuner. What
+//! runs where: `ocas::Synthesizer` screens **every** candidate program with
+//! the ladder on its cost workers, ranks them by that, and re-tunes only the
+//! five cheapest with [`optimize`] (falling back to the ladder's answer
+//! where the pattern search finds nothing feasible); the opt-in
+//! branch-and-bound prune asks [`admissible_lower_bound`] first.
+//!
+//! All three probe one formula thousands of times, so none of them calls
+//! `ocas_symbolic::eval` per probe: a problem's objective and constraints
+//! are compiled once against one binding table
+//! (`ocas_symbolic::{Compiled, Slots}`, fixed variables bound at set-up),
+//! and a probe writes its point into the parameter slots and evaluates —
+//! no allocation, no name lookup. The compiled form is bit-equal to `eval`,
+//! so every tuned value and every [`Optimum::evals`] is what the
+//! tree-walking tuner produced (`tests/table1_oracle.rs` holds all 1,909
+//! Table 1 problems to that, `tests/ladder_throughput.rs` gates the ratio).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ocas_symbolic::{eval, Env, Expr as Sym};
+use ocas_symbolic::{eval, Compiled, Env, EvalError, Expr as Sym, Slots};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -52,9 +66,12 @@ impl ParamSpec {
     }
 
     fn hi(&self) -> f64 {
-        self.hi.unwrap_or(2f64.powi(40))
+        self.hi.unwrap_or(DEFAULT_HI)
     }
 }
+
+/// Upper bound of a parameter that declares none: 2⁴⁰.
+const DEFAULT_HI: f64 = (1u64 << 40) as f64;
 
 /// A constrained minimization problem over positive parameters.
 #[derive(Debug, Clone)]
@@ -104,25 +121,74 @@ impl fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
-struct Evaluator<'p> {
+/// A problem's binding table: `fixed` bound once, one slot per parameter.
+/// Formulas compiled through it are evaluated at a point by writing the
+/// point into the parameter slots — a parameter that `fixed` also names
+/// takes the point's value.
+struct Table<'p> {
     problem: &'p Problem,
+    slots: Slots,
+    params: Vec<usize>,
+}
+
+impl<'p> Table<'p> {
+    fn new(problem: &'p Problem) -> Table<'p> {
+        let mut slots = Slots::new();
+        let params = problem.params.iter().map(|p| slots.slot(&p.name)).collect();
+        Table {
+            problem,
+            slots,
+            params,
+        }
+    }
+
+    fn compile(&mut self, e: &Sym) -> Compiled {
+        let formula = Compiled::new(e, &mut self.slots);
+        self.slots.bind_env(&self.problem.fixed);
+        formula
+    }
+
+    fn eval(&mut self, formula: &Compiled, x: &[f64]) -> Result<f64, EvalError> {
+        for (slot, v) in self.params.iter().zip(x) {
+            self.slots.set(*slot, *v);
+        }
+        formula.eval(&mut self.slots)
+    }
+}
+
+struct Evaluator<'p> {
+    table: Table<'p>,
+    objective: Compiled,
+    constraints: Vec<(Compiled, Compiled)>,
     evals: u64,
     first_error: Option<String>,
 }
 
 impl<'p> Evaluator<'p> {
-    fn env(&self, x: &[f64]) -> Env {
-        let mut env = self.problem.fixed.clone();
-        for (spec, v) in self.problem.params.iter().zip(x) {
-            env.set(spec.name.clone(), *v);
+    fn new(problem: &'p Problem) -> Evaluator<'p> {
+        let mut table = Table::new(problem);
+        let objective = table.compile(&problem.objective);
+        let constraints = problem
+            .constraints
+            .iter()
+            .map(|(lhs, rhs)| (table.compile(lhs), table.compile(rhs)))
+            .collect();
+        Evaluator {
+            table,
+            objective,
+            constraints,
+            evals: 0,
+            first_error: None,
         }
-        env
+    }
+
+    fn params(&self) -> &'p [ParamSpec] {
+        &self.table.problem.params
     }
 
     fn objective(&mut self, x: &[f64]) -> Option<f64> {
         self.evals += 1;
-        let env = self.env(x);
-        match eval(&self.problem.objective, &env) {
+        match self.table.eval(&self.objective, x) {
             Ok(v) if v.is_finite() => Some(v),
             Ok(_) => None,
             Err(e) => {
@@ -136,11 +202,10 @@ impl<'p> Evaluator<'p> {
 
     /// Total relative violation `Σ max(0, (lhs−rhs)/max(rhs,1))`.
     fn violation(&mut self, x: &[f64]) -> Option<f64> {
-        let env = self.env(x);
         let mut total = 0.0;
-        for (lhs, rhs) in &self.problem.constraints {
-            let l = eval(lhs, &env).ok()?;
-            let r = eval(rhs, &env).ok()?;
+        for (lhs, rhs) in &self.constraints {
+            let l = self.table.eval(lhs, x).ok()?;
+            let r = self.table.eval(rhs, x).ok()?;
             let scale = r.abs().max(1.0);
             total += ((l - r) / scale).max(0.0);
         }
@@ -163,9 +228,9 @@ fn clamp(x: &mut [f64], params: &[ParamSpec]) {
 
 /// Pattern (coordinate) search in log₂ space.
 fn pattern_search(ev: &mut Evaluator<'_>, start: &[f64], inv_eps: f64, max_iters: u32) -> Vec<f64> {
-    let params: Vec<ParamSpec> = ev.problem.params.clone();
+    let params = ev.params();
     let mut x: Vec<f64> = start.to_vec();
-    clamp(&mut x, &params);
+    clamp(&mut x, params);
     let mut best = ev.penalized(&x, inv_eps).unwrap_or(f64::INFINITY);
     let mut step = 4.0; // log₂ step: ×16 moves initially.
     let mut iters = 0;
@@ -174,18 +239,21 @@ fn pattern_search(ev: &mut Evaluator<'_>, start: &[f64], inv_eps: f64, max_iters
         let mut improved = false;
         for i in 0..x.len() {
             for dir in [step, -step] {
-                let mut cand = x.clone();
-                cand[i] = (cand[i].max(1e-9).log2() + dir).exp2();
-                clamp(&mut cand, &params);
-                if (cand[i] - x[i]).abs() < f64::EPSILON {
+                // The candidate is `x` with coordinate `i` moved, probed in
+                // place and moved back unless it is an improvement.
+                let here = x[i];
+                let moved = (here.max(1e-9).log2() + dir).exp2();
+                let moved = moved.max(params[i].lo).min(params[i].hi());
+                if (moved - here).abs() < f64::EPSILON {
                     continue;
                 }
-                if let Some(val) = ev.penalized(&cand, inv_eps) {
-                    if val < best {
+                x[i] = moved;
+                match ev.penalized(&x, inv_eps) {
+                    Some(val) if val < best => {
                         best = val;
-                        x = cand;
                         improved = true;
                     }
+                    _ => x[i] = here,
                 }
             }
         }
@@ -199,9 +267,8 @@ fn pattern_search(ev: &mut Evaluator<'_>, start: &[f64], inv_eps: f64, max_iters
 /// Sequential-penalty derivative-free minimization.
 pub fn optimize(problem: &Problem) -> Result<Optimum, OptError> {
     if problem.params.is_empty() {
-        let env = problem.fixed.clone();
-        let objective =
-            eval(&problem.objective, &env).map_err(|e| OptError::Unevaluable(e.to_string()))?;
+        let objective = eval(&problem.objective, &problem.fixed)
+            .map_err(|e| OptError::Unevaluable(e.to_string()))?;
         return Ok(Optimum {
             values: BTreeMap::new(),
             objective,
@@ -209,11 +276,7 @@ pub fn optimize(problem: &Problem) -> Result<Optimum, OptError> {
             evals: 1,
         });
     }
-    let mut ev = Evaluator {
-        problem,
-        evals: 0,
-        first_error: None,
-    };
+    let mut ev = Evaluator::new(problem);
     let n = problem.params.len();
 
     // Multi-start: geometric low / mid / high points.
@@ -318,34 +381,31 @@ pub fn admissible_lower_bound(problem: &Problem) -> Result<f64, OptError> {
         Sym::Add(ts) => ts,
         other => vec![other],
     };
+    let mut table = Table::new(problem);
+    // Unmentioned parameters still need *some* value for eval.
+    let floor: Vec<f64> = problem.params.iter().map(|p| p.lo.max(1.0)).collect();
     let mut total = 0.0f64;
     let mut any_evaluable = false;
     for term in &terms {
         let vars = term.vars();
-        let involved: Vec<&ParamSpec> = problem
-            .params
-            .iter()
-            .filter(|p| vars.contains(&p.name))
+        let involved: Vec<usize> = (0..problem.params.len())
+            .filter(|i| vars.contains(&problem.params[*i].name))
             .collect();
         if involved.len() > MAX_BOUND_PARAMS {
             continue; // Contributes 0; bound stays below the optimum.
         }
+        let formula = table.compile(term);
+        let mut x = floor.clone();
         let mut best: Option<f64> = None;
         for corner in 0..(1u32 << involved.len()) {
-            let mut env = problem.fixed.clone();
-            // Unmentioned parameters still need *some* value for eval.
-            for p in &problem.params {
-                env.set(p.name.clone(), p.lo.max(1.0));
-            }
-            for (bit, p) in involved.iter().enumerate() {
-                let v = if corner & (1 << bit) == 0 {
-                    p.lo.max(1.0)
+            for (bit, i) in involved.iter().enumerate() {
+                x[*i] = if corner & (1 << bit) == 0 {
+                    floor[*i]
                 } else {
-                    p.hi()
+                    problem.params[*i].hi()
                 };
-                env.set(p.name.clone(), v);
             }
-            if let Ok(v) = eval(term, &env) {
+            if let Ok(v) = table.eval(&formula, &x) {
                 if v.is_finite() {
                     best = Some(best.map_or(v, |b: f64| b.min(v)));
                     any_evaluable = true;
@@ -365,19 +425,15 @@ pub fn admissible_lower_bound(problem: &Problem) -> Result<f64, OptError> {
 /// Per-term parameter cap for [`admissible_lower_bound`]'s corner sweep.
 pub const MAX_BOUND_PARAMS: usize = 12;
 
-/// Exhaustive powers-of-two coordinate descent — the ablation baseline.
-/// Each parameter sweeps `2⁰ … 2⁴⁰` (clamped to its box) while the others
-/// stay fixed, repeating until no coordinate improves. Infeasible points are
-/// skipped outright.
+/// Exhaustive powers-of-two coordinate descent — the tuner the synthesizer
+/// screens every candidate with. Each parameter sweeps `2⁰ … 2⁴⁰` (clamped
+/// to its box) while the others stay fixed, repeating until no coordinate
+/// improves. Infeasible points are skipped outright.
 pub fn ladder_search(problem: &Problem) -> Result<Optimum, OptError> {
     if problem.params.is_empty() {
         return optimize(problem);
     }
-    let mut ev = Evaluator {
-        problem,
-        evals: 0,
-        first_error: None,
-    };
+    let mut ev = Evaluator::new(problem);
     let mut x: Vec<f64> = problem.params.iter().map(|p| p.lo.max(1.0)).collect();
     fn feas_obj(ev: &mut Evaluator<'_>, x: &[f64]) -> Option<f64> {
         let v = ev.violation(x)?;
@@ -391,17 +447,17 @@ pub fn ladder_search(problem: &Problem) -> Result<Optimum, OptError> {
         let mut improved = false;
         for i in 0..x.len() {
             for e in 0..=40u32 {
-                let cand_v = (2f64.powi(e as i32))
+                // `x` with coordinate `i` on rung `e`, probed in place.
+                let here = x[i];
+                x[i] = (2f64.powi(e as i32))
                     .max(problem.params[i].lo)
                     .min(problem.params[i].hi());
-                let mut cand = x.clone();
-                cand[i] = cand_v;
-                if let Some(val) = feas_obj(&mut ev, &cand) {
-                    if val < best {
+                match feas_obj(&mut ev, &x) {
+                    Some(val) if val < best => {
                         best = val;
-                        x = cand;
                         improved = true;
                     }
+                    _ => x[i] = here,
                 }
             }
         }
@@ -603,6 +659,25 @@ mod tests {
             );
             assert!(lb >= 0.0, "transfer-term bound went negative: {lb}");
         }
+    }
+
+    #[test]
+    fn a_parameter_that_fixed_also_names_takes_the_probes_value() {
+        // `k` is a parameter *and* has a fixed value: the point wins, as it
+        // did when the parameters were `Env::set` over a copy of `fixed`.
+        let p = Problem {
+            objective: v("x") / v("k") + v("k"),
+            params: vec![ParamSpec::new("k", Some(1e6))],
+            constraints: vec![(v("k"), v("x"))],
+            fixed: Env::new().with("x", 4096.0).with("k", 1e5),
+        };
+        let o = ladder_search(&p).unwrap();
+        assert_eq!(o.values["k"], 64);
+        assert_eq!(o.objective, 128.0);
+        let o = optimize(&p).unwrap();
+        assert!((60..=68).contains(&o.values["k"]), "{o:?}");
+        let bound = admissible_lower_bound(&p).unwrap();
+        assert_eq!(bound, 1e6f64.powi(-1) * 4096.0 + 1.0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Numeric evaluation of symbolic expressions.
 
+use crate::compiled::{Compiled, Slots};
 use crate::expr::Expr;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -78,90 +79,17 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Upper bound on numerically iterated (non-closed-form) sums.
-const MAX_SUM_ITERS: u64 = 4_000_000;
-
 /// Evaluates `e` under `env`. Unexpanded sums are iterated numerically when
 /// small; run [`crate::simplify`] first to get closed forms for large ranges.
+///
+/// The one-shot entry: it compiles `e` ([`Compiled`]), binds the names `env`
+/// has and evaluates once. A formula evaluated more than once should be
+/// compiled by its caller instead.
 pub fn eval(e: &Expr, env: &Env) -> Result<f64, EvalError> {
-    match e {
-        Expr::Const(r) => Ok(r.to_f64()),
-        Expr::Var(v) => env
-            .get(v)
-            .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-        Expr::Add(xs) => {
-            let mut acc = 0.0;
-            for x in xs {
-                acc += eval(x, env)?;
-            }
-            Ok(acc)
-        }
-        Expr::Mul(xs) => {
-            let mut acc = 1.0;
-            for x in xs {
-                acc *= eval(x, env)?;
-            }
-            Ok(acc)
-        }
-        Expr::Pow(b, k) => {
-            let v = eval(b, env)?.powi(*k);
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(EvalError::NonFinite("pow"))
-            }
-        }
-        Expr::Ceil(x) => Ok(eval(x, env)?.ceil()),
-        Expr::Floor(x) => Ok(eval(x, env)?.floor()),
-        Expr::Max(xs) => {
-            let mut acc = f64::NEG_INFINITY;
-            for x in xs {
-                acc = acc.max(eval(x, env)?);
-            }
-            Ok(acc)
-        }
-        Expr::Min(xs) => {
-            let mut acc = f64::INFINITY;
-            for x in xs {
-                acc = acc.min(eval(x, env)?);
-            }
-            Ok(acc)
-        }
-        Expr::Log2(x) => {
-            let v = eval(x, env)?.log2();
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(EvalError::NonFinite("log2"))
-            }
-        }
-        Expr::Sum {
-            var,
-            from,
-            to,
-            body,
-        } => {
-            let lo = eval(from, env)?.ceil() as i64;
-            let hi = eval(to, env)?.floor() as i64;
-            if hi < lo {
-                return Ok(0.0);
-            }
-            let span = (hi - lo + 1) as u64;
-            if span > MAX_SUM_ITERS {
-                return Err(EvalError::SumTooLarge {
-                    var: var.clone(),
-                    span,
-                });
-            }
-            let mut inner = env.clone();
-            let mut acc = 0.0;
-            for j in lo..=hi {
-                inner.set(var.clone(), j as f64);
-                acc += eval(body, &inner)?;
-            }
-            Ok(acc)
-        }
-    }
+    let mut slots = Slots::new();
+    let formula = Compiled::new(e, &mut slots);
+    slots.bind_env(env);
+    formula.eval(&mut slots)
 }
 
 #[cfg(test)]

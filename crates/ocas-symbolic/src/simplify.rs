@@ -41,15 +41,23 @@ impl Poly {
     }
 
     fn add(&self, other: &Poly) -> Poly {
-        let mut out = self.terms.clone();
+        let mut out = self.clone();
+        out.add_scaled(Rat::ONE, other);
+        out
+    }
+
+    /// `self += coeff · other`, in place.
+    fn add_scaled(&mut self, coeff: Rat, other: &Poly) {
+        if coeff.is_zero() {
+            return;
+        }
         for (m, c) in &other.terms {
-            let entry = out.entry(m.clone()).or_insert(Rat::ZERO);
-            *entry = *entry + *c;
+            let entry = self.terms.entry(m.clone()).or_insert(Rat::ZERO);
+            *entry = *entry + coeff * *c;
             if entry.is_zero() {
-                out.remove(m);
+                self.terms.remove(m);
             }
         }
-        Poly { terms: out }
     }
 
     fn neg(&self) -> Poly {
@@ -116,6 +124,33 @@ pub fn simplify(e: &Expr) -> Expr {
     from_poly(&to_poly(e))
 }
 
+/// A normal form that is still a polynomial — what [`simplify`] builds
+/// before it writes it out as an [`Expr`]. A caller that goes on to form a
+/// linear combination of expressions it has just normalised (the cost
+/// engine's `Σ init·InitCom + bytes·UnitTr` over already-simplified edge
+/// totals) combines the polynomials with [`Normal::add_scaled`] instead of
+/// building the sum as an `Expr` and having `simplify` parse every term
+/// back; the result is the one `simplify` of that sum would give.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Normal(Poly);
+
+impl Normal {
+    /// Normalises `e`; `Normal::of(e).expr() == simplify(e)`.
+    pub fn of(e: &Expr) -> Normal {
+        Normal(to_poly(e))
+    }
+
+    /// The normal form as an expression.
+    pub fn expr(&self) -> Expr {
+        from_poly(&self.0)
+    }
+
+    /// `self += coeff · term`.
+    pub fn add_scaled(&mut self, coeff: Rat, term: &Normal) {
+        self.0.add_scaled(coeff, &term.0);
+    }
+}
+
 fn to_poly(e: &Expr) -> Poly {
     match e {
         Expr::Const(r) => Poly::constant(*r),
@@ -123,12 +158,12 @@ fn to_poly(e: &Expr) -> Poly {
         Expr::Add(xs) => {
             let mut acc = Poly::default();
             for x in xs {
-                acc = acc.add(&to_poly(x));
+                acc.add_scaled(Rat::ONE, &to_poly(x));
             }
             acc
         }
-        Expr::Mul(xs) => product_poly(xs.iter().map(|x| (x.clone(), 1))),
-        Expr::Pow(base, k) => product_poly([((**base).clone(), *k)]),
+        Expr::Mul(xs) => product_poly(xs.iter().map(|x| (x, 1))),
+        Expr::Pow(base, k) => product_poly([(&**base, *k)]),
         Expr::Ceil(inner) => rounded(inner, true),
         Expr::Floor(inner) => rounded(inner, false),
         Expr::Max(xs) => fold_minmax(xs, true),
@@ -156,26 +191,31 @@ fn to_poly(e: &Expr) -> Poly {
 /// factors with opposite exponents cancel *before* polynomial expansion —
 /// this is what makes `(x+1) * 1/(x+1)` collapse to `1` even though the
 /// inverse of a multi-term polynomial is otherwise an opaque atom.
-fn product_poly(factors: impl IntoIterator<Item = (Expr, i32)>) -> Poly {
+///
+/// Each factor is normalised once: the multiset holds the factors' `Poly`s
+/// and compares those — two factors have the same normal form exactly when
+/// they have the same polynomial — instead of writing every factor out as
+/// an `Expr` key and parsing the key back into a `Poly`, which, a factor
+/// being as deep as the loop nest it came from, used to redo the whole
+/// subtree at every level.
+fn product_poly<'a>(factors: impl IntoIterator<Item = (&'a Expr, i32)>) -> Poly {
     let mut coeff = Rat::ONE;
-    let mut bases: BTreeMap<Expr, i32> = BTreeMap::new();
+    let mut bases: Vec<(Poly, i32)> = Vec::new();
     let mut saw_zero = false;
-    let mut stack: Vec<(Expr, i32)> = factors.into_iter().collect();
+    let mut stack: Vec<(&Expr, i32)> = factors.into_iter().collect();
     while let Some((x, k)) = stack.pop() {
         match x {
-            Expr::Mul(inner) => stack.extend(inner.into_iter().map(|i| (i, k))),
-            Expr::Pow(b, j) => stack.push((*b, k.saturating_mul(j))),
+            Expr::Mul(inner) => stack.extend(inner.iter().map(|i| (i, k))),
+            Expr::Pow(b, j) => stack.push((b, k.saturating_mul(*j))),
             other => {
-                let s = simplify(&other);
-                match s {
-                    Expr::Const(r) => {
-                        if r.is_zero() {
-                            saw_zero = true;
-                        } else {
-                            coeff = coeff * r.powi(k);
-                        }
-                    }
-                    s => *bases.entry(s).or_insert(0) += k,
+                let p = to_poly(other);
+                match p.as_const() {
+                    Some(r) if r.is_zero() => saw_zero = true,
+                    Some(r) => coeff = coeff * r.powi(k),
+                    None => match bases.iter_mut().find(|(base, _)| *base == p) {
+                        Some((_, exp)) => *exp += k,
+                        None => bases.push((p, k)),
+                    },
                 }
             }
         }
@@ -184,9 +224,9 @@ fn product_poly(factors: impl IntoIterator<Item = (Expr, i32)>) -> Poly {
         return Poly::default();
     }
     let mut acc = Poly::constant(coeff);
-    for (base, exp) in bases {
+    for (p, exp) in bases {
         if exp != 0 {
-            acc = acc.mul(&pow_poly(&to_poly(&base), exp));
+            acc = acc.mul(&pow_poly(&p, exp));
         }
     }
     acc
@@ -205,13 +245,22 @@ fn pow_poly(p: &Poly, k: i32) -> Poly {
         return Poly::constant(c.powi(k));
     }
     if let Some((m, c)) = p.as_single() {
+        // Invert atom by atom — except that a multi-term denominator coming
+        // back up (`1/(1/(x+1))`) is a polynomial again, not an atom with a
+        // positive exponent: sums are only ever atoms below the line.
         let mut inv = Monomial::new();
+        let mut sums = Poly::constant(c.recip());
         for (a, e) in m {
-            inv.insert(a.clone(), -e);
+            match a {
+                Expr::Add(_) if *e < 0 => sums = sums.mul(&to_poly(a).powi(e.unsigned_abs())),
+                _ => {
+                    inv.insert(a.clone(), -e);
+                }
+            }
         }
-        let base = Poly {
-            terms: [(inv, c.recip())].into_iter().collect(),
-        };
+        let base = sums.mul(&Poly {
+            terms: [(inv, Rat::ONE)].into_iter().collect(),
+        });
         return base.powi((-k) as u32);
     }
     let atom = from_poly(p);
@@ -252,24 +301,29 @@ fn rounded(inner: &Expr, is_ceil: bool) -> Poly {
 fn fold_minmax(xs: &[Expr], is_max: bool) -> Poly {
     let mut consts: Vec<Rat> = Vec::new();
     let mut others: Vec<Expr> = Vec::new();
-    let mut stack: Vec<Expr> = xs.to_vec();
-    while let Some(x) = stack.pop() {
-        // Flatten same-kind nesting.
-        match (&x, is_max) {
-            (Expr::Max(inner), true) | (Expr::Min(inner), false) => {
-                stack.extend(inner.iter().cloned());
-                continue;
+    let mut note = |s: Expr| match s.as_const() {
+        Some(c) => consts.push(c),
+        None => {
+            if !others.contains(&s) {
+                others.push(s);
             }
-            _ => {}
         }
-        let s = simplify(&x);
-        match s.as_const() {
-            Some(c) => consts.push(c),
-            None => {
-                if !others.contains(&s) {
-                    others.push(s);
+    };
+    let mut stack: Vec<&Expr> = xs.iter().collect();
+    while let Some(x) = stack.pop() {
+        match (x, is_max) {
+            // Flatten same-kind nesting.
+            (Expr::Max(inner), true) | (Expr::Min(inner), false) => stack.extend(inner),
+            _ => match (simplify(x), is_max) {
+                // An operand that only turns out to be a same-kind `max`/
+                // `min` once simplified (`max(1*max(a, b), c)`) is flattened
+                // too — its operands are normal and flat already — so that
+                // a normal form parses back into itself.
+                (Expr::Max(inner), true) | (Expr::Min(inner), false) => {
+                    inner.into_iter().for_each(&mut note)
                 }
-            }
+                (s, _) => note(s),
+            },
         }
     }
     let folded = if is_max {
@@ -398,9 +452,163 @@ fn from_poly(p: &Poly) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(n: &str) -> Expr {
         Expr::var(n)
+    }
+
+    /// `product_poly` as it was before it carried each factor's `Poly`:
+    /// `simplify` the factor to an `Expr`, key by it, parse the key again.
+    /// Kept as the parity oracle (Deletion policy).
+    fn product_poly_reference(factors: impl IntoIterator<Item = (Expr, i32)>) -> Poly {
+        let mut coeff = Rat::ONE;
+        let mut bases: BTreeMap<Expr, i32> = BTreeMap::new();
+        let mut saw_zero = false;
+        let mut stack: Vec<(Expr, i32)> = factors.into_iter().collect();
+        while let Some((x, k)) = stack.pop() {
+            match x {
+                Expr::Mul(inner) => stack.extend(inner.into_iter().map(|i| (i, k))),
+                Expr::Pow(b, j) => stack.push((*b, k.saturating_mul(j))),
+                other => {
+                    let s = simplify(&other);
+                    match s {
+                        Expr::Const(r) => {
+                            if r.is_zero() {
+                                saw_zero = true;
+                            } else {
+                                coeff = coeff * r.powi(k);
+                            }
+                        }
+                        s => *bases.entry(s).or_insert(0) += k,
+                    }
+                }
+            }
+        }
+        if saw_zero {
+            return Poly::default();
+        }
+        let mut acc = Poly::constant(coeff);
+        for (base, exp) in bases {
+            if exp != 0 {
+                acc = acc.mul(&pow_poly(&to_poly(&base), exp));
+            }
+        }
+        acc
+    }
+
+    /// `simplify` with the reference product at the top node. Below it the
+    /// reference calls `simplify` on strict subexpressions, so holding
+    /// `simplify(s) == simplify_reference(s)` for every subexpression `s`
+    /// of an input is the induction that the two agree on the input.
+    fn simplify_reference(e: &Expr) -> Expr {
+        from_poly(&match e {
+            Expr::Mul(xs) => product_poly_reference(xs.iter().map(|x| (x.clone(), 1))),
+            Expr::Pow(base, k) => product_poly_reference([((**base).clone(), *k)]),
+            other => to_poly(other),
+        })
+    }
+
+    fn subexpressions<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+        out.push(e);
+        match e {
+            Expr::Const(_) | Expr::Var(_) => {}
+            Expr::Add(xs) | Expr::Mul(xs) | Expr::Max(xs) | Expr::Min(xs) => {
+                xs.iter().for_each(|x| subexpressions(x, out))
+            }
+            Expr::Pow(x, _) | Expr::Ceil(x) | Expr::Floor(x) | Expr::Log2(x) => {
+                subexpressions(x, out)
+            }
+            Expr::Sum { from, to, body, .. } => {
+                [from, to, body].iter().for_each(|x| subexpressions(x, out))
+            }
+        }
+    }
+
+    /// splitmix64, seeded per case by proptest.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+    }
+
+    /// Cost-formula-shaped expressions: products and quotients of sums
+    /// nested a few levels deep (one level per loop of a candidate), with
+    /// repeated subterms so that bases meet and cancel, rounding, `max`/
+    /// `min`, logarithms and bounded sums.
+    fn formula(g: &mut Gen, depth: u32) -> Expr {
+        if depth == 0 || g.below(5) == 0 {
+            return match g.below(3) {
+                0 => Expr::rat(g.below(7) as i128 - 2, g.below(3) as i128 + 1),
+                1 => Expr::int(g.pick(&[0, 1, 2, 3, 8])),
+                _ => v(g.pick(&["x", "y", "k1", "k2", "b_out"])),
+            };
+        }
+        let list = |g: &mut Gen, min: u64| -> Vec<Expr> {
+            (0..min + g.below(3))
+                .map(|_| formula(g, depth - 1))
+                .collect()
+        };
+        match g.below(12) {
+            0..=2 => Expr::Mul(list(g, 1)),
+            3 | 4 => Expr::Add(list(g, 1)),
+            5 => formula(g, depth - 1).pow(g.pick(&[-2, -1, -1, 0, 1, 2])),
+            6 => {
+                // The shape that cancels: d * (… / d).
+                let d = formula(g, depth - 1);
+                d.clone() * (formula(g, depth - 1) / d)
+            }
+            7 => formula(g, depth - 1).ceil(),
+            8 => formula(g, depth - 1).floor(),
+            9 => Expr::Max(list(g, 1)),
+            10 => match g.below(2) {
+                0 => Expr::Min(list(g, 1)),
+                _ => formula(g, depth - 1).log2(),
+            },
+            _ => Expr::sum(
+                "j",
+                Expr::int(g.below(2) as i128),
+                formula(g, 1),
+                formula(g, depth - 1) * v("j").pow(g.pick(&[0, 1, 1, 2, 4])),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+
+        #[test]
+        fn simplify_equals_the_reference_on_every_subexpression(seed in 0u64..u64::MAX) {
+            let e = formula(&mut Gen(seed), 4);
+            let mut subs = Vec::new();
+            subexpressions(&e, &mut subs);
+            for s in subs {
+                prop_assert_eq!(simplify(s), simplify_reference(s), "for {}", s);
+            }
+        }
+
+        /// What carrying the `Poly` relies on: a normal form parses back
+        /// into the polynomial it was built from.
+        #[test]
+        fn a_normal_form_parses_back_into_its_polynomial(seed in 0u64..u64::MAX) {
+            let e = formula(&mut Gen(seed), 4);
+            let mut subs = Vec::new();
+            subexpressions(&e, &mut subs);
+            for s in subs {
+                let p = to_poly(s);
+                prop_assert_eq!(to_poly(&from_poly(&p)), p, "for {}", s);
+            }
+        }
     }
 
     #[test]
@@ -499,6 +707,45 @@ mod tests {
         let d = v("x") + Expr::int(1);
         let e = d.clone() * (Expr::one() / d.clone());
         assert_eq!(simplify(&e), Expr::int(1));
+    }
+
+    #[test]
+    fn a_max_that_appears_on_simplification_is_flattened() {
+        // `1*max(a, b)` is not a `max` until simplified; it used to stay
+        // nested, and flatten only on a second `simplify`.
+        let nested = Expr::max_of(vec![Expr::one() * v("a").max(v("b")), v("c")]);
+        let flat = Expr::max_of(vec![v("a"), v("b"), v("c")]);
+        assert_eq!(simplify(&nested), simplify(&flat));
+        assert_eq!(simplify(&simplify(&nested)), simplify(&nested));
+    }
+
+    #[test]
+    fn a_sum_leaves_the_denominator_as_a_polynomial() {
+        // 1/min(1/(x+1)): the inverse of the single monomial (x+1)^-1 used
+        // to be the atom (x+1)^1, expanded only by a second `simplify`.
+        let d = v("x") + Expr::int(1);
+        let e = Expr::min_of(vec![d.clone().recip()]).recip() * v("y");
+        assert_eq!(simplify(&e), simplify(&(d * v("y"))));
+    }
+
+    #[test]
+    fn a_linear_combination_of_normal_forms_is_the_simplified_sum() {
+        let a = (v("x") / v("k1")).ceil() + v("x") * v("y") / (v("k1") * v("k2"));
+        let b = v("x") * Expr::int(8) + (v("x") / v("k1")) * v("y") * Expr::int(8);
+        let (ca, cb) = (Rat::new(3, 200), Rat::new(1, 31_457_280));
+        let (na, nb) = (Normal::of(&a), Normal::of(&b));
+        let mut total = Normal::default();
+        total.add_scaled(ca, &na);
+        total.add_scaled(cb, &nb);
+        total.add_scaled(Rat::ZERO, &na);
+        // The sum the cost engine used to build and re-parse.
+        let as_expr = Expr::zero() + na.expr() * Expr::Const(ca) + nb.expr() * Expr::Const(cb);
+        assert_eq!(total.expr(), simplify(&as_expr));
+        // Opposite terms cancel to the empty polynomial.
+        total.add_scaled(-ca, &na);
+        total.add_scaled(-cb, &nb);
+        assert_eq!(total, Normal::default());
+        assert_eq!(total.expr(), Expr::int(0));
     }
 
     #[test]

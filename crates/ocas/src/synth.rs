@@ -145,6 +145,17 @@ struct PreparedCost {
     report: CostReport,
 }
 
+/// What a cost worker measured for one job; it becomes a trace span at
+/// the index-sorted merge (workers carry no recorder).
+struct JobTiming {
+    worker: usize,
+    index: usize,
+    start: f64,
+    dur: f64,
+    evals: u64,
+    params: usize,
+}
+
 /// What a cost worker produced for one program index.
 enum CostOut {
     Costed(usize, Box<Candidate>),
@@ -173,7 +184,7 @@ struct PipelineHooks<'a> {
     prune: Option<PruneCfg>,
     incumbent: &'a AtomicU64,
     prepared: &'a Mutex<HashMap<usize, PreparedCost>>,
-    synth: &'a Synthesizer,
+    engine: &'a CostEngine<'a>,
     spec: &'a Spec,
 }
 
@@ -200,7 +211,7 @@ impl SearchHooks for PipelineHooks<'_> {
         // rather than waiting for the asynchronous cost worker — by the
         // time the worker gets to this program the frontier has moved on.
         // The analysis is stashed for that worker so it is not repeated.
-        match self.synth.candidate_problem(self.spec, program) {
+        match candidate_problem(self.engine, self.spec, program) {
             Ok((problem, report)) => match admissible_lower_bound(&problem) {
                 Ok(lb) => {
                     let verdict = lb <= prune.slack * incumbent;
@@ -221,6 +232,56 @@ impl SearchHooks for PipelineHooks<'_> {
             Err(_) => true,
         }
     }
+}
+
+/// Cost-analyzes one program into an optimization problem.
+fn candidate_problem(
+    engine: &CostEngine<'_>,
+    spec: &Spec,
+    program: &Expr,
+) -> Result<(Problem, CostReport), CostError> {
+    let report: CostReport = engine.cost(program)?;
+    let problem = Problem {
+        objective: report.seconds.clone(),
+        params: report
+            .params
+            .iter()
+            .map(|p| ocas_opt::ParamSpec::new(p.clone(), None))
+            .collect(),
+        constraints: report
+            .constraints
+            .iter()
+            .map(|c| (c.lhs.clone(), c.rhs.clone()))
+            .collect(),
+        fixed: spec.stats.clone(),
+    };
+    Ok((problem, report))
+}
+
+/// Costs one program and tunes its parameters (cheap ladder screening,
+/// optionally refined with the full pattern search).
+fn cost_candidate(
+    engine: &CostEngine<'_>,
+    spec: &Spec,
+    program: &Expr,
+    depth: u32,
+    refine: bool,
+) -> Result<Candidate, CostError> {
+    let (problem, report) = candidate_problem(engine, spec, program)?;
+    let tuned: Optimum = if refine {
+        optimize(&problem)
+            .or_else(|_| ladder_search(&problem))
+            .map_err(|_| CostError::Unsupported("parameter optimization"))?
+    } else {
+        ladder_search(&problem).map_err(|_| CostError::Unsupported("parameter optimization"))?
+    };
+    Ok(Candidate {
+        program: program.clone(),
+        depth,
+        params: tuned.values,
+        seconds: tuned.objective,
+        formula: report.seconds,
+    })
 }
 
 impl Synthesizer {
@@ -284,63 +345,6 @@ impl Synthesizer {
             .collect()
     }
 
-    /// Cost-analyzes one program into an optimization problem.
-    fn candidate_problem(
-        &self,
-        spec: &Spec,
-        program: &Expr,
-    ) -> Result<(Problem, CostReport), CostError> {
-        let engine = CostEngine::new(
-            &self.hierarchy,
-            &self.layout,
-            spec.annots.clone(),
-            spec.stats.clone(),
-            spec.int_size,
-        )?;
-        let report: CostReport = engine.cost(program)?;
-        let problem = Problem {
-            objective: report.seconds.clone(),
-            params: report
-                .params
-                .iter()
-                .map(|p| ocas_opt::ParamSpec::new(p.clone(), None))
-                .collect(),
-            constraints: report
-                .constraints
-                .iter()
-                .map(|c| (c.lhs.clone(), c.rhs.clone()))
-                .collect(),
-            fixed: spec.stats.clone(),
-        };
-        Ok((problem, report))
-    }
-
-    /// Costs one program and tunes its parameters (cheap ladder screening,
-    /// optionally refined with the full pattern search).
-    fn cost_candidate(
-        &self,
-        spec: &Spec,
-        program: &Expr,
-        depth: u32,
-        refine: bool,
-    ) -> Result<Candidate, CostError> {
-        let (problem, report) = self.candidate_problem(spec, program)?;
-        let tuned: Optimum = if refine {
-            optimize(&problem)
-                .or_else(|_| ladder_search(&problem))
-                .map_err(|_| CostError::Unsupported("parameter optimization"))?
-        } else {
-            ladder_search(&problem).map_err(|_| CostError::Unsupported("parameter optimization"))?
-        };
-        Ok(Candidate {
-            program: program.clone(),
-            depth,
-            params: tuned.values,
-            seconds: tuned.objective,
-            formula: report.seconds,
-        })
-    }
-
     /// Runs the full pipeline on a specification.
     pub fn synthesize(&self, spec: &Spec) -> Result<Synthesis, SynthError> {
         let validation = if self.validate {
@@ -359,12 +363,22 @@ impl Synthesizer {
             workers: self.search_workers,
         };
         let rules = self.rules();
+        // One engine per synthesis, shared by reference with the workers.
+        let engine = CostEngine::new(
+            &self.hierarchy,
+            &self.layout,
+            spec.annots.clone(),
+            spec.stats.clone(),
+            spec.int_size,
+        )
+        .map_err(SynthError::Cost)?;
+        let engine = &engine;
 
         let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
         if self.prune.is_some() {
             // Seed the incumbent with the spec's own tuned cost so the
             // bound has something to prune against from the start.
-            if let Ok(c) = self.cost_candidate(spec, &spec.program, 0, false) {
+            if let Ok(c) = cost_candidate(engine, spec, &spec.program, 0, false) {
                 fetch_min(&incumbent, c.seconds);
             }
         }
@@ -387,7 +401,7 @@ impl Synthesizer {
         } else {
             None
         };
-        let timings: Mutex<Vec<(usize, usize, f64, f64)>> = Mutex::new(Vec::new());
+        let timings: Mutex<Vec<JobTiming>> = Mutex::new(Vec::new());
 
         let search_result = std::thread::scope(|s| {
             for w in 0..cost_workers {
@@ -404,13 +418,15 @@ impl Synthesizer {
                     let ready = prepared.lock().unwrap().remove(&job.index);
                     let analyzed = match ready {
                         Some(pc) => Ok((pc.problem, pc.report, Some(pc.lower_bound))),
-                        None => self
-                            .candidate_problem(spec, &job.program)
+                        None => candidate_problem(engine, spec, &job.program)
                             .map(|(problem, report)| (problem, report, None)),
                     };
+                    // How hard the job was to tune, for its trace span.
+                    let (mut evals, mut params) = (0u64, 0usize);
                     let out = match analyzed {
                         Err(_) => CostOut::Uncosted(job.index),
                         Ok((problem, report, bound)) => {
+                            params = problem.params.len();
                             let screened = self.prune.is_some_and(|p| {
                                 let inc = f64::from_bits(incumbent.load(Ordering::Relaxed));
                                 inc.is_finite()
@@ -425,6 +441,7 @@ impl Synthesizer {
                                 match ladder_search(&problem) {
                                     Err(_) => CostOut::Uncosted(job.index),
                                     Ok(tuned) => {
+                                        evals = tuned.evals;
                                         fetch_min(incumbent, tuned.objective);
                                         CostOut::Costed(
                                             job.index,
@@ -441,9 +458,15 @@ impl Synthesizer {
                             }
                         }
                     };
-                    if let (Some(s0), Some((epoch, _))) = (t0, obs_epoch) {
-                        let dur = epoch.elapsed().as_secs_f64() - s0;
-                        timings.lock().unwrap().push((w, job.index, s0, dur));
+                    if let (Some(start), Some((epoch, _))) = (t0, obs_epoch) {
+                        timings.lock().unwrap().push(JobTiming {
+                            worker: w,
+                            index: job.index,
+                            start,
+                            dur: epoch.elapsed().as_secs_f64() - start,
+                            evals,
+                            params,
+                        });
                     }
                     results.lock().unwrap().push(out);
                 });
@@ -453,7 +476,7 @@ impl Synthesizer {
                 prune: self.prune,
                 incumbent: &incumbent,
                 prepared: &prepared,
-                synth: self,
+                engine,
                 spec,
             };
             let result = search_with(
@@ -481,17 +504,24 @@ impl Synthesizer {
         });
         if let Some((_, base)) = obs_epoch {
             // One wall-clock span per cost job on its worker's track,
-            // recorded in program-index order.
+            // recorded in program-index order, with how hard the candidate
+            // was to tune: the ladder's objective evaluations and the
+            // number of parameters it ranged over (0 and 0 for a program
+            // the engine could not analyze).
             let mut ts = timings.into_inner().unwrap();
-            ts.sort_unstable_by_key(|&(_, i, _, _)| i);
-            for (w, i, s0, dur) in ts {
+            ts.sort_unstable_by_key(|t| t.index);
+            for t in ts {
                 ocas_obs::span(
                     ocas_obs::Clock::Wall,
-                    &format!("cost-w{w}"),
+                    &format!("cost-w{}", t.worker),
                     "cost",
-                    base + s0,
-                    dur,
-                    &[("index", i as f64)],
+                    base + t.start,
+                    t.dur,
+                    &[
+                        ("index", t.index as f64),
+                        ("evals", t.evals as f64),
+                        ("params", t.params as f64),
+                    ],
                 );
             }
         }
@@ -518,7 +548,7 @@ impl Synthesizer {
         costed.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap());
         let mut best = costed[0].clone();
         for cand in costed.iter().take(self.refine_top) {
-            if let Ok(refined) = self.cost_candidate(spec, &cand.program, cand.depth, true) {
+            if let Ok(refined) = cost_candidate(engine, spec, &cand.program, cand.depth, true) {
                 if refined.seconds < best.seconds {
                     best = refined;
                 }

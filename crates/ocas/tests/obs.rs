@@ -139,3 +139,42 @@ fn engine_operator_span_carries_attribution_args() {
         );
     }
 }
+
+/// Each cost job's span on its `cost-w{n}` track says how hard the
+/// candidate was to tune — `evals` (the ladder's objective evaluations)
+/// and `params` next to `index` — one span per explored program whatever
+/// the worker count, recorded at the index-sorted merge.
+#[test]
+fn cost_job_spans_say_how_hard_the_candidate_was_to_tune() {
+    let e = experiments::set_union();
+    let mut per_workers = Vec::new();
+    for cost_workers in [1usize, 3] {
+        let synthesizer = ocas::Synthesizer::new(e.hierarchy.clone(), e.layout.clone())
+            .with_depth(e.depth)
+            .with_max_programs(e.max_programs)
+            .without_rules(&e.exclude_rules)
+            .with_workers(1, cost_workers);
+        ocas_obs::start();
+        let synth = synthesizer.synthesize(&e.spec).expect("synthesis succeeds");
+        let trace = ocas_obs::finish().expect("recorder was active");
+        let jobs: Vec<[f64; 3]> = trace
+            .events
+            .iter()
+            .filter(|ev| trace.track(ev).starts_with("cost-w") && ev.name == "cost")
+            .map(|ev| {
+                let arg = |name: &str| {
+                    let found = ev.args.iter().find(|(n, _)| *n == name);
+                    found
+                        .unwrap_or_else(|| panic!("cost span missing `{name}`"))
+                        .1
+                };
+                [arg("index"), arg("evals"), arg("params")]
+            })
+            .collect();
+        assert_eq!(jobs.len(), synth.stats.explored);
+        assert!(jobs.windows(2).all(|w| w[0][0] < w[1][0]), "index order");
+        assert!(jobs.iter().any(|j| j[1] > 1.0 && j[2] >= 1.0), "{jobs:?}");
+        per_workers.push(jobs);
+    }
+    assert_eq!(per_workers[0], per_workers[1], "args depend on the workers");
+}
