@@ -12,8 +12,10 @@
 
 use crate::key_index::KeyIndex;
 use crate::key_scan::KeyColumns;
+use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
+use crate::spill::SpillAlloc;
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
 
@@ -84,9 +86,10 @@ pub struct ExecStats {
     /// window (witnessed by its row count and digest).
     pub output_extent: Option<(FileId, u64)>,
     /// High-water mark of resident tuple bytes the faithful data path
-    /// held during this run: relation cache windows (or the whole batch
-    /// for legacy materialized relations), sort-emitter state, and the
-    /// sink's staging/collected rows. 0 in simulated mode.
+    /// held during this run: relation cache windows, decoded blocks and
+    /// the sink's staging/collected rows — for an external sort, its
+    /// batch, cursors and output batch (see `sort_faithful`). 0 in
+    /// simulated mode.
     pub peak_resident_bytes: u64,
     /// Cache statistics, when a cache simulator was attached.
     pub cache: Option<CacheStats>,
@@ -209,9 +212,10 @@ fn emitted_over(on: u64, k2: u64, card: u64, density: f64, carry: f64) -> (u64, 
 /// reads move the head — which is exactly the paper's read/write
 /// interference experiment.
 ///
-/// Rows arrive as borrowed slices or whole [`RowsView`] blocks; they are
-/// appended to the flat `collected` batch and encoded straight into the
-/// staging byte buffer — no per-tuple allocation on either path.
+/// Rows arrive as borrowed slices; they are appended to the flat
+/// `collected` batch and encoded straight into the staging byte buffer — no
+/// per-tuple allocation. (An external sort writes its own output extent and
+/// hands the sink only its batches to witness.)
 struct Sink {
     output: Output,
     tuple_bytes: u64,
@@ -380,34 +384,6 @@ impl Sink {
         self.emit_bulk(sm, 1)
     }
 
-    /// Emits a whole block of rows: one linear encode pass, one append.
-    fn emit_batch<B: StorageBackend>(
-        &mut self,
-        sm: &mut B,
-        view: RowsView<'_>,
-    ) -> Result<(), ExecError> {
-        if view.is_empty() {
-            return Ok(());
-        }
-        self.witness(view.as_slice());
-        if self.encoding() {
-            match self.codec {
-                Some(8) => {
-                    self.encoded.reserve(view.as_slice().len() * 8);
-                    for col in view.as_slice() {
-                        self.encoded.extend_from_slice(&col.to_le_bytes());
-                    }
-                }
-                _ => {
-                    for row in view.iter() {
-                        self.encode_cols(row.iter());
-                    }
-                }
-            }
-        }
-        self.emit_bulk(sm, view.len() as u64)
-    }
-
     /// True when `n` more rows fit the output buffer without filling it,
     /// i.e. emitting them issues no write.
     fn absorbs(&self, n: u64) -> bool {
@@ -574,6 +550,7 @@ impl<B: StorageBackend> Executor<B> {
 
     /// Runs a plan to completion.
     pub fn run(&mut self, plan: &Plan) -> Result<ExecStats, ExecError> {
+        plan.validate()?;
         let t0 = self.sm.clock();
         let w0 = ocas_obs::wall_now();
         self.peak_resident = 0;
@@ -716,9 +693,6 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        if k1 == 0 || k2 == 0 {
-            return Err(ExecError::BadParameter("zero block size"));
-        }
         let (oi, ii) = if order_inputs && self.rel(outer)?.card > self.rel(inner)?.card {
             (inner, outer)
         } else {
@@ -996,9 +970,6 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        if partitions == 0 {
-            return Err(ExecError::BadParameter("zero partitions"));
-        }
         let mut l = self.rel(left)?.clone();
         let mut r = self.rel(right)?.clone();
         let out_width = l.tuple_bytes + r.tuple_bytes;
@@ -1163,12 +1134,6 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        if fan_in < 2 {
-            return Err(ExecError::BadParameter("fan-in must be >= 2"));
-        }
-        if b_in == 0 || b_out == 0 {
-            return Err(ExecError::BadParameter("zero sort buffer"));
-        }
         let rel = self.rel(input)?.clone();
         let n = rel.card;
         let tb = rel.tuple_bytes;
@@ -1179,6 +1144,17 @@ impl<B: StorageBackend> Executor<B> {
         } else {
             ((n as f64).log2() / (fan_in as f64).log2()).ceil() as u64
         };
+        if self.faithful() {
+            // What the model counts — the levels above — not the merge
+            // kernel's comparisons.
+            *compares += levels * n * (fan_in as f64).log2().ceil() as u64;
+            let mut sink = self.sink(output, tb, rel.width.max(1) as usize);
+            sink.extent =
+                self.sort_faithful(input, rel, (fan_in, b_in, b_out), scratch, &mut sink)?;
+            sink.rows = n;
+            self.charge_cpu(*compares, n, 0);
+            return sink.finish(&mut self.sm);
+        }
 
         // Level 0 reads the input; later levels read the previous scratch
         // region. Each level: runs shrink by `fan_in`; reads alternate
@@ -1225,32 +1201,191 @@ impl<B: StorageBackend> Executor<B> {
         }
 
         // Final output: stream the sorted relation in b_out-tuple blocks.
-        // No whole-relation copy on either path: streamed relations emit
-        // through a sorted twin generator's bounded window; the legacy
-        // materialized oracle sorts an index permutation and gathers per
-        // block (the old `rows.clone()` + in-place sort peaked at 2-3x
-        // the relation size).
         let mut sink = self.sink(output, tb, rel.width.max(1) as usize);
-        if self.faithful() {
-            let mut emitter = rel.sorted_emitter().ok_or(ExecError::MissingRows(input))?;
-            let mut block = RowBuf::new(rel.width.max(1) as usize);
-            loop {
-                block.clear();
-                if emitter.next_block(b_out, &mut block) == 0 {
-                    break;
-                }
-                sink.emit_batch(&mut self.sm, block.as_view())?;
-                let res = rel.resident_bytes()
-                    + emitter.resident_bytes()
-                    + (block.len() * block.width()) as u64 * 8
-                    + sink.resident_bytes();
-                self.note_peak(res);
-            }
-        } else {
-            sink.emit_bulk(&mut self.sm, n)?;
-        }
+        sink.emit_bulk(&mut self.sm, n)?;
         self.charge_cpu(*compares, n, 0);
         sink.finish(&mut self.sm)
+    }
+
+    /// The faithful arm of [`run_sort`](Executor::run_sort), on every
+    /// backend: the 2ᵏ-way external merge sort itself. Runs of `fan_in *
+    /// b_in + b_out` tuples — the merge's memory — are sorted and spilled
+    /// to `scratch` through a [`SpillAlloc`] (shrinking, or failing over,
+    /// when the device is full), then merged `fan_in` at a time by
+    /// [`merge_runs`](Executor::merge_runs) until one more pass leaves a
+    /// single run. That pass is the output pass: its batches go to one
+    /// extent on the output device, or to the sink's witness, not to a
+    /// scratch run that would have to be copied out; an input that forms a
+    /// single run is never spilled. Returns the output extent of a
+    /// device-bound output.
+    ///
+    /// The runs come back from the backend that was given them — real
+    /// files, or the simulator, which keeps what a run writes — so the
+    /// twin issues the real run's requests and computes on the same runs.
+    /// What is metered is what the sort holds: a batch and its encoding
+    /// while runs form, the run cursors and one output batch (and its
+    /// encoding, when it is written) while they merge. The generator window
+    /// the input comes from on a backend without its payload stands in for
+    /// the file and is not counted, so both twins meter the same bytes.
+    fn sort_faithful(
+        &mut self,
+        input: usize,
+        mut rel: Relation,
+        (fan_in, b_in, b_out): (u64, u64, u64),
+        scratch: &str,
+        sink: &mut Sink,
+    ) -> Result<Option<(FileId, u64)>, ExecError> {
+        let (card, tb, width) = (rel.card, rel.tuple_bytes, rel.width.max(1) as usize);
+        if tb != width as u64 * 8 {
+            return Err(ExecError::BadParameter(
+                "external sort needs 8-byte columns",
+            ));
+        }
+        let device = match &sink.output {
+            Output::ToDevice { device, .. } => Some(device.clone()),
+            Output::Discard => None,
+        };
+        let run_tuples = fan_in * b_in + b_out;
+        let (mut block, mut encoded) = (BlockBuf::default(), Vec::new());
+        if card <= run_tuples {
+            // One run: from the sorted batch to the sink, nothing spilled.
+            if card == 0 {
+                return Ok(None);
+            }
+            let rows = rel.load_rows(&mut self.sm, 0, card, &mut block)?;
+            let rows = rows.ok_or(ExecError::MissingRows(input))?;
+            rows.sort();
+            sink.witness(rows.as_slice());
+            let Some(device) = device else {
+                self.note_peak(card * tb);
+                return Ok(None);
+            };
+            rows.encode_into(8, &mut encoded);
+            self.note_peak(card * tb * 2);
+            let out = self.sm.alloc(&device, card * tb)?;
+            self.sm.write_bytes(out, 0, &encoded)?;
+            return Ok(Some((out, card * tb)));
+        }
+
+        // Run formation: a sorted batch is one run, or several smaller
+        // (still sorted) ones when the spill allocator has to shrink.
+        let mut spill = SpillAlloc::new(&self.sm, scratch);
+        let mut runs: Vec<(FileId, u64)> = Vec::new();
+        let mut at = 0u64;
+        while at < card {
+            let take = run_tuples.min(card - at);
+            let rows = rel.load_rows(&mut self.sm, at, take, &mut block)?;
+            let rows = rows.ok_or(ExecError::MissingRows(input))?;
+            rows.sort();
+            encoded.clear();
+            rows.encode_into(8, &mut encoded);
+            self.note_peak(take * tb * 2);
+            spill.spill_rows(&mut self.sm, &encoded, tb, &mut runs)?;
+            at += take;
+        }
+        drop((rel, block)); // the merges hold cursors and one output batch
+
+        // Merge passes onto the scratch device, fan_in runs at a time, until
+        // one more pass leaves a single run.
+        let buffers = (b_in, b_out);
+        while runs.len() > fan_in as usize {
+            let mut next = Vec::new();
+            for group in runs.chunks(fan_in as usize) {
+                if let [run] = group {
+                    next.push(*run);
+                    continue;
+                }
+                let total = group.iter().map(|run| run.1).sum::<u64>();
+                let merged = spill.alloc(&mut self.sm, (total * tb).max(1))?;
+                self.merge_runs(
+                    input,
+                    group,
+                    width,
+                    buffers,
+                    Some(merged),
+                    None,
+                    &mut encoded,
+                )?;
+                next.push((merged, total));
+            }
+            runs = next;
+        }
+        // That pass is the output pass.
+        let out = match device {
+            Some(device) => Some(self.sm.alloc(&device, card * tb)?),
+            None => None,
+        };
+        sink.reserve(card);
+        self.merge_runs(input, &runs, width, buffers, out, Some(sink), &mut encoded)?;
+        Ok(out.map(|file| (file, card * tb)))
+    }
+
+    /// Merges the sorted `runs` (run file, tuples) — one `b_in`-tuple
+    /// [`BlockCursor`] each — `b_out` rows a batch with the merge kernel,
+    /// writing each batch to the file `to` (one contiguous extent, batch
+    /// after batch) and handing it to `sink`'s witness, where given.
+    ///
+    /// The request order is that of a loop which refills every cursor
+    /// before picking each row: a cursor is refilled only once its last
+    /// buffered row is out, and a batch which that row completed is written
+    /// *before* the refill is read. Every batch — the last, partial one too
+    /// — is metered: the cursors' blocks, the batch, and its encoding when
+    /// it is written.
+    #[allow(clippy::too_many_arguments)]
+    fn merge_runs(
+        &mut self,
+        input: usize,
+        runs: &[(FileId, u64)],
+        width: usize,
+        (b_in, b_out): (u64, u64),
+        to: Option<FileId>,
+        mut sink: Option<&mut Sink>,
+        encoded: &mut Vec<u8>,
+    ) -> Result<(), ExecError> {
+        let tb = width as u64 * 8;
+        let over = |&(file, card): &(FileId, u64)| {
+            BlockCursor::new(Relation::attach(file, card, width as u32, 1), b_in)
+        };
+        let mut cursors: Vec<BlockCursor> = runs.iter().map(over).collect();
+        for cursor in cursors.iter_mut() {
+            ensure(&mut self.sm, cursor, input)?;
+        }
+        fn rests(cursors: &[BlockCursor]) -> Vec<&[i64]> {
+            cursors.iter().map(BlockCursor::rest).collect()
+        }
+        let mut heads = MergeHeads::new(width, &rests(&cursors));
+        let mut batch = RowBuf::with_capacity(width, b_out as usize);
+        let mut written = 0u64;
+        loop {
+            let room = (b_out - batch.len() as u64) as usize;
+            let stop = heads.fill(&rests(&cursors), room, &mut batch);
+            let rows = batch.len() as u64;
+            if rows == b_out || (stop == MergeStop::Done && rows > 0) {
+                let held: u64 = cursors.iter().map(BlockCursor::resident_bytes).sum();
+                if let Some(file) = to {
+                    self.note_peak(held + 2 * rows * tb);
+                    encoded.clear();
+                    batch.encode_into(8, encoded);
+                    self.sm.write_bytes(file, written * tb, encoded)?;
+                } else {
+                    self.note_peak(held + rows * tb);
+                }
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.witness(batch.as_slice());
+                }
+                written += rows;
+                batch.clear();
+            }
+            match stop {
+                MergeStop::Full => {}
+                MergeStop::Dry(i) => {
+                    // The kernel took every buffered row: the cursor is due.
+                    cursors[i].drain();
+                    ensure(&mut self.sm, &mut cursors[i], input)?;
+                }
+                MergeStop::Done => return Ok(()),
+            }
+        }
     }
 
     fn run_merge(
@@ -1262,9 +1397,6 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        if b_in == 0 {
-            return Err(ExecError::BadParameter("zero merge buffer"));
-        }
         let l = self.rel(left)?.clone();
         let r = self.rel(right)?.clone();
         let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize);
@@ -1419,9 +1551,6 @@ impl<B: StorageBackend> Executor<B> {
         b_in: u64,
         output: &Output,
     ) -> Result<OpResult, ExecError> {
-        if columns.is_empty() || b_in == 0 {
-            return Err(ExecError::BadParameter("columns/b_in"));
-        }
         let rels: Vec<Relation> = columns
             .iter()
             .map(|c| self.rel(*c).cloned())
@@ -1477,9 +1606,6 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        if b_in == 0 {
-            return Err(ExecError::BadParameter("zero dedup buffer"));
-        }
         let rel = self.rel(input)?.clone();
         let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
         *compares += rel.card;
@@ -1524,9 +1650,6 @@ impl<B: StorageBackend> Executor<B> {
         b_in: u64,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        if b_in == 0 {
-            return Err(ExecError::BadParameter("zero aggregate buffer"));
-        }
         let rel = self.rel(input)?.clone();
         if self.faithful() {
             return self.aggregate_faithful(rel, b_in, compares);
@@ -1700,7 +1823,7 @@ pub fn merge_bufs(a: &RowBuf, b: &RowBuf, kind: MergeKind) -> RowBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rel::{RelSpec, Row};
+    use crate::rel::{RelSpec, Row, RowGen};
     use ocas_hierarchy::presets;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -2176,76 +2299,66 @@ mod tests {
         assert!(out.is_sorted());
     }
 
-    /// Satellite regression for the old `rel.rows.clone()` at the sort's
-    /// emit step: the faithful executor's transient tuple allocation must
-    /// stay within one block of the relation size — never the 2-3x the
-    /// clone-then-sort-in-place path peaked at. Streamed relations stay
-    /// bounded by the cache budget; the materialized oracle pays the
-    /// relation (resident by design) plus a 4-byte-per-row permutation
-    /// plus one block.
+    /// The sort holds its buffers, not its relation: a 50,000-tuple sort
+    /// peaks at one batch of `fan_in * b_in + b_out` tuples and its encoding
+    /// while runs form — far inside one block of the relation's size, where
+    /// the old clone-then-sort emit step peaked at 2-3x it — and its merges
+    /// (eight 256-tuple cursors and a 1,024-tuple batch, encoded on the
+    /// intermediate pass) stay below that. The same with the output
+    /// collected or digested: collecting is what a `Discard` run is for, and
+    /// is not the algorithm's memory.
     #[test]
     fn sort_transient_allocation_stays_within_one_block_of_the_relation() {
-        let card = 50_000u64;
-        let rel_bytes = card * 8;
-        let budget = 16 * 1024u64;
-        let b_out = 1024u64;
-        let plan = |li: usize| Plan::ExternalSort {
-            input: li,
-            fan_in: 8,
-            b_in: 256,
-            b_out,
-            scratch: "HDD".into(),
-            output: Output::Discard,
-        };
+        let (card, fan_in, b_in, b_out) = (50_000u64, 8, 256, 1024);
         let spec = RelSpec::ints("L", "HDD", card)
             .with_key_range(9_999)
-            .with_cache_bytes(budget);
-
-        // Streamed (default): peak ≪ relation size. The collected output
-        // is the point of a Discard run, so compare without collection.
-        let mut ex = setup(true, 1 << 25);
-        ex.collect_output = false;
-        let l = Relation::create(&mut ex.sm, &spec, true, 5).unwrap();
-        let li = ex.add_relation(l);
-        let stats = ex.run(&plan(li)).unwrap();
-        assert_eq!(stats.output_rows, card);
-        assert!(
-            stats.peak_resident_bytes <= 4 * budget + b_out * 8,
-            "streamed sort peak {} vs budget {budget}",
-            stats.peak_resident_bytes
-        );
-        assert!(stats.peak_resident_bytes < rel_bytes / 2);
-
-        // Materialized oracle: relation + index permutation + one block,
-        // strictly below the 2x the old whole-batch clone started from.
-        let mut ex = setup(true, 1 << 25);
-        ex.collect_output = false;
-        let l =
-            Relation::create_with(&mut ex.sm, &spec, crate::rel::GenMode::Materialized, 5).unwrap();
-        let li = ex.add_relation(l);
-        let stats = ex.run(&plan(li)).unwrap();
-        assert_eq!(stats.output_rows, card);
-        assert!(
-            stats.peak_resident_bytes <= rel_bytes + card * 4 + 2 * b_out * 8,
-            "materialized sort peak {} vs relation {rel_bytes}",
-            stats.peak_resident_bytes
-        );
-        assert!(stats.peak_resident_bytes < 2 * rel_bytes);
+            .with_cache_bytes(16 * 1024);
+        let run_bytes = (fan_in * b_in + b_out) * 8;
+        assert!(card * 8 > 16 * run_bytes, "17 runs, one intermediate pass");
+        let mut digests = Vec::new();
+        for collect in [false, true] {
+            let mut ex = setup(true, 1 << 25);
+            ex.collect_output = collect;
+            let l = Relation::create(&mut ex.sm, &spec, true, 5).unwrap();
+            let input = ex.add_relation(l);
+            let stats = ex
+                .run(&Plan::ExternalSort {
+                    input,
+                    fan_in,
+                    b_in,
+                    b_out,
+                    scratch: "HDD".into(),
+                    output: Output::Discard,
+                })
+                .unwrap();
+            assert_eq!(stats.output_rows, card);
+            assert_eq!(
+                stats.peak_resident_bytes,
+                2 * run_bytes,
+                "collect {collect}"
+            );
+            assert!(fan_in * b_in * 8 + 2 * b_out * 8 < 2 * run_bytes);
+            digests.push(stats.digest());
+        }
+        let mut want = RowGen::from_spec(&spec, 5).generate_all();
+        want.sort();
+        assert_eq!(digests, [Some(fnv_values(FNV_OFFSET, want.as_slice())); 2]);
     }
 
     /// The emission digest is stable across output collection on/off and
-    /// across row sources — the comparison handle for faithful twins too
-    /// large to materialize — and a run carries one witness of its output:
-    /// the rows, or the digest folded as they were emitted.
+    /// equals the fold over the rows the relation's generator draws, deduped
+    /// — the comparison handle for faithful twins too large to materialize —
+    /// and a run carries one witness of its output: the rows, or the digest
+    /// folded as they were emitted.
     #[test]
     fn output_digest_is_collection_and_source_independent() {
         let spec = RelSpec::ints("L", "HDD", 3_000)
             .sorted()
             .with_key_range(500);
-        let run = |mode: crate::rel::GenMode, collect: bool| -> ExecStats {
+        let run = |collect: bool, seed: u64| -> ExecStats {
             let mut ex = setup(true, 1 << 25);
             ex.collect_output = collect;
-            let l = Relation::create_with(&mut ex.sm, &spec, mode, 13).unwrap();
+            let l = Relation::create(&mut ex.sm, &spec, true, seed).unwrap();
             let li = ex.add_relation(l);
             ex.run(&Plan::DedupSorted {
                 input: li,
@@ -2254,26 +2367,343 @@ mod tests {
             })
             .unwrap()
         };
-        let a = run(crate::rel::GenMode::Streamed, true);
-        let b = run(crate::rel::GenMode::Streamed, false);
-        let c = run(crate::rel::GenMode::Materialized, true);
+        let (a, b) = (run(true, 13), run(false, 13));
         assert!(a.output.is_some() && a.output_digest.is_none());
         assert!(b.output.is_none() && b.output_digest.is_some());
         assert_eq!(a.output_rows, b.output_rows);
         assert_eq!(a.digest(), b.output_digest);
-        assert_eq!(a.digest(), c.digest());
+        let mut drawn = RowGen::from_spec(&spec, 13).generate_all();
+        drawn.dedup();
+        assert_eq!(a.digest(), Some(fnv_values(FNV_OFFSET, drawn.as_slice())));
         // Different data ⇒ different digest.
-        let mut ex = setup(true, 1 << 25);
-        let l = Relation::create(&mut ex.sm, &spec, true, 14).unwrap();
-        let li = ex.add_relation(l);
-        let d = ex
-            .run(&Plan::DedupSorted {
-                input: li,
-                b_in: 64,
-                output: Output::Discard,
+        assert_ne!(a.digest(), run(true, 14).digest());
+    }
+
+    /// Writes `rows` as one file on `device` with a charged data write —
+    /// the simulator keeps what is written (not what is materialized), so
+    /// an attached relation over the file has rows on every backend.
+    fn file_of<B: StorageBackend>(sm: &mut B, device: &str, rows: &RowBuf) -> FileId {
+        let bytes = rows.encode();
+        let file = sm.alloc(device, (bytes.len() as u64).max(1)).unwrap();
+        sm.write_bytes(file, 0, &bytes).unwrap();
+        file
+    }
+
+    /// What a faithful run left on the device it wrote its output to: the
+    /// rows of [`ExecStats::output_extent`], read back.
+    fn written(ex: &mut Executor, stats: &ExecStats) -> RowBuf {
+        let (file, bytes) = stats.output_extent.expect("a device-bound output");
+        let mut buf = vec![0u8; bytes as usize];
+        assert!(ex.sm.read_data(file, 0, &mut buf).unwrap(), "kept");
+        RowBuf::decode(&buf, stats.output_width)
+    }
+
+    /// The charged requests on `device`'s obs track, in order.
+    fn requests(trace: &ocas_obs::Trace, device: &str) -> Vec<(&'static str, u64)> {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.kind == ocas_obs::EventKind::Span && trace.track(e) == device)
+            .map(|e| {
+                let bytes = e.args.iter().find(|(name, _)| *name == "bytes");
+                (e.name, bytes.expect("a request has bytes").1 as u64)
             })
-            .unwrap();
-        assert_ne!(a.digest(), d.digest());
+            .collect()
+    }
+
+    /// The request order of the merge, pinned on the device's obs track:
+    /// the write of a full batch precedes the refill read of the cursor
+    /// whose last row completed it.
+    #[test]
+    fn a_full_batch_is_written_before_the_cursor_it_exhausted_is_refilled() {
+        let mut ex = setup(true, 1 << 25);
+        // Two batches of 12 (fan_in * b_in + b_out), every row of the first
+        // below every row of the second: cursor 0 runs dry exactly when a
+        // 4-row batch fills, three times, then cursor 1 does the same.
+        let rows: Vec<i64> = (0..12).rev().chain((12..24).rev()).collect();
+        let file = file_of(&mut ex.sm, "HDD", &RowBuf::from_vec(rows, 1));
+        let input = ex.add_relation(Relation::attach(file, 24, 1, 24));
+        let plan = Plan::ExternalSort {
+            input,
+            fan_in: 2,
+            b_in: 4,
+            b_out: 4,
+            scratch: "HDD".into(),
+            output: Output::ToDevice {
+                device: "HDD".into(),
+                buffer_bytes: 32,
+            },
+        };
+        ocas_obs::start();
+        let stats = ex.run(&plan).unwrap();
+        let trace = ocas_obs::finish().expect("recording");
+        let sorted: Vec<i64> = (0..24).collect();
+        assert_eq!(stats.output.as_ref().unwrap().as_slice(), sorted);
+        assert_eq!(written(&mut ex, &stats).as_slice(), sorted);
+        let (r, w) = (("read", 32), ("write", 32));
+        let want = [
+            // Run formation: two sorted batches, two runs.
+            ("read", 96),
+            ("write", 96),
+            ("read", 96),
+            ("write", 96),
+            // The output pass: both cursors filled, then a write per batch,
+            // each before the refill it triggered; a run's last batch
+            // triggers none.
+            r,
+            r,
+            w,
+            r,
+            w,
+            r,
+            w,
+            w,
+            r,
+            w,
+            r,
+            w,
+        ];
+        assert_eq!(requests(&trace, "dev:HDD"), want);
+    }
+
+    /// A merge whose output never fills a batch is metered all the same:
+    /// its cursors and the partial batch it wrote.
+    #[test]
+    fn a_merge_shorter_than_one_batch_is_still_metered() {
+        let mut ex = setup(true, 1 << 25);
+        let runs: Vec<(FileId, u64)> = [[1i64, 4, 7], [2, 5, 8]]
+            .iter()
+            .map(|rows| {
+                (
+                    file_of(&mut ex.sm, "HDD", &RowBuf::from_vec(rows.to_vec(), 1)),
+                    3,
+                )
+            })
+            .collect();
+        let mut sink = ex.sink(&Output::Discard, 8, 1);
+        ex.merge_runs(
+            0,
+            &runs,
+            1,
+            (2, 100),
+            None,
+            Some(&mut sink),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let done = sink.finish(&mut ex.sm).unwrap();
+        assert_eq!(done.output.unwrap().as_slice(), [1, 2, 4, 5, 7, 8]);
+        // Two one-row cursor tails (the second refills) and six batch rows.
+        assert_eq!(ex.peak_resident, (2 + 6) * 8);
+    }
+
+    /// True when cursor `a`'s head is merged before cursor `b`'s: the
+    /// smaller row, the lower cursor on a tie (which keeps the merge
+    /// stable), and any row before an exhausted cursor.
+    fn merges_first(cursors: &[BlockCursor], a: usize, b: usize) -> bool {
+        match (cursors[a].head(), cursors[b].head()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => a < b,
+            },
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => a < b,
+        }
+    }
+
+    /// A tournament tree over the cursors of one merge: `nodes[0]` is the
+    /// cursor whose head is merged next, `nodes[1..]` the loser of each
+    /// match on the way up (heap layout; cursor `i` is leaf `k + i`). After
+    /// the winner advances only its own path is replayed — `log2(k)`
+    /// comparisons a row instead of a scan of every cursor.
+    struct LoserTree {
+        nodes: Vec<usize>,
+    }
+
+    impl LoserTree {
+        fn new(cursors: &[BlockCursor]) -> LoserTree {
+            let k = cursors.len();
+            // Play every match bottom-up; `winners[n]` is who left node `n`.
+            let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
+            let mut nodes = vec![0; k];
+            for n in (1..k).rev() {
+                let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+                let a_wins = merges_first(cursors, a, b);
+                winners[n] = if a_wins { a } else { b };
+                nodes[n] = if a_wins { b } else { a };
+            }
+            nodes[0] = winners[1];
+            LoserTree { nodes }
+        }
+
+        fn winner(&self) -> usize {
+            self.nodes[0]
+        }
+
+        /// Replays the matches of cursor `i` (the last winner) after its
+        /// head changed.
+        fn replay(&mut self, cursors: &[BlockCursor], i: usize) {
+            let mut winner = i;
+            let mut n = (cursors.len() + i) / 2;
+            while n > 0 {
+                if merges_first(cursors, self.nodes[n], winner) {
+                    std::mem::swap(&mut self.nodes[n], &mut winner);
+                }
+                n /= 2;
+            }
+            self.nodes[0] = winner;
+        }
+    }
+
+    /// The literal merge: merges the sorted runs behind `cursors` (at least
+    /// one) into one sorted stream, handing `emit` the cursors and the index
+    /// of the one whose head is the next row. A refill is issued only for
+    /// the cursor that just advanced, and only after `emit` returned — so
+    /// whatever `emit` writes precedes the read, as it would in a loop that
+    /// refilled every cursor before each pick.
+    fn literal_merge<B: StorageBackend>(
+        sm: &mut B,
+        cursors: &mut [BlockCursor],
+        mut emit: impl FnMut(&[BlockCursor], usize),
+    ) {
+        for c in cursors.iter_mut() {
+            assert!(c.ensure(sm).unwrap());
+        }
+        let mut tree = LoserTree::new(cursors);
+        loop {
+            let i = tree.winner();
+            if cursors[i].head().is_none() {
+                return; // the best cursor is exhausted: all are
+            }
+            emit(cursors, i);
+            cursors[i].advance();
+            assert!(cursors[i].ensure(sm).unwrap());
+            tree.replay(cursors, i);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// The literal merge against a stable sort of the concatenation,
+        /// and the batch merge against the literal one: any number of runs
+        /// (one, powers of two and not, up to 17 — past the kernel's scan
+        /// into its tree), widths 1 to 3, unequal and empty runs, keys from
+        /// a domain small enough that most rows tie — and a tie goes to the
+        /// lower run — with both extreme keys in it; rows witnessed and
+        /// rows written to an extent.
+        #[test]
+        fn merge_runs_is_the_stable_sort_of_the_concatenation(
+            (width, b_in, b_out) in (1usize..4, 1u64..6, 1u64..9),
+            lens in proptest::collection::vec(0usize..13, 1..18),
+            draws in proptest::collection::vec((0i64..5, 0i64..2, 0i64..2), 200..201),
+        ) {
+            let mut ex = setup(true, 1 << 25);
+            let mut draw = draws.iter().cycle();
+            let mut cursors = Vec::new();
+            let mut runs = Vec::new();
+            let mut tagged: Vec<(Vec<i64>, usize)> = Vec::new();
+            for (run, &len) in lens.iter().enumerate() {
+                let mut rows = RowBuf::new(width);
+                for _ in 0..len {
+                    let (a, b, c) = *draw.next().expect("cycled");
+                    let key = match a { 0 => i64::MIN, 4 => i64::MAX, a => a };
+                    rows.push(&[key, b, c][..width]);
+                }
+                rows.sort();
+                tagged.extend(rows.iter().map(|r| (r.to_vec(), run)));
+                let file = file_of(&mut ex.sm, "HDD", &rows);
+                let rel = Relation::attach(file, len as u64, width as u32, 1);
+                cursors.push(BlockCursor::new(rel, b_in));
+                runs.push((file, len as u64));
+            }
+            let mut got: Vec<(Vec<i64>, usize)> = Vec::new();
+            literal_merge(&mut ex.sm, &mut cursors, |cursors, i| {
+                got.push((cursors[i].head().expect("has a head").to_vec(), i));
+            });
+            tagged.sort(); // by row, then by run: the stable order
+            proptest::prop_assert_eq!(&got, &tagged);
+
+            let want: Vec<i64> = tagged.iter().flat_map(|(row, _)| row.iter().copied()).collect();
+            let mut sink = ex.sink(&Output::Discard, width as u64 * 8, width);
+            ex.merge_runs(0, &runs, width, (b_in, b_out), None, Some(&mut sink), &mut Vec::new())
+                .unwrap();
+            let done = sink.finish(&mut ex.sm).unwrap();
+            proptest::prop_assert_eq!(done.output.unwrap().as_slice(), want.as_slice());
+            let merged = ex.sm.alloc("HDD", (want.len() as u64 * 8).max(1)).unwrap();
+            ex.merge_runs(0, &runs, width, (b_in, b_out), Some(merged), None, &mut Vec::new())
+                .unwrap();
+            let mut bytes = vec![0u8; want.len() * 8];
+            let kept = ex.sm.read_data(merged, 0, &mut bytes).unwrap();
+            proptest::prop_assert_eq!(kept, !want.is_empty(), "a written run is kept");
+            proptest::prop_assert_eq!(RowBuf::decode(&bytes, width).as_slice(), want.as_slice());
+        }
+
+        /// The whole sort, run formation included, at every buffer geometry:
+        /// one-tuple input and output buffers and buffers of two dozen,
+        /// fan-ins that are not powers of two, inputs that form no run, one
+        /// run (never spilled) and several merge levels, one- and
+        /// two-column tuples over key ranges that tie most rows, keys up to
+        /// `i64::MAX` — collected and digested, and written to the scratch
+        /// device or to another one, where it is read back from.
+        #[test]
+        fn external_sort_sorts_at_every_buffer_geometry(
+            (fan_in, b_in, b_out, tiny) in (2u64..17, 1u64..24, 1u64..24, 0u32..2),
+            (card, wide, key_range) in (0u64..320, 0u32..2, 1u64..50),
+        ) {
+            // Half the cases keep both buffers at one to three tuples.
+            let (b_in, b_out) = match tiny {
+                1 => (b_in % 3 + 1, b_out % 3 + 1),
+                _ => (b_in, b_out),
+            };
+            let mut ex = Executor::new(
+                StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 25)),
+                Mode::Faithful,
+                CpuModel::default(),
+            );
+            let spec = match wide {
+                0 => RelSpec::ints("L", "HDD", card),
+                _ => RelSpec::pairs("L", "HDD", card),
+            }
+            .with_key_range(key_range);
+            let width = spec.width as usize;
+            // The top of the key range becomes the top of the key domain.
+            let drawn = RowGen::from_spec(&spec, fan_in * 1000 + card).generate_all();
+            let rows: Vec<i64> = drawn
+                .iter()
+                .flat_map(|row| {
+                    let top = row[0] == key_range as i64 - 1;
+                    std::iter::once(if top { i64::MAX } else { row[0] }).chain(row[1..].iter().copied())
+                })
+                .collect();
+            let mut want = RowBuf::from_vec(rows, width);
+            let file = file_of(&mut ex.sm, "HDD", &want);
+            let input = ex.add_relation(Relation::attach(file, card, width as u32, key_range));
+            want.sort();
+            for (output, collect) in [
+                (Output::Discard, true),
+                (Output::Discard, false),
+                (Output::ToDevice { device: "HDD".into(), buffer_bytes: 64 }, true),
+                (Output::ToDevice { device: "HDD2".into(), buffer_bytes: 64 }, false),
+            ] {
+                ex.collect_output = collect;
+                let plan = Plan::ExternalSort {
+                    input, fan_in, b_in, b_out, scratch: "HDD".into(), output: output.clone(),
+                };
+                let stats = ex.run(&plan).unwrap();
+                proptest::prop_assert_eq!(stats.output_rows, card);
+                let digest = fnv_values(FNV_OFFSET, want.as_slice());
+                proptest::prop_assert_eq!(stats.digest(), Some(digest), "{:?}", output);
+                if collect {
+                    proptest::prop_assert_eq!(stats.output.as_ref(), Some(&want));
+                }
+                if matches!(output, Output::ToDevice { .. }) && card > 0 {
+                    proptest::prop_assert_eq!(&written(&mut ex, &stats), &want, "{:?}", output);
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,8 +52,22 @@
 //! reads each block once), while *simulated* mode models the paper-scale
 //! pattern the estimator prices (both merge inputs in alternating blocks to
 //! the end, a second, staggered scan for the duplicate removal) and never
-//! touches a cursor. The faithful sort and GRACE arms still compute on the
-//! generator's rows; the real backend runs those two natively.
+//! touches a cursor. The faithful GRACE arm still computes on the
+//! generator's rows; the real backend runs it natively.
+//!
+//! **External sort.** The faithful sort is the out-of-core algorithm
+//! itself, on every backend: sorted runs of `fan_in * b_in + b_out` tuples
+//! spilled to the scratch device through [`SpillAlloc`] (which shrinks a
+//! run, or fails over to the backend's
+//! [`spill_fallback`](ocas_storage::StorageBackend::spill_fallback)
+//! device, when the scratch device is full), then merged `fan_in` at a time
+//! through one [`BlockCursor`] per run over
+//! [`Relation::attach`]ed run files, the last pass writing the output. The
+//! runs come back from whichever backend was given them — a real file, or
+//! the simulator, which keeps what a data write carries — so the simulator
+//! twin issues the real run's requests and merges the same runs. Simulated
+//! mode still models ⌈log_fan_in n⌉ merge levels over singleton runs, and
+//! both modes count that model's comparisons.
 //!
 //! **Faithful pair loop.** A faithful block-nested-loops join compares every
 //! tuple of the resident outer block with every tuple of the inner block
@@ -80,7 +94,7 @@
 //! Cross joins are emit-bound and keep the plain loop; the literal pair
 //! loop survives as the test oracle the kernel is held to.
 //!
-//! **Merge kernel.** The k-way merge of an external sort is a batch
+//! **Merge kernel.** The k-way merge of the external sort is a batch
 //! kernel too ([`MergeHeads`], `merge_kernel`): the head key of every run's
 //! buffered piece is cached in one small array, and one call moves a whole
 //! output batch — by a branch-free minimum scan over the cached keys up to
@@ -112,6 +126,7 @@ pub mod lower;
 mod merge_kernel;
 pub mod plan;
 pub mod rel;
+mod spill;
 
 pub use exec::{merge_bufs, ExecError, ExecStats, Executor};
 pub use key_index::KeyIndex;
@@ -119,6 +134,7 @@ pub use lower::{lower, LowerError, WorkloadHint};
 pub use merge_kernel::{MergeHeads, MergeStop};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 pub use rel::{
-    decode_rows, encode_rows, BlockBuf, BlockCursor, GenMode, RelSpec, Relation, Row, RowBuf,
-    RowGen, RowsView, SortedEmitter, DEFAULT_CACHE_BYTES,
+    decode_rows, encode_rows, BlockBuf, BlockCursor, RelSpec, Relation, Row, RowBuf, RowGen,
+    RowsView, DEFAULT_CACHE_BYTES,
 };
+pub use spill::SpillAlloc;

@@ -2,6 +2,8 @@
 //! into, each executable both faithfully (real rows) and at scale
 //! (simulated rows, exact I/O).
 
+use crate::exec::ExecError;
+
 /// Where a plan's output goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output {
@@ -216,6 +218,30 @@ impl Plan {
             Plan::DedupSorted { .. } => "dedup-sorted",
             Plan::Aggregate { .. } => "aggregate",
         }
+    }
+
+    /// Rejects a plan whose parameters no execution can honour — a zero
+    /// block, buffer or partition count, a fan-in below two — before it
+    /// issues a request. The one parameter check of every route:
+    /// [`Executor::run`](crate::Executor::run) calls it, and so does the
+    /// runtime before it joins natively.
+    pub fn validate(&self) -> Result<(), ExecError> {
+        let bad = match self {
+            Plan::BnlJoin { k1, k2, .. } if *k1 == 0 || *k2 == 0 => "zero block size",
+            Plan::GraceJoin { partitions: 0, .. } => "zero partitions",
+            Plan::ExternalSort { fan_in, .. } if *fan_in < 2 => "fan-in must be >= 2",
+            Plan::ExternalSort { b_in, b_out, .. } if *b_in == 0 || *b_out == 0 => {
+                "zero sort buffer"
+            }
+            Plan::MergePass { b_in: 0, .. } => "zero merge buffer",
+            Plan::ColumnZip { columns, b_in, .. } if columns.is_empty() || *b_in == 0 => {
+                "columns/b_in"
+            }
+            Plan::DedupSorted { b_in: 0, .. } => "zero dedup buffer",
+            Plan::Aggregate { b_in: 0, .. } => "zero aggregate buffer",
+            _ => return Ok(()),
+        };
+        Err(ExecError::BadParameter(bad))
     }
 
     /// Where the plan's rows go (an aggregate's one row is consumed by the

@@ -548,16 +548,6 @@ impl RowGen {
         self.width
     }
 
-    /// True when blocks stream in sorted order.
-    pub fn sorted(&self) -> bool {
-        self.sorted
-    }
-
-    /// The sorted-order twin of this generator (same draw stream).
-    pub fn sorted_twin(&self) -> RowGen {
-        RowGen::new(self.card, self.width, self.range as u64, true, self.seed)
-    }
-
     fn n_buckets(&self) -> u64 {
         (self.range as u64).clamp(1, SORT_BUCKETS)
     }
@@ -807,30 +797,12 @@ impl BlockCache {
 /// Where a relation's faithful-mode rows come from.
 #[derive(Debug, Clone)]
 enum RowSource {
-    /// Simulated mode: cardinality and width only, no data.
+    /// Simulated mode, or an attached file: cardinality and width only, no
+    /// generator.
     Virtual,
-    /// Legacy eager materialization — the whole relation as one flat
-    /// batch. Kept as the oracle the streamed path is tested against;
-    /// shared so clones are O(1).
-    Materialized(Arc<RowBuf>),
-    /// The streamed default: a deterministic generator plus a bounded
-    /// block cache. Resident memory is the cache window, not the
-    /// relation.
+    /// A deterministic generator plus a bounded block cache. Resident
+    /// memory is the cache window, not the relation.
     Streamed { gen: Arc<RowGen>, cache: BlockCache },
-}
-
-/// How [`Relation::create_with`] provisions faithful rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenMode {
-    /// No rows (simulated mode).
-    Virtual,
-    /// Block-streaming generator behind a bounded cache (the default
-    /// faithful mode; resident memory is bounded by the spec's
-    /// `cache_bytes`).
-    Streamed,
-    /// Legacy whole-relation materialization — the oracle path for the
-    /// streamed-vs-materialized parity tests.
-    Materialized,
 }
 
 /// A materialized (or virtual) relation.
@@ -846,90 +818,59 @@ pub struct Relation {
     pub width: u32,
     /// Key range used for generation (drives simulated join selectivity).
     pub key_range: u64,
-    /// Faithful-mode row source (virtual, streamed, or materialized).
+    /// Faithful-mode row source (virtual or streamed).
     source: RowSource,
 }
 
 impl Relation {
-    /// Allocates a relation per `spec`; generates rows when `faithful`
-    /// (streamed — see [`Relation::create_with`] for the legacy eager
-    /// mode).
+    /// Allocates a relation per `spec`; when `faithful`, its rows come from
+    /// a [`RowGen`] seeded with `seed` behind a bounded block cache.
+    ///
+    /// Faithful rows are also *materialized* into the backing file
+    /// (uncharged setup writes), block by block, so setup memory stays
+    /// bounded by the cache budget: the simulator keeps nothing of them,
+    /// while a real backend ends up with genuine tuple bytes on disk.
+    /// Columns narrower than 8 bytes are truncated to the declared width —
+    /// the in-memory rows stay authoritative; the file holds the on-disk
+    /// representation.
     pub fn create<B: StorageBackend>(
         sm: &mut B,
         spec: &RelSpec,
         faithful: bool,
         seed: u64,
     ) -> Result<Relation, StorageError> {
-        let mode = if faithful {
-            GenMode::Streamed
-        } else {
-            GenMode::Virtual
-        };
-        Relation::create_with(sm, spec, mode, seed)
-    }
-
-    /// Allocates a relation per `spec` with an explicit row-provisioning
-    /// mode.
-    ///
-    /// In both faithful modes the generated rows are also *materialized*
-    /// into the backing file (uncharged setup writes): the simulator
-    /// discards them, while a real backend ends up with genuine tuple
-    /// bytes on disk. [`GenMode::Streamed`] encodes and materializes
-    /// block by block, so setup memory stays bounded by the cache budget;
-    /// [`GenMode::Materialized`] is the legacy whole-relation path kept
-    /// as the parity oracle.
-    pub fn create_with<B: StorageBackend>(
-        sm: &mut B,
-        spec: &RelSpec,
-        mode: GenMode,
-        seed: u64,
-    ) -> Result<Relation, StorageError> {
         let bytes = spec.card * spec.tuple_bytes();
         let file = sm.alloc(&spec.device, bytes.max(1))?;
         let width = spec.width.max(1) as usize;
         let cb = spec.col_bytes.clamp(1, 8) as usize;
-        let source = match mode {
-            GenMode::Virtual => RowSource::Virtual,
-            GenMode::Materialized => {
-                let rows = RowGen::from_spec(spec, seed).generate_all();
-                // Columns narrower than 8 bytes are truncated to the
-                // declared width — the in-memory rows stay authoritative;
-                // the file holds the on-disk representation.
-                let mut encoded = Vec::new();
-                rows.encode_into(cb, &mut encoded);
-                sm.materialize(file, 0, &encoded)?;
-                RowSource::Materialized(Arc::new(rows))
+        let source = if faithful {
+            let gen = RowGen::from_spec(spec, seed);
+            let budget_bytes = if spec.cache_bytes == 0 {
+                DEFAULT_CACHE_BYTES
+            } else {
+                spec.cache_bytes
+            };
+            let budget_tuples = (budget_bytes / (width as u64 * 8)).max(1);
+            let mut cache = BlockCache::new(width, budget_tuples);
+            // The transient is one window plus its encoding, never the
+            // whole relation.
+            let tb = spec.tuple_bytes();
+            let mut encoded = Vec::new();
+            let mut at = 0u64;
+            while at < spec.card {
+                let take = budget_tuples.min(spec.card - at);
+                encoded.clear();
+                cache.serve(&gen, at, take).encode_into(cb, &mut encoded);
+                sm.materialize(file, at * tb, &encoded)?;
+                at += take;
             }
-            GenMode::Streamed => {
-                let gen = Arc::new(RowGen::from_spec(spec, seed));
-                let budget_bytes = if spec.cache_bytes == 0 {
-                    DEFAULT_CACHE_BYTES
-                } else {
-                    spec.cache_bytes
-                };
-                let budget_tuples = (budget_bytes / (width as u64 * 8)).max(1);
-                let cache = BlockCache::new(width, budget_tuples);
-                let mut source = RowSource::Streamed { gen, cache };
-                // Stream the on-disk representation block by block: the
-                // transient is one window plus its encoding, never the
-                // whole relation.
-                let tb = spec.tuple_bytes();
-                let mut encoded = Vec::new();
-                let mut at = 0u64;
-                while at < spec.card {
-                    let take = budget_tuples.min(spec.card - at);
-                    encoded.clear();
-                    if let RowSource::Streamed { gen, cache } = &mut source {
-                        cache.serve(gen, at, take).encode_into(cb, &mut encoded);
-                    }
-                    sm.materialize(file, at * tb, &encoded)?;
-                    at += take;
-                }
-                if let RowSource::Streamed { cache, .. } = &mut source {
-                    cache.release();
-                }
-                source
+            cache.release();
+            RowSource::Streamed {
+                gen: Arc::new(gen),
+                cache,
             }
+        } else {
+            RowSource::Virtual
         };
         Ok(Relation {
             file,
@@ -946,10 +887,10 @@ impl Relation {
     /// seam).
     ///
     /// Assumes the native 8-byte-column on-disk layout (`tuple_bytes =
-    /// width * 8`) — the same restriction the runtime's out-of-core
-    /// algorithms enforce. Extents written with narrow `col_bytes` need
-    /// [`Relation::create_with`] instead, which records the declared
-    /// tuple size.
+    /// width * 8`) — the same restriction the external sort and the
+    /// runtime's GRACE join enforce. Extents written with narrow
+    /// `col_bytes` need [`Relation::create`] instead, which records the
+    /// declared tuple size.
     pub fn attach(file: FileId, card: u64, width: u32, key_range: u64) -> Relation {
         Relation {
             file,
@@ -1011,6 +952,26 @@ impl Relation {
         }
     }
 
+    /// Reads tuples `[index, index + n)` (`n > 0`, all within the relation)
+    /// with [`load_block`](Relation::load_block)'s request into `buf`'s own
+    /// rows — decoded from the payload, or copied from the generator — and
+    /// hands them out to keep or sort in place; `None` when the request
+    /// brought no rows (no payload, no generator).
+    pub(crate) fn load_rows<'a, B: StorageBackend>(
+        &mut self,
+        sm: &mut B,
+        index: u64,
+        n: u64,
+        buf: &'a mut BlockBuf,
+    ) -> Result<Option<&'a mut RowBuf>, StorageError> {
+        buf.rows.width = self.width.max(1) as usize;
+        if !self.fetch_block(sm, index, n, buf)? {
+            let rows = self.block_rows(index, n);
+            buf.rows.data.extend_from_slice(rows.as_slice());
+        }
+        Ok(Some(&mut buf.rows).filter(|rows| rows.len() as u64 == n))
+    }
+
     /// The one payload-or-generator decision (see `load_block`): the data
     /// read of the `n > 0` tuples at `index`, decoded into `buf` when that
     /// returns `true`; `false` leaves `buf` empty — the generator's block.
@@ -1059,7 +1020,6 @@ impl Relation {
         let count = count.min(self.card.saturating_sub(index));
         match &mut self.source {
             RowSource::Virtual => RowsView::empty(),
-            RowSource::Materialized(rows) => rows.view(index as usize, count as usize),
             RowSource::Streamed { gen, cache } => cache.serve(gen, index, count),
         }
     }
@@ -1070,19 +1030,16 @@ impl Relation {
     pub fn collect_rows(&self) -> Option<RowBuf> {
         match &self.source {
             RowSource::Virtual => None,
-            RowSource::Materialized(rows) => Some((**rows).clone()),
             RowSource::Streamed { gen, .. } => Some(gen.generate_all()),
         }
     }
 
     /// Resident row bytes this relation currently holds in host memory:
-    /// the cache window for streamed sources, the whole batch for the
-    /// materialized oracle, 0 for virtual relations.
+    /// the cache window of a generated relation, 0 for a virtual one.
     #[inline]
     pub fn resident_bytes(&self) -> u64 {
         match &self.source {
             RowSource::Virtual => 0,
-            RowSource::Materialized(rows) => rows.as_slice().len() as u64 * 8,
             RowSource::Streamed { cache, .. } => cache.resident_bytes(),
         }
     }
@@ -1091,50 +1048,15 @@ impl Relation {
     /// lifetime.
     pub fn peak_resident_bytes(&self) -> u64 {
         match &self.source {
+            RowSource::Virtual => 0,
             RowSource::Streamed { cache, .. } => cache.peak_bytes,
-            _ => self.resident_bytes(),
-        }
-    }
-
-    /// An emitter streaming this relation's rows in sorted order, in
-    /// bounded blocks (`None` for virtual relations).
-    ///
-    /// Streamed sources use a sorted twin generator (bounded windows);
-    /// the materialized oracle sorts an index permutation and gathers
-    /// per block — neither path copies the whole relation.
-    pub fn sorted_emitter(&self) -> Option<SortedEmitter<'_>> {
-        match &self.source {
-            RowSource::Virtual => None,
-            RowSource::Materialized(rows) => {
-                debug_assert!(rows.len() <= u32::MAX as usize);
-                let mut idx: Vec<u32> = (0..rows.len() as u32).collect();
-                idx.sort_unstable_by(|&a, &b| rows.row(a as usize).cmp(rows.row(b as usize)));
-                Some(SortedEmitter {
-                    inner: EmitterInner::Materialized { rows, idx, at: 0 },
-                })
-            }
-            RowSource::Streamed { gen, cache } => {
-                let sorted_gen = if gen.sorted() {
-                    Arc::clone(gen)
-                } else {
-                    Arc::new(gen.sorted_twin())
-                };
-                let window = BlockCache::new(gen.width(), cache.budget_tuples);
-                Some(SortedEmitter {
-                    inner: EmitterInner::Streamed {
-                        gen: sorted_gen,
-                        cache: window,
-                        at: 0,
-                    },
-                })
-            }
         }
     }
 }
 
 /// A forward cursor over a relation's tuples, `b_in` to the block: the
 /// input side of the streaming operators (merge pass, column zip, duplicate
-/// removal), on every backend.
+/// removal) and of the external sort's merges, on every backend.
 ///
 /// When its block runs dry the cursor issues **one** data read for the next
 /// `b_in` tuples — [`Relation::load_block`]'s request, under its
@@ -1157,11 +1079,9 @@ pub struct BlockCursor {
 impl BlockCursor {
     /// A cursor at the start of `rel`, reading `b_in > 0` tuples a request.
     pub fn new(rel: Relation, b_in: u64) -> BlockCursor {
-        let mut block = BlockBuf::default();
-        block.rows.width = rel.width.max(1) as usize;
         BlockCursor {
             rel,
-            block,
+            block: BlockBuf::default(),
             b_in,
             next: 0,
             rows: 0,
@@ -1178,14 +1098,14 @@ impl BlockCursor {
             return Ok(true);
         }
         let n = self.b_in.min(self.rel.card - self.next);
-        if !self.rel.fetch_block(sm, self.next, n, &mut self.block)? {
-            let rows = self.rel.block_rows(self.next, n);
-            self.block.rows.data.extend_from_slice(rows.as_slice());
-        }
+        let full = self
+            .rel
+            .load_rows(sm, self.next, n, &mut self.block)?
+            .is_some();
         self.rows = self.block.rows.len();
         self.pos = 0;
         self.next += n;
-        Ok(self.rows as u64 == n)
+        Ok(full)
     }
 
     /// The row under the cursor (no I/O; call `ensure` first): `None` once
@@ -1204,67 +1124,25 @@ impl BlockCursor {
         self.pos += 1;
     }
 
+    /// The rows left in the block, row-major (no I/O; call `ensure` first):
+    /// what a merge may take before this cursor is due again.
+    #[inline]
+    pub fn rest(&self) -> &[i64] {
+        let w = self.block.rows.width;
+        &self.block.rows.data[self.pos * w..self.rows * w]
+    }
+
+    /// Steps past every row left in the block: the next `ensure` refills it.
+    #[inline]
+    pub fn drain(&mut self) {
+        self.pos = self.rows;
+    }
+
     /// Resident tuple bytes: the block, plus the generator's window where
     /// the rows came from one.
     #[inline]
     pub fn resident_bytes(&self) -> u64 {
         self.rel.resident_bytes() + self.block.resident_bytes()
-    }
-}
-
-/// Streams a relation's rows in sorted order, block by block (see
-/// [`Relation::sorted_emitter`]).
-pub struct SortedEmitter<'a> {
-    inner: EmitterInner<'a>,
-}
-
-enum EmitterInner<'a> {
-    /// Sorted twin generator behind its own bounded window.
-    Streamed {
-        gen: Arc<RowGen>,
-        cache: BlockCache,
-        at: u64,
-    },
-    /// Index permutation over the borrowed materialized batch.
-    Materialized {
-        rows: &'a RowBuf,
-        idx: Vec<u32>,
-        at: usize,
-    },
-}
-
-impl SortedEmitter<'_> {
-    /// Appends up to `count` next rows in sorted order to `out`,
-    /// returning how many were appended (0 = exhausted).
-    pub fn next_block(&mut self, count: u64, out: &mut RowBuf) -> u64 {
-        match &mut self.inner {
-            EmitterInner::Streamed { gen, cache, at } => {
-                let n = count.min(gen.card().saturating_sub(*at));
-                if n > 0 {
-                    out.extend_view(cache.serve(gen, *at, n));
-                    *at += n;
-                }
-                n
-            }
-            EmitterInner::Materialized { rows, idx, at } => {
-                let n = count.min((idx.len() - *at) as u64);
-                for k in 0..n as usize {
-                    out.push(rows.row(idx[*at + k] as usize));
-                }
-                *at += n as usize;
-                n
-            }
-        }
-    }
-
-    /// Transient bytes this emitter holds beyond its source relation: the
-    /// window for streamed sources, the index permutation for the
-    /// materialized oracle.
-    pub fn resident_bytes(&self) -> u64 {
-        match &self.inner {
-            EmitterInner::Streamed { cache, .. } => cache.resident_bytes(),
-            EmitterInner::Materialized { idx, .. } => idx.len() as u64 * 4,
-        }
     }
 }
 
@@ -1365,35 +1243,33 @@ mod tests {
     }
 
     /// The headline key-range regression: `RelSpec::key_range` documents
-    /// the **half-open** contract `0..key_range`; every generated value —
-    /// in both the streamed default and the materialized oracle — must be
-    /// strictly below it (the inclusive off-by-one skewed the generator's
-    /// own documented distribution, and with it every selectivity the
-    /// cost model derives from `1 / key_range`).
+    /// the **half-open** contract `0..key_range`; every generated value
+    /// must be strictly below it (the inclusive off-by-one skewed the
+    /// generator's own documented distribution, and with it every
+    /// selectivity the cost model derives from `1 / key_range`). The
+    /// relation's blocks are these rows (the proptest below).
     #[test]
     fn generated_keys_stay_strictly_below_key_range() {
         let h = presets::hdd_ram(1 << 25);
         let mut sm = StorageSim::from_hierarchy(&h);
         for (range, card) in [(7u64, 5000u64), (1, 500), (40, 2000)] {
             let spec = RelSpec::pairs("R", "HDD", card).with_key_range(range);
-            for mode in [GenMode::Streamed, GenMode::Materialized] {
-                let rel = Relation::create_with(&mut sm, &spec, mode, 3).unwrap();
-                let rows = rel.collect_rows().unwrap();
+            let rel = Relation::create(&mut sm, &spec, true, 3).unwrap();
+            let rows = rel.collect_rows().unwrap();
+            assert!(
+                rows.as_slice()
+                    .iter()
+                    .all(|v| (0..range as i64).contains(v)),
+                "a value escaped 0..{range}"
+            );
+            // With enough draws, the top key must actually occur — the
+            // range is exactly `key_range` values, not one fewer.
+            if range > 1 && card >= 1000 {
                 assert!(
-                    rows.as_slice()
-                        .iter()
-                        .all(|v| (0..range as i64).contains(v)),
-                    "{mode:?}: a value escaped 0..{range}"
+                    rows.as_slice().contains(&(range as i64 - 1)),
+                    "top key {} never drawn",
+                    range - 1
                 );
-                // With enough draws, the top key must actually occur —
-                // the range is exactly `key_range` values, not one fewer.
-                if range > 1 && card >= 1000 {
-                    assert!(
-                        rows.as_slice().contains(&(range as i64 - 1)),
-                        "{mode:?}: top key {} never drawn",
-                        range - 1
-                    );
-                }
             }
         }
         // key_range = 0 means "same as card".
@@ -1406,11 +1282,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The streamed generator's block sequence concatenates to
-        /// exactly the legacy materialized batch — same seed, same bytes
-        /// — across widths, sortedness, key ranges, cardinalities, cache
-        /// budgets and access block sizes (the tentpole's parity
-        /// contract, including the order-preserving sorted path).
+        /// A relation's block sequence concatenates to exactly the whole
+        /// relation drawn at once (`RowGen::generate_all`, the eager
+        /// semantics: every draw, then sorted if the spec is) — same seed,
+        /// same bytes — across widths, sortedness, key ranges,
+        /// cardinalities, cache budgets and access block sizes, including
+        /// the order-preserving sorted path.
         #[test]
         fn streamed_blocks_concatenate_to_the_materialized_oracle(
             card in 0u64..700,
@@ -1431,12 +1308,8 @@ mod tests {
             spec.width = width;
             spec.sorted = sorted;
             spec.col_bytes = col_bytes;
-            let oracle = Relation::create_with(&mut sm, &spec, GenMode::Materialized, seed)
-                .unwrap()
-                .collect_rows()
-                .unwrap();
-            let mut streamed =
-                Relation::create_with(&mut sm, &spec, GenMode::Streamed, seed).unwrap();
+            let oracle = RowGen::from_spec(&spec, seed).generate_all();
+            let mut streamed = Relation::create(&mut sm, &spec, true, seed).unwrap();
             // Forward block scan concatenates to the oracle...
             let mut concat = RowBuf::new(width.max(1) as usize);
             let mut at = 0u64;
@@ -1447,9 +1320,8 @@ mod tests {
                 at += block.min(card - at);
             }
             prop_assert_eq!(&concat, &oracle);
-            // Per-block on-disk encodes (the streamed creation path)
-            // concatenate to the legacy whole-relation encode, at every
-            // column width.
+            // Per-block on-disk encodes (the creation path) concatenate to
+            // the whole-relation encode, at every column width.
             let cb = col_bytes as usize;
             let mut whole = Vec::new();
             oracle.encode_into(cb, &mut whole);
@@ -1470,29 +1342,6 @@ mod tests {
                     streamed.block_rows(i, block).as_slice(),
                     oracle.view(i as usize, n as usize).as_slice()
                 );
-            }
-        }
-    }
-
-    /// The sorted emitter streams exactly the sorted oracle, for both row
-    /// sources.
-    #[test]
-    fn sorted_emitter_matches_sorted_oracle() {
-        let h = presets::hdd_ram(1 << 25);
-        let mut sm = StorageSim::from_hierarchy(&h);
-        for (card, width, range) in [(0u64, 1u32, 10u64), (777, 2, 50), (300, 1, 4), (512, 3, 0)] {
-            let mut spec = RelSpec::pairs("R", "HDD", card)
-                .with_key_range(range)
-                .with_cache_bytes(64 * u64::from(width) * 8);
-            spec.width = width;
-            let mut expect = RowGen::from_spec(&spec, 11).generate_all();
-            expect.sort();
-            for mode in [GenMode::Streamed, GenMode::Materialized] {
-                let rel = Relation::create_with(&mut sm, &spec, mode, 11).unwrap();
-                let mut em = rel.sorted_emitter().unwrap();
-                let mut got = RowBuf::new(width.max(1) as usize);
-                while em.next_block(37, &mut got) > 0 {}
-                assert_eq!(got, expect, "{mode:?} card={card} width={width}");
             }
         }
     }

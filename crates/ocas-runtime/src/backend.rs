@@ -388,16 +388,12 @@ impl FileBackend {
     }
 
     /// Names an alternate spill device for ENOSPC fail-over,
-    /// builder-style. The out-of-core algorithms consult this when a
-    /// spill allocation keeps failing after shrinking.
+    /// builder-style: [`StorageBackend::spill_fallback`], which the external
+    /// sort and the GRACE join consult when a spill allocation keeps
+    /// failing after shrinking.
     pub fn with_spill_fallback(mut self, device: &str) -> FileBackend {
         self.spill_fallback = Some(device.to_string());
         self
-    }
-
-    /// The configured ENOSPC fail-over device, if any.
-    pub fn spill_fallback(&self) -> Option<&str> {
-        self.spill_fallback.as_deref()
     }
 
     /// The page size of `device`'s buffer pool, in bytes: the unit a spill
@@ -664,8 +660,7 @@ impl FileBackend {
     /// Charged read of `count` tuples of `width` 8-byte columns starting
     /// at tuple `row_offset`, decoded straight into a flat batch through
     /// the backend's reusable scratch buffer — the block-read path of the
-    /// out-of-core algorithms (no per-block, per-row or per-column
-    /// allocation).
+    /// GRACE join (no per-block, per-row or per-column allocation).
     pub fn read_rows(
         &mut self,
         file: FileId,
@@ -962,6 +957,10 @@ impl StorageBackend for FileBackend {
             }
             None => false,
         }
+    }
+
+    fn spill_fallback(&self) -> Option<&str> {
+        self.spill_fallback.as_deref()
     }
 }
 

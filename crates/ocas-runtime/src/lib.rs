@@ -17,12 +17,12 @@
 //!   one sparse temp file per hierarchy device, bump-allocated extents
 //!   (the simulator's allocator, re-enacted on disk), per-device I/O
 //!   counters mirroring [`ocas_storage::DeviceStats`], wall-clock charging.
-//! * [`algos`] + [`Runtime`] — the two genuinely out-of-core native
-//!   implementations (external merge-sort runs and GRACE partitions really
-//!   spill to disk) and the entry point that runs a plan for real — those
-//!   two natively, every other template through the generic executor over
-//!   block cursors, peak resident tuple memory metered either way —
-//!   alongside its simulated twin, returning a [`RealReport`] with both.
+//! * [`algos`] + [`Runtime`] — the native GRACE join (its partitions
+//!   really spill to disk) and the entry point that runs a plan for real —
+//!   the join natively, every other template, the external merge sort's
+//!   spilled runs included, through the generic executor over block
+//!   cursors, peak resident tuple memory metered either way — alongside
+//!   its simulated twin, returning a [`RealReport`] with both.
 //!   [`TimingMode::DiskBounded`] bounds wall-clock by the disk (fsync +
 //!   `O_DIRECT` where available) instead of the kernel page cache.
 //!

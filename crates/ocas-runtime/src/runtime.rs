@@ -71,8 +71,9 @@ pub struct RealReport {
     pub sim_output: RowBuf,
     /// High-water mark of resident tuple bytes of the real execution:
     /// [`ExecStats::peak_resident_bytes`](ocas_engine::ExecStats) of the
-    /// generic executor, or — for external sort and the GRACE join, the
-    /// two templates that run natively — the algorithm's own gauge.
+    /// generic executor — for an external sort, its batch, run cursors and
+    /// output batch — or, for the GRACE join, the one template that runs
+    /// natively, the algorithm's own gauge.
     pub peak_resident_bytes: Option<u64>,
     /// Per-device I/O counters of the real execution.
     pub real_devices: Vec<(String, DeviceStats)>,
@@ -163,8 +164,8 @@ impl Runtime {
     }
 
     /// Dispatches the native out-of-core implementation for `plan`, if one
-    /// exists: external sort and the GRACE join. This is the one place a
-    /// plan is matched to what runs it on real files.
+    /// exists: the GRACE join. This is the one place a plan is matched to
+    /// what runs it on real files.
     fn run_native(
         fb: &mut FileBackend,
         rels: &[Relation],
@@ -174,22 +175,6 @@ impl Runtime {
             rels.get(i).ok_or(ExecError::BadRelation(i).into())
         };
         Ok(match plan {
-            Plan::ExternalSort {
-                input,
-                fan_in,
-                b_in,
-                b_out,
-                scratch,
-                output,
-            } => Some(algos::external_sort(
-                fb,
-                rel(*input)?,
-                *fan_in,
-                *b_in,
-                *b_out,
-                scratch,
-                output,
-            )?),
             Plan::GraceJoin {
                 left,
                 right,
@@ -212,12 +197,14 @@ impl Runtime {
         })
     }
 
-    /// Executes `plan` over `rels` on real files. External sort and the
-    /// GRACE join run their out-of-core implementations in [`algos`]; every
-    /// other template runs through the generic executor in faithful mode,
-    /// on the rows its block reads return. A device-bound output is not
-    /// collected while the plan runs: [`AlgoRun::harvest`] reads it back
-    /// afterwards, outside whatever the caller measures.
+    /// Executes `plan` over `rels` on real files. The GRACE join runs its
+    /// out-of-core implementation in [`algos`]; every other template — the
+    /// external sort included — runs through the generic executor in
+    /// faithful mode, on the rows its block reads return, the code its
+    /// simulator twin runs. A plan with a parameter no execution can honour
+    /// is rejected before any request ([`Plan::validate`]). A device-bound
+    /// output is not collected while the plan runs: [`AlgoRun::harvest`]
+    /// reads it back afterwards, outside whatever the caller measures.
     ///
     /// The backend is handed back whatever happened. After a failure every
     /// device is at its entry watermark and no page is pinned.
@@ -226,12 +213,19 @@ impl Runtime {
         rels: &[Relation],
         plan: &Plan,
     ) -> (FileBackend, Result<AlgoRun, RuntimeError>) {
+        if let Err(e) = plan.validate() {
+            return (fb, Err(e.into()));
+        }
         match Self::run_native(&mut fb, rels, plan) {
             Ok(Some(run)) => return (fb, Ok(run)),
             Err(e) => return (fb, Err(e)),
             Ok(None) => {}
         }
-        let guard = SpillGuard::new(&fb, None, plan.output());
+        let scratch = match plan {
+            Plan::ExternalSort { scratch, .. } => Some(scratch.as_str()),
+            _ => None,
+        };
+        let guard = SpillGuard::new(&fb, scratch, plan.output());
         let collect = matches!(plan.output(), Output::Discard);
         let mut ex =
             Executor::new(fb, Mode::Faithful, CpuModel::disabled()).with_output_collection(collect);

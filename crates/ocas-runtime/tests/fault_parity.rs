@@ -26,8 +26,8 @@ use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, R
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig};
 use ocas_storage::{
-    FaultKind, FaultOp, FaultPlan, Faulted, RecoveryCounters, RetryPolicy, StorageBackend,
-    StorageError, StorageSim,
+    DeviceStats, FaultKind, FaultOp, FaultPlan, Faulted, FileId, RecoveryCounters, RetryPolicy,
+    StorageBackend, StorageError, StorageSim,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -472,4 +472,165 @@ fn an_overflowing_request_end_is_out_of_bounds_on_both_backends() {
     );
     assert_eq!(sim, plain);
     assert_eq!(sim, injected);
+}
+
+/// The simulator with a spill fallback device, as `FileBackend` has with
+/// `with_spill_fallback`: everything else forwarded.
+struct WithFallback(StorageSim, &'static str);
+
+impl StorageBackend for WithFallback {
+    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
+        self.0.alloc(device, len)
+    }
+    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+        StorageBackend::read(&mut self.0, file, offset, len)
+    }
+    fn read_data(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        self.0.read_data(file, offset, buf)
+    }
+    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+        StorageBackend::write(&mut self.0, file, offset, len)
+    }
+    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.0.write_bytes(file, offset, data)
+    }
+    fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.0.materialize(file, offset, data)
+    }
+    fn charge_cpu(&mut self, seconds: f64) {
+        StorageBackend::charge_cpu(&mut self.0, seconds)
+    }
+    fn clock(&self) -> f64 {
+        StorageBackend::clock(&self.0)
+    }
+    fn len(&self, file: FileId) -> u64 {
+        StorageBackend::len(&self.0, file)
+    }
+    fn device_of(&self, file: FileId) -> &str {
+        StorageBackend::device_of(&self.0, file)
+    }
+    fn device_stats(&self, device: &str) -> Option<DeviceStats> {
+        StorageBackend::device_stats(&self.0, device)
+    }
+    fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
+        StorageBackend::truncate_device(&mut self.0, device, mark)
+    }
+    fn watermark(&self, device: &str) -> Option<u64> {
+        StorageBackend::watermark(&self.0, device)
+    }
+    fn spill_fallback(&self) -> Option<&str> {
+        Some(self.1)
+    }
+}
+
+/// The sort of the tests below: 40 ints in ten runs of 2 x 1 + 2 tuples,
+/// merged two at a time over three levels and an output pass onto the same
+/// device. One-tuple cursors make the request stream independent of the
+/// data: on `HDD`, request 0 allocates the relation, run formation is
+/// (read, alloc, write) per run — requests 1 to 30 — and the first merge
+/// allocates its run (31), fills both cursors (32, 33) and, its first row
+/// out and its batch of two not full, refills that row's cursor (34).
+fn sort_plan() -> (Plan, Vec<RelSpec>) {
+    let plan = Plan::ExternalSort {
+        input: 0,
+        fan_in: 2,
+        b_in: 1,
+        b_out: 2,
+        scratch: "HDD".into(),
+        output: Output::ToDevice {
+            device: "HDD".into(),
+            buffer_bytes: 256,
+        },
+    };
+    (plan, vec![RelSpec::ints("L", "HDD", 40).with_key_range(30)])
+}
+
+/// Runs [`sort_plan`] under `faults` on the faulted simulator and on faulted
+/// files, both with `HDD2` as the spill fallback; returns both outcomes.
+fn sort_on_both(faults: FaultPlan, policy: RetryPolicy) -> [(String, RecoveryCounters); 2] {
+    let (plan, specs) = sort_plan();
+    let h = presets::two_hdd_ram(1 << 22);
+    let sim = WithFallback(StorageSim::from_hierarchy(&h), "HDD2");
+    let sim = Faulted::new(sim, faults.clone(), policy);
+    let fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
+        .unwrap()
+        .with_faults(faults, policy)
+        .with_spill_fallback("HDD2");
+    [
+        run_faithful(sim, &plan, &specs),
+        run_faithful(fb, &plan, &specs),
+    ]
+}
+
+/// The external sort is one implementation on both backends, so its
+/// degradations are one too: an ENOSPC on the allocation of a run extent
+/// halves the extent (two sorted runs where there was one) and the sort
+/// goes on; refused down to one tuple, the spill fails over to the fallback
+/// device, once; and a transient on a cursor refill is retried, or is the
+/// typed error at that request without retries. Each with the same outcome
+/// and the same recovery counters, shrinks and failovers included, on the
+/// faulted simulator and on faulted files.
+#[test]
+fn a_sort_degrades_and_recovers_the_same_way_on_both_backends() {
+    let (clean, _) = sort_on_both(FaultPlan::new(), RetryPolicy::default())[0].clone();
+    assert!(clean.starts_with("ok"), "{clean}");
+    let run_extent = |refusals: u64| {
+        (2..2 + refusals).fold(FaultPlan::new(), |plan, at| {
+            plan.with("HDD", FaultOp::Alloc, at, FaultKind::NoSpace)
+        })
+    };
+    let refill = FaultPlan::new().with("HDD", FaultOp::Read, 34, FaultKind::Transient);
+    for (faults, policy, shrinks, failovers) in [
+        (run_extent(1), RetryPolicy::default(), 1, 0),
+        (run_extent(3), RetryPolicy::default(), 2, 1),
+        (refill.clone(), RetryPolicy::default(), 0, 0),
+        (refill, RetryPolicy::none(), 0, 0),
+    ] {
+        let [sim, file] = sort_on_both(faults.clone(), policy);
+        assert_eq!(sim, file, "{faults:?}");
+        let (outcome, counters) = sim;
+        assert_eq!(counters.faults_injected, faults.specs.len() as u64);
+        assert_eq!(
+            (counters.degraded_shrinks, counters.degraded_failovers),
+            (shrinks, failovers),
+            "{faults:?}"
+        );
+        if policy.max_attempts > 1 {
+            assert_eq!(outcome, clean, "{faults:?}");
+        } else {
+            assert!(outcome.contains("read request 34 on `HDD`"), "{outcome}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any fault kind at any of the sort's first requests — run formation,
+    /// the merge levels, the output pass — is the same fault on both
+    /// backends: the same rows or the same typed error, the same counters.
+    #[test]
+    fn a_fault_anywhere_in_a_sort_is_the_same_fault_on_both_backends(
+        at in 1u64..160,
+        kind in 0u32..5,
+        retry in 0u32..2,
+    ) {
+        let kind = match kind {
+            0 => FaultKind::Transient,
+            1 => FaultKind::ShortRead,
+            2 => FaultKind::ShortWrite,
+            3 => FaultKind::NoSpace,
+            _ => FaultKind::Latency(0.002),
+        };
+        let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
+        let faults = FaultPlan::new().with("HDD", FaultOp::Any, at, kind);
+        let [sim, file] = sort_on_both(faults, policy);
+        prop_assert_eq!(&sim, &file);
+        prop_assert_eq!(sim.1.faults_injected, 1, "the spec at request {} never fired", at);
+    }
 }

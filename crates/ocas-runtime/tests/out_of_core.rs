@@ -17,7 +17,7 @@ use ocas_engine::{
     merge_bufs, CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf,
 };
 use ocas_hierarchy::presets;
-use ocas_runtime::{algos, FileBackend, PoolConfig, Runtime, TimingMode};
+use ocas_runtime::{FileBackend, PoolConfig, Runtime, TimingMode};
 use ocas_storage::StorageBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,9 +217,18 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
         run.peak_resident_bytes
     );
 
-    // External sort under the same bound: fan_in*b_in + b_out tuples.
-    let run = algos::external_sort(&mut ex.sm, &b, 4, 512, 1024, "HDD", &out).unwrap();
-    assert_eq!(run.rows, b.card);
+    // External sort under the same bound: a batch of fan_in*b_in + b_out
+    // tuples and its encoding while the runs of the attached file form.
+    let sort = Plan::ExternalSort {
+        input: 1,
+        fan_in: 4,
+        b_in: 512,
+        b_out: 1024,
+        scratch: "HDD".into(),
+        output: out.clone(),
+    };
+    let run = ex.run(&sort).unwrap();
+    assert_eq!(run.output_rows, b.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
         "sort peak {} exceeds RAM {}",

@@ -18,7 +18,7 @@
 
 use ocas_engine::{
     merge_bufs, CpuModel, ExecError, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec,
-    Relation, RowBuf,
+    Relation, RowBuf, RowGen,
 };
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
 use ocas_runtime::{FileBackend, PolicyKind, PoolConfig, Runtime};
@@ -228,15 +228,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The native kernels — `KeyIndex` bucket joins, batch-kernel merges —
-    /// against their simulator twins through the runtime, row for row:
-    /// heavily duplicated keys, one-row buckets and buffers, partition
-    /// counts and fan-ins that are not powers of two.
+    /// The native GRACE join's `KeyIndex` bucket joins against its
+    /// simulator twin through the runtime, row for row: heavily duplicated
+    /// keys, one-row buckets, partition counts that are not powers of two.
+    /// (The external sort is one implementation on both backends; its
+    /// geometries are `ocas-engine`'s `external_sort_sorts_at_every_buffer_geometry`.)
     #[test]
-    fn native_grace_and_sort_match_their_twins_row_for_row(
+    fn native_grace_matches_its_twin_row_for_row(
         cards in (1u64..320, 1u64..220),
         (key_range, partitions) in (1u64..50, 1u64..12),
-        (fan_in, b_in, b_out) in (2u64..8, 1u64..24, 1u64..24),
         seed in 0u64..1000,
     ) {
         let rt = Runtime::new(unit_page_hierarchy());
@@ -252,25 +252,11 @@ proptest! {
             buffer_bytes: 1 << 11,
             spill: "HDD".into(),
             pred: JoinPred::KeyEq,
-            output: output.clone(),
+            output,
         };
         let report = rt.run_plan(&join, &join_specs, seed).unwrap();
         prop_assert!(report.outputs_match(), "join: {} real vs {} simulated rows",
             report.output.len(), report.sim_output.len());
-
-        let sort_specs = [RelSpec::pairs("L", "HDD", cards.0).with_key_range(key_range)];
-        let sort = Plan::ExternalSort {
-            input: 0,
-            fan_in,
-            b_in,
-            b_out,
-            scratch: "HDD".into(),
-            output,
-        };
-        let report = rt.run_plan(&sort, &sort_specs, seed).unwrap();
-        prop_assert_eq!(report.output.len() as u64, cards.0);
-        prop_assert!(report.output.is_sorted());
-        prop_assert!(report.outputs_match(), "sort");
     }
 }
 
@@ -400,14 +386,13 @@ fn eviction_policies_all_produce_correct_results() {
     }
 }
 
-/// Streamed creation writes the backing file per block; the bytes on
-/// disk must be identical to what the legacy whole-relation encode +
-/// single materialize produced — across sortedness, widths and narrow
-/// `col_bytes` (the satellite check for the per-block
+/// Creation writes the backing file per block; the bytes on disk must be
+/// identical to the whole relation drawn at once
+/// (`RowGen::generate_all`) and encoded in one pass — across sortedness,
+/// widths and narrow `col_bytes` (the check for the per-block
 /// `encode_into`/`materialize` setup path).
 #[test]
 fn streamed_creation_writes_byte_identical_files_to_the_legacy_path() {
-    use ocas_engine::GenMode;
     use std::io::Read;
     let cases = [
         (false, 1u32, 8u32, 0u64), // unsorted ints, default key range
@@ -417,28 +402,27 @@ fn streamed_creation_writes_byte_identical_files_to_the_legacy_path() {
         (false, 3, 4, 33),         // wide tuples, 4-byte columns
     ];
     for (sorted, width, col_bytes, key_range) in cases {
-        let read_dev = |mode: GenMode| -> Vec<u8> {
-            let h = unit_page_hierarchy();
-            let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
-            let mut spec = RelSpec::pairs("R", "HDD", 3_000)
-                .with_key_range(key_range)
-                // Small budget: many per-block materialize calls.
-                .with_cache_bytes(512 * u64::from(width) * 8);
-            spec.width = width;
-            spec.col_bytes = col_bytes;
-            spec.sorted = sorted;
-            let rel = Relation::create_with(&mut fb, &spec, mode, 7).unwrap();
-            fb.flush().unwrap();
-            let mut bytes = vec![0u8; rel.bytes() as usize];
-            std::fs::File::open(fb.dir().join("HDD.dev"))
-                .unwrap()
-                .read_exact(&mut bytes)
-                .unwrap();
-            bytes
-        };
+        let h = unit_page_hierarchy();
+        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
+        let mut spec = RelSpec::pairs("R", "HDD", 3_000)
+            .with_key_range(key_range)
+            // Small budget: many per-block materialize calls.
+            .with_cache_bytes(512 * u64::from(width) * 8);
+        spec.width = width;
+        spec.col_bytes = col_bytes;
+        spec.sorted = sorted;
+        let rel = Relation::create(&mut fb, &spec, true, 7).unwrap();
+        fb.flush().unwrap();
+        let mut on_disk = vec![0u8; rel.bytes() as usize];
+        std::fs::File::open(fb.dir().join("HDD.dev"))
+            .unwrap()
+            .read_exact(&mut on_disk)
+            .unwrap();
+        let mut whole = Vec::new();
+        let rows = RowGen::from_spec(&spec, 7).generate_all();
+        rows.encode_into(col_bytes as usize, &mut whole);
         assert_eq!(
-            read_dev(GenMode::Streamed),
-            read_dev(GenMode::Materialized),
+            on_disk, whole,
             "sorted={sorted} width={width} col_bytes={col_bytes} key_range={key_range}"
         );
     }
@@ -740,6 +724,64 @@ fn tampered_files_move_the_real_union_zip_and_dedup_and_not_the_twins() {
                 assert_eq!(reads(&moved), reads(&clean), "{name} {route:?}");
             }
         }
+    }
+}
+
+/// A "follows the file" test for the external sort, on both routes: over an
+/// input file rewritten after its creation — negated, and with duplicates
+/// the generator never drew — the real output is the sort of what the file
+/// now holds, row for row, spilled runs and merge levels included; the
+/// twin's output does not move; `outputs_match` turns false; and the same
+/// bytes are read and written as untampered (which cursor runs dry first,
+/// and so the seeks, follow the data). A faithful sort arm that emits from
+/// the generator fails the direct route.
+#[test]
+fn tampered_files_move_the_real_sort_and_not_the_twin() {
+    let specs = [RelSpec::pairs("L", "HDD", 900).with_key_range(400)];
+    let seed = 31;
+    let generated = {
+        let mut sm = StorageSim::from_hierarchy(&unit_page_hierarchy());
+        let rel = Relation::create(&mut sm, &specs[0], true, seed).unwrap();
+        rel.collect_rows().unwrap()
+    };
+    let tampered = RowBuf::from_vec(generated.as_slice().iter().map(|v| -v / 3).collect(), 2);
+    let sorted = |rows: &RowBuf| {
+        let mut rows = rows.clone();
+        rows.sort();
+        rows
+    };
+    assert_ne!(sorted(&generated), sorted(&tampered), "tamper harder");
+    // Runs of 3 x 16 + 32 = 80 tuples: twelve runs, two merge levels and
+    // the output pass, which writes to the HDD.
+    let plan = Plan::ExternalSort {
+        input: 0,
+        fan_in: 3,
+        b_in: 16,
+        b_out: 32,
+        scratch: "HDD".into(),
+        output: Output::ToDevice {
+            device: "HDD".into(),
+            buffer_bytes: 512,
+        },
+    };
+    for route in [Route::Executor, Route::Runtime] {
+        let clean = report_over_files(&plan, &specs, seed, route, |_, _| {});
+        assert!(clean.outputs_match(), "{route:?}");
+        assert_eq!(clean.output, sorted(&generated), "{route:?}");
+
+        let moved = report_over_files(&plan, &specs, seed, route, |fb, rels| {
+            rewrite(fb, &rels[0], &tampered)
+        });
+        assert_eq!(moved.output, sorted(&tampered), "{route:?}");
+        assert_eq!(moved.sim_output, clean.sim_output, "{route:?}");
+        assert!(!moved.outputs_match(), "{route:?}");
+        let bytes = |r: &ocas_runtime::RealReport| -> Vec<(u64, u64)> {
+            let devices = r.real_devices.iter();
+            devices
+                .map(|(_, d)| (d.bytes_read, d.bytes_written))
+                .collect()
+        };
+        assert_eq!(bytes(&moved), bytes(&clean), "{route:?}");
     }
 }
 

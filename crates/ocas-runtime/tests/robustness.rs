@@ -1,14 +1,20 @@
-//! Robustness of plans run on real files — the native out-of-core
-//! algorithms and the generic executor behind `Runtime::execute`: graceful
-//! ENOSPC degradation (shrink spill extents, fail over to an alternate
-//! device) keeps results correct, and every failure path — injected or
-//! genuine — leaves the backend clean: no spill or output extents past the
-//! entry watermark, no pinned pages, and typed errors rather than panics.
+//! Robustness of plans run on real files through `Runtime::execute` — the
+//! external sort's spilled runs, the native GRACE join, the generic
+//! executor's streaming templates: graceful ENOSPC degradation (shrink
+//! spill extents, fail over to an alternate device) keeps results correct,
+//! and every failure path — injected or genuine — leaves the backend clean:
+//! no spill or output extents past the entry watermark, no pinned pages,
+//! and typed errors rather than panics.
 
-use ocas_engine::{ExecError, JoinPred, MergeKind, Output, Plan, RelSpec, Relation, RowBuf};
+use ocas_engine::{
+    CpuModel, ExecError, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation,
+    RowBuf,
+};
 use ocas_hierarchy::{presets, DeviceKind, Hierarchy, NodeProps};
-use ocas_runtime::{algos, AlgoError, FileBackend, PoolConfig, Runtime, RuntimeError};
-use ocas_storage::{FaultKind, FaultOp, FaultPlan, RetryPolicy, StorageBackend, StorageError};
+use ocas_runtime::{AlgoError, FileBackend, PoolConfig, Runtime, RuntimeError};
+use ocas_storage::{
+    FaultKind, FaultOp, FaultPlan, RetryPolicy, StorageBackend, StorageError, StorageSim,
+};
 
 /// RAM root with the input HDD, a deliberately tiny scratch device, and a
 /// roomy fallback device.
@@ -36,21 +42,48 @@ fn sorted_rows(mut rows: RowBuf) -> RowBuf {
     rows
 }
 
+/// The external sort the tests below run: four 64-tuple cursors and a
+/// 128-tuple output batch, so runs of 384 tuples.
+fn sort(scratch: &str, output: Output) -> Plan {
+    Plan::ExternalSort {
+        input: 0,
+        fan_in: 4,
+        b_in: 64,
+        b_out: 128,
+        scratch: scratch.into(),
+        output,
+    }
+}
+
+/// The GRACE join of relations 0 and 1 the tests below run: four
+/// partitions, `Output::Discard`.
+fn grace(spill: &str, buffer_bytes: u64) -> Plan {
+    Plan::GraceJoin {
+        left: 0,
+        right: 1,
+        partitions: 4,
+        buffer_bytes,
+        spill: spill.into(),
+        pred: JoinPred::KeyEq,
+        output: Output::Discard,
+    }
+}
+
 #[test]
 fn sort_degrades_to_smaller_runs_and_fails_over_with_correct_output() {
     let h = tiny_scratch_hierarchy(4096);
     // Clean oracle: same data, scratch on the roomy device.
     let mut clean = backend(&h);
     let rel = Relation::create(&mut clean, &RelSpec::ints("A", "HDD", 2_000), true, 9).unwrap();
-    let oracle = algos::external_sort(&mut clean, &rel, 4, 64, 128, "BIG", &Output::Discard)
-        .unwrap()
-        .output;
+    let oracle = Runtime::execute(clean, &[rel], &sort("BIG", Output::Discard)).1;
+    let oracle = oracle.unwrap().output;
 
     // Degrading run: scratch is 4 KiB against 16 KB of runs per merge
     // level, so run formation must shrink and eventually fail over.
     let mut fb = backend(&h).with_spill_fallback("BIG");
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 9).unwrap();
-    let run = algos::external_sort(&mut fb, &rel, 4, 64, 128, "TINY", &Output::Discard).unwrap();
+    let (fb, run) = Runtime::execute(fb, &[rel], &sort("TINY", Output::Discard));
+    let run = run.unwrap();
     assert_eq!(run.rows, 2_000);
     assert_eq!(run.output, oracle, "degraded sort changed the answer");
 
@@ -71,7 +104,8 @@ fn grace_join_degrades_spill_partitions_with_correct_output() {
     let mut clean = backend(&h);
     let l = Relation::create(&mut clean, &specs[0], true, 3).unwrap();
     let r = Relation::create(&mut clean, &specs[1], true, 4).unwrap();
-    let oracle = algos::grace_join(&mut clean, &l, &r, 4, 512, "BIG", false, &Output::Discard)
+    let oracle = Runtime::execute(clean, &[l, r], &grace("BIG", 512))
+        .1
         .unwrap()
         .output;
     assert!(!oracle.is_empty(), "join oracle must produce rows");
@@ -79,7 +113,8 @@ fn grace_join_degrades_spill_partitions_with_correct_output() {
     let mut fb = backend(&h).with_spill_fallback("BIG");
     let l = Relation::create(&mut fb, &specs[0], true, 3).unwrap();
     let r = Relation::create(&mut fb, &specs[1], true, 4).unwrap();
-    let run = algos::grace_join(&mut fb, &l, &r, 4, 512, "TINY", false, &Output::Discard).unwrap();
+    let (fb, run) = Runtime::execute(fb, &[l, r], &grace("TINY", 512));
+    let run = run.unwrap();
     assert_eq!(
         sorted_rows(run.output),
         sorted_rows(oracle),
@@ -103,8 +138,8 @@ fn injected_no_space_triggers_degradation_not_failure() {
         .unwrap()
         .with_faults(plan, RetryPolicy::default());
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_500), true, 11).unwrap();
-    let run = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD2", &Output::Discard).unwrap();
-    assert_eq!(run.rows, 1_500);
+    let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
+    assert_eq!(run.unwrap().rows, 1_500);
     let rec = fb.recovery_counters().expect("counters with injector");
     assert_eq!(rec.no_space_faults, 1);
     assert!(rec.degraded_shrinks > 0, "ENOSPC must degrade, not fail");
@@ -127,12 +162,13 @@ fn failed_sort_leaves_no_spill_extents_and_no_pins() {
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 5).unwrap();
     let mark = fb.watermark("HDD2").unwrap();
 
-    let err = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD2", &Output::Discard)
-        .expect_err("persistent write faults must fail the sort");
+    let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
+    let err = run.expect_err("persistent write faults must fail the sort");
     assert!(
         matches!(
             &err,
-            AlgoError::Storage(StorageError::Transient { device, .. }) if device == "HDD2"
+            RuntimeError::Exec(ExecError::Storage(StorageError::Transient { device, .. }))
+                if device == "HDD2"
         ),
         "expected a typed transient error, got: {err}"
     );
@@ -181,10 +217,13 @@ fn failed_grace_partition(first_fault: u64) {
     .unwrap();
     let mark = fb.watermark("HDD2").unwrap();
 
-    let err = algos::grace_join(&mut fb, &l, &r, 4, 512, "HDD2", false, &Output::Discard)
-        .expect_err("persistent spill faults must fail the join");
+    let (fb, run) = Runtime::execute(fb, &[l, r], &grace("HDD2", 512));
+    let err = run.expect_err("persistent spill faults must fail the join");
     assert!(
-        matches!(err, AlgoError::Storage(StorageError::Transient { .. })),
+        matches!(
+            err,
+            RuntimeError::Algo(AlgoError::Storage(StorageError::Transient { .. }))
+        ),
         "expected a typed transient error, got: {err}"
     );
     assert_eq!(
@@ -208,7 +247,8 @@ fn transient_faults_are_absorbed_by_retries() {
         .unwrap()
         .with_faults(plan, RetryPolicy::default());
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_200), true, 13).unwrap();
-    let run = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD2", &Output::Discard).unwrap();
+    let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
+    let run = run.unwrap();
     assert_eq!(run.rows, 1_200);
     let mut sorted = RowBuf::new(1);
     for row in run.output.iter() {
@@ -232,12 +272,13 @@ fn no_space_on_a_bucket_reservation_halves_it_then_fails_over() {
         RelSpec::pairs("L", "HDD", 900).with_key_range(60),
         RelSpec::pairs("R", "HDD", 700).with_key_range(60),
     ];
-    let join = |fb: &mut FileBackend| {
-        let l = Relation::create(fb, &specs[0], true, 3).unwrap();
-        let r = Relation::create(fb, &specs[1], true, 4).unwrap();
-        algos::grace_join(fb, &l, &r, 4, 2048, "HDD2", false, &Output::Discard).unwrap()
+    let join = |mut fb: FileBackend| {
+        let l = Relation::create(&mut fb, &specs[0], true, 3).unwrap();
+        let r = Relation::create(&mut fb, &specs[1], true, 4).unwrap();
+        let (fb, run) = Runtime::execute(fb, &[l, r], &grace("HDD2", 2048));
+        (fb, run.unwrap())
     };
-    let oracle = sorted_rows(join(&mut backend(&h)).output);
+    let oracle = sorted_rows(join(backend(&h)).1.output);
     assert!(!oracle.is_empty(), "join oracle must produce rows");
 
     // HDD2 sees nothing but the spill: its request 0 is the first bucket's
@@ -247,10 +288,10 @@ fn no_space_on_a_bucket_reservation_halves_it_then_fails_over() {
         for at in 0..refusals {
             plan = plan.with("HDD2", FaultOp::Alloc, at, FaultKind::NoSpace);
         }
-        let mut fb = backend(&h)
+        let fb = backend(&h)
             .with_faults(plan, RetryPolicy::default())
             .with_spill_fallback("HDD");
-        let run = join(&mut fb);
+        let (fb, run) = join(fb);
         assert_eq!(sorted_rows(run.output), oracle, "{refusals} refusals");
         let rec = fb.recovery_counters().expect("counters with injector");
         assert_eq!(rec.no_space_faults, refusals, "{refusals} refusals");
@@ -284,12 +325,13 @@ fn failed_output_pass_leaves_neither_spill_nor_output_bytes() {
         device: "HDD2".into(),
         buffer_bytes: 1 << 10,
     };
-    let err = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD", &out)
-        .expect_err("persistent output faults must fail the sort");
+    let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD", out));
+    let err = run.expect_err("persistent output faults must fail the sort");
     assert!(
         matches!(
             &err,
-            AlgoError::Storage(StorageError::Transient { device, .. }) if device == "HDD2"
+            RuntimeError::Exec(ExecError::Storage(StorageError::Transient { device, .. }))
+                if device == "HDD2"
         ),
         "expected a typed transient error, got: {err}"
     );
@@ -333,21 +375,14 @@ fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
     )
     .unwrap();
     let mark = fb.watermark("HDD2").unwrap();
-    let err = algos::grace_join(
-        &mut fb,
-        &l,
-        &r,
-        4,
-        4 * 4096,
-        "HDD2",
-        false,
-        &Output::Discard,
-    )
-    .expect_err("the torn page must not be joined");
+    let (lbytes, rbytes) = (l.bytes(), r.bytes());
+    let (fb, run) = Runtime::execute(fb, &[l, r], &grace("HDD2", 4 * 4096));
+    let err = run.expect_err("the torn page must not be joined");
     assert!(
         matches!(
             &err,
-            AlgoError::Storage(StorageError::CorruptPage { device, .. }) if device == "HDD2"
+            RuntimeError::Algo(AlgoError::Storage(StorageError::CorruptPage { device, .. }))
+                if device == "HDD2"
         ),
         "expected CorruptPage, got: {err}"
     );
@@ -356,7 +391,7 @@ fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
     assert_eq!(rec.corrupt_pages_detected, 1);
     // Both relations were partitioned in full before any bucket was read.
     let spilled = fb.device_stats("HDD2").unwrap().bytes_written;
-    assert_eq!(spilled, l.bytes() + r.bytes());
+    assert_eq!(spilled, lbytes + rbytes);
     assert_eq!(fb.watermark("HDD2").unwrap(), mark, "leaked spill extents");
     assert_eq!(fb.pinned_pages(), 0);
 }
@@ -480,4 +515,91 @@ fn torn_input_page_surfaces_on_the_refill_that_reaches_it() {
     let rec = fb.recovery_counters().expect("injector");
     assert_eq!((rec.torn_write_backs, rec.corrupt_pages_detected), (1, 1));
     assert_eq!(fb.pinned_pages(), 0);
+}
+
+/// A parameter no execution can honour — a GRACE join over zero partitions,
+/// a sort with a fan-in of one or a zero buffer — is one typed error on every
+/// route, raised before the first request: `Runtime::execute`,
+/// `Runtime::run_plan` (which used to run the whole real join with one
+/// partition and fail only on its simulator twin) and the generic executor
+/// on the simulator. No device is read, written or allocated on.
+#[test]
+fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request() {
+    let h = presets::two_hdd_ram(1 << 22);
+    let specs = [
+        RelSpec::ints("L", "HDD", 2_000).with_key_range(50),
+        RelSpec::ints("R", "HDD", 600).with_key_range(50),
+    ];
+    let output = Output::ToDevice {
+        device: "HDD2".into(),
+        buffer_bytes: 1 << 10,
+    };
+    let sort = |fan_in, b_in, b_out| Plan::ExternalSort {
+        input: 0,
+        fan_in,
+        b_in,
+        b_out,
+        scratch: "HDD2".into(),
+        output: output.clone(),
+    };
+    let zero_partitions = Plan::GraceJoin {
+        left: 0,
+        right: 1,
+        partitions: 0,
+        buffer_bytes: 512,
+        spill: "HDD2".into(),
+        pred: JoinPred::KeyEq,
+        output: output.clone(),
+    };
+    let cases = [
+        (zero_partitions, "zero partitions"),
+        (sort(1, 64, 128), "fan-in must be >= 2"),
+        (sort(4, 0, 128), "zero sort buffer"),
+        (sort(4, 64, 0), "zero sort buffer"),
+    ];
+    let untouched = |stats: &[Option<ocas_storage::DeviceStats>]| {
+        stats.iter().all(|s| *s == Some(Default::default()))
+    };
+    for (plan, what) in cases {
+        let rejected = |e: &ExecError| matches!(e, ExecError::BadParameter(w) if *w == what);
+
+        let mut fb = backend(&h);
+        let rels: Vec<Relation> = (specs.iter().zip(1..))
+            .map(|(spec, seed)| Relation::create(&mut fb, spec, true, seed).unwrap())
+            .collect();
+        let marks = [fb.watermark("HDD"), fb.watermark("HDD2")];
+        let (fb, run) = Runtime::execute(fb, &rels, &plan);
+        let err = run.expect_err(what);
+        assert!(
+            matches!(&err, RuntimeError::Exec(e) if rejected(e)),
+            "{what}: {err}"
+        );
+        assert!(untouched(&[
+            fb.device_stats("HDD"),
+            fb.device_stats("HDD2")
+        ]));
+        assert_eq!([fb.watermark("HDD"), fb.watermark("HDD2")], marks, "{what}");
+
+        let err = Runtime::new(h.clone()).run_plan(&plan, &specs, 1);
+        let err = err.expect_err(what);
+        assert!(
+            matches!(&err, RuntimeError::Exec(e) if rejected(e)),
+            "{what}: {err}"
+        );
+
+        let sim = StorageSim::from_hierarchy(&h);
+        let mut ex = Executor::new(sim, Mode::Faithful, CpuModel::disabled());
+        for (spec, seed) in specs.iter().zip(1..) {
+            let rel = Relation::create(&mut ex.sm, spec, true, seed).unwrap();
+            ex.add_relation(rel);
+        }
+        let marks = [ex.sm.watermark("HDD"), ex.sm.watermark("HDD2")];
+        let err = ex.run(&plan).expect_err(what);
+        assert!(rejected(&err), "{what}: {err}");
+        assert!(untouched(&[
+            ex.sm.device_stats("HDD"),
+            ex.sm.device_stats("HDD2")
+        ]));
+        assert_eq!([ex.sm.watermark("HDD"), ex.sm.watermark("HDD2")], marks);
+    }
 }

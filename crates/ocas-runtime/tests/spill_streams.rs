@@ -9,11 +9,11 @@
 //!
 //! These are "follows the file" tests: the partition layout is decoded from
 //! the backing file itself (after a flush), and the sort's result from its
-//! output extent.
+//! output extent. Both run through `Runtime::execute`.
 
-use ocas_engine::{Output, Relation, RowBuf};
+use ocas_engine::{JoinPred, Output, Plan, Relation, RowBuf};
 use ocas_hierarchy::presets;
-use ocas_runtime::{algos, FileBackend, PoolConfig, PoolStats};
+use ocas_runtime::{FileBackend, PoolConfig, PoolStats, Runtime};
 use ocas_storage::{DeviceStats, FileId, StorageBackend};
 use std::collections::BTreeMap;
 use std::os::unix::fs::FileExt;
@@ -90,17 +90,17 @@ fn a_grace_bucket_owns_its_pages_and_is_read_back_once() {
 
     let mark = fb.watermark("HDD").unwrap();
     let (dev0, pool0) = hdd(&fb);
-    let run = algos::grace_join(
-        &mut fb,
-        &l,
-        &r,
-        PARTITIONS,
-        BUFFER,
-        "HDD",
-        false,
-        &Output::Discard,
-    )
-    .unwrap();
+    let plan = Plan::GraceJoin {
+        left: 0,
+        right: 1,
+        partitions: PARTITIONS,
+        buffer_bytes: BUFFER,
+        spill: "HDD".into(),
+        pred: JoinPred::KeyEq,
+        output: Output::Discard,
+    };
+    let (mut fb, run) = Runtime::execute(fb, &[l, r], &plan);
+    let run = run.unwrap();
     let (dev1, pool1) = hdd(&fb);
     fb.flush().unwrap();
     let end = fb.watermark("HDD").unwrap();
@@ -233,8 +233,17 @@ fn a_sort_moves_its_input_once_per_pass_and_not_once_more() {
             },
             false => Output::Discard,
         };
+        let plan = Plan::ExternalSort {
+            input: 0,
+            fan_in: FAN_IN,
+            b_in: B_IN,
+            b_out: B_OUT,
+            scratch: "HDD".into(),
+            output,
+        };
         let (dev0, _) = hdd(&fb);
-        let run = algos::external_sort(&mut fb, &rel, FAN_IN, B_IN, B_OUT, "HDD", &output).unwrap();
+        let (mut fb, run) = Runtime::execute(fb, &[rel], &plan);
+        let run = run.unwrap();
         let (dev1, _) = hdd(&fb);
         // Every pass reads the input once; every pass but a collected last
         // one writes it once. No copy-out term.
@@ -242,10 +251,7 @@ fn a_sort_moves_its_input_once_per_pass_and_not_once_more() {
         let written = passes - u64::from(!to_device);
         assert_eq!(dev1.bytes_written - dev0.bytes_written, CARD * 8 * written);
         assert_eq!(run.rows, CARD);
-        let mut out = run.output;
-        for (file, bytes) in &run.out_extents {
-            fb.peek_rows(*file, 0, bytes / 8, 1, &mut out).unwrap();
-        }
+        let out = run.harvest(&mut fb).unwrap();
         assert!(out.as_slice() == sorted, "to_device {to_device}");
     }
 }

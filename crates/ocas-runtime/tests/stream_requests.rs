@@ -1,15 +1,17 @@
 //! The request stream of the streaming templates — merge pass, column zip,
-//! duplicate removal — on real files, as a test instead of a claim.
+//! duplicate removal — and of the external sort on real files, as a test
+//! instead of a claim.
 //!
 //! Two kinds of assertion (ROADMAP, "Reading real-backend numbers"):
 //!
 //! * **Counts.** `DeviceStats.{bytes_read, bytes_written, seeks}` and
-//!   `PoolStats.{hits, misses}` of four plans through [`Runtime::execute`]
-//!   are pinned to the numbers PR 22's hand-written `algos::{merge_pass,
-//!   column_zip, dedup_sorted}` produced for the same relations (measured
-//!   on that commit; each is derived below from the input bytes). The
-//!   generic executor over block cursors replaced those functions and must
-//!   issue what they issued.
+//!   `PoolStats.{hits, misses}` of the plans through [`Runtime::execute`]
+//!   are pinned to the numbers the hand-written `ocas_runtime::algos`
+//!   functions they replaced produced for the same relations —
+//!   `merge_pass`, `column_zip`, `dedup_sorted` and `external_sort`, whose
+//!   peak resident bytes are pinned too (measured on those functions; each
+//!   is derived below from the input bytes). The generic executor over
+//!   block cursors must issue what they issued.
 //! * **Order.** Every request the operators issue is recorded with its
 //!   offset (a forwarding [`StorageBackend`] wrapper: obs spans carry bytes
 //!   but no offsets) on real files and on the simulator in faithful mode.
@@ -17,8 +19,8 @@
 //!   simulator twin a twin — and on directed inputs they are the literal
 //!   ones: a cursor is refilled only when its block is exhausted, a
 //!   difference reads nothing of its right input once the left one is dry,
-//!   a duplicate removal reads each block once. The `dev:HDD` obs track of
-//!   the runtime's run shows the same requests.
+//!   a duplicate removal reads each block once. The `dev:HDD` obs tracks of
+//!   the runtime's run and of the simulator twin show the same requests.
 //!
 //! These run in debug builds too: nothing here is a timing.
 
@@ -111,9 +113,31 @@ fn relations<B: StorageBackend>(sm: &mut B, inputs: &[Input], seed: u64) -> Vec<
     inputs.iter().enumerate().map(create).collect()
 }
 
+/// `(is_write, bytes)` of every request on the `dev:HDD` obs track.
+fn hdd_track(trace: &ocas_obs::Trace) -> Vec<(bool, u64)> {
+    let spans = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == ocas_obs::EventKind::Span && trace.track(e) == "dev:HDD");
+    spans
+        .map(|e| {
+            let bytes = e.args.iter().find(|(name, _)| *name == "bytes");
+            (
+                e.name == "write",
+                bytes.expect("a request has bytes").1 as u64,
+            )
+        })
+        .collect()
+}
+
 /// Runs `plan` faithfully on `sm` through the generic executor and returns
-/// the charged requests it issued, in order, with the output's digest.
-fn recorded<B: StorageBackend>(sm: B, inputs: &[Input], plan: &Plan) -> (Vec<Request>, u64) {
+/// the charged requests it issued, in order, with the output's digest and
+/// the run's `dev:HDD` obs track.
+fn recorded<B: StorageBackend>(
+    sm: B,
+    inputs: &[Input],
+    plan: &Plan,
+) -> (Vec<Request>, u64, Vec<(bool, u64)>) {
     let mut sm = Recording {
         inner: sm,
         log: Vec::new(),
@@ -122,8 +146,11 @@ fn recorded<B: StorageBackend>(sm: B, inputs: &[Input], plan: &Plan) -> (Vec<Req
     let mut ex =
         Executor::new(sm, Mode::Faithful, CpuModel::disabled()).with_output_collection(false);
     ex.rels = rels;
+    ocas_obs::start();
     let stats = ex.run(plan).expect("recorded run");
-    (ex.sm.log, stats.output_digest.expect("not collected"))
+    let trace = ocas_obs::finish().expect("recording");
+    let digest = stats.output_digest.expect("not collected");
+    (ex.sm.log, digest, hdd_track(&trace))
 }
 
 const SEED: u64 = 11;
@@ -132,13 +159,14 @@ fn file_backend() -> FileBackend {
     FileBackend::from_hierarchy(&presets::hdd_ram(1 << 20), PoolConfig::default()).unwrap()
 }
 
+/// What one plan did through the runtime: the HDD's device and pool
+/// counters and the run's peak resident tuple bytes.
+type Counts = (DeviceStats, PoolStats, u64);
+
 /// Runs `plan` through the runtime's entry point on real files, tracing it,
-/// and returns the HDD's device and pool counters, the harvested output and
-/// the `(is_write, bytes)` of every request on the `dev:HDD` obs track.
-fn through_the_runtime(
-    inputs: &[Input],
-    plan: &Plan,
-) -> (DeviceStats, PoolStats, RowBuf, Vec<(bool, u64)>) {
+/// and returns its counts, the harvested output and the `(is_write, bytes)`
+/// of every request on the `dev:HDD` obs track.
+fn through_the_runtime(inputs: &[Input], plan: &Plan) -> (Counts, RowBuf, Vec<(bool, u64)>) {
     let mut fb = file_backend();
     let rels = relations(&mut fb, inputs, SEED);
     ocas_obs::start();
@@ -151,20 +179,10 @@ fn through_the_runtime(
         .into_iter()
         .find(|(d, _)| d == "HDD")
         .unwrap();
-    let output = run.expect("clean run").harvest(&mut fb).unwrap();
-    let spans = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == ocas_obs::EventKind::Span && trace.track(e) == "dev:HDD")
-        .map(|e| {
-            let bytes = e.args.iter().find(|(name, _)| *name == "bytes");
-            (
-                e.name == "write",
-                bytes.expect("a request has bytes").1 as u64,
-            )
-        })
-        .collect();
-    (device, pool, output, spans)
+    let run = run.expect("clean run");
+    let peak = run.peak_resident_bytes;
+    let output = run.harvest(&mut fb).unwrap();
+    ((device, pool, peak), output, hdd_track(&trace))
 }
 
 fn to_hdd() -> Output {
@@ -176,37 +194,40 @@ fn to_hdd() -> Output {
 
 /// The counts of one plan through the runtime, the request sequence of the
 /// same plan recorded on files and on the simulator (identical), and that
-/// the runtime's obs track shows that sequence. Returns the counts and the
-/// sequence.
-fn check_case(inputs: &[Input], plan: &Plan) -> ((DeviceStats, PoolStats), Vec<Request>) {
-    let (device, pool, output, spans) = through_the_runtime(inputs, plan);
-    let (on_file, file_digest) = recorded(file_backend(), inputs, plan);
+/// the obs tracks of the runtime's run and of the simulator twin show that
+/// sequence. Returns the counts and the sequence.
+fn check_case(inputs: &[Input], plan: &Plan) -> (Counts, Vec<Request>) {
+    let (counts, output, spans) = through_the_runtime(inputs, plan);
+    let (on_file, file_digest, _) = recorded(file_backend(), inputs, plan);
     let sim = StorageSim::from_hierarchy(&presets::hdd_ram(1 << 20));
     let attached = inputs.iter().any(|i| matches!(i, Input::Rows(_)));
     if !attached {
         // (An attached file has no rows for the simulator to compute on.)
-        let (on_sim, sim_digest) = recorded(sim, inputs, plan);
+        let (on_sim, sim_digest, sim_spans) = recorded(sim, inputs, plan);
         assert_eq!(
             on_sim,
             on_file,
             "{}: the twin issues other requests",
             plan.name()
         );
+        assert_eq!(sim_spans, spans, "{}: the twin's obs track", plan.name());
         assert_eq!(sim_digest, file_digest, "{}", plan.name());
     }
     let logged: Vec<(bool, u64)> = on_file.iter().map(|r| (r.0, r.3)).collect();
     assert_eq!(spans, logged, "{}: obs track", plan.name());
     let moved = |write: bool| -> u64 { on_file.iter().filter(|r| r.0 == write).map(|r| r.3).sum() };
+    let device = counts.0;
     assert_eq!(device.bytes_read, moved(false), "{}", plan.name());
     assert_eq!(device.bytes_written, moved(true), "{}", plan.name());
-    if matches!(plan.output(), Output::ToDevice { .. }) {
+    let spills = matches!(plan, Plan::ExternalSort { .. });
+    if matches!(plan.output(), Output::ToDevice { .. }) && !spills {
         assert_eq!(device.bytes_written, output.as_slice().len() as u64 * 8);
     }
-    ((device, pool), on_file)
+    (counts, on_file)
 }
 
 /// `(bytes_read, bytes_written, seeks, pool hits, pool misses)`.
-fn counts((device, pool): (DeviceStats, PoolStats)) -> [u64; 5] {
+fn counts((device, pool, _): Counts) -> [u64; 5] {
     [
         device.bytes_read,
         device.bytes_written,
@@ -361,4 +382,53 @@ fn a_duplicate_removal_reads_every_block_once() {
     let reads = reads_of(&log, 0);
     assert_eq!(reads.len() as u64, card.div_ceil(b_in));
     assert_eq!(reads, each_block_once(card, b_in));
+}
+
+/// A sort of more runs than its fan-in: 5,000 ints in 14 runs of 4 x 64 +
+/// 128 tuples, merged four at a time into four, then the output pass —
+/// every request of it the native `algos::external_sort` it replaced issued,
+/// on real files and on the simulator twin, which now keeps what a run
+/// writes and merges it.
+#[test]
+fn a_two_level_sort_issues_the_native_requests_on_files_and_on_its_twin() {
+    let (card, fan_in, b_in, b_out) = (5_000, 4, 64, 128);
+    let inputs = [Input::Spec(RelSpec::ints("L", "HDD", card))];
+    let run_tuples = fan_in * b_in + b_out;
+    let runs = card.div_ceil(run_tuples);
+    assert_eq!(
+        (runs, runs.div_ceil(fan_in)),
+        (14, 4),
+        "one level, then output"
+    );
+    // Three passes read the input's 40,000 bytes; a device-bound output
+    // writes in all three, a collected one in two.
+    for (output, want) in [
+        (Output::Discard, [120_000, 80_000, 219, 259, 30]),
+        (to_hdd(), [120_000, 120_000, 251, 299, 40]),
+    ] {
+        let plan = Plan::ExternalSort {
+            input: 0,
+            fan_in,
+            b_in,
+            b_out,
+            scratch: "HDD".into(),
+            output: output.clone(),
+        };
+        let (got, log) = check_case(&inputs, &plan);
+        assert_eq!(counts(got), want, "{output:?}: as the native sort");
+        // A batch and its encoding while the runs form.
+        assert_eq!(
+            got.2,
+            2 * run_tuples * 8,
+            "{output:?}: peak as the native sort"
+        );
+        // Run formation reads the input once, a run at a time, in order.
+        let input_reads: Vec<(u64, u64)> = reads_of(&log, 0);
+        let each_run = (0..runs).map(|k| (k * run_tuples, run_tuples.min(card - k * run_tuples)));
+        assert_eq!(input_reads, each_run.collect::<Vec<_>>(), "{output:?}");
+        // Every other read is a cursor refill of at most b_in tuples.
+        let refills = log.iter().filter(|r| !r.0 && r.1 != 0);
+        assert!(refills.clone().all(|r| r.3 <= b_in * 8), "{output:?}");
+        assert_eq!(refills.map(|r| r.3).sum::<u64>(), 2 * card * 8);
+    }
 }

@@ -22,16 +22,20 @@ use crate::manager::{FileId, StorageError, StorageSim};
 ///   honest even where the engine models data flow analytically.
 /// * **Data writes** ([`write_bytes`](StorageBackend::write_bytes))
 ///   additionally carry the payload, so faithful-mode outputs land
-///   byte-for-byte in real files. The simulator treats them exactly like
-///   the accounting variant — both backends see identical request streams.
+///   byte-for-byte in real files. The simulator charges them exactly like
+///   the accounting variant — both backends see identical request streams —
+///   and keeps the payload, so a run hands back what it was given: an
+///   external sort's runs, written by one pass, are what the next pass
+///   merges, on the simulator as on real files.
 /// * **Data reads** ([`read_data`](StorageBackend::read_data)) are the
 ///   other direction: an accounting read that also hands the payload back
 ///   where the backend holds one. A real backend fills the caller's buffer
 ///   and says so, and the faithful operators then compute on those bytes;
-///   the simulator charges the read and answers "no payload", and the
-///   caller falls back to the relation's generator. Either way the request
-///   is charged, counted and faulted exactly like the accounting read of
-///   the same length.
+///   the simulator does the same for a file written with data, and
+///   otherwise — an input relation, placed by `materialize` — charges the
+///   read and answers "no payload", and the caller falls back to the
+///   relation's generator. Either way the request is charged, counted and
+///   faulted exactly like the accounting read of the same length.
 /// * **Run requests** ([`read_run`](StorageBackend::read_run)) stand for a
 ///   sequence of equal accounting reads laid end to end — a scan issued
 ///   block by block. They are shorthand, not a new kind of I/O: the default
@@ -40,7 +44,8 @@ use crate::manager::{FileId, StorageError, StorageSim};
 ///
 /// [`materialize`](StorageBackend::materialize) is the setup path: it
 /// places input data into a file *without* charging the clock or counters,
-/// so measurements cover only the algorithm under test.
+/// so measurements cover only the algorithm under test. The simulator keeps
+/// nothing of it: inputs stay on their generators.
 pub trait StorageBackend {
     /// Allocates a file of `len` bytes on the named device.
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError>;
@@ -156,6 +161,12 @@ pub trait StorageBackend {
     /// `"failover"`) for reporting. No-op by default.
     fn note_degradation(&mut self, _device: &str, _what: &'static str) {}
 
+    /// The device a spill that keeps running out of space fails over to
+    /// (`None` by default: the spill fails).
+    fn spill_fallback(&self) -> Option<&str> {
+        None
+    }
+
     /// Asks the backend to tear the `at`-th upcoming buffer-pool
     /// write-back on `device` (half the page persists; the recorded
     /// checksum keeps the full intent, so re-read detects the tear).
@@ -189,8 +200,20 @@ impl StorageBackend for StorageSim {
         StorageSim::write(self, file, offset, len)
     }
 
+    fn read_data(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        StorageSim::read(self, file, offset, buf.len() as u64)?;
+        Ok(self.load(file, offset, buf))
+    }
+
     fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        StorageSim::write(self, file, offset, data.len() as u64)
+        StorageSim::write(self, file, offset, data.len() as u64)?;
+        self.store(file, offset, data);
+        Ok(())
     }
 
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
@@ -260,6 +283,33 @@ mod tests {
         let h = presets::hdd_ram(1 << 25);
         let mut sm = StorageSim::from_hierarchy(&h);
         dyn_roundtrip(&mut sm);
+    }
+
+    /// A file written with data reads back what was written (zeros where
+    /// nothing was), one that was only materialized has no payload, and
+    /// truncating the device frees the written files past the mark.
+    #[test]
+    fn written_bytes_read_back_and_truncation_frees_them() {
+        let h = presets::hdd_ram(1 << 25);
+        let mut sm = StorageSim::from_hierarchy(&h);
+        let input = sm.alloc("HDD", 64).unwrap();
+        sm.materialize(input, 0, &[9u8; 64]).unwrap();
+        let mark = sm.watermark("HDD").unwrap();
+        let runs = [sm.alloc("HDD", 32).unwrap(), sm.alloc("HDD", 32).unwrap()];
+        for (i, run) in runs.into_iter().enumerate() {
+            sm.write_bytes(run, 8, &[i as u8 + 1; 8]).unwrap();
+        }
+        let mut buf = [7u8; 24];
+        assert!(!sm.read_data(input, 0, &mut buf).unwrap());
+        assert!(sm.read_data(runs[1], 0, &mut buf).unwrap());
+        assert_eq!(buf, [[0u8; 8], [2; 8], [0; 8]].concat()[..]);
+
+        sm.truncate_device("HDD", mark + 32).unwrap();
+        assert!(sm.read_data(runs[0], 8, &mut buf[..8]).unwrap());
+        assert_eq!(buf[..8], [1; 8]);
+        assert!(!sm.read_data(runs[1], 0, &mut buf).unwrap());
+        sm.truncate_device("HDD", mark).unwrap();
+        assert!(!sm.read_data(runs[0], 0, &mut buf).unwrap());
     }
 
     #[test]

@@ -593,6 +593,10 @@ impl<B: StorageBackend> StorageBackend for Faulted<B> {
     fn schedule_torn_write_back(&mut self, device: &str, at: u64) -> bool {
         self.inner.schedule_torn_write_back(device, at)
     }
+
+    fn spill_fallback(&self) -> Option<&str> {
+        self.inner.spill_fallback()
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@ pub struct FileId(pub usize);
 
 #[derive(Debug, Clone, Copy)]
 struct FileMeta {
-    device: usize,
+    device: u32,
+    /// `1 +` the index of the file's bytes in [`StorageSim`]'s payloads; 0
+    /// while nothing has been written to it with data.
+    payload: u32,
     offset: u64,
     len: u64,
 }
@@ -127,6 +130,10 @@ pub struct StorageSim {
     capacity: Vec<u64>,
     allocated: Vec<u64>,
     files: Vec<FileMeta>,
+    /// The bytes of every file written with data, as `(file, bytes)`: the
+    /// prefix of the file up to its last written byte, zeros where nothing
+    /// was written.
+    payloads: Vec<(FileId, Vec<u8>)>,
     clock_seconds: f64,
 }
 
@@ -161,6 +168,7 @@ impl StorageSim {
             capacity,
             allocated: vec![0; n],
             files: Vec::new(),
+            payloads: Vec::new(),
             clock_seconds: 0.0,
         }
     }
@@ -178,7 +186,8 @@ impl StorageSim {
         self.allocated[d] += len;
         let id = FileId(self.files.len());
         self.files.push(FileMeta {
-            device: d,
+            device: d as u32,
+            payload: 0,
             offset,
             len,
         });
@@ -217,9 +226,10 @@ impl StorageSim {
     pub fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         self.check(file, offset, len)?;
         let m = *self.meta(file);
-        let seeks0 = self.obs_seeks(m.device);
-        let t = self.devices[m.device].read(m.offset + offset, len);
-        self.obs_span("read", m.device, t, len, seeks0, None);
+        let d = m.device as usize;
+        let seeks0 = self.obs_seeks(d);
+        let t = self.devices[d].read(m.offset + offset, len);
+        self.obs_span("read", d, t, len, seeks0, None);
         self.clock_seconds += t;
         Ok(())
     }
@@ -244,12 +254,13 @@ impl StorageSim {
         }
         self.check(file, offset, unit.saturating_mul(count))?;
         let m = *self.meta(file);
-        let seeks0 = self.obs_seeks(m.device);
+        let d = m.device as usize;
+        let seeks0 = self.obs_seeks(d);
         let t0 = self.clock_seconds;
         let mut clock = t0;
-        self.devices[m.device].read_run(m.offset + offset, unit, count, &mut clock);
+        self.devices[d].read_run(m.offset + offset, unit, count, &mut clock);
         let bytes = unit * count;
-        self.obs_span("read_run", m.device, clock - t0, bytes, seeks0, Some(count));
+        self.obs_span("read_run", d, clock - t0, bytes, seeks0, Some(count));
         self.clock_seconds = clock;
         Ok(())
     }
@@ -258,11 +269,45 @@ impl StorageSim {
     pub fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         self.check(file, offset, len)?;
         let m = *self.meta(file);
-        let seeks0 = self.obs_seeks(m.device);
-        let t = self.devices[m.device].write(m.offset + offset, len);
-        self.obs_span("write", m.device, t, len, seeks0, None);
+        let d = m.device as usize;
+        let seeks0 = self.obs_seeks(d);
+        let t = self.devices[d].write(m.offset + offset, len);
+        self.obs_span("write", d, t, len, seeks0, None);
         self.clock_seconds += t;
         Ok(())
+    }
+
+    /// Keeps `data` as the bytes at `offset` of `file` (the payload of a
+    /// charged data write; the caller has bounds-checked the request). The
+    /// file's payload grows to the end of its last write.
+    pub(crate) fn store(&mut self, file: FileId, offset: u64, data: &[u8]) {
+        let m = &mut self.files[file.0];
+        if m.payload == 0 {
+            self.payloads.push((file, Vec::new()));
+            m.payload = self.payloads.len() as u32;
+        }
+        let bytes = &mut self.payloads[m.payload as usize - 1].1;
+        let (from, to) = (offset as usize, offset as usize + data.len());
+        if bytes.len() < to {
+            bytes.resize(to, 0);
+        }
+        bytes[from..to].copy_from_slice(data);
+    }
+
+    /// Fills `buf` with the bytes at `offset` of `file` if it was ever
+    /// written with data (zeros past its last write) — one index, no search
+    /// — and says whether it was.
+    pub(crate) fn load(&self, file: FileId, offset: u64, buf: &mut [u8]) -> bool {
+        let p = self.files[file.0].payload;
+        if p == 0 {
+            return false;
+        }
+        let bytes = &self.payloads[p as usize - 1].1;
+        let from = (offset as usize).min(bytes.len());
+        let n = (bytes.len() - from).min(buf.len());
+        buf[..n].copy_from_slice(&bytes[from..from + n]);
+        buf[n..].fill(0);
+        true
     }
 
     /// Seek count of a device, read only while tracing (the disabled-path
@@ -340,7 +385,7 @@ impl StorageSim {
 
     /// Device name holding the file.
     pub fn device_of(&self, file: FileId) -> &str {
-        self.devices[self.meta(file).device].name()
+        self.devices[self.meta(file).device as usize].name()
     }
 
     /// Statistics for a device by name.
@@ -351,13 +396,27 @@ impl StorageSim {
     }
 
     /// Frees the *most recent* allocations down to `mark` bytes on a device
-    /// (simple region deallocation for scratch space between merge levels).
+    /// (simple region deallocation for scratch space between merge levels),
+    /// and the bytes written to the files that lay there.
     pub fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
         let d = *self
             .device_by_name
             .get(device)
             .ok_or_else(|| StorageError::UnknownDevice(device.to_string()))?;
         self.allocated[d] = self.allocated[d].min(mark);
+        let mut i = 0;
+        while i < self.payloads.len() {
+            let m = self.files[self.payloads[i].0 .0];
+            if m.device as usize != d || m.offset < mark {
+                i += 1;
+                continue;
+            }
+            self.files[self.payloads[i].0 .0].payload = 0;
+            self.payloads.swap_remove(i);
+            if let Some((moved, _)) = self.payloads.get(i) {
+                self.files[moved.0].payload = i as u32 + 1;
+            }
+        }
         Ok(())
     }
 
