@@ -111,6 +111,16 @@
 //! literal loser-tree loop (at least 1.3x at 8 runs, no slower at 2 and at
 //! 32), and the literal loop survives as the test oracle.
 //!
+//! **Sorted windows.** A sorted relation's generator rebuilds a window of
+//! ranks by drawing its whole stream again. For unary lists the draws it
+//! keeps go straight into groups of value buckets whose sizes the generator
+//! counted up front, and each group is radix-sorted in cache
+//! (`sorted_window`): no comparison sort, and scratch of one group rather
+//! than a second window. It too is non-generic and compiled once;
+//! `tests/window_throughput.rs` gates it against the literal filter and
+//! sort (at least 1.5x on a 2^20-tuple window), which survives there as the
+//! oracle.
+//!
 //! The CPU model is what the paper's estimator deliberately ignores (§7.3:
 //! "OCAS does not currently model computation costs … underestimation grows
 //! the more CPU intensive a task is"); enabling it in the engine while the
@@ -126,6 +136,7 @@ pub mod lower;
 mod merge_kernel;
 pub mod plan;
 pub mod rel;
+mod sorted_window;
 mod spill;
 
 pub use exec::{merge_bufs, ExecError, ExecStats, Executor};

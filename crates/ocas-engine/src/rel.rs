@@ -2,7 +2,8 @@
 //! flat batch representation ([`RowBuf`]) the whole data path moves them
 //! in.
 
-use ocas_storage::{FileId, StorageBackend, StorageError};
+use crate::sorted_window::{self, GROUP_BITS, GROUP_TUPLES};
+use ocas_storage::{FileId, StorageBackend, StorageError, StorageSim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -459,6 +460,20 @@ impl RelSpec {
     pub fn tuple_bytes(&self) -> u64 {
         u64::from(self.width) * u64::from(self.col_bytes)
     }
+
+    /// The one layout check, which [`Relation::create`] makes before it
+    /// allocates anything: at least one column, of 1 to 8 bytes each (the
+    /// generator draws `width` values a tuple, and a file holds each as its
+    /// `col_bytes` low-order bytes).
+    fn check(&self) -> Result<(), StorageError> {
+        if self.width == 0 || !(1..=8).contains(&self.col_bytes) {
+            return Err(StorageError::BadLayout {
+                width: self.width,
+                col_bytes: self.col_bytes,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Default resident-row budget of a streamed relation's block cache.
@@ -481,20 +496,28 @@ const SORT_BUCKETS: u64 = 4096;
 /// Sorted specs stream in *output* (sorted) order: construction takes one
 /// counting pass recording how many tuples fall into each of
 /// [`SORT_BUCKETS`] first-column value buckets, which maps any output rank
-/// to a value range; a window of ranks is then regenerated by one filtered
-/// pass plus an in-window sort. Since bucket boundaries are on the first
-/// column — the lexicographically dominant one — concatenated sorted
-/// windows equal the globally sorted relation.
+/// to a value range; a window of ranks is then regenerated by one pass over
+/// the stream that keeps the tuples whose first column falls in that range.
+/// Since bucket boundaries are on the first column — the lexicographically
+/// dominant one — concatenated sorted windows equal the globally sorted
+/// relation. A width-1 window is ordered without comparisons (the kernel in
+/// `sorted_window.rs`): the kept draws go straight to groups of buckets
+/// whose sizes the counts give, and each group is radix-sorted in cache.
+/// Wider tuples sort the window's rows.
 ///
-/// Cost model: every sorted-window rebuild re-streams all `card` tuples
-/// (membership is value-based, so no draws can be skipped), making a full
-/// sequential scan — and streamed creation — of a sorted relation
-/// O(card² / window_tuples) RNG draws. That trade buys O(SORT_BUCKETS)
-/// state instead of materialization; it is the right one for twin
-/// comparisons a few multiples past the RAM device, but scans get
-/// quadratically slower as the relation-to-cache ratio grows (see the
-/// ROADMAP follow-ups). Unsorted windows regenerate in O(window) via the
-/// O(1) draw skip.
+/// Cost model: every sorted-window rebuild draws all `card` tuples again.
+/// The draws are uniform, so every stretch of the stream holds tuples of
+/// every window and none can be skipped; a full sequential scan — and
+/// streamed creation — of a sorted relation is O(card² / window_tuples)
+/// RNG draws. Those draws are the cost of a width-1 window: placing and
+/// ordering the kept ones adds a few nanoseconds a tuple, with scratch
+/// bounded by one group rather than a second window. The trade buys
+/// O(SORT_BUCKETS) state instead of materialization; it is the right one
+/// for twin comparisons a few multiples past the RAM device, but scans get
+/// quadratically slower as the relation-to-cache ratio grows. Unsorted
+/// windows regenerate in O(window) via the O(1) draw skip. A generator is
+/// built once per relation and shared by its clones and by a simulator twin
+/// ([`Relation::rebind`]), which therefore generates nothing at set-up.
 #[derive(Debug, Clone)]
 pub struct RowGen {
     seed: u64,
@@ -512,7 +535,7 @@ impl RowGen {
     pub fn from_spec(spec: &RelSpec, seed: u64) -> RowGen {
         RowGen::new(
             spec.card,
-            spec.width.max(1) as usize,
+            spec.width as usize,
             spec.effective_range(),
             spec.sorted,
             seed,
@@ -653,12 +676,24 @@ impl RowGen {
         }
     }
 
+    /// Fills `out` (cleared) with the generation window that holds output
+    /// ranks `[rank, rank + need)` (`need > 0`, all within the relation),
+    /// aiming for `budget` tuples, and returns the window's first rank:
+    /// what a [`Relation`]'s block cache does when a request falls outside
+    /// its window.
+    pub fn fill_window(&self, rank: u64, need: u64, budget: u64, out: &mut RowBuf) -> u64 {
+        let (start, count) = self.window_of(rank, need, budget);
+        self.fill_ranks(start, count, out);
+        start
+    }
+
     /// Fills `out` (cleared) with output ranks `[start, start + count)`.
     /// For sorted specs the window must come from [`RowGen::window_of`]:
     /// bucket-aligned except where a width-1 single-value bucket allows a
     /// partial head or tail slice (those ranks are copies of the bucket's
-    /// one value, so they need no regeneration pass).
-    fn fill_window(&self, start: u64, count: u64, out: &mut RowBuf) {
+    /// one value, so they need no regeneration pass, and they sort before
+    /// and after every other rank of the window).
+    fn fill_ranks(&self, start: u64, count: u64, out: &mut RowBuf) {
         out.clear();
         if count == 0 {
             return;
@@ -692,25 +727,10 @@ impl RowGen {
             let m0 = self.prefix.partition_point(|p| *p <= at).saturating_sub(1);
             debug_assert_eq!(self.prefix[m0], at, "window not bucket-aligned");
             let m1 = self.prefix.partition_point(|p| *p <= end).saturating_sub(1);
-            if m0 < m1 {
-                let lo = self.bucket_lo(m0 as u64);
-                let hi = self.bucket_lo(m1 as u64);
-                // One filtered pass: regenerate every tuple, keep those
-                // whose first column lands in the window's value range,
-                // skipping the rest in O(1) per tuple.
-                let mut rng = self.rng_at(0);
-                let skip = self.width as u64 - 1;
-                for _ in 0..self.card {
-                    let first: i64 = rng.gen_range(0..self.range);
-                    if (lo..hi).contains(&first) {
-                        out.push_raw(first);
-                        for _ in 0..skip {
-                            out.push_raw(rng.gen_range(0..self.range));
-                        }
-                    } else {
-                        rng.advance(skip);
-                    }
-                }
+            if m0 < m1 && self.width == 1 {
+                self.sorted_keys_into(m0, m1, out);
+            } else if m0 < m1 {
+                self.sorted_rows_into(m0, m1, out);
             }
             if self.prefix[m1] < end {
                 debug_assert!(
@@ -724,6 +744,53 @@ impl RowGen {
             }
         }
         debug_assert_eq!(out.len() as u64, count, "bucket counts disagree");
+    }
+
+    /// Appends the width-1 tuples of buckets `[m0, m1)`, ascending: the
+    /// buckets cut into the kernel's groups (see `sorted_window.rs`).
+    fn sorted_keys_into(&self, m0: usize, m1: usize, out: &mut RowBuf) {
+        let mut bounds = vec![self.bucket_lo(m0 as u64)];
+        let mut offs = vec![0];
+        let mut b = m0;
+        while b < m1 {
+            let (first, lo) = (b, self.bucket_lo(b as u64));
+            b += 1;
+            while b < m1
+                && self.bucket_lo(b as u64 + 1) - lo <= 1 << GROUP_BITS
+                && self.prefix[b + 1] - self.prefix[first] <= GROUP_TUPLES
+            {
+                b += 1;
+            }
+            bounds.push(self.bucket_lo(b as u64));
+            offs.push((self.prefix[b] - self.prefix[m0]) as usize);
+        }
+        let keys = out.raw_mut();
+        let at = keys.len();
+        keys.resize(at + offs[offs.len() - 1], 0);
+        let rng = self.rng_at(0);
+        sorted_window::fill_sorted(rng, self.card, self.range, &bounds, &offs, &mut keys[at..]);
+    }
+
+    /// Fills `out` with the tuples of buckets `[m0, m1)` — a whole window,
+    /// since only width-1 windows cut buckets — in lexicographic order: one
+    /// filtered pass that regenerates every tuple and keeps those whose
+    /// first column lands in the buckets' value range, skipping the rest in
+    /// O(1) per tuple, then the rows sorted.
+    fn sorted_rows_into(&self, m0: usize, m1: usize, out: &mut RowBuf) {
+        let (lo, hi) = (self.bucket_lo(m0 as u64), self.bucket_lo(m1 as u64));
+        let mut rng = self.rng_at(0);
+        let skip = self.width as u64 - 1;
+        for _ in 0..self.card {
+            let first: i64 = rng.gen_range(0..self.range);
+            if (lo..hi).contains(&first) {
+                out.push_raw(first);
+                for _ in 0..skip {
+                    out.push_raw(rng.gen_range(0..self.range));
+                }
+            } else {
+                rng.advance(skip);
+            }
+        }
         out.sort();
     }
 
@@ -748,7 +815,6 @@ struct BlockCache {
     buf: RowBuf,
     budget_tuples: u64,
     peak_bytes: u64,
-    rebuilds: u64,
 }
 
 impl BlockCache {
@@ -758,7 +824,6 @@ impl BlockCache {
             buf: RowBuf::new(width),
             budget_tuples: budget_tuples.max(1),
             peak_bytes: 0,
-            rebuilds: 0,
         }
     }
 
@@ -784,10 +849,7 @@ impl BlockCache {
         }
         let covered = self.start <= index && index + count <= self.start + self.buf.len() as u64;
         if !covered {
-            let (ws, wl) = gen.window_of(index, count, self.budget_tuples);
-            gen.fill_window(ws, wl, &mut self.buf);
-            self.start = ws;
-            self.rebuilds += 1;
+            self.start = gen.fill_window(index, count, self.budget_tuples, &mut self.buf);
             self.peak_bytes = self.peak_bytes.max(self.resident_bytes());
         }
         self.buf.view((index - self.start) as usize, count as usize)
@@ -832,17 +894,20 @@ impl Relation {
     /// while a real backend ends up with genuine tuple bytes on disk.
     /// Columns narrower than 8 bytes are truncated to the declared width —
     /// the in-memory rows stay authoritative; the file holds the on-disk
-    /// representation.
+    /// representation. A layout without columns, or with columns outside 1
+    /// to 8 bytes, is [`StorageError::BadLayout`] before anything is
+    /// allocated.
     pub fn create<B: StorageBackend>(
         sm: &mut B,
         spec: &RelSpec,
         faithful: bool,
         seed: u64,
     ) -> Result<Relation, StorageError> {
+        spec.check()?;
         let bytes = spec.card * spec.tuple_bytes();
         let file = sm.alloc(&spec.device, bytes.max(1))?;
-        let width = spec.width.max(1) as usize;
-        let cb = spec.col_bytes.clamp(1, 8) as usize;
+        let width = spec.width as usize;
+        let cb = spec.col_bytes as usize;
         let source = if faithful {
             let gen = RowGen::from_spec(spec, seed);
             let budget_bytes = if spec.cache_bytes == 0 {
@@ -879,6 +944,28 @@ impl Relation {
             width: spec.width,
             key_range: spec.effective_range(),
             source,
+        })
+    }
+
+    /// This relation on a simulator: a fresh extent of the same length on
+    /// `device` of `sim`, allocated as [`Relation::create`] allocates it,
+    /// the same generator, and an empty block cache of the same budget.
+    /// Nothing is generated or placed — the simulator keeps nothing of an
+    /// input anyway, and serves every block of it from the generator — so a
+    /// simulator twin of a run over this relation's file costs no window at
+    /// set-up and reads exactly the rows a second `create` would give it.
+    pub fn rebind(&self, sim: &mut StorageSim, device: &str) -> Result<Relation, StorageError> {
+        let source = match &self.source {
+            RowSource::Virtual => RowSource::Virtual,
+            RowSource::Streamed { gen, cache } => RowSource::Streamed {
+                gen: Arc::clone(gen),
+                cache: BlockCache::new(gen.width(), cache.budget_tuples),
+            },
+        };
+        Ok(Relation {
+            file: sim.alloc(device, self.bytes().max(1))?,
+            source,
+            ..*self
         })
     }
 
@@ -1280,7 +1367,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// A relation's block sequence concatenates to exactly the whole
         /// relation drawn at once (`RowGen::generate_all`, the eager
@@ -1288,17 +1375,35 @@ mod tests {
         /// same bytes — across widths, sortedness, key ranges,
         /// cardinalities, cache budgets and access block sizes, including
         /// the order-preserving sorted path.
+        ///
+        /// Key ranges: below 90, where every bucket holds one value;
+        /// 4097..2^24, non-powers of two and powers of two, where a bucket
+        /// holds several and a window cuts its buckets into groups; 2^52 and
+        /// up, where `bucket_of`'s product leaves `u64`; and next to
+        /// `i64::MAX`. Half the budgets force three or more windows.
         #[test]
         fn streamed_blocks_concatenate_to_the_materialized_oracle(
             card in 0u64..700,
             width in 1u32..4,
-            key_range in 0u64..90,
+            (range_class, range_draw) in (0u8..5, 0u64..u64::MAX),
             sorted_sel in 0u8..2,
             seed in 0u64..10_000,
-            budget_tuples in 1u64..128,
+            (budget_tuples, few_windows) in (1u64..128, 0u8..2),
             block in 1u64..96,
             col_bytes in 1u32..9,
         ) {
+            let key_range = match range_class {
+                0 => range_draw % 90,
+                1 => 4097 + range_draw % ((1 << 24) - 4097),
+                2 => 1 << (13 + range_draw % 12),
+                3 => (1 << 52) + range_draw % ((1 << 62) - (1 << 52)),
+                _ => i64::MAX as u64 - range_draw % 1024,
+            };
+            let budget_tuples = if few_windows == 1 {
+                budget_tuples.min((card / 3).max(1))
+            } else {
+                budget_tuples
+            };
             let sorted = sorted_sel == 1;
             let h = presets::hdd_ram(1 << 25);
             let mut sm = StorageSim::from_hierarchy(&h);
@@ -1343,6 +1448,31 @@ mod tests {
                     oracle.view(i as usize, n as usize).as_slice()
                 );
             }
+        }
+    }
+
+    /// Width-1 sorted windows at the sizes where the kernel's groups matter
+    /// (the proptest's relations are too small for a draw to land on a
+    /// group bound): many values a bucket and many draws a value, so group
+    /// bounds are hit; dense enough that a group is cut by its draw count
+    /// rather than its value span; and buckets wider than a group, each
+    /// radix-sorted in five passes. Every window is the oracle's slice.
+    #[test]
+    fn sorted_width1_windows_cut_into_groups_match_the_oracle() {
+        let h = presets::hdd_ram(1 << 25);
+        for (card, key_range) in [(120_000u64, 61_447u64), (150_000, 9_000), (60_000, 1 << 40)] {
+            let mut sm = StorageSim::from_hierarchy(&h);
+            let spec = RelSpec::ints("L", "HDD", card)
+                .sorted()
+                .with_key_range(key_range)
+                .with_cache_bytes(40_000 * 8);
+            let mut rel = Relation::create(&mut sm, &spec, true, 4).unwrap();
+            let oracle = rel.collect_rows().unwrap();
+            let mut seen = RowBuf::new(1);
+            while (seen.len() as u64) < card {
+                seen.extend_view(rel.block_rows(seen.len() as u64, 4096));
+            }
+            assert_eq!(seen, oracle, "key_range={key_range}");
         }
     }
 

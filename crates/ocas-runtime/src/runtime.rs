@@ -60,7 +60,9 @@ pub struct RealReport {
     pub wall_seconds: f64,
     /// Wall-clock seconds spent inside charged I/O requests.
     pub io_seconds: f64,
-    /// Simulated seconds of the identical plan on the device simulator.
+    /// Simulated seconds of the identical plan on the device simulator,
+    /// over the real run's relations rebound to simulator extents (the
+    /// same generators, so the same rows as generating them again).
     pub sim_seconds: f64,
     /// Output rows of the real execution, one flat batch. A device-bound
     /// output is read back from its device after the measured window; one
@@ -243,8 +245,12 @@ impl Runtime {
     /// plan faithfully on the device simulator, and reports both.
     ///
     /// `rel_specs` are instantiated in order (plan relation indices refer
-    /// to that order) with per-relation seeds `seed + index`, identically
-    /// on both backends.
+    /// to that order) with per-relation seeds `seed + index`, once: each
+    /// relation's generator writes its file, and the twin's relations are
+    /// the same relations [rebound](Relation::rebind) to simulator extents
+    /// allocated as the files were. So the real run computes on what its
+    /// files hold and the twin on the generators' rows, and
+    /// [`RealReport::outputs_match`] compares the two.
     pub fn run_plan(
         &self,
         plan: &Plan,
@@ -276,12 +282,12 @@ impl Runtime {
         let recovery = fb.recovery_counters();
         drop(fb);
 
-        // Simulated twin: identical plan, identical data.
+        // Simulated twin: identical plan over the same generators.
         let sm = StorageSim::from_hierarchy(&self.hierarchy);
         let mut ex = Executor::new(sm, Mode::Faithful, CpuModel::default());
-        for (i, spec) in rel_specs.iter().enumerate() {
-            let rel = Relation::create(&mut ex.sm, spec, true, seed + i as u64)?;
-            ex.add_relation(rel);
+        for (rel, spec) in rels.iter().zip(rel_specs) {
+            let twin = rel.rebind(&mut ex.sm, &spec.device)?;
+            ex.add_relation(twin);
         }
         let sim_stats = ex.run(plan)?;
         let sim_devices: Vec<(String, DeviceStats)> = self

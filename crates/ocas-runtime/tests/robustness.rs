@@ -603,3 +603,31 @@ fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request(
         assert_eq!([ex.sm.watermark("HDD"), ex.sm.watermark("HDD2")], marks);
     }
 }
+
+/// A tuple layout no relation can have — no columns, a column of no bytes,
+/// a column wider than a machine integer — is one typed error from
+/// `Relation::create`, raised before anything is allocated, on the simulator
+/// and on real files, faithful or not. Accepted, a 16-byte column gets a
+/// file written at the wrong stride, whose blocks the reads then take from
+/// the generator instead.
+#[test]
+fn a_tuple_layout_no_relation_can_have_is_refused_before_any_allocation() {
+    fn refuses<B: StorageBackend>(sm: &mut B) {
+        for (width, col_bytes) in [(0, 8), (1, 0), (0, 0), (2, 16), (1, 9)] {
+            let mut spec = RelSpec::ints("L", "HDD", 1_000);
+            (spec.width, spec.col_bytes) = (width, col_bytes);
+            let mark = sm.watermark("HDD");
+            for faithful in [true, false] {
+                let err = Relation::create(sm, &spec, faithful, 3).unwrap_err();
+                assert_eq!(err, StorageError::BadLayout { width, col_bytes });
+            }
+            assert_eq!(sm.watermark("HDD"), mark, "{width} x {col_bytes} B");
+        }
+        let mark = sm.watermark("HDD");
+        Relation::create(sm, &RelSpec::ints("L", "HDD", 1_000), true, 3).unwrap();
+        assert_ne!(sm.watermark("HDD"), mark, "a good layout allocates");
+    }
+    let h = tiny_scratch_hierarchy(4096);
+    refuses(&mut StorageSim::from_hierarchy(&h));
+    refuses(&mut backend(&h));
+}

@@ -67,6 +67,14 @@ pub enum StorageError {
         /// Page index within the device file.
         page: u64,
     },
+    /// A tuple layout no extent is allocated for: no columns, or columns
+    /// outside 1 to 8 bytes.
+    BadLayout {
+        /// Columns per tuple.
+        width: u32,
+        /// Bytes per column.
+        col_bytes: u32,
+    },
 }
 
 impl StorageError {
@@ -112,6 +120,10 @@ impl fmt::Display for StorageError {
                     "checksum mismatch on page {page} of `{device}` (torn write-back detected)"
                 )
             }
+            StorageError::BadLayout { width, col_bytes } => write!(
+                f,
+                "tuples of {width} columns of {col_bytes} bytes: need 1 or more columns of 1 to 8 bytes"
+            ),
         }
     }
 }
