@@ -10,12 +10,12 @@
 //! per-tuple heap allocation anywhere between a relation's buffer and the
 //! output sink.
 
-use crate::key_index::KeyIndex;
+use crate::key_index::{self, KeyIndex};
 use crate::key_scan::KeyColumns;
 use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
-use crate::spill::SpillAlloc;
+use crate::spill::{stage_rows, Extent, SpillAlloc};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
 
@@ -88,8 +88,10 @@ pub struct ExecStats {
     /// High-water mark of resident tuple bytes the faithful data path
     /// held during this run: relation cache windows, decoded blocks and
     /// the sink's staging/collected rows — for an external sort, its
-    /// batch, cursors and output batch (see `sort_faithful`). 0 in
-    /// simulated mode.
+    /// batch, cursors and output batch (see `sort_faithful`); for a GRACE
+    /// join, an input block and the bucket staging buffers, then the build
+    /// bucket, one probe extent and the sink's staging (see
+    /// `grace_faithful`). 0 in simulated mode.
     pub peak_resident_bytes: u64,
     /// Cache statistics, when a cache simulator was attached.
     pub cache: Option<CacheStats>,
@@ -970,43 +972,39 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        let mut l = self.rel(left)?.clone();
-        let mut r = self.rel(right)?.clone();
+        let l = self.rel(left)?.clone();
+        let r = self.rel(right)?.clone();
         let out_width = l.tuple_bytes + r.tuple_bytes;
         let out_cols = (l.width + r.width) as usize;
         let mut sink = self.sink(output, out_width, out_cols);
+        if self.faithful() {
+            let hashes = self.grace_faithful(
+                (left, l),
+                (right, r),
+                (partitions, buffer_bytes),
+                spill,
+                pred,
+                &mut sink,
+                compares,
+            )?;
+            self.charge_cpu(*compares, sink.rows, hashes);
+            return sink.finish(&mut self.sm);
+        }
         let mut emits = 0u64;
         let mut hashes = 0u64;
 
-        // Partition pass: stream each relation, hash rows into flat bucket
-        // batches, spill bucket buffers as they fill.
-        let spill_partition = |this: &mut Executor<B>,
-                               rel: &mut Relation,
-                               hashes: &mut u64|
-         -> Result<Vec<RowBuf>, ExecError> {
-            let width = rel.width.max(1) as usize;
-            let tb = rel.tuple_bytes;
-            let mut buckets: Vec<RowBuf> = vec![RowBuf::new(width); partitions as usize];
-            let mut bucket_fill: Vec<u64> = vec![0; partitions as usize];
-            let per_bucket_buf = (buffer_bytes / partitions.max(1)).max(tb);
-            let block = (buffer_bytes / tb).max(1);
-            let mut idx = 0;
-            while idx < rel.card {
-                let n = rel.read_block(&mut this.sm, idx, block)?;
-                *hashes += n;
-                if this.faithful() {
-                    for row in rel.block_rows(idx, n).iter() {
-                        let key = row.first().copied().unwrap_or(0);
-                        let b = (ocal::stable_hash(&ocal::Value::Int(key)) % partitions) as usize;
-                        buckets[b].push(row);
-                        bucket_fill[b] += tb;
-                        if bucket_fill[b] >= per_bucket_buf {
-                            let f = this.sm.alloc(spill, bucket_fill[b])?;
-                            this.sm.write(f, 0, bucket_fill[b])?;
-                            bucket_fill[b] = 0;
-                        }
-                    }
-                } else {
+        // Partition pass: stream each relation, spill bucket buffers as
+        // they fill.
+        let spill_partition =
+            |this: &mut Executor<B>, rel: &Relation, hashes: &mut u64| -> Result<(), ExecError> {
+                let tb = rel.tuple_bytes;
+                let mut bucket_fill: Vec<u64> = vec![0; partitions as usize];
+                let per_bucket_buf = (buffer_bytes / partitions.max(1)).max(tb);
+                let block = (buffer_bytes / tb).max(1);
+                let mut idx = 0;
+                while idx < rel.card {
+                    let n = rel.read_block(&mut this.sm, idx, block)?;
+                    *hashes += n;
                     // Uniform buckets: charge the same writes in bulk.
                     let bytes = n * rel.tuple_bytes;
                     let mut remaining = bytes;
@@ -1023,31 +1021,19 @@ impl<B: StorageBackend> Executor<B> {
                         this.sm.write(f, 0, bucket_fill[0])?;
                         bucket_fill[0] = 0;
                     }
+                    idx += n.max(1);
                 }
-                idx += n.max(1);
-            }
-            for fill in bucket_fill.iter() {
-                if *fill > 0 {
-                    let f = this.sm.alloc(spill, *fill)?;
-                    this.sm.write(f, 0, *fill)?;
+                for fill in bucket_fill.iter() {
+                    if *fill > 0 {
+                        let f = this.sm.alloc(spill, *fill)?;
+                        this.sm.write(f, 0, *fill)?;
+                    }
                 }
-            }
-            Ok(buckets)
-        };
-
-        let lbuckets = spill_partition(self, &mut l, &mut hashes)?;
-        let rbuckets = spill_partition(self, &mut r, &mut hashes)?;
-        if self.faithful() {
-            // GRACE's faithful join pass holds both bucket tables in
-            // memory (it is exercised at small scale only); account them.
-            let bucket_bytes = |bs: &[RowBuf]| {
-                bs.iter()
-                    .map(|b| (b.len() * b.width()) as u64 * 8)
-                    .sum::<u64>()
+                Ok(())
             };
-            let res = bucket_bytes(&lbuckets) + bucket_bytes(&rbuckets);
-            self.note_peak(res);
-        }
+
+        spill_partition(self, &l, &mut hashes)?;
+        spill_partition(self, &r, &mut hashes)?;
 
         // Join pass: read each co-bucket pair back and join in memory.
         let density = match pred {
@@ -1055,70 +1041,178 @@ impl<B: StorageBackend> Executor<B> {
             JoinPred::KeyEq => 1.0 / l.key_range.max(r.key_range).max(1) as f64,
         };
         let mut carry = 0.0f64;
-        let mut index = KeyIndex::new();
-        for b in 0..partitions as usize {
-            if self.faithful() {
-                let lb = &lbuckets[b];
-                let rb = &rbuckets[b];
-                // Read both buckets back (sequential per bucket).
-                let lbytes = lb.len() as u64 * l.tuple_bytes;
-                let rbytes = rb.len() as u64 * r.tuple_bytes;
-                if lbytes > 0 {
-                    let f = self.sm.alloc(spill, lbytes)?;
-                    self.sm.read(f, 0, lbytes)?;
-                }
-                if rbytes > 0 {
-                    let f = self.sm.alloc(spill, rbytes)?;
-                    self.sm.read(f, 0, rbytes)?;
-                }
-                // In-memory hash join of the pair: index the left batch
-                // by key, probe with the right rows.
-                if pred == JoinPred::KeyEq {
-                    index.build(lb);
-                }
-                hashes += (lb.len() + rb.len()) as u64;
-                for y in rb.iter() {
-                    match pred {
-                        JoinPred::KeyEq => {
-                            for x in index.matches(lb, y[0]) {
-                                *compares += 1;
-                                emits += 1;
-                                sink.emit_concat(&mut self.sm, x, y)?;
-                            }
-                        }
-                        JoinPred::Cross => {
-                            for x in lb.iter() {
-                                *compares += 1;
-                                emits += 1;
-                                sink.emit_concat(&mut self.sm, x, y)?;
-                            }
-                        }
-                    }
-                }
-            } else {
-                let lcard = l.card / partitions;
-                let rcard = r.card / partitions;
-                let lbytes = lcard * l.tuple_bytes;
-                let rbytes = rcard * r.tuple_bytes;
-                if lbytes > 0 {
-                    let f = self.sm.alloc(spill, lbytes)?;
-                    self.sm.read(f, 0, lbytes)?;
-                }
-                if rbytes > 0 {
-                    let f = self.sm.alloc(spill, rbytes)?;
-                    self.sm.read(f, 0, rbytes)?;
-                }
-                hashes += lcard + rcard;
-                *compares += lcard + rcard; // hash probes, not pairs
-                let expected = lcard as f64 * rcard as f64 * density + carry;
-                let whole = expected.floor() as u64;
-                carry = expected - whole as f64;
-                emits += whole;
-                sink.emit_bulk(&mut self.sm, whole)?;
+        for _ in 0..partitions {
+            let lcard = l.card / partitions;
+            let rcard = r.card / partitions;
+            let lbytes = lcard * l.tuple_bytes;
+            let rbytes = rcard * r.tuple_bytes;
+            if lbytes > 0 {
+                let f = self.sm.alloc(spill, lbytes)?;
+                self.sm.read(f, 0, lbytes)?;
             }
+            if rbytes > 0 {
+                let f = self.sm.alloc(spill, rbytes)?;
+                self.sm.read(f, 0, rbytes)?;
+            }
+            hashes += lcard + rcard;
+            *compares += lcard + rcard; // hash probes, not pairs
+            let expected = lcard as f64 * rcard as f64 * density + carry;
+            let whole = expected.floor() as u64;
+            carry = expected - whole as f64;
+            emits += whole;
+            sink.emit_bulk(&mut self.sm, whole)?;
         }
         self.charge_cpu(*compares, emits, hashes);
         sink.finish(&mut self.sm)
+    }
+
+    /// The faithful arm of [`run_grace`](Executor::run_grace), on every
+    /// backend: the out-of-core GRACE hash join itself. Returns the rows it
+    /// hashed (once when partitioned, once when joined), for the CPU model.
+    ///
+    /// Each side is partitioned by [`partition_pass`](Executor::partition_pass)
+    /// into bucket streams on the `spill` device — one [`SpillAlloc`] for
+    /// both, so a failover while the left side spills holds for the right
+    /// one. Then, bucket by bucket, the left (build) side's extents are read
+    /// back, one request for each extent's filled prefix, and indexed by key
+    /// ([`KeyIndex`]); the right (probe) side's extents are read the same
+    /// way, one at a time, and each is probed as it arrives, so the probe
+    /// bucket is never held whole. Rows leave in the order of a loop over
+    /// the probe rows and, inside, the build rows that match (every build row
+    /// of a cross product); `compares` counts one per pair emitted.
+    ///
+    /// The buckets come back from the backend that was given them — real
+    /// files, or the simulator, which keeps what a data write carries — so
+    /// the simulator twin issues the real run's requests and joins the same
+    /// buckets. What is metered is what the join holds: an input block and
+    /// the staging buffers while the sides partition, the build bucket, one
+    /// probe extent and the sink's staged bytes while they join. Neither the
+    /// generator window an input comes from on a backend without its payload
+    /// nor the rows a `Discard` run collects count, so both twins, and a
+    /// collected and a digested run, meter the same bytes. Columns narrower
+    /// than 8 bytes are refused before any request.
+    #[allow(clippy::too_many_arguments)]
+    fn grace_faithful(
+        &mut self,
+        (left, l): (usize, Relation),
+        (right, r): (usize, Relation),
+        buckets: (u64, u64),
+        spill: &str,
+        pred: JoinPred,
+        sink: &mut Sink,
+        compares: &mut u64,
+    ) -> Result<u64, ExecError> {
+        let (lw, rw) = (l.width.max(1) as usize, r.width.max(1) as usize);
+        if l.tuple_bytes != lw as u64 * 8 || r.tuple_bytes != rw as u64 * 8 {
+            return Err(ExecError::BadParameter("GRACE join needs 8-byte columns"));
+        }
+        let mut hashes = 0u64;
+        let mut alloc = SpillAlloc::new(&self.sm, spill);
+        let lstreams = self.partition_pass((left, l), buckets, &mut alloc, &mut hashes)?;
+        let rstreams = self.partition_pass((right, r), buckets, &mut alloc, &mut hashes)?;
+
+        let (mut build, mut block) = (RowBuf::new(lw), BlockBuf::default());
+        let mut index = KeyIndex::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let cross = pred == JoinPred::Cross;
+        for (lstream, rstream) in lstreams.iter().zip(&rstreams) {
+            build.clear();
+            for extent in lstream {
+                let rows = self.extent_rows(left, extent, lw, &mut block)?;
+                build.extend_raw(rows.as_slice());
+            }
+            if !cross {
+                index.build(&build);
+            }
+            hashes += build.len() as u64;
+            let built = build.as_slice();
+            let held = built.len() as u64 * 8;
+            for extent in rstream {
+                let rows = self.extent_rows(right, extent, rw, &mut block)?;
+                let probe = rows.as_slice();
+                hashes += rows.len() as u64;
+                let mut from = 0;
+                while from < rows.len() {
+                    pairs.clear();
+                    from = key_index::probe(&index, &build, probe, rw, from, cross, &mut pairs);
+                    *compares += pairs.len() as u64;
+                    // Sliced here: `RowBuf::row` would be a call per pair,
+                    // the executor being instantiated in the crate that
+                    // runs it.
+                    for &(x, y) in &pairs {
+                        let (x, y) = (x as usize * lw, y as usize * rw);
+                        sink.emit_concat(&mut self.sm, &built[x..x + lw], &probe[y..y + rw])?;
+                    }
+                }
+                self.note_peak(held + probe.len() as u64 * 8 + sink.encoded.len() as u64);
+            }
+            self.note_peak(held + sink.encoded.len() as u64);
+        }
+        Ok(hashes)
+    }
+
+    /// One side's partition pass: the relation read `buffer_bytes` at a time
+    /// through [`Relation::load_block`] — so on a backend that holds the
+    /// payload it is the file's rows that are hashed — each row staged in
+    /// its bucket's buffer of `buffer_bytes / partitions` bytes, and a
+    /// buffer appended to its bucket's stream of page-aligned extents
+    /// ([`SpillAlloc::append_to_stream`]) by the row that fills it; what is
+    /// left of each is appended at the end. Returns each bucket's extents.
+    fn partition_pass(
+        &mut self,
+        (input, mut rel): (usize, Relation),
+        (partitions, buffer_bytes): (u64, u64),
+        spill: &mut SpillAlloc,
+        hashes: &mut u64,
+    ) -> Result<Vec<Vec<Extent>>, ExecError> {
+        let (tb, width) = (rel.tuple_bytes, rel.width.max(1) as usize);
+        let block = (buffer_bytes / tb).max(1);
+        let flush_at = (buffer_bytes / partitions).max(tb);
+        // A staging buffer is flushed by the tuple that fills it.
+        let stage_bytes = flush_at.div_ceil(tb) * tb;
+        let mut staged: Vec<Vec<u8>> = vec![Vec::new(); partitions as usize];
+        let mut streams: Vec<Vec<Extent>> = vec![Vec::new(); partitions as usize];
+        let mut buf = BlockBuf::default();
+        let mut at = 0;
+        while at < rel.card {
+            let take = block.min(rel.card - at);
+            let rows = rel.load_block(&mut self.sm, at, block, &mut buf)?;
+            if rows.len() as u64 != take {
+                return Err(ExecError::MissingRows(input));
+            }
+            let mut rest = rows.as_slice();
+            while let Some((b, n)) =
+                stage_rows(rest, width, partitions, &mut staged, flush_at as usize)
+            {
+                spill.append_to_stream(&mut self.sm, &mut streams[b], &staged[b], stage_bytes)?;
+                staged[b].clear();
+                rest = &rest[n * width..];
+            }
+            *hashes += take;
+            let staging = staged.iter().map(|s| s.len() as u64).sum::<u64>();
+            self.note_peak(take * tb + staging);
+            at += take;
+        }
+        for (stream, stage) in streams.iter_mut().zip(&staged) {
+            if !stage.is_empty() {
+                spill.append_to_stream(&mut self.sm, stream, stage, stage_bytes)?;
+            }
+        }
+        Ok(streams)
+    }
+
+    /// The tuples of one spill extent: one data read of its filled prefix.
+    fn extent_rows<'a>(
+        &mut self,
+        input: usize,
+        extent: &Extent,
+        width: usize,
+        block: &'a mut BlockBuf,
+    ) -> Result<&'a RowBuf, ExecError> {
+        let card = extent.filled / (width as u64 * 8);
+        let mut rel = Relation::attach(extent.file, card, width as u32, 1);
+        let rows = rel.load_rows(&mut self.sm, 0, card, block)?;
+        rows.map(|rows| &*rows).ok_or(ExecError::MissingRows(input))
     }
 
     // The parameters mirror Plan::ExternalSort field-for-field; bundling
@@ -2277,6 +2371,86 @@ mod tests {
             sorted(expect),
             "GRACE must produce exactly the join result"
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The GRACE join at every geometry, against a brute-force nested
+        /// loop compared as a bag (the buckets decide the order): one to
+        /// eleven partitions, powers of two and not; keys from a single
+        /// value (one bucket, every pair a match) to fifty; buffers below one
+        /// tuple per bucket (every row flushed alone) and up to a few
+        /// kilobytes; an equi-join and a cross product of co-buckets; the
+        /// output collected
+        /// and digested — the same digest and the same peak — and written to
+        /// the spill device or to another one, where it is read back from.
+        #[test]
+        fn grace_joins_at_every_geometry(
+            (lcard, rcard) in (1u64..320, 1u64..220),
+            (key_range, partitions) in (1u64..50, 1u64..12),
+            (tight, buffer_bytes, cross) in (0u32..3, 1u64..4096, 0u32..4),
+        ) {
+            let pred = if cross == 0 { JoinPred::Cross } else { JoinPred::KeyEq };
+            // A cross product at the smaller cardinalities only.
+            let (lcard, rcard) = match pred {
+                JoinPred::Cross => (lcard % 40 + 1, rcard % 40 + 1),
+                JoinPred::KeyEq => (lcard, rcard),
+            };
+            let buffer_bytes = match tight {
+                0 => buffer_bytes % (partitions * 16) + 1,
+                _ => buffer_bytes,
+            };
+            let mut ex = Executor::new(
+                StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 25)),
+                Mode::Faithful,
+                CpuModel::default(),
+            );
+            let mut want = Vec::new();
+            for (name, card, seed) in [("R", lcard, key_range), ("S", rcard, partitions)] {
+                let spec = RelSpec::pairs(name, "HDD", card).with_key_range(key_range);
+                let rel = Relation::create(&mut ex.sm, &spec, true, seed).unwrap();
+                want.push(rel.collect_rows().unwrap().to_rows());
+                ex.add_relation(rel);
+            }
+            // A cross product pairs the rows of co-buckets (what the plan's
+            // `pred` documents: GRACE is correct for `KeyEq`).
+            let bucket = |key: i64| ocal::stable_hash(&ocal::Value::Int(key)) % partitions;
+            let co_buckets: Vec<Row> = brute_join(&want[0], &want[1], JoinPred::Cross)
+                .into_iter()
+                .filter(|row| bucket(row[0]) == bucket(row[2]))
+                .collect();
+            let want = sorted(match pred {
+                JoinPred::Cross => co_buckets,
+                JoinPred::KeyEq => brute_join(&want[0], &want[1], pred),
+            });
+            let (mut digests, mut peaks) = (Vec::new(), Vec::new());
+            for (output, collect) in [
+                (Output::Discard, true),
+                (Output::Discard, false),
+                (Output::ToDevice { device: "HDD".into(), buffer_bytes: 64 }, true),
+                (Output::ToDevice { device: "HDD2".into(), buffer_bytes: 64 }, false),
+            ] {
+                ex.collect_output = collect;
+                let plan = Plan::GraceJoin {
+                    left: 0, right: 1, partitions, buffer_bytes, spill: "HDD".into(), pred,
+                    output: output.clone(),
+                };
+                let stats = ex.run(&plan).unwrap();
+                proptest::prop_assert_eq!(stats.output_rows, want.len() as u64);
+                if let Some(rows) = &stats.output {
+                    proptest::prop_assert_eq!(&sorted(rows.to_rows()), &want, "{:?}", output);
+                }
+                if matches!(output, Output::ToDevice { .. }) && !want.is_empty() {
+                    let rows = written(&mut ex, &stats).to_rows();
+                    proptest::prop_assert_eq!(&sorted(rows), &want, "{:?}", output);
+                }
+                digests.push(stats.digest());
+                peaks.push(stats.peak_resident_bytes);
+            }
+            proptest::prop_assert!(digests.iter().all(|d| *d == digests[0]), "{:?}", digests);
+            proptest::prop_assert_eq!((peaks[0], peaks[2]), (peaks[1], peaks[3]));
+        }
     }
 
     #[test]

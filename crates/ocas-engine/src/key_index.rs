@@ -1,6 +1,7 @@
-//! The in-memory equi-join index both GRACE operator twins build per
-//! bucket: a chained hash over a [`RowBuf`]'s first column, held in two
-//! flat `u32` arrays that are reused from one bucket to the next.
+//! The in-memory equi-join index the GRACE join builds per bucket: a
+//! chained hash over a [`RowBuf`]'s first column, held in two flat `u32`
+//! arrays that are reused from one bucket to the next — and the probe loop
+//! over it.
 
 use crate::rel::RowBuf;
 
@@ -24,12 +25,6 @@ pub struct KeyIndex {
     next: Vec<u32>,
     /// `64 - log2(heads.len())`: the slot is the hash's top bits.
     shift: u32,
-}
-
-impl Default for KeyIndex {
-    fn default() -> KeyIndex {
-        KeyIndex::new()
-    }
 }
 
 impl KeyIndex {
@@ -69,24 +64,61 @@ impl KeyIndex {
         }
     }
 
-    /// The rows of `rows` — the batch this index was built over — whose key
-    /// equals `key`, in ascending row order.
-    pub fn matches<'a>(&'a self, rows: &'a RowBuf, key: i64) -> impl Iterator<Item = &'a [i64]> {
+    /// The numbers of the rows of `rows` — the batch this index was built
+    /// over — whose key equals `key`, ascending.
+    pub fn matches<'a>(&'a self, rows: &'a RowBuf, key: i64) -> impl Iterator<Item = u32> + 'a {
         let width = rows.width();
         let data = rows.as_slice();
         let mut at = self.heads[self.slot(key)];
         std::iter::from_fn(move || {
             while at != NIL {
-                let row = at as usize;
-                at = self.next[row];
-                if data[row * width] == key {
-                    return Some(&data[row * width..(row + 1) * width]);
+                let row = at;
+                at = self.next[row as usize];
+                if data[row as usize * width] == key {
+                    return Some(row);
                 }
             }
             None
         })
     }
 }
+
+/// The join pass's probe loop: the pairs the build rows `build` form with
+/// the probe rows `probe[from..]` (row-major, `width` columns), as `(build
+/// row, probe row)` appended to `pairs` in emission order — probe row by
+/// probe row, each one's build rows ascending. An equi-join finds them in
+/// `index`, built over `build`; a cross product (`cross`) pairs every build
+/// row and never consults it. Returns after the first probe row that brings
+/// `pairs` to [`PROBE_PAIRS`], with the probe row to resume from (the
+/// number of probe rows once all are done), so that the caller's scratch
+/// stays bounded. Non-generic and infallible: compiled once for every
+/// backend.
+pub(crate) fn probe(
+    index: &KeyIndex,
+    build: &RowBuf,
+    probe: &[i64],
+    width: usize,
+    from: usize,
+    cross: bool,
+    pairs: &mut Vec<(u32, u32)>,
+) -> usize {
+    let rows = probe.len() / width;
+    for y in from..rows {
+        if cross {
+            pairs.extend((0..build.len() as u32).map(|x| (x, y as u32)));
+        } else {
+            let key = probe[y * width];
+            pairs.extend(index.matches(build, key).map(|x| (x, y as u32)));
+        }
+        if pairs.len() >= PROBE_PAIRS {
+            return y + 1;
+        }
+    }
+    rows
+}
+
+/// Pairs [`probe`] collects before it hands them to the caller.
+const PROBE_PAIRS: usize = 1 << 12;
 
 #[cfg(test)]
 mod tests {
@@ -106,11 +138,8 @@ mod tests {
     fn assert_same_matches(index: &KeyIndex, rows: &RowBuf, probes: &[i64]) {
         let table = reference(rows);
         for &key in probes {
-            let want: Vec<&[i64]> = table
-                .get(&key)
-                .map(|m| m.iter().map(|x| rows.row(*x as usize)).collect())
-                .unwrap_or_default();
-            let got: Vec<&[i64]> = index.matches(rows, key).collect();
+            let want = table.get(&key).cloned().unwrap_or_default();
+            let got: Vec<u32> = index.matches(rows, key).collect();
             assert_eq!(got, want, "key {key}");
         }
     }
@@ -168,10 +197,7 @@ mod tests {
         let one = RowBuf::from_rows(&[vec![i64::MIN, 7]]);
         index.build(&one);
         assert_same_matches(&index, &one, &[i64::MIN, i64::MAX, 0, 7]);
-        assert_eq!(
-            index.matches(&one, i64::MIN).collect::<Vec<_>>(),
-            vec![&[i64::MIN, 7][..]]
-        );
+        assert_eq!(index.matches(&one, i64::MIN).collect::<Vec<_>>(), [0]);
     }
 
     #[test]
@@ -179,9 +205,11 @@ mod tests {
         let rows = RowBuf::from_rows(&[vec![5, 0], vec![9, 1], vec![5, 2], vec![5, 3], vec![9, 4]]);
         let mut index = KeyIndex::new();
         index.build(&rows);
-        let fives: Vec<i64> = index.matches(&rows, 5).map(|r| r[1]).collect();
-        assert_eq!(fives, vec![0, 2, 3]);
-        let nines: Vec<i64> = index.matches(&rows, 9).map(|r| r[1]).collect();
-        assert_eq!(nines, vec![1, 4]);
+        let payloads = |key| -> Vec<i64> {
+            let matches = index.matches(&rows, key);
+            matches.map(|r| rows.row(r as usize)[1]).collect()
+        };
+        assert_eq!(payloads(5), vec![0, 2, 3]);
+        assert_eq!(payloads(9), vec![1, 4]);
     }
 }

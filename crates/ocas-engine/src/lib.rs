@@ -52,12 +52,11 @@
 //! reads each block once), while *simulated* mode models the paper-scale
 //! pattern the estimator prices (both merge inputs in alternating blocks to
 //! the end, a second, staggered scan for the duplicate removal) and never
-//! touches a cursor. The faithful GRACE arm still computes on the
-//! generator's rows; the real backend runs it natively.
+//! touches a cursor.
 //!
 //! **External sort.** The faithful sort is the out-of-core algorithm
 //! itself, on every backend: sorted runs of `fan_in * b_in + b_out` tuples
-//! spilled to the scratch device through [`SpillAlloc`] (which shrinks a
+//! spilled to the scratch device through `SpillAlloc` (which shrinks a
 //! run, or fails over to the backend's
 //! [`spill_fallback`](ocas_storage::StorageBackend::spill_fallback)
 //! device, when the scratch device is full), then merged `fan_in` at a time
@@ -68,6 +67,12 @@
 //! twin issues the real run's requests and merges the same runs. Simulated
 //! mode still models ⌈log_fan_in n⌉ merge levels over singleton runs, and
 //! both modes count that model's comparisons.
+//!
+//! **GRACE join.** So is the faithful GRACE join: both inputs hashed into
+//! buckets, each a stream of page-aligned extents of its own on the spill
+//! device (`SpillAlloc`), then, bucket by bucket, the build side indexed
+//! by key and the probe side probed an extent at a time — over the buckets
+//! the backend hands back, so the twin issues the real run's requests too.
 //!
 //! **Faithful pair loop.** A faithful block-nested-loops join compares every
 //! tuple of the resident outer block with every tuple of the inner block
@@ -130,7 +135,7 @@
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod key_index;
+mod key_index;
 mod key_scan;
 pub mod lower;
 mod merge_kernel;
@@ -140,7 +145,6 @@ mod sorted_window;
 mod spill;
 
 pub use exec::{merge_bufs, ExecError, ExecStats, Executor};
-pub use key_index::KeyIndex;
 pub use lower::{lower, LowerError, WorkloadHint};
 pub use merge_kernel::{MergeHeads, MergeStop};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
@@ -148,4 +152,3 @@ pub use rel::{
     decode_rows, encode_rows, BlockBuf, BlockCursor, RelSpec, Relation, Row, RowBuf, RowGen,
     RowsView, DEFAULT_CACHE_BYTES,
 };
-pub use spill::SpillAlloc;

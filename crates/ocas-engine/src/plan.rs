@@ -223,8 +223,8 @@ impl Plan {
     /// Rejects a plan whose parameters no execution can honour — a zero
     /// block, buffer or partition count, a fan-in below two — before it
     /// issues a request. The one parameter check of every route:
-    /// [`Executor::run`](crate::Executor::run) calls it, and so does the
-    /// runtime before it joins natively.
+    /// [`Executor::run`](crate::Executor::run) calls it, and every route to
+    /// real files runs through that.
     pub fn validate(&self) -> Result<(), ExecError> {
         let bad = match self {
             Plan::BnlJoin { k1, k2, .. } if *k1 == 0 || *k2 == 0 => "zero block size",

@@ -220,16 +220,6 @@ impl RowBuf {
         out
     }
 
-    /// Appends the full rows encoded in `bytes` (8-byte LE columns,
-    /// trailing partial rows ignored) — the inverse of [`encode`].
-    ///
-    /// [`encode`]: RowBuf::encode
-    pub fn decode_into(&mut self, bytes: &[u8]) {
-        let row_bytes = self.width * 8;
-        let whole = bytes.len() / row_bytes * row_bytes;
-        self.extend_le(&bytes[..whole]);
-    }
-
     /// Appends the 8-byte LE columns in `bytes` (whole rows, the caller's
     /// promise).
     #[inline]
@@ -241,10 +231,13 @@ impl RowBuf {
         );
     }
 
-    /// Decodes a fresh batch from `bytes` for a known tuple width.
+    /// Decodes a fresh batch of the full rows encoded in `bytes` (8-byte LE
+    /// columns, trailing partial rows ignored) for a known tuple width — the
+    /// inverse of [`encode`](RowBuf::encode).
     pub fn decode(bytes: &[u8], width: usize) -> RowBuf {
         let mut out = RowBuf::new(width);
-        out.decode_into(bytes);
+        let row_bytes = out.width * 8;
+        out.extend_le(&bytes[..bytes.len() / row_bytes * row_bytes]);
         out
     }
 }
@@ -974,8 +967,8 @@ impl Relation {
     /// seam).
     ///
     /// Assumes the native 8-byte-column on-disk layout (`tuple_bytes =
-    /// width * 8`) — the same restriction the external sort and the
-    /// runtime's GRACE join enforce. Extents written with narrow
+    /// width * 8`) — the same restriction the external sort and the GRACE
+    /// join enforce. Extents written with narrow
     /// `col_bytes` need [`Relation::create`] instead, which records the
     /// declared tuple size.
     pub fn attach(file: FileId, card: u64, width: u32, key_range: u64) -> Relation {

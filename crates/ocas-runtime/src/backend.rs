@@ -396,13 +396,6 @@ impl FileBackend {
         self
     }
 
-    /// The page size of `device`'s buffer pool, in bytes: the unit a spill
-    /// stream aligns its extents to, so that no two streams share a page.
-    pub fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
-        let d = self.device_idx(device)?;
-        Ok(self.devices[d].pool.page_bytes() as u64)
-    }
-
     /// Total pages currently pinned across every device pool.
     pub fn pinned_pages(&self) -> u64 {
         self.devices.iter().map(|d| d.pool.pinned_frames()).sum()
@@ -657,54 +650,6 @@ impl FileBackend {
         Ok(())
     }
 
-    /// Charged read of `count` tuples of `width` 8-byte columns starting
-    /// at tuple `row_offset`, decoded straight into a flat batch through
-    /// the backend's reusable scratch buffer — the block-read path of the
-    /// GRACE join (no per-block, per-row or per-column allocation).
-    pub fn read_rows(
-        &mut self,
-        file: FileId,
-        row_offset: u64,
-        count: u64,
-        width: usize,
-        out: &mut ocas_engine::RowBuf,
-    ) -> Result<(), StorageError> {
-        let tb = width as u64 * 8;
-        let bytes = (count * tb) as usize;
-        if self.scratch.len() < bytes {
-            self.scratch.resize(bytes, 0);
-        }
-        let mut buf = std::mem::take(&mut self.scratch);
-        let r = self.read_into(file, row_offset * tb, &mut buf[..bytes]);
-        self.scratch = buf;
-        r?;
-        out.decode_into(&self.scratch[..bytes]);
-        Ok(())
-    }
-
-    /// Uncharged tuple read — [`read_rows`](FileBackend::read_rows) for the
-    /// harvest path (no clock, no counters, no seek).
-    pub fn peek_rows(
-        &mut self,
-        file: FileId,
-        row_offset: u64,
-        count: u64,
-        width: usize,
-        out: &mut ocas_engine::RowBuf,
-    ) -> Result<(), StorageError> {
-        let tb = width as u64 * 8;
-        let bytes = (count * tb) as usize;
-        if self.scratch.len() < bytes {
-            self.scratch.resize(bytes, 0);
-        }
-        let mut buf = std::mem::take(&mut self.scratch);
-        let r = self.peek(file, row_offset * tb, &mut buf[..bytes]);
-        self.scratch = buf;
-        r?;
-        out.decode_into(&self.scratch[..bytes]);
-        Ok(())
-    }
-
     /// Uncharged read of real bytes — the harvest path for pulling results
     /// back out after a measured run (no clock, no counters, no seek).
     pub fn peek(&mut self, file: FileId, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
@@ -920,6 +865,11 @@ impl StorageBackend for FileBackend {
 
     fn watermark(&self, device: &str) -> Option<u64> {
         self.device_by_name.get(device).map(|d| self.allocated[*d])
+    }
+
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        let d = self.device_idx(device)?;
+        Ok(self.devices[d].pool.page_bytes() as u64)
     }
 
     fn recovery_counters(&self) -> Option<RecoveryCounters> {

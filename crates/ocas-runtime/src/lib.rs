@@ -17,12 +17,11 @@
 //!   one sparse temp file per hierarchy device, bump-allocated extents
 //!   (the simulator's allocator, re-enacted on disk), per-device I/O
 //!   counters mirroring [`ocas_storage::DeviceStats`], wall-clock charging.
-//! * [`algos`] + [`Runtime`] — the native GRACE join (its partitions
-//!   really spill to disk) and the entry point that runs a plan for real —
-//!   the join natively, every other template, the external merge sort's
-//!   spilled runs included, through the generic executor over block
-//!   cursors, peak resident tuple memory metered either way — alongside
-//!   its simulated twin, returning a [`RealReport`] with both.
+//! * [`Runtime`] — the entry point that runs a plan for real: every
+//!   template, the external merge sort's spilled runs and the GRACE join's
+//!   spilled buckets included, through the engine's executor over block
+//!   cursors — the code its simulated twin runs — with peak resident tuple
+//!   memory metered, returning a [`RealReport`] with both.
 //!   [`TimingMode::DiskBounded`] bounds wall-clock by the disk (fsync +
 //!   `O_DIRECT` where available) instead of the kernel page cache.
 //!
@@ -34,12 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algos;
 pub mod backend;
 pub mod pool;
 pub mod runtime;
 
-pub use algos::{AlgoError, AlgoRun};
 pub use backend::{FileBackend, PoolConfig, TimingMode};
 pub use pool::{BufferPool, EvictionPolicy, PolicyKind, PoolStats};
 pub use runtime::{RealReport, Runtime, RuntimeError};

@@ -1,10 +1,11 @@
 //! The runtime entry point: execute one physical plan for real, with a
 //! twin simulated run for side-by-side seconds.
 
-use crate::algos::{self, AlgoError, AlgoRun, SpillGuard};
 use crate::backend::{FileBackend, PoolConfig};
 use crate::pool::PoolStats;
-use ocas_engine::{CpuModel, ExecError, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf};
+use ocas_engine::{
+    CpuModel, ExecError, ExecStats, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf,
+};
 use ocas_hierarchy::Hierarchy;
 use ocas_storage::{
     DeviceStats, FaultPlan, RecoveryCounters, RetryPolicy, StorageBackend, StorageError, StorageSim,
@@ -19,8 +20,6 @@ pub enum RuntimeError {
     Exec(ExecError),
     /// Storage-level failure.
     Storage(StorageError),
-    /// Real-algorithm failure.
-    Algo(AlgoError),
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -28,7 +27,6 @@ impl std::fmt::Display for RuntimeError {
         match self {
             RuntimeError::Exec(e) => write!(f, "execution: {e}"),
             RuntimeError::Storage(e) => write!(f, "storage: {e}"),
-            RuntimeError::Algo(e) => write!(f, "algorithm: {e}"),
         }
     }
 }
@@ -45,9 +43,46 @@ impl From<StorageError> for RuntimeError {
         RuntimeError::Storage(e)
     }
 }
-impl From<AlgoError> for RuntimeError {
-    fn from(e: AlgoError) -> Self {
-        RuntimeError::Algo(e)
+
+/// Scope guard over the devices a run allocates on: snapshots their
+/// allocation watermarks at entry so the error path can roll everything
+/// back. [`Runtime::execute`] calls [`SpillGuard::cleanup`] on failure —
+/// pinned pages are released and each device is truncated to its entry
+/// mark, so a failed run leaves no spill extents, output extent or pinned
+/// frames behind. The success path simply drops the guard: outputs are
+/// harvested after the measured window and must survive.
+struct SpillGuard {
+    marks: Vec<(String, u64)>,
+}
+
+impl SpillGuard {
+    /// Marks the devices `plan` can allocate on: its spill device (a sort's
+    /// `scratch`, a GRACE join's `spill`), the backend's fallback and a
+    /// device-bound output's device.
+    fn new(fb: &FileBackend, plan: &Plan) -> SpillGuard {
+        let spill = match plan {
+            Plan::ExternalSort { scratch, .. } => Some(scratch.as_str()),
+            Plan::GraceJoin { spill, .. } => Some(spill.as_str()),
+            _ => None,
+        };
+        let output = match plan.output() {
+            Output::ToDevice { device, .. } => Some(device.as_str()),
+            Output::Discard => None,
+        };
+        let mut marks: Vec<(String, u64)> = Vec::new();
+        for d in [spill, fb.spill_fallback(), output].into_iter().flatten() {
+            if !marks.iter().any(|(name, _)| name == d) {
+                marks.push((d.to_string(), fb.watermark(d).unwrap_or(0)));
+            }
+        }
+        SpillGuard { marks }
+    }
+
+    fn cleanup(self, fb: &mut FileBackend) {
+        fb.release_all_pins();
+        for (device, mark) in &self.marks {
+            let _ = fb.truncate_device(device, *mark);
+        }
     }
 }
 
@@ -65,17 +100,17 @@ pub struct RealReport {
     /// same generators, so the same rows as generating them again).
     pub sim_seconds: f64,
     /// Output rows of the real execution, one flat batch. A device-bound
-    /// output is read back from its device after the measured window; one
-    /// that cannot be (columns narrower than 8 bytes, or more than the
-    /// generic executor's 1 GiB output window) is left empty.
+    /// output is read back from its device after the measured window
+    /// ([`Runtime::harvest`]); one that cannot be (columns narrower than 8
+    /// bytes, or more than the executor's 1 GiB output window) is left
+    /// empty.
     pub output: RowBuf,
     /// Output rows of the simulated faithful twin.
     pub sim_output: RowBuf,
     /// High-water mark of resident tuple bytes of the real execution:
-    /// [`ExecStats::peak_resident_bytes`](ocas_engine::ExecStats) of the
-    /// generic executor — for an external sort, its batch, run cursors and
-    /// output batch — or, for the GRACE join, the one template that runs
-    /// natively, the algorithm's own gauge.
+    /// [`ExecStats::peak_resident_bytes`] of the executor — for an external
+    /// sort its batch, run cursors and output batch, for a GRACE join its
+    /// build bucket, one probe extent and the sink's staging.
     pub peak_resident_bytes: Option<u64>,
     /// Per-device I/O counters of the real execution.
     pub real_devices: Vec<(String, DeviceStats)>,
@@ -165,80 +200,51 @@ impl Runtime {
         Ok(fb)
     }
 
-    /// Dispatches the native out-of-core implementation for `plan`, if one
-    /// exists: the GRACE join. This is the one place a plan is matched to
-    /// what runs it on real files.
-    fn run_native(
-        fb: &mut FileBackend,
-        rels: &[Relation],
-        plan: &Plan,
-    ) -> Result<Option<AlgoRun>, RuntimeError> {
-        let rel = |i: usize| -> Result<&Relation, RuntimeError> {
-            rels.get(i).ok_or(ExecError::BadRelation(i).into())
-        };
-        Ok(match plan {
-            Plan::GraceJoin {
-                left,
-                right,
-                partitions,
-                buffer_bytes,
-                spill,
-                pred,
-                output,
-            } => Some(algos::grace_join(
-                fb,
-                rel(*left)?,
-                rel(*right)?,
-                *partitions,
-                *buffer_bytes,
-                spill,
-                matches!(pred, ocas_engine::JoinPred::Cross),
-                output,
-            )?),
-            _ => None,
-        })
-    }
-
-    /// Executes `plan` over `rels` on real files. The GRACE join runs its
-    /// out-of-core implementation in [`algos`]; every other template — the
-    /// external sort included — runs through the generic executor in
-    /// faithful mode, on the rows its block reads return, the code its
-    /// simulator twin runs. A plan with a parameter no execution can honour
-    /// is rejected before any request ([`Plan::validate`]). A device-bound
-    /// output is not collected while the plan runs: [`AlgoRun::harvest`]
-    /// reads it back afterwards, outside whatever the caller measures.
+    /// Executes `plan` over `rels` on real files: the generic executor in
+    /// faithful mode, on the rows its block reads return — every template,
+    /// the external sort's runs and the GRACE join's buckets included, is
+    /// the code its simulator twin runs. A plan with a parameter no
+    /// execution can honour is rejected before any request
+    /// ([`Plan::validate`]). A device-bound output is not collected while
+    /// the plan runs: [`Runtime::harvest`] reads it back afterwards, outside
+    /// whatever the caller measures.
     ///
     /// The backend is handed back whatever happened. After a failure every
     /// device is at its entry watermark and no page is pinned.
     pub fn execute(
-        mut fb: FileBackend,
+        fb: FileBackend,
         rels: &[Relation],
         plan: &Plan,
-    ) -> (FileBackend, Result<AlgoRun, RuntimeError>) {
-        if let Err(e) = plan.validate() {
-            return (fb, Err(e.into()));
-        }
-        match Self::run_native(&mut fb, rels, plan) {
-            Ok(Some(run)) => return (fb, Ok(run)),
-            Err(e) => return (fb, Err(e)),
-            Ok(None) => {}
-        }
-        let scratch = match plan {
-            Plan::ExternalSort { scratch, .. } => Some(scratch.as_str()),
-            _ => None,
-        };
-        let guard = SpillGuard::new(&fb, scratch, plan.output());
+    ) -> (FileBackend, Result<ExecStats, RuntimeError>) {
+        let guard = SpillGuard::new(&fb, plan);
         let collect = matches!(plan.output(), Output::Discard);
         let mut ex =
             Executor::new(fb, Mode::Faithful, CpuModel::disabled()).with_output_collection(collect);
         ex.rels = rels.to_vec();
         let stats = ex.run(plan);
         let mut fb = ex.sm;
-        let run = stats.map(AlgoRun::from).map_err(|e| {
+        let stats = stats.map_err(|e| {
             guard.cleanup(&mut fb);
             e.into()
         });
-        (fb, run)
+        (fb, stats)
+    }
+
+    /// The output rows of a run on `fb`: the collected ones, or else those
+    /// read back (uncharged) from the extent a device-bound output was
+    /// written to — none when it has no such extent
+    /// ([`ExecStats::output_extent`]).
+    pub fn harvest(fb: &mut FileBackend, stats: ExecStats) -> Result<RowBuf, StorageError> {
+        let width = stats.output_width;
+        match (stats.output, stats.output_extent) {
+            (Some(rows), _) => Ok(rows),
+            (None, Some((file, bytes))) => {
+                let mut buf = vec![0; bytes as usize];
+                fb.peek(file, 0, &mut buf)?;
+                Ok(RowBuf::decode(&buf, width))
+            }
+            (None, None) => Ok(RowBuf::new(width)),
+        }
     }
 
     /// Runs `plan` for real against temp files, then runs the identical
@@ -272,9 +278,9 @@ impl Runtime {
         let wall_seconds = t0.elapsed().as_secs_f64();
 
         // Harvest (uncharged, outside the measured window): device-bound
-        // runs read their output extents back for verification.
+        // runs read their output extent back for verification.
         let peak_resident_bytes = Some(run.peak_resident_bytes);
-        let output = run.harvest(&mut fb)?;
+        let output = Self::harvest(&mut fb, run)?;
         let io_seconds = fb.clock();
         let real_devices = fb.all_device_stats();
         let pools = fb.pool_stats();

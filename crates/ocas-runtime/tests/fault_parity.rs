@@ -523,6 +523,9 @@ impl StorageBackend for WithFallback {
     fn watermark(&self, device: &str) -> Option<u64> {
         StorageBackend::watermark(&self.0, device)
     }
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        StorageBackend::page_bytes(&self.0, device)
+    }
     fn spill_fallback(&self) -> Option<&str> {
         Some(self.1)
     }
@@ -550,10 +553,35 @@ fn sort_plan() -> (Plan, Vec<RelSpec>) {
     (plan, vec![RelSpec::ints("L", "HDD", 40).with_key_range(30)])
 }
 
-/// Runs [`sort_plan`] under `faults` on the faulted simulator and on faulted
-/// files, both with `HDD2` as the spill fallback; returns both outcomes.
-fn sort_on_both(faults: FaultPlan, policy: RetryPolicy) -> [(String, RecoveryCounters); 2] {
-    let (plan, specs) = sort_plan();
+/// The GRACE join of the tests below: 60 and 40 pairs on `HDD2`, in three
+/// buckets spilled to `HDD`, which sees nothing but the spill. Its request
+/// 0 is the first bucket's reservation (no pad: the device is empty); the
+/// partition pass — six reservations, one a bucket and a side, and 20
+/// flushes — is requests 0 to 25, and the join pass reads the six extents
+/// back, a bucket's build extent and then its probe extent, from request 26
+/// on.
+fn grace_plan() -> (Plan, Vec<RelSpec>) {
+    let plan = Plan::GraceJoin {
+        left: 0,
+        right: 1,
+        partitions: 3,
+        buffer_bytes: 256,
+        spill: "HDD".into(),
+        pred: JoinPred::KeyEq,
+        output: Output::Discard,
+    };
+    let pairs = |name, card| RelSpec::pairs(name, "HDD2", card).with_key_range(30);
+    (plan, vec![pairs("L", 60), pairs("R", 40)])
+}
+
+/// Runs `plan` over `specs` under `faults` on the faulted simulator and on
+/// faulted files, both with `HDD2` as the spill fallback; returns both
+/// outcomes.
+fn on_both(
+    (plan, specs): &(Plan, Vec<RelSpec>),
+    faults: FaultPlan,
+    policy: RetryPolicy,
+) -> [(String, RecoveryCounters); 2] {
     let h = presets::two_hdd_ram(1 << 22);
     let sim = WithFallback(StorageSim::from_hierarchy(&h), "HDD2");
     let sim = Faulted::new(sim, faults.clone(), policy);
@@ -562,8 +590,8 @@ fn sort_on_both(faults: FaultPlan, policy: RetryPolicy) -> [(String, RecoveryCou
         .with_faults(faults, policy)
         .with_spill_fallback("HDD2");
     [
-        run_faithful(sim, &plan, &specs),
-        run_faithful(fb, &plan, &specs),
+        run_faithful(sim, plan, specs),
+        run_faithful(fb, plan, specs),
     ]
 }
 
@@ -572,26 +600,67 @@ fn sort_on_both(faults: FaultPlan, policy: RetryPolicy) -> [(String, RecoveryCou
 /// halves the extent (two sorted runs where there was one) and the sort
 /// goes on; refused down to one tuple, the spill fails over to the fallback
 /// device, once; and a transient on a cursor refill is retried, or is the
-/// typed error at that request without retries. Each with the same outcome
-/// and the same recovery counters, shrinks and failovers included, on the
-/// faulted simulator and on faulted files.
+/// typed error at that request without retries.
 #[test]
 fn a_sort_degrades_and_recovers_the_same_way_on_both_backends() {
-    let (clean, _) = sort_on_both(FaultPlan::new(), RetryPolicy::default())[0].clone();
-    assert!(clean.starts_with("ok"), "{clean}");
     let run_extent = |refusals: u64| {
         (2..2 + refusals).fold(FaultPlan::new(), |plan, at| {
             plan.with("HDD", FaultOp::Alloc, at, FaultKind::NoSpace)
         })
     };
     let refill = FaultPlan::new().with("HDD", FaultOp::Read, 34, FaultKind::Transient);
-    for (faults, policy, shrinks, failovers) in [
-        (run_extent(1), RetryPolicy::default(), 1, 0),
-        (run_extent(3), RetryPolicy::default(), 2, 1),
-        (refill.clone(), RetryPolicy::default(), 0, 0),
-        (refill, RetryPolicy::none(), 0, 0),
-    ] {
-        let [sim, file] = sort_on_both(faults.clone(), policy);
+    degrades_alike(
+        &sort_plan(),
+        [
+            (run_extent(1), RetryPolicy::default(), 1, 0),
+            (run_extent(3), RetryPolicy::default(), 2, 1),
+            (refill.clone(), RetryPolicy::default(), 0, 0),
+            (refill, RetryPolicy::none(), 0, 0),
+        ],
+        "read request 34 on `HDD`",
+    );
+}
+
+/// So are the GRACE join's: an ENOSPC on a bucket's reservation halves it —
+/// sixteen pages down to the one that holds a staging buffer — and the
+/// partition pass goes on; refused at one page, the spill fails over to the
+/// fallback device, once, for the rest of both sides; and a transient on a
+/// bucket read (the second bucket's probe extent) is retried, or is the
+/// typed error at that request without retries.
+#[test]
+fn a_grace_join_degrades_and_recovers_the_same_way_on_both_backends() {
+    let reservation = |refusals: u64| {
+        (0..refusals).fold(FaultPlan::new(), |plan, at| {
+            plan.with("HDD", FaultOp::Alloc, at, FaultKind::NoSpace)
+        })
+    };
+    let bucket_read = FaultPlan::new().with("HDD", FaultOp::Read, 29, FaultKind::Transient);
+    degrades_alike(
+        &grace_plan(),
+        [
+            (reservation(2), RetryPolicy::default(), 2, 0),
+            (reservation(5), RetryPolicy::default(), 4, 1),
+            (bucket_read.clone(), RetryPolicy::default(), 0, 0),
+            (bucket_read, RetryPolicy::none(), 0, 0),
+        ],
+        "read request 29 on `HDD`",
+    );
+}
+
+/// Runs `workload` under each `(faults, policy, shrinks, failovers)` case
+/// on the faulted simulator and on faulted files: the same outcome and the
+/// same recovery counters on both, every spec fired, the shrinks and
+/// failovers expected — and the clean run's rows, or, without retries, the
+/// typed error at `request`.
+fn degrades_alike(
+    workload: &(Plan, Vec<RelSpec>),
+    cases: [(FaultPlan, RetryPolicy, u64, u64); 4],
+    request: &str,
+) {
+    let (clean, _) = on_both(workload, FaultPlan::new(), RetryPolicy::default())[0].clone();
+    assert!(clean.starts_with("ok"), "{clean}");
+    for (faults, policy, shrinks, failovers) in cases {
+        let [sim, file] = on_both(workload, faults.clone(), policy);
         assert_eq!(sim, file, "{faults:?}");
         let (outcome, counters) = sim;
         assert_eq!(counters.faults_injected, faults.specs.len() as u64);
@@ -603,7 +672,7 @@ fn a_sort_degrades_and_recovers_the_same_way_on_both_backends() {
         if policy.max_attempts > 1 {
             assert_eq!(outcome, clean, "{faults:?}");
         } else {
-            assert!(outcome.contains("read request 34 on `HDD`"), "{outcome}");
+            assert!(outcome.contains(request), "{outcome}");
         }
     }
 }
@@ -629,7 +698,7 @@ proptest! {
         };
         let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
         let faults = FaultPlan::new().with("HDD", FaultOp::Any, at, kind);
-        let [sim, file] = sort_on_both(faults, policy);
+        let [sim, file] = on_both(&sort_plan(), faults, policy);
         prop_assert_eq!(&sim, &file);
         prop_assert_eq!(sim.1.faults_injected, 1, "the spec at request {} never fired", at);
     }

@@ -116,7 +116,7 @@ fn report_over_files(
             let (mut fb, run) = Runtime::execute(fb, &rels, plan);
             let run = run.expect("real run");
             let peak = run.peak_resident_bytes;
-            let output = run.harvest(&mut fb).expect("harvest");
+            let output = Runtime::harvest(&mut fb, run).expect("harvest");
             (fb, output, peak)
         }
     };
@@ -165,15 +165,17 @@ proptest! {
         prop_assert_eq!(sim_bytes, real_bytes);
     }
 
+    /// Heavily duplicated keys, one-row buckets, partition counts that are
+    /// not powers of two.
     #[test]
     fn grace_join_same_output_and_bytes_on_both_backends(
         cards in (30u64..120, 20u64..80),
-        partitions in 1u64..9,
+        (key_range, partitions) in (1u64..50, 1u64..12),
         seed in 0u64..1000,
     ) {
         let specs = [
-            RelSpec::pairs("R", "HDD", cards.0).with_key_range(25),
-            RelSpec::pairs("S", "HDD", cards.1).with_key_range(25),
+            RelSpec::pairs("R", "HDD", cards.0).with_key_range(key_range),
+            RelSpec::pairs("S", "HDD", cards.1).with_key_range(key_range),
         ];
         let plan = Plan::GraceJoin {
             left: 0,
@@ -222,41 +224,6 @@ proptest! {
         let (sim_out, real_out, sim_bytes, real_bytes) = run_both(&sort, &sort_specs, seed);
         prop_assert_eq!(sim_out, real_out);
         prop_assert_eq!(sim_bytes, real_bytes);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The native GRACE join's `KeyIndex` bucket joins against its
-    /// simulator twin through the runtime, row for row: heavily duplicated
-    /// keys, one-row buckets, partition counts that are not powers of two.
-    /// (The external sort is one implementation on both backends; its
-    /// geometries are `ocas-engine`'s `external_sort_sorts_at_every_buffer_geometry`.)
-    #[test]
-    fn native_grace_matches_its_twin_row_for_row(
-        cards in (1u64..320, 1u64..220),
-        (key_range, partitions) in (1u64..50, 1u64..12),
-        seed in 0u64..1000,
-    ) {
-        let rt = Runtime::new(unit_page_hierarchy());
-        let output = Output::ToDevice { device: "HDD".into(), buffer_bytes: 512 };
-        let join_specs = [
-            RelSpec::pairs("R", "HDD", cards.0).with_key_range(key_range),
-            RelSpec::pairs("S", "HDD", cards.1).with_key_range(key_range),
-        ];
-        let join = Plan::GraceJoin {
-            left: 0,
-            right: 1,
-            partitions,
-            buffer_bytes: 1 << 11,
-            spill: "HDD".into(),
-            pred: JoinPred::KeyEq,
-            output,
-        };
-        let report = rt.run_plan(&join, &join_specs, seed).unwrap();
-        prop_assert!(report.outputs_match(), "join: {} real vs {} simulated rows",
-            report.output.len(), report.sim_output.len());
     }
 }
 
@@ -816,4 +783,81 @@ fn an_attached_file_runs_where_its_payload_is_and_is_missing_rows_elsewhere() {
         matches!(on_sim, Err(ExecError::MissingRows(0))),
         "{on_sim:?}"
     );
+}
+
+/// A "follows the file" test for the GRACE join, on both routes: with the
+/// right input's key column rewritten after its creation, the real output is
+/// the join of what the files now hold — as a bag, against a brute-force
+/// nested loop, since the buckets decide the order — the twin's output does
+/// not move, and `outputs_match` turns false; and both passes read the same
+/// bytes as untampered. A faithful GRACE arm that partitions the generator's
+/// rows fails the direct route.
+#[test]
+fn tampered_files_move_the_real_grace_join_and_not_the_twin() {
+    let specs = [
+        RelSpec::pairs("R", "HDD", 300).with_key_range(50),
+        RelSpec::pairs("S", "HDD", 200).with_key_range(50),
+    ];
+    let seed = 41;
+    let generated: Vec<RowBuf> = (0..2)
+        .map(|i| {
+            let mut sm = StorageSim::from_hierarchy(&unit_page_hierarchy());
+            let rel = Relation::create(&mut sm, &specs[i], true, seed + i as u64).unwrap();
+            rel.collect_rows().unwrap()
+        })
+        .collect();
+    // The right input's keys moved to other keys of the same range: the
+    // join stays as dense, over other pairs.
+    let tampered = {
+        let rows = generated[1]
+            .iter()
+            .flat_map(|r| [(r[0] * 7 + 3) % 50, r[1]]);
+        RowBuf::from_vec(rows.collect(), 2)
+    };
+    let join_bag = |left: &RowBuf, right: &RowBuf| {
+        let mut rows: Vec<Vec<i64>> = Vec::new();
+        for x in left.iter() {
+            for y in right.iter().filter(|y| y[0] == x[0]) {
+                rows.push([x, y].concat());
+            }
+        }
+        rows.sort();
+        rows
+    };
+    let bag = |rows: &RowBuf| {
+        let mut rows = rows.to_rows();
+        rows.sort();
+        rows
+    };
+    let want = join_bag(&generated[0], &generated[1]);
+    let want_moved = join_bag(&generated[0], &tampered);
+    assert_ne!(want, want_moved, "tamper harder");
+    let plan = Plan::GraceJoin {
+        left: 0,
+        right: 1,
+        partitions: 5,
+        buffer_bytes: 1 << 10,
+        spill: "HDD".into(),
+        pred: JoinPred::KeyEq,
+        output: Output::ToDevice {
+            device: "HDD".into(),
+            buffer_bytes: 512,
+        },
+    };
+    for route in [Route::Executor, Route::Runtime] {
+        let clean = report_over_files(&plan, &specs, seed, route, |_, _| {});
+        assert!(clean.outputs_match(), "{route:?}");
+        assert_eq!(bag(&clean.output), want, "{route:?}");
+
+        let moved = report_over_files(&plan, &specs, seed, route, |fb, rels| {
+            rewrite(fb, &rels[1], &tampered)
+        });
+        assert_eq!(bag(&moved.output), want_moved, "{route:?}");
+        assert_eq!(moved.sim_output, clean.sim_output, "{route:?}");
+        assert!(!moved.outputs_match(), "{route:?}");
+        let reads = |r: &ocas_runtime::RealReport| -> Vec<u64> {
+            r.real_devices.iter().map(|(_, d)| d.bytes_read).collect()
+        };
+        assert_eq!(reads(&moved), reads(&clean), "{route:?}");
+    }
 }

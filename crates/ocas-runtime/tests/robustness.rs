@@ -1,6 +1,6 @@
 //! Robustness of plans run on real files through `Runtime::execute` — the
-//! external sort's spilled runs, the native GRACE join, the generic
-//! executor's streaming templates: graceful ENOSPC degradation (shrink
+//! external sort's spilled runs, the GRACE join's spilled buckets, the
+//! streaming templates: graceful ENOSPC degradation (shrink
 //! spill extents, fail over to an alternate device) keeps results correct,
 //! and every failure path — injected or genuine — leaves the backend clean:
 //! no spill or output extents past the entry watermark, no pinned pages,
@@ -11,7 +11,7 @@ use ocas_engine::{
     RowBuf,
 };
 use ocas_hierarchy::{presets, DeviceKind, Hierarchy, NodeProps};
-use ocas_runtime::{AlgoError, FileBackend, PoolConfig, Runtime, RuntimeError};
+use ocas_runtime::{FileBackend, PoolConfig, Runtime, RuntimeError};
 use ocas_storage::{
     FaultKind, FaultOp, FaultPlan, RetryPolicy, StorageBackend, StorageError, StorageSim,
 };
@@ -37,7 +37,9 @@ fn backend(h: &Hierarchy) -> FileBackend {
     FileBackend::from_hierarchy(h, PoolConfig::default()).unwrap()
 }
 
-fn sorted_rows(mut rows: RowBuf) -> RowBuf {
+/// The rows a `Discard` run collected, sorted.
+fn sorted_rows(rows: Option<RowBuf>) -> RowBuf {
+    let mut rows = rows.expect("collected");
     rows.sort();
     rows
 }
@@ -84,7 +86,7 @@ fn sort_degrades_to_smaller_runs_and_fails_over_with_correct_output() {
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 9).unwrap();
     let (fb, run) = Runtime::execute(fb, &[rel], &sort("TINY", Output::Discard));
     let run = run.unwrap();
-    assert_eq!(run.rows, 2_000);
+    assert_eq!(run.output_rows, 2_000);
     assert_eq!(run.output, oracle, "degraded sort changed the answer");
 
     let rec = fb.recovery_counters().expect("degradations recorded");
@@ -108,7 +110,7 @@ fn grace_join_degrades_spill_partitions_with_correct_output() {
         .1
         .unwrap()
         .output;
-    assert!(!oracle.is_empty(), "join oracle must produce rows");
+    assert!(oracle.as_ref().is_some_and(|rows| !rows.is_empty()));
 
     let mut fb = backend(&h).with_spill_fallback("BIG");
     let l = Relation::create(&mut fb, &specs[0], true, 3).unwrap();
@@ -139,7 +141,7 @@ fn injected_no_space_triggers_degradation_not_failure() {
         .with_faults(plan, RetryPolicy::default());
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_500), true, 11).unwrap();
     let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
-    assert_eq!(run.unwrap().rows, 1_500);
+    assert_eq!(run.unwrap().output_rows, 1_500);
     let rec = fb.recovery_counters().expect("counters with injector");
     assert_eq!(rec.no_space_faults, 1);
     assert!(rec.degraded_shrinks > 0, "ENOSPC must degrade, not fail");
@@ -222,7 +224,7 @@ fn failed_grace_partition(first_fault: u64) {
     assert!(
         matches!(
             err,
-            RuntimeError::Algo(AlgoError::Storage(StorageError::Transient { .. }))
+            RuntimeError::Exec(ExecError::Storage(StorageError::Transient { .. }))
         ),
         "expected a typed transient error, got: {err}"
     );
@@ -249,13 +251,9 @@ fn transient_faults_are_absorbed_by_retries() {
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_200), true, 13).unwrap();
     let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
     let run = run.unwrap();
-    assert_eq!(run.rows, 1_200);
-    let mut sorted = RowBuf::new(1);
-    for row in run.output.iter() {
-        sorted.push(row);
-    }
-    sorted.sort();
-    assert_eq!(run.output, sorted, "output must still be sorted");
+    assert_eq!(run.output_rows, 1_200);
+    let output = run.output.expect("collected");
+    assert!(output.is_sorted(), "output must still be sorted");
     let rec = fb.recovery_counters().expect("counters with injector");
     assert!(rec.retry_successes >= 2);
     assert_eq!(rec.gave_up, 0);
@@ -381,7 +379,7 @@ fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
     assert!(
         matches!(
             &err,
-            RuntimeError::Algo(AlgoError::Storage(StorageError::CorruptPage { device, .. }))
+            RuntimeError::Exec(ExecError::Storage(StorageError::CorruptPage { device, .. }))
                 if device == "HDD2"
         ),
         "expected CorruptPage, got: {err}"
@@ -517,12 +515,14 @@ fn torn_input_page_surfaces_on_the_refill_that_reaches_it() {
     assert_eq!(fb.pinned_pages(), 0);
 }
 
-/// A parameter no execution can honour — a GRACE join over zero partitions,
-/// a sort with a fan-in of one or a zero buffer — is one typed error on every
-/// route, raised before the first request: `Runtime::execute`,
-/// `Runtime::run_plan` (which used to run the whole real join with one
-/// partition and fail only on its simulator twin) and the generic executor
-/// on the simulator. No device is read, written or allocated on.
+/// A parameter no execution can honour — a GRACE join over zero partitions
+/// or over columns narrower than 8 bytes, a sort with a fan-in of one or a
+/// zero buffer — is one typed error on every route, raised before the first
+/// request: `Runtime::execute`, `Runtime::run_plan` (which used to run the
+/// whole real join with one partition and fail only on its simulator twin)
+/// and the generic executor on the simulator (which used to join narrow
+/// columns, on real files from the generator's rows). No device is read,
+/// written or allocated on.
 #[test]
 fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request() {
     let h = presets::two_hdd_ram(1 << 22);
@@ -542,25 +542,30 @@ fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request(
         scratch: "HDD2".into(),
         output: output.clone(),
     };
-    let zero_partitions = Plan::GraceJoin {
+    let join = |partitions| Plan::GraceJoin {
         left: 0,
         right: 1,
-        partitions: 0,
+        partitions,
         buffer_bytes: 512,
         spill: "HDD2".into(),
         pred: JoinPred::KeyEq,
         output: output.clone(),
     };
+    let narrow = specs.clone().map(|mut spec| {
+        spec.col_bytes = 4;
+        spec
+    });
     let cases = [
-        (zero_partitions, "zero partitions"),
-        (sort(1, 64, 128), "fan-in must be >= 2"),
-        (sort(4, 0, 128), "zero sort buffer"),
-        (sort(4, 64, 0), "zero sort buffer"),
+        (join(0), &specs, "zero partitions"),
+        (join(4), &narrow, "GRACE join needs 8-byte columns"),
+        (sort(1, 64, 128), &specs, "fan-in must be >= 2"),
+        (sort(4, 0, 128), &specs, "zero sort buffer"),
+        (sort(4, 64, 0), &specs, "zero sort buffer"),
     ];
     let untouched = |stats: &[Option<ocas_storage::DeviceStats>]| {
         stats.iter().all(|s| *s == Some(Default::default()))
     };
-    for (plan, what) in cases {
+    for (plan, specs, what) in cases {
         let rejected = |e: &ExecError| matches!(e, ExecError::BadParameter(w) if *w == what);
 
         let mut fb = backend(&h);
@@ -580,7 +585,7 @@ fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request(
         ]));
         assert_eq!([fb.watermark("HDD"), fb.watermark("HDD2")], marks, "{what}");
 
-        let err = Runtime::new(h.clone()).run_plan(&plan, &specs, 1);
+        let err = Runtime::new(h.clone()).run_plan(&plan, specs, 1);
         let err = err.expect_err(what);
         assert!(
             matches!(&err, RuntimeError::Exec(e) if rejected(e)),

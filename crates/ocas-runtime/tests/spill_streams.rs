@@ -118,7 +118,10 @@ fn a_grace_bucket_owns_its_pages_and_is_read_back_once() {
             *(if is_right { &mut count.1 } else { &mut count.0 }) += 1;
         }
     }
-    assert_eq!(run.rows, keys.values().map(|(a, b)| a * b).sum::<u64>());
+    assert_eq!(
+        run.output_rows,
+        keys.values().map(|(a, b)| a * b).sum::<u64>()
+    );
 
     // The spill area of the device file, page by page: every page holds
     // tuples of one bucket of one side only, as a prefix; and a bucket's
@@ -250,8 +253,8 @@ fn a_sort_moves_its_input_once_per_pass_and_not_once_more() {
         assert_eq!(dev1.bytes_read - dev0.bytes_read, CARD * 8 * passes);
         let written = passes - u64::from(!to_device);
         assert_eq!(dev1.bytes_written - dev0.bytes_written, CARD * 8 * written);
-        assert_eq!(run.rows, CARD);
-        let out = run.harvest(&mut fb).unwrap();
+        assert_eq!(run.output_rows, CARD);
+        let out = Runtime::harvest(&mut fb, run).unwrap();
         assert!(out.as_slice() == sorted, "to_device {to_device}");
     }
 }

@@ -1,6 +1,6 @@
 //! The request stream of the streaming templates — merge pass, column zip,
-//! duplicate removal — and of the external sort on real files, as a test
-//! instead of a claim.
+//! duplicate removal — and of the external sort and the GRACE join on real
+//! files, as a test instead of a claim.
 //!
 //! Two kinds of assertion (ROADMAP, "Reading real-backend numbers"):
 //!
@@ -8,10 +8,10 @@
 //!   `PoolStats.{hits, misses}` of the plans through [`Runtime::execute`]
 //!   are pinned to the numbers the hand-written `ocas_runtime::algos`
 //!   functions they replaced produced for the same relations —
-//!   `merge_pass`, `column_zip`, `dedup_sorted` and `external_sort`, whose
-//!   peak resident bytes are pinned too (measured on those functions; each
-//!   is derived below from the input bytes). The generic executor over
-//!   block cursors must issue what they issued.
+//!   `merge_pass`, `column_zip`, `dedup_sorted`, `external_sort` and
+//!   `grace_join`. The sort's peak resident bytes are pinned too (measured on
+//!   that function, derived below from the input bytes), and so are the
+//!   join's. The executor over block cursors must issue what they issued.
 //! * **Order.** Every request the operators issue is recorded with its
 //!   offset (a forwarding [`StorageBackend`] wrapper: obs spans carry bytes
 //!   but no offsets) on real files and on the simulator in faithful mode.
@@ -28,6 +28,7 @@ use ocas_engine::{CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Re
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig, PoolStats, Runtime};
 use ocas_storage::{DeviceStats, FileId, StorageBackend, StorageError, StorageSim};
+use std::collections::BTreeSet;
 
 /// One charged request: `(is_write, file, offset, len)`.
 type Request = (bool, usize, u64, u64);
@@ -89,6 +90,9 @@ impl<B: StorageBackend> StorageBackend for Recording<B> {
     }
     fn watermark(&self, device: &str) -> Option<u64> {
         self.inner.watermark(device)
+    }
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        self.inner.page_bytes(device)
     }
 }
 
@@ -181,7 +185,7 @@ fn through_the_runtime(inputs: &[Input], plan: &Plan) -> (Counts, RowBuf, Vec<(b
         .unwrap();
     let run = run.expect("clean run");
     let peak = run.peak_resident_bytes;
-    let output = run.harvest(&mut fb).unwrap();
+    let output = Runtime::harvest(&mut fb, run).unwrap();
     ((device, pool, peak), output, hdd_track(&trace))
 }
 
@@ -219,7 +223,7 @@ fn check_case(inputs: &[Input], plan: &Plan) -> (Counts, Vec<Request>) {
     let device = counts.0;
     assert_eq!(device.bytes_read, moved(false), "{}", plan.name());
     assert_eq!(device.bytes_written, moved(true), "{}", plan.name());
-    let spills = matches!(plan, Plan::ExternalSort { .. });
+    let spills = matches!(plan, Plan::ExternalSort { .. } | Plan::GraceJoin { .. });
     if matches!(plan.output(), Output::ToDevice { .. }) && !spills {
         assert_eq!(device.bytes_written, output.as_slice().len() as u64 * 8);
     }
@@ -430,5 +434,64 @@ fn a_two_level_sort_issues_the_native_requests_on_files_and_on_its_twin() {
         let refills = log.iter().filter(|r| !r.0 && r.1 != 0);
         assert!(refills.clone().all(|r| r.3 <= b_in * 8), "{output:?}");
         assert_eq!(refills.map(|r| r.3).sum::<u64>(), 2 * card * 8);
+    }
+}
+
+/// A GRACE join with skewed keys and a partition count that is no power of
+/// two: the left side's 24,000 pairs draw from four keys, so they land in at
+/// most four of the seven buckets, streams of two extents or more; the right
+/// side's 2,000 spread over a thousand keys. On real files it issues what the
+/// native `algos::grace_join` it replaced issued — partition pass, bucket
+/// reads, seeks and pool accesses, measured on that function — and the
+/// simulator twin, which keeps what a bucket writes, issues the same
+/// requests one for one. (Every probe bucket here is one extent, read before
+/// its first row is emitted, as the native join read a whole bucket; so the
+/// device-bound output's flushes fall where they fell.) The peak is the
+/// largest build bucket, about one hot key's 6,000 pairs, with its probe
+/// extent — and the sink's staging, for the device-bound output; the native
+/// join read 1,438,512 and 101,648 B, counting a `Discard` run's collected
+/// rows and the probe bucket whole.
+#[test]
+fn a_skewed_grace_join_issues_the_native_requests_on_files_and_on_its_twin() {
+    let (left, right, block) = (24_000, 2_000, 256);
+    let inputs = [
+        Input::Spec(RelSpec::pairs("R", "HDD", left).with_key_range(4)),
+        Input::Spec(RelSpec::pairs("S", "HDD", right).with_key_range(1_000)),
+    ];
+    // Two passes read both inputs' 416,000 bytes; the partitions are
+    // written once, and a device-bound output writes its 53,826 rows.
+    for (output, want, peak) in [
+        (Output::Discard, [832_000, 416_000, 820, 914, 212], 101_328),
+        (to_hdd(), [832_000, 2_138_432, 824, 2_127, 682], 101_904),
+    ] {
+        let plan = Plan::GraceJoin {
+            left: 0,
+            right: 1,
+            partitions: 7,
+            buffer_bytes: block * 16,
+            spill: "HDD".into(),
+            pred: ocas_engine::JoinPred::KeyEq,
+            output: output.clone(),
+        };
+        let (got, log) = check_case(&inputs, &plan);
+        assert_eq!(counts(got), want, "{output:?}: as the native join");
+        assert_eq!(got.2, peak, "{output:?}: peak");
+        // The partition pass reads each input once, a buffer at a time, in
+        // order (offsets and lengths in 8-byte words).
+        assert_eq!(reads_of(&log, 0), each_block_once(2 * left, 2 * block));
+        assert_eq!(reads_of(&log, 1), each_block_once(2 * right, 2 * block));
+        // The join pass reads every bucket extent once, its filled prefix
+        // with one request from its start.
+        let written: BTreeSet<usize> = log.iter().filter(|r| r.0).map(|r| r.1).collect();
+        let extent_reads: Vec<&Request> = log.iter().filter(|r| !r.0 && r.1 > 1).collect();
+        assert!(extent_reads
+            .iter()
+            .all(|r| r.2 == 0 && written.contains(&r.1)));
+        let extents: BTreeSet<usize> = extent_reads.iter().map(|r| r.1).collect();
+        assert_eq!(
+            extents.len(),
+            extent_reads.len(),
+            "{output:?}: an extent read twice"
+        );
     }
 }

@@ -144,6 +144,13 @@ pub trait StorageBackend {
     /// Current allocation watermark of a device.
     fn watermark(&self, device: &str) -> Option<u64>;
 
+    /// The page size of `device` in bytes: the unit a spill stream aligns
+    /// its extents to, so that no two streams share a page. A query, not a
+    /// knob — the simulator answers the hierarchy's `pagesize`, a real
+    /// backend its buffer pool's page, and under the default pool
+    /// configuration the two are the same.
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError>;
+
     /// Charges fault-handling seconds (retry backoff, latency spikes) to
     /// the clock. Defaults to [`charge_cpu`](StorageBackend::charge_cpu);
     /// real backends override so the penalty lands on their I/O clock.
@@ -255,6 +262,10 @@ impl StorageBackend for StorageSim {
 
     fn watermark(&self, device: &str) -> Option<u64> {
         StorageSim::watermark(self, device)
+    }
+
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        StorageSim::page_bytes(self, device)
     }
 }
 

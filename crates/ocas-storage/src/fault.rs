@@ -572,6 +572,10 @@ impl<B: StorageBackend> StorageBackend for Faulted<B> {
         self.inner.watermark(device)
     }
 
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        self.inner.page_bytes(device)
+    }
+
     fn recovery_counters(&self) -> Option<RecoveryCounters> {
         Some(self.counters())
     }

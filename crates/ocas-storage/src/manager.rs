@@ -140,6 +140,8 @@ pub struct StorageSim {
     tracks: Vec<String>,
     device_by_name: BTreeMap<String, usize>,
     capacity: Vec<u64>,
+    /// Each device's hierarchy `pagesize`.
+    page: Vec<u64>,
     allocated: Vec<u64>,
     files: Vec<FileMeta>,
     /// The bytes of every file written with data, as `(file, bytes)`: the
@@ -158,6 +160,7 @@ impl StorageSim {
         let mut tracks = Vec::new();
         let mut device_by_name = BTreeMap::new();
         let mut capacity = Vec::new();
+        let mut page = Vec::new();
         for id in h.ids() {
             let props = h.node(id);
             let (up, down) = match h.parent(id) {
@@ -169,6 +172,7 @@ impl StorageSim {
             };
             device_by_name.insert(props.name.clone(), devices.len());
             capacity.push(props.size);
+            page.push(props.pagesize.max(1));
             tracks.push(format!("dev:{}", props.name));
             devices.push(DeviceSim::for_node(props, up, down));
         }
@@ -178,6 +182,7 @@ impl StorageSim {
             tracks,
             device_by_name,
             capacity,
+            page,
             allocated: vec![0; n],
             files: Vec::new(),
             payloads: Vec::new(),
@@ -436,6 +441,14 @@ impl StorageSim {
     /// [`StorageSim::truncate_device`]).
     pub fn watermark(&self, device: &str) -> Option<u64> {
         self.device_by_name.get(device).map(|d| self.allocated[*d])
+    }
+
+    /// The hierarchy `pagesize` of a device, in bytes.
+    pub(crate) fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+        self.device_by_name
+            .get(device)
+            .map(|d| self.page[*d])
+            .ok_or_else(|| StorageError::UnknownDevice(device.to_string()))
     }
 }
 

@@ -177,7 +177,7 @@ fn run_real(mut fb: FileBackend, w: &ChaosWorkload) -> (FileBackend, Result<RowB
     let (mut fb, run) = Runtime::execute(fb, &rels, &w.plan);
     let output = run
         .map_err(|e| e.to_string())
-        .and_then(|run| run.harvest(&mut fb).map_err(|e| e.to_string()));
+        .and_then(|run| Runtime::harvest(&mut fb, run).map_err(|e| e.to_string()));
     (fb, output)
 }
 
