@@ -296,7 +296,7 @@ fn main() {
     for r in &chaos {
         let s = &r.summary;
         eprintln!(
-            "  {:<8} runs={:>2} identical={:>2} typed={:>2} faults={:>3} retries={:>3} degraded={:>2} wrong={} leaks={} pins={}",
+            "  {:<8} runs={:>2} identical={:>2} typed={:>2} faults={:>3} retries={:>3} degraded={:>2} wrong={} leaks={}",
             r.workload,
             s.runs,
             s.identical,
@@ -305,8 +305,7 @@ fn main() {
             s.counters.retries,
             s.counters.degradations(),
             s.wrong_answers,
-            s.leaked_dirs,
-            s.pinned_pages
+            s.leaked_dirs
         );
         chaos_bad |= !s.clean();
     }
@@ -340,7 +339,7 @@ fn main() {
     }
     if chaos_bad {
         eprintln!(
-            "FAIL: the chaos suite violated the robustness trichotomy (wrong answer, leaked dir or pinned page above) — replay with `--chaos-seed {chaos_seed}`"
+            "FAIL: the chaos suite violated the robustness trichotomy (wrong answer or leaked dir above) — replay with `--chaos-seed {chaos_seed}`"
         );
         std::process::exit(1);
     }

@@ -13,7 +13,7 @@ use ocas_runtime::{FileBackend, PoolConfig, RealReport, Runtime, RuntimeError};
 use ocas_storage::{StorageBackend, StorageSim};
 
 /// The document's schema tag; bump on breaking layout changes.
-pub const SCHEMA: &str = "ocas-bench/v5";
+pub const SCHEMA: &str = "ocas-bench/v6";
 
 /// One named real-I/O measurement.
 pub struct RealRow {
@@ -657,7 +657,6 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
                 "typed_errors",
                 "wrong_answers",
                 "leaked_dirs",
-                "pinned_pages",
                 "faults_injected",
                 "retries",
             ],
@@ -997,9 +996,9 @@ pub fn check_regressions(
             .to_string();
         let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
         // Trichotomy violations fail regardless of any baseline: a wrong
-        // answer, a leaked temp dir or a pinned page under faults is a
-        // robustness bug, not a regression to tolerate.
-        for field in ["wrong_answers", "leaked_dirs", "pinned_pages"] {
+        // answer or a leaked temp dir under faults is a robustness bug, not
+        // a regression to tolerate.
+        for field in ["wrong_answers", "leaked_dirs"] {
             let got = num(&entry, field);
             if got != 0.0 {
                 failures.push(format!("chaos `{name}`: {field} {got} != 0"));
@@ -1132,7 +1131,6 @@ fn chaos_json(r: &ChaosRow) -> Json {
         ("typed_errors", Json::num(s.typed_errors as f64)),
         ("wrong_answers", Json::num(s.wrong_answers as f64)),
         ("leaked_dirs", Json::num(s.leaked_dirs as f64)),
-        ("pinned_pages", Json::num(s.pinned_pages as f64)),
         ("faults_injected", Json::num(c.faults_injected as f64)),
         ("retries", Json::num(c.retries as f64)),
         ("retry_successes", Json::num(c.retry_successes as f64)),

@@ -54,7 +54,7 @@ fn fresh_faithful_scale_section_validates_and_twins_agree() {
 
 fn faithful_fixture(rows: u64, digest: &str, bounded: bool, wall: f64) -> Json {
     Json::parse(&format!(
-        r#"{{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
+        r#"{{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
             "figures": {{"paper_platform_devices": []}}, "synthesis": [], "real": [],
             "faithful_scale": [{{"name": "w", "relation_bytes": 2097152,
                 "ram_bytes": 1048576, "output_rows": {rows}, "digest": "{digest}",
@@ -162,7 +162,7 @@ fn validator_rejects_malformed_documents() {
     let bad = Json::obj(vec![("schema", Json::str("something/else"))]);
     assert!(validate_bench_doc(&bad).is_err());
     let missing_field = Json::parse(
-        r#"{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
+        r#"{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
             "figures": {"paper_platform_devices": []}, "synthesis": [],
             "faithful_scale": [], "real": [{"name": "x"}]}"#,
     )
@@ -170,14 +170,14 @@ fn validator_rejects_malformed_documents() {
     let err = validate_bench_doc(&missing_field).unwrap_err();
     assert!(err.contains("real[0]"), "{err}");
     let missing_engine = Json::parse(
-        r#"{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [],
+        r#"{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [],
             "figures": {"paper_platform_devices": []}, "synthesis": [], "faithful_scale": [], "real": []}"#,
     )
     .unwrap();
     let err = validate_bench_doc(&missing_engine).unwrap_err();
     assert!(err.contains("engine"), "{err}");
     let missing_synthesis = Json::parse(
-        r#"{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
+        r#"{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
             "figures": {"paper_platform_devices": []}, "faithful_scale": [], "real": []}"#,
     )
     .unwrap();
@@ -216,7 +216,7 @@ fn engine_throughput_covers_every_template_on_both_backends() {
 
 fn check_fixture_scaled(wall: f64, bytes: f64, rps: f64, scale: u64) -> Json {
     Json::parse(&format!(
-        r#"{{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [],
+        r#"{{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [],
             "figures": {{"paper_platform_devices": []}},
             "engine": [{{"template": "external-sort", "backend": "sim",
                         "rows_in": 1000, "rows_out": 1000, "seconds": 1.0,
@@ -232,7 +232,7 @@ fn check_fixture_scaled(wall: f64, bytes: f64, rps: f64, scale: u64) -> Json {
 
 fn synthesis_fixture(explored: u64, seconds: f64, speedup: f64) -> Json {
     Json::parse(&format!(
-        r#"{{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
+        r#"{{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
             "figures": {{"paper_platform_devices": []}}, "real": [], "faithful_scale": [],
             "synthesis": [{{"name": "BNL - No writeout", "explored": {explored},
                            "generated": 3000, "rejected_type": 0,
@@ -274,7 +274,7 @@ fn regression_checker_accepts_within_tolerance_and_rejects_beyond() {
     assert_eq!(check_regressions(&scaled, &baseline, 10.0), Ok(1));
     // Unmatched names are skipped, not failed.
     let empty = Json::parse(
-        r#"{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
+        r#"{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
             "figures": {"paper_platform_devices": []}, "synthesis": [], "faithful_scale": [], "real": []}"#,
     )
     .unwrap();
@@ -301,7 +301,7 @@ fn regression_checker_pins_synthesis_determinism_and_speedup() {
 
 fn obs_fixture(events: u64, hits: f64, sim: f64) -> Json {
     Json::parse(&format!(
-        r#"{{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "engine": [],
+        r#"{{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "engine": [],
             "figures": {{"paper_platform_devices": []}}, "synthesis": [],
             "faithful_scale": [], "real": [],
             "obs": [{{"name": "real:grace-join", "events": {events},
@@ -349,10 +349,10 @@ fn fresh_synthesis_section_validates_and_engines_agree() {
 
 fn chaos_fixture(seed: u64, identical: u64, faults: u64, retries: u64, wrong: u64) -> Json {
     Json::parse(&format!(
-        r#"{{"schema": "ocas-bench/v5", "table1": [], "chaos": [{{"workload": "sort",
+        r#"{{"schema": "ocas-bench/v6", "table1": [], "chaos": [{{"workload": "sort",
             "chaos_seed": {seed}, "runs": 12, "identical": {identical},
             "typed_errors": 2, "wrong_answers": {wrong}, "leaked_dirs": 0,
-            "pinned_pages": 0, "faults_injected": {faults}, "retries": {retries},
+            "faults_injected": {faults}, "retries": {retries},
             "retry_successes": 3, "gave_up": 1, "degraded_shrinks": 2,
             "degraded_failovers": 0, "corrupt_pages_detected": 1}}],
             "figure8": [], "obs": [], "engine": [],
@@ -403,7 +403,7 @@ fn regression_checker_fails_chaos_trichotomy_violations_unconditionally() {
     let errs = check_regressions(&wrong, &baseline, 25.0).unwrap_err();
     assert!(errs.iter().any(|e| e.contains("wrong_answers")), "{errs:?}");
     let empty = Json::parse(
-        r#"{"schema": "ocas-bench/v5", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
+        r#"{"schema": "ocas-bench/v6", "table1": [], "chaos": [], "figure8": [], "obs": [], "engine": [],
             "figures": {"paper_platform_devices": []}, "synthesis": [], "faithful_scale": [], "real": []}"#,
     )
     .unwrap();

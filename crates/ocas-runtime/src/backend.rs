@@ -6,11 +6,9 @@
 
 use crate::pool::{BufferPool, PolicyKind, PoolStats};
 use ocas_hierarchy::Hierarchy;
-use ocas_storage::fault::{FaultOp, FaultPlan, FaultState, RetryPolicy};
 use ocas_storage::{DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// How wall-clock timing relates to the physical disk.
@@ -109,9 +107,7 @@ const CHUNK: usize = 1 << 20;
 const WINDOW_PAGES: usize = 8;
 
 struct DeviceFile {
-    /// Shared so the fault path can hold the name across a request without
-    /// copying it.
-    name: Arc<str>,
+    name: String,
     /// Obs track names (`dev:<name>`, `pool:<name>`), built once.
     dev_track: String,
     pool_track: String,
@@ -198,16 +194,6 @@ impl DeviceFile {
     }
 }
 
-/// Fault-injection state interposed on the backend's real syscall paths
-/// ([`FileBackend::read_into`], the write path, and allocation): the plan
-/// is consulted per attempt, transients are retried under the policy with
-/// backoff charged to the wall-accounted clock.
-#[derive(Debug)]
-struct Injector {
-    state: FaultState,
-    policy: RetryPolicy,
-}
-
 /// The real-I/O backend: files on disk, wall-clock accounting.
 ///
 /// Every device of the hierarchy's storage tree maps to one sparse backing
@@ -221,6 +207,10 @@ struct Injector {
 /// bytes). Simulated-mode plans model multi-terabyte transfers; pointing
 /// one at a `FileBackend` would faithfully write that much filler.
 ///
+/// It injects no faults of its own: a faulted real run is
+/// [`Faulted<FileBackend>`](ocas_storage::Faulted), the injector the
+/// simulator runs under too, which numbers the requests it forwards here.
+///
 /// # The read-ahead window
 ///
 /// The plans the synthesizer tunes stream a relation one tuple at a time —
@@ -233,11 +223,12 @@ struct Injector {
 /// and a pointer bump.
 ///
 /// * *Counted per request, window or not:* `bytes_read`, the sequential
-///   position and `seeks` in [`DeviceStats`], the per-device request index
-///   a [`FaultPlan`] is keyed to (every request passes the injector), and
-///   an obs span when tracing. Pool statistics move when the pool is asked:
-///   a page is missed, verified and admitted once, by the refill, instead
-///   of being hit once per tuple afterwards.
+///   position and `seeks` in [`DeviceStats`], and an obs span when
+///   tracing; a [`Faulted`](ocas_storage::Faulted) wrapper numbers every
+///   one of them too, so a fault plan cannot tell the window is there.
+///   Pool statistics move when the pool is asked: a page is missed,
+///   verified and admitted once, by the refill, instead of being hit once
+///   per tuple afterwards.
 /// * *Not timed:* a request served from the window reads no clock — there
 ///   is no I/O in it to time. The refill is timed like any pool read, on
 ///   the request that caused it.
@@ -253,7 +244,6 @@ struct Injector {
 ///   keeps; the operator's share is the block it decoded.
 pub struct FileBackend {
     dir: PathBuf,
-    keep_dir: bool,
     timing: TimingMode,
     devices: Vec<DeviceFile>,
     device_by_name: BTreeMap<String, usize>,
@@ -262,9 +252,8 @@ pub struct FileBackend {
     files: Vec<FileMeta>,
     clock_seconds: f64,
     scratch: Vec<u8>,
-    injector: Option<Injector>,
-    /// Degradations recorded via `note_degradation` (kept even without an
-    /// injector: genuine `Full` conditions degrade too).
+    /// Degradations recorded via `note_degradation`: genuine `Full`
+    /// conditions degrade too.
     recovery: RecoveryCounters,
     /// Alternate spill device the out-of-core algorithms fail over to
     /// when a spill device runs out of space.
@@ -293,18 +282,7 @@ impl FileBackend {
     pub fn from_hierarchy(h: &Hierarchy, cfg: PoolConfig) -> Result<FileBackend, StorageError> {
         let seq = BACKEND_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("ocas-runtime-{}-{seq}", std::process::id()));
-        FileBackend::in_dir(h, cfg, &dir, false)
-    }
-
-    /// Builds a backend in `dir` (created if missing); `keep` leaves the
-    /// directory behind on drop for inspection.
-    pub fn in_dir(
-        h: &Hierarchy,
-        cfg: PoolConfig,
-        dir: &Path,
-        keep: bool,
-    ) -> Result<FileBackend, StorageError> {
-        std::fs::create_dir_all(dir).map_err(io_err)?;
+        std::fs::create_dir_all(&dir).map_err(io_err)?;
         let mut devices = Vec::new();
         let mut device_by_name = BTreeMap::new();
         let mut capacity = Vec::new();
@@ -339,7 +317,7 @@ impl FileBackend {
             device_by_name.insert(props.name.clone(), devices.len());
             capacity.push(props.size);
             devices.push(DeviceFile {
-                name: props.name.as_str().into(),
+                name: props.name.clone(),
                 dev_track: format!("dev:{}", props.name),
                 pool_track: format!("pool:{}", props.name),
                 pool: BufferPool::new(file, page, cfg.frames, cfg.policy)
@@ -354,8 +332,7 @@ impl FileBackend {
         }
         let n = devices.len();
         Ok(FileBackend {
-            dir: dir.to_path_buf(),
-            keep_dir: keep,
+            dir,
             timing: cfg.timing,
             devices,
             device_by_name,
@@ -364,7 +341,6 @@ impl FileBackend {
             files: Vec::new(),
             clock_seconds: 0.0,
             scratch: Vec::new(),
-            injector: None,
             recovery: RecoveryCounters::default(),
             spill_fallback: None,
         })
@@ -375,18 +351,6 @@ impl FileBackend {
         &self.dir
     }
 
-    /// Interposes `plan` on the backend's real I/O paths, builder-style:
-    /// every charged read/write/alloc attempt consumes one per-device
-    /// request index and may fail per the plan; transients are retried
-    /// under `policy` with backoff charged to the clock.
-    pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> FileBackend {
-        self.injector = Some(Injector {
-            state: FaultState::new(plan),
-            policy,
-        });
-        self
-    }
-
     /// Names an alternate spill device for ENOSPC fail-over,
     /// builder-style: [`StorageBackend::spill_fallback`], which the external
     /// sort and the GRACE join consult when a spill allocation keeps
@@ -394,134 +358,6 @@ impl FileBackend {
     pub fn with_spill_fallback(mut self, device: &str) -> FileBackend {
         self.spill_fallback = Some(device.to_string());
         self
-    }
-
-    /// Total pages currently pinned across every device pool.
-    pub fn pinned_pages(&self) -> u64 {
-        self.devices.iter().map(|d| d.pool.pinned_frames()).sum()
-    }
-
-    /// Drops every pin on every device pool (error-path cleanup).
-    pub fn release_all_pins(&mut self) {
-        for d in &mut self.devices {
-            d.pool.unpin_all();
-        }
-    }
-
-    /// Runs one charged request of `len` bytes against device index `d`
-    /// through the fault-injection and retry machinery; a backend without
-    /// an injector goes straight to `attempt`. `attempt(backend, take)`
-    /// issues the real request for `take` bytes — short-transfer faults
-    /// re-issue with half the length (charging the partial work) before
-    /// failing the attempt transiently.
-    #[inline]
-    fn faulted_io<T>(
-        &mut self,
-        d: usize,
-        op: FaultOp,
-        len: u64,
-        mut attempt: impl FnMut(&mut FileBackend, u64) -> Result<T, StorageError>,
-    ) -> Result<T, StorageError> {
-        if self.injector.is_none() {
-            return attempt(self, len);
-        }
-        self.injected_io(d, op, len, attempt)
-    }
-
-    /// [`faulted_io`](FileBackend::faulted_io) on a backend with an
-    /// injector: the plan is consulted per attempt, transients are retried.
-    /// Out of line, so that the uninjected request stays a short path.
-    #[inline(never)]
-    fn injected_io<T>(
-        &mut self,
-        d: usize,
-        op: FaultOp,
-        len: u64,
-        mut attempt: impl FnMut(&mut FileBackend, u64) -> Result<T, StorageError>,
-    ) -> Result<T, StorageError> {
-        let Some(mut inj) = self.injector.take() else {
-            return attempt(self, len);
-        };
-        let device = Arc::clone(&self.devices[d].name);
-        let mut retried = false;
-        let mut try_no = 0u32;
-        let out = loop {
-            let (idx, fault) =
-                inj.state
-                    .on_request(&device, op, ocas_obs::Clock::Wall, self.clock_seconds);
-            let transient = match fault {
-                None => match attempt(self, len) {
-                    Ok(v) => {
-                        if retried {
-                            inj.state.counters.retry_successes += 1;
-                        }
-                        break Ok(v);
-                    }
-                    Err(e) => break Err(e),
-                },
-                Some(ocas_storage::FaultKind::Latency(extra)) => {
-                    self.clock_seconds += extra;
-                    match attempt(self, len) {
-                        Ok(v) => {
-                            if retried {
-                                inj.state.counters.retry_successes += 1;
-                            }
-                            break Ok(v);
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                Some(ocas_storage::FaultKind::TornWriteBack) => {
-                    self.devices[d].pool.schedule_torn(0);
-                    match attempt(self, len) {
-                        Ok(v) => {
-                            if retried {
-                                inj.state.counters.retry_successes += 1;
-                            }
-                            break Ok(v);
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                Some(ocas_storage::FaultKind::NoSpace) => {
-                    break Err(StorageError::NoSpace {
-                        device: device.to_string(),
-                        requested: len,
-                    });
-                }
-                Some(ocas_storage::FaultKind::ShortRead | ocas_storage::FaultKind::ShortWrite)
-                    if len > 1 && op != FaultOp::Alloc =>
-                {
-                    // Move (and charge) half the request, then fail this
-                    // attempt; the retry re-issues the full idempotent
-                    // request.
-                    if let Err(e) = attempt(self, len / 2) {
-                        break Err(e);
-                    }
-                    StorageError::Transient {
-                        device: device.to_string(),
-                        op: op.name(),
-                        request: idx,
-                    }
-                }
-                Some(_) => StorageError::Transient {
-                    device: device.to_string(),
-                    op: op.name(),
-                    request: idx,
-                },
-            };
-            try_no += 1;
-            if try_no >= inj.policy.max_attempts {
-                inj.state.counters.gave_up += 1;
-                break Err(transient);
-            }
-            self.clock_seconds += inj.policy.backoff_for(try_no - 1);
-            inj.state
-                .note_retry(&device, ocas_obs::Clock::Wall, self.clock_seconds);
-            retried = true;
-        };
-        self.injector = Some(inj);
-        out
     }
 
     fn device_idx(&self, device: &str) -> Result<usize, StorageError> {
@@ -560,8 +396,7 @@ impl FileBackend {
     }
 
     /// Charged read of real bytes into `buf` — the data path the
-    /// out-of-core algorithms use. Subject to fault injection when the
-    /// backend was built [`with_faults`](FileBackend::with_faults).
+    /// out-of-core algorithms use.
     pub fn read_into(
         &mut self,
         file: FileId,
@@ -569,12 +404,10 @@ impl FileBackend {
         buf: &mut [u8],
     ) -> Result<(), StorageError> {
         let at = self.locate(file, offset, buf.len() as u64)?;
-        self.faulted_io(at.device, FaultOp::Read, buf.len() as u64, |b, take| {
-            b.read_device(at, &mut buf[..take as usize])
-        })
+        self.read_device(at, buf)
     }
 
-    /// One charged, uninjected read at a located position.
+    /// One charged read at a located position.
     #[inline]
     fn read_device(&mut self, at: Located, buf: &mut [u8]) -> Result<(), StorageError> {
         let d = &mut self.devices[at.device];
@@ -625,12 +458,10 @@ impl FileBackend {
 
     fn write_impl(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
         let at = self.locate(file, offset, data.len() as u64)?;
-        self.faulted_io(at.device, FaultOp::Write, data.len() as u64, |b, take| {
-            b.write_device(at.device, at.pos, &data[..take as usize])
-        })
+        self.write_device(at.device, at.pos, data)
     }
 
-    /// One charged, uninjected write at device position `pos`.
+    /// One charged write at device position `pos`.
     fn write_device(&mut self, d: usize, pos: u64, data: &[u8]) -> Result<(), StorageError> {
         let w0 = ocas_obs::wall_now();
         let t0 = Instant::now();
@@ -655,22 +486,6 @@ impl FileBackend {
     pub fn peek(&mut self, file: FileId, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         let at = self.locate(file, offset, buf.len() as u64)?;
         self.devices[at.device].pool.read(at.pos, buf)
-    }
-
-    /// Pins the pages backing `[offset, offset+len)` of `file` so the pool
-    /// cannot evict them (hot block buffers).
-    pub fn pin(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        let at = self.locate(file, offset, len)?;
-        self.devices[at.device].pool.pin(at.pos, len)?;
-        Ok(())
-    }
-
-    /// Releases a [`pin`](FileBackend::pin). Cleanup path: a stale id is
-    /// ignored rather than panicking.
-    pub fn unpin(&mut self, file: FileId, offset: u64, len: u64) {
-        if let Some(&m) = self.files.get(file.0) {
-            self.devices[m.device].pool.unpin(m.offset + offset, len);
-        }
     }
 
     /// Writes every pool's dirty pages back and syncs the files. In
@@ -705,7 +520,7 @@ impl FileBackend {
     pub fn pool_stats(&self) -> Vec<(String, PoolStats)> {
         self.devices
             .iter()
-            .map(|d| (d.name.to_string(), d.pool.stats()))
+            .map(|d| (d.name.clone(), d.pool.stats()))
             .collect()
     }
 
@@ -713,21 +528,20 @@ impl FileBackend {
     pub fn all_device_stats(&self) -> Vec<(String, DeviceStats)> {
         self.devices
             .iter()
-            .map(|d| (d.name.to_string(), d.stats))
+            .map(|d| (d.name.clone(), d.stats))
             .collect()
     }
 }
 
 impl Drop for FileBackend {
     fn drop(&mut self) {
-        if !self.keep_dir {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
-impl FileBackend {
-    fn alloc_raw(&mut self, d: usize, device: &str, len: u64) -> Result<FileId, StorageError> {
+impl StorageBackend for FileBackend {
+    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
+        let d = self.device_idx(device)?;
         if self.allocated[d] + len > self.capacity[d] {
             return Err(StorageError::Full(device.to_string()));
         }
@@ -740,16 +554,6 @@ impl FileBackend {
             len,
         });
         Ok(id)
-    }
-}
-
-impl StorageBackend for FileBackend {
-    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
-        let d = self.device_idx(device)?;
-        if self.injector.is_none() {
-            return self.alloc_raw(d, device, len);
-        }
-        self.faulted_io(d, FaultOp::Alloc, len, |b, _| b.alloc_raw(d, device, len))
     }
 
     fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
@@ -874,16 +678,10 @@ impl StorageBackend for FileBackend {
 
     fn recovery_counters(&self) -> Option<RecoveryCounters> {
         let mut c = self.recovery;
-        if let Some(inj) = &self.injector {
-            c.merge(&inj.state.counters);
-        }
         for d in &self.devices {
             c.corrupt_pages_detected += d.pool.stats().checksum_failures;
         }
-        if c == RecoveryCounters::default() && self.injector.is_none() {
-            return None;
-        }
-        Some(c)
+        (c != RecoveryCounters::default()).then_some(c)
     }
 
     fn note_degradation(&mut self, device: &str, what: &'static str) {
@@ -918,6 +716,7 @@ impl StorageBackend for FileBackend {
 mod tests {
     use super::*;
     use ocas_hierarchy::presets;
+    use ocas_storage::{FaultKind, FaultOp, FaultPlan, Faulted, RetryPolicy};
 
     fn backend() -> FileBackend {
         let h = presets::hdd_ram(1 << 25);
@@ -1012,24 +811,26 @@ mod tests {
         ));
         assert_eq!(StorageBackend::len(&b, stale), 0);
         assert_eq!(b.device_of(stale), "?");
-        b.unpin(stale, 0, 8); // cleanup path: silently ignored
+    }
+
+    /// `backend()` under `plan`, through the one fault injector.
+    fn faulted(plan: FaultPlan, cfg: PoolConfig) -> Faulted<FileBackend> {
+        let h = presets::hdd_ram(1 << 25);
+        let fb = FileBackend::from_hierarchy(&h, cfg).unwrap();
+        Faulted::new(fb, plan, RetryPolicy::default())
     }
 
     #[test]
     fn injected_transient_retries_on_real_files() {
-        use ocas_storage::{FaultKind, FaultOp, FaultPlan, RetryPolicy};
-        let h = presets::hdd_ram(1 << 25);
         let plan = FaultPlan::new().with("HDD", FaultOp::Write, 1, FaultKind::Transient);
-        let mut b = FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(plan, RetryPolicy::default());
+        let mut b = faulted(plan, PoolConfig::default());
         let f = b.alloc("HDD", 4096).unwrap();
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 13) as u8).collect();
         // alloc = HDD request 0; this write fires the fault, retries, and
         // the data still lands intact.
         b.write_bytes(f, 0, &data).unwrap();
         let mut buf = vec![0u8; 4096];
-        b.read_into(f, 0, &mut buf).unwrap();
+        assert!(b.read_data(f, 0, &mut buf).unwrap());
         assert_eq!(buf, data);
         let c = b.recovery_counters().unwrap();
         assert_eq!(c.transient_faults, 1);
@@ -1040,12 +841,8 @@ mod tests {
 
     #[test]
     fn injected_no_space_is_typed_and_leaves_capacity() {
-        use ocas_storage::{FaultKind, FaultOp, FaultPlan, RetryPolicy};
-        let h = presets::hdd_ram(1 << 25);
         let plan = FaultPlan::new().with("HDD", FaultOp::Alloc, 1, FaultKind::NoSpace);
-        let mut b = FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(plan, RetryPolicy::default());
+        let mut b = faulted(plan, PoolConfig::default());
         b.alloc("HDD", 1024).unwrap();
         let before = StorageBackend::watermark(&b, "HDD").unwrap();
         let err = b.alloc("HDD", 2048).unwrap_err();
@@ -1060,17 +857,13 @@ mod tests {
 
     #[test]
     fn injected_torn_write_back_detected_end_to_end() {
-        use ocas_storage::{FaultKind, FaultOp, FaultPlan, RetryPolicy};
-        let h = presets::hdd_ram(1 << 25);
         // Small pool so the torn page is evicted and must be re-read.
         let cfg = PoolConfig {
             frames: 2,
             ..PoolConfig::default()
         };
         let plan = FaultPlan::new().with("HDD", FaultOp::Write, 1, FaultKind::TornWriteBack);
-        let mut b = FileBackend::from_hierarchy(&h, cfg)
-            .unwrap()
-            .with_faults(plan, RetryPolicy::default());
+        let mut b = faulted(plan, cfg);
         let page = 4096u64;
         let f = b.alloc("HDD", 8 * page).unwrap();
         let mut data = vec![0x11u8; page as usize];
@@ -1083,7 +876,7 @@ mod tests {
         }
         let mut buf = vec![0u8; page as usize];
         let got = (0..8u64)
-            .map(|i| b.read_into(f, i * page, &mut buf))
+            .map(|i| b.read_data(f, i * page, &mut buf))
             .find(|r| r.is_err());
         let err = got
             .expect("torn page must surface on some re-read")
@@ -1095,6 +888,28 @@ mod tests {
         let c = b.recovery_counters().unwrap();
         assert_eq!(c.torn_write_backs, 1);
         assert!(c.corrupt_pages_detected >= 1);
+    }
+
+    /// The file backend records a degradation itself (a genuine `Full`
+    /// degrades too), and `Faulted` merges the inner counters into its own:
+    /// under the wrapper, one degradation is still one count and one
+    /// `degrade:` event.
+    #[test]
+    fn a_degradation_under_the_injector_is_counted_and_traced_once() {
+        let mut plain = backend();
+        plain.note_degradation("HDD", "shrink");
+        assert_eq!(plain.recovery_counters().unwrap().degraded_shrinks, 1);
+
+        let mut b = faulted(FaultPlan::new(), PoolConfig::default());
+        ocas_obs::start();
+        b.note_degradation("HDD", "shrink");
+        b.note_degradation("HDD", "failover");
+        let trace = ocas_obs::finish().expect("recorder was active");
+        let c = b.recovery_counters().unwrap();
+        assert_eq!((c.degraded_shrinks, c.degraded_failovers), (1, 1));
+        let events = trace.metrics().counters;
+        assert_eq!(events.get("degrade:HDD/shrink"), Some(&1.0));
+        assert_eq!(events.get("degrade:HDD/failover"), Some(&1.0));
     }
 
     #[test]

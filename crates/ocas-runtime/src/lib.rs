@@ -11,17 +11,21 @@
 //! Three layers:
 //!
 //! * [`BufferPool`] — a page-granular cache over one backing file:
-//!   pluggable eviction ([`PolicyKind`]: LRU, CLOCK, FIFO), pinned pages,
-//!   dirty-page write-back.
+//!   pluggable eviction ([`PolicyKind`]: LRU, CLOCK, FIFO), dirty-page
+//!   write-back, per-page checksums.
 //! * [`FileBackend`] — the [`ocas_storage::StorageBackend`] implementation:
 //!   one sparse temp file per hierarchy device, bump-allocated extents
 //!   (the simulator's allocator, re-enacted on disk), per-device I/O
 //!   counters mirroring [`ocas_storage::DeviceStats`], wall-clock charging.
+//!   It injects no faults itself: a faulted real run wraps it in
+//!   [`ocas_storage::Faulted`], the injector the simulator runs under.
 //! * [`Runtime`] — the entry point that runs a plan for real: every
 //!   template, the external merge sort's spilled runs and the GRACE join's
 //!   spilled buckets included, through the engine's executor over block
 //!   cursors — the code its simulated twin runs — with peak resident tuple
 //!   memory metered, returning a [`RealReport`] with both.
+//!   [`Runtime::execute`] runs a plan on any backend, `Faulted` ones
+//!   included, and rolls a failed run back.
 //!   [`TimingMode::DiskBounded`] bounds wall-clock by the disk (fsync +
 //!   `O_DIRECT` where available) instead of the kernel page cache.
 //!

@@ -2,11 +2,10 @@
 //!
 //! Every read and write the [`FileBackend`](crate::FileBackend) issues goes
 //! through a pool: fixed-size page frames cached in memory, a pluggable
-//! [`EvictionPolicy`] choosing victims, pinned pages that may not be
-//! evicted, and dirty pages written back lazily (on eviction or
-//! [`BufferPool::flush`]). This is the real-I/O counterpart of the storage
-//! simulator's free RAM level: the pool is the "memory" of the hierarchy,
-//! the backing file is the device.
+//! [`EvictionPolicy`] choosing victims, and dirty pages written back lazily
+//! (on eviction or [`BufferPool::flush`]). This is the real-I/O counterpart
+//! of the storage simulator's free RAM level: the pool is the "memory" of
+//! the hierarchy, the backing file is the device.
 //!
 //! # What a page costs
 //!
@@ -31,17 +30,16 @@
 //!   never masks a torn write-back.
 //! * **No per-page allocation, seek or scan.** Page I/O is positional
 //!   (`read_at`/`write_all_at`), a miss reads into a spare buffer that is
-//!   swapped with the victim's, the pinned set handed to the policy is
-//!   kept incrementally, and the LRU and FIFO policies keep their frames in
-//!   stamp order, so a victim is the head of a list.
+//!   swapped with the victim's, and the LRU and FIFO policies keep their
+//!   frames in stamp order, so a victim is the head of a list.
 //!
 //! None of this is visible in [`PoolStats`] or in the order of evictions
 //! and write-backs: a whole page served by a run or claimed by an
 //! overwrite is still one miss and one admission at the same point of the
 //! request as when it was fetched on its own. What is *not* admitted is
-//! unchanged too — a page that fails its checksum, or one that finds every
-//! frame pinned. `O_DIRECT` pools keep the page-at-a-time fetch through the
-//! aligned staging buffer (the caller's buffer carries no alignment).
+//! unchanged too — a page that fails its checksum. `O_DIRECT` pools keep
+//! the page-at-a-time fetch through the aligned staging buffer (the
+//! caller's buffer carries no alignment).
 
 use ocas_storage::StorageError;
 use std::collections::{BTreeMap, BTreeSet};
@@ -112,8 +110,7 @@ pub struct PoolStats {
 }
 
 /// Chooses which resident page to evict. Implementations see frames by
-/// index and are told about every admit/touch/removal; `victim` must skip
-/// the pinned frames the pool passes in.
+/// index and are told about every admit/touch/removal.
 pub trait EvictionPolicy: std::fmt::Debug {
     /// Policy name (for reports).
     fn name(&self) -> &'static str;
@@ -123,16 +120,16 @@ pub trait EvictionPolicy: std::fmt::Debug {
     fn touch(&mut self, frame: usize);
     /// The page in `frame` left the pool.
     fn remove(&mut self, frame: usize);
-    /// Picks a victim among frames for which `pinned[frame]` is false.
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize>;
+    /// Picks a victim among the resident frames. The pool asks only when
+    /// it is full, so there is at least one.
+    fn victim(&mut self) -> usize;
 }
 
 /// Frames ordered by logical timestamp, as an index: a doubly linked list
 /// threaded through one array of neighbour pairs, oldest stamp at the head.
 /// A frame gets the newest stamp by moving to the tail; the victim is the
-/// first unpinned frame from the head — the frame a scan for the smallest
-/// stamp among unpinned frames would find, without a pass over every frame
-/// per eviction.
+/// head — the frame a scan for the smallest stamp would find, without a
+/// pass over every frame per eviction.
 #[derive(Debug, Default)]
 struct StampOrder {
     /// The `(older, newer)` neighbours of each stamped frame.
@@ -177,16 +174,9 @@ impl StampOrder {
         }
     }
 
-    /// The unpinned frame with the oldest stamp.
-    fn oldest_unpinned(&self, pinned: &[bool]) -> Option<usize> {
-        let mut next = self.oldest;
-        while let Some(frame) = next {
-            if !pinned.get(frame).copied().unwrap_or(false) {
-                return Some(frame);
-            }
-            next = self.links[frame].expect("a linked frame is stamped").1;
-        }
-        None
+    /// The frame with the oldest stamp.
+    fn oldest(&self) -> usize {
+        self.oldest.expect("a full pool has a stamped frame")
     }
 }
 
@@ -213,13 +203,13 @@ impl EvictionPolicy for LruPolicy {
         self.order.clear(frame);
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        self.order.oldest_unpinned(pinned)
+    fn victim(&mut self) -> usize {
+        self.order.oldest()
     }
 }
 
 /// CLOCK (second-chance) eviction: one reference bit per frame, a rotating
-/// hand that clears bits until it finds an unreferenced, unpinned frame.
+/// hand that clears bits until it finds an unreferenced frame.
 #[derive(Debug, Default)]
 pub struct ClockPolicy {
     referenced: Vec<bool>,
@@ -250,26 +240,21 @@ impl EvictionPolicy for ClockPolicy {
         self.referenced[frame] = false;
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        let n = self.resident.len();
-        if n == 0 {
-            return None;
-        }
-        // Two sweeps suffice: the first clears reference bits, the second
-        // must find a victim unless everything is pinned.
-        for _ in 0..2 * n {
+    fn victim(&mut self) -> usize {
+        // Two sweeps at most: the first clears reference bits, the second
+        // finds a resident frame whose bit it cleared.
+        loop {
             let f = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !self.resident[f] || pinned.get(f).copied().unwrap_or(false) {
+            self.hand = (self.hand + 1) % self.resident.len();
+            if !self.resident[f] {
                 continue;
             }
             if self.referenced[f] {
                 self.referenced[f] = false;
             } else {
-                return Some(f);
+                return f;
             }
         }
-        None
     }
 }
 
@@ -294,8 +279,8 @@ impl EvictionPolicy for FifoPolicy {
         self.order.clear(frame);
     }
 
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        self.order.oldest_unpinned(pinned)
+    fn victim(&mut self) -> usize {
+        self.order.oldest()
     }
 }
 
@@ -327,7 +312,6 @@ struct Frame {
     page: u64,
     data: Vec<u8>,
     dirty: bool,
-    pins: u32,
 }
 
 /// The pool: `frames` page-sized buffers fronting one backing file.
@@ -336,9 +320,6 @@ pub struct BufferPool {
     page_bytes: usize,
     capacity: usize,
     frames: Vec<Frame>,
-    /// `pinned[f]` ⇔ `frames[f].pins > 0`, maintained on every pin change —
-    /// the slice eviction hands to the policy.
-    pinned: Vec<bool>,
     /// page number → frame index.
     table: BTreeMap<u64, usize>,
     policy: Box<dyn EvictionPolicy>,
@@ -406,7 +387,6 @@ impl BufferPool {
             page_bytes,
             capacity: capacity.max(1),
             frames: Vec::new(),
-            pinned: Vec::new(),
             table: BTreeMap::new(),
             policy: policy.build(),
             stats: PoolStats::default(),
@@ -503,7 +483,7 @@ impl BufferPool {
 
     /// Makes `page` resident in a frame of its own — a free one while the
     /// pool is below capacity, else the policy's victim, written back first
-    /// if dirty — and returns it clean and unpinned. The frame's bytes are
+    /// if dirty — and returns it clean. The frame's bytes are
     /// stale: the caller fills them before anything reads the frame.
     fn claim_frame(&mut self, page: u64) -> Result<usize, StorageError> {
         let frame = if self.frames.len() < self.capacity {
@@ -511,15 +491,10 @@ impl BufferPool {
                 page,
                 data: vec![0u8; self.page_bytes],
                 dirty: false,
-                pins: 0,
             });
-            self.pinned.push(false);
             self.frames.len() - 1
         } else {
-            let victim = self
-                .policy
-                .victim(&self.pinned)
-                .ok_or_else(|| StorageError::Io("all buffer-pool pages pinned".to_string()))?;
+            let victim = self.policy.victim();
             self.stats.evictions += 1;
             self.write_back(victim)?;
             self.table.remove(&self.frames[victim].page);
@@ -684,72 +659,12 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Drops one pin from frame `f`.
-    fn unpin_frame(&mut self, f: usize) {
-        let pins = &mut self.frames[f].pins;
-        *pins = pins.saturating_sub(1);
-        self.pinned[f] = *pins > 0;
-    }
-
-    /// Pins the pages covering `[offset, offset + len)`: they stay resident
-    /// until unpinned. Returns the number of pages pinned. On failure no
-    /// page stays pinned — pins taken before the failing page are rolled
-    /// back, so an error path cannot leak pinned frames.
-    pub fn pin(&mut self, offset: u64, len: u64) -> Result<u64, StorageError> {
-        let pb = self.page_bytes as u64;
-        let first = offset / pb;
-        let last = (offset + len.max(1) - 1) / pb;
-        for page in first..=last {
-            match self.load_page(page) {
-                Ok(f) => {
-                    self.frames[f].pins += 1;
-                    self.pinned[f] = true;
-                }
-                Err(e) => {
-                    for done in first..page {
-                        if let Some(&f) = self.table.get(&done) {
-                            self.unpin_frame(f);
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(last - first + 1)
-    }
-
-    /// Unpins the pages covering `[offset, offset + len)`.
-    pub fn unpin(&mut self, offset: u64, len: u64) {
-        let pb = self.page_bytes as u64;
-        let first = offset / pb;
-        let last = (offset + len.max(1) - 1) / pb;
-        for page in first..=last {
-            if let Some(&f) = self.table.get(&page) {
-                self.unpin_frame(f);
-            }
-        }
-    }
-
     /// Writes every dirty page back to the file and syncs it.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         for f in 0..self.frames.len() {
             self.write_back(f)?;
         }
         self.file.sync_data().map_err(io_err)
-    }
-
-    /// Number of frames currently holding at least one pin.
-    pub fn pinned_frames(&self) -> u64 {
-        self.pinned.iter().filter(|p| **p).count() as u64
-    }
-
-    /// Drops every pin (error-path cleanup: RAII guards call this so a
-    /// failed run can never leave the pool jammed).
-    pub fn unpin_all(&mut self) {
-        for f in &mut self.frames {
-            f.pins = 0;
-        }
-        self.pinned.fill(false);
     }
 }
 
@@ -777,8 +692,8 @@ mod tests {
     }
 
     /// The per-frame timestamps and per-eviction scan that [`StampOrder`]
-    /// indexes, as its oracle: `victim` is the unpinned frame with the
-    /// smallest stamp.
+    /// indexes, as its oracle: `victim` is the frame with the smallest
+    /// stamp.
     #[derive(Default)]
     struct StampScan {
         stamp: Vec<u64>,
@@ -800,11 +715,11 @@ mod tests {
             }
         }
 
-        fn victim(&self, pinned: &[bool]) -> Option<usize> {
+        fn victim(&self) -> Option<usize> {
             self.stamp
                 .iter()
                 .enumerate()
-                .filter(|(f, s)| **s > 0 && !pinned.get(*f).copied().unwrap_or(false))
+                .filter(|(_, s)| **s > 0)
                 .min_by_key(|(_, s)| **s)
                 .map(|(f, _)| f)
         }
@@ -814,7 +729,6 @@ mod tests {
     fn stamp_order_picks_the_victims_of_a_stamp_scan() {
         const FRAMES: usize = 9;
         let (mut order, mut scan) = (StampOrder::default(), StampScan::default());
-        let mut pinned = vec![false; FRAMES - 2]; // shorter than the frames: unpinned past it
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for step in 0..20_000 {
             x ^= x << 13;
@@ -830,26 +744,15 @@ mod tests {
                     order.clear(frame);
                     scan.clear(frame);
                 }
-                5 => {
-                    if let Some(p) = pinned.get_mut(frame) {
-                        *p = !*p;
-                    }
-                }
                 _ => {
                     // Evict: the victim loses its stamp, as in the pool.
-                    let victim = order.oldest_unpinned(&pinned);
-                    assert_eq!(victim, scan.victim(&pinned), "step {step}");
-                    if let Some(v) = victim {
+                    if let Some(v) = order.oldest {
                         order.clear(v);
                         scan.clear(v);
                     }
                 }
             }
-            assert_eq!(
-                order.oldest_unpinned(&pinned),
-                scan.victim(&pinned),
-                "step {step}"
-            );
+            assert_eq!(order.oldest, scan.victim(), "step {step}");
         }
     }
 
@@ -933,28 +836,6 @@ mod tests {
         assert_eq!(p.stats().misses, before, "page 1 got its second chance");
         p.read(0, &mut buf).unwrap();
         assert_eq!(p.stats().misses, before + 1, "page 0 was the victim");
-    }
-
-    #[test]
-    fn pinned_pages_are_never_evicted() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
-        p.write(0, &[9u8; 64]).unwrap();
-        p.pin(0, 64).unwrap();
-        let mut buf = [0u8; 64];
-        p.read(64, &mut buf).unwrap();
-        p.read(128, &mut buf).unwrap(); // must evict page 1, not pinned page 0
-        let before = p.stats().misses;
-        p.read(0, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before, "pinned page stayed resident");
-        assert_eq!(buf, [9u8; 64]);
-        // With every frame pinned, loading a third page must fail, and
-        // unpinning must clear the jam.
-        p.pin(64, 64).unwrap_or(0);
-        // Frames: page 0 (pinned), page 64's page (pinned).
-        let jam = p.read(4096, &mut buf);
-        assert!(matches!(jam, Err(StorageError::Io(_))), "{jam:?}");
-        p.unpin(0, 64);
-        assert!(p.read(4096, &mut buf).is_ok());
     }
 
     #[test]
@@ -1099,34 +980,6 @@ mod tests {
         assert_eq!(p.stats().evictions, before.evictions + 1);
         p.read(4096, &mut buf).unwrap();
         assert_eq!(buf, [9u8; 64]);
-    }
-
-    #[test]
-    fn failed_pin_rolls_back_partial_pins() {
-        // 2 frames, one already pinned: pinning a 2-page span pins its
-        // first page, then fails loading the second (every frame pinned)
-        // — the partial pin must be rolled back.
-        let mut p = temp_pool(2, PolicyKind::Lru);
-        p.pin(0, 64).unwrap();
-        assert_eq!(p.pinned_frames(), 1);
-        let err = p.pin(64, 128);
-        assert!(err.is_err());
-        // Only the original pin remains; the failed span left none.
-        assert_eq!(p.pinned_frames(), 1, "failed pin leaked a pin");
-        p.unpin(0, 64);
-        assert_eq!(p.pinned_frames(), 0);
-    }
-
-    #[test]
-    fn unpin_all_clears_a_jam() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
-        p.pin(0, 64).unwrap();
-        p.pin(64, 64).unwrap();
-        let mut buf = [0u8; 64];
-        assert!(p.read(4096, &mut buf).is_err());
-        p.unpin_all();
-        assert_eq!(p.pinned_frames(), 0);
-        assert!(p.read(4096, &mut buf).is_ok());
     }
 
     #[test]

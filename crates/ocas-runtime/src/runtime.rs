@@ -7,10 +7,7 @@ use ocas_engine::{
     CpuModel, ExecError, ExecStats, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf,
 };
 use ocas_hierarchy::Hierarchy;
-use ocas_storage::{
-    DeviceStats, FaultPlan, RecoveryCounters, RetryPolicy, StorageBackend, StorageError, StorageSim,
-};
-use std::path::PathBuf;
+use ocas_storage::{DeviceStats, RecoveryCounters, StorageBackend, StorageError, StorageSim};
 use std::time::Instant;
 
 /// Runtime failures.
@@ -47,10 +44,10 @@ impl From<StorageError> for RuntimeError {
 /// Scope guard over the devices a run allocates on: snapshots their
 /// allocation watermarks at entry so the error path can roll everything
 /// back. [`Runtime::execute`] calls [`SpillGuard::cleanup`] on failure —
-/// pinned pages are released and each device is truncated to its entry
-/// mark, so a failed run leaves no spill extents, output extent or pinned
-/// frames behind. The success path simply drops the guard: outputs are
-/// harvested after the measured window and must survive.
+/// each device is truncated to its entry mark, so a failed run leaves no
+/// spill extents or output extent behind. The success path simply drops
+/// the guard: outputs are harvested after the measured window and must
+/// survive.
 struct SpillGuard {
     marks: Vec<(String, u64)>,
 }
@@ -59,7 +56,7 @@ impl SpillGuard {
     /// Marks the devices `plan` can allocate on: its spill device (a sort's
     /// `scratch`, a GRACE join's `spill`), the backend's fallback and a
     /// device-bound output's device.
-    fn new(fb: &FileBackend, plan: &Plan) -> SpillGuard {
+    fn new(fb: &impl StorageBackend, plan: &Plan) -> SpillGuard {
         let spill = match plan {
             Plan::ExternalSort { scratch, .. } => Some(scratch.as_str()),
             Plan::GraceJoin { spill, .. } => Some(spill.as_str()),
@@ -78,8 +75,7 @@ impl SpillGuard {
         SpillGuard { marks }
     }
 
-    fn cleanup(self, fb: &mut FileBackend) {
-        fb.release_all_pins();
+    fn cleanup(self, fb: &mut impl StorageBackend) {
         for (device, mark) in &self.marks {
             let _ = fb.truncate_device(device, *mark);
         }
@@ -143,15 +139,6 @@ pub struct Runtime {
     pub hierarchy: Hierarchy,
     /// Buffer-pool configuration for the real backend.
     pub pool: PoolConfig,
-    /// Where to put the temp files (`None` = system temp dir).
-    pub dir: Option<PathBuf>,
-    /// Fault plan + retry policy interposed on the real backend's I/O
-    /// (`None` = clean runs). The simulated twin always runs clean: it is
-    /// the oracle the faulted run is compared against.
-    pub faults: Option<(FaultPlan, RetryPolicy)>,
-    /// Alternate spill device the out-of-core algorithms fail over to on
-    /// capacity exhaustion.
-    pub spill_fallback: Option<String>,
 }
 
 impl Runtime {
@@ -160,9 +147,6 @@ impl Runtime {
         Runtime {
             hierarchy,
             pool: PoolConfig::default(),
-            dir: None,
-            faults: None,
-            spill_fallback: None,
         }
     }
 
@@ -170,34 +154,6 @@ impl Runtime {
     pub fn with_pool(mut self, pool: PoolConfig) -> Runtime {
         self.pool = pool;
         self
-    }
-
-    /// Interposes a fault plan (with its retry policy) on the real
-    /// backend of every run, builder style.
-    pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> Runtime {
-        self.faults = Some((plan, policy));
-        self
-    }
-
-    /// Configures the alternate spill device for ENOSPC failover,
-    /// builder style.
-    pub fn with_spill_fallback(mut self, device: &str) -> Runtime {
-        self.spill_fallback = Some(device.to_string());
-        self
-    }
-
-    fn backend(&self) -> Result<FileBackend, StorageError> {
-        let mut fb = match &self.dir {
-            Some(d) => FileBackend::in_dir(&self.hierarchy, self.pool, d, false)?,
-            None => FileBackend::from_hierarchy(&self.hierarchy, self.pool)?,
-        };
-        if let Some((plan, policy)) = &self.faults {
-            fb = fb.with_faults(plan.clone(), *policy);
-        }
-        if let Some(dev) = &self.spill_fallback {
-            fb = fb.with_spill_fallback(dev);
-        }
-        Ok(fb)
     }
 
     /// Executes `plan` over `rels` on real files: the generic executor in
@@ -210,12 +166,50 @@ impl Runtime {
     /// whatever the caller measures.
     ///
     /// The backend is handed back whatever happened. After a failure every
-    /// device is at its entry watermark and no page is pinned.
-    pub fn execute(
-        fb: FileBackend,
+    /// device is at its entry watermark. Any backend will do: a faulted
+    /// real run is this over [`Faulted<FileBackend>`](ocas_storage::Faulted),
+    /// the injector the simulator runs under too.
+    ///
+    /// ```
+    /// use ocas_engine::{Output, Plan, RelSpec, Relation};
+    /// use ocas_hierarchy::presets;
+    /// use ocas_runtime::{FileBackend, PoolConfig, Runtime};
+    /// use ocas_storage::{FaultKind, FaultOp, FaultPlan, Faulted, RetryPolicy, StorageBackend};
+    ///
+    /// let h = presets::two_hdd_ram(1 << 22);
+    /// // `HDD2` holds nothing but the sort's runs: its request 0 is the
+    /// // first run's allocation, refused once (the sort shrinks the run),
+    /// // and its request 4 a write that fails once (and is retried).
+    /// let faults = FaultPlan::new()
+    ///     .with("HDD2", FaultOp::Alloc, 0, FaultKind::NoSpace)
+    ///     .with("HDD2", FaultOp::Write, 4, FaultKind::Transient);
+    /// let fb = FileBackend::from_hierarchy(&h, PoolConfig::default())?;
+    /// let mut fb = Faulted::new(fb, faults, RetryPolicy::default());
+    /// let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_500), true, 11)?;
+    ///
+    /// let sort = Plan::ExternalSort {
+    ///     input: 0,
+    ///     fan_in: 4,
+    ///     b_in: 64,
+    ///     b_out: 128,
+    ///     scratch: "HDD2".into(),
+    ///     output: Output::Discard,
+    /// };
+    /// let (fb, run) = Runtime::execute(fb, &[rel], &sort);
+    /// let rows = run?.output.expect("collected");
+    /// assert_eq!(rows.len(), 1_500);
+    /// assert!(rows.is_sorted());
+    ///
+    /// let rec = fb.recovery_counters().expect("the injector counts");
+    /// assert_eq!((rec.no_space_faults, rec.transient_faults), (1, 1));
+    /// assert_eq!((rec.degraded_shrinks, rec.retry_successes), (1, 1));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn execute<B: StorageBackend>(
+        fb: B,
         rels: &[Relation],
         plan: &Plan,
-    ) -> (FileBackend, Result<ExecStats, RuntimeError>) {
+    ) -> (B, Result<ExecStats, RuntimeError>) {
         let guard = SpillGuard::new(&fb, plan);
         let collect = matches!(plan.output(), Output::Discard);
         let mut ex =
@@ -264,13 +258,13 @@ impl Runtime {
         seed: u64,
     ) -> Result<RealReport, RuntimeError> {
         // Real execution.
-        let mut fb = self.backend()?;
+        let mut fb = FileBackend::from_hierarchy(&self.hierarchy, self.pool)?;
         let mut rels = Vec::new();
         for (i, spec) in rel_specs.iter().enumerate() {
             rels.push(Relation::create(&mut fb, spec, true, seed + i as u64)?);
         }
         let t0 = Instant::now();
-        let (mut fb, run) = Self::execute(fb, &rels, plan);
+        let (mut fb, run) = Self::execute::<FileBackend>(fb, &rels, plan);
         let run = run?;
         // Write-back and sync belong to the measured run: without this,
         // outputs small enough to sit in the buffer pools would be "free".

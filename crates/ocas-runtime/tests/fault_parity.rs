@@ -1,9 +1,10 @@
 //! Error-classification parity: the same fault plan, applied to the same
 //! request stream, must produce the same outcome sequence — success or
-//! identically-typed error at every step — whether it is interposed on
-//! the device simulator (via [`Faulted`]) or on the real file backend's
-//! syscall paths (via [`FileBackend::with_faults`]), and both sides must
-//! report identical recovery counters.
+//! identically-typed error at every step — whether [`Faulted`], the one
+//! fault injector, wraps the device simulator or the real file backend,
+//! and both sides must report identical recovery counters. The injector is
+//! shared; what these tests hold to it is that the two backends issue,
+//! fail and recover the same requests.
 //!
 //! A run request (`read_run`) is its requests, one by one, on both: a spec
 //! at an index inside a run fires there, not at the run's first request
@@ -16,14 +17,12 @@
 //! into a request that does not cover it, or hide one from a request that
 //! does — the torn-page test at the end.
 //!
-//! Requests stay under the 1 MiB chunking threshold so one trait-level
-//! request equals one syscall-level request and the per-device fault
-//! indices line up by construction. `TornWriteBack` is excluded: the
-//! simulator holds no page data to tear, so it is the one kind whose
-//! *consequences* (not classification) are backend-specific.
+//! `TornWriteBack` is excluded: the simulator holds no page data to tear,
+//! so it is the one kind whose *consequences* (not classification) are
+//! backend-specific.
 
 use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation};
-use ocas_hierarchy::presets;
+use ocas_hierarchy::{presets, Hierarchy};
 use ocas_runtime::{FileBackend, PoolConfig};
 use ocas_storage::{
     DeviceStats, FaultKind, FaultOp, FaultPlan, Faulted, FileId, RecoveryCounters, RetryPolicy,
@@ -43,12 +42,19 @@ enum Op {
     Read(usize, u64),
 }
 
-/// Deterministic request script: starts with an allocation, then mixes
-/// small allocs, reads and writes.
+/// Longest request of a [`script`]: past the file backend's 1 MiB chunk,
+/// so one request moves several chunks.
+const BIG: u64 = 3 << 20;
+
+/// Deterministic request script: starts with an allocation of [`BIG`]
+/// bytes, written and read whole, and one of a page; then mixes small
+/// allocs, reads and writes.
 fn script(seed: u64, n: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_5c21);
-    let mut ops = vec![Op::Alloc(4096)];
-    for _ in 1..n {
+    let mut big = || rng.gen_range(1u64 << 20..BIG + 1);
+    let mut ops = vec![Op::Alloc(BIG), Op::Write(0, big()), Op::Read(0, big())];
+    ops.push(Op::Alloc(4096));
+    for _ in ops.len()..n {
         ops.push(match rng.gen_range(0u32..4) {
             0 => Op::Alloc(rng.gen_range(64u64..4096)),
             1 => Op::Write(rng.gen_range(0usize..64), rng.gen_range(2u64..64) * 8),
@@ -104,12 +110,16 @@ fn drive<B: StorageBackend>(b: &mut B, ops: &[Op]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The script's first requests move 1-3 MiB each, and an ENOSPC is
+    /// planted on the allocation after them: one index per request, however
+    /// many chunks the file backend moves it in.
     #[test]
     fn sim_and_file_backend_classify_fault_plans_identically(
         seed in 0u64..50_000,
         faults in 0usize..8,
     ) {
-        let mut plan = FaultPlan::randomized(seed, &["HDD"], faults, 48);
+        let mut plan = FaultPlan::randomized(seed, &["HDD"], faults, 48)
+            .with("HDD", FaultOp::Alloc, 3, FaultKind::NoSpace);
         plan.specs.retain(|s| s.kind != FaultKind::TornWriteBack);
         let policy = RetryPolicy::default();
         let ops = script(seed, 40);
@@ -117,19 +127,12 @@ proptest! {
 
         let mut sim = Faulted::new(StorageSim::from_hierarchy(&h), plan.clone(), policy);
         let sim_outcomes = drive(&mut sim, &ops);
-
-        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(plan, policy);
+        let mut fb = faulted_files(&h, PoolConfig::default(), plan, policy);
         let fb_outcomes = drive(&mut fb, &ops);
 
         prop_assert_eq!(&sim_outcomes, &fb_outcomes,
             "outcome sequences diverged (seed {}, {} faults)", seed, faults);
-        prop_assert_eq!(
-            sim.counters(),
-            fb.recovery_counters().expect("injector present"),
-            "recovery counters diverged (seed {})", seed
-        );
+        prop_assert_eq!(sim.counters(), fb.counters(), "recovery counters diverged (seed {})", seed);
     }
 
     /// With no faults scheduled, the wrapper is a strict no-op on both
@@ -143,9 +146,7 @@ proptest! {
             FaultPlan::new(),
             RetryPolicy::default(),
         );
-        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(FaultPlan::new(), RetryPolicy::default());
+        let mut fb = faulted_files(&h, PoolConfig::default(), FaultPlan::new(), RetryPolicy::default());
         for out in drive(&mut sim, &ops).iter().chain(drive(&mut fb, &ops).iter()) {
             prop_assert!(out == "ok" || out == "skip", "clean run failed: {}", out);
         }
@@ -170,14 +171,12 @@ proptest! {
 
         let mut sim = Faulted::new(StorageSim::from_hierarchy(&h), plan.clone(), policy);
         let sim_outcomes = drive(&mut sim, &ops);
-        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(plan, policy);
+        let mut fb = faulted_files(&h, PoolConfig::default(), plan, policy);
         let fb_outcomes = drive(&mut fb, &ops);
 
         prop_assert!(sim_outcomes.iter().any(|o| o.starts_with("err")), "burst must surface");
         prop_assert_eq!(&sim_outcomes, &fb_outcomes);
-        let (sc, fc) = (sim.counters(), fb.recovery_counters().expect("injector"));
+        let (sc, fc) = (sim.counters(), fb.counters());
         prop_assert_eq!(sc, fc);
         prop_assert!(sc.gave_up >= 1);
     }
@@ -205,9 +204,7 @@ proptest! {
         let plan = FaultPlan::new().with("HDD", FaultOp::Read, k, kind);
         let h = presets::hdd_ram(1 << 22);
         let mut sim = Faulted::new(StorageSim::from_hierarchy(&h), plan.clone(), policy);
-        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(plan, policy);
+        let mut fb = faulted_files(&h, PoolConfig::default(), plan, policy);
 
         let sim_out = drive_run(&mut sim);
         let fb_out = drive_run(&mut fb);
@@ -267,7 +264,7 @@ proptest! {
         let h = presets::hdd_ram(1 << 22);
         let pool = PoolConfig { page_bytes: 256, ..PoolConfig::default() };
         let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
-        let fb = FileBackend::from_hierarchy(&h, pool).unwrap().with_faults(faults, policy);
+        let fb = faulted_files(&h, pool, faults, policy);
 
         let sim_out = run_faithful(sim, &plan, &specs);
         let fb_out = run_faithful(fb, &plan, &specs);
@@ -321,7 +318,7 @@ proptest! {
         let h = presets::hdd_ram(1 << 22);
         let pool = PoolConfig { page_bytes: 256, ..PoolConfig::default() };
         let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
-        let fb = FileBackend::from_hierarchy(&h, pool).unwrap().with_faults(faults, policy);
+        let fb = faulted_files(&h, pool, faults, policy);
 
         let sim_out = run_faithful(sim, &plan, &specs);
         let fb_out = run_faithful(fb, &plan, &specs);
@@ -332,6 +329,17 @@ proptest! {
             prop_assert!(outcome.starts_with("ok"), "{}", outcome);
         }
     }
+}
+
+/// Real files under `faults`, through the one injector.
+fn faulted_files(
+    h: &Hierarchy,
+    pool: PoolConfig,
+    faults: FaultPlan,
+    policy: RetryPolicy,
+) -> Faulted<FileBackend> {
+    let fb = FileBackend::from_hierarchy(h, pool).unwrap();
+    Faulted::new(fb, faults, policy)
 }
 
 /// One-tuple requests in the stream of
@@ -378,13 +386,11 @@ fn a_torn_page_fails_the_first_tuple_on_it_and_none_before() {
     };
     // HDD requests: 0 the alloc, 1-2 two tuples, 3 the rewrite of page 3.
     let plan = FaultPlan::new().with("HDD", FaultOp::Write, 3, FaultKind::TornWriteBack);
-    let mut fb = FileBackend::from_hierarchy(&h, pool)
-        .unwrap()
-        .with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted_files(&h, pool, plan, RetryPolicy::default());
     let f = fb.alloc("HDD", 8 * PAGE).unwrap();
     let old: Vec<u8> = (0..8 * PAGE).map(|i| (i * 3 + 1) as u8).collect();
     fb.materialize(f, 0, &old).unwrap();
-    fb.flush().unwrap();
+    fb.inner_mut().flush().unwrap();
 
     let mut tuple = [0u8; 8];
     for at in [0, 8] {
@@ -465,17 +471,18 @@ fn an_overflowing_request_end_is_out_of_bounds_on_both_backends() {
     let h = presets::hdd_ram(1 << 22);
     let sim = probe(&mut StorageSim::from_hierarchy(&h));
     let plain = probe(&mut FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap());
-    let injected = probe(
-        &mut FileBackend::from_hierarchy(&h, PoolConfig::default())
-            .unwrap()
-            .with_faults(FaultPlan::new(), RetryPolicy::default()),
-    );
+    let injected = probe(&mut faulted_files(
+        &h,
+        PoolConfig::default(),
+        FaultPlan::new(),
+        RetryPolicy::default(),
+    ));
     assert_eq!(sim, plain);
     assert_eq!(sim, injected);
 }
 
 /// The simulator with a spill fallback device, as `FileBackend` has with
-/// `with_spill_fallback`: everything else forwarded.
+/// `FileBackend::with_spill_fallback`: everything else forwarded.
 struct WithFallback(StorageSim, &'static str);
 
 impl StorageBackend for WithFallback {
@@ -587,8 +594,8 @@ fn on_both(
     let sim = Faulted::new(sim, faults.clone(), policy);
     let fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
         .unwrap()
-        .with_faults(faults, policy)
         .with_spill_fallback("HDD2");
+    let fb = Faulted::new(fb, faults, policy);
     [
         run_faithful(sim, plan, specs),
         run_faithful(fb, plan, specs),

@@ -3,8 +3,9 @@
 //! streaming templates: graceful ENOSPC degradation (shrink
 //! spill extents, fail over to an alternate device) keeps results correct,
 //! and every failure path — injected or genuine — leaves the backend clean:
-//! no spill or output extents past the entry watermark, no pinned pages,
-//! and typed errors rather than panics.
+//! no spill or output extents past the entry watermark, and typed errors
+//! rather than panics. Faults are injected by wrapping the file backend in
+//! `Faulted`, the injector the simulator runs under too.
 
 use ocas_engine::{
     CpuModel, ExecError, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation,
@@ -13,7 +14,7 @@ use ocas_engine::{
 use ocas_hierarchy::{presets, DeviceKind, Hierarchy, NodeProps};
 use ocas_runtime::{FileBackend, PoolConfig, Runtime, RuntimeError};
 use ocas_storage::{
-    FaultKind, FaultOp, FaultPlan, RetryPolicy, StorageBackend, StorageError, StorageSim,
+    FaultKind, FaultOp, FaultPlan, Faulted, RetryPolicy, StorageBackend, StorageError, StorageSim,
 };
 
 /// RAM root with the input HDD, a deliberately tiny scratch device, and a
@@ -35,6 +36,11 @@ fn tiny_scratch_hierarchy(scratch_bytes: u64) -> Hierarchy {
 
 fn backend(h: &Hierarchy) -> FileBackend {
     FileBackend::from_hierarchy(h, PoolConfig::default()).unwrap()
+}
+
+/// `fb` under `plan`, with the default retry policy.
+fn faulted(fb: FileBackend, plan: FaultPlan) -> Faulted<FileBackend> {
+    Faulted::new(fb, plan, RetryPolicy::default())
 }
 
 /// The rows a `Discard` run collected, sorted.
@@ -92,7 +98,6 @@ fn sort_degrades_to_smaller_runs_and_fails_over_with_correct_output() {
     let rec = fb.recovery_counters().expect("degradations recorded");
     assert!(rec.degraded_shrinks > 0, "expected shrink degradations");
     assert_eq!(rec.degraded_failovers, 1, "expected one device failover");
-    assert_eq!(fb.pinned_pages(), 0);
 }
 
 #[test]
@@ -126,7 +131,6 @@ fn grace_join_degrades_spill_partitions_with_correct_output() {
     let rec = fb.recovery_counters().expect("degradations recorded");
     assert!(rec.degradations() > 0, "expected spill degradations");
     assert_eq!(rec.degraded_failovers, 1);
-    assert_eq!(fb.pinned_pages(), 0);
 }
 
 #[test]
@@ -136,9 +140,7 @@ fn injected_no_space_triggers_degradation_not_failure() {
     // with the right answer on an otherwise roomy device.
     let h = presets::two_hdd_ram(1 << 22);
     let plan = FaultPlan::new().with("HDD2", FaultOp::Alloc, 0, FaultKind::NoSpace);
-    let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-        .unwrap()
-        .with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted(backend(&h), plan);
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_500), true, 11).unwrap();
     let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
     assert_eq!(run.unwrap().output_rows, 1_500);
@@ -147,9 +149,8 @@ fn injected_no_space_triggers_degradation_not_failure() {
     assert!(rec.degraded_shrinks > 0, "ENOSPC must degrade, not fail");
 }
 
-/// Satellite: a persistent injected failure mid-sort surfaces a typed
-/// error and leaves the backend clean — scratch watermark rolled back to
-/// its entry mark, zero pinned pages.
+/// A persistent injected failure mid-sort surfaces a typed error and leaves
+/// the backend clean — scratch watermark rolled back to its entry mark.
 #[test]
 fn failed_sort_leaves_no_spill_extents_and_no_pins() {
     let h = presets::two_hdd_ram(1 << 22);
@@ -158,9 +159,7 @@ fn failed_sort_leaves_no_spill_extents_and_no_pins() {
     for at in 0..256 {
         plan = plan.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
     }
-    let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-        .unwrap()
-        .with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted(backend(&h), plan);
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 5).unwrap();
     let mark = fb.watermark("HDD2").unwrap();
 
@@ -179,12 +178,11 @@ fn failed_sort_leaves_no_spill_extents_and_no_pins() {
         mark,
         "failed sort leaked spill extents"
     );
-    assert_eq!(fb.pinned_pages(), 0, "failed sort leaked pinned pages");
     let rec = fb.recovery_counters().expect("counters with injector");
     assert!(rec.gave_up >= 1);
 }
 
-/// Satellite: a persistent injected failure mid-GRACE-partition — on the
+/// A persistent injected failure mid-GRACE-partition — on the
 /// first append, or forty requests into the streams — surfaces a typed
 /// error and leaves the backend clean.
 #[test]
@@ -200,9 +198,7 @@ fn failed_grace_partition(first_fault: u64) {
     for at in first_fault..first_fault + 256 {
         plan = plan.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
     }
-    let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-        .unwrap()
-        .with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted(backend(&h), plan);
     let l = Relation::create(
         &mut fb,
         &RelSpec::ints("L", "HDD", 800).with_key_range(50),
@@ -233,7 +229,6 @@ fn failed_grace_partition(first_fault: u64) {
         mark,
         "failed join leaked spill extents"
     );
-    assert_eq!(fb.pinned_pages(), 0, "failed join leaked pinned pages");
 }
 
 /// Transient faults under the default retry policy are invisible to
@@ -245,9 +240,7 @@ fn transient_faults_are_absorbed_by_retries() {
         .with("HDD2", FaultOp::Any, 1, FaultKind::Transient)
         .with("HDD2", FaultOp::Any, 9, FaultKind::Transient)
         .with("HDD2", FaultOp::Any, 14, FaultKind::Latency(0.005));
-    let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default())
-        .unwrap()
-        .with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted(backend(&h), plan);
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_200), true, 13).unwrap();
     let (fb, run) = Runtime::execute(fb, &[rel], &sort("HDD2", Output::Discard));
     let run = run.unwrap();
@@ -270,13 +263,13 @@ fn no_space_on_a_bucket_reservation_halves_it_then_fails_over() {
         RelSpec::pairs("L", "HDD", 900).with_key_range(60),
         RelSpec::pairs("R", "HDD", 700).with_key_range(60),
     ];
-    let join = |mut fb: FileBackend| {
+    let join = |mut fb: Faulted<FileBackend>| {
         let l = Relation::create(&mut fb, &specs[0], true, 3).unwrap();
         let r = Relation::create(&mut fb, &specs[1], true, 4).unwrap();
         let (fb, run) = Runtime::execute(fb, &[l, r], &grace("HDD2", 2048));
         (fb, run.unwrap())
     };
-    let oracle = sorted_rows(join(backend(&h)).1.output);
+    let oracle = sorted_rows(join(faulted(backend(&h), FaultPlan::new())).1.output);
     assert!(!oracle.is_empty(), "join oracle must produce rows");
 
     // HDD2 sees nothing but the spill: its request 0 is the first bucket's
@@ -286,9 +279,7 @@ fn no_space_on_a_bucket_reservation_halves_it_then_fails_over() {
         for at in 0..refusals {
             plan = plan.with("HDD2", FaultOp::Alloc, at, FaultKind::NoSpace);
         }
-        let fb = backend(&h)
-            .with_faults(plan, RetryPolicy::default())
-            .with_spill_fallback("HDD");
+        let fb = faulted(backend(&h).with_spill_fallback("HDD"), plan);
         let (fb, run) = join(fb);
         assert_eq!(sorted_rows(run.output), oracle, "{refusals} refusals");
         let rec = fb.recovery_counters().expect("counters with injector");
@@ -301,13 +292,12 @@ fn no_space_on_a_bucket_reservation_halves_it_then_fails_over() {
             failovers == 1,
             "a failover moves every stream"
         );
-        assert_eq!(fb.pinned_pages(), 0);
     }
 }
 
 /// A failure in the middle of the sort's output pass — the pass that
-/// writes to the output device, here a second one — leaves no spill bytes,
-/// nothing on the output device past its entry mark, and no pins.
+/// writes to the output device, here a second one — leaves no spill bytes
+/// and nothing on the output device past its entry mark.
 #[test]
 fn failed_output_pass_leaves_neither_spill_nor_output_bytes() {
     let h = presets::two_hdd_ram(1 << 22);
@@ -316,7 +306,7 @@ fn failed_output_pass_leaves_neither_spill_nor_output_bytes() {
     for at in 3..259 {
         plan = plan.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
     }
-    let mut fb = backend(&h).with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted(backend(&h), plan);
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 5).unwrap();
     let marks = [fb.watermark("HDD").unwrap(), fb.watermark("HDD2").unwrap()];
     let out = Output::ToDevice {
@@ -337,7 +327,6 @@ fn failed_output_pass_leaves_neither_spill_nor_output_bytes() {
     assert!(written > 0, "the pass was under way: {written} bytes out");
     assert_eq!(fb.watermark("HDD").unwrap(), marks[0], "leaked spill runs");
     assert_eq!(fb.watermark("HDD2").unwrap(), marks[1], "leaked output");
-    assert_eq!(fb.pinned_pages(), 0);
 }
 
 /// A torn write-back of a partition page is silent while the bucket is
@@ -355,9 +344,7 @@ fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
         ..PoolConfig::default()
     };
     let plan = FaultPlan::new().with("HDD2", FaultOp::Write, 1, FaultKind::TornWriteBack);
-    let mut fb = FileBackend::from_hierarchy(&h, cfg)
-        .unwrap()
-        .with_faults(plan, RetryPolicy::default());
+    let mut fb = faulted(FileBackend::from_hierarchy(&h, cfg).unwrap(), plan);
     let l = Relation::create(
         &mut fb,
         &RelSpec::pairs("L", "HDD", 4096).with_key_range(500),
@@ -391,14 +378,13 @@ fn torn_partition_page_surfaces_on_the_bucket_read_that_reaches_it() {
     let spilled = fb.device_stats("HDD2").unwrap().bytes_written;
     assert_eq!(spilled, lbytes + rbytes);
     assert_eq!(fb.watermark("HDD2").unwrap(), mark, "leaked spill extents");
-    assert_eq!(fb.pinned_pages(), 0);
 }
 
 /// The generic branch of `Runtime::execute` under a write fault that
 /// exhausts the retry budget in the middle of a device-bound output — a
 /// sorted union, and a block-nested-loops join with write-out: a typed
 /// `StorageError`, and on the backend that outlives the run the output
-/// device is back at its entry watermark with nothing pinned.
+/// device is back at its entry watermark.
 #[test]
 fn failed_generic_run_leaves_its_output_device_at_the_entry_watermark() {
     let h = presets::two_hdd_ram(1 << 22);
@@ -430,7 +416,7 @@ fn failed_generic_run_leaves_its_output_device_at_the_entry_watermark() {
         for at in 3..259 {
             faults = faults.with("HDD2", FaultOp::Write, at, FaultKind::Transient);
         }
-        let mut fb = backend(&h).with_faults(faults, RetryPolicy::default());
+        let mut fb = faulted(backend(&h), faults);
         let specs = [
             RelSpec::ints("A", "HDD", 1_500)
                 .sorted()
@@ -464,7 +450,6 @@ fn failed_generic_run_leaves_its_output_device_at_the_entry_watermark() {
             "{}: leaked output",
             plan.name()
         );
-        assert_eq!(fb.pinned_pages(), 0, "{}", plan.name());
         assert!(fb.recovery_counters().expect("injector").gave_up >= 1);
     }
 }
@@ -485,9 +470,7 @@ fn torn_input_page_surfaces_on_the_refill_that_reaches_it() {
     // the relation's last pages are still dirty in the four-frame pool, and
     // reading its first pages evicts them — the first one torn.
     let faults = FaultPlan::new().with("HDD", FaultOp::Read, 1, FaultKind::TornWriteBack);
-    let mut fb = FileBackend::from_hierarchy(&h, cfg)
-        .unwrap()
-        .with_faults(faults, RetryPolicy::default());
+    let mut fb = faulted(FileBackend::from_hierarchy(&h, cfg).unwrap(), faults);
     let pages = 16;
     let spec = RelSpec::ints("L", "HDD", pages * PAGE / 8)
         .sorted()
@@ -512,7 +495,6 @@ fn torn_input_page_surfaces_on_the_refill_that_reaches_it() {
     assert_eq!(fb.device_stats("HDD").unwrap().bytes_read, page * PAGE);
     let rec = fb.recovery_counters().expect("injector");
     assert_eq!((rec.torn_write_backs, rec.corrupt_pages_detected), (1, 1));
-    assert_eq!(fb.pinned_pages(), 0);
 }
 
 /// A parameter no execution can honour — a GRACE join over zero partitions

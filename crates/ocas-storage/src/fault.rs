@@ -4,12 +4,12 @@
 //! on device `D` fails with kind `K`". Request indices are counted per
 //! device across all operations (alloc/read/write, each *attempt*
 //! consumes one index), so a plan replays bit-identically on any backend
-//! that issues the same request stream — the property the error-parity
-//! proptest pins between [`StorageSim`](crate::StorageSim) and the real
-//! file backend.
+//! that issues the same request stream.
 //!
-//! [`Faulted<B>`](Faulted) wraps a backend and applies a plan at the
-//! [`StorageBackend`] trait seam, recovering where policy allows:
+//! [`Faulted<B>`](Faulted) is the one injector: it wraps a backend — the
+//! simulator or a real one — and applies a plan at the [`StorageBackend`]
+//! trait seam, one index per trait-level request whatever the inner
+//! backend does with it, recovering where policy allows:
 //!
 //! * [`FaultKind::Transient`] and short transfers are retried under a
 //!   [`RetryPolicy`] with exponential backoff charged to the backend's
@@ -26,10 +26,10 @@
 //!   intended checksum, so the tear is *detected* on re-read as a typed
 //!   [`StorageError::CorruptPage`] instead of a wrong answer.
 //!
-//! Every injection and every retry is counted in [`RecoveryCounters`] and
-//! emitted on the `fault:<device>` / `retry:<device>` observability
-//! tracks, recorded on the calling (owning) thread per the PR 6
-//! determinism policy.
+//! Every injection, every retry and every degradation is counted once in
+//! [`RecoveryCounters`] and emitted once on the `fault:<device>` /
+//! `retry:<device>` / `degrade:<device>` observability tracks, recorded on
+//! the calling (owning) thread so traces stay deterministic.
 
 use crate::backend::StorageBackend;
 use crate::device::DeviceStats;
@@ -303,16 +303,16 @@ impl RecoveryCounters {
 /// counters. Pure and deterministic — identical request streams produce
 /// identical decisions regardless of backend or wall time.
 #[derive(Debug, Clone, Default)]
-pub struct FaultState {
+struct FaultState {
     plan: FaultPlan,
     requests: BTreeMap<String, u64>,
     /// Everything injected / recovered so far.
-    pub counters: RecoveryCounters,
+    counters: RecoveryCounters,
 }
 
 impl FaultState {
     /// State for `plan` with all request indices at zero.
-    pub fn new(plan: FaultPlan) -> FaultState {
+    fn new(plan: FaultPlan) -> FaultState {
         FaultState {
             plan,
             requests: BTreeMap::new(),
@@ -320,17 +320,12 @@ impl FaultState {
         }
     }
 
-    /// The plan driving this state.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Decides the fate of the next request on `device`: consumes one
     /// per-device index (so a retry is judged at the *next* index) and
     /// returns `(index, injected fault)`. Injections are counted and
     /// emitted on the `fault:<device>` obs track at clock position `at`
     /// in `domain`.
-    pub fn on_request(
+    fn on_request(
         &mut self,
         device: &str,
         op: FaultOp,
@@ -356,7 +351,7 @@ impl FaultState {
     }
 
     /// Records one retry on the `retry:<device>` obs track.
-    pub fn note_retry(&mut self, device: &str, domain: ocas_obs::Clock, at: f64) {
+    fn note_retry(&mut self, device: &str, domain: ocas_obs::Clock, at: f64) {
         self.counters.retries += 1;
         if ocas_obs::enabled() {
             ocas_obs::counter(domain, &format!("retry:{device}"), "attempt", at, 1.0);
@@ -365,8 +360,8 @@ impl FaultState {
 }
 
 /// A [`StorageBackend`] wrapper that injects a [`FaultPlan`] at the trait
-/// seam and recovers per [`RetryPolicy`]. Works identically over the
-/// simulator and real backends; see the module docs for semantics.
+/// seam and recovers per [`RetryPolicy`]: the one injector, over the
+/// simulator and real backends alike; see the module docs for semantics.
 #[derive(Debug)]
 pub struct Faulted<B: StorageBackend> {
     inner: B,
@@ -580,6 +575,9 @@ impl<B: StorageBackend> StorageBackend for Faulted<B> {
         Some(self.counters())
     }
 
+    /// Counts and traces the degradation here, and only here: the inner
+    /// backend's counters are merged into [`Faulted::counters`], so
+    /// forwarding would count (and trace) it twice.
     fn note_degradation(&mut self, device: &str, what: &'static str) {
         self.state.counters.note_degradation(what);
         if ocas_obs::enabled() {
@@ -591,7 +589,6 @@ impl<B: StorageBackend> StorageBackend for Faulted<B> {
                 1.0,
             );
         }
-        self.inner.note_degradation(device, what);
     }
 
     fn schedule_torn_write_back(&mut self, device: &str, at: u64) -> bool {

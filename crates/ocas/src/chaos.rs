@@ -4,13 +4,14 @@
 //! (external merge-sort, GRACE hash join, sorted merge-union, duplicate
 //! removal), lowered to a physical plan at faithful scale. The harness
 //! executes it under a randomized-but-seeded [`FaultPlan`] on either
-//! backend — real temp files or the device simulator — and classifies the
-//! result against the robustness trichotomy:
+//! backend — real temp files or the device simulator, each wrapped in the
+//! one injector, [`Faulted`] — and classifies the result against the
+//! robustness trichotomy:
 //!
 //! 1. **Identical** — the run absorbed or degraded around its faults and
 //!    produced output bit-identical to a clean run of the same backend;
 //! 2. **Typed error** — the run failed, but with a typed [`StorageError`]
-//!    and a clean backend behind it (no pinned pages, no leaked temp dir);
+//!    and a clean backend behind it (no leaked temp dir);
 //! 3. never anything else: a wrong answer is reported as
 //!    [`ChaosOutcome::WrongAnswer`] and a panic propagates, both of which
 //!    the chaos suite (and the bench `chaos` section) treat as failures.
@@ -24,8 +25,8 @@ use crate::experiments::{self, ExpError, Experiment};
 use crate::synth::Synthesis;
 use ocas_engine::{lower, CpuModel, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::Hierarchy;
-use ocas_runtime::{FileBackend, PoolConfig, Runtime};
-use ocas_storage::{FaultPlan, Faulted, RecoveryCounters, RetryPolicy, StorageBackend, StorageSim};
+use ocas_runtime::{FileBackend, PoolConfig, Runtime, RuntimeError};
+use ocas_storage::{FaultPlan, Faulted, RecoveryCounters, RetryPolicy, StorageSim};
 use std::collections::BTreeMap;
 
 /// One synthesized program, lowered and ready to run under faults.
@@ -72,8 +73,6 @@ pub struct ChaosRun {
     pub outcome: ChaosOutcome,
     /// Fault-injection and recovery counters of the run.
     pub counters: RecoveryCounters,
-    /// Pages still pinned after the run (must be 0; always 0 on `sim`).
-    pub pinned_pages: u64,
     /// True when the backend's temp dir survived its drop (must never
     /// happen; always false on `sim`).
     pub leaked_dir: bool,
@@ -93,8 +92,6 @@ pub struct ChaosSummary {
     pub wrong_answers: u64,
     /// Runs that left a temp dir behind (must stay 0).
     pub leaked_dirs: u64,
-    /// Pages still pinned summed over runs (must stay 0).
-    pub pinned_pages: u64,
     /// Recovery counters merged over all runs.
     pub counters: RecoveryCounters,
 }
@@ -109,14 +106,13 @@ impl ChaosSummary {
             ChaosOutcome::WrongAnswer => self.wrong_answers += 1,
         }
         self.leaked_dirs += u64::from(run.leaked_dir);
-        self.pinned_pages += run.pinned_pages;
         self.counters.merge(&run.counters);
     }
 
     /// True when every absorbed run respected the trichotomy and left its
     /// backend clean.
     pub fn clean(&self) -> bool {
-        self.wrong_answers == 0 && self.leaked_dirs == 0 && self.pinned_pages == 0
+        self.wrong_answers == 0 && self.leaked_dirs == 0
     }
 }
 
@@ -162,11 +158,32 @@ fn classify(result: Result<RowBuf, String>, oracle: &RowBuf) -> ChaosOutcome {
     }
 }
 
+/// Runs the workload on real temp files under `faults`; returns the
+/// outcome, the recovery counters and whether the backend's temp dir
+/// outlived it.
+///
+/// Panics only on fault-independent setup failures (temp dir creation);
+/// anything downstream of injection must surface typed.
+fn run_real(
+    w: &ChaosWorkload,
+    faults: FaultPlan,
+) -> (Result<RowBuf, String>, RecoveryCounters, bool) {
+    let fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool()).expect("backend setup");
+    let dir = fb.dir().to_path_buf();
+    let (fb, result) = execute(Faulted::new(fb, faults, RetryPolicy::default()), w);
+    let counters = fb.counters();
+    drop(fb);
+    (result, counters, dir.exists())
+}
+
 /// Creates the workload's relations on `fb` and executes its plan through
 /// the runtime's entry point ([`Runtime::execute`]), harvesting the output.
 /// The backend comes back whatever happened, so that the caller can look
 /// at what a failed run left behind.
-fn run_real(mut fb: FileBackend, w: &ChaosWorkload) -> (FileBackend, Result<RowBuf, String>) {
+fn execute(
+    mut fb: Faulted<FileBackend>,
+    w: &ChaosWorkload,
+) -> (Faulted<FileBackend>, Result<RowBuf, String>) {
     let mut rels = Vec::new();
     for (i, spec) in w.rel_specs.iter().enumerate() {
         match Relation::create(&mut fb, spec, true, w.data_seed + i as u64) {
@@ -175,34 +192,27 @@ fn run_real(mut fb: FileBackend, w: &ChaosWorkload) -> (FileBackend, Result<RowB
         }
     }
     let (mut fb, run) = Runtime::execute(fb, &rels, &w.plan);
-    let output = run
-        .map_err(|e| e.to_string())
-        .and_then(|run| Runtime::harvest(&mut fb, run).map_err(|e| e.to_string()));
+    let output = match run {
+        Ok(run) => Runtime::harvest(fb.inner_mut(), run).map_err(|e| e.to_string()),
+        // The executor's error as the simulator run reports it, so that the
+        // two backends' outcomes compare.
+        Err(RuntimeError::Exec(e)) => Err(e.to_string()),
+        Err(e) => Err(e.to_string()),
+    };
     (fb, output)
 }
 
 /// Runs one workload under one fault seed against **real temp files**,
 /// classifying the outcome and checking for leaks.
-///
-/// Panics only on fault-independent setup failures (temp dir creation);
-/// anything downstream of injection must surface typed.
 pub fn run_file(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
-    let fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())
-        .expect("backend setup")
-        .with_faults(plan_for(w, fault_seed), RetryPolicy::default());
-    let dir = fb.dir().to_path_buf();
-    let (fb, result) = run_real(fb, w);
-    let pinned_pages = fb.pinned_pages();
-    let counters = fb.recovery_counters().unwrap_or_default();
-    drop(fb);
+    let (result, counters, leaked_dir) = run_real(w, plan_for(w, fault_seed));
     ChaosRun {
         workload: w.name,
         backend: "file",
         fault_seed,
         outcome: classify(result, &w.oracle_file),
         counters,
-        pinned_pages,
-        leaked_dir: dir.exists(),
+        leaked_dir,
     }
 }
 
@@ -239,7 +249,6 @@ pub fn run_sim(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
         fault_seed,
         outcome: classify(result, &w.oracle_sim),
         counters,
-        pinned_pages: 0,
         leaked_dir: false,
     }
 }
@@ -293,8 +302,7 @@ fn workload(
     };
     let clean = "clean oracle run cannot fail";
     w.oracle_sim = run_faulted_sim(&w, FaultPlan::new()).0.expect(clean);
-    let fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())?;
-    w.oracle_file = run_real(fb, &w).1.expect(clean);
+    w.oracle_file = run_real(&w, FaultPlan::new()).0.expect(clean);
     Ok(w)
 }
 
