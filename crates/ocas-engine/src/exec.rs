@@ -16,6 +16,7 @@ use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
 use crate::spill::{stage_rows, Extent, SpillAlloc};
+use crate::stream_kernel::{dedup, merge_pass, zip};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
 
@@ -144,6 +145,14 @@ fn fnv_values(mut h: u64, values: &[i64]) -> u64 {
         }
     }
     h
+}
+
+/// The wrapping sum of column 0 over `bytes`, rows of `width` little-endian
+/// 8-byte columns: the aggregate's inner loop over a data run, compiled once.
+fn column0_sum(bytes: &[u8], width: usize) -> i64 {
+    let first = |row: &[u8]| i64::from_le_bytes(row[..8].try_into().expect("an 8-byte column"));
+    let rows = bytes.chunks_exact(8 * width);
+    rows.fold(0i64, |sum, row| sum.wrapping_add(first(row)))
 }
 
 /// Expected matches between an outer block of `on` tuples and an inner
@@ -349,26 +358,49 @@ impl Sink {
         }
     }
 
-    /// Emits one row given as a slice: for a consumed output the witness
-    /// and a count, inlined into the streaming operators' per-row loops;
-    /// staging a row for a device is the out-of-line part.
-    #[inline(always)]
-    fn emit_slice<B: StorageBackend>(&mut self, sm: &mut B, row: &[i64]) -> Result<(), ExecError> {
-        self.witness(row);
-        if matches!(self.output, Output::Discard) {
-            self.rows += 1;
-            return Ok(());
+    /// How many rows a streaming kernel may emit before handing them over:
+    /// the rows the output buffer absorbs, plus the one whose emission
+    /// flushes it (no limit for a consumed output).
+    fn room(&self) -> usize {
+        match &self.output {
+            Output::Discard => usize::MAX,
+            Output::ToDevice { buffer_bytes, .. } => {
+                let cap = (*buffer_bytes).max(self.tuple_bytes);
+                let left = (cap - self.pending).div_ceil(self.tuple_bytes);
+                usize::try_from(left).unwrap_or(usize::MAX)
+            }
         }
-        self.stage_slice(sm, row)
     }
 
-    /// The device-bound half of [`emit_slice`](Sink::emit_slice).
-    #[inline(never)]
-    fn stage_slice<B: StorageBackend>(&mut self, sm: &mut B, row: &[i64]) -> Result<(), ExecError> {
-        if self.faithful {
-            self.encode_cols(row.iter());
+    /// Emits whole rows given row-major — a kernel's batch, or one row of a
+    /// test oracle's loop — exactly as emitting them one at a time would:
+    /// the witness, then the encoding and the flushes of a device-bound
+    /// output.
+    fn emit_rows<B: StorageBackend>(
+        &mut self,
+        sm: &mut B,
+        values: &[i64],
+    ) -> Result<(), ExecError> {
+        if values.is_empty() {
+            return Ok(());
         }
-        self.emit_bulk(sm, 1)
+        self.witness(values);
+        let n = (values.len() / self.width) as u64;
+        if matches!(self.output, Output::Discard) {
+            self.rows += n;
+            return Ok(());
+        }
+        if self.faithful {
+            match self.codec {
+                Some(8) => self.encode_cols(values.iter()),
+                _ => {
+                    for row in values.chunks_exact(self.width) {
+                        self.encode_cols(row.iter());
+                    }
+                }
+            }
+        }
+        self.emit_bulk(sm, n)
     }
 
     /// Emits the join row `a ++ b` without materializing it first.
@@ -1548,7 +1580,8 @@ impl<B: StorageBackend> Executor<B> {
     /// cursors and, for the set union, the last emitted row — the online
     /// form of [`merge_bufs`], which the tests hold it to. A cursor is
     /// refilled only when its block is exhausted, and a difference stops
-    /// reading its right input once the left one is dry.
+    /// reading its right input once the left one is dry; between refills
+    /// and flushes, [`merge_pass`] takes the steps.
     fn merge_faithful(
         &mut self,
         (left, l): (usize, Relation),
@@ -1557,7 +1590,6 @@ impl<B: StorageBackend> Executor<B> {
         b_in: u64,
         sink: &mut Sink,
     ) -> Result<(), ExecError> {
-        use std::cmp::Ordering::{Equal, Less};
         // Rows of <value, multiplicity>, keyed by the value.
         let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
         if l.width != r.width || (vm && l.width != 2) {
@@ -1570,10 +1602,57 @@ impl<B: StorageBackend> Executor<B> {
             MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
         );
         sink.reserve(l.card + if diff { 0 } else { r.card });
+        let width = l.width.max(1) as usize;
         let mut a = BlockCursor::new(l, b_in);
         let mut b = BlockCursor::new(r, b_in);
-        // The last emitted row (set-union dedup), in a reused buffer; empty
-        // — which no row is — until there is one.
+        // The last emitted row (set-union dedup); empty — which no row is —
+        // until there is one.
+        let mut last: Vec<i64> = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
+        loop {
+            ensure(&mut self.sm, &mut a, left)?;
+            if !(diff && a.head().is_none()) {
+                ensure(&mut self.sm, &mut b, right)?;
+            }
+            // The loop notes what is resident before each step.
+            let held = a.resident_bytes() + b.resident_bytes();
+            self.note_peak(held + sink.resident_bytes());
+            out.clear();
+            let rests = (a.rest(), b.rest());
+            let took = merge_pass(kind, width, rests, &mut last, sink.room(), &mut out);
+            if took.steps == 0 {
+                return Ok(());
+            }
+            a.skip(took.rows[0]);
+            b.skip(took.rows[1]);
+            sink.emit_rows(&mut self.sm, &out[..took.before_last])?;
+            if took.steps > 1 {
+                self.note_peak(held + sink.resident_bytes());
+            }
+            sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
+        }
+    }
+
+    /// The per-row loop [`merge_faithful`](Executor::merge_faithful) runs
+    /// as [`merge_pass`] calls: the oracle the kernel is held to.
+    #[cfg(test)]
+    fn merge_literal(
+        &mut self,
+        (left, l): (usize, Relation),
+        (right, r): (usize, Relation),
+        kind: MergeKind,
+        b_in: u64,
+        sink: &mut Sink,
+    ) -> Result<(), ExecError> {
+        use std::cmp::Ordering::{Equal, Less};
+        let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
+        let diff = matches!(
+            kind,
+            MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
+        );
+        sink.reserve(l.card + if diff { 0 } else { r.card });
+        let mut a = BlockCursor::new(l, b_in);
+        let mut b = BlockCursor::new(r, b_in);
         let mut last: Vec<i64> = Vec::new();
         loop {
             ensure(&mut self.sm, &mut a, left)?;
@@ -1589,7 +1668,7 @@ impl<B: StorageBackend> Executor<B> {
                         return Ok(());
                     };
                     if kind == MergeKind::MultisetUnionSorted || last != row {
-                        sink.emit_slice(&mut self.sm, row)?;
+                        sink.emit_rows(&mut self.sm, row)?;
                         if kind == MergeKind::SetUnion {
                             last.clear();
                             last.extend_from_slice(row);
@@ -1604,16 +1683,16 @@ impl<B: StorageBackend> Executor<B> {
                 MergeKind::MultisetUnionVm => match (ha, hb) {
                     (None, None) => return Ok(()),
                     (Some(x), Some(y)) if x[0] == y[0] => {
-                        sink.emit_slice(&mut self.sm, &[x[0], x[1] + y[1]])?;
+                        sink.emit_rows(&mut self.sm, &[x[0], x[1] + y[1]])?;
                         a.advance();
                         b.advance();
                     }
                     (Some(x), y) if y.map_or(true, |y| x[0] < y[0]) => {
-                        sink.emit_slice(&mut self.sm, x)?;
+                        sink.emit_rows(&mut self.sm, x)?;
                         a.advance();
                     }
                     (_, y) => {
-                        sink.emit_slice(&mut self.sm, y.expect("the side that remains"))?;
+                        sink.emit_rows(&mut self.sm, y.expect("the side that remains"))?;
                         b.advance();
                     }
                 },
@@ -1624,13 +1703,13 @@ impl<B: StorageBackend> Executor<B> {
                         Some((Less, _)) => b.advance(),
                         Some((Equal, y)) => {
                             if vm && x[1] > y[1] {
-                                sink.emit_slice(&mut self.sm, &[x[0], x[1] - y[1]])?;
+                                sink.emit_rows(&mut self.sm, &[x[0], x[1] - y[1]])?;
                             }
                             a.advance();
                             b.advance();
                         }
                         _ => {
-                            sink.emit_slice(&mut self.sm, x)?;
+                            sink.emit_rows(&mut self.sm, x)?;
                             a.advance();
                         }
                     }
@@ -1661,21 +1740,8 @@ impl<B: StorageBackend> Executor<B> {
                 r.card = card;
                 BlockCursor::new(r, b_in)
             };
-            let mut cursors: Vec<BlockCursor> = rels.into_iter().map(over).collect();
-            // One reused scratch row for the zipped tuple (no per-row alloc).
-            let mut zipped: Vec<i64> = Vec::with_capacity(out_cols);
-            for _ in 0..card {
-                zipped.clear();
-                for (cursor, column) in cursors.iter_mut().zip(columns) {
-                    ensure(&mut self.sm, cursor, *column)?;
-                    zipped.extend_from_slice(cursor.head().expect("within card"));
-                    cursor.advance();
-                }
-                sink.emit_slice(&mut self.sm, &zipped)?;
-                let res = cursors.iter().map(BlockCursor::resident_bytes).sum::<u64>()
-                    + sink.resident_bytes();
-                self.note_peak(res);
-            }
+            let cursors: Vec<BlockCursor> = rels.into_iter().map(over).collect();
+            self.zip_faithful(cursors, columns, card, &mut sink)?;
         } else {
             // Round-robin block reads across the columns (seeks between
             // files).
@@ -1693,6 +1759,71 @@ impl<B: StorageBackend> Executor<B> {
         sink.finish(&mut self.sm)
     }
 
+    /// The faithful arm of [`run_columns`](Executor::run_columns): the
+    /// first `card` rows of every column's cursor, zipped by [`zip`] a
+    /// buffered stretch at a time. Every cursor is refilled when its block
+    /// is exhausted, in column order.
+    fn zip_faithful(
+        &mut self,
+        mut cursors: Vec<BlockCursor>,
+        columns: &[usize],
+        card: u64,
+        sink: &mut Sink,
+    ) -> Result<(), ExecError> {
+        let widths: Vec<usize> = cursors.iter().map(BlockCursor::width).collect();
+        let mut out: Vec<i64> = Vec::new();
+        let mut done = 0;
+        while done < card {
+            for (cursor, column) in cursors.iter_mut().zip(columns) {
+                ensure(&mut self.sm, cursor, *column)?;
+            }
+            let rests: Vec<&[i64]> = cursors.iter().map(BlockCursor::rest).collect();
+            let limit = (card - done).min(sink.room() as u64) as usize;
+            out.clear();
+            let took = zip(&rests, &widths, limit, &mut out);
+            assert!(took.steps > 0, "every column holds a row within card");
+            for cursor in &mut cursors {
+                cursor.skip(took.rows[0]);
+            }
+            // The loop notes what is resident after each step.
+            let held: u64 = cursors.iter().map(BlockCursor::resident_bytes).sum();
+            sink.emit_rows(&mut self.sm, &out[..took.before_last])?;
+            if took.steps > 1 {
+                self.note_peak(held + sink.resident_bytes());
+            }
+            sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
+            self.note_peak(held + sink.resident_bytes());
+            done += took.steps as u64;
+        }
+        Ok(())
+    }
+
+    /// The per-row loop [`zip_faithful`](Executor::zip_faithful) runs as
+    /// [`zip`] calls: the oracle the kernel is held to.
+    #[cfg(test)]
+    fn zip_literal(
+        &mut self,
+        mut cursors: Vec<BlockCursor>,
+        columns: &[usize],
+        card: u64,
+        sink: &mut Sink,
+    ) -> Result<(), ExecError> {
+        let mut zipped: Vec<i64> = Vec::new();
+        for _ in 0..card {
+            zipped.clear();
+            for (cursor, column) in cursors.iter_mut().zip(columns) {
+                ensure(&mut self.sm, cursor, *column)?;
+                zipped.extend_from_slice(cursor.head().expect("within card"));
+                cursor.advance();
+            }
+            sink.emit_rows(&mut self.sm, &zipped)?;
+            let res = cursors.iter().map(BlockCursor::resident_bytes).sum::<u64>()
+                + sink.resident_bytes();
+            self.note_peak(res);
+        }
+        Ok(())
+    }
+
     fn run_dedup(
         &mut self,
         input: usize,
@@ -1704,22 +1835,8 @@ impl<B: StorageBackend> Executor<B> {
         let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
         *compares += rel.card;
         if self.faithful() {
-            // One cursor and the last emitted row, in a reused buffer (empty,
-            // which no row is, until there is one): every block is read once.
             sink.reserve(rel.card);
-            let mut cursor = BlockCursor::new(rel, b_in);
-            let mut last: Vec<i64> = Vec::new();
-            loop {
-                ensure(&mut self.sm, &mut cursor, input)?;
-                let Some(row) = cursor.head() else { break };
-                if last != row {
-                    sink.emit_slice(&mut self.sm, row)?;
-                    last.clear();
-                    last.extend_from_slice(row);
-                }
-                cursor.advance();
-                self.note_peak(cursor.resident_bytes() + sink.resident_bytes());
-            }
+            self.dedup_faithful(BlockCursor::new(rel, b_in), input, &mut sink)?;
         } else {
             let mut idx = 0;
             while idx < rel.card {
@@ -1736,6 +1853,62 @@ impl<B: StorageBackend> Executor<B> {
         }
         self.charge_cpu(*compares, sink.rows, 0);
         sink.finish(&mut self.sm)
+    }
+
+    /// The faithful arm of [`run_dedup`](Executor::run_dedup): one cursor
+    /// over relation `input`, every block read once, and the last emitted
+    /// row (empty, which no row is, until there is one), the rows between
+    /// refills deduplicated by [`dedup`].
+    fn dedup_faithful(
+        &mut self,
+        mut cursor: BlockCursor,
+        input: usize,
+        sink: &mut Sink,
+    ) -> Result<(), ExecError> {
+        let width = cursor.width();
+        let mut last: Vec<i64> = Vec::new();
+        let mut out: Vec<i64> = Vec::new();
+        loop {
+            ensure(&mut self.sm, &mut cursor, input)?;
+            out.clear();
+            let took = dedup(width, cursor.rest(), &mut last, sink.room(), &mut out);
+            if took.steps == 0 {
+                return Ok(());
+            }
+            cursor.skip(took.rows[0]);
+            // The loop notes what is resident after each step.
+            let held = cursor.resident_bytes();
+            sink.emit_rows(&mut self.sm, &out[..took.before_last])?;
+            if took.steps > 1 {
+                self.note_peak(held + sink.resident_bytes());
+            }
+            sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
+            self.note_peak(held + sink.resident_bytes());
+        }
+    }
+
+    /// The per-row loop [`dedup_faithful`](Executor::dedup_faithful) runs
+    /// as [`dedup`] calls: the oracle the kernel is held to.
+    #[cfg(test)]
+    fn dedup_literal(
+        &mut self,
+        mut cursor: BlockCursor,
+        input: usize,
+        sink: &mut Sink,
+    ) -> Result<(), ExecError> {
+        let mut last: Vec<i64> = Vec::new();
+        loop {
+            ensure(&mut self.sm, &mut cursor, input)?;
+            let Some(row) = cursor.head() else { break };
+            if last != row {
+                sink.emit_rows(&mut self.sm, row)?;
+                last.clear();
+                last.extend_from_slice(row);
+            }
+            cursor.advance();
+            self.note_peak(cursor.resident_bytes() + sink.resident_bytes());
+        }
+        Ok(())
     }
 
     fn run_aggregate(
@@ -1770,30 +1943,67 @@ impl<B: StorageBackend> Executor<B> {
         })
     }
 
-    /// The faithful arm of [`run_aggregate`](Executor::run_aggregate): one
-    /// [`Relation::load_block`] per `b_in` tuples, averaged as they arrive.
+    /// The faithful arm of [`run_aggregate`](Executor::run_aggregate): the
+    /// request of [`Relation::load_block`] per `b_in` tuples, averaged as
+    /// they arrive. The requests go out as data runs of at most one device
+    /// page (a block longer than that, or the shorter last block, is a run
+    /// of one), so a backend that serves sequential requests together sees
+    /// them together. The rows are decoded from a run's bytes where the
+    /// backend handed them back (8-byte columns), else they are the
+    /// generator's: the run's from the window at once when it holds them
+    /// all, else block by block, so the window moves where it always did.
+    /// Either way residency is counted as the block read that way would
+    /// hold it — a run's byte staging is the memory level's, like the
+    /// backend's read-ahead, not an operator's.
     fn aggregate_faithful(
         &mut self,
         mut rel: Relation,
         b_in: u64,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        let mut block = BlockBuf::default();
+        let tb = rel.tuple_bytes;
+        let width = rel.width.max(1) as usize;
+        let decodes = tb == width as u64 * 8;
+        let page = self.sm.page_bytes(self.sm.device_of(rel.file))?;
+        let per_run = (page / (b_in * tb).max(1)).max(1);
+        let mut bytes: Vec<u8> = Vec::new();
         let mut sum: i64 = 0;
         let mut count: i64 = 0;
-        // Residency changes with the block buffer or the generator's
-        // window, not with the executor: tracked here, reported once.
+        // Residency changes with the block or the generator's window, not
+        // with the executor: tracked here, reported once.
         let mut peak = 0;
         let mut idx = 0;
         while idx < rel.card {
-            let n = b_in.min(rel.card - idx);
-            let rows = rel.load_block(&mut self.sm, idx, b_in, &mut block)?;
-            for row in rows.iter() {
-                sum = sum.wrapping_add(row[0]);
-                count += 1;
+            let full = (rel.card - idx) / b_in;
+            let (block, blocks) = match full {
+                0 => (rel.card - idx, 1),
+                _ => (b_in, full.min(per_run)),
+            };
+            let len = (block * blocks * tb) as usize;
+            if bytes.len() < len {
+                bytes.resize(len, 0);
             }
-            peak = peak.max(rel.resident_bytes() + block.resident_bytes());
-            idx += n;
+            let run = &mut bytes[..len];
+            let held = self
+                .sm
+                .read_data_run(rel.file, idx * tb, block * tb, blocks, run)?;
+            if held && decodes {
+                sum = sum.wrapping_add(column0_sum(run, width));
+                count += (block * blocks) as i64;
+                peak = peak.max(rel.resident_bytes() + block * width as u64 * 8);
+            } else if let Some(rows) = rel.cached_rows(idx, block * blocks) {
+                // Every block of the run in the window already generated.
+                sum = rows.iter().fold(sum, |s, row| s.wrapping_add(row[0]));
+                count += rows.len() as i64;
+            } else {
+                for at in (idx..).step_by(block as usize).take(blocks as usize) {
+                    let rows = rel.block_rows(at, block);
+                    sum = rows.iter().fold(sum, |s, row| s.wrapping_add(row[0]));
+                    count += rows.len() as i64;
+                    peak = peak.max(rel.resident_bytes());
+                }
+            }
+            idx += block * blocks;
         }
         *compares += rel.card;
         self.note_peak(peak);
@@ -2945,6 +3155,249 @@ mod tests {
             merge_rows(&avm, &bvm, MergeKind::MultisetDiffVm),
             vec![vec![1, 2]]
         );
+    }
+
+    /// One charged request: `(is_write, file, offset, len)`.
+    type Request = (bool, usize, u64, u64);
+
+    /// The simulator, logging every charged request — the wrapper
+    /// `ocas-runtime`'s `stream_requests.rs` records real runs with.
+    struct Recording {
+        inner: StorageSim,
+        log: Vec<Request>,
+    }
+
+    impl StorageBackend for Recording {
+        fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
+            self.inner.alloc(device, len)
+        }
+        fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+            self.log.push((false, file.0, offset, len));
+            StorageBackend::read(&mut self.inner, file, offset, len)
+        }
+        fn read_data(
+            &mut self,
+            file: FileId,
+            offset: u64,
+            buf: &mut [u8],
+        ) -> Result<bool, StorageError> {
+            self.log.push((false, file.0, offset, buf.len() as u64));
+            self.inner.read_data(file, offset, buf)
+        }
+        fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+            self.log.push((true, file.0, offset, len));
+            StorageBackend::write(&mut self.inner, file, offset, len)
+        }
+        fn write_bytes(
+            &mut self,
+            file: FileId,
+            offset: u64,
+            data: &[u8],
+        ) -> Result<(), StorageError> {
+            self.log.push((true, file.0, offset, data.len() as u64));
+            self.inner.write_bytes(file, offset, data)
+        }
+        fn materialize(
+            &mut self,
+            file: FileId,
+            offset: u64,
+            data: &[u8],
+        ) -> Result<(), StorageError> {
+            self.inner.materialize(file, offset, data)
+        }
+        fn charge_cpu(&mut self, seconds: f64) {
+            StorageBackend::charge_cpu(&mut self.inner, seconds)
+        }
+        fn clock(&self) -> f64 {
+            StorageBackend::clock(&self.inner)
+        }
+        fn len(&self, file: FileId) -> u64 {
+            StorageBackend::len(&self.inner, file)
+        }
+        fn device_of(&self, file: FileId) -> &str {
+            StorageBackend::device_of(&self.inner, file)
+        }
+        fn device_stats(&self, device: &str) -> Option<ocas_storage::DeviceStats> {
+            StorageBackend::device_stats(&self.inner, device)
+        }
+        fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
+            StorageBackend::truncate_device(&mut self.inner, device, mark)
+        }
+        fn watermark(&self, device: &str) -> Option<u64> {
+            StorageBackend::watermark(&self.inner, device)
+        }
+        fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+            StorageBackend::page_bytes(&self.inner, device)
+        }
+    }
+
+    /// What a streaming plan's run is held to: the collected rows, the
+    /// digest, the rows emitted, the comparisons, the peak resident bytes,
+    /// every request in order and the device's counters.
+    type Witness = (
+        Option<RowBuf>,
+        Option<u64>,
+        u64,
+        u64,
+        u64,
+        Vec<Request>,
+        Option<ocas_storage::DeviceStats>,
+    );
+
+    /// `plan` — a merge pass, column zip or duplicate removal — run by the
+    /// per-row loop its kernel replaced, set up as `Executor::run` sets it
+    /// up: `(output, digest, rows, compares, peak)`.
+    fn run_literal<B: StorageBackend>(
+        ex: &mut Executor<B>,
+        plan: &Plan,
+    ) -> (Option<RowBuf>, Option<u64>, u64, u64, u64) {
+        ex.peak_resident = 0;
+        let (sink, compares) = match plan {
+            Plan::MergePass {
+                left,
+                right,
+                kind,
+                b_in,
+                output,
+            } => {
+                let (l, r) = (ex.rels[*left].clone(), ex.rels[*right].clone());
+                let compares = l.card + r.card;
+                let mut sink = ex.sink(output, l.tuple_bytes, l.width.max(1) as usize);
+                let inputs = ((*left, l), (*right, r));
+                ex.merge_literal(inputs.0, inputs.1, *kind, *b_in, &mut sink)
+                    .unwrap();
+                (sink, compares)
+            }
+            Plan::ColumnZip {
+                columns,
+                b_in,
+                output,
+            } => {
+                let rels: Vec<Relation> = columns.iter().map(|c| ex.rels[*c].clone()).collect();
+                let card = rels.iter().map(|r| r.card).min().unwrap_or(0);
+                let bytes = rels.iter().map(|r| r.tuple_bytes).sum();
+                let cols = rels.iter().map(|r| r.width.max(1) as usize).sum();
+                let mut sink = ex.sink(output, bytes, cols);
+                sink.reserve(card);
+                let over = |mut r: Relation| {
+                    r.card = card;
+                    BlockCursor::new(r, *b_in)
+                };
+                let cursors = rels.into_iter().map(over).collect();
+                ex.zip_literal(cursors, columns, card, &mut sink).unwrap();
+                (sink, 0)
+            }
+            Plan::DedupSorted {
+                input,
+                b_in,
+                output,
+            } => {
+                let rel = ex.rels[*input].clone();
+                let compares = rel.card;
+                let mut sink = ex.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
+                sink.reserve(rel.card);
+                let cursor = BlockCursor::new(rel, *b_in);
+                ex.dedup_literal(cursor, *input, &mut sink).unwrap();
+                (sink, compares)
+            }
+            other => unreachable!("not a streaming plan: {}", other.name()),
+        };
+        let op = sink.finish(&mut ex.sm).unwrap();
+        (op.output, op.digest, op.rows, compares, ex.peak_resident)
+    }
+
+    /// Runs `plan` over relations made from `specs` on a fresh recording
+    /// simulator, through the kernels (`Executor::run`) or the literal loop.
+    fn witness(specs: &[RelSpec], plan: &Plan, collect: bool, literal: bool) -> Witness {
+        let inner = StorageSim::from_hierarchy(&presets::hdd_ram(1 << 25));
+        let sm = Recording {
+            inner,
+            log: Vec::new(),
+        };
+        let mut ex =
+            Executor::new(sm, Mode::Faithful, CpuModel::disabled()).with_output_collection(collect);
+        for (i, spec) in specs.iter().enumerate() {
+            let rel = Relation::create(&mut ex.sm, spec, true, 40 + i as u64).unwrap();
+            ex.add_relation(rel);
+        }
+        let (output, digest, rows, compares, peak) = if literal {
+            run_literal(&mut ex, plan)
+        } else {
+            let s = ex.run(plan).unwrap();
+            let rows = s.output_rows;
+            (
+                s.output,
+                s.output_digest,
+                rows,
+                s.compares,
+                s.peak_resident_bytes,
+            )
+        };
+        let stats = ex.sm.device_stats("HDD");
+        (output, digest, rows, compares, peak, ex.sm.log, stats)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// Each streaming kernel against the per-row loop it replaced, on
+        /// the recording simulator: the five merge kinds, zips of one to
+        /// five columns of one to three columns each, and the duplicate
+        /// removal, at `b_in` of 1, 3, 64 and the whole input, over key
+        /// domains small enough that rows tie, generator windows small
+        /// enough to move mid-run, a consumed output and device-bound ones
+        /// whose buffers flush mid-block, rows collected or digested. The
+        /// same requests in the same order, rows, digest, comparisons, peak
+        /// and device counters.
+        #[test]
+        fn streaming_kernels_equal_their_literal_loops(
+            (template, width, columns) in (0u32..7, 1u32..4, 1usize..6),
+            (cards, key_range, cache) in ((0u64..300, 0u64..300), 1u64..40, 0u64..4),
+            (b_in_kind, buffer, collect) in (0u32..4, 0u64..200, 0u32..2),
+            widths in proptest::collection::vec(1u32..4, 5..6),
+        ) {
+            let spec = |name: &str, card: u64, width: u32| RelSpec {
+                width,
+                cache_bytes: [0, 64, 520, 4096][cache as usize],
+                ..RelSpec::ints(name, "HDD", card)
+                    .sorted()
+                    .with_key_range(key_range)
+            };
+            let longest = cards.0.max(cards.1).max(1);
+            let b_in = [1, 3, 64, longest][b_in_kind as usize];
+            let output = match buffer {
+                0..=39 => Output::Discard,
+                _ => Output::ToDevice {
+                    device: "HDD".into(),
+                    buffer_bytes: buffer - 40,
+                },
+            };
+            let (specs, plan) = match template {
+                0..=4 => {
+                    let kind = [
+                        MergeKind::MultisetUnionSorted,
+                        MergeKind::SetUnion,
+                        MergeKind::MultisetUnionVm,
+                        MergeKind::MultisetDiffSorted,
+                        MergeKind::MultisetDiffVm,
+                    ][template as usize];
+                    let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
+                    let width = if vm { 2 } else { width };
+                    let specs = vec![spec("A", cards.0, width), spec("B", cards.1, width)];
+                    (specs, Plan::MergePass { left: 0, right: 1, kind, b_in, output })
+                }
+                5 => {
+                    let specs = (0..columns)
+                        .map(|c| spec(&format!("C{c}"), cards.0 + c as u64 % 2, widths[c]))
+                        .collect();
+                    (specs, Plan::ColumnZip { columns: (0..columns).collect(), b_in, output })
+                }
+                _ => (vec![spec("L", cards.0, width)], Plan::DedupSorted { input: 0, b_in, output }),
+            };
+            let kernel = witness(&specs, &plan, collect == 1, false);
+            let literal = witness(&specs, &plan, collect == 1, true);
+            proptest::prop_assert_eq!(kernel, literal, "{:?}", plan);
+        }
     }
 
     #[test]

@@ -43,10 +43,15 @@
 //! operator computes on what it read, a [`Relation::attach`]ed file needs no
 //! generator, and a twin comparison can fail because of what is in a file —
 //! else (the simulator) it is the relation's generator's. The nested-loops
-//! join and the aggregation take whole blocks ([`Relation::load_block`]);
-//! merge pass, column zip and duplicate removal pull rows through one
-//! [`BlockCursor`] per input, refilled when its block is exhausted, and that
-//! loop is their only implementation, on the simulator and on real files.
+//! join takes whole blocks ([`Relation::load_block`]); the aggregation issues
+//! the same block requests as data runs of at most one device page
+//! ([`StorageBackend::read_data_run`](ocas_storage::StorageBackend::read_data_run)),
+//! which the file backend serves from its read-ahead window with one copy
+//! and the simulator answers with one run request — still counted, faulted
+//! and (on files) traced request by request; merge pass, column zip and
+//! duplicate removal pull rows through one [`BlockCursor`] per input,
+//! refilled when its block is exhausted, and that loop is their only
+//! implementation, on the simulator and on real files.
 //! So *faithful* mode issues what a real run issues (a difference stops
 //! reading its right input once the left one is dry, a duplicate removal
 //! reads each block once), while *simulated* mode models the paper-scale
@@ -116,6 +121,23 @@
 //! literal loser-tree loop (at least 1.3x at 8 runs, no slower at 2 and at
 //! 32), and the literal loop survives as the test oracle.
 //!
+//! **Streaming kernels.** Merge pass (all five kinds), column zip and
+//! duplicate removal move a batch per call too (`stream_kernel`): between
+//! two cursor refills or two sink flushes, one call takes every step of the
+//! template's loop over the cursors' buffered rows ([`BlockCursor::rest`])
+//! and appends what they emit to a plain `Vec`, which the sink then takes
+//! whole. A call stops right after the step that uses up an input's block
+//! or emits the row that fills the output buffer, so every request, flush
+//! offset, comparison count, digest and peak is the per-row loop's; the
+//! caller notes the resident bytes the loop would have noted before or
+//! after the call's last step. Rows of one column (and the merge's pairs)
+//! get instantiations of their own, the unary union's pick and the
+//! duplicate test are branch-free, and nothing in them is generic over a
+//! backend or can fail. `tests/stream_throughput.rs` gates them against
+//! the per-row loops (at least 1.5x together at `real-stream`'s sizes), and
+//! the loops survive as the in-crate oracles of
+//! `streaming_kernels_equal_their_literal_loops`.
+//!
 //! **Sorted windows.** A sorted relation's generator rebuilds a window of
 //! ranks by drawing its whole stream again. For unary lists the draws it
 //! keeps go straight into groups of value buckets whose sizes the generator
@@ -143,6 +165,7 @@ pub mod plan;
 pub mod rel;
 mod sorted_window;
 mod spill;
+mod stream_kernel;
 
 pub use exec::{merge_bufs, ExecError, ExecStats, Executor};
 pub use lower::{lower, LowerError, WorkloadHint};

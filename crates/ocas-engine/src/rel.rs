@@ -833,6 +833,13 @@ impl BlockCache {
         self.start = 0;
     }
 
+    /// A borrowed view of output ranks `[index, index + count)` if the
+    /// cached window holds them all (`count > 0`).
+    fn cached(&self, index: u64, count: u64) -> Option<RowsView<'_>> {
+        let covered = self.start <= index && index + count <= self.start + self.buf.len() as u64;
+        covered.then(|| self.buf.view((index - self.start) as usize, count as usize))
+    }
+
     /// A borrowed view of output ranks `[index, index + count)`
     /// (pre-clamped by the caller), regenerating the cached window when
     /// the request falls outside it.
@@ -1104,6 +1111,17 @@ impl Relation {
         }
     }
 
+    /// The rows of tuples `[index, index + count)` (`count > 0`, all within
+    /// the relation) if the generator's cached window holds them: what
+    /// [`block_rows`](Relation::block_rows) would serve without generating
+    /// anything. `None` otherwise, and for a virtual relation.
+    pub fn cached_rows(&self, index: u64, count: u64) -> Option<RowsView<'_>> {
+        match &self.source {
+            RowSource::Virtual => None,
+            RowSource::Streamed { cache, .. } => cache.cached(index, count),
+        }
+    }
+
     /// Materializes the full relation as one flat batch (`None` for
     /// virtual relations). Oracle/test use only: allocates the whole
     /// relation.
@@ -1202,6 +1220,20 @@ impl BlockCursor {
     #[inline]
     pub fn advance(&mut self) {
         self.pos += 1;
+    }
+
+    /// Steps past the next `rows` rows of the block, at most what
+    /// [`rest`](BlockCursor::rest) holds: what a kernel took from it.
+    #[inline]
+    pub fn skip(&mut self, rows: usize) {
+        debug_assert!(self.pos + rows <= self.rows, "past the block");
+        self.pos += rows;
+    }
+
+    /// Columns per row.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.rel.width.max(1) as usize
     }
 
     /// The rows left in the block, row-major (no I/O; call `ensure` first):

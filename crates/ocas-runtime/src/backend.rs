@@ -6,7 +6,9 @@
 
 use crate::pool::{BufferPool, PolicyKind, PoolStats};
 use ocas_hierarchy::Hierarchy;
-use ocas_storage::{DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError};
+use ocas_storage::{
+    read_data_loop, DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -159,6 +161,24 @@ impl DeviceFile {
         Ok(())
     }
 
+    /// Serves `count` sequential requests of `unit` bytes, `buf` in all,
+    /// out of the window (the caller checked that it holds them): one copy
+    /// and one pointer bump, but each request counted — and recorded while
+    /// tracing — on its own. Nothing worth timing.
+    #[inline]
+    fn serve_ahead(&mut self, buf: &mut [u8], unit: u64, count: u64) {
+        let from = self.ahead.start;
+        buf.copy_from_slice(&self.window[from..from + buf.len()]);
+        self.ahead.start += buf.len();
+        self.position += buf.len() as u64;
+        self.stats.bytes_read += buf.len() as u64;
+        if ocas_obs::enabled() {
+            for _ in 0..count {
+                self.obs_request("read", ocas_obs::wall_now(), 0.0, unit, false);
+            }
+        }
+    }
+
     /// Records one charged request as a wall-clock span on this device's
     /// track, plus counter deltas for any buffer-pool activity it caused.
     fn obs_request(&mut self, name: &'static str, start: f64, dur: f64, bytes: u64, seek: bool) {
@@ -232,6 +252,12 @@ impl DeviceFile {
 /// * *Not timed:* a request served from the window reads no clock — there
 ///   is no I/O in it to time. The refill is timed like any pool read, on
 ///   the request that caused it.
+/// * *Served together in a data run:* `read_data_run` is the loop of its
+///   requests, except that the ones the window holds are one copy and one
+///   bulk update of the counters (still one obs span each while tracing).
+///   The requests that find the window short take the single-request path,
+///   so the window refills at the same requests, and the bytes, counters,
+///   pool statistics and window afterwards are the loop's.
 /// * *Dropped by:* any `write`/`write_bytes`/`materialize` on the device
 ///   (its bytes change), `truncate_device` (its extents change), and any
 ///   read that is not such a sequential sub-page one (the position moves
@@ -414,15 +440,39 @@ impl FileBackend {
         if at.pos != d.position || buf.len() > d.ahead.len() {
             return self.read_pool(at, buf);
         }
-        // The pointer bump: counted like any request, but the bytes are
-        // already here — no pool lookup, and nothing worth timing.
-        let from = d.ahead.start;
-        buf.copy_from_slice(&d.window[from..from + buf.len()]);
-        d.ahead.start += buf.len();
-        d.position += buf.len() as u64;
-        d.stats.bytes_read += buf.len() as u64;
-        if ocas_obs::enabled() {
-            d.obs_request("read", ocas_obs::wall_now(), 0.0, buf.len() as u64, false);
+        // The pointer bump: the bytes are already here, no pool lookup.
+        d.serve_ahead(buf, buf.len() as u64, 1);
+        Ok(())
+    }
+
+    /// [`StorageBackend::read_data_run`] within one file's extent, with
+    /// `unit` from 1 B to a [`CHUNK`], so that each request is one
+    /// [`read_device`](FileBackend::read_device): the requests the window
+    /// holds are served together, and each one that finds it short takes
+    /// the single-request path, as in the loop.
+    fn read_device_run(
+        &mut self,
+        at: Located,
+        unit: usize,
+        buf: &mut [u8],
+    ) -> Result<(), StorageError> {
+        let mut done = 0;
+        while done < buf.len() {
+            let pos = at.pos + done as u64;
+            let d = &mut self.devices[at.device];
+            let held = if pos == d.position {
+                (d.ahead.len() / unit * unit).min(buf.len() - done)
+            } else {
+                0
+            };
+            if held > 0 {
+                let n = held / unit;
+                d.serve_ahead(&mut buf[done..done + held], unit as u64, n as u64);
+                done += held;
+            } else {
+                self.read_device(Located { pos, ..at }, &mut buf[done..done + unit])?;
+                done += unit;
+            }
         }
         Ok(())
     }
@@ -590,6 +640,28 @@ impl StorageBackend for FileBackend {
             at += chunk.len() as u64;
         }
         Ok(true)
+    }
+
+    fn read_data_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        // The loop itself where a request is empty or chunked, and where the
+        // run leaves the file: it serves the prefix and fails where the
+        // loop fails.
+        let fits =
+            (1..=CHUNK as u64).contains(&unit) && unit.checked_mul(count) == Some(buf.len() as u64);
+        match self.locate(file, offset, buf.len() as u64) {
+            Ok(at) if fits && count > 0 => {
+                self.read_device_run(at, unit as usize, buf)?;
+                Ok(true)
+            }
+            _ => read_data_loop(self, file, offset, unit, count, buf),
+        }
     }
 
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {

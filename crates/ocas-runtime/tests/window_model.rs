@@ -13,8 +13,8 @@
 //! numbers"): they compare returned payload with written payload.
 
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
-use ocas_runtime::{FileBackend, PolicyKind, PoolConfig};
-use ocas_storage::{FileId, StorageBackend, StorageError};
+use ocas_runtime::{FileBackend, PolicyKind, PoolConfig, PoolStats};
+use ocas_storage::{read_data_loop, FileId, StorageBackend, StorageError};
 use proptest::prelude::*;
 
 const PAGE: u64 = 64;
@@ -242,6 +242,113 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Everything observable about one side of
+/// [`a_data_run_is_the_loop_of_its_requests`]: the run's outcome and bytes,
+/// the device's `(bytes_read, bytes_written, seeks)` and pool statistics
+/// after it, the outcomes of the tuple requests after it and the pool
+/// statistics after those, and the obs events of it all.
+type Seen = (
+    String,
+    Vec<u8>,
+    (u64, u64, u64),
+    PoolStats,
+    Vec<String>,
+    PoolStats,
+    usize,
+);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `read_data_run` on the file backend against the loop of `read_data`
+    /// calls it stands for, on two backends that saw the same requests
+    /// before it: the same outcome and bytes, the same `DeviceStats` and
+    /// `PoolStats`, the same obs event count when tracing — and the same
+    /// window afterwards, which the tuple stream after the run shows: its
+    /// requests are served alike, refilling at the same ones. The run
+    /// follows a tuple stream, and then perhaps a write or a
+    /// materialization into the window or a read elsewhere; it starts where
+    /// the stream stands, a little past it, or anywhere, ends at the extent's
+    /// end or leaves the file; its units are sub-page, a tuple, a page or
+    /// more; it is empty or long enough to straddle pages and the window's
+    /// end.
+    #[test]
+    fn a_data_run_is_the_loop_of_its_requests(
+        (frames, unit_kind, unit_draw, count) in (1usize..24, 0u32..5, 1u64..PAGE, 0u64..80),
+        (stream, prior, at_kind, draw) in (0u64..40, 0u32..4, 0u32..5, 0u64..1 << 16),
+        tracing in 0u32..2,
+    ) {
+        let unit = match unit_kind {
+            0 => unit_draw,
+            1 => 8,
+            2 => PAGE,
+            3 => PAGE + unit_draw,
+            _ => 3 * PAGE,
+        };
+        let len = 50 * PAGE + 13;
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let position = stream * 8;
+        let count = match at_kind {
+            0 => count.min((len - position) / unit),
+            1 => count.min((len - position - 1 - draw % PAGE) / unit),
+            _ => count.min(len / unit),
+        };
+        let start = match at_kind {
+            0 => position,
+            1 => position + 1 + draw % PAGE,
+            2 => draw % (len - unit * count + 1),
+            3 => len - unit * count,
+            // Past the extent's end by one byte.
+            _ => len - unit * count + 1,
+        };
+        let side = |looped: bool| -> Seen {
+            let mut fb = backend(1 << 16, frames);
+            fb.alloc("HDD", 21).unwrap();
+            let f = fb.alloc("HDD", len).unwrap();
+            fb.materialize(f, 0, &data).unwrap();
+            let mut tuple = [0u8; 8];
+            for k in 0..stream {
+                fb.read_data(f, 8 * k, &mut tuple).unwrap();
+            }
+            let near = (position + draw % WINDOW).min(len - 8);
+            match prior {
+                0 => {}
+                1 => fb.write_bytes(f, near, &[0x5A; 8]).unwrap(),
+                2 => fb.materialize(f, near, &[0xA5; 8]).unwrap(),
+                _ => fb.read(f, draw % (len - PAGE), PAGE).unwrap(),
+            }
+            if tracing == 1 {
+                ocas_obs::start();
+            }
+            let mut buf = vec![0xEE; (unit * count) as usize];
+            let outcome = if looped {
+                read_data_loop(&mut fb, f, start, unit, count, &mut buf)
+            } else {
+                fb.read_data_run(f, start, unit, count, &mut buf)
+            };
+            let s = fb.device_stats("HDD").unwrap();
+            let pool = fb.pool_stats()[1].1;
+            let end = start + unit * count;
+            let after: Vec<String> = (0..20)
+                .map(|k| format!("{:?}", fb.read_data(f, end + 8 * k, &mut tuple).map(|_| tuple)))
+                .collect();
+            let events = match tracing {
+                1 => ocas_obs::finish().expect("recording").events.len(),
+                _ => 0,
+            };
+            let outcome = format!("{outcome:?}");
+            let stats = (s.bytes_read, s.bytes_written, s.seeks);
+            (outcome, buf, stats, pool, after, fb.pool_stats()[1].1, events)
+        };
+        let (run, looped) = (side(false), side(true));
+        prop_assert_eq!(&run, &looped, "{} x {} B at {}", count, unit, start);
+        if run.0 == "Ok(true)" && matches!(prior, 0 | 3) {
+            let from = start as usize;
+            prop_assert_eq!(&run.1[..], &data[from..from + run.1.len()]);
         }
     }
 }

@@ -41,6 +41,21 @@ use crate::manager::{FileId, StorageError, StorageSim};
 ///   block by block. They are shorthand, not a new kind of I/O: the default
 ///   body issues the reads one by one, and only the simulator answers the
 ///   whole run at once (same clock and counters, to the last bit).
+/// * **Data runs** ([`read_data_run`](StorageBackend::read_data_run)) are
+///   to run requests what data reads are to accounting reads: a sequence of
+///   equal data reads laid end to end, each filling its slice of one
+///   buffer. Shorthand again: the default body is the loop of data reads.
+///   The simulator answers a data run with its run request plus the kept
+///   payload; the file backend serves the requests its read-ahead window
+///   already holds with one copy, still counting (and, when tracing,
+///   recording) each, and sends exactly the requests that refill the
+///   window down the single-request path.
+///
+/// Who may override a run: a backend that gives the same clock, counters,
+/// bytes and device state as the loop without visiting each request. A
+/// backend whose behaviour depends on seeing every request one at a time —
+/// above all [`Faulted`](crate::Faulted), which numbers them for its
+/// [`FaultPlan`](crate::FaultPlan) — keeps both default loops.
 ///
 /// [`materialize`](StorageBackend::materialize) is the setup path: it
 /// places input data into a file *without* charging the clock or counters,
@@ -96,6 +111,31 @@ pub trait StorageBackend {
     ) -> Result<bool, StorageError> {
         self.read(file, offset, buf.len() as u64)?;
         Ok(false)
+    }
+
+    /// A data run: `count` sequential data reads of `unit` bytes, request
+    /// `j` filling `buf[j * unit..(j + 1) * unit]` from `offset + j * unit`
+    /// of `file`; `buf` is `unit * count` bytes long. `Ok(true)` means `buf`
+    /// holds the file's bytes (vacuously so for an empty run), as for
+    /// [`read_data`](StorageBackend::read_data).
+    ///
+    /// The default body *is* that loop of `read_data` calls
+    /// ([`read_data_loop`]), and the rule for overriding it is
+    /// [`read_run`](StorageBackend::read_run)'s: the same clock, counters,
+    /// bytes and device state as the loop, or keep the loop.
+    /// [`Faulted`](crate::Faulted) keeps it. [`StorageSim`] overrides it
+    /// with its run request and the kept payload (and so shares the run
+    /// request's one difference: a run leaving the file is rejected before
+    /// anything is charged).
+    fn read_data_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        read_data_loop(self, file, offset, unit, count, buf)
     }
 
     /// Writes `len` bytes at `offset` within `file` (accounting request).
@@ -184,6 +224,42 @@ pub trait StorageBackend {
     }
 }
 
+/// The loop of [`read_data`](StorageBackend::read_data) calls a data run
+/// stands for: the default body of
+/// [`read_data_run`](StorageBackend::read_data_run), the fallback of a
+/// backend that overrides it, and the oracle every override is held to.
+/// `Ok(true)` when every request handed the file's bytes back.
+///
+/// # Panics
+///
+/// Unless `buf` is `unit * count` bytes long.
+pub fn read_data_loop<B: StorageBackend + ?Sized>(
+    backend: &mut B,
+    file: FileId,
+    offset: u64,
+    unit: u64,
+    count: u64,
+    buf: &mut [u8],
+) -> Result<bool, StorageError> {
+    check_run_buffer(unit, count, buf);
+    let mut held = true;
+    for j in 0..count {
+        let at = (j * unit) as usize;
+        let request = &mut buf[at..at + unit as usize];
+        held &= backend.read_data(file, offset + j * unit, request)?;
+    }
+    Ok(held)
+}
+
+/// Panics unless `buf` is the `unit * count` bytes a data run fills.
+fn check_run_buffer(unit: u64, count: u64, buf: &[u8]) {
+    assert!(
+        unit.checked_mul(count) == Some(buf.len() as u64),
+        "a data run of {count} x {unit} B fills {} B",
+        buf.len()
+    );
+}
+
 impl StorageBackend for StorageSim {
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
         StorageSim::alloc(self, device, len)
@@ -215,6 +291,19 @@ impl StorageBackend for StorageSim {
     ) -> Result<bool, StorageError> {
         StorageSim::read(self, file, offset, buf.len() as u64)?;
         Ok(self.load(file, offset, buf))
+    }
+
+    fn read_data_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, StorageError> {
+        check_run_buffer(unit, count, buf);
+        StorageSim::read_run(self, file, offset, unit, count)?;
+        Ok(count == 0 || self.load(file, offset, buf))
     }
 
     fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {

@@ -483,9 +483,10 @@ impl<B: StorageBackend> Faulted<B> {
     }
 }
 
-// `read_run` is deliberately left at the trait's default loop over `read`:
-// every request of a run must consume a per-device index and pass through
-// `run_charged`, so plans fire at the same index on every backend.
+// `read_run` and `read_data_run` are deliberately left at the trait's
+// default loops over `read` and `read_data`: every request of a run must
+// consume a per-device index and pass through `run_charged`, so plans fire
+// at the same index on every backend.
 impl<B: StorageBackend> StorageBackend for Faulted<B> {
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
         self.run_charged(device, FaultOp::Alloc, len, |inner, _| {

@@ -1,10 +1,12 @@
-//! `StorageSim::read_run` against the loop of `read` it stands for: same
-//! clock, same device counters, same device state afterwards — to the last
-//! bit, on every device kind — and the one documented difference (a run
-//! leaving the file is rejected before anything is charged).
+//! `StorageSim::read_run` against the loop of `read` it stands for, and
+//! `StorageSim::read_data_run` against the loop of `read_data`: same clock,
+//! same device counters, same device state afterwards — to the last bit, on
+//! every device kind — the same bytes handed back, and the one documented
+//! difference (a run leaving the file is rejected before anything is
+//! charged).
 
 use ocas_hierarchy::presets;
-use ocas_storage::{DeviceStats, FileId, StorageError, StorageSim};
+use ocas_storage::{read_data_loop, DeviceStats, FileId, StorageBackend, StorageError, StorageSim};
 use proptest::prelude::*;
 
 const PAGE: u64 = 4096;
@@ -68,6 +70,63 @@ proptest! {
             "{} run of {} x {} B at {}", device, count, unit, offset);
 
         // The next request sees the same device state (head, open block).
+        for sm in [&mut run, &mut looped] {
+            sm.read(file, probe_at, PAGE).unwrap();
+        }
+        prop_assert_eq!(observe(&run, device), observe(&looped, device),
+            "{} probe at {} after the run", device, probe_at);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// `StorageSim::read_data_run` against the loop of `read_data` it stands
+    /// for: the same clock to the bit, the same device counters, the same
+    /// answer and — for a file written with data, which the simulator keeps
+    /// — the same bytes (zeros past the last write); an input file, placed
+    /// without data, has no payload either way. Then the next request sees
+    /// the same device.
+    #[test]
+    fn read_data_run_equals_the_loop_of_data_reads(
+        (device, unit_kind, unit_draw, offset) in (0usize..3, 0u32..5, 1u64..PAGE, 0u64..3 * PAGE),
+        (count, written, write_at, write_len) in (0u64..300, 0u32..3, 0u64..4 * PAGE, 1u64..4 * PAGE),
+        probe_at in 0u64..FILE_LEN - PAGE,
+    ) {
+        let unit = match unit_kind {
+            0 => unit_draw,
+            1 => 1 + unit_draw % 64,
+            2 => PAGE,
+            3 => PAGE + unit_draw,
+            _ => 3 * PAGE,
+        };
+        let count = count.min((FILE_LEN - offset) / unit);
+        let (mut run, files) = sim();
+        let (mut looped, _) = sim();
+        let (device, file) = files[device];
+        let data: Vec<u8> = (0..write_len).map(|i| (i * 7 + 1) as u8).collect();
+        for sm in [&mut run, &mut looped] {
+            match written {
+                // An input: placed, kept nowhere.
+                0 => StorageBackend::materialize(sm, file, write_at, &data).unwrap(),
+                // Written with data, where the run reads or past it.
+                1 => sm.write_bytes(file, write_at, &data).unwrap(),
+                _ => sm.write_bytes(file, FILE_LEN - write_len, &data).unwrap(),
+            }
+        }
+
+        let len = (unit * count) as usize;
+        let (mut got, mut want) = (vec![0xEE; len], vec![0xEE; len]);
+        let held = run.read_data_run(file, offset, unit, count, &mut got).unwrap();
+        let looped_held = read_data_loop(&mut looped, file, offset, unit, count, &mut want).unwrap();
+        prop_assert_eq!(observe(&run, device), observe(&looped, device),
+            "{} run of {} x {} B at {}", device, count, unit, offset);
+        prop_assert_eq!(held, looped_held);
+        prop_assert_eq!(held, written != 0 || count == 0);
+        if held {
+            prop_assert_eq!(got, want);
+        }
+
         for sm in [&mut run, &mut looped] {
             sm.read(file, probe_at, PAGE).unwrap();
         }
