@@ -13,8 +13,9 @@
 //! * `--engine-before <path>` prior document whose `engine` section becomes
 //!   the before-numbers (`before_rows_per_sec` / `speedup` per entry)
 //! * `--check <path>`         compare this run against a baseline document
-//!   and exit non-zero on regressions (exact on rows/bytes/outputs, a
-//!   generous wall-clock and throughput tolerance for machine variance)
+//!   and exit non-zero on regressions, field by field as each section's
+//!   table gates it (exact on rows/bytes/digests/counters, a generous
+//!   wall-clock and throughput tolerance for machine variance)
 //! * `--check-tolerance <x>`  override the wall/throughput factor (default 25)
 //! * `--chaos-seed <n>`       base fault seed of the chaos sweep (default 0;
 //!   the nightly passes its run id, and a failing sweep replays exactly by
@@ -32,6 +33,11 @@
 //!   `chrome://tracing`). Every written file is re-parsed and schema
 //!   validated; a malformed trace fails the run.
 //!
+//! Whatever the options, the run exits non-zero after writing the document
+//! if it breaks one of its claims (`report::claims`): a real-I/O or
+//! faithful-scale twin disagreeing, a peak past the RAM device, or a chaos
+//! run giving a wrong answer or leaking a temp dir.
+//!
 //! The `obs` section (two representative workloads run under the
 //! `ocas-obs` recorder, reduced to counter and span-seconds totals)
 //! always runs: its counters and event counts are deterministic, so
@@ -44,16 +50,16 @@
 //! job's `--check` gates them exactly. So does the `faithful_scale`
 //! section (streamed-generator twin runs past the RAM device): its row
 //! counts, sizes and emission digests are deterministic and gated
-//! exactly, and the binary fails outright if a twin diverges or a peak
-//! exceeds the RAM device.
+//! exactly.
 //!
 //! `--real-only` is the mode CI's smoke job affords (seconds); the full
 //! document is regenerated manually per trajectory point.
 
 use ocas_bench::json::Json;
 use ocas_bench::report::{
-    bench_doc, chaos_rows, check_regressions, engine_throughput, faithful_scale_rows, obs_rows,
-    real_workloads, synthesis_stats, validate_bench_doc, validate_chrome_trace,
+    anchor_engine_rows, chaos_rows, check_regressions, claims, engine_throughput,
+    faithful_scale_rows, obs_rows, real_workloads, synthesis_stats, validate_bench_doc,
+    validate_chrome_trace, BenchDoc,
 };
 
 /// Lower-cases `name` into a filesystem-safe slug.
@@ -199,7 +205,7 @@ fn main() {
     }
 
     eprintln!("running engine throughput workloads (scale {engine_scale})…");
-    let engine = match engine_throughput(engine_scale) {
+    let mut engine = match engine_throughput(engine_scale) {
         Ok(rows) => {
             for r in &rows {
                 eprintln!(
@@ -223,7 +229,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut faithful_bad = false;
     for r in &faithful {
         eprintln!(
             "  {:<24} rel={}KiB ram={}KiB peak sim/real={}/{}KiB rows={} match={} bounded={}",
@@ -236,7 +241,6 @@ fn main() {
             r.outputs_match,
             r.peak_bounded()
         );
-        faithful_bad |= !r.outputs_match || !r.peak_bounded();
     }
 
     eprintln!("running real-I/O workloads (scale {real_scale}, disk_bound {disk_bound})…");
@@ -247,7 +251,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut diverged = false;
     for r in &real {
         eprintln!(
             "  {:<34} wall={:.4}s sim={:.2}s rows={} match={}",
@@ -257,7 +260,6 @@ fn main() {
             r.report.output.len(),
             r.report.outputs_match()
         );
-        diverged |= !r.report.outputs_match();
     }
 
     eprintln!("running observability workloads (ocas-obs recorder)…");
@@ -292,7 +294,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut chaos_bad = false;
     for r in &chaos {
         let s = &r.summary;
         eprintln!(
@@ -307,40 +308,34 @@ fn main() {
             s.wrong_answers,
             s.leaked_dirs
         );
-        chaos_bad |= !s.clean();
     }
 
-    let before_doc = engine_before.map(|p| {
+    if let Some(p) = engine_before {
         let text = std::fs::read_to_string(&p).expect("read --engine-before document");
-        Json::parse(&text).expect("parse --engine-before document")
-    });
-    let doc = bench_doc(
-        &table1,
-        &figure8,
-        cache,
-        &real,
-        &engine,
-        &synthesis,
-        &faithful,
-        &obs,
-        &chaos,
-        before_doc.as_ref(),
-    );
+        let prior = Json::parse(&text).expect("parse --engine-before document");
+        anchor_engine_rows(&mut engine, &prior);
+    }
+    let doc = BenchDoc {
+        table1: &table1,
+        figure8: &figure8,
+        cache_misses: cache,
+        engine: &engine,
+        synthesis: &synthesis,
+        faithful_scale: &faithful,
+        obs: &obs,
+        chaos: &chaos,
+        real: &real,
+    }
+    .to_json();
     validate_bench_doc(&doc).expect("generated document must satisfy its own schema");
     std::fs::write(&out_path, doc.pretty()).expect("write BENCH json");
     eprintln!("wrote {out_path}");
-    if diverged {
-        eprintln!("FAIL: a real-I/O run disagreed with the simulator (see match=false above)");
-        std::process::exit(1);
-    }
-    if faithful_bad {
-        eprintln!("FAIL: a faithful-scale twin diverged or exceeded the RAM device (see above)");
-        std::process::exit(1);
-    }
-    if chaos_bad {
-        eprintln!(
-            "FAIL: the chaos suite violated the robustness trichotomy (wrong answer or leaked dir above) — replay with `--chaos-seed {chaos_seed}`"
-        );
+    let broken = claims(&doc);
+    if !broken.is_empty() {
+        for b in &broken {
+            eprintln!("FAIL: {b}");
+        }
+        eprintln!("(a chaos sweep replays exactly with `--chaos-seed {chaos_seed}`)");
         std::process::exit(1);
     }
     if assert_direct && !real.iter().any(|r| r.report.direct_io) {

@@ -76,13 +76,13 @@ impl Json {
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.emit(&mut out, 0);
+        self.emit(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn emit(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
+    /// Emits at `indent` levels, or on one line when `indent` is `None`.
+    fn emit(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -94,34 +94,13 @@ impl Json {
                 }
             }
             Json::Str(s) => emit_string(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.emit(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    emit_string(out, k);
-                    out.push_str(": ");
-                    v.emit(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
+            Json::Arr(items) => emit_seq(out, indent, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(pairs) => emit_seq(
+                out,
+                indent,
+                "{}",
+                pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 
@@ -137,6 +116,72 @@ impl Json {
         }
         Ok(v)
     }
+}
+
+impl From<f64> for Json {
+    /// [`Json::num`]: a non-finite value becomes `null`.
+    fn from(n: f64) -> Json {
+        Json::num(n)
+    }
+}
+
+macro_rules! from_count {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_count!(u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl std::fmt::Display for Json {
+    /// The value on one line.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.emit(&mut out, None);
+        f.write_str(&out)
+    }
+}
+
+/// Emits the items of an array or object between the two characters of
+/// `brackets`: one item a line at `indent + 1` levels, or all on one line
+/// when `indent` is `None`.
+fn emit_seq<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: &str,
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    let empty = items.len() == 0;
+    out.push_str(open);
+    for (i, (key, v)) in items.enumerate() {
+        if i > 0 {
+            out.push_str(if indent.is_some() { "," } else { ", " });
+        }
+        if let Some(d) = indent {
+            out.push('\n');
+            out.push_str(&"  ".repeat(d + 1));
+        }
+        if let Some(k) = key {
+            emit_string(out, k);
+            out.push_str(": ");
+        }
+        v.emit(out, indent.map(|d| d + 1));
+    }
+    if let (Some(d), false) = (indent, empty) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(d));
+    }
+    out.push_str(close);
 }
 
 fn emit_string(out: &mut String, s: &str) {
@@ -329,6 +374,14 @@ mod tests {
         let text = doc.pretty();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn display_is_the_document_on_one_line() {
+        let doc = Json::parse(r#"{"a": [1, 2.5, {}], "b": {"c": "x"}, "d": []}"#).unwrap();
+        let line = doc.to_string();
+        assert_eq!(line, r#"{"a": [1, 2.5, {}], "b": {"c": "x"}, "d": []}"#);
+        assert_eq!(Json::parse(&line).unwrap(), doc);
     }
 
     #[test]

@@ -1,9 +1,16 @@
-//! Building and validating the `BENCH_*.json` trajectory document.
+//! Building, validating and checking the `BENCH_*.json` trajectory document.
 //!
 //! One schema'd JSON file records everything the reproduction binaries
 //! measure: the Table 1 rows, the Figure 8 points, the cache-miss
 //! companion, and the real-I/O workloads with wall-clock and simulated
 //! seconds side by side.
+//!
+//! Every array section of the document is one table: each field's JSON
+//! name, its [`Kind`], its [`Gate`] and the function that reads it off a
+//! row. The layout ([`BenchDoc::to_json`]), the schema check
+//! ([`validate_bench_doc`]), the claims every run must hold ([`claims`])
+//! and the baseline comparison ([`check_regressions`]) are all read from
+//! those tables, so a field is added, typed and gated in one line.
 
 use crate::json::Json;
 use ocas::experiments::{FaithfulScaleReport, Fig8Point, Row};
@@ -11,9 +18,349 @@ use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, R
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig, RealReport, Runtime, RuntimeError};
 use ocas_storage::{StorageBackend, StorageSim};
+use Factor::{Fixed, Tolerance};
+use Gate::{Claim, Exact, Higher, Info, Key, Lower, Scope};
+use Kind::{Bool, Counters, Num, OptNum, Str};
 
 /// The document's schema tag; bump on breaking layout changes.
 pub const SCHEMA: &str = "ocas-bench/v6";
+
+/// The JSON type of a field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kind {
+    /// A string.
+    Str,
+    /// A number.
+    Num,
+    /// A number an entry may leave out: a `null` read off the row is not
+    /// emitted.
+    OptNum,
+    /// A boolean.
+    Bool,
+    /// An object of numbers (counter totals keyed by name).
+    Counters,
+}
+
+/// How `bench_json --check` treats a field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gate {
+    /// Names the entry: the baseline entry with the same keys is its
+    /// counterpart. An entry without one is skipped (workloads evolve
+    /// across trajectory points).
+    Key,
+    /// Sets the experiment (a cardinality scale, a fault seed): an entry
+    /// whose counterpart differs here is a different workload, and is not
+    /// compared.
+    Scope,
+    /// Deterministic (same seeds, same plans): equal to the counterpart.
+    Exact,
+    /// What the run claims, checked in every document whatever the
+    /// baseline: `true` for a boolean, `0` for a number.
+    Claim,
+    /// Lower is better: may rise to the factor times the counterpart.
+    Lower(Factor),
+    /// Higher is better: may fall to the counterpart over the factor.
+    Higher(Factor),
+    /// Recorded, not compared.
+    Info,
+}
+
+/// The factor a [`Gate::Lower`] or [`Gate::Higher`] field may move by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Factor {
+    /// The run's `--check-tolerance`: wall clocks move with the machine.
+    Tolerance,
+    /// A fixed factor: a ratio of two clocks read back to back on the same
+    /// machine is far more stable than either clock, so it gets a real
+    /// floor instead of the generous tolerance.
+    Fixed(f64),
+}
+
+/// One field of a section's table.
+struct Field<T> {
+    name: &'static str,
+    kind: Kind,
+    gate: Gate,
+    get: fn(&T) -> Json,
+}
+
+const fn field<T>(name: &'static str, kind: Kind, gate: Gate, get: fn(&T) -> Json) -> Field<T> {
+    Field {
+        name,
+        kind,
+        gate,
+        get,
+    }
+}
+
+/// One array section of the document: its key and its fields, in
+/// emission order.
+struct Section<T: 'static> {
+    name: &'static str,
+    fields: &'static [Field<T>],
+}
+
+impl<T: 'static> Section<T> {
+    /// The section's `(key, array)` pair for `rows`.
+    fn emit(&self, rows: &[T]) -> (&'static str, Json) {
+        let entry = |row: &T| {
+            Json::Obj(
+                self.fields
+                    .iter()
+                    .map(|f| (f, (f.get)(row)))
+                    .filter(|(f, v)| f.kind != OptNum || *v != Json::Null)
+                    .map(|(f, v)| (f.name.to_string(), v))
+                    .collect(),
+            )
+        };
+        (self.name, Json::Arr(rows.iter().map(entry).collect()))
+    }
+}
+
+/// A field's `(name, kind, gate)`: what validation and `--check` read.
+pub type Spec = (&'static str, Kind, Gate);
+
+/// A section with its row type erased.
+trait Table: Sync {
+    fn name(&self) -> &'static str;
+    fn specs(&self) -> Vec<Spec>;
+}
+
+impl<T: 'static> Table for Section<T> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn specs(&self) -> Vec<Spec> {
+        self.fields
+            .iter()
+            .map(|f| (f.name, f.kind, f.gate))
+            .collect()
+    }
+}
+
+static TABLE1: Section<Row> = Section {
+    name: "table1",
+    fields: &[
+        field("name", Str, Key, |r| Json::str(&r.name)),
+        field("spec_seconds", Num, Info, |r| r.spec_seconds.into()),
+        field("opt_seconds", Num, Info, |r| r.opt_seconds.into()),
+        field("act_seconds", Num, Info, |r| r.act_seconds.into()),
+        field("search_space", Num, Info, |r| r.search_space.into()),
+        field("steps", Num, Info, |r| r.steps.into()),
+        field("ocas_seconds", Num, Info, |r| r.ocas_seconds.into()),
+        field("best_program", Str, Info, |r| Json::str(&r.best_program)),
+    ],
+};
+
+static FIGURE8: Section<Fig8Point> = Section {
+    name: "figure8",
+    fields: &[
+        field("panel", Str, Key, |p| Json::str(p.panel)),
+        field("label", Str, Key, |p| Json::str(&p.label)),
+        field("estimated_seconds", Num, Info, |p| p.estimated.into()),
+        field("measured_seconds", Num, Info, |p| p.measured.into()),
+    ],
+};
+
+static ENGINE: Section<EngineRow> = Section {
+    name: "engine",
+    fields: &[
+        field("template", Str, Key, |r| Json::str(&r.template)),
+        field("backend", Str, Key, |r| Json::str(&r.backend)),
+        field("rows_in", Num, Scope, |r| r.rows_in.into()),
+        field("rows_out", Num, Info, |r| r.rows_out.into()),
+        field("seconds", Num, Info, |r| r.seconds.into()),
+        field("rows_per_sec", Num, Higher(Tolerance), |r| {
+            r.rows_per_sec.into()
+        }),
+        field("before_rows_per_sec", OptNum, Info, |r| {
+            r.before_rows_per_sec.map_or(Json::Null, Json::num)
+        }),
+        field("speedup", OptNum, Info, |r| {
+            r.before_rows_per_sec.map_or(Json::Null, |b| {
+                Json::num(r.rows_per_sec / b.max(f64::MIN_POSITIVE))
+            })
+        }),
+    ],
+};
+
+static SYNTHESIS: Section<SynthesisRow> = Section {
+    name: "synthesis",
+    fields: &[
+        field("name", Str, Key, |r| Json::str(&r.name)),
+        // The explored space is deterministic by the engine contract: drift
+        // means the search changed, or the parallel merge broke.
+        field("explored", Num, Exact, |r| r.explored.into()),
+        field("generated", Num, Exact, |r| r.generated.into()),
+        field("rejected_type", Num, Exact, |r| r.rejected_type.into()),
+        field("rejected_semantics", Num, Exact, |r| {
+            r.rejected_semantics.into()
+        }),
+        field("depth_reached", Num, Exact, |r| r.depth_reached.into()),
+        field("arena_nodes", Num, Info, |r| r.arena_nodes.into()),
+        field("seconds", Num, Lower(Tolerance), |r| r.seconds.into()),
+        field("reference_seconds", Num, Info, |r| {
+            r.reference_seconds.into()
+        }),
+        field(
+            "speedup",
+            Num,
+            Higher(Fixed(SYNTH_SPEEDUP_TOLERANCE)),
+            |r| r.speedup.into(),
+        ),
+        field("programs_per_sec", Num, Info, |r| r.programs_per_sec.into()),
+    ],
+};
+
+static FAITHFUL_SCALE: Section<FaithfulScaleReport> = Section {
+    name: "faithful_scale",
+    fields: &[
+        field("name", Str, Key, |r| Json::str(&r.name)),
+        field("relation_bytes", Num, Exact, |r| r.relation_bytes.into()),
+        field("ram_bytes", Num, Exact, |r| r.ram_bytes.into()),
+        field("output_rows", Num, Exact, |r| r.output_rows.into()),
+        // The only output witness at this scale (collection is off), as hex
+        // text: JSON numbers (f64) cannot carry 64 bits exactly.
+        field("digest", Str, Exact, |r| {
+            Json::str(format!("{:016x}", r.output_digest))
+        }),
+        field("outputs_match", Bool, Claim, |r| r.outputs_match.into()),
+        field("peak_bounded", Bool, Claim, |r| r.peak_bounded().into()),
+        field("sim_peak_resident", Num, Info, |r| {
+            r.sim_peak_resident.into()
+        }),
+        field("real_peak_resident", Num, Info, |r| {
+            r.real_peak_resident.into()
+        }),
+        field("sim_seconds", Num, Info, |r| r.sim_seconds.into()),
+        field("wall_seconds", Num, Lower(Tolerance), |r| {
+            r.wall_seconds.into()
+        }),
+    ],
+};
+
+static OBS: Section<ObsRow> = Section {
+    name: "obs",
+    fields: &[
+        field("name", Str, Key, |r| Json::str(&r.name)),
+        // Counters and event counts are deterministic by the recorder
+        // contract (worker-count-invariant recording). Span seconds carry
+        // timing; even the simulated totals move whenever the cost model or
+        // a workload constant is tuned.
+        field("events", Num, Exact, |r| r.events.into()),
+        field("sim_span_seconds", Num, Lower(Tolerance), |r| {
+            r.sim_span_seconds.into()
+        }),
+        field("wall_span_seconds", Num, Lower(Tolerance), |r| {
+            r.wall_span_seconds.into()
+        }),
+        field("counters", Counters, Exact, |r| {
+            Json::Obj(
+                r.counters
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::num(*v)))
+                    .collect(),
+            )
+        }),
+    ],
+};
+
+static CHAOS: Section<ChaosRow> = Section {
+    name: "chaos",
+    fields: &[
+        field("workload", Str, Key, |r| Json::str(&r.workload)),
+        field("chaos_seed", Num, Scope, |r| r.chaos_seed.into()),
+        field("runs", Num, Exact, |r| r.summary.runs.into()),
+        field("identical", Num, Exact, |r| r.summary.identical.into()),
+        field("typed_errors", Num, Exact, |r| {
+            r.summary.typed_errors.into()
+        }),
+        // A wrong answer or a leaked temp dir under faults is a robustness
+        // bug, not a regression to tolerate.
+        field("wrong_answers", Num, Claim, |r| {
+            r.summary.wrong_answers.into()
+        }),
+        field("leaked_dirs", Num, Claim, |r| r.summary.leaked_dirs.into()),
+        field("faults_injected", Num, Exact, |r| {
+            r.summary.counters.faults_injected.into()
+        }),
+        field("retries", Num, Exact, |r| r.summary.counters.retries.into()),
+        field("retry_successes", Num, Exact, |r| {
+            r.summary.counters.retry_successes.into()
+        }),
+        field("gave_up", Num, Exact, |r| r.summary.counters.gave_up.into()),
+        field("degraded_shrinks", Num, Exact, |r| {
+            r.summary.counters.degraded_shrinks.into()
+        }),
+        field("degraded_failovers", Num, Exact, |r| {
+            r.summary.counters.degraded_failovers.into()
+        }),
+        field("corrupt_pages_detected", Num, Exact, |r| {
+            r.summary.counters.corrupt_pages_detected.into()
+        }),
+    ],
+};
+
+static REAL: Section<RealRow> = Section {
+    name: "real",
+    fields: &[
+        field("name", Str, Key, |r| Json::str(&r.name)),
+        field("scale", Num, Scope, |r| r.scale.into()),
+        field("wall_seconds", Num, Lower(Tolerance), |r| {
+            r.report.wall_seconds.into()
+        }),
+        field("io_seconds", Num, Info, |r| r.report.io_seconds.into()),
+        field("sim_seconds", Num, Info, |r| r.report.sim_seconds.into()),
+        field("output_rows", Num, Exact, |r| r.report.output.len().into()),
+        field("outputs_match", Bool, Claim, |r| {
+            r.report.outputs_match().into()
+        }),
+        field("bytes_read", Num, Exact, |r| {
+            let devices = r.report.real_devices.iter();
+            devices.map(|(_, s)| s.bytes_read).sum::<u64>().into()
+        }),
+        field("bytes_written", Num, Exact, |r| {
+            let devices = r.report.real_devices.iter();
+            devices.map(|(_, s)| s.bytes_written).sum::<u64>().into()
+        }),
+        field("pool_hits", Num, Info, |r| {
+            r.report
+                .pools
+                .iter()
+                .map(|(_, p)| p.hits)
+                .sum::<u64>()
+                .into()
+        }),
+        field("pool_misses", Num, Info, |r| {
+            r.report
+                .pools
+                .iter()
+                .map(|(_, p)| p.misses)
+                .sum::<u64>()
+                .into()
+        }),
+        field("direct_io", Bool, Info, |r| r.report.direct_io.into()),
+    ],
+};
+
+/// Every array section.
+static TABLES: [&dyn Table; 8] = [
+    &TABLE1,
+    &FIGURE8,
+    &ENGINE,
+    &SYNTHESIS,
+    &FAITHFUL_SCALE,
+    &OBS,
+    &CHAOS,
+    &REAL,
+];
+
+/// Every array section's key with its fields, as the document is emitted,
+/// validated and checked.
+pub fn schema() -> Vec<(&'static str, Vec<Spec>)> {
+    TABLES.iter().map(|t| (t.name(), t.specs())).collect()
+}
 
 /// One named real-I/O measurement.
 pub struct RealRow {
@@ -24,62 +371,6 @@ pub struct RealRow {
     pub scale: u64,
     /// The measured report.
     pub report: RealReport,
-}
-
-fn row_json(r: &Row) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("spec_seconds", Json::num(r.spec_seconds)),
-        ("opt_seconds", Json::num(r.opt_seconds)),
-        ("act_seconds", Json::num(r.act_seconds)),
-        ("search_space", Json::num(r.search_space as f64)),
-        ("steps", Json::num(r.steps as f64)),
-        ("ocas_seconds", Json::num(r.ocas_seconds)),
-        ("best_program", Json::str(&r.best_program)),
-    ])
-}
-
-fn fig8_json(p: &Fig8Point) -> Json {
-    Json::obj(vec![
-        ("panel", Json::str(p.panel)),
-        ("label", Json::str(&p.label)),
-        ("estimated_seconds", Json::num(p.estimated)),
-        ("measured_seconds", Json::num(p.measured)),
-    ])
-}
-
-fn real_json(r: &RealRow) -> Json {
-    let bytes_read: u64 = r
-        .report
-        .real_devices
-        .iter()
-        .map(|(_, s)| s.bytes_read)
-        .sum();
-    let bytes_written: u64 = r
-        .report
-        .real_devices
-        .iter()
-        .map(|(_, s)| s.bytes_written)
-        .sum();
-    let (pool_hits, pool_misses) = r
-        .report
-        .pools
-        .iter()
-        .fold((0u64, 0u64), |(h, m), (_, p)| (h + p.hits, m + p.misses));
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("scale", Json::num(r.scale as f64)),
-        ("wall_seconds", Json::num(r.report.wall_seconds)),
-        ("io_seconds", Json::num(r.report.io_seconds)),
-        ("sim_seconds", Json::num(r.report.sim_seconds)),
-        ("output_rows", Json::num(r.report.output.len() as f64)),
-        ("outputs_match", Json::Bool(r.report.outputs_match())),
-        ("bytes_read", Json::num(bytes_read as f64)),
-        ("bytes_written", Json::num(bytes_written as f64)),
-        ("pool_hits", Json::num(pool_hits as f64)),
-        ("pool_misses", Json::num(pool_misses as f64)),
-        ("direct_io", Json::Bool(r.report.direct_io)),
-    ])
 }
 
 /// One engine data-path throughput measurement: a plan template executed
@@ -99,25 +390,9 @@ pub struct EngineRow {
     /// `rows_in / seconds` — the data-path throughput the flat-batch
     /// representation is accountable for.
     pub rows_per_sec: f64,
-}
-
-fn engine_json(r: &EngineRow, before: Option<f64>) -> Json {
-    let mut pairs = vec![
-        ("template", Json::str(&r.template)),
-        ("backend", Json::str(&r.backend)),
-        ("rows_in", Json::num(r.rows_in as f64)),
-        ("rows_out", Json::num(r.rows_out as f64)),
-        ("seconds", Json::num(r.seconds)),
-        ("rows_per_sec", Json::num(r.rows_per_sec)),
-    ];
-    if let Some(b) = before {
-        pairs.push(("before_rows_per_sec", Json::num(b)));
-        pairs.push((
-            "speedup",
-            Json::num(r.rows_per_sec / b.max(f64::MIN_POSITIVE)),
-        ));
-    }
-    Json::obj(pairs)
+    /// The trajectory's before-number, set by [`anchor_engine_rows`]; an
+    /// entry carries it and its `speedup` only when it is set.
+    pub before_rows_per_sec: Option<f64>,
 }
 
 /// The engine throughput workloads: every plan template, faithful mode,
@@ -239,6 +514,7 @@ pub fn engine_run<B: StorageBackend>(
         rows_out: stats.output_rows,
         seconds,
         rows_per_sec: rows_in as f64 / seconds,
+        before_rows_per_sec: None,
     })
 }
 
@@ -260,6 +536,27 @@ pub fn engine_throughput(scale: u64) -> Result<Vec<EngineRow>, RuntimeError> {
         out.push(engine_run(real, &plan, &specs, "real")?);
     }
     Ok(out)
+}
+
+/// Sets each row's before-number from a prior document's `engine` entry
+/// for the same template and backend: that entry's own
+/// `before_rows_per_sec` when it carries one (so the trajectory stays
+/// anchored at the original baseline instead of ratcheting forward on
+/// every regeneration), else its `rows_per_sec`.
+pub fn anchor_engine_rows(rows: &mut [EngineRow], prior: &Json) {
+    for r in rows {
+        r.before_rows_per_sec = entries(prior, ENGINE.name)
+            .iter()
+            .find(|e| {
+                e.get("template").and_then(Json::as_str) == Some(r.template.as_str())
+                    && e.get("backend").and_then(Json::as_str) == Some(r.backend.as_str())
+            })
+            .and_then(|e| {
+                e.get("before_rows_per_sec")
+                    .and_then(Json::as_num)
+                    .or_else(|| e.get("rows_per_sec").and_then(Json::as_num))
+            });
+    }
 }
 
 /// One observability row: a representative workload run under the
@@ -301,7 +598,7 @@ fn obs_reduce(name: &str, trace: &ocas_obs::Trace) -> ObsRow {
 /// * `sim:set-union` — a full synthesize + execute pass on the simulator.
 ///   Search-level spans, per-rule counters and device/CPU attribution
 ///   spans are all on the deterministic clock, so `bench_json --check`
-///   gates the counters *and* the simulated span seconds exactly.
+///   gates the counters exactly.
 /// * `real:grace-join` — the GRACE-join engine workload on the
 ///   [`FileBackend`]. Pool counters (hits/misses/evictions/write-backs)
 ///   and the event count are deterministic; wall span seconds are not.
@@ -336,22 +633,6 @@ pub fn obs_rows() -> Result<Vec<ObsRow>, String> {
     out.push(obs_reduce("real:grace-join", &trace));
 
     Ok(out)
-}
-
-fn obs_json(r: &ObsRow) -> Json {
-    let counters = Json::Obj(
-        r.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::num(*v)))
-            .collect(),
-    );
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("events", Json::num(r.events as f64)),
-        ("sim_span_seconds", Json::num(r.sim_span_seconds)),
-        ("wall_span_seconds", Json::num(r.wall_span_seconds)),
-        ("counters", counters),
-    ])
 }
 
 /// Checks that `doc` is a Chrome trace-event document Perfetto will load:
@@ -406,24 +687,6 @@ pub fn faithful_scale_rows() -> Result<Vec<FaithfulScaleReport>, ocas::experimen
     ocas::experiments::faithful_scale(1)
 }
 
-fn faithful_json(r: &FaithfulScaleReport) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("relation_bytes", Json::num(r.relation_bytes as f64)),
-        ("ram_bytes", Json::num(r.ram_bytes as f64)),
-        ("output_rows", Json::num(r.output_rows as f64)),
-        // The digest is a full u64: stored as hex text because JSON
-        // numbers (f64) cannot carry 64 bits exactly.
-        ("digest", Json::str(format!("{:016x}", r.output_digest))),
-        ("outputs_match", Json::Bool(r.outputs_match)),
-        ("peak_bounded", Json::Bool(r.peak_bounded())),
-        ("sim_peak_resident", Json::num(r.sim_peak_resident as f64)),
-        ("real_peak_resident", Json::num(r.real_peak_resident as f64)),
-        ("sim_seconds", Json::num(r.sim_seconds)),
-        ("wall_seconds", Json::num(r.wall_seconds)),
-    ])
-}
-
 /// One synthesis-search benchmark entry: the arena/parallel engine vs the
 /// legacy reference engine on one Table 1 row's exact search settings.
 #[derive(Debug, Clone)]
@@ -458,11 +721,9 @@ pub struct SynthesisRow {
 /// milliseconds these searches take).
 pub const SYNTH_BENCH_RUNS: usize = 3;
 
-/// Regression floor for the synthesis `speedup` ratio: a fresh run may not
-/// fall below `baseline_speedup / SYNTH_SPEEDUP_TOLERANCE`. The ratio pits
-/// two engines run back-to-back on the same machine, so it is far more
-/// stable than absolute wall clocks — it gets a real floor instead of the
-/// generous `--check-tolerance` the clocks need.
+/// Regression floor for the synthesis `speedup` ratio (its
+/// [`Factor::Fixed`]): a fresh run may not fall below
+/// `baseline_speedup / SYNTH_SPEEDUP_TOLERANCE`.
 pub const SYNTH_SPEEDUP_TOLERANCE: f64 = 2.0;
 
 /// Measures the synthesis search on the two largest-search Table 1 rows:
@@ -520,22 +781,6 @@ pub fn synthesis_stats() -> Vec<SynthesisRow> {
     out
 }
 
-fn synthesis_json(r: &SynthesisRow) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("explored", Json::num(r.explored as f64)),
-        ("generated", Json::num(r.generated as f64)),
-        ("rejected_type", Json::num(r.rejected_type as f64)),
-        ("rejected_semantics", Json::num(r.rejected_semantics as f64)),
-        ("depth_reached", Json::num(r.depth_reached as f64)),
-        ("arena_nodes", Json::num(r.arena_nodes as f64)),
-        ("seconds", Json::num(r.seconds)),
-        ("reference_seconds", Json::num(r.reference_seconds)),
-        ("speedup", Json::num(r.speedup)),
-        ("programs_per_sec", Json::num(r.programs_per_sec)),
-    ])
-}
-
 /// Figure 7 device constants (sizes and page sizes of the paper platform).
 fn figures_json() -> Json {
     let h = presets::paper_platform(32 << 20);
@@ -553,87 +798,84 @@ fn figures_json() -> Json {
     Json::obj(vec![("paper_platform_devices", Json::Arr(devices))])
 }
 
-/// Looks up a prior document's `engine` entry for `(template, backend)`
-/// and returns the before-number of the trajectory pair: the prior
-/// entry's own `before_rows_per_sec` when it carries one (so the
-/// trajectory stays anchored at the original baseline instead of
-/// ratcheting forward on every regeneration), else its `rows_per_sec`.
-fn engine_before(doc: &Json, template: &str, backend: &str) -> Option<f64> {
-    doc.get("engine")?.as_arr()?.iter().find_map(|e| {
-        let t = e.get("template")?.as_str()?;
-        let b = e.get("backend")?.as_str()?;
-        if t == template && b == backend {
-            e.get("before_rows_per_sec")
-                .and_then(Json::as_num)
-                .or_else(|| e.get("rows_per_sec").and_then(Json::as_num))
-        } else {
-            None
-        }
-    })
+/// Everything one `bench_json` run measured, section by section. A section
+/// left empty is an empty array (a partial regeneration).
+#[derive(Default)]
+pub struct BenchDoc<'a> {
+    /// Table 1 rows.
+    pub table1: &'a [Row],
+    /// Figure 8 points.
+    pub figure8: &'a [Fig8Point],
+    /// The cache-miss companion: `(untiled, tiled)` misses.
+    pub cache_misses: Option<(u64, u64)>,
+    /// Engine data-path throughput.
+    pub engine: &'a [EngineRow],
+    /// Synthesis-search statistics.
+    pub synthesis: &'a [SynthesisRow],
+    /// Faithful-scale twin workloads.
+    pub faithful_scale: &'a [FaithfulScaleReport],
+    /// Observability workloads.
+    pub obs: &'a [ObsRow],
+    /// Chaos sweeps.
+    pub chaos: &'a [ChaosRow],
+    /// Real-I/O workloads.
+    pub real: &'a [RealRow],
 }
 
-/// Assembles the full document. `engine_baseline` is an earlier document
-/// whose `engine` section provides the before-numbers of the trajectory
-/// (each entry then carries `before_rows_per_sec` and `speedup`).
-#[allow(clippy::too_many_arguments)]
-pub fn bench_doc(
-    table1: &[Row],
-    figure8: &[Fig8Point],
-    cache_misses: Option<(u64, u64)>,
-    real: &[RealRow],
-    engine: &[EngineRow],
-    synthesis: &[SynthesisRow],
-    faithful: &[FaithfulScaleReport],
-    obs: &[ObsRow],
-    chaos: &[ChaosRow],
-    engine_baseline: Option<&Json>,
-) -> Json {
-    let engine_entries: Vec<Json> = engine
-        .iter()
-        .map(|r| {
-            let before = engine_baseline.and_then(|d| engine_before(d, &r.template, &r.backend));
-            engine_json(r, before)
-        })
-        .collect();
-    let mut pairs = vec![
-        ("schema", Json::str(SCHEMA)),
-        ("table1", Json::Arr(table1.iter().map(row_json).collect())),
-        (
-            "figure8",
-            Json::Arr(figure8.iter().map(fig8_json).collect()),
-        ),
-        ("figures", figures_json()),
-        ("engine", Json::Arr(engine_entries)),
-        (
-            "synthesis",
-            Json::Arr(synthesis.iter().map(synthesis_json).collect()),
-        ),
-        (
-            "faithful_scale",
-            Json::Arr(faithful.iter().map(faithful_json).collect()),
-        ),
-        ("obs", Json::Arr(obs.iter().map(obs_json).collect())),
-        ("chaos", Json::Arr(chaos.iter().map(chaos_json).collect())),
-        ("real", Json::Arr(real.iter().map(real_json).collect())),
-    ];
-    if let Some((untiled, tiled)) = cache_misses {
-        pairs.insert(
-            4,
-            (
+impl BenchDoc<'_> {
+    /// The document, each array section laid out by its table.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("schema", Json::str(SCHEMA)),
+            TABLE1.emit(self.table1),
+            FIGURE8.emit(self.figure8),
+            ("figures", figures_json()),
+        ];
+        if let Some((untiled, tiled)) = self.cache_misses {
+            pairs.push((
                 "cache_misses",
                 Json::obj(vec![
                     ("untiled", Json::num(untiled as f64)),
                     ("tiled", Json::num(tiled as f64)),
                 ]),
-            ),
-        );
+            ));
+        }
+        pairs.extend([
+            ENGINE.emit(self.engine),
+            SYNTHESIS.emit(self.synthesis),
+            FAITHFUL_SCALE.emit(self.faithful_scale),
+            OBS.emit(self.obs),
+            CHAOS.emit(self.chaos),
+            REAL.emit(self.real),
+        ]);
+        Json::obj(pairs)
     }
-    Json::obj(pairs)
 }
 
-/// Checks a document against the [`SCHEMA`] schema. Sections may be
-/// empty arrays (a partial regeneration) but must be present and
-/// well-typed; every `real` entry must carry both clocks.
+/// The entries of array section `section`, or none.
+fn entries<'a>(doc: &'a Json, section: &str) -> &'a [Json] {
+    doc.get(section).and_then(Json::as_arr).unwrap_or(&[])
+}
+
+/// The entry's key fields joined by `/`, for messages.
+fn entry_id(specs: &[Spec], entry: &Json) -> String {
+    specs
+        .iter()
+        .filter(|s| s.2 == Key)
+        .map(|s| entry.get(s.0).and_then(Json::as_str).unwrap_or("?"))
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// A field's value, for messages.
+fn shown(v: Option<&Json>) -> String {
+    v.map_or_else(|| "missing".to_string(), Json::to_string)
+}
+
+/// Checks a document against the [`SCHEMA`] schema: every section present,
+/// and every entry carrying every field of its section with the field's
+/// [`Kind`] (an [`Kind::OptNum`] field may be absent). Sections may be
+/// empty arrays (a partial regeneration).
 pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     let schema = doc
         .get("schema")
@@ -642,126 +884,28 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     if schema != SCHEMA {
         return Err(format!("schema `{schema}` is not `{SCHEMA}`"));
     }
-    let sections: [(&str, &[&str]); 8] = [
-        (
-            "obs",
-            &["name", "events", "sim_span_seconds", "wall_span_seconds"],
-        ),
-        (
-            "chaos",
-            &[
-                "workload",
-                "chaos_seed",
-                "runs",
-                "identical",
-                "typed_errors",
-                "wrong_answers",
-                "leaked_dirs",
-                "faults_injected",
-                "retries",
-            ],
-        ),
-        (
-            "table1",
-            &[
-                "name",
-                "spec_seconds",
-                "opt_seconds",
-                "act_seconds",
-                "search_space",
-            ],
-        ),
-        (
-            "figure8",
-            &["panel", "label", "estimated_seconds", "measured_seconds"],
-        ),
-        (
-            "engine",
-            &[
-                "template",
-                "backend",
-                "rows_in",
-                "rows_out",
-                "seconds",
-                "rows_per_sec",
-            ],
-        ),
-        (
-            "synthesis",
-            &[
-                "name",
-                "explored",
-                "generated",
-                "rejected_type",
-                "rejected_semantics",
-                "depth_reached",
-                "seconds",
-                "reference_seconds",
-                "speedup",
-            ],
-        ),
-        (
-            "faithful_scale",
-            &[
-                "name",
-                "relation_bytes",
-                "ram_bytes",
-                "output_rows",
-                "digest",
-                "outputs_match",
-                "peak_bounded",
-                "sim_peak_resident",
-                "real_peak_resident",
-                "wall_seconds",
-            ],
-        ),
-        (
-            "real",
-            &[
-                "name",
-                "wall_seconds",
-                "io_seconds",
-                "sim_seconds",
-                "output_rows",
-                "outputs_match",
-                "bytes_read",
-                "bytes_written",
-            ],
-        ),
-    ];
-    for (section, fields) in sections {
+    for t in &TABLES {
+        let section = t.name();
         let arr = doc
             .get(section)
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("missing array `{section}`"))?;
+        let specs = t.specs();
         for (i, entry) in arr.iter().enumerate() {
-            for field in fields {
-                let v = entry
-                    .get(field)
-                    .ok_or_else(|| format!("{section}[{i}] missing `{field}`"))?;
-                let ok = match *field {
-                    "name" | "panel" | "label" | "best_program" | "template" | "backend"
-                    | "digest" | "workload" => v.as_str().is_some(),
-                    "outputs_match" | "peak_bounded" => matches!(v, Json::Bool(_)),
-                    _ => v.as_num().is_some(),
+            for &(field, kind, _) in &specs {
+                let ok = match (entry.get(field), kind) {
+                    (None, OptNum) => true,
+                    (None, _) => return Err(format!("{section}[{i}] missing `{field}`")),
+                    (Some(v), Str) => v.as_str().is_some(),
+                    (Some(v), Num | OptNum) => v.as_num().is_some(),
+                    (Some(v), Bool) => matches!(v, Json::Bool(_)),
+                    (Some(Json::Obj(pairs)), Counters) => {
+                        pairs.iter().all(|(_, v)| v.as_num().is_some())
+                    }
+                    (Some(_), Counters) => false,
                 };
                 if !ok {
                     return Err(format!("{section}[{i}].{field} has the wrong type"));
-                }
-            }
-        }
-    }
-    if let Some(arr) = doc.get("obs").and_then(Json::as_arr) {
-        for (i, entry) in arr.iter().enumerate() {
-            let counters = entry
-                .get("counters")
-                .ok_or_else(|| format!("obs[{i}] missing `counters`"))?;
-            let Json::Obj(pairs) = counters else {
-                return Err(format!("obs[{i}].counters is not an object"));
-            };
-            for (k, v) in pairs {
-                if v.as_num().is_none() {
-                    return Err(format!("obs[{i}].counters.{k} is not a number"));
                 }
             }
         }
@@ -773,304 +917,97 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Compares a freshly generated document against a committed baseline.
-///
-/// Determinism invariants (same seeds, same plans) are exact: `real`
-/// entries matched by name must agree on `output_rows`, `bytes_read` and
-/// `bytes_written`, and must have `outputs_match = true`. Timing is
-/// machine-dependent, so `wall_seconds` may only regress by `tolerance`×
-/// over the baseline, and `engine` throughput (matched by template +
-/// backend) may only drop to `1/tolerance` of the baseline. Entries present
-/// on one side only are skipped (workloads evolve across trajectory
-/// points). Returns the number of entries compared, or the list of
-/// violations.
+/// The claims a document makes whatever the baseline: every
+/// [`Gate::Claim`] field of every entry is `true` (a boolean) or `0` (a
+/// number) — twins agree, peaks stay below the RAM device, and no chaos
+/// run gives a wrong answer or leaks a temp dir. Returns one message per
+/// broken claim.
+pub fn claims(doc: &Json) -> Vec<String> {
+    let mut broken = Vec::new();
+    for t in &TABLES {
+        let specs = t.specs();
+        for entry in entries(doc, t.name()) {
+            for &(field, kind, _) in specs.iter().filter(|s| s.2 == Claim) {
+                let v = entry.get(field);
+                let holds = match kind {
+                    Bool => v == Some(&Json::Bool(true)),
+                    _ => v.and_then(Json::as_num) == Some(0.0),
+                };
+                if !holds {
+                    let id = entry_id(&specs, entry);
+                    broken.push(format!("{} `{id}`: {field} is {}", t.name(), shown(v)));
+                }
+            }
+        }
+    }
+    broken
+}
+
+/// Compares a freshly generated document against a committed baseline as
+/// the section tables gate it: every [`claims`] of `doc`; then, for each
+/// entry whose counterpart has the same keys and scope, [`Gate::Exact`]
+/// fields equal, [`Gate::Lower`] fields at most the factor times the
+/// counterpart and [`Gate::Higher`] fields at least the counterpart over
+/// it (`tolerance`, raised to 1, for wall clocks and throughput). Returns
+/// the number of entries compared, or the list of violations.
 pub fn check_regressions(
     doc: &Json,
     baseline: &Json,
     tolerance: f64,
 ) -> Result<usize, Vec<String>> {
     let tol = tolerance.max(1.0);
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-
-    let arr = |d: &Json, key: &str| -> Vec<Json> {
-        d.get(key)
-            .and_then(Json::as_arr)
-            .map(|a| a.to_vec())
-            .unwrap_or_default()
+    let factor = |f: Factor| match f {
+        Tolerance => tol,
+        Fixed(k) => k,
     };
-
-    for entry in arr(doc, "real") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "real")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        // A run at a different cardinality scale than the baseline is a
-        // different workload — its row counts, byte totals and wall clock
-        // are all legitimately different (the nightly runs scaled; the
-        // committed baseline is scale 1). Only same-scale entries compare.
-        let scale_of = |e: &Json| e.get("scale").and_then(Json::as_num).unwrap_or(1.0);
-        if scale_of(&entry) != scale_of(&base) {
+    let num = |v: Option<&Json>| v.and_then(Json::as_num).unwrap_or(f64::NAN);
+    let mut failures = claims(doc);
+    let mut compared = 0usize;
+    for t in &TABLES {
+        let (section, specs) = (t.name(), t.specs());
+        if !specs
+            .iter()
+            .any(|s| matches!(s.2, Exact | Lower(_) | Higher(_)))
+        {
             continue;
         }
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        for field in ["output_rows", "bytes_read", "bytes_written"] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!("real `{name}`: {field} {got} != baseline {want}"));
-            }
-        }
-        if entry.get("outputs_match") != Some(&Json::Bool(true)) {
-            failures.push(format!("real `{name}`: outputs_match is not true"));
-        }
-        let (wall, base_wall) = (num(&entry, "wall_seconds"), num(&base, "wall_seconds"));
-        if wall > tol * base_wall {
-            failures.push(format!(
-                "real `{name}`: wall_seconds {wall:.4} > {tol}x baseline {base_wall:.4}"
-            ));
-        }
-    }
-
-    for entry in arr(doc, "faithful_scale") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "faithful_scale")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
+        let agree = |gate: Gate, a: &Json, b: &Json| {
+            specs
+                .iter()
+                .filter(|s| s.2 == gate)
+                .all(|s| a.get(s.0) == b.get(s.0))
         };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // Same seeds, same plans: sizes, rows and the emission digest are
-        // deterministic — compare exactly. The digest is the *only*
-        // output witness at this scale (collection is off), so drift here
-        // means the streamed generator or an operator changed data.
-        for field in ["relation_bytes", "ram_bytes", "output_rows"] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!(
-                    "faithful_scale `{name}`: {field} {got} != baseline {want}"
-                ));
+        for entry in entries(doc, section) {
+            let Some(base) = entries(baseline, section)
+                .iter()
+                .find(|b| agree(Key, entry, b))
+            else {
+                continue;
+            };
+            if !agree(Scope, entry, base) {
+                continue;
             }
-        }
-        let digest = |e: &Json| e.get("digest").and_then(Json::as_str).map(str::to_string);
-        if digest(&entry) != digest(&base) {
-            failures.push(format!(
-                "faithful_scale `{name}`: digest {:?} != baseline {:?}",
-                digest(&entry),
-                digest(&base)
-            ));
-        }
-        // The twins must agree and the peaks must stay below the RAM
-        // device — these are the claims, not measurements.
-        for flag in ["outputs_match", "peak_bounded"] {
-            if entry.get(flag) != Some(&Json::Bool(true)) {
-                failures.push(format!("faithful_scale `{name}`: {flag} is not true"));
-            }
-        }
-        let (wall, base_wall) = (num(&entry, "wall_seconds"), num(&base, "wall_seconds"));
-        if wall > tol * base_wall {
-            failures.push(format!(
-                "faithful_scale `{name}`: wall_seconds {wall:.4} > {tol}x baseline {base_wall:.4}"
-            ));
-        }
-    }
-
-    for entry in arr(doc, "synthesis") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "synthesis")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // The explored space is deterministic by the engine contract:
-        // compare exactly. Any drift here means the search changed (or the
-        // parallel merge broke) and must be an explicit baseline update.
-        for field in [
-            "explored",
-            "generated",
-            "rejected_type",
-            "rejected_semantics",
-            "depth_reached",
-        ] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!(
-                    "synthesis `{name}`: {field} {got} != baseline {want}"
-                ));
-            }
-        }
-        let (secs, base_secs) = (num(&entry, "seconds"), num(&base, "seconds"));
-        if secs > tol * base_secs {
-            failures.push(format!(
-                "synthesis `{name}`: seconds {secs:.4} > {tol}x baseline {base_secs:.4}"
-            ));
-        }
-        // The committed speedup (arena engine vs legacy reference) may not
-        // collapse: both engines run back-to-back on the same machine, so
-        // the ratio gets a real floor (SYNTH_SPEEDUP_TOLERANCE), not the
-        // generous wall-clock tolerance.
-        let (speedup, base_speedup) = (num(&entry, "speedup"), num(&base, "speedup"));
-        if speedup * SYNTH_SPEEDUP_TOLERANCE < base_speedup {
-            failures.push(format!(
-                "synthesis `{name}`: speedup {speedup:.2}x < baseline {base_speedup:.2}x / {SYNTH_SPEEDUP_TOLERANCE}"
-            ));
-        }
-    }
-
-    for entry in arr(doc, "obs") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "obs")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // Counters and event counts are deterministic by the recorder
-        // contract (same seeds, same plans, worker-count-invariant
-        // recording): compare the whole counter map exactly. Drift means
-        // the instrumentation or the workload changed and must be an
-        // explicit baseline update.
-        let (got, want) = (num(&entry, "events"), num(&base, "events"));
-        if got != want {
-            failures.push(format!("obs `{name}`: events {got} != baseline {want}"));
-        }
-        let counters = |e: &Json| -> Vec<(String, f64)> {
-            match e.get("counters") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.as_num().unwrap_or(f64::NAN)))
-                    .collect(),
-                _ => Vec::new(),
-            }
-        };
-        let (got_c, want_c) = (counters(&entry), counters(&base));
-        if got_c != want_c {
-            failures.push(format!(
-                "obs `{name}`: counters {got_c:?} != baseline {want_c:?}"
-            ));
-        }
-        // Span seconds carry timing: wall seconds are machine noise, and
-        // even simulated totals get the tolerance (they move legitimately
-        // whenever the cost model or a workload constant is tuned).
-        for field in ["sim_span_seconds", "wall_span_seconds"] {
-            let (secs, base_secs) = (num(&entry, field), num(&base, field));
-            if secs > tol * base_secs.max(f64::MIN_POSITIVE) {
-                failures.push(format!(
-                    "obs `{name}`: {field} {secs:.4} > {tol}x baseline {base_secs:.4}"
-                ));
+            compared += 1;
+            for &(field, _, gate) in &specs {
+                let (got, want) = (entry.get(field), base.get(field));
+                let (g, w) = (num(got), num(want));
+                let failure = match gate {
+                    Exact if got != want => {
+                        format!("{field} {} != baseline {}", shown(got), shown(want))
+                    }
+                    Lower(f) if g > factor(f) * w => {
+                        format!("{field} {g:.4} > {}x baseline {w:.4}", factor(f))
+                    }
+                    Higher(f) if g * factor(f) < w => {
+                        format!("{field} {g:.4} < baseline {w:.4} / {}", factor(f))
+                    }
+                    _ => continue,
+                };
+                let id = entry_id(&specs, entry);
+                failures.push(format!("{section} `{id}`: {failure}"));
             }
         }
     }
-
-    for entry in arr(doc, "chaos") {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // Trichotomy violations fail regardless of any baseline: a wrong
-        // answer or a leaked temp dir under faults is a robustness bug, not
-        // a regression to tolerate.
-        for field in ["wrong_answers", "leaked_dirs"] {
-            let got = num(&entry, field);
-            if got != 0.0 {
-                failures.push(format!("chaos `{name}`: {field} {got} != 0"));
-            }
-        }
-        let Some(base) = arr(baseline, "chaos")
-            .into_iter()
-            .find(|b| b.get("workload").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        // A sweep at a different fault seed than the baseline is a
-        // different experiment — its outcome and counter totals are all
-        // legitimately different (the nightly runs randomized seeds; the
-        // committed baseline is the fixed default). Only same-seed sweeps
-        // compare, mirroring the real-I/O scale skip above.
-        if num(&entry, "chaos_seed") != num(&base, "chaos_seed") {
-            continue;
-        }
-        compared += 1;
-        // Same seed, same plans: every outcome and recovery counter is
-        // deterministic — compare exactly. Drift means fault injection,
-        // retry or degradation behavior changed and must be an explicit
-        // baseline update.
-        for field in [
-            "runs",
-            "identical",
-            "typed_errors",
-            "faults_injected",
-            "retries",
-            "retry_successes",
-            "gave_up",
-            "degraded_shrinks",
-            "degraded_failovers",
-            "corrupt_pages_detected",
-        ] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!("chaos `{name}`: {field} {got} != baseline {want}"));
-            }
-        }
-    }
-
-    for entry in arr(doc, "engine") {
-        let template = entry
-            .get("template")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let backend = entry
-            .get("backend")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "engine").into_iter().find(|b| {
-            b.get("template").and_then(Json::as_str) == Some(&template)
-                && b.get("backend").and_then(Json::as_str) == Some(&backend)
-        }) else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        if num(&entry, "rows_in") == num(&base, "rows_in") {
-            let (rps, base_rps) = (num(&entry, "rows_per_sec"), num(&base, "rows_per_sec"));
-            if rps * tol < base_rps {
-                failures.push(format!(
-                    "engine `{template}/{backend}`: rows_per_sec {rps:.0} < baseline {base_rps:.0} / {tol}"
-                ));
-            }
-        }
-    }
-
     if failures.is_empty() {
         Ok(compared)
     } else {
@@ -1118,30 +1055,6 @@ pub fn chaos_rows(chaos_seed: u64) -> Result<Vec<ChaosRow>, String> {
         });
     }
     Ok(out)
-}
-
-fn chaos_json(r: &ChaosRow) -> Json {
-    let s = &r.summary;
-    let c = &s.counters;
-    Json::obj(vec![
-        ("workload", Json::str(&r.workload)),
-        ("chaos_seed", Json::num(r.chaos_seed as f64)),
-        ("runs", Json::num(s.runs as f64)),
-        ("identical", Json::num(s.identical as f64)),
-        ("typed_errors", Json::num(s.typed_errors as f64)),
-        ("wrong_answers", Json::num(s.wrong_answers as f64)),
-        ("leaked_dirs", Json::num(s.leaked_dirs as f64)),
-        ("faults_injected", Json::num(c.faults_injected as f64)),
-        ("retries", Json::num(c.retries as f64)),
-        ("retry_successes", Json::num(c.retry_successes as f64)),
-        ("gave_up", Json::num(c.gave_up as f64)),
-        ("degraded_shrinks", Json::num(c.degraded_shrinks as f64)),
-        ("degraded_failovers", Json::num(c.degraded_failovers as f64)),
-        (
-            "corrupt_pages_detected",
-            Json::num(c.corrupt_pages_detected as f64),
-        ),
-    ])
 }
 
 /// The real-I/O workloads the trajectory tracks: a GRACE hash join and a

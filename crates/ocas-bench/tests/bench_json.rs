@@ -7,8 +7,8 @@
 
 use ocas_bench::json::Json;
 use ocas_bench::report::{
-    bench_doc, check_regressions, engine_throughput, faithful_scale_rows, real_workloads,
-    synthesis_stats, validate_bench_doc, SCHEMA,
+    check_regressions, engine_throughput, faithful_scale_rows, real_workloads, schema,
+    synthesis_stats, validate_bench_doc, BenchDoc, Gate, Kind, SCHEMA,
 };
 
 #[test]
@@ -24,7 +24,11 @@ fn fresh_real_document_validates() {
         assert!(r.report.wall_seconds > 0.0);
         assert!(r.report.sim_seconds > 0.0);
     }
-    let doc = bench_doc(&[], &[], None, &real, &[], &[], &[], &[], &[], None);
+    let doc = BenchDoc {
+        real: &real,
+        ..Default::default()
+    }
+    .to_json();
     validate_bench_doc(&doc).expect("schema");
     // And it survives a serialization round trip.
     let back = Json::parse(&doc.pretty()).expect("parse back");
@@ -41,7 +45,11 @@ fn fresh_faithful_scale_section_validates_and_twins_agree() {
         assert!(r.outputs_match, "{}: twins diverged", r.name);
         assert!(r.peak_bounded(), "{}: peak not bounded", r.name);
     }
-    let doc = bench_doc(&[], &[], None, &[], &[], &[], &faithful, &[], &[], None);
+    let doc = BenchDoc {
+        faithful_scale: &faithful,
+        ..Default::default()
+    }
+    .to_json();
     validate_bench_doc(&doc).expect("schema");
     // Digest survives the JSON round trip as text.
     let back = Json::parse(&doc.pretty()).expect("parse back");
@@ -93,6 +101,7 @@ fn committed_trajectory_point_validates() {
         .expect("BENCH_results.json missing at repo root — regenerate with bench_json");
     let doc = Json::parse(&text).expect("parse committed BENCH_results.json");
     validate_bench_doc(&doc).expect("committed document satisfies the schema");
+    assert_eq!(doc.pretty(), text, "the emitter writes the committed bytes");
     // The trajectory point must carry the real-I/O numbers.
     let real = doc.get("real").unwrap().as_arr().unwrap();
     assert!(!real.is_empty(), "no real-I/O entries recorded");
@@ -154,6 +163,64 @@ fn committed_trajectory_point_validates() {
             speedup >= 4.0,
             "committed synthesis speedup {speedup:.2}x below the 4x claim: {s:?}"
         );
+    }
+}
+
+/// Every field of every section is checked as its table gates it: in a
+/// copy of the committed document, change one field of a section's first
+/// entry the way a regression would move it, and check the copy against
+/// the committed document. Gated fields fail naming the field; a changed
+/// key or scope drops the entry from the comparison; recorded fields pass.
+#[test]
+fn every_field_is_checked_as_its_table_gates_it() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
+    let committed = Json::parse(&std::fs::read_to_string(path).expect("committed document"))
+        .expect("parse committed BENCH_results.json");
+    let all = check_regressions(&committed, &committed, 25.0).expect("it passes against itself");
+    for (section, fields) in schema() {
+        let gated = fields
+            .iter()
+            .any(|f| matches!(f.2, Gate::Exact | Gate::Lower(_) | Gate::Higher(_)));
+        for (field, kind, gate) in fields {
+            let mut doc = committed.clone();
+            let Json::Obj(top) = &mut doc else { panic!() };
+            let entries = top.iter_mut().find(|(k, _)| k == section).expect(section);
+            let Json::Arr(entries) = &mut entries.1 else {
+                panic!()
+            };
+            let Json::Obj(entry) = &mut entries[0] else {
+                panic!()
+            };
+            let value = &mut entry.iter_mut().find(|(k, _)| k == field).expect(field).1;
+            *value = match (kind, value.clone()) {
+                (Kind::Str, Json::Str(s)) => Json::Str(s + "~"),
+                (Kind::Bool, Json::Bool(b)) => Json::Bool(!b),
+                (Kind::Counters, Json::Obj(mut pairs)) => {
+                    pairs.push(("new/counter".into(), Json::num(1.0)));
+                    Json::Obj(pairs)
+                }
+                (_, Json::Num(x)) if matches!(gate, Gate::Higher(_)) => Json::num(x / 100.0),
+                (_, Json::Num(x)) => Json::num(x * 100.0 + 1.0),
+                (_, v) => panic!("{section}.{field} is {v}"),
+            };
+            let verdict = check_regressions(&doc, &committed, 25.0);
+            match gate {
+                Gate::Exact | Gate::Claim | Gate::Lower(_) | Gate::Higher(_) => {
+                    let errs = verdict.expect_err(field);
+                    assert!(
+                        errs.iter()
+                            .any(|e| e.starts_with(section) && e.contains(field)),
+                        "{section}.{field}: {errs:?}"
+                    );
+                }
+                Gate::Key | Gate::Scope if gated => {
+                    assert_eq!(verdict, Ok(all - 1), "{section}.{field}")
+                }
+                Gate::Key | Gate::Scope | Gate::Info => {
+                    assert_eq!(verdict, Ok(all), "{section}.{field}")
+                }
+            }
+        }
     }
 }
 
@@ -343,7 +410,11 @@ fn fresh_synthesis_section_validates_and_engines_agree() {
         assert!(s.seconds > 0.0 && s.reference_seconds > 0.0, "{s:?}");
         assert!(s.arena_nodes > 0, "{s:?}");
     }
-    let doc = bench_doc(&[], &[], None, &[], &[], &synthesis, &[], &[], &[], None);
+    let doc = BenchDoc {
+        synthesis: &synthesis,
+        ..Default::default()
+    }
+    .to_json();
     validate_bench_doc(&doc).expect("schema");
 }
 
