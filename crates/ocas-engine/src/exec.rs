@@ -430,14 +430,66 @@ impl Sink {
         }
     }
 
+    /// Counts `n` more rows and flushes every buffer they fill: one
+    /// `flush_bytes` a buffer while the staged payload lasts, then the
+    /// buffers that carry none — all of them in simulated mode — as runs
+    /// (see [`flush_run`](Sink::flush_run)).
     fn emit_bulk<B: StorageBackend>(&mut self, sm: &mut B, n: u64) -> Result<(), ExecError> {
         self.rows += n;
         if let Output::ToDevice { buffer_bytes, .. } = &self.output {
             self.pending += n * self.tuple_bytes;
             let cap = (*buffer_bytes).max(self.tuple_bytes);
-            while self.pending >= cap {
+            while self.pending >= cap && !self.encoded.is_empty() {
                 self.flush_bytes(sm, cap)?;
                 self.pending -= cap;
+            }
+            let whole = self.pending / cap;
+            if whole > 0 {
+                self.flush_run(sm, cap, whole)?;
+                self.pending -= whole * cap;
+            }
+        }
+        Ok(())
+    }
+
+    /// The output extent, allocated on the output device by the first
+    /// flush.
+    fn extent<B: StorageBackend>(&mut self, sm: &mut B) -> Result<(FileId, u64), ExecError> {
+        if let Some(e) = self.extent {
+            return Ok(e);
+        }
+        let Output::ToDevice { device, .. } = &self.output else {
+            unreachable!("only a device-bound output flushes");
+        };
+        let file = sm.alloc(device, SINK_EXTENT)?;
+        self.extent = Some((file, SINK_EXTENT));
+        Ok((file, SINK_EXTENT))
+    }
+
+    /// Flushes `count` whole buffers of `cap` bytes that carry no payload:
+    /// the requests `count` calls of `flush_bytes(cap)` issue, with the
+    /// buffers that fit before the extent wraps issued as one
+    /// [`write_run`](StorageBackend::write_run). A buffer that straddles
+    /// the wrap is split by `flush_bytes`, as the loop splits it.
+    fn flush_run<B: StorageBackend>(
+        &mut self,
+        sm: &mut B,
+        cap: u64,
+        mut count: u64,
+    ) -> Result<(), ExecError> {
+        let (file, len) = self.extent(sm)?;
+        while count > 0 {
+            if self.cursor >= len {
+                self.cursor = 0;
+            }
+            let fit = ((len - self.cursor) / cap).min(count);
+            if fit == 0 {
+                self.flush_bytes(sm, cap)?;
+                count -= 1;
+            } else {
+                sm.write_run(file, self.cursor, cap, fit)?;
+                self.cursor += fit * cap;
+                count -= fit;
             }
         }
         Ok(())
@@ -447,16 +499,8 @@ impl Sink {
         if bytes == 0 {
             return Ok(());
         }
-        if let Output::ToDevice { device, .. } = &self.output {
-            let (file, len) = match self.extent {
-                Some(e) => e,
-                None => {
-                    let len = SINK_EXTENT;
-                    let f = sm.alloc(device, len)?;
-                    self.extent = Some((f, len));
-                    (f, len)
-                }
-            };
+        if let Output::ToDevice { .. } = &self.output {
+            let (file, len) = self.extent(sm)?;
             let mut remaining = bytes;
             let mut drained = 0usize;
             while remaining > 0 {
@@ -2274,6 +2318,118 @@ mod tests {
         }
     }
 
+    /// The writes a sink that flushes `bytes` in buffers of `cap` issues
+    /// one `flush_bytes` at a time: each buffer at the cursor, split where
+    /// the cursor wraps at the end of the extent, the partial last buffer
+    /// at the end — as `(offset, len)`.
+    fn buffer_flushes(bytes: u64, cap: u64) -> Vec<(u64, u64)> {
+        let mut writes = Vec::new();
+        let mut cursor = 0;
+        for start in (0..bytes).step_by(cap as usize) {
+            let mut remaining = cap.min(bytes - start);
+            while remaining > 0 {
+                if cursor >= SINK_EXTENT {
+                    cursor = 0;
+                }
+                let chunk = remaining.min(SINK_EXTENT - cursor);
+                writes.push((cursor, chunk));
+                cursor += chunk;
+                remaining -= chunk;
+            }
+        }
+        writes
+    }
+
+    /// A simulated plan's sink issues its whole buffers as write runs,
+    /// split where the cursor wraps at the end of the 1 GiB extent. A BNL
+    /// product join and a sorted duplicate removal, writing 2 GiB and 1.25
+    /// GiB, at buffer sizes that divide 2^30 and ones that do not (Table
+    /// 1's 20 KiB among them), and one larger than the extent, which only
+    /// `flush_bytes` can flush. On the simulator with the runs and on the
+    /// recording wrapper that keeps the loop of writes: the same requests
+    /// in order (runs expanded), clock bits, rows and counters of every
+    /// device; and the writes are the ones flushing a buffer at a time
+    /// issues ([`buffer_flushes`]).
+    #[test]
+    fn sink_write_runs_equal_the_loop_across_the_extent_wrap() {
+        let bnl: fn(Output) -> Plan = |output| Plan::BnlJoin {
+            outer: 0,
+            inner: 1,
+            k1: 16,
+            k2: 1 << 14,
+            tiling: None,
+            pred: JoinPred::Cross,
+            order_inputs: false,
+            output,
+        };
+        let dedup: fn(Output) -> Plan = |output| Plan::DedupSorted {
+            input: 0,
+            b_in: 1 << 22,
+            output,
+        };
+        let bnl_specs = vec![
+            RelSpec::pairs("R", "HDD", 64),
+            RelSpec::pairs("S", "HDD", 1 << 20),
+        ];
+        let dedup_specs = vec![RelSpec::ints("L", "HDD", 5 << 26).sorted()];
+        for (name, plan, specs, tuple_bytes) in [
+            ("bnl", bnl, bnl_specs, 32),
+            ("dedup", dedup, dedup_specs, 8),
+        ] {
+            for (device, buffer_bytes) in [
+                ("HDD", 1 << 16),
+                ("HDD2", 1 << 20),
+                ("HDD", 20 * 1024),
+                ("HDD2", 300_001),
+                ("HDD2", 3 << 29),
+            ] {
+                let plan = plan(Output::ToDevice {
+                    device: device.into(),
+                    buffer_bytes,
+                });
+                let run = |runs: bool| {
+                    let sm = StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 22));
+                    let mut ex = Executor::new(
+                        Recording::new(sm, runs),
+                        Mode::Simulated,
+                        CpuModel::default(),
+                    );
+                    for spec in &specs {
+                        let rel = Relation::create(&mut ex.sm, spec, false, 0).unwrap();
+                        ex.add_relation(rel);
+                    }
+                    let stats = ex.run(&plan).unwrap();
+                    let devices = ["HDD", "HDD2", "RAM"].map(|d| {
+                        let stats = ex.sm.device_stats(d).unwrap();
+                        (stats, stats.busy_seconds.to_bits())
+                    });
+                    let seen = (stats.seconds.to_bits(), stats.output_rows, devices);
+                    (seen, ex.sm.log, ex.sm.write_runs)
+                };
+                let ((got, got_log, write_runs), (want, want_log, _)) = (run(true), run(false));
+                let what = format!("{name} writing {buffer_bytes} B buffers to {device}");
+                assert_eq!(got, want, "{what}");
+                assert!(got_log == want_log, "{what}: the request sequences differ");
+                let writes: Vec<_> = want_log
+                    .iter()
+                    .filter(|r| r.0)
+                    .map(|r| (r.2, r.3))
+                    .collect();
+                let bytes = got.1 * tuple_bytes;
+                assert!(bytes > SINK_EXTENT, "{what}: wrote {bytes} B");
+                assert!(
+                    writes == buffer_flushes(bytes, buffer_bytes),
+                    "{what}: the writes"
+                );
+                assert_eq!(
+                    write_runs > 0,
+                    buffer_bytes <= SINK_EXTENT,
+                    "{what}: write runs"
+                );
+            }
+        }
+    }
+
     #[test]
     fn bnl_join_matches_brute_force() {
         let mut ex = setup(true, 1 << 25);
@@ -3161,10 +3317,32 @@ mod tests {
     type Request = (bool, usize, u64, u64);
 
     /// The simulator, logging every charged request — the wrapper
-    /// `ocas-runtime`'s `stream_requests.rs` records real runs with.
+    /// `ocas-runtime`'s `stream_requests.rs` records real runs with. Run
+    /// requests keep the trait's loops unless `runs` is set; then they go
+    /// to the simulator whole, logged request by request (write runs
+    /// counted in `write_runs`).
     struct Recording {
         inner: StorageSim,
         log: Vec<Request>,
+        runs: bool,
+        write_runs: u64,
+    }
+
+    impl Recording {
+        fn new(inner: StorageSim, runs: bool) -> Recording {
+            Recording {
+                inner,
+                log: Vec::new(),
+                runs,
+                write_runs: 0,
+            }
+        }
+
+        fn log_run(&mut self, write: bool, file: FileId, offset: u64, unit: u64, count: u64) {
+            self.write_runs += u64::from(write);
+            let requests = (0..count).map(|j| (write, file.0, offset + j * unit, unit));
+            self.log.extend(requests);
+        }
     }
 
     impl StorageBackend for Recording {
@@ -3174,6 +3352,38 @@ mod tests {
         fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
             self.log.push((false, file.0, offset, len));
             StorageBackend::read(&mut self.inner, file, offset, len)
+        }
+        fn read_run(
+            &mut self,
+            file: FileId,
+            offset: u64,
+            unit: u64,
+            count: u64,
+        ) -> Result<(), StorageError> {
+            if !self.runs {
+                for j in 0..count {
+                    self.read(file, offset + j * unit, unit)?;
+                }
+                return Ok(());
+            }
+            self.log_run(false, file, offset, unit, count);
+            self.inner.read_run(file, offset, unit, count)
+        }
+        fn write_run(
+            &mut self,
+            file: FileId,
+            offset: u64,
+            unit: u64,
+            count: u64,
+        ) -> Result<(), StorageError> {
+            if !self.runs {
+                for j in 0..count {
+                    self.write(file, offset + j * unit, unit)?;
+                }
+                return Ok(());
+            }
+            self.log_run(true, file, offset, unit, count);
+            self.inner.write_run(file, offset, unit, count)
         }
         fn read_data(
             &mut self,
@@ -3309,11 +3519,10 @@ mod tests {
     /// Runs `plan` over relations made from `specs` on a fresh recording
     /// simulator, through the kernels (`Executor::run`) or the literal loop.
     fn witness(specs: &[RelSpec], plan: &Plan, collect: bool, literal: bool) -> Witness {
-        let inner = StorageSim::from_hierarchy(&presets::hdd_ram(1 << 25));
-        let sm = Recording {
-            inner,
-            log: Vec::new(),
-        };
+        let sm = Recording::new(
+            StorageSim::from_hierarchy(&presets::hdd_ram(1 << 25)),
+            false,
+        );
         let mut ex =
             Executor::new(sm, Mode::Faithful, CpuModel::disabled()).with_output_collection(collect);
         for (i, spec) in specs.iter().enumerate() {

@@ -32,7 +32,12 @@
 //! the reads (the paper's read/write interference rows), and faithful mode
 //! moves real rows per block and must issue the same stream on the
 //! simulator and on real files. A parity test holds the two paths
-//! bit-equal.
+//! bit-equal. The sink's flushes are runs too, without changing the order:
+//! the whole buffers one emission fills go out as one
+//! [`StorageBackend::write_run`](ocas_storage::StorageBackend::write_run),
+//! split where the sink's 1 GiB extent wraps, and the simulator charges it
+//! with the loop's sums; a flush that carries payload (faithful mode) stays
+//! one `write_bytes` a buffer.
 //!
 //! **Block cursors.** Every faithful operator reads its rows with one
 //! [`StorageBackend::read_data`](ocas_storage::StorageBackend::read_data)

@@ -6,9 +6,10 @@
 //! shared; what these tests hold to it is that the two backends issue,
 //! fail and recover the same requests.
 //!
-//! A run request (`read_run`) is its requests, one by one, on both: a spec
-//! at an index inside a run fires there, not at the run's first request
-//! and not never.
+//! A run request (`read_run`, or the `write_run` an output sink flushes its
+//! whole buffers with) is its requests, one by one, on both: a spec at an
+//! index inside a run fires there, not at the run's first request and not
+//! never.
 //!
 //! The same holds for the one-tuple data reads of the faithful operators,
 //! which the file backend serves from a read-ahead window: a request the
@@ -266,8 +267,8 @@ proptest! {
         let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
         let fb = faulted_files(&h, pool, faults, policy);
 
-        let sim_out = run_faithful(sim, &plan, &specs);
-        let fb_out = run_faithful(fb, &plan, &specs);
+        let sim_out = run_plan(Mode::Faithful, sim, &plan, &specs);
+        let fb_out = run_plan(Mode::Faithful, fb, &plan, &specs);
         prop_assert_eq!(&sim_out, &fb_out);
         let (outcome, counters) = sim_out;
         prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", at);
@@ -320,13 +321,76 @@ proptest! {
         let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
         let fb = faulted_files(&h, pool, faults, policy);
 
-        let sim_out = run_faithful(sim, &plan, &specs);
-        let fb_out = run_faithful(fb, &plan, &specs);
+        let sim_out = run_plan(Mode::Faithful, sim, &plan, &specs);
+        let fb_out = run_plan(Mode::Faithful, fb, &plan, &specs);
         prop_assert_eq!(&sim_out, &fb_out);
         let (outcome, counters) = sim_out;
         prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", at);
         if matches!(kind, FaultKind::Latency(_)) || retry == 1 {
             prop_assert!(outcome.starts_with("ok"), "{}", outcome);
+        }
+    }
+}
+
+/// Blocks of the simulated duplicate removal in
+/// `a_write_fault_inside_a_sink_run_fires_at_its_request_on_both_backends`,
+/// and the whole output buffers each block fills: 64 ints a block, half of
+/// them emitted, 16 bytes a buffer.
+const SINK_BLOCKS: u64 = 4;
+const RUN_WRITES: u64 = 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A simulated duplicate removal fills [`RUN_WRITES`] output buffers
+    /// with each block it reads, and its sink issues them as one
+    /// `write_run`. A write fault planted at any request of such a run
+    /// fires at that request on both backends, with the same outcome and
+    /// counters: `Faulted` keeps the run's loop of writes, each of which
+    /// consumes a per-device index. (`Faulted` handing the run to its inner
+    /// backend would let all sixteen writes past injection and shift every
+    /// later index.)
+    #[test]
+    fn a_write_fault_inside_a_sink_run_fires_at_its_request_on_both_backends(
+        (block, w) in (0u64..SINK_BLOCKS, 0u64..RUN_WRITES),
+        kind in 0u32..3,
+        retry in 0u32..2,
+    ) {
+        let kind = match kind {
+            0 => FaultKind::Transient,
+            1 => FaultKind::ShortWrite,
+            _ => FaultKind::Latency(0.002),
+        };
+        let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
+        let b_in = 64;
+        let plan = Plan::DedupSorted {
+            input: 0,
+            b_in,
+            output: Output::ToDevice { device: "HDD".into(), buffer_bytes: 16 },
+        };
+        let specs = vec![RelSpec::ints("L", "HDD", SINK_BLOCKS * b_in).sorted()];
+        // Per-device indices: 0 allocates the input; each block is two
+        // reads (the staggered formulation reads the list twice), then its
+        // run; the first run follows the sink extent's allocation (3).
+        let at = 4 + block * (2 + RUN_WRITES) + w;
+        let faults = FaultPlan::new().with("HDD", FaultOp::Write, at, kind);
+        let h = presets::hdd_ram(1 << 22);
+        let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
+        let fb = faulted_files(&h, PoolConfig::default(), faults, policy);
+
+        let sim_out = run_plan(Mode::Simulated, sim, &plan, &specs);
+        let fb_out = run_plan(Mode::Simulated, fb, &plan, &specs);
+        prop_assert_eq!(&sim_out, &fb_out);
+        let (outcome, counters) = sim_out;
+        prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", at);
+        match (kind, retry) {
+            (FaultKind::Latency(_), _) | (_, 1) => {
+                prop_assert_eq!(outcome, format!("ok: {} rows", SINK_BLOCKS * b_in / 2))
+            }
+            _ => prop_assert!(
+                outcome.contains(&format!("write request {at} on `HDD`")),
+                "fired elsewhere: {}", outcome
+            ),
         }
     }
 }
@@ -346,20 +410,24 @@ fn faulted_files(
 /// `a_fault_inside_a_window_fires_at_its_request_on_both_backends`.
 const TUPLE_REQUESTS: u64 = 1000;
 
-/// Creates `specs` on `backend` and runs `plan` faithfully; returns the
-/// outcome (the output rows, or the typed error) and the recovery counters.
-fn run_faithful<B: StorageBackend>(
+/// Creates `specs` on `backend` (materialized for a faithful run) and runs
+/// `plan` in `mode`; returns the outcome (the output rows — their count in
+/// simulated mode — or the typed error) and the recovery counters.
+fn run_plan<B: StorageBackend>(
+    mode: Mode,
     backend: B,
     plan: &Plan,
     specs: &[RelSpec],
 ) -> (String, RecoveryCounters) {
-    let mut ex = Executor::new(backend, Mode::Faithful, CpuModel::disabled());
+    let mut ex = Executor::new(backend, mode, CpuModel::disabled());
+    let faithful = mode == Mode::Faithful;
     for (i, spec) in specs.iter().enumerate() {
-        let rel = Relation::create(&mut ex.sm, spec, true, 9 + i as u64).expect("setup");
+        let rel = Relation::create(&mut ex.sm, spec, faithful, 9 + i as u64).expect("setup");
         ex.add_relation(rel);
     }
     let outcome = match ex.run(plan) {
-        Ok(stats) => format!("ok: {:?}", stats.output.expect("collected").as_slice()),
+        Ok(stats) if faithful => format!("ok: {:?}", stats.output.expect("collected").as_slice()),
+        Ok(stats) => format!("ok: {} rows", stats.output_rows),
         Err(e) => format!("err: {e}"),
     };
     (
@@ -597,8 +665,8 @@ fn on_both(
         .with_spill_fallback("HDD2");
     let fb = Faulted::new(fb, faults, policy);
     [
-        run_faithful(sim, plan, specs),
-        run_faithful(fb, plan, specs),
+        run_plan(Mode::Faithful, sim, plan, specs),
+        run_plan(Mode::Faithful, fb, plan, specs),
     ]
 }
 

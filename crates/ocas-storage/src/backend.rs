@@ -36,11 +36,13 @@ use crate::manager::{FileId, StorageError, StorageSim};
 ///   read and answers "no payload", and the caller falls back to the
 ///   relation's generator. Either way the request is charged, counted and
 ///   faulted exactly like the accounting read of the same length.
-/// * **Run requests** ([`read_run`](StorageBackend::read_run)) stand for a
-///   sequence of equal accounting reads laid end to end — a scan issued
-///   block by block. They are shorthand, not a new kind of I/O: the default
-///   body issues the reads one by one, and only the simulator answers the
-///   whole run at once (same clock and counters, to the last bit).
+/// * **Run requests** ([`read_run`](StorageBackend::read_run) /
+///   [`write_run`](StorageBackend::write_run)) stand for a sequence of
+///   equal accounting requests laid end to end — a scan issued block by
+///   block, or an output sink's whole buffers flushed back to back. They
+///   are shorthand, not a new kind of I/O: the default body issues the
+///   requests one by one, and only the simulator answers the whole run at
+///   once (same clock and counters, to the last bit).
 /// * **Data runs** ([`read_data_run`](StorageBackend::read_data_run)) are
 ///   to run requests what data reads are to accounting reads: a sequence of
 ///   equal data reads laid end to end, each filling its slice of one
@@ -52,10 +54,12 @@ use crate::manager::{FileId, StorageError, StorageSim};
 ///   window down the single-request path.
 ///
 /// Who may override a run: a backend that gives the same clock, counters,
-/// bytes and device state as the loop without visiting each request. A
-/// backend whose behaviour depends on seeing every request one at a time —
-/// above all [`Faulted`](crate::Faulted), which numbers them for its
-/// [`FaultPlan`](crate::FaultPlan) — keeps both default loops.
+/// bytes and device state as the loop without visiting each request — the
+/// simulator overrides all three. A backend whose behaviour depends on
+/// seeing every request one at a time — above all
+/// [`Faulted`](crate::Faulted), which numbers them for its
+/// [`FaultPlan`](crate::FaultPlan), and the file backend's write path,
+/// which moves bytes per request — keeps the default loops.
 ///
 /// [`materialize`](StorageBackend::materialize) is the setup path: it
 /// places input data into a file *without* charging the clock or counters,
@@ -140,6 +144,32 @@ pub trait StorageBackend {
 
     /// Writes `len` bytes at `offset` within `file` (accounting request).
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError>;
+
+    /// A write run: `count` sequential accounting writes of `unit` bytes,
+    /// request `j` covering `[offset + j * unit, offset + (j + 1) * unit)`
+    /// of `file` — an output sink's whole buffers, flushed back to back.
+    ///
+    /// The default body *is* that loop of [`write`](StorageBackend::write)
+    /// calls, and the rule for overriding it is
+    /// [`read_run`](StorageBackend::read_run)'s: the same clock, counters and
+    /// device state as the loop, or keep the loop. A real backend keeps it
+    /// (it moves bytes per request), and so does [`Faulted`](crate::Faulted)
+    /// (it numbers them). [`StorageSim`] overrides it with one bounds check
+    /// and one file lookup for the run, and shares the run request's one
+    /// difference: a run leaving the file is rejected before anything is
+    /// charged.
+    fn write_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        for j in 0..count {
+            self.write(file, offset + j * unit, unit)?;
+        }
+        Ok(())
+    }
 
     /// Writes `data` at `offset` within `file` (data request). Charged
     /// exactly like [`write`](StorageBackend::write) of `data.len()` bytes.
@@ -281,6 +311,16 @@ impl StorageBackend for StorageSim {
 
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         StorageSim::write(self, file, offset, len)
+    }
+
+    fn write_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        StorageSim::write_run(self, file, offset, unit, count)
     }
 
     fn read_data(

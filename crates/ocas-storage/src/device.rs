@@ -119,6 +119,36 @@ impl HddSim {
         self.stats.busy_seconds += t;
         t
     }
+
+    /// `count` back-to-back writes of `unit` bytes starting at `offset`,
+    /// adding each request's seconds to `clock` in request order — the
+    /// same floating-point sums, counters and head position as calling
+    /// [`write`](HddSim::write) `count` times.
+    ///
+    /// Every write is charged, so every request's seconds are added; what
+    /// the run saves is each request's page rounding, seek test and counter
+    /// updates. When `offset` and `unit` are whole pages, each request after
+    /// the first starts where the head stopped: no seek, a span of `unit`,
+    /// the same seconds every time.
+    pub fn write_run(&mut self, offset: u64, unit: u64, count: u64, clock: &mut f64) {
+        if count == 0 {
+            return;
+        }
+        if offset % self.pagesize != 0 || unit % self.pagesize != 0 {
+            for j in 0..count {
+                *clock += self.write(offset + j * unit, unit);
+            }
+            return;
+        }
+        *clock += self.write(offset, unit);
+        let t = unit as f64 * self.secs_per_byte_write;
+        for _ in 1..count {
+            *clock += t;
+            self.stats.busy_seconds += t;
+        }
+        self.head = offset + unit * count;
+        self.stats.bytes_written += unit * (count - 1);
+    }
 }
 
 /// Flash model: reads are seek-free; writing into an erase block not written
@@ -261,6 +291,24 @@ impl DeviceSim {
                 d.stats.bytes_written += len;
                 0.0
             }
+        }
+    }
+
+    /// `count` back-to-back writes of `unit` bytes starting at `offset`,
+    /// each request's seconds added to `clock` in request order: equal to
+    /// the last bit to `count` calls of [`write`](DeviceSim::write). The HDD
+    /// charges page-aligned runs without rounding each request (see
+    /// [`HddSim::write_run`]); flash may open a new erase block at any
+    /// request, so it keeps the loop; RAM only counts bytes.
+    pub fn write_run(&mut self, offset: u64, unit: u64, count: u64, clock: &mut f64) {
+        match self {
+            DeviceSim::Hdd(d) => d.write_run(offset, unit, count, clock),
+            DeviceSim::Flash(d) => {
+                for j in 0..count {
+                    *clock += d.write(offset + j * unit, unit);
+                }
+            }
+            DeviceSim::Ram(d) => d.stats.bytes_written += unit * count,
         }
     }
 

@@ -294,6 +294,36 @@ impl StorageSim {
         Ok(())
     }
 
+    /// `count` sequential writes of `unit` bytes starting at `offset`
+    /// within `file`: clock and device statistics end up bit-identical to
+    /// `count` calls of [`write`](StorageSim::write), with the bounds check
+    /// and file lookup done once (see [`DeviceSim::write_run`]). As for
+    /// [`read_run`](StorageSim::read_run), a run that would leave the file
+    /// is rejected before anything is charged. While tracing, the run
+    /// records one `write_run` span.
+    pub fn write_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        if count == 0 {
+            return Ok(());
+        }
+        self.check(file, offset, unit.saturating_mul(count))?;
+        let m = *self.meta(file);
+        let d = m.device as usize;
+        let seeks0 = self.obs_seeks(d);
+        let t0 = self.clock_seconds;
+        let mut clock = t0;
+        self.devices[d].write_run(m.offset + offset, unit, count, &mut clock);
+        let bytes = unit * count;
+        self.obs_span("write_run", d, clock - t0, bytes, seeks0, Some(count));
+        self.clock_seconds = clock;
+        Ok(())
+    }
+
     /// Keeps `data` as the bytes at `offset` of `file` (the payload of a
     /// charged data write; the caller has bounds-checked the request). The
     /// file's payload grows to the end of its last write.

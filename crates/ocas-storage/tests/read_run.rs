@@ -1,6 +1,7 @@
-//! `StorageSim::read_run` against the loop of `read` it stands for, and
-//! `StorageSim::read_data_run` against the loop of `read_data`: same clock,
-//! same device counters, same device state afterwards — to the last bit, on
+//! `StorageSim::read_run` against the loop of `read` it stands for,
+//! `StorageSim::read_data_run` against the loop of `read_data`, and
+//! `StorageSim::write_run` against the loop of `write`: same clock, same
+//! device counters, same device state afterwards — to the last bit, on
 //! every device kind — the same bytes handed back, and the one documented
 //! difference (a run leaving the file is rejected before anything is
 //! charged).
@@ -12,12 +13,16 @@ use proptest::prelude::*;
 const PAGE: u64 = 4096;
 const FILE_LEN: u64 = 16 << 20;
 
-/// A simulator with one file per device kind, each preceded by a 5000-byte
-/// file so the run's file does not start on a page boundary of its device.
+/// Bytes in front of each test file on its device.
+const PADDING: u64 = 5000;
+
+/// A simulator with one file per device kind, each preceded by a
+/// [`PADDING`]-byte file so the run's file does not start on a page
+/// boundary of its device.
 fn sim() -> (StorageSim, [(&'static str, FileId); 3]) {
     let mut sm = StorageSim::from_hierarchy(&presets::hdd_flash_ram(64 << 20));
     let files = ["HDD", "SSD", "RAM"].map(|device| {
-        sm.alloc(device, 5000).expect("padding fits");
+        sm.alloc(device, PADDING).expect("padding fits");
         (device, sm.alloc(device, FILE_LEN).expect("file fits"))
     });
     (sm, files)
@@ -132,6 +137,107 @@ proptest! {
         }
         prop_assert_eq!(observe(&run, device), observe(&looped, device),
             "{} probe at {} after the run", device, probe_at);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// `StorageSim::write_run` against the loop of `write` it stands for. A
+    /// case is a few steps — write runs interleaved with single reads and
+    /// writes, so each run meets the HDD head and the flash drive's open
+    /// erase block wherever the step before left them — and after every
+    /// step the clock's bits and the full `DeviceStats` must be the loop's.
+    /// Units are empty, below a page, a page, above a page or five pages
+    /// (Table 1's 20 KiB output buffer); offsets sit on a page boundary of
+    /// the device (the HDD's page-aligned path), on one of the file only,
+    /// anywhere, or where the step before ended (so a head left one request
+    /// short would seek).
+    #[test]
+    fn write_run_equals_the_loop_of_writes(
+        device in 0usize..3,
+        steps in proptest::collection::vec(
+            ((0u32..4, 0u32..6, 1u64..PAGE), (0u32..4, 0u64..FILE_LEN / 2, 0u64..81)),
+            1..8,
+        ),
+        probe_at in 0u64..FILE_LEN - PAGE,
+    ) {
+        let (mut run, files) = sim();
+        let (mut looped, _) = sim();
+        let (device, file) = files[device];
+        let mut end = 0;
+        for ((kind, unit_kind, unit_draw), (align, at, count)) in steps {
+            let unit = match unit_kind {
+                0 => 0,
+                1 => unit_draw,
+                2 => PAGE,
+                3 => PAGE + unit_draw,
+                4 => 5 * PAGE,
+                _ => 1 + unit_draw % 64,
+            };
+            let offset = match align {
+                0 => at / PAGE * PAGE + (PAGE - PADDING % PAGE),
+                1 => at / PAGE * PAGE,
+                2 => at,
+                _ => end.min(FILE_LEN / 2),
+            };
+            let count = count.min((FILE_LEN - offset) / unit.max(1));
+            end = offset + if kind < 2 { unit * count } else { unit };
+            match kind {
+                0 | 1 => {
+                    run.write_run(file, offset, unit, count).unwrap();
+                    for j in 0..count {
+                        looped.write(file, offset + j * unit, unit).unwrap();
+                    }
+                }
+                2 => {
+                    for sm in [&mut run, &mut looped] {
+                        sm.read(file, offset, unit.max(1)).unwrap();
+                    }
+                }
+                _ => {
+                    for sm in [&mut run, &mut looped] {
+                        sm.write(file, offset, unit).unwrap();
+                    }
+                }
+            }
+            prop_assert_eq!(observe(&run, device), observe(&looped, device),
+                "{} step {} of {} x {} B at {}", device, kind, count, unit, offset);
+        }
+
+        // The next requests see the same device state (head, open block).
+        for sm in [&mut run, &mut looped] {
+            sm.write(file, probe_at, PAGE).unwrap();
+            sm.read(file, probe_at / 2, PAGE).unwrap();
+        }
+        prop_assert_eq!(observe(&run, device), observe(&looped, device),
+            "{} probes at {} after the runs", device, probe_at);
+    }
+}
+
+/// The write run's side of the documented difference, on every device
+/// kind: a run leaving the file charges nothing, where the loop writes the
+/// in-bounds prefix before it fails.
+#[test]
+fn out_of_bounds_write_run_is_rejected_before_anything_is_charged() {
+    let (unit, count) = (PAGE, FILE_LEN / PAGE + 1);
+    for i in 0..3 {
+        let (mut run, files) = sim();
+        let (mut looped, _) = sim();
+        let (device, file) = files[i];
+        let untouched = observe(&run, device);
+        assert!(matches!(
+            run.write_run(file, 0, unit, count),
+            Err(StorageError::OutOfBounds { .. })
+        ));
+        assert_eq!(observe(&run, device), untouched, "{device}");
+
+        let failed_at = (0..count).find(|j| looped.write(file, j * unit, unit).is_err());
+        assert_eq!(failed_at, Some(count - 1), "{device}");
+        assert!(looped.device_stats(device).unwrap().bytes_written >= FILE_LEN);
+
+        run.write_run(file, FILE_LEN + 1, unit, 0).unwrap();
+        assert_eq!(observe(&run, device), untouched, "{device}: an empty run");
     }
 }
 

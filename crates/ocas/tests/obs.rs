@@ -118,6 +118,63 @@ fn paper_scale_bnl_records_one_span_per_run_and_keeps_the_identity() {
     );
 }
 
+/// Table 1 row 4 at paper scale: the winner writes 2^32 rows through a
+/// 20 KiB output buffer onto the disk it reads from, and its sink issues
+/// the buffers each inner block fills as one write run — one `write_run`
+/// span, whose `requests`, `bytes` and `seeks` say what the run stood for.
+/// Every buffer is on the `dev:HDD` track, as a run or (where the cursor
+/// wraps at the end of the output extent) as single writes, and the `dev:*`
+/// and `cpu` spans still add up to the simulator's seconds.
+#[test]
+fn paper_scale_write_out_records_one_span_per_run_and_keeps_the_identity() {
+    let e = experiments::bnl_writeout_same_hdd();
+    let synth = e.synthesize().expect("synthesis succeeds");
+    ocas_obs::start();
+    let seconds = e.execute(&synth).expect("execution succeeds");
+    let trace = ocas_obs::finish().expect("recorder was active");
+
+    let (mut runs, mut singles, mut written) = (0u64, 0u64, 0.0);
+    for ev in &trace.events {
+        if trace.track(ev) != "dev:HDD" || !ev.name.starts_with("write") {
+            continue;
+        }
+        let arg = |name: &str| ev.args.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        assert!(arg("seeks").is_some(), "{}", ev.name);
+        // A folded event's args are the sums over its occurrences.
+        written += arg("bytes").expect("bytes");
+        match arg("requests") {
+            Some(requests) => {
+                assert_eq!(ev.name, "write_run");
+                assert_eq!(arg("bytes"), Some(requests * 20480.0));
+                runs += 1 + ev.merged;
+            }
+            None => singles += 1 + ev.merged,
+        }
+    }
+    assert!(runs > 0, "no write run recorded");
+    assert!(
+        singles < runs,
+        "{singles} single writes against {runs} runs"
+    );
+    assert_eq!(
+        written,
+        (32u64 << 32) as f64,
+        "every output byte on `dev:HDD`"
+    );
+
+    let attributed: f64 = trace
+        .span_seconds_by_track(Clock::Sim)
+        .iter()
+        .filter(|(t, _)| t.starts_with("dev:") || t.as_str() == "cpu")
+        .map(|(_, s)| s)
+        .sum();
+    let rel = (attributed - seconds).abs() / seconds;
+    assert!(
+        rel < 0.01,
+        "attributed {attributed:.6}s vs simulator {seconds:.6}s (relative error {rel:.4})"
+    );
+}
+
 /// The engine operator span carries the executed plan's name and its
 /// row/byte attribution args.
 #[test]
