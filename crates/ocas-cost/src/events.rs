@@ -173,9 +173,6 @@ pub struct Layout {
     pub inputs: BTreeMap<String, String>,
     /// Output node name; `None` means the output is consumed by the CPU.
     pub output: Option<String>,
-    /// Node for intermediates that exceed the root's capacity; defaults to
-    /// the (unique) input device.
-    pub spill: Option<String>,
 }
 
 impl Layout {
@@ -187,19 +184,12 @@ impl Layout {
                 .map(|i| (i.to_string(), node.to_string()))
                 .collect(),
             output: None,
-            spill: None,
         }
     }
 
     /// Sets the output node, builder style.
     pub fn with_output(mut self, node: &str) -> Layout {
         self.output = Some(node.to_string());
-        self
-    }
-
-    /// Sets the spill node, builder style.
-    pub fn with_spill(mut self, node: &str) -> Layout {
-        self.spill = Some(node.to_string());
         self
     }
 }
@@ -285,18 +275,13 @@ impl<'h> CostEngine<'h> {
             inputs.insert(input, (annot, node));
         }
         let output = layout.output.as_deref().map(resolve).transpose()?;
-        let spill = match &layout.spill {
-            Some(n) => Some(resolve(n)?),
-            None => {
-                // Default: the device holding the first input, else the
-                // first storage node.
-                inputs
-                    .values()
-                    .map(|(_, n)| *n)
-                    .find(|n| *n != h.root())
-                    .or_else(|| h.storage_nodes().first().copied())
-            }
-        };
+        // Intermediates that exceed the root's capacity spill to the
+        // device holding the first input, else to the first storage node.
+        let spill = inputs
+            .values()
+            .map(|(_, n)| *n)
+            .find(|n| *n != h.root())
+            .or_else(|| h.storage_nodes().first().copied());
         Ok(CostEngine {
             h,
             inputs,

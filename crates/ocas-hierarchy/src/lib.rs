@@ -85,12 +85,6 @@ impl NodeProps {
         self
     }
 
-    /// Sets the maximum read-sequence length, builder style.
-    pub fn with_max_seq_read(mut self, bytes: u64) -> NodeProps {
-        self.max_seq_read = Some(bytes);
-        self
-    }
-
     /// Sets the maximum write-sequence length, builder style.
     pub fn with_max_seq_write(mut self, bytes: u64) -> NodeProps {
         self.max_seq_write = Some(bytes);

@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, Mul};
 
 /// An exact non-negative rational number of seconds (or seconds/byte).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rat {
     num: i128,
     den: i128,

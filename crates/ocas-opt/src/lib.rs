@@ -24,10 +24,9 @@
 //! runs where: `ocas::Synthesizer` screens **every** candidate program with
 //! the ladder on its cost workers, ranks them by that, and re-tunes only the
 //! five cheapest with [`optimize`] (falling back to the ladder's answer
-//! where the pattern search finds nothing feasible); the opt-in
-//! branch-and-bound prune asks [`admissible_lower_bound`] first.
+//! where the pattern search finds nothing feasible).
 //!
-//! All three probe one formula thousands of times, so none of them calls
+//! Both probe one formula thousands of times, so neither calls
 //! `ocas_symbolic::eval` per probe: a problem's objective and constraints
 //! are compiled once against one binding table
 //! (`ocas_symbolic::{Compiled, Slots}`, fixed variables bound at set-up),
@@ -361,70 +360,6 @@ pub fn optimize(problem: &Problem) -> Result<Optimum, OptError> {
     })
 }
 
-/// An admissible lower bound on the constrained optimum of `problem`,
-/// used by the synthesizer's opt-in branch-and-bound prune.
-///
-/// The objective is simplified to a sum of terms and each term is
-/// minimized **independently** over the `{lo, hi}` corners of the
-/// parameters it mentions (constraints ignored). Since
-/// `min_x Σᵢ tᵢ(x) ≥ Σᵢ min_x tᵢ(x)` and relaxing the constraints only
-/// lowers each per-term minimum further, the sum of per-term minima never
-/// exceeds the candidate's true constrained optimum whenever every term is
-/// coordinate-monotone — which the cost annotator's transfer terms
-/// (posynomials in the block sizes, optionally under `ceil`) are. Terms
-/// mentioning more than [`MAX_BOUND_PARAMS`] parameters, or not evaluable
-/// at any corner, contribute zero (the bound stays valid for the
-/// non-negative seconds formulas the annotator emits).
-pub fn admissible_lower_bound(problem: &Problem) -> Result<f64, OptError> {
-    let simplified = ocas_symbolic::simplify(&problem.objective);
-    let terms: Vec<Sym> = match simplified {
-        Sym::Add(ts) => ts,
-        other => vec![other],
-    };
-    let mut table = Table::new(problem);
-    // Unmentioned parameters still need *some* value for eval.
-    let floor: Vec<f64> = problem.params.iter().map(|p| p.lo.max(1.0)).collect();
-    let mut total = 0.0f64;
-    let mut any_evaluable = false;
-    for term in &terms {
-        let vars = term.vars();
-        let involved: Vec<usize> = (0..problem.params.len())
-            .filter(|i| vars.contains(&problem.params[*i].name))
-            .collect();
-        if involved.len() > MAX_BOUND_PARAMS {
-            continue; // Contributes 0; bound stays below the optimum.
-        }
-        let formula = table.compile(term);
-        let mut x = floor.clone();
-        let mut best: Option<f64> = None;
-        for corner in 0..(1u32 << involved.len()) {
-            for (bit, i) in involved.iter().enumerate() {
-                x[*i] = if corner & (1 << bit) == 0 {
-                    floor[*i]
-                } else {
-                    problem.params[*i].hi()
-                };
-            }
-            if let Ok(v) = table.eval(&formula, &x) {
-                if v.is_finite() {
-                    best = Some(best.map_or(v, |b: f64| b.min(v)));
-                    any_evaluable = true;
-                }
-            }
-        }
-        total += best.unwrap_or(0.0);
-    }
-    if !any_evaluable && !terms.is_empty() {
-        return Err(OptError::Unevaluable(
-            "no term evaluable at any corner".into(),
-        ));
-    }
-    Ok(total)
-}
-
-/// Per-term parameter cap for [`admissible_lower_bound`]'s corner sweep.
-pub const MAX_BOUND_PARAMS: usize = 12;
-
 /// Exhaustive powers-of-two coordinate descent — the tuner the synthesizer
 /// screens every candidate with. Each parameter sweeps `2⁰ … 2⁴⁰` (clamped
 /// to its box) while the others stay fixed, repeating until no coordinate
@@ -623,45 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn admissible_lower_bound_never_exceeds_the_optimum() {
-        // Posynomial-style problems of the kind the cost annotator emits:
-        // the bound must sit at or below every optimizer's result.
-        let problems = vec![
-            Problem {
-                objective: Sym::int(1000) / v("k") + v("k") / Sym::int(100),
-                params: vec![ParamSpec::new("k", Some(1e9))],
-                constraints: vec![],
-                fixed: Env::new(),
-            },
-            Problem {
-                objective: v("x") / v("k1") + v("x") * v("y") / (v("k1") * v("k2")),
-                params: vec![
-                    ParamSpec::new("k1", Some(1e6)),
-                    ParamSpec::new("k2", Some(1e6)),
-                ],
-                constraints: vec![(v("k1") + v("k2"), Sym::int(1_000_000))],
-                fixed: Env::new().with("x", 1e9).with("y", 3e7),
-            },
-            Problem {
-                objective: (Sym::int(30) / v("k")).ceil() * Sym::int(100) + v("k"),
-                params: vec![ParamSpec::new("k", Some(64.0))],
-                constraints: vec![],
-                fixed: Env::new(),
-            },
-        ];
-        for p in &problems {
-            let lb = admissible_lower_bound(p).unwrap();
-            let opt = optimize(p).or_else(|_| ladder_search(p)).unwrap();
-            assert!(
-                lb <= opt.objective + 1e-9,
-                "bound {lb} exceeds optimum {} for {p:?}",
-                opt.objective
-            );
-            assert!(lb >= 0.0, "transfer-term bound went negative: {lb}");
-        }
-    }
-
-    #[test]
     fn a_parameter_that_fixed_also_names_takes_the_probes_value() {
         // `k` is a parameter *and* has a fixed value: the point wins, as it
         // did when the parameters were `Env::set` over a copy of `fixed`.
@@ -676,8 +572,6 @@ mod tests {
         assert_eq!(o.objective, 128.0);
         let o = optimize(&p).unwrap();
         assert!((60..=68).contains(&o.values["k"]), "{o:?}");
-        let bound = admissible_lower_bound(&p).unwrap();
-        assert_eq!(bound, 1e6f64.powi(-1) * 4096.0 + 1.0);
     }
 
     #[test]

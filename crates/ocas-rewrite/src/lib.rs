@@ -31,10 +31,9 @@
 //! one canonicalize-and-intern pass, frontier levels are expanded by
 //! `std::thread::scope` worker threads, and worker results are merged in
 //! frontier order so statistics and the program list are bit-identical for
-//! every worker count. [`search_with`] additionally takes [`SearchHooks`],
-//! which the synthesizer uses to pipeline cost estimation into the search
-//! loop (`on_program`) and to opt into branch-and-bound pruning
-//! (`should_expand`). [`reference_search`] keeps the original single-queue
+//! every worker count. [`search_with`] additionally takes a callback that
+//! sees each accepted program in index order, which the synthesizer uses to
+//! pipeline cost estimation into the search loop. [`reference_search`] keeps the original single-queue
 //! engine as the parity oracle, and [`dedup_key`] its owned-`Expr` dedup
 //! key; regression tests hold both engines to identical statistics on every
 //! Table 1 row.
@@ -49,6 +48,6 @@ mod search;
 pub use conditions::{differential_check, Equivalence, ValidationCfg};
 pub use rules::{default_rules, next_fresh_index, Rule, RuleCtx};
 pub use search::{
-    dedup_key, reference_search, rewrite_everywhere, search, search_with, NoHooks, SearchConfig,
-    SearchHooks, SearchResult, SearchStats,
+    dedup_key, reference_search, rewrite_everywhere, search, search_with, SearchConfig,
+    SearchResult, SearchStats,
 };

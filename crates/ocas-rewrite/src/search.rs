@@ -84,9 +84,6 @@ pub struct SearchStats {
     pub rejected_semantics: usize,
     /// Longest derivation (paper: "Steps").
     pub depth_reached: u32,
-    /// Programs accepted but not expanded because a [`SearchHooks`] prune
-    /// hook declined them (0 unless branch-and-bound pruning is opted in).
-    pub pruned: usize,
     /// Distinct hash-consed nodes in the term arena at the end of the
     /// search (a measure of structural sharing across the space).
     pub arena_nodes: usize,
@@ -119,35 +116,6 @@ pub struct SearchResult {
     pub stats: SearchStats,
 }
 
-/// Caller hooks into the search loop, the mechanism behind pipelined cost
-/// estimation and opt-in branch-and-bound pruning.
-///
-/// Both methods are invoked on the merge thread in **deterministic order**
-/// (program index order), never concurrently.
-pub trait SearchHooks {
-    /// Called once per accepted program, immediately when it enters the
-    /// space (index 0 is the specification). A pipelined coster hands the
-    /// program to its worker pool here instead of waiting for the search
-    /// to finish.
-    fn on_program(&mut self, index: usize, program: &Expr, depth: u32) {
-        let _ = (index, program, depth);
-    }
-
-    /// Return `false` to keep `program` in the space but *not* expand it
-    /// (its would-be descendants are never generated; counted in
-    /// [`SearchStats::pruned`]). The default accepts everything, which
-    /// keeps the explored space bit-identical to the exhaustive BFS.
-    fn should_expand(&mut self, index: usize, program: &Expr, depth: u32) -> bool {
-        let _ = (index, program, depth);
-        true
-    }
-}
-
-/// The do-nothing hooks: plain exhaustive search.
-pub struct NoHooks;
-
-impl SearchHooks for NoHooks {}
-
 /// Runs the BFS.
 ///
 /// `input_nodes`/`output` describe the physical layout (used by *seq-ac*).
@@ -168,7 +136,7 @@ pub fn search(
         output,
         rules,
         cfg,
-        &mut NoHooks,
+        |_, _, _| {},
     )
 }
 
@@ -291,10 +259,13 @@ fn expand_item(
     out
 }
 
-/// Runs the BFS with caller [`SearchHooks`] — the entry point the
-/// synthesizer uses to pipeline cost estimation into the search loop.
+/// Runs the BFS, calling `on_program(index, program, depth)` once per
+/// accepted program as soon as it enters the space (index 0 is the
+/// specification) — the entry point the synthesizer uses to pipeline cost
+/// estimation into the search loop. The callback runs on the merge thread
+/// in program-index order, never concurrently.
 #[allow(clippy::too_many_arguments)]
-pub fn search_with<H: SearchHooks>(
+pub fn search_with(
     spec: &Expr,
     env: &TypeEnv,
     hierarchy: &Hierarchy,
@@ -302,7 +273,7 @@ pub fn search_with<H: SearchHooks>(
     output: Option<String>,
     rules: &[Box<dyn Rule>],
     cfg: &SearchConfig,
-    hooks: &mut H,
+    mut on_program: impl FnMut(usize, &Expr, u32),
 ) -> Result<SearchResult, ocal::TypeError> {
     let start = Instant::now();
     let spec_ty = typecheck(spec, env)?;
@@ -314,14 +285,10 @@ pub fn search_with<H: SearchHooks>(
 
     seen.insert(interner.canonical(spec));
     programs.push((spec.clone(), 0));
-    hooks.on_program(0, spec, 0);
+    on_program(0, spec, 0);
     let mut frontier: Vec<(Expr, u32)> = Vec::new();
     if cfg.max_depth > 0 {
-        if hooks.should_expand(0, spec, 0) {
-            frontier.push((spec.clone(), 0));
-        } else {
-            stats.pruned += 1;
-        }
+        frontier.push((spec.clone(), 0));
     }
 
     let shared = ExpandShared {
@@ -468,13 +435,9 @@ pub fn search_with<H: SearchHooks>(
                 seen.insert(key);
                 stats.depth_reached = stats.depth_reached.max(depth + 1);
                 let index = programs.len();
-                hooks.on_program(index, &cand, depth + 1);
+                on_program(index, &cand, depth + 1);
                 if depth + 1 < cfg.max_depth {
-                    if hooks.should_expand(index, &cand, depth + 1) {
-                        next_frontier.push((cand.clone(), depth + 1));
-                    } else {
-                        stats.pruned += 1;
-                    }
+                    next_frontier.push((cand.clone(), depth + 1));
                 }
                 programs.push((cand, depth + 1));
             }
@@ -995,21 +958,9 @@ mod tests {
         assert_eq!(keys(&reference), keys(&seq));
     }
 
-    /// Hooks fire in program-index order and pruning is honored.
+    /// The callback fires once per explored program, in index order.
     #[test]
-    fn hooks_observe_programs_and_can_prune() {
-        struct Recorder {
-            seen: Vec<(usize, u32)>,
-            prune_from: usize,
-        }
-        impl SearchHooks for Recorder {
-            fn on_program(&mut self, index: usize, _program: &Expr, depth: u32) {
-                self.seen.push((index, depth));
-            }
-            fn should_expand(&mut self, index: usize, _program: &Expr, _depth: u32) -> bool {
-                index < self.prune_from
-            }
-        }
+    fn on_program_fires_once_per_program_in_index_order() {
         let h = presets::hdd_ram(8 << 20);
         let env = join_env();
         let inputs = hdd_inputs(&["R", "S"]);
@@ -1020,11 +971,8 @@ mod tests {
             validation: None,
             workers: 1,
         };
-        let mut all = Recorder {
-            seen: Vec::new(),
-            prune_from: usize::MAX,
-        };
-        let full = search_with(
+        let mut seen: Vec<(usize, Expr, u32)> = Vec::new();
+        let result = search_with(
             &spec,
             &env,
             &h,
@@ -1032,34 +980,15 @@ mod tests {
             None,
             &default_rules(),
             &cfg,
-            &mut all,
+            |index, program, depth| seen.push((index, program.clone(), depth)),
         )
         .unwrap();
-        assert_eq!(all.seen.len(), full.stats.explored);
-        assert!(all.seen.windows(2).all(|w| w[0].0 + 1 == w[1].0));
-        assert_eq!(full.stats.pruned, 0);
-
-        let mut pruned = Recorder {
-            seen: Vec::new(),
-            prune_from: 2,
-        };
-        let cut = search_with(
-            &spec,
-            &env,
-            &h,
-            &inputs,
-            None,
-            &default_rules(),
-            &cfg,
-            &mut pruned,
-        )
-        .unwrap();
-        assert!(cut.stats.pruned > 0);
-        assert!(
-            cut.stats.explored < full.stats.explored,
-            "pruning must shrink the space: {} vs {}",
-            cut.stats.explored,
-            full.stats.explored
-        );
+        assert!(result.stats.explored > 1);
+        assert_eq!(seen.len(), result.stats.explored);
+        for (i, ((index, program, depth), (p, d))) in seen.iter().zip(&result.programs).enumerate()
+        {
+            assert_eq!(*index, i);
+            assert_eq!((program, *depth), (p, *d));
+        }
     }
 }

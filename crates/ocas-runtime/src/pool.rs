@@ -437,11 +437,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// The eviction policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The frame holding `page` if it is resident, counted as a hit.
     fn hit(&mut self, page: u64) -> Option<usize> {
         let f = *self.table.get(&page)?;

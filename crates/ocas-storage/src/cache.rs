@@ -15,17 +15,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio in `[0, 1]` (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// LRU set-associative cache over a byte address space.
 #[derive(Debug, Clone)]
 pub struct CacheSim {

@@ -1,7 +1,7 @@
 //! File allocation and clocked access across the simulated devices.
 
 use crate::device::{DeviceSim, DeviceStats};
-use ocas_hierarchy::{CostPair, Hierarchy, NodeId};
+use ocas_hierarchy::{CostPair, Hierarchy};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -209,17 +209,6 @@ impl StorageSim {
             len,
         });
         Ok(id)
-    }
-
-    /// Allocates on the device of a hierarchy node id.
-    pub fn alloc_on(
-        &mut self,
-        h: &Hierarchy,
-        node: NodeId,
-        len: u64,
-    ) -> Result<FileId, StorageError> {
-        let name = h.node(node).name.clone();
-        self.alloc(&name, len)
     }
 
     fn meta(&self, file: FileId) -> &FileMeta {

@@ -220,15 +220,6 @@ impl Expr {
             }
         }
     }
-
-    /// Substitutes several variables at once.
-    pub fn subst_all<'a>(&self, pairs: impl IntoIterator<Item = (&'a str, Expr)>) -> Expr {
-        let mut out = self.clone();
-        for (name, with) in pairs {
-            out = out.subst(name, &with);
-        }
-        out
-    }
 }
 
 impl From<i64> for Expr {

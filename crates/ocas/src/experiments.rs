@@ -470,7 +470,6 @@ pub fn column_store_read(n: usize) -> Experiment {
                 .map(|c| (c.clone(), "HDD".to_string()))
                 .collect(),
             output: None,
-            spill: None,
         },
         rel_specs: names
             .iter()

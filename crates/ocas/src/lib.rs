@@ -49,4 +49,4 @@ pub mod verify;
 
 pub use real::RealRunSetup;
 pub use specs::Spec;
-pub use synth::{Candidate, PruneCfg, SynthError, Synthesis, Synthesizer};
+pub use synth::{Candidate, SynthError, Synthesis, Synthesizer};

@@ -1,33 +1,28 @@
 //! The synthesizer pipeline: search → cost → parameter tuning → best plan.
 //!
 //! Cost estimation is **pipelined into the search loop** instead of being a
-//! post-hoc pass over the explored space: the search's
-//! [`ocas_rewrite::SearchHooks`] hand each accepted program to a pool of
+//! post-hoc pass over the explored space: the callback handed to
+//! [`ocas_rewrite::search_with`] sends each accepted program to a pool of
 //! scoped cost-worker threads (cost analysis + ladder screening) while the
-//! frontier keeps expanding. Results are merged by program index, so with
-//! pruning off the outcome is bit-identical to the old sequential
-//! search-then-cost pass.
-//!
-//! An opt-in branch-and-bound prune ([`PruneCfg`]) additionally skips both
-//! the ladder screening and the *expansion* of candidates whose admissible
-//! cost lower bound ([`ocas_opt::admissible_lower_bound`]) already exceeds
-//! the best tuned cost seen so far. It is OFF by default precisely because
-//! it changes the explored space (Table 1's `explored`/`depth_reached`
-//! stats are pinned against the exhaustive baseline).
+//! frontier keeps expanding. The search is exhaustive, and results are
+//! merged by program index, so the outcome is bit-identical to a sequential
+//! search-then-cost pass for every worker count. The five candidates the
+//! ladder ranks cheapest are then refined with the full pattern search.
 
 use crate::specs::Spec;
 use ocal::Expr;
 use ocas_cost::{CostEngine, CostError, CostReport, Layout};
-use ocas_opt::{admissible_lower_bound, ladder_search, optimize, Optimum, Problem};
-use ocas_rewrite::{
-    default_rules, search_with, Rule, SearchConfig, SearchHooks, SearchStats, ValidationCfg,
-};
+use ocas_opt::{ladder_search, optimize, Optimum, Problem};
+use ocas_rewrite::{default_rules, search_with, Rule, SearchConfig, SearchStats, ValidationCfg};
 use ocas_symbolic::Expr as Sym;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
+
+/// How many of the candidates the ladder ranks cheapest get the full
+/// pattern-search refinement.
+const REFINE_TOP: usize = 5;
 
 /// One costed candidate.
 #[derive(Debug, Clone)]
@@ -57,9 +52,6 @@ pub struct Synthesis {
     pub costed: usize,
     /// How many candidates the cost engine could not analyze.
     pub uncosted: usize,
-    /// How many candidates the branch-and-bound screen skipped the ladder
-    /// for (0 unless [`Synthesizer::prune`] is set).
-    pub screened: usize,
 }
 
 /// Synthesizer errors.
@@ -85,22 +77,6 @@ impl fmt::Display for SynthError {
 
 impl std::error::Error for SynthError {}
 
-/// Branch-and-bound pruning policy (opt-in, see [`Synthesizer::prune`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PruneCfg {
-    /// A candidate is pruned when its admissible lower bound exceeds
-    /// `slack ×` the incumbent best tuned cost. `1.0` prunes everything
-    /// that provably cannot win; larger values keep a safety margin of
-    /// candidates whose *descendants* might still improve.
-    pub slack: f64,
-}
-
-impl Default for PruneCfg {
-    fn default() -> PruneCfg {
-        PruneCfg { slack: 1.0 }
-    }
-}
-
 /// The synthesizer: a hierarchy, a physical layout and search settings.
 pub struct Synthesizer {
     /// Target memory hierarchy.
@@ -111,23 +87,13 @@ pub struct Synthesizer {
     pub max_depth: u32,
     /// Cap on the explored program count.
     pub max_programs: usize,
-    /// Enable differential validation of candidates.
-    pub validate: bool,
     /// Rule names to exclude (per-experiment scoping, e.g. disabling
     /// *hash-part* to study plain BNL).
     pub exclude_rules: Vec<String>,
-    /// How many ladder-screened candidates get the full pattern-search
-    /// refinement.
-    pub refine_top: usize,
     /// Search frontier-expansion workers (0 = available parallelism).
     pub search_workers: usize,
     /// Pipelined cost-estimation workers (0 = available parallelism).
     pub cost_workers: usize,
-    /// Opt-in branch-and-bound pruning. `None` (the default) keeps the
-    /// search exhaustive and every statistic bit-identical to the
-    /// sequential baseline; `Some` trades that determinism for a smaller
-    /// explored space on cost-dominated workloads.
-    pub prune: Option<PruneCfg>,
 }
 
 /// A program handed from the search thread to the cost workers.
@@ -135,14 +101,6 @@ struct CostJob {
     index: usize,
     program: Expr,
     depth: u32,
-}
-
-/// A cost analysis prepared by the prune hook on the search thread and
-/// handed to the cost workers so the analysis is not repeated there.
-struct PreparedCost {
-    lower_bound: f64,
-    problem: Problem,
-    report: CostReport,
 }
 
 /// What a cost worker measured for one job; it becomes a trace span at
@@ -154,84 +112,6 @@ struct JobTiming {
     dur: f64,
     evals: u64,
     params: usize,
-}
-
-/// What a cost worker produced for one program index.
-enum CostOut {
-    Costed(usize, Box<Candidate>),
-    Uncosted(usize),
-    Screened(usize),
-}
-
-/// Lock-free running minimum over f64 bits (all values are ≥ 0 here, so
-/// the IEEE total order agrees with the numeric order on the bit level).
-fn fetch_min(cell: &AtomicU64, value: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while value < f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, value.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => break,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Search hooks implementing the cost pipeline: `on_program` enqueues each
-/// accepted program for the cost workers; `should_expand` consults the
-/// branch-and-bound bound when pruning is enabled.
-struct PipelineHooks<'a> {
-    tx: Option<mpsc::Sender<CostJob>>,
-    prune: Option<PruneCfg>,
-    incumbent: &'a AtomicU64,
-    prepared: &'a Mutex<HashMap<usize, PreparedCost>>,
-    engine: &'a CostEngine<'a>,
-    spec: &'a Spec,
-}
-
-impl SearchHooks for PipelineHooks<'_> {
-    fn on_program(&mut self, index: usize, program: &Expr, depth: u32) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(CostJob {
-                index,
-                program: program.clone(),
-                depth,
-            });
-        }
-    }
-
-    fn should_expand(&mut self, index: usize, program: &Expr, _depth: u32) -> bool {
-        let Some(prune) = self.prune else {
-            return true;
-        };
-        let incumbent = f64::from_bits(self.incumbent.load(Ordering::Relaxed));
-        if !incumbent.is_finite() {
-            return true;
-        }
-        // The bound is computed here (one cost-analysis pass, no ladder)
-        // rather than waiting for the asynchronous cost worker — by the
-        // time the worker gets to this program the frontier has moved on.
-        // The analysis is stashed for that worker so it is not repeated.
-        match candidate_problem(self.engine, self.spec, program) {
-            Ok((problem, report)) => match admissible_lower_bound(&problem) {
-                Ok(lb) => {
-                    let verdict = lb <= prune.slack * incumbent;
-                    self.prepared.lock().unwrap().insert(
-                        index,
-                        PreparedCost {
-                            lower_bound: lb,
-                            problem,
-                            report,
-                        },
-                    );
-                    verdict
-                }
-                Err(_) => true,
-            },
-            // Uncostable programs can't beat the incumbent themselves,
-            // but their descendants might become costable; expand.
-            Err(_) => true,
-        }
-    }
 }
 
 /// Cost-analyzes one program into an optimization problem.
@@ -258,23 +138,18 @@ fn candidate_problem(
     Ok((problem, report))
 }
 
-/// Costs one program and tunes its parameters (cheap ladder screening,
-/// optionally refined with the full pattern search).
-fn cost_candidate(
+/// Costs one program and tunes its parameters with the full pattern
+/// search (the ladder when the pattern search fails).
+fn refine_candidate(
     engine: &CostEngine<'_>,
     spec: &Spec,
     program: &Expr,
     depth: u32,
-    refine: bool,
 ) -> Result<Candidate, CostError> {
     let (problem, report) = candidate_problem(engine, spec, program)?;
-    let tuned: Optimum = if refine {
-        optimize(&problem)
-            .or_else(|_| ladder_search(&problem))
-            .map_err(|_| CostError::Unsupported("parameter optimization"))?
-    } else {
-        ladder_search(&problem).map_err(|_| CostError::Unsupported("parameter optimization"))?
-    };
+    let tuned: Optimum = optimize(&problem)
+        .or_else(|_| ladder_search(&problem))
+        .map_err(|_| CostError::Unsupported("parameter optimization"))?;
     Ok(Candidate {
         program: program.clone(),
         depth,
@@ -292,12 +167,9 @@ impl Synthesizer {
             layout,
             max_depth: 6,
             max_programs: 2000,
-            validate: true,
             exclude_rules: Vec::new(),
-            refine_top: 5,
             search_workers: 0,
             cost_workers: 0,
-            prune: None,
         }
     }
 
@@ -319,18 +191,6 @@ impl Synthesizer {
         self
     }
 
-    /// Disables differential validation (trust the syntactic guards).
-    pub fn without_validation(mut self) -> Synthesizer {
-        self.validate = false;
-        self
-    }
-
-    /// Enables branch-and-bound pruning, builder style.
-    pub fn with_prune(mut self, prune: PruneCfg) -> Synthesizer {
-        self.prune = Some(prune);
-        self
-    }
-
     /// Fixes the worker counts (searching, costing), builder style.
     pub fn with_workers(mut self, search: usize, cost: usize) -> Synthesizer {
         self.search_workers = search;
@@ -347,19 +207,14 @@ impl Synthesizer {
 
     /// Runs the full pipeline on a specification.
     pub fn synthesize(&self, spec: &Spec) -> Result<Synthesis, SynthError> {
-        let validation = if self.validate {
-            let mut v = ValidationCfg::new(spec.env.clone(), spec.equivalence);
-            if spec.sorted_inputs {
-                v = v.with_sorted_inputs();
-            }
-            Some(v)
-        } else {
-            None
-        };
+        let mut validation = ValidationCfg::new(spec.env.clone(), spec.equivalence);
+        if spec.sorted_inputs {
+            validation = validation.with_sorted_inputs();
+        }
         let cfg = SearchConfig {
             max_depth: self.max_depth,
             max_programs: self.max_programs,
-            validation,
+            validation: Some(validation),
             workers: self.search_workers,
         };
         let rules = self.rules();
@@ -374,19 +229,10 @@ impl Synthesizer {
         .map_err(SynthError::Cost)?;
         let engine = &engine;
 
-        let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
-        if self.prune.is_some() {
-            // Seed the incumbent with the spec's own tuned cost so the
-            // bound has something to prune against from the start.
-            if let Ok(c) = cost_candidate(engine, spec, &spec.program, 0, false) {
-                fetch_min(&incumbent, c.seconds);
-            }
-        }
-
         let (tx, rx) = mpsc::channel::<CostJob>();
         let rx = Mutex::new(rx);
-        let results: Mutex<Vec<CostOut>> = Mutex::new(Vec::new());
-        let prepared: Mutex<HashMap<usize, PreparedCost>> = Mutex::new(HashMap::new());
+        // Per program index, its tuned candidate (`None`: not costable).
+        let results: Mutex<Vec<(usize, Option<Candidate>)>> = Mutex::new(Vec::new());
         let cost_workers = if self.cost_workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -405,59 +251,29 @@ impl Synthesizer {
 
         let search_result = std::thread::scope(|s| {
             for w in 0..cost_workers {
-                let (rx, prepared, results, incumbent, timings) =
-                    (&rx, &prepared, &results, &incumbent, &timings);
+                let (rx, results, timings) = (&rx, &results, &timings);
                 s.spawn(move || loop {
                     let job = match rx.lock().unwrap().recv() {
                         Ok(job) => job,
                         Err(_) => break,
                     };
                     let t0 = obs_epoch.map(|(epoch, _)| epoch.elapsed().as_secs_f64());
-                    // Reuse the analysis the prune hook already did for
-                    // this program, if any (bound included).
-                    let ready = prepared.lock().unwrap().remove(&job.index);
-                    let analyzed = match ready {
-                        Some(pc) => Ok((pc.problem, pc.report, Some(pc.lower_bound))),
-                        None => candidate_problem(engine, spec, &job.program)
-                            .map(|(problem, report)| (problem, report, None)),
-                    };
                     // How hard the job was to tune, for its trace span.
                     let (mut evals, mut params) = (0u64, 0usize);
-                    let out = match analyzed {
-                        Err(_) => CostOut::Uncosted(job.index),
-                        Ok((problem, report, bound)) => {
+                    let costed = candidate_problem(engine, spec, &job.program).ok().and_then(
+                        |(problem, report)| {
                             params = problem.params.len();
-                            let screened = self.prune.is_some_and(|p| {
-                                let inc = f64::from_bits(incumbent.load(Ordering::Relaxed));
-                                inc.is_finite()
-                                    && bound
-                                        .map(Ok)
-                                        .unwrap_or_else(|| admissible_lower_bound(&problem))
-                                        .is_ok_and(|lb| lb > p.slack * inc)
-                            });
-                            if screened {
-                                CostOut::Screened(job.index)
-                            } else {
-                                match ladder_search(&problem) {
-                                    Err(_) => CostOut::Uncosted(job.index),
-                                    Ok(tuned) => {
-                                        evals = tuned.evals;
-                                        fetch_min(incumbent, tuned.objective);
-                                        CostOut::Costed(
-                                            job.index,
-                                            Box::new(Candidate {
-                                                program: job.program.clone(),
-                                                depth: job.depth,
-                                                params: tuned.values,
-                                                seconds: tuned.objective,
-                                                formula: report.seconds,
-                                            }),
-                                        )
-                                    }
-                                }
-                            }
-                        }
-                    };
+                            let tuned = ladder_search(&problem).ok()?;
+                            evals = tuned.evals;
+                            Some(Candidate {
+                                program: job.program,
+                                depth: job.depth,
+                                params: tuned.values,
+                                seconds: tuned.objective,
+                                formula: report.seconds,
+                            })
+                        },
+                    );
                     if let (Some(start), Some((epoch, _))) = (t0, obs_epoch) {
                         timings.lock().unwrap().push(JobTiming {
                             worker: w,
@@ -468,18 +284,13 @@ impl Synthesizer {
                             params,
                         });
                     }
-                    results.lock().unwrap().push(out);
+                    results.lock().unwrap().push((job.index, costed));
                 });
             }
-            let mut hooks = PipelineHooks {
-                tx: Some(tx),
-                prune: self.prune,
-                incumbent: &incumbent,
-                prepared: &prepared,
-                engine,
-                spec,
-            };
-            let result = search_with(
+            // The callback owns the sender: `search_with` drops it on
+            // return, which closes the channel so the workers drain the
+            // queue and exit; the scope joins them before returning.
+            search_with(
                 &spec.program,
                 &spec.env,
                 &self.hierarchy,
@@ -487,21 +298,21 @@ impl Synthesizer {
                 self.layout.output.clone(),
                 &rules,
                 &cfg,
-                &mut hooks,
-            );
-            // Close the channel so the workers drain the queue and exit;
-            // the scope joins them before returning.
-            hooks.tx.take();
-            result
+                move |index, program, depth| {
+                    let _ = tx.send(CostJob {
+                        index,
+                        program: program.clone(),
+                        depth,
+                    });
+                },
+            )
         })
         .map_err(SynthError::Type)?;
 
         // Deterministic merge: results keyed by program index, exactly the
         // order the old post-hoc costing pass produced.
         let mut outs = results.into_inner().unwrap();
-        outs.sort_unstable_by_key(|o| match o {
-            CostOut::Costed(i, _) | CostOut::Uncosted(i) | CostOut::Screened(i) => *i,
-        });
+        outs.sort_unstable_by_key(|(i, _)| *i);
         if let Some((_, base)) = obs_epoch {
             // One wall-clock span per cost job on its worker's track,
             // recorded in program-index order, with how hard the candidate
@@ -525,16 +336,8 @@ impl Synthesizer {
                 );
             }
         }
-        let mut costed: Vec<Candidate> = Vec::new();
-        let mut uncosted = 0usize;
-        let mut screened = 0usize;
-        for out in outs {
-            match out {
-                CostOut::Costed(_, c) => costed.push(*c),
-                CostOut::Uncosted(_) => uncosted += 1,
-                CostOut::Screened(_) => screened += 1,
-            }
-        }
+        let uncosted = outs.iter().filter(|(_, c)| c.is_none()).count();
+        let mut costed: Vec<Candidate> = outs.into_iter().filter_map(|(_, c)| c).collect();
         if costed.is_empty() {
             return Err(SynthError::NoCandidate);
         }
@@ -547,8 +350,8 @@ impl Synthesizer {
         // Refine the most promising candidates with the full pattern search.
         costed.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap());
         let mut best = costed[0].clone();
-        for cand in costed.iter().take(self.refine_top) {
-            if let Ok(refined) = cost_candidate(engine, spec, &cand.program, cand.depth, true) {
+        for cand in costed.iter().take(REFINE_TOP) {
+            if let Ok(refined) = refine_candidate(engine, spec, &cand.program, cand.depth) {
                 if refined.seconds < best.seconds {
                     best = refined;
                 }
@@ -560,7 +363,6 @@ impl Synthesizer {
             stats: search_result.stats,
             costed: costed.len(),
             uncosted,
-            screened,
         })
     }
 }

@@ -78,50 +78,33 @@ fn bnl_join_synthesis_finds_textbook_shape_small_scale() {
     );
 }
 
-/// The opt-in branch-and-bound prune: with a tight slack the search keeps
-/// provably-dominated candidates unexpanded, shrinking the space, while
-/// the winner it reports is still a sound plan (its cost can only be found
-/// among candidates whose admissible lower bound allowed them to win).
-/// OFF by default — `search_parity.rs` pins that the default explores the
-/// exact exhaustive space.
+/// The synthesizer merges its cost workers' results by program index, so
+/// the winner, its tuned parameters and every count are the same whether
+/// one thread or three search and cost.
 #[test]
-fn branch_and_bound_prune_shrinks_the_space_and_keeps_a_sound_winner() {
-    use ocas::synth::{PruneCfg, Synthesizer};
-
+fn synthesis_is_independent_of_the_worker_counts() {
     let e = experiments::bnl_no_writeout();
-    let full = e.synthesize().expect("exhaustive synthesis");
-    assert_eq!(full.stats.pruned, 0, "prune must be off by default");
-    assert_eq!(full.screened, 0);
-
-    let pruned = Synthesizer::new(e.hierarchy.clone(), e.layout.clone())
-        .with_depth(e.depth)
-        .with_max_programs(e.max_programs)
-        .without_rules(&e.exclude_rules)
-        .with_prune(PruneCfg { slack: 1.0 })
-        .synthesize(&e.spec)
-        .expect("pruned synthesis");
+    let run = |workers: usize| {
+        ocas::Synthesizer::new(e.hierarchy.clone(), e.layout.clone())
+            .with_depth(e.depth)
+            .with_max_programs(e.max_programs)
+            .without_rules(&e.exclude_rules)
+            .with_workers(workers, workers)
+            .synthesize(&e.spec)
+            .unwrap_or_else(|err| panic!("synthesis with {workers} workers: {err}"))
+    };
+    let (one, three) = (run(1), run(3));
     assert!(
-        pruned.stats.pruned > 0,
-        "tight slack should prune: {:?}",
-        pruned.stats
+        one.costed >= 2,
+        "the row must rank candidates: {}",
+        one.costed
     );
-    assert!(
-        pruned.stats.explored < full.stats.explored,
-        "pruning must shrink the space: {} vs {}",
-        pruned.stats.explored,
-        full.stats.explored
-    );
-    // The pruned run may miss deep descendants, but the winner it does
-    // report must be real: no worse than the naive spec and within the
-    // exhaustive winner's cost by a small factor on this row (the BNL
-    // winner appears at shallow depth, which the bound never excludes).
-    assert!(pruned.best.seconds <= pruned.spec.seconds);
-    assert!(
-        pruned.best.seconds <= full.best.seconds * 1.5,
-        "pruned winner {} far from exhaustive winner {}",
-        pruned.best.seconds,
-        full.best.seconds
-    );
+    assert_eq!(one.best.program, three.best.program);
+    assert_eq!(one.best.params, three.best.params);
+    assert_eq!(one.best.seconds.to_bits(), three.best.seconds.to_bits());
+    assert_eq!(one.spec.seconds.to_bits(), three.spec.seconds.to_bits());
+    assert_eq!((one.costed, one.uncosted), (three.costed, three.uncosted));
+    assert_eq!(one.stats.deterministic(), three.stats.deterministic());
 }
 
 /// Regression for the Table 1 GRACE row: with partition-spill seeks

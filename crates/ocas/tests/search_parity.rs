@@ -38,7 +38,6 @@ fn all_table1_rows_agree_across_engines_and_worker_counts() {
             "`{}`: parallel merge diverged from the sequential run",
             e.name
         );
-        assert_eq!(sequential.stats.pruned, 0, "`{}`: nothing opted in", e.name);
 
         // The parallel program list is bit-identical to the sequential one.
         assert_eq!(sequential.programs, parallel.programs, "`{}`", e.name);
