@@ -13,8 +13,9 @@
 //! input sizes … without having to recompute the cost of a program every
 //! time the size of its inputs … changes".
 
+use crate::memo::Simp;
 use ocal::{CardHint, SizeHint};
-use ocas_symbolic::{simplify, Expr as Sym};
+use ocas_symbolic::Expr as Sym;
 
 /// An annotated type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,52 +116,53 @@ impl Annot {
     /// Worst-case join (the `max` of Figure 5's `if` rule). Shapes are
     /// joined structurally; mismatched shapes degrade to an atom of the
     /// maximum byte size.
-    pub fn join(&self, other: &Annot) -> Annot {
+    pub(crate) fn join(&self, other: &Annot, s: Simp<'_>) -> Annot {
         match (self, other) {
             (Annot::Zero, a) | (a, Annot::Zero) => a.clone(),
             (Annot::Atom(a), Annot::Atom(b)) => {
                 if a == b {
                     Annot::Atom(a.clone())
                 } else {
-                    Annot::Atom(simplify(&a.clone().max(b.clone())))
+                    Annot::Atom(s.simplify(&a.clone().max(b.clone())))
                 }
             }
             (Annot::Tuple(xs), Annot::Tuple(ys)) if xs.len() == ys.len() => {
-                Annot::Tuple(xs.iter().zip(ys).map(|(x, y)| x.join(y)).collect())
+                Annot::Tuple(xs.iter().zip(ys).map(|(x, y)| x.join(y, s)).collect())
             }
             (Annot::List { elem: e1, card: c1 }, Annot::List { elem: e2, card: c2 }) => {
                 let card = if c1 == c2 {
                     c1.clone()
                 } else {
-                    simplify(&c1.clone().max(c2.clone()))
+                    s.simplify(&c1.clone().max(c2.clone()))
                 };
-                Annot::list(e1.join(e2), card)
+                Annot::list(e1.join(e2, s), card)
             }
-            (a, b) => Annot::Atom(simplify(&a.size().max(b.size()))),
+            (a, b) => Annot::Atom(s.simplify(&a.size().max(b.size()))),
         }
     }
 
     /// Size addition (`⊔` rule): concatenating two lists adds cardinalities;
     /// mismatched shapes degrade to an atom of the summed byte size.
-    pub fn add(&self, other: &Annot) -> Annot {
+    pub(crate) fn add(&self, other: &Annot, s: Simp<'_>) -> Annot {
         match (self, other) {
             (Annot::Zero, a) | (a, Annot::Zero) => a.clone(),
             (Annot::List { elem: e1, card: c1 }, Annot::List { elem: e2, card: c2 }) => {
-                Annot::list(e1.join(e2), simplify(&(c1.clone() + c2.clone())))
+                Annot::list(e1.join(e2, s), s.simplify(&(c1.clone() + c2.clone())))
             }
-            (a, b) => Annot::Atom(simplify(&(a.size() + b.size()))),
+            (a, b) => Annot::Atom(s.simplify(&(a.size() + b.size()))),
         }
     }
 
     /// Multiplies the outermost cardinality by `factor` (the `for` rule's
     /// `card/k · R(body)`). Scaling a non-list scales its byte size.
-    pub fn scale(&self, factor: &Sym) -> Annot {
+    pub(crate) fn scale(&self, factor: &Sym, s: Simp<'_>) -> Annot {
         match self {
             Annot::Zero => Annot::Zero,
-            Annot::List { elem, card } => {
-                Annot::list((**elem).clone(), simplify(&(factor.clone() * card.clone())))
-            }
-            other => Annot::Atom(simplify(&(factor.clone() * other.size()))),
+            Annot::List { elem, card } => Annot::list(
+                (**elem).clone(),
+                s.simplify(&(factor.clone() * card.clone())),
+            ),
+            other => Annot::Atom(s.simplify(&(factor.clone() * other.size()))),
         }
     }
 
@@ -174,11 +176,11 @@ impl Annot {
     }
 
     /// Simplifies all embedded symbolic expressions.
-    pub fn simplified(&self) -> Annot {
+    pub(crate) fn simplified(&self, s: Simp<'_>) -> Annot {
         match self {
-            Annot::Atom(s) => Annot::Atom(simplify(s)),
-            Annot::Tuple(items) => Annot::Tuple(items.iter().map(Annot::simplified).collect()),
-            Annot::List { elem, card } => Annot::list(elem.simplified(), simplify(card)),
+            Annot::Atom(e) => Annot::Atom(s.simplify(e)),
+            Annot::Tuple(items) => Annot::Tuple(items.iter().map(|i| i.simplified(s)).collect()),
+            Annot::List { elem, card } => Annot::list(elem.simplified(s), s.simplify(card)),
             Annot::Zero => Annot::Zero,
         }
     }
@@ -218,6 +220,9 @@ impl std::fmt::Display for Annot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocas_symbolic::simplify;
+
+    const S: Simp<'static> = Simp::PLAIN;
 
     fn x() -> Sym {
         Sym::var("x")
@@ -243,19 +248,19 @@ mod tests {
     fn join_is_max() {
         let a = Annot::list(Annot::atom(1), Sym::int(5));
         let b = Annot::list(Annot::atom(1), Sym::int(9));
-        match a.join(&b) {
+        match a.join(&b, S) {
             Annot::List { card, .. } => assert_eq!(card, Sym::int(9)),
             other => panic!("expected list, got {other}"),
         }
         // Zero is the identity.
-        assert_eq!(a.join(&Annot::Zero), a);
+        assert_eq!(a.join(&Annot::Zero, S), a);
     }
 
     #[test]
     fn add_concatenates() {
         let a = Annot::list(Annot::atom(4), x());
         let b = Annot::list(Annot::atom(4), Sym::var("y"));
-        match a.add(&b) {
+        match a.add(&b, S) {
             Annot::List { card, .. } => {
                 assert_eq!(card, simplify(&(x() + Sym::var("y"))));
             }
@@ -266,7 +271,7 @@ mod tests {
     #[test]
     fn scale_multiplies_cardinality() {
         let a = Annot::list(Annot::atom(2), Sym::var("k"));
-        let s = a.scale(&(x() / Sym::var("k")));
+        let s = a.scale(&(x() / Sym::var("k")), S);
         match s {
             Annot::List { card, .. } => assert_eq!(card, x()),
             other => panic!("expected list, got {other}"),
@@ -300,7 +305,7 @@ mod tests {
     fn mismatched_shapes_degrade_to_atoms() {
         let a = Annot::list(Annot::atom(1), x());
         let b = Annot::Tuple(vec![Annot::atom(2)]);
-        match a.join(&b) {
+        match a.join(&b, S) {
             Annot::Atom(_) => {}
             other => panic!("expected atom fallback, got {other}"),
         }

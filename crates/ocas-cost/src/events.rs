@@ -12,6 +12,7 @@
 //! the parameter optimizer.
 
 use crate::annot::Annot;
+use crate::memo::{Simp, SimplifyTable};
 use crate::size::{
     apply_fn_size, block_sym, def_size_with_annots, match_ordered_pair, result_size, spine,
     zip_unfold_size, SizeCtx,
@@ -19,7 +20,7 @@ use crate::size::{
 use crate::CostError;
 use ocal::{BlockSize, DefName, Expr, SeqAnnot};
 use ocas_hierarchy::{Hierarchy, NodeId};
-use ocas_symbolic::{simplify, Compiled, Env, Expr as Sym, Normal, Rat, Slots};
+use ocas_symbolic::{Compiled, Env, Expr as Sym, Normal, Rat, Slots};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Symbolic event totals for one directed edge.
@@ -220,9 +221,12 @@ pub const B_IN: &str = "b_in";
 const MAX_FREE_PARAMS: usize = 15;
 
 /// The cost estimation engine: one per specification × hierarchy × layout,
-/// i.e. one per synthesis — [`CostEngine::cost`] takes `&self`, keeps
-/// nothing between programs, and the synthesizer's cost workers share one
-/// engine by reference.
+/// i.e. one per synthesis — [`CostEngine::cost`] takes `&self`, and the
+/// synthesizer's cost workers share one engine by reference. Between
+/// programs it keeps only its table of normal forms: every `simplify` the
+/// engine and its size rules make goes through it, so a formula the
+/// candidates share is normalised once per synthesis. The table has no
+/// bearing on any result, and it is dropped with the engine.
 pub struct CostEngine<'h> {
     h: &'h Hierarchy,
     inputs: BTreeMap<String, (Annot, NodeId)>,
@@ -230,6 +234,7 @@ pub struct CostEngine<'h> {
     spill: Option<NodeId>,
     stats: Env,
     int_size: u64,
+    normal_forms: SimplifyTable,
 }
 
 #[derive(Debug, Clone)]
@@ -289,7 +294,18 @@ impl<'h> CostEngine<'h> {
             spill,
             stats,
             int_size,
+            normal_forms: SimplifyTable::default(),
         })
+    }
+
+    /// Normalises through the engine's table.
+    fn simp(&self) -> Simp<'_> {
+        self.normal_forms.simp()
+    }
+
+    /// `simplify(e)`, through the engine's table.
+    fn simplify(&self, e: &Sym) -> Sym {
+        self.simp().simplify(e)
     }
 
     fn root(&self) -> NodeId {
@@ -311,7 +327,7 @@ impl<'h> CostEngine<'h> {
     /// (so the value spills).
     fn numeric(&self, s: &Sym) -> f64 {
         let mut slots = Slots::new();
-        let formula = Compiled::new(&simplify(s), &mut slots);
+        let formula = Compiled::new(&self.simplify(s), &mut slots);
         slots.bind_env(&self.stats);
         let free: Vec<usize> = (0..slots.len())
             .filter(|i| slots.get(*i).is_none())
@@ -333,10 +349,9 @@ impl<'h> CostEngine<'h> {
         let w0 = ocas_obs::wall_now();
         let out = self.cost_inner(program);
         if ocas_obs::enabled() {
-            // Fires only on threads that carry a recorder — the main
-            // thread's sequential/refinement costing; the pipelined cost
-            // workers record their spans at the synthesizer's
-            // deterministic merge instead.
+            // Fires only on threads that carry a recorder — a direct call
+            // on the main thread; the synthesizer's pipelined cost workers
+            // record their spans at its deterministic merge instead.
             ocas_obs::counter(ocas_obs::Clock::Wall, "cost", "estimates", w0, 1.0);
             ocas_obs::span(
                 ocas_obs::Clock::Wall,
@@ -362,9 +377,9 @@ impl<'h> CostEngine<'h> {
         // element-wise read the naive consumer would perform.
         if out.loc != self.root() {
             if let (Some(card), Some(elem)) = (out.annot.card(), out.annot.elem()) {
-                self.charge_elementwise_read(&mut ev, out.loc, &card, &simplify(&elem.size()));
+                self.charge_elementwise_read(&mut ev, out.loc, &card, &self.simplify(&elem.size()));
             } else {
-                let size = simplify(&out.annot.size());
+                let size = self.simplify(&out.annot.size());
                 self.charge_elementwise_read(&mut ev, out.loc, &Sym::one(), &size);
             }
         }
@@ -389,7 +404,7 @@ impl<'h> CostEngine<'h> {
             for t in terms {
                 lhs = lhs + t.clone();
             }
-            let lhs = simplify(&lhs);
+            let lhs = self.simplify(&lhs);
             if lhs.vars().is_empty() {
                 continue; // Constant usage: nothing for the optimizer.
             }
@@ -416,14 +431,8 @@ impl<'h> CostEngine<'h> {
         })
     }
 
-    fn size_ctx(&self, ctx: &Ctx) -> SizeCtx {
-        SizeCtx::new(
-            ctx.gamma
-                .iter()
-                .map(|(k, (a, _))| (k.clone(), a.clone()))
-                .collect(),
-            self.int_size,
-        )
+    fn size_ctx<'a>(&'a self, ctx: &'a Ctx) -> SizeCtx<'a> {
+        SizeCtx::placed(&ctx.gamma, self.int_size, self.simp())
     }
 
     fn annot_of(&self, e: &Expr, ctx: &Ctx) -> Result<Annot, CostError> {
@@ -598,7 +607,7 @@ impl<'h> CostEngine<'h> {
                 let mut ev = l.ev;
                 ev.merge(r.ev);
                 Ok(Outcome {
-                    annot: l.annot.add(&r.annot),
+                    annot: l.annot.add(&r.annot, self.simp()),
                     loc: root,
                     ev,
                 })
@@ -622,9 +631,8 @@ impl<'h> CostEngine<'h> {
             } => {
                 if let Some((a, b)) = match_ordered_pair(e) {
                     // order-inputs selector: a pure, zero-cost permutation.
-                    let (a, b) = (a.clone(), b.clone());
-                    let oa = self.go(&a, ctx)?;
-                    let ob = self.go(&b, ctx)?;
+                    let oa = self.go(a, ctx)?;
+                    let ob = self.go(b, ctx)?;
                     let annot = self.annot_of(e, ctx)?;
                     let loc = common_loc(&[oa.loc, ob.loc], root);
                     let mut ev = oa.ev;
@@ -637,7 +645,7 @@ impl<'h> CostEngine<'h> {
                 let mut ev = c.ev;
                 ev.merge(t.ev.join(&f.ev));
                 Ok(Outcome {
-                    annot: t.annot.join(&f.annot),
+                    annot: t.annot.join(&f.annot, self.simp()),
                     loc: root,
                     ev,
                 })
@@ -674,9 +682,9 @@ impl<'h> CostEngine<'h> {
             context: "for source",
         })?;
         let elem = src_annot.elem().cloned().unwrap_or(Annot::Zero);
-        let elem_bytes = simplify(&elem.size());
+        let elem_bytes = self.simplify(&elem.size());
         let k = block_sym(block);
-        let blocks = simplify(&(card.clone() / k.clone()));
+        let blocks = self.simplify(&(card.clone() / k.clone()));
 
         // A block can never exceed its source's cardinality; without this
         // bound the optimizer could drive iteration counts below one.
@@ -692,7 +700,7 @@ impl<'h> CostEngine<'h> {
         } else {
             let md = self.h.parent(ms).unwrap_or(root);
             // Input transfer over the ms → md edge.
-            let total = simplify(&(card.clone() * elem_bytes.clone()));
+            let total = self.simplify(&(card.clone() * elem_bytes.clone()));
             let is_seq = matches!(seq, Some(sa) if self.seq_matches(sa, ms, md));
             let init = if is_seq {
                 self.seq_init_count(ms, md, &total)
@@ -719,11 +727,11 @@ impl<'h> CostEngine<'h> {
                 ctx.usage
                     .entry(md)
                     .or_default()
-                    .push(simplify(&(k.clone() * elem_bytes.clone())));
+                    .push(self.simplify(&(k.clone() * elem_bytes.clone())));
                 if let Some(msr) = self.h.node(ms).max_seq_read {
                     ctx.seq_constraints.push(Constraint {
                         label: format!("maxSeqR of {}", self.h.node(ms).name),
-                        lhs: simplify(&(k.clone() * elem_bytes.clone())),
+                        lhs: self.simplify(&(k.clone() * elem_bytes.clone())),
                         rhs: Sym::int(msr as i128),
                     });
                 }
@@ -750,9 +758,9 @@ impl<'h> CostEngine<'h> {
         }
         ev.merge(per_iter.scaled(&blocks));
 
-        let annot = body_out.annot.scale(&blocks);
+        let annot = body_out.annot.scale(&blocks, self.simp());
         Ok(Outcome {
-            annot: annot.simplified(),
+            annot: annot.simplified(self.simp()),
             loc: root,
             ev,
         })
@@ -779,10 +787,8 @@ impl<'h> CostEngine<'h> {
 
     fn cost_app(&self, e: &Expr, ctx: &mut Ctx) -> Result<Outcome, CostError> {
         let (head, args) = spine(e);
-        let head = head.clone();
-        let args: Vec<Expr> = args.into_iter().cloned().collect();
-        match &head {
-            Expr::Lam { .. } => self.cost_app_lam(&head, &args, ctx),
+        match head {
+            Expr::Lam { .. } => self.cost_app_lam(head, &args, ctx),
             Expr::FlatMap { func } => {
                 let [src] = args.as_slice() else {
                     return Err(CostError::Unsupported("flatMap arity"));
@@ -800,7 +806,7 @@ impl<'h> CostEngine<'h> {
                 // Re-associate: ((@sized f) a b) costs like (f a b) with the
                 // size override applied to the head only.
                 let mut rebuilt = (**expr).clone();
-                for a in &args {
+                for a in args {
                     rebuilt = rebuilt.app(a.clone());
                 }
                 self.go(&rebuilt, ctx)
@@ -809,10 +815,15 @@ impl<'h> CostEngine<'h> {
         }
     }
 
-    fn cost_app_lam(&self, lam: &Expr, args: &[Expr], ctx: &mut Ctx) -> Result<Outcome, CostError> {
+    fn cost_app_lam(
+        &self,
+        lam: &Expr,
+        args: &[&Expr],
+        ctx: &mut Ctx,
+    ) -> Result<Outcome, CostError> {
         // Bind arguments one at a time (lazy: no transfer at binding —
         // consumption charges them; see DESIGN.md on lazy App vs Figure 6).
-        let mut current = lam.clone();
+        let mut current = lam;
         let mut ev = Events::zero();
         let mut bindings: Vec<(String, Option<(Annot, NodeId)>)> = Vec::new();
         let mut result = None;
@@ -822,10 +833,10 @@ impl<'h> CostEngine<'h> {
             match current {
                 Expr::Lam { param, body } => {
                     let shadowed = ctx.gamma.insert(param.clone(), (a.annot, a.loc));
-                    bindings.push((param, shadowed));
-                    current = (*body).clone();
+                    bindings.push((param.clone(), shadowed));
+                    current = body;
                     if i + 1 == args.len() {
-                        result = Some(self.go(&current, ctx));
+                        result = Some(self.go(current, ctx));
                     }
                 }
                 _ => {
@@ -854,7 +865,7 @@ impl<'h> CostEngine<'h> {
             context: "flatMap source",
         })?;
         let elem = annot.elem().cloned().unwrap_or(Annot::Zero);
-        let elem_bytes = simplify(&elem.size());
+        let elem_bytes = self.simplify(&elem.size());
         if ms != root {
             self.charge_elementwise_read(&mut ev, ms, &card, &elem_bytes);
             // Each element must fit in the root while processed (this is
@@ -866,7 +877,7 @@ impl<'h> CostEngine<'h> {
         let body = self.cost_apply_fn(f, elem, root, ctx)?;
         ev.merge(body.ev.scaled(&card));
         Ok(Outcome {
-            annot: body.annot.scale(&card).simplified(),
+            annot: body.annot.scale(&card, self.simp()).simplified(self.simp()),
             loc: root,
             ev,
         })
@@ -890,7 +901,7 @@ impl<'h> CostEngine<'h> {
             context: "foldL source",
         })?;
         let elem = src_annot.elem().cloned().unwrap_or(Annot::Zero);
-        let elem_bytes = simplify(&elem.size());
+        let elem_bytes = self.simplify(&elem.size());
 
         let init_out = self.go(init, ctx)?;
         ev.merge(init_out.ev);
@@ -905,16 +916,12 @@ impl<'h> CostEngine<'h> {
         let mut sctx = self.size_ctx(ctx);
         let step_arg = Annot::Tuple(vec![c_annot.clone(), elem.clone()]);
         let one_step = apply_fn_size(func, step_arg.clone(), &mut sctx)?;
-        let c_size = simplify(&c_annot.size());
-        let delta = simplify(&(one_step.size() - c_size.clone()));
+        let c_size = self.simplify(&c_annot.size());
+        let delta = self.simplify(&(one_step.size() - c_size.clone()));
 
-        // Final accumulator size via the linear-growth model.
-        let final_annot = {
-            let whole = Expr::fold_l(init.clone(), func.clone());
-            let _ = whole;
-            // R(c) + card·(R(step) − R(c)) on byte sizes:
-            simplify(&(c_size.clone() + card.clone() * delta.clone()))
-        };
+        // Final accumulator size via the linear-growth model, on byte
+        // sizes: R(c) + card·(R(step) − R(c)).
+        let final_annot = self.simplify(&(c_size.clone() + card.clone() * delta.clone()));
 
         if self.numeric(&final_annot) > self.budget() {
             // Accumulator spills: per-iteration round trip of the growing
@@ -975,7 +982,7 @@ impl<'h> CostEngine<'h> {
         }
     }
 
-    fn cost_def(&self, def: &DefName, args: &[Expr], ctx: &mut Ctx) -> Result<Outcome, CostError> {
+    fn cost_def(&self, def: &DefName, args: &[&Expr], ctx: &mut Ctx) -> Result<Outcome, CostError> {
         let root = self.root();
         if args.len() < def.arity() {
             // Partial application: a pure function value; argument events
@@ -994,7 +1001,7 @@ impl<'h> CostEngine<'h> {
         match def {
             DefName::Length => {
                 // O(1) plugin: cardinality metadata, no transfers.
-                let o = self.go(&args[0], ctx)?;
+                let o = self.go(args[0], ctx)?;
                 Ok(Outcome {
                     annot: Annot::atom(self.int_size),
                     loc: root,
@@ -1002,7 +1009,7 @@ impl<'h> CostEngine<'h> {
                 })
             }
             DefName::Head => {
-                let o = self.go(&args[0], ctx)?;
+                let o = self.go(args[0], ctx)?;
                 let elem = o
                     .annot
                     .elem()
@@ -1020,7 +1027,7 @@ impl<'h> CostEngine<'h> {
             }
             DefName::Tail => {
                 // A view: stays where the list is.
-                let o = self.go(&args[0], ctx)?;
+                let o = self.go(args[0], ctx)?;
                 let card = o
                     .annot
                     .card()
@@ -1031,14 +1038,14 @@ impl<'h> CostEngine<'h> {
                     .cloned()
                     .ok_or(CostError::BadShape { context: "tail" })?;
                 Ok(Outcome {
-                    annot: Annot::list(elem, simplify(&(card - Sym::one()))),
+                    annot: Annot::list(elem, self.simplify(&(card - Sym::one()))),
                     loc: o.loc,
                     ev: o.ev,
                 })
             }
             DefName::Avg => {
                 // Naive streaming aggregate: element-at-a-time scan.
-                let o = self.go(&args[0], ctx)?;
+                let o = self.go(args[0], ctx)?;
                 let card = o
                     .annot
                     .card()
@@ -1046,7 +1053,7 @@ impl<'h> CostEngine<'h> {
                 let elem_bytes = o
                     .annot
                     .elem()
-                    .map(|e| simplify(&e.size()))
+                    .map(|e| self.simplify(&e.size()))
                     .unwrap_or_else(Sym::zero);
                 let mut ev = o.ev;
                 if o.loc != root {
@@ -1076,19 +1083,19 @@ impl<'h> CostEngine<'h> {
                 })
             }
             DefName::Partition | DefName::HashPartition(_) => {
-                self.cost_partition(def, &args[0], ctx)
+                self.cost_partition(def, args[0], ctx)
             }
             DefName::UnfoldR { b_in, b_out } => {
                 if args.len() != 2 {
                     return Err(CostError::Unsupported("partially applied unfoldR"));
                 }
-                self.cost_unfoldr(&args[0], &args[1], b_in, b_out, ctx)
+                self.cost_unfoldr(args[0], args[1], b_in, b_out, ctx)
             }
             DefName::TreeFold(m) => {
                 if args.len() != 2 {
                     return Err(CostError::Unsupported("partially applied treeFold"));
                 }
-                self.cost_treefold(m, &args[0], &args[1], ctx)
+                self.cost_treefold(m, args[0], args[1], ctx)
             }
         }
     }
@@ -1110,9 +1117,9 @@ impl<'h> CostEngine<'h> {
         })?;
         let elem_bytes = src_annot
             .elem()
-            .map(|e| simplify(&e.size()))
+            .map(|e| self.simplify(&e.size()))
             .unwrap_or_else(Sym::zero);
-        let total = simplify(&(card.clone() * elem_bytes.clone()));
+        let total = self.simplify(&(card.clone() * elem_bytes.clone()));
         if ms != root {
             let md = self.h.parent(ms).unwrap_or(root);
             // Streaming blocked read: b_in is a byte-sized buffer.
@@ -1124,7 +1131,7 @@ impl<'h> CostEngine<'h> {
         let annot = def_size_with_annots(def, &[src_annot], &mut sctx)?;
         // Bucket write-back when the whole partitioned output cannot stay
         // resident.
-        let out_size = simplify(&annot.size());
+        let out_size = self.simplify(&annot.size());
         let loc = if self.numeric(&out_size) > self.budget() {
             let spill = self.spill.ok_or(CostError::NoSpillNode)?;
             match def {
@@ -1140,7 +1147,7 @@ impl<'h> CostEngine<'h> {
                     // b_out-streaming assumption that undercharged seeks
                     // ~75x and let the optimizer pick absurd `s`.
                     let s_sym = block_sym(s);
-                    let flushes = simplify(
+                    let flushes = self.simplify(
                         &(out_size.clone() * s_sym.clone() / Sym::var(B_IN)).max(Sym::one()),
                     );
                     ctx.usage.entry(root).or_default().push(Sym::var(B_IN));
@@ -1228,7 +1235,7 @@ impl<'h> CostEngine<'h> {
         if is_zip && b_in.is_one() {
             let locs: Vec<NodeId> = resolved.iter().map(|(m, _)| *m).collect();
             let seed_annot = Annot::Tuple(resolved.iter().map(|(_, a)| a.clone()).collect());
-            let annot = zip_unfold_size(&seed_annot)?;
+            let annot = zip_unfold_size(&seed_annot, self.simp())?;
             let loc = common_loc(&locs, root);
             if loc != root {
                 return Ok(Outcome { annot, loc, ev });
@@ -1241,12 +1248,12 @@ impl<'h> CostEngine<'h> {
             if let Some(card) = annot.card() {
                 let elem_bytes = annot
                     .elem()
-                    .map(|e| simplify(&e.size()))
+                    .map(|e| self.simplify(&e.size()))
                     .unwrap_or_else(Sym::zero);
                 if *ms != root {
                     let md = self.h.parent(*ms).unwrap_or(root);
-                    let total = simplify(&(card.clone() * elem_bytes.clone()));
-                    ev.add_init(*ms, md, simplify(&(card.clone() / b_in_sym.clone())));
+                    let total = self.simplify(&(card.clone() * elem_bytes.clone()));
+                    ev.add_init(*ms, md, self.simplify(&(card.clone() / b_in_sym.clone())));
                     let page = self.h.node(*ms).pagesize;
                     let bytes = if page > 1 && b_in.is_one() {
                         card.clone() * Sym::int(page as i128).max(elem_bytes.clone())
@@ -1258,7 +1265,7 @@ impl<'h> CostEngine<'h> {
                         ctx.usage
                             .entry(md)
                             .or_default()
-                            .push(simplify(&(b_in_sym.clone() * elem_bytes.clone())));
+                            .push(self.simplify(&(b_in_sym.clone() * elem_bytes.clone())));
                     }
                 }
             }
@@ -1268,7 +1275,7 @@ impl<'h> CostEngine<'h> {
         let seed_annot = Annot::Tuple(annots);
         let mut sctx = self.size_ctx(ctx);
         let annot = if is_zip {
-            zip_unfold_size(&seed_annot)?
+            zip_unfold_size(&seed_annot, self.simp())?
         } else {
             def_size_with_annots(
                 &DefName::UnfoldR {
@@ -1330,14 +1337,14 @@ impl<'h> CostEngine<'h> {
         let runs = seed_annot.card().ok_or(CostError::BadShape {
             context: "treeFold seed",
         })?;
-        let total_bytes = simplify(&seed_annot.size());
+        let total_bytes = self.simplify(&seed_annot.size());
         let elems = match seed_annot.elem() {
-            Some(Annot::List { card: inner, .. }) => simplify(&(runs.clone() * inner.clone())),
+            Some(Annot::List { card: inner, .. }) => self.simplify(&(runs.clone() * inner.clone())),
             _ => runs.clone(),
         };
         let elem_bytes = match seed_annot.elem() {
-            Some(Annot::List { elem, .. }) => simplify(&elem.size()),
-            Some(other) => simplify(&other.size()),
+            Some(Annot::List { elem, .. }) => self.simplify(&elem.size()),
+            Some(other) => self.simplify(&other.size()),
             None => Sym::one(),
         };
 
@@ -1351,18 +1358,18 @@ impl<'h> CostEngine<'h> {
             return Err(CostError::Unsupported("treeFold arity must be 2^k"));
         }
         let k_log = Sym::int(m_val.trailing_zeros() as i128);
-        let levels = simplify(&(runs.clone().log2() / k_log).ceil().max(Sym::one()));
+        let levels = self.simplify(&(runs.clone().log2() / k_log).ceil().max(Sym::one()));
 
         // Per level: read everything, write everything.
-        let read_init = simplify(&(elems.clone() / b_in_sym.clone()));
+        let read_init = self.simplify(&(elems.clone() / b_in_sym.clone()));
         let mut write_block = b_out_sym.clone() * elem_bytes.clone();
         if let Some(w) = self.h.node(ms).max_seq_write {
             write_block = write_block.min(Sym::int(w as i128));
         }
-        let write_init = simplify(&(total_bytes.clone() / write_block));
+        let write_init = self.simplify(&(total_bytes.clone() / write_block));
         let page = self.h.node(ms).pagesize;
         let read_bytes = if page > 1 && b_in.is_one() {
-            simplify(&(elems.clone() * Sym::int(page as i128).max(elem_bytes.clone())))
+            self.simplify(&(elems.clone() * Sym::int(page as i128).max(elem_bytes.clone())))
         } else {
             total_bytes.clone()
         };
@@ -1375,7 +1382,7 @@ impl<'h> CostEngine<'h> {
 
         // Buffer constraint: m input blocks + 1 output block at the root.
         if b_in.param_name().is_some() || b_out.param_name().is_some() {
-            ctx.usage.entry(md).or_default().push(simplify(
+            ctx.usage.entry(md).or_default().push(self.simplify(
                 &(Sym::int(m_val as i128) * b_in_sym * elem_bytes.clone() + b_out_sym * elem_bytes),
             ));
         }
@@ -1472,13 +1479,7 @@ mod tests {
     fn a_size_with_too_many_free_parameters_does_not_fit() {
         let h = presets::hdd_ram(1 << 20);
         let e = engine(&h);
-        let sum_of = |n: usize| {
-            Sym::Add(
-                (0..n)
-                    .map(|i| Sym::var(format!("p{i}")))
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let sum_of = |n: usize| Sym::Add((0..n).map(|i| Sym::var(format!("p{i}"))).collect());
         assert_eq!(e.numeric(&sum_of(MAX_FREE_PARAMS)), MAX_FREE_PARAMS as f64);
         assert_eq!(e.numeric(&sum_of(MAX_FREE_PARAMS + 1)), f64::INFINITY);
     }

@@ -21,6 +21,7 @@
 
 mod annot;
 mod events;
+mod memo;
 mod size;
 
 pub use annot::{card_to_sym, Annot};

@@ -7,25 +7,84 @@
 //! estimate of §7.3 exact.
 
 use crate::annot::Annot;
+use crate::memo::Simp;
 use crate::CostError;
 use ocal::{BlockSize, DefName, Expr, PrimOp};
-use ocas_symbolic::{simplify, Expr as Sym};
+use ocas_hierarchy::NodeId;
+use ocas_symbolic::Expr as Sym;
 use std::collections::BTreeMap;
 
 /// Context for size estimation: `Γ` plus configuration.
+///
+/// `Γ` is borrowed, never copied: the bindings the rules introduce while
+/// they size an expression (a `for` variable, a lambda parameter) go on a
+/// stack above it, innermost last, and come off again on the way out.
 #[derive(Debug, Clone)]
-pub struct SizeCtx {
-    /// Variable annotations.
-    pub gamma: BTreeMap<String, Annot>,
+pub struct SizeCtx<'g> {
+    outer: Outer<'g>,
+    local: Vec<(String, Annot)>,
     /// Byte width of `Int`/`hash` results (the paper's Figure 4 example uses
     /// 1; the experiments use machine-width integers).
     pub int_size: u64,
+    simp: Simp<'g>,
 }
 
-impl SizeCtx {
-    /// Creates a context from input annotations with the given `Int` width.
-    pub fn new(gamma: BTreeMap<String, Annot>, int_size: u64) -> SizeCtx {
-        SizeCtx { gamma, int_size }
+/// The borrowed `Γ`: input annotations, or the cost engine's environment,
+/// which also places every name on a hierarchy node.
+#[derive(Debug, Clone, Copy)]
+enum Outer<'g> {
+    Annots(&'g BTreeMap<String, Annot>),
+    Placed(&'g BTreeMap<String, (Annot, NodeId)>),
+}
+
+impl<'g> SizeCtx<'g> {
+    /// Creates a context over input annotations with the given `Int` width.
+    pub fn new(gamma: &'g BTreeMap<String, Annot>, int_size: u64) -> SizeCtx<'g> {
+        SizeCtx {
+            outer: Outer::Annots(gamma),
+            local: Vec::new(),
+            int_size,
+            simp: Simp::PLAIN,
+        }
+    }
+
+    /// The cost engine's context: its `Γ` and its table of normal forms.
+    pub(crate) fn placed(
+        gamma: &'g BTreeMap<String, (Annot, NodeId)>,
+        int_size: u64,
+        simp: Simp<'g>,
+    ) -> SizeCtx<'g> {
+        SizeCtx {
+            outer: Outer::Placed(gamma),
+            local: Vec::new(),
+            int_size,
+            simp,
+        }
+    }
+
+    /// The annotation `name` is bound to, innermost binding first.
+    fn get(&self, name: &str) -> Option<&Annot> {
+        match self.local.iter().rev().find(|(n, _)| n == name) {
+            Some((_, a)) => Some(a),
+            None => match self.outer {
+                Outer::Annots(g) => g.get(name),
+                Outer::Placed(g) => g.get(name).map(|(a, _)| a),
+            },
+        }
+    }
+
+    /// Binds `name` over every binding of it so far, until [`Self::unbind`].
+    fn bind(&mut self, name: &str, a: Annot) {
+        self.local.push((name.to_string(), a));
+    }
+
+    /// Drops the `n` innermost bindings.
+    fn unbind(&mut self, n: usize) {
+        self.local.truncate(self.local.len() - n);
+    }
+
+    fn simplify(&self, e: &Sym) -> Sym {
+        self.simp.simplify(e)
     }
 }
 
@@ -68,24 +127,22 @@ pub fn match_ordered_pair(e: &Expr) -> Option<(&Expr, &Expr)> {
     else {
         return None;
     };
-    let len_arg = |e: &Expr| -> Option<Expr> {
-        let (head, args) = spine(e);
-        match (head, args.as_slice()) {
-            (Expr::DefRef(DefName::Length), [l]) => Some((*l).clone()),
-            _ => None,
-        }
+    let len_arg = |e| match spine(e) {
+        (Expr::DefRef(DefName::Length), args) if args.len() == 1 => Some(args[0]),
+        _ => None,
     };
     let a = len_arg(&args[0])?;
     let b = len_arg(&args[1])?;
     match (&**then_branch, &**else_branch) {
-        (Expr::Tuple(t), Expr::Tuple(f)) if t.len() == 2 && f.len() == 2 => {
-            if t[0] == a && t[1] == b && f[0] == b && f[1] == a {
-                // Indices into the branches keep borrows simple.
-                if let (Expr::Tuple(t), _) = (&**then_branch, ()) {
-                    return Some((&t[0], &t[1]));
-                }
-            }
-            None
+        (Expr::Tuple(t), Expr::Tuple(f))
+            if t.len() == 2
+                && f.len() == 2
+                && t[0] == *a
+                && t[1] == *b
+                && f[0] == *b
+                && f[1] == *a =>
+        {
+            Some((&t[0], &t[1]))
         }
         _ => None,
     }
@@ -94,13 +151,12 @@ pub fn match_ordered_pair(e: &Expr) -> Option<(&Expr, &Expr)> {
 /// `R(Γ, e)` — the result size of `e` as an annotated type.
 pub fn result_size(e: &Expr, ctx: &SizeCtx) -> Result<Annot, CostError> {
     let a = go(e, &mut ctx.clone())?;
-    Ok(a.simplified())
+    Ok(a.simplified(ctx.simp))
 }
 
 fn go(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
     match e {
         Expr::Var(v) => ctx
-            .gamma
             .get(v)
             .cloned()
             .ok_or_else(|| CostError::UnboundVariable(v.clone())),
@@ -129,21 +185,21 @@ fn go(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
         Expr::Union { left, right } => {
             let l = go(left, ctx)?;
             let r = go(right, ctx)?;
-            Ok(l.add(&r))
+            Ok(l.add(&r, ctx.simp))
         }
         Expr::If { .. } => {
             if let Some((a, b)) = match_ordered_pair(e) {
                 // order-inputs selector: the result is the same pair with the
                 // smaller list first — exactly representable with min/max.
-                let aa = go(&a.clone(), ctx)?;
-                let bb = go(&b.clone(), ctx)?;
+                let aa = go(a, ctx)?;
+                let bb = go(b, ctx)?;
                 if let (Some(ca), Some(cb)) = (aa.card(), bb.card()) {
                     let elem = aa
                         .elem()
-                        .map(|e| e.join(bb.elem().unwrap_or(&Annot::Zero)))
+                        .map(|e| e.join(bb.elem().unwrap_or(&Annot::Zero), ctx.simp))
                         .unwrap_or(Annot::Zero);
-                    let min = simplify(&ca.clone().min(cb.clone()));
-                    let max = simplify(&ca.max(cb));
+                    let min = ctx.simplify(&ca.clone().min(cb.clone()));
+                    let max = ctx.simplify(&ca.max(cb));
                     return Ok(Annot::Tuple(vec![
                         Annot::list(elem.clone(), min),
                         Annot::list(elem, max),
@@ -160,7 +216,7 @@ fn go(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
             };
             let t = go(then_branch, ctx)?;
             let f = go(else_branch, ctx)?;
-            Ok(t.join(&f))
+            Ok(t.join(&f, ctx.simp))
         }
         Expr::Prim { op, .. } => Ok(match op {
             PrimOp::Eq
@@ -192,25 +248,13 @@ fn go(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
             } else {
                 Annot::list(elem, k.clone())
             };
-            let shadowed = ctx.gamma.insert(var.clone(), bound);
+            ctx.bind(var, bound);
             let body_annot = go(body, ctx);
-            restore(&mut ctx.gamma, var, shadowed);
-            let body_annot = body_annot?;
-            Ok(body_annot.scale(&(card / k)))
+            ctx.unbind(1);
+            Ok(body_annot?.scale(&(card / k), ctx.simp))
         }
         Expr::Sized { hint, .. } => Ok(Annot::from_hint(hint)),
         Expr::App { .. } => app_size(e, ctx),
-    }
-}
-
-fn restore(gamma: &mut BTreeMap<String, Annot>, name: &str, old: Option<Annot>) {
-    match old {
-        Some(a) => {
-            gamma.insert(name.to_string(), a);
-        }
-        None => {
-            gamma.remove(name);
-        }
     }
 }
 
@@ -227,12 +271,13 @@ fn app_size(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
                 sized.push(go(arg, ctx)?);
             }
             let mut current: &Expr = head;
-            let mut bound: Vec<(String, Option<Annot>)> = Vec::new();
+            let mut bound = 0;
             let mut over_applied = false;
             for a in sized {
                 match current {
                     Expr::Lam { param, body } => {
-                        bound.push((param.clone(), ctx.gamma.insert(param.clone(), a)));
+                        ctx.bind(param, a);
+                        bound += 1;
                         current = body;
                     }
                     _ => {
@@ -246,28 +291,26 @@ fn app_size(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
             } else {
                 go(current, ctx)
             };
-            for (name, old) in bound.into_iter().rev() {
-                restore(&mut ctx.gamma, &name, old);
-            }
+            ctx.unbind(bound);
             result
         }
         Expr::FlatMap { func } => {
             let [src] = args.as_slice() else {
                 return Err(CostError::Unsupported("flatMap arity"));
             };
-            let s = go(&(*src).clone(), ctx)?;
+            let s = go(src, ctx)?;
             let card = s.card().ok_or(CostError::BadShape {
                 context: "flatMap source",
             })?;
             let elem = s.elem().cloned().unwrap_or(Annot::Zero);
             let body = apply_fn_size(func, elem, ctx)?;
-            Ok(body.scale(&card))
+            Ok(body.scale(&card, ctx.simp))
         }
         Expr::FoldL { init, func } => {
             let [src] = args.as_slice() else {
                 return Err(CostError::Unsupported("foldL arity"));
             };
-            let s = go(&(*src).clone(), ctx)?;
+            let s = go(src, ctx)?;
             let card = s.card().ok_or(CostError::BadShape {
                 context: "foldL source",
             })?;
@@ -294,9 +337,9 @@ fn app_size(e: &Expr, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
 pub fn apply_fn_size(f: &Expr, arg: Annot, ctx: &mut SizeCtx) -> Result<Annot, CostError> {
     match f {
         Expr::Lam { param, body } => {
-            let shadowed = ctx.gamma.insert(param.clone(), arg);
+            ctx.bind(param, arg);
             let r = go(body, ctx);
-            restore(&mut ctx.gamma, param, shadowed);
+            ctx.unbind(1);
             r
         }
         Expr::Sized { hint, .. } => Ok(Annot::from_hint(hint)),
@@ -311,7 +354,7 @@ pub fn apply_fn_size(f: &Expr, arg: Annot, ctx: &mut SizeCtx) -> Result<Annot, C
             if let Expr::DefRef(def) = head {
                 let mut annots = Vec::with_capacity(pre_args.len() + 1);
                 for a in pre_args {
-                    annots.push(go(&a.clone(), ctx)?);
+                    annots.push(go(a, ctx)?);
                 }
                 annots.push(arg);
                 return def_size_with_annots(def, &annots, ctx);
@@ -336,33 +379,33 @@ fn fold_size(
     let one_step = apply_fn_size(func, step_arg, ctx)?;
     // Combine shape-wise: list cards grow linearly; scalars keep the
     // one-step size (the common accumulate-a-counter case).
-    Ok(linear_growth(&c, &one_step, card))
+    Ok(linear_growth(&c, &one_step, card, ctx.simp))
 }
 
-fn linear_growth(c: &Annot, step: &Annot, card: &Sym) -> Annot {
+fn linear_growth(c: &Annot, step: &Annot, card: &Sym, simp: Simp<'_>) -> Annot {
     match (c, step) {
         (Annot::Zero, Annot::Zero) => Annot::Zero,
         (Annot::List { card: c0, elem: e0 }, Annot::List { card: c1, elem: e1 }) => {
-            let delta = simplify(&(c1.clone() - c0.clone()));
-            let grown = simplify(&(c0.clone() + card.clone() * delta));
-            Annot::list(e0.join(e1), grown)
+            let delta = simp.simplify(&(c1.clone() - c0.clone()));
+            let grown = simp.simplify(&(c0.clone() + card.clone() * delta));
+            Annot::list(e0.join(e1, simp), grown)
         }
         (Annot::Zero, Annot::List { card: c1, elem }) => {
-            let grown = simplify(&(card.clone() * c1.clone()));
+            let grown = simp.simplify(&(card.clone() * c1.clone()));
             Annot::list((**elem).clone(), grown)
         }
         (Annot::Tuple(xs), Annot::Tuple(ys)) if xs.len() == ys.len() => Annot::Tuple(
             xs.iter()
                 .zip(ys)
-                .map(|(x, y)| linear_growth(x, y, card))
+                .map(|(x, y)| linear_growth(x, y, card, simp))
                 .collect(),
         ),
         // Scalar accumulators keep their per-step size.
         (_, s) if s.is_scalar() => s.clone(),
         (c0, s) => {
             // Fallback: linear growth on the byte size.
-            let delta = simplify(&(s.size() - c0.size()));
-            Annot::Atom(simplify(&(c0.size() + card.clone() * delta)))
+            let delta = simp.simplify(&(s.size() - c0.size()));
+            Annot::Atom(simp.simplify(&(c0.size() + card.clone() * delta)))
         }
     }
 }
@@ -370,7 +413,7 @@ fn linear_growth(c: &Annot, step: &Annot, card: &Sym) -> Annot {
 fn def_size(def: &DefName, args: &[&Expr], ctx: &mut SizeCtx) -> Result<Annot, CostError> {
     let mut annots = Vec::with_capacity(args.len());
     for a in args {
-        annots.push(go(&(*a).clone(), ctx)?);
+        annots.push(go(a, ctx)?);
     }
     def_size_with_annots(def, &annots, ctx)
 }
@@ -390,7 +433,7 @@ pub fn def_size_with_annots(
         DefName::Tail => {
             let card = args[0].card().ok_or_else(wrong)?;
             let elem = args[0].elem().cloned().ok_or_else(wrong)?;
-            Ok(Annot::list(elem, simplify(&(card - Sym::one()))))
+            Ok(Annot::list(elem, ctx.simplify(&(card - Sym::one()))))
         }
         DefName::Length | DefName::Avg => Ok(Annot::atom(ctx.int_size)),
         DefName::Mrg => {
@@ -441,7 +484,7 @@ pub fn def_size_with_annots(
             let card = args[0].card().ok_or_else(wrong)?;
             let elem = args[0].elem().cloned().ok_or_else(wrong)?;
             let s = block_sym(s);
-            let per_bucket = simplify(&(card / s.clone()).ceil());
+            let per_bucket = ctx.simplify(&(card / s.clone()).ceil());
             Ok(Annot::list(Annot::list(elem, per_bucket), s))
         }
         DefName::UnfoldR { .. } => {
@@ -460,9 +503,9 @@ pub fn def_size_with_annots(
             let mut elem = Annot::Zero;
             for l in lists {
                 card = card + l.card().ok_or_else(wrong)?;
-                elem = elem.join(l.elem().unwrap_or(&Annot::Zero));
+                elem = elem.join(l.elem().unwrap_or(&Annot::Zero), ctx.simp);
             }
-            Ok(Annot::list(elem, simplify(&card)))
+            Ok(Annot::list(elem, ctx.simplify(&card)))
         }
         DefName::TreeFold(_) => {
             if args.len() != 2 {
@@ -477,7 +520,7 @@ pub fn def_size_with_annots(
                 } => {
                     // Size-preserving aggregation (merge): all leaf elements
                     // survive into the single result list.
-                    let total = simplify(&(card * inner_card.clone()));
+                    let total = ctx.simplify(&(card * inner_card.clone()));
                     Ok(Annot::list((**inner).clone(), total))
                 }
                 scalar => Ok(scalar.clone()),
@@ -491,7 +534,7 @@ pub fn def_size_with_annots(
 
 /// Sizes `unfoldR(zip)` applied to a tuple of lists: cardinality is the
 /// *minimum* of the inputs (zip stops at the first exhausted list).
-pub fn zip_unfold_size(lists: &Annot) -> Result<Annot, CostError> {
+pub fn zip_unfold_size(lists: &Annot, simp: Simp<'_>) -> Result<Annot, CostError> {
     let Annot::Tuple(items) = lists else {
         return Err(CostError::BadShape { context: "zip" });
     };
@@ -513,7 +556,7 @@ pub fn zip_unfold_size(lists: &Annot) -> Result<Annot, CostError> {
     }
     Ok(Annot::list(
         Annot::Tuple(heads),
-        simplify(&card.unwrap_or_else(Sym::zero)),
+        simp.simplify(&card.unwrap_or_else(Sym::zero)),
     ))
 }
 
@@ -521,18 +564,20 @@ pub fn zip_unfold_size(lists: &Annot) -> Result<Annot, CostError> {
 mod tests {
     use super::*;
     use ocal::parse;
+    use ocas_symbolic::simplify;
 
-    fn ctx_binary_join() -> SizeCtx {
+    fn gamma_binary_join() -> BTreeMap<String, Annot> {
         let mut gamma = BTreeMap::new();
         gamma.insert("R".into(), Annot::relation(Sym::var("x"), 1, 1));
         gamma.insert("S".into(), Annot::relation(Sym::var("y"), 1, 1));
-        SizeCtx::new(gamma, 1)
+        gamma
     }
 
     #[test]
     fn figure4_result_sizes() {
         // The Figure 4 example: unary relations, Int size 1.
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let program = parse(
             "for (xB [k1] <- R) for (yB [k2] <- S) for (x <- xB) for (y <- yB) \
              if x == y then [<x, y>] else []",
@@ -553,7 +598,8 @@ mod tests {
         // BOTH bindings. Regression test for the early return that bound
         // only the first spine argument and sized the remaining lambda
         // to an empty atom.
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = Expr::lam(
             "x",
             Expr::lam("y", Expr::tuple(vec![Expr::var("x"), Expr::var("y")])),
@@ -570,18 +616,13 @@ mod tests {
 
     #[test]
     fn figure4_intermediate_rows() {
-        let ctx = ctx_binary_join();
         // Row 4: for (y <- yB) ... with xB, yB, x in scope.
-        let mut inner_ctx = ctx.clone();
-        inner_ctx
-            .gamma
-            .insert("xB".into(), Annot::relation(Sym::var("k1"), 1, 1));
-        inner_ctx
-            .gamma
-            .insert("yB".into(), Annot::relation(Sym::var("k2"), 1, 1));
-        inner_ctx.gamma.insert("x".into(), Annot::atom(1));
+        let mut gamma = gamma_binary_join();
+        gamma.insert("xB".into(), Annot::relation(Sym::var("k1"), 1, 1));
+        gamma.insert("yB".into(), Annot::relation(Sym::var("k2"), 1, 1));
+        gamma.insert("x".into(), Annot::atom(1));
         let row4 = parse("for (y <- yB) if x == y then [<x, y>] else []").unwrap();
-        let annot = result_size(&row4, &inner_ctx).unwrap();
+        let annot = result_size(&row4, &SizeCtx::new(&gamma, 1)).unwrap();
         let expect = Annot::list(
             Annot::Tuple(vec![Annot::atom(1), Annot::atom(1)]),
             Sym::var("k2"),
@@ -591,7 +632,8 @@ mod tests {
 
     #[test]
     fn if_takes_worst_case() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("if true then R else []").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         assert_eq!(annot, Annot::relation(Sym::var("x"), 1, 1));
@@ -599,7 +641,8 @@ mod tests {
 
     #[test]
     fn union_adds() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("R ++ S").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         assert_eq!(
@@ -610,7 +653,8 @@ mod tests {
 
     #[test]
     fn fold_sum_is_scalar() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("foldL(0, \\a. a.1 + a.2)(R)").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         assert_eq!(annot, Annot::atom(1));
@@ -618,7 +662,8 @@ mod tests {
 
     #[test]
     fn fold_append_grows_linearly() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         // foldL([], λa. a.1 ++ [a.2]) — the identity-ish accumulation.
         let e = parse("foldL([], \\a. a.1 ++ [a.2])(R)").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
@@ -633,7 +678,7 @@ mod tests {
             "R".into(),
             Annot::list(Annot::list(Annot::atom(1), Sym::one()), Sym::var("x")),
         );
-        let ctx = SizeCtx::new(gamma, 1);
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("foldL([], unfoldR(mrg))(R)").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         assert_eq!(annot.card().unwrap(), Sym::var("x"));
@@ -646,7 +691,7 @@ mod tests {
             "R".into(),
             Annot::list(Annot::list(Annot::atom(1), Sym::one()), Sym::var("x")),
         );
-        let ctx = SizeCtx::new(gamma, 1);
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("treeFold[4](<[], unfoldR(funcPow[2](mrg))>)(R)").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         assert_eq!(annot.card().unwrap(), Sym::var("x"));
@@ -654,7 +699,8 @@ mod tests {
 
     #[test]
     fn hash_partition_buckets_size() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("hashPartition[s1](R)").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         assert_eq!(annot.card().unwrap(), Sym::var("s1"));
@@ -671,7 +717,8 @@ mod tests {
 
     #[test]
     fn order_inputs_selector_gives_min_max() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let e = parse("if length(R) <= length(S) then <R, S> else <S, R>").unwrap();
         let annot = result_size(&e, &ctx).unwrap();
         let Annot::Tuple(items) = &annot else {
@@ -688,7 +735,8 @@ mod tests {
 
     #[test]
     fn sized_annotation_overrides() {
-        let ctx = ctx_binary_join();
+        let gamma = gamma_binary_join();
+        let ctx = SizeCtx::new(&gamma, 1);
         let base = parse("R ++ S").unwrap();
         let e = base.sized(ocal::SizeHint::List(
             Box::new(ocal::SizeHint::Atom(1)),

@@ -4,51 +4,55 @@
 //! (`x`, `y`), tunable parameters (`k1`, `k2`, `b_in`, `b_out`) and exact
 //! rational device constants. This module defines the tree; `simplify` turns it
 //! into a canonical sum-of-products form and `eval` turns it into numbers.
+//! Subtrees are shared (see the crate docs, "Representation").
 
 use crate::rat::Rat;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
+use std::sync::Arc;
 
 /// A symbolic arithmetic expression.
 ///
 /// Construction goes through the associated functions and the overloaded
 /// `+ - * /` operators; the representation is deliberately permissive
-/// (non-canonical) — call [`Expr::simplify`] to normalize.
+/// (non-canonical) — call [`crate::simplify`] to normalize. A clone shares
+/// every child with the original (see the module docs); the derived `Eq`,
+/// `Ord` and `Hash` compare the trees, not the pointers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Expr {
     /// An exact rational constant.
     Const(Rat),
     /// A free variable (input cardinality or tunable parameter).
-    Var(String),
+    Var(Arc<str>),
     /// n-ary sum.
-    Add(Vec<Expr>),
+    Add(Arc<[Expr]>),
     /// n-ary product.
-    Mul(Vec<Expr>),
+    Mul(Arc<[Expr]>),
     /// Integer power; `Pow(e, -1)` is division by `e`.
-    Pow(Box<Expr>, i32),
+    Pow(Arc<Expr>, i32),
     /// Smallest integer not below the operand.
-    Ceil(Box<Expr>),
+    Ceil(Arc<Expr>),
     /// Largest integer not above the operand.
-    Floor(Box<Expr>),
+    Floor(Arc<Expr>),
     /// Pointwise maximum.
-    Max(Vec<Expr>),
+    Max(Arc<[Expr]>),
     /// Pointwise minimum.
-    Min(Vec<Expr>),
+    Min(Arc<[Expr]>),
     /// Base-2 logarithm.
-    Log2(Box<Expr>),
+    Log2(Arc<Expr>),
     /// `Σ_{var = from}^{to} body`; simplification extracts closed forms for
     /// bodies polynomial in `var` (the paper's Merge-Sort derivation needs
     /// `Σ_{j=0}^{x-1} (j+1) = x(x+1)/2`).
     Sum {
         /// The bound summation variable.
-        var: String,
+        var: Arc<str>,
         /// Inclusive lower bound.
-        from: Box<Expr>,
+        from: Arc<Expr>,
         /// Inclusive upper bound.
-        to: Box<Expr>,
+        to: Arc<Expr>,
         /// Summand, may mention `var`.
-        body: Box<Expr>,
+        body: Arc<Expr>,
     },
 }
 
@@ -74,48 +78,48 @@ impl Expr {
     }
 
     /// A named variable.
-    pub fn var(name: impl Into<String>) -> Expr {
-        Expr::Var(name.into())
+    pub fn var(name: impl AsRef<str>) -> Expr {
+        Expr::Var(Arc::from(name.as_ref()))
     }
 
     /// `ceil(self)`.
     pub fn ceil(self) -> Expr {
-        Expr::Ceil(Box::new(self))
+        Expr::Ceil(Arc::new(self))
     }
 
     /// `floor(self)`.
     pub fn floor(self) -> Expr {
-        Expr::Floor(Box::new(self))
+        Expr::Floor(Arc::new(self))
     }
 
     /// `log2(self)`.
     pub fn log2(self) -> Expr {
-        Expr::Log2(Box::new(self))
+        Expr::Log2(Arc::new(self))
     }
 
     /// Binary maximum (use [`Expr::max_of`] for more operands).
     pub fn max(self, other: Expr) -> Expr {
-        Expr::Max(vec![self, other])
+        Expr::Max(Arc::new([self, other]))
     }
 
     /// Binary minimum.
     pub fn min(self, other: Expr) -> Expr {
-        Expr::Min(vec![self, other])
+        Expr::Min(Arc::new([self, other]))
     }
 
     /// n-ary maximum.
     pub fn max_of(items: Vec<Expr>) -> Expr {
-        Expr::Max(items)
+        Expr::Max(items.into())
     }
 
     /// n-ary minimum.
     pub fn min_of(items: Vec<Expr>) -> Expr {
-        Expr::Min(items)
+        Expr::Min(items.into())
     }
 
     /// Integer power.
     pub fn pow(self, exp: i32) -> Expr {
-        Expr::Pow(Box::new(self), exp)
+        Expr::Pow(Arc::new(self), exp)
     }
 
     /// Multiplicative inverse.
@@ -124,12 +128,12 @@ impl Expr {
     }
 
     /// `Σ_{var=from}^{to} body`.
-    pub fn sum(var: impl Into<String>, from: Expr, to: Expr, body: Expr) -> Expr {
+    pub fn sum(var: impl AsRef<str>, from: Expr, to: Expr, body: Expr) -> Expr {
         Expr::Sum {
-            var: var.into(),
-            from: Box::new(from),
-            to: Box::new(to),
-            body: Box::new(body),
+            var: Arc::from(var.as_ref()),
+            from: Arc::new(from),
+            to: Arc::new(to),
+            body: Arc::new(body),
         }
     }
 
@@ -157,10 +161,10 @@ impl Expr {
         match self {
             Expr::Const(_) => {}
             Expr::Var(v) => {
-                out.insert(v.clone());
+                out.insert(v.to_string());
             }
             Expr::Add(xs) | Expr::Mul(xs) | Expr::Max(xs) | Expr::Min(xs) => {
-                for x in xs {
+                for x in xs.iter() {
                     x.collect_vars(out);
                 }
             }
@@ -175,7 +179,7 @@ impl Expr {
                 to.collect_vars(out);
                 let mut inner = BTreeSet::new();
                 body.collect_vars(&mut inner);
-                inner.remove(var);
+                inner.remove(&**var);
                 out.extend(inner);
             }
         }
@@ -186,7 +190,7 @@ impl Expr {
         match self {
             Expr::Const(_) => self.clone(),
             Expr::Var(v) => {
-                if v == name {
+                if **v == *name {
                     with.clone()
                 } else {
                     self.clone()
@@ -196,25 +200,25 @@ impl Expr {
             Expr::Mul(xs) => Expr::Mul(xs.iter().map(|x| x.subst(name, with)).collect()),
             Expr::Max(xs) => Expr::Max(xs.iter().map(|x| x.subst(name, with)).collect()),
             Expr::Min(xs) => Expr::Min(xs.iter().map(|x| x.subst(name, with)).collect()),
-            Expr::Pow(e, k) => Expr::Pow(Box::new(e.subst(name, with)), *k),
-            Expr::Ceil(e) => Expr::Ceil(Box::new(e.subst(name, with))),
-            Expr::Floor(e) => Expr::Floor(Box::new(e.subst(name, with))),
-            Expr::Log2(e) => Expr::Log2(Box::new(e.subst(name, with))),
+            Expr::Pow(e, k) => Expr::Pow(Arc::new(e.subst(name, with)), *k),
+            Expr::Ceil(e) => Expr::Ceil(Arc::new(e.subst(name, with))),
+            Expr::Floor(e) => Expr::Floor(Arc::new(e.subst(name, with))),
+            Expr::Log2(e) => Expr::Log2(Arc::new(e.subst(name, with))),
             Expr::Sum {
                 var,
                 from,
                 to,
                 body,
             } => {
-                let body = if var == name {
+                let body = if **var == *name {
                     body.clone() // `name` is shadowed inside the sum.
                 } else {
-                    Box::new(body.subst(name, with))
+                    Arc::new(body.subst(name, with))
                 };
                 Expr::Sum {
                     var: var.clone(),
-                    from: Box::new(from.subst(name, with)),
-                    to: Box::new(to.subst(name, with)),
+                    from: Arc::new(from.subst(name, with)),
+                    to: Arc::new(to.subst(name, with)),
                     body,
                 }
             }
@@ -243,35 +247,35 @@ impl From<Rat> for Expr {
 impl Add for Expr {
     type Output = Expr;
     fn add(self, rhs: Expr) -> Expr {
-        Expr::Add(vec![self, rhs])
+        Expr::Add(Arc::new([self, rhs]))
     }
 }
 
 impl Sub for Expr {
     type Output = Expr;
     fn sub(self, rhs: Expr) -> Expr {
-        Expr::Add(vec![self, Expr::Mul(vec![Expr::int(-1), rhs])])
+        Expr::Add(Arc::new([self, -rhs]))
     }
 }
 
 impl Mul for Expr {
     type Output = Expr;
     fn mul(self, rhs: Expr) -> Expr {
-        Expr::Mul(vec![self, rhs])
+        Expr::Mul(Arc::new([self, rhs]))
     }
 }
 
 impl Div for Expr {
     type Output = Expr;
     fn div(self, rhs: Expr) -> Expr {
-        Expr::Mul(vec![self, rhs.pow(-1)])
+        Expr::Mul(Arc::new([self, rhs.pow(-1)]))
     }
 }
 
 impl Neg for Expr {
     type Output = Expr;
     fn neg(self) -> Expr {
-        Expr::Mul(vec![Expr::int(-1), self])
+        Expr::Mul(Arc::new([Expr::int(-1), self]))
     }
 }
 
@@ -394,6 +398,56 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplify;
+    use std::cmp::Ordering;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    /// A cost-formula-shaped expression a few loop levels deep, built
+    /// afresh — every node newly allocated — on each call.
+    fn deep() -> Expr {
+        let mut e = Expr::var("x") * Expr::var("y");
+        for i in 0..8 {
+            let k = Expr::var(format!("k{i}"));
+            let scan = Expr::sum("j", Expr::zero(), k.clone() - Expr::one(), Expr::var("j"));
+            e = (e / k.clone()).ceil() * k.min(Expr::int(1 << 20)) + scan.max(Expr::int(i).log2());
+        }
+        e
+    }
+
+    fn hash_of(e: &Expr) -> u64 {
+        let mut h = DefaultHasher::new();
+        e.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_clone_shares_its_children_and_a_rebuild_is_interchangeable() {
+        let (e, rebuilt) = (deep(), deep());
+        let (Expr::Add(shared), Expr::Add(fresh)) = (&e, &rebuilt) else {
+            panic!("a sum at the root");
+        };
+        // A clone is a reference-count bump all the way down.
+        let Expr::Add(cloned) = e.clone() else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(shared, &cloned));
+        let (Expr::Mul(a), Expr::Mul(b)) = (&shared[0], &cloned[0]) else {
+            panic!("a product first");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        // The same tree built from scratch shares nothing with it ...
+        assert!(!Arc::ptr_eq(shared, fresh));
+        // ... and is the same expression to every structural operation.
+        assert_eq!(e, rebuilt);
+        assert_eq!(e.cmp(&rebuilt), Ordering::Equal);
+        assert_eq!(hash_of(&e), hash_of(&rebuilt));
+        for other in [Expr::var("x"), e.clone() + Expr::one(), simplify(&e)] {
+            assert_eq!(e.cmp(&other), rebuilt.cmp(&other));
+        }
+        assert_eq!(simplify(&e), simplify(&rebuilt));
+        assert_eq!(simplify(&e.clone()), simplify(&e));
+    }
 
     #[test]
     fn operator_construction() {

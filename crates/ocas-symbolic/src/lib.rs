@@ -30,6 +30,18 @@
 //! assert!(seconds > 30.0 && seconds < 40.0);
 //! ```
 //!
+//! # Representation
+//!
+//! An [`Expr`] shares its subtrees: every child list and child box is an
+//! `Arc`, and a variable name is an `Arc<str>`. Cloning a formula — the
+//! cost engine, its annotations and the tuner's problems copy them all
+//! the time — bumps one reference count, however deep the tree. The
+//! derived `Eq`, `Ord` and `Hash` look through the `Arc`s and compare
+//! structure, so a shared tree and the same tree rebuilt from scratch are
+//! equal, hash alike and sort alike; the canonical term order, and with it
+//! every normal form and every evaluated bit, does not depend on what is
+//! shared.
+//!
 //! # Compiled form
 //!
 //! [`eval`] is the one-shot entry. A formula that is evaluated more than

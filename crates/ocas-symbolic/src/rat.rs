@@ -17,15 +17,18 @@ pub struct Rat {
     den: i128,
 }
 
-/// Greatest common divisor (always non-negative).
+/// Greatest common divisor (always non-negative). A 64-bit remainder is
+/// far cheaper than a 128-bit one, and nearly every operand fits in one.
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        let rem = match (u64::try_from(a), u64::try_from(b)) {
+            (Ok(x), Ok(y)) => u128::from(x % y),
+            _ => a % b,
+        };
+        (a, b) = (b, rem);
     }
-    a
+    a as i128
 }
 
 impl Rat {
@@ -40,6 +43,9 @@ impl Rat {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rational with zero denominator");
+        if den == 1 {
+            return Rat { num, den };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den).max(1);
         Rat {
@@ -164,6 +170,9 @@ impl From<i32> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(self.num + rhs.num);
+        }
         // Reduce cross terms first to delay overflow.
         let g = gcd(self.den, rhs.den).max(1);
         let l = self.den / g * rhs.den;
@@ -181,6 +190,9 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::int(self.num * rhs.num);
+        }
         // Cross-reduce before multiplying to keep magnitudes small.
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);

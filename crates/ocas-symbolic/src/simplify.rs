@@ -9,10 +9,74 @@
 
 use crate::expr::Expr;
 use crate::rat::Rat;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// A monomial: atoms with non-zero integer exponents.
-type Monomial = BTreeMap<Expr, i32>;
+/// A monomial: atoms with non-zero integer exponents, sorted by atom and
+/// each atom once. A sorted vector orders like the `BTreeMap<Expr, i32>`
+/// it stands for (both compare their `(atom, exponent)` pairs in turn),
+/// without a map node per monomial.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+struct Monomial(Vec<(Expr, i32)>);
+
+impl Monomial {
+    fn new() -> Monomial {
+        Monomial::default()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Appends an atom that sorts after every atom already present.
+    fn push(&mut self, atom: Expr, exp: i32) {
+        assert!(
+            self.0.last().map_or(true, |(a, _)| *a < atom),
+            "atoms out of order"
+        );
+        self.0.push((atom, exp));
+    }
+
+    /// The product: exponents of a shared atom add, and an atom whose
+    /// exponent reaches zero drops out.
+    fn times(&self, other: &Monomial) -> Monomial {
+        let (a, b) = (&self.0, &other.0);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(b[j].clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let exp = a[i].1 + b[j].1;
+                    if exp != 0 {
+                        out.push((a[i].0.clone(), exp));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Monomial(out)
+    }
+}
+
+impl<'a> IntoIterator for &'a Monomial {
+    type Item = &'a (Expr, i32);
+    type IntoIter = std::slice::Iter<'a, (Expr, i32)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// A polynomial: monomials with non-zero rational coefficients.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -33,10 +97,8 @@ impl Poly {
         if let Expr::Const(r) = a {
             return Poly::constant(r);
         }
-        let mut m = Monomial::new();
-        m.insert(a, 1);
         let mut terms = BTreeMap::new();
-        terms.insert(m, Rat::ONE);
+        terms.insert(Monomial(vec![(a, 1)]), Rat::ONE);
         Poly { terms }
     }
 
@@ -60,6 +122,27 @@ impl Poly {
         }
     }
 
+    /// `self += other`, in place, moving `other`'s monomials.
+    fn absorb(&mut self, other: Poly) {
+        if self.terms.is_empty() {
+            *self = other;
+            return;
+        }
+        for (m, c) in other.terms {
+            match self.terms.get_mut(&m) {
+                Some(entry) => {
+                    *entry = *entry + c;
+                    if entry.is_zero() {
+                        self.terms.remove(&m);
+                    }
+                }
+                None => {
+                    self.terms.insert(m, c);
+                }
+            }
+        }
+    }
+
     fn neg(&self) -> Poly {
         Poly {
             terms: self.terms.iter().map(|(m, c)| (m.clone(), -*c)).collect(),
@@ -70,14 +153,7 @@ impl Poly {
         let mut out: BTreeMap<Monomial, Rat> = BTreeMap::new();
         for (m1, c1) in &self.terms {
             for (m2, c2) in &other.terms {
-                let mut m = m1.clone();
-                for (a, e) in m2 {
-                    let slot = m.entry(a.clone()).or_insert(0);
-                    *slot += e;
-                    if *slot == 0 {
-                        m.remove(a);
-                    }
-                }
+                let m = m1.times(m2);
                 let c = *c1 * *c2;
                 let entry = out.entry(m).or_insert(Rat::ZERO);
                 *entry = *entry + c;
@@ -155,10 +231,16 @@ fn to_poly(e: &Expr) -> Poly {
     match e {
         Expr::Const(r) => Poly::constant(*r),
         Expr::Var(_) => Poly::atom(e.clone()),
-        Expr::Add(xs) => {
+        Expr::Add(_) => {
+            // Nested sums (an accumulated total is a chain of them) add
+            // into one polynomial.
             let mut acc = Poly::default();
-            for x in xs {
-                acc.add_scaled(Rat::ONE, &to_poly(x));
+            let mut stack = vec![e];
+            while let Some(x) = stack.pop() {
+                match x {
+                    Expr::Add(xs) => stack.extend(xs.iter().rev()),
+                    other => acc.absorb(to_poly(other)),
+                }
             }
             acc
         }
@@ -175,7 +257,7 @@ fn to_poly(e: &Expr) -> Poly {
                     return Poly::constant(Rat::int(l as i128));
                 }
             }
-            Poly::atom(Expr::Log2(Box::new(from_poly(&p))))
+            Poly::atom(from_poly(&p).log2())
         }
         Expr::Sum {
             var,
@@ -206,7 +288,7 @@ fn product_poly<'a>(factors: impl IntoIterator<Item = (&'a Expr, i32)>) -> Poly 
     while let Some((x, k)) = stack.pop() {
         match x {
             Expr::Mul(inner) => stack.extend(inner.iter().map(|i| (i, k))),
-            Expr::Pow(b, j) => stack.push((b, k.saturating_mul(*j))),
+            Expr::Pow(b, j) => stack.push((&**b, k.saturating_mul(*j))),
             other => {
                 let p = to_poly(other);
                 match p.as_const() {
@@ -253,9 +335,7 @@ fn pow_poly(p: &Poly, k: i32) -> Poly {
         for (a, e) in m {
             match a {
                 Expr::Add(_) if *e < 0 => sums = sums.mul(&to_poly(a).powi(e.unsigned_abs())),
-                _ => {
-                    inv.insert(a.clone(), -e);
-                }
+                _ => inv.push(a.clone(), -e),
             }
         }
         let base = sums.mul(&Poly {
@@ -263,11 +343,10 @@ fn pow_poly(p: &Poly, k: i32) -> Poly {
         });
         return base.powi((-k) as u32);
     }
-    let atom = from_poly(p);
-    let mut m = Monomial::new();
-    m.insert(atom, k);
     Poly {
-        terms: [(m, Rat::ONE)].into_iter().collect(),
+        terms: [(Monomial(vec![(from_poly(p), k)]), Rat::ONE)]
+            .into_iter()
+            .collect(),
     }
 }
 
@@ -292,8 +371,8 @@ fn rounded(inner: &Expr, is_ceil: bool) -> Poly {
     // already-rounded expression also collapses.
     let atom = match (&rebuilt, is_ceil) {
         (Expr::Ceil(_), true) | (Expr::Floor(_), false) => rebuilt,
-        _ if is_ceil => Expr::Ceil(Box::new(rebuilt)),
-        _ => Expr::Floor(Box::new(rebuilt)),
+        _ if is_ceil => rebuilt.ceil(),
+        _ => rebuilt.floor(),
     };
     Poly::atom(atom).add(&Poly::constant(offset))
 }
@@ -313,14 +392,14 @@ fn fold_minmax(xs: &[Expr], is_max: bool) -> Poly {
     while let Some(x) = stack.pop() {
         match (x, is_max) {
             // Flatten same-kind nesting.
-            (Expr::Max(inner), true) | (Expr::Min(inner), false) => stack.extend(inner),
+            (Expr::Max(inner), true) | (Expr::Min(inner), false) => stack.extend(inner.iter()),
             _ => match (simplify(x), is_max) {
                 // An operand that only turns out to be a same-kind `max`/
                 // `min` once simplified (`max(1*max(a, b), c)`) is flattened
                 // too — its operands are normal and flat already — so that
                 // a normal form parses back into itself.
                 (Expr::Max(inner), true) | (Expr::Min(inner), false) => {
-                    inner.into_iter().for_each(&mut note)
+                    inner.iter().cloned().for_each(&mut note)
                 }
                 (s, _) => note(s),
             },
@@ -341,9 +420,9 @@ fn fold_minmax(xs: &[Expr], is_max: bool) -> Poly {
         0 => Poly::default(),
         1 => to_poly(&items[0]),
         _ => Poly::atom(if is_max {
-            Expr::Max(items)
+            Expr::max_of(items)
         } else {
-            Expr::Min(items)
+            Expr::min_of(items)
         }),
     }
 }
@@ -360,7 +439,7 @@ fn sum_poly(var: &str, from: &Expr, to: &Expr, body: &Expr) -> Poly {
 
     // Collect the body as Σ coeff(rest) * var^p. Bail out if `var` occurs
     // inside a non-variable atom (e.g. ceil(var/2)).
-    let var_atom = Expr::Var(var.to_string());
+    let var_atom = Expr::var(var);
     let mut by_power: BTreeMap<i32, Poly> = BTreeMap::new();
     for (m, c) in &body_p.terms {
         let mut power = 0;
@@ -373,17 +452,11 @@ fn sum_poly(var: &str, from: &Expr, to: &Expr, body: &Expr) -> Poly {
                 opaque = true;
                 break;
             } else {
-                rest.insert(atom.clone(), *e);
+                rest.push(atom.clone(), *e);
             }
         }
         if opaque || !(0..=3).contains(&power) {
-            let atom = Expr::Sum {
-                var: var.to_string(),
-                from: Box::new(a),
-                to: Box::new(b),
-                body: Box::new(from_poly(&body_p)),
-            };
-            return Poly::atom(atom);
+            return Poly::atom(Expr::sum(var, a, b, from_poly(&body_p)));
         }
         let term = Poly {
             terms: [(rest, *c)].into_iter().collect(),
@@ -427,25 +500,25 @@ fn from_poly(p: &Poly) -> Expr {
     }
     let mut terms: Vec<Expr> = Vec::with_capacity(p.terms.len());
     for (m, c) in &p.terms {
-        let mut factors: Vec<Expr> = Vec::new();
-        if !c.is_one() || m.is_empty() {
-            factors.push(Expr::Const(*c));
-        }
-        for (atom, e) in m {
-            match *e {
-                1 => factors.push(atom.clone()),
-                k => factors.push(Expr::Pow(Box::new(atom.clone()), k)),
-            }
-        }
-        terms.push(match factors.len() {
-            1 => factors.pop().unwrap(),
-            _ => Expr::Mul(factors),
+        let coeff = (!c.is_one() || m.is_empty()).then_some(Expr::Const(*c));
+        let len = usize::from(coeff.is_some()) + m.0.len();
+        // An iterator of known length: the product's factors are written
+        // straight into its shared slice, with no `Vec` in between.
+        let mut factors = coeff
+            .into_iter()
+            .chain(m.into_iter().map(|(atom, e)| match *e {
+                1 => atom.clone(),
+                k => atom.clone().pow(k),
+            }));
+        terms.push(match len {
+            1 => factors.next().expect("one factor"),
+            _ => Expr::Mul(factors.collect()),
         });
     }
     if terms.len() == 1 {
         terms.pop().unwrap()
     } else {
-        Expr::Add(terms)
+        Expr::Add(terms.into())
     }
 }
 
@@ -468,8 +541,8 @@ mod tests {
         let mut stack: Vec<(Expr, i32)> = factors.into_iter().collect();
         while let Some((x, k)) = stack.pop() {
             match x {
-                Expr::Mul(inner) => stack.extend(inner.into_iter().map(|i| (i, k))),
-                Expr::Pow(b, j) => stack.push((*b, k.saturating_mul(j))),
+                Expr::Mul(inner) => stack.extend(inner.iter().map(|i| (i.clone(), k))),
+                Expr::Pow(b, j) => stack.push(((*b).clone(), k.saturating_mul(j))),
                 other => {
                     let s = simplify(&other);
                     match s {
@@ -560,8 +633,8 @@ mod tests {
                 .collect()
         };
         match g.below(12) {
-            0..=2 => Expr::Mul(list(g, 1)),
-            3 | 4 => Expr::Add(list(g, 1)),
+            0..=2 => Expr::Mul(list(g, 1).into()),
+            3 | 4 => Expr::Add(list(g, 1).into()),
             5 => formula(g, depth - 1).pow(g.pick(&[-2, -1, -1, 0, 1, 2])),
             6 => {
                 // The shape that cancels: d * (… / d).
@@ -570,9 +643,9 @@ mod tests {
             }
             7 => formula(g, depth - 1).ceil(),
             8 => formula(g, depth - 1).floor(),
-            9 => Expr::Max(list(g, 1)),
+            9 => Expr::max_of(list(g, 1)),
             10 => match g.below(2) {
-                0 => Expr::Min(list(g, 1)),
+                0 => Expr::min_of(list(g, 1)),
                 _ => formula(g, depth - 1).log2(),
             },
             _ => Expr::sum(
@@ -664,7 +737,7 @@ mod tests {
 
     #[test]
     fn opaque_sum_is_kept() {
-        let s = Expr::sum("j", Expr::int(0), v("n"), Expr::Ceil(Box::new(v("j"))));
+        let s = Expr::sum("j", Expr::int(0), v("n"), v("j").ceil());
         let got = simplify(&s);
         assert!(matches!(got, Expr::Sum { .. }), "got {got}");
     }

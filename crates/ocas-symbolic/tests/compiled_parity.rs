@@ -51,10 +51,10 @@ fn expr(g: &mut Gen, depth: u32) -> Expr {
         (0..min + g.below(3)).map(|_| expr(g, depth - 1)).collect()
     };
     match g.below(10) {
-        0 | 1 => Expr::Add(list(g, 0)),
-        2 | 3 => Expr::Mul(list(g, 0)),
-        4 => Expr::Max(list(g, 0)),
-        5 => Expr::Min(list(g, 1)),
+        0 | 1 => Expr::Add(list(g, 0).into()),
+        2 | 3 => Expr::Mul(list(g, 0).into()),
+        4 => Expr::Max(list(g, 0).into()),
+        5 => Expr::Min(list(g, 1).into()),
         6 => expr(g, depth - 1).pow(g.pick(&[-3, -1, 0, 1, 2, 400])),
         7 => match g.below(3) {
             0 => expr(g, depth - 1).ceil(),

@@ -16,17 +16,17 @@ pub fn eval_tree(e: &Expr, env: &Env) -> Result<f64, EvalError> {
         Expr::Const(r) => Ok(r.to_f64()),
         Expr::Var(v) => env
             .get(v)
-            .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
+            .ok_or_else(|| EvalError::UnboundVariable(v.to_string())),
         Expr::Add(xs) => {
             let mut acc = 0.0;
-            for x in xs {
+            for x in xs.iter() {
                 acc += eval_tree(x, env)?;
             }
             Ok(acc)
         }
         Expr::Mul(xs) => {
             let mut acc = 1.0;
-            for x in xs {
+            for x in xs.iter() {
                 acc *= eval_tree(x, env)?;
             }
             Ok(acc)
@@ -43,14 +43,14 @@ pub fn eval_tree(e: &Expr, env: &Env) -> Result<f64, EvalError> {
         Expr::Floor(x) => Ok(eval_tree(x, env)?.floor()),
         Expr::Max(xs) => {
             let mut acc = f64::NEG_INFINITY;
-            for x in xs {
+            for x in xs.iter() {
                 acc = acc.max(eval_tree(x, env)?);
             }
             Ok(acc)
         }
         Expr::Min(xs) => {
             let mut acc = f64::INFINITY;
-            for x in xs {
+            for x in xs.iter() {
                 acc = acc.min(eval_tree(x, env)?);
             }
             Ok(acc)
@@ -79,14 +79,14 @@ pub fn eval_tree(e: &Expr, env: &Env) -> Result<f64, EvalError> {
             let span = hi.abs_diff(lo).saturating_add(1);
             if span > MAX_SUM_ITERS {
                 return Err(EvalError::SumTooLarge {
-                    var: var.clone(),
+                    var: var.to_string(),
                     span,
                 });
             }
             let mut inner = env.clone();
             let mut acc = 0.0;
             for j in lo..=hi {
-                inner.set(var.clone(), j as f64);
+                inner.set(var.to_string(), j as f64);
                 acc += eval_tree(body, &inner)?;
             }
             Ok(acc)

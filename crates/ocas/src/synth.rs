@@ -7,7 +7,8 @@
 //! frontier keeps expanding. The search is exhaustive, and results are
 //! merged by program index, so the outcome is bit-identical to a sequential
 //! search-then-cost pass for every worker count. The five candidates the
-//! ladder ranks cheapest are then refined with the full pattern search.
+//! ladder ranks cheapest are then refined with the full pattern search, on
+//! the problems the workers built for them — a program is costed once.
 
 use crate::specs::Spec;
 use ocal::Expr;
@@ -138,24 +139,42 @@ fn candidate_problem(
     Ok((problem, report))
 }
 
-/// Costs one program and tunes its parameters with the full pattern
-/// search (the ladder when the pattern search fails).
-fn refine_candidate(
-    engine: &CostEngine<'_>,
-    spec: &Spec,
-    program: &Expr,
-    depth: u32,
-) -> Result<Candidate, CostError> {
-    let (problem, report) = candidate_problem(engine, spec, program)?;
-    let tuned: Optimum = optimize(&problem)
-        .or_else(|_| ladder_search(&problem))
-        .map_err(|_| CostError::Unsupported("parameter optimization"))?;
-    Ok(Candidate {
-        program: program.clone(),
-        depth,
+/// The screened candidates the ladder ranks cheapest, best first, each with
+/// the problem it was screened on: refinement re-tunes these problems
+/// instead of costing the programs again, and no other candidate's problem
+/// outlives its screening. Equal estimates keep program-index order, the
+/// order a stable sort of the index-merged results gives.
+#[derive(Default)]
+struct Cheapest(Vec<(usize, Candidate, Problem)>);
+
+impl Cheapest {
+    fn offer(&mut self, index: usize, cand: &Candidate, problem: Problem) {
+        let at = self
+            .0
+            .iter()
+            .position(|(i, c, _)| {
+                let by_cost = cand
+                    .seconds
+                    .partial_cmp(&c.seconds)
+                    .expect("finite estimates");
+                by_cost.then(index.cmp(i)).is_lt()
+            })
+            .unwrap_or(self.0.len());
+        if at < REFINE_TOP {
+            self.0.insert(at, (index, cand.clone(), problem));
+            self.0.truncate(REFINE_TOP);
+        }
+    }
+}
+
+/// Re-tunes a screened candidate's problem with the full pattern search
+/// (the ladder when the pattern search fails).
+fn refine_candidate(cand: &Candidate, problem: &Problem) -> Option<Candidate> {
+    let tuned: Optimum = optimize(problem).or_else(|_| ladder_search(problem)).ok()?;
+    Some(Candidate {
         params: tuned.values,
         seconds: tuned.objective,
-        formula: report.seconds,
+        ..cand.clone()
     })
 }
 
@@ -233,6 +252,7 @@ impl Synthesizer {
         let rx = Mutex::new(rx);
         // Per program index, its tuned candidate (`None`: not costable).
         let results: Mutex<Vec<(usize, Option<Candidate>)>> = Mutex::new(Vec::new());
+        let cheapest = Mutex::new(Cheapest::default());
         let cost_workers = if self.cost_workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -251,7 +271,7 @@ impl Synthesizer {
 
         let search_result = std::thread::scope(|s| {
             for w in 0..cost_workers {
-                let (rx, results, timings) = (&rx, &results, &timings);
+                let (rx, results, cheapest, timings) = (&rx, &results, &cheapest, &timings);
                 s.spawn(move || loop {
                     let job = match rx.lock().unwrap().recv() {
                         Ok(job) => job,
@@ -265,13 +285,18 @@ impl Synthesizer {
                             params = problem.params.len();
                             let tuned = ladder_search(&problem).ok()?;
                             evals = tuned.evals;
-                            Some(Candidate {
+                            let cand = Candidate {
                                 program: job.program,
                                 depth: job.depth,
                                 params: tuned.values,
                                 seconds: tuned.objective,
                                 formula: report.seconds,
-                            })
+                            };
+                            cheapest
+                                .lock()
+                                .expect("no cost worker panics holding the shortlist")
+                                .offer(job.index, &cand, problem);
+                            Some(cand)
                         },
                     );
                     if let (Some(start), Some((epoch, _))) = (t0, obs_epoch) {
@@ -337,21 +362,24 @@ impl Synthesizer {
             }
         }
         let uncosted = outs.iter().filter(|(_, c)| c.is_none()).count();
-        let mut costed: Vec<Candidate> = outs.into_iter().filter_map(|(_, c)| c).collect();
+        let costed: Vec<Candidate> = outs.into_iter().filter_map(|(_, c)| c).collect();
         if costed.is_empty() {
             return Err(SynthError::NoCandidate);
         }
         let spec_candidate = costed
             .iter()
             .find(|c| c.depth == 0)
-            .cloned()
-            .unwrap_or_else(|| costed[0].clone());
+            .unwrap_or(&costed[0])
+            .clone();
 
         // Refine the most promising candidates with the full pattern search.
-        costed.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap());
-        let mut best = costed[0].clone();
-        for cand in costed.iter().take(REFINE_TOP) {
-            if let Ok(refined) = refine_candidate(engine, spec, &cand.program, cand.depth) {
+        let cheapest = cheapest
+            .into_inner()
+            .expect("no cost worker panics holding the shortlist")
+            .0;
+        let mut best = cheapest[0].1.clone();
+        for (_, cand, problem) in &cheapest {
+            if let Some(refined) = refine_candidate(cand, problem) {
                 if refined.seconds < best.seconds {
                     best = refined;
                 }

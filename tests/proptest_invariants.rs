@@ -127,7 +127,7 @@ proptest! {
         let mut gamma = BTreeMap::new();
         gamma.insert("R".to_string(), Annot::relation(Sym::int(r.len() as i128), 2, 8));
         gamma.insert("S".to_string(), Annot::relation(Sym::int(s.len() as i128), 2, 8));
-        let annot = result_size(&program, &SizeCtx::new(gamma, 8)).unwrap();
+        let annot = result_size(&program, &SizeCtx::new(&gamma, 8)).unwrap();
         let bound = sym_eval(&annot.card().unwrap(), &Env::new()).unwrap();
 
         let inputs: BTreeMap<String, Value> = [
