@@ -654,22 +654,6 @@ impl<B: StorageBackend> Executor<B> {
                 output,
                 &mut compares,
             )?,
-            Plan::NaiveJoin {
-                outer,
-                inner,
-                pred,
-                output,
-            } => self.run_bnl(
-                *outer,
-                *inner,
-                1,
-                1,
-                None,
-                *pred,
-                false,
-                output,
-                &mut compares,
-            )?,
             Plan::GraceJoin {
                 left,
                 right,
@@ -1074,7 +1058,7 @@ impl<B: StorageBackend> Executor<B> {
         let spill_partition =
             |this: &mut Executor<B>, rel: &Relation, hashes: &mut u64| -> Result<(), ExecError> {
                 let tb = rel.tuple_bytes;
-                let mut bucket_fill: Vec<u64> = vec![0; partitions as usize];
+                let mut carry = 0u64;
                 let per_bucket_buf = (buffer_bytes / partitions.max(1)).max(tb);
                 let block = (buffer_bytes / tb).max(1);
                 let mut idx = 0;
@@ -1090,20 +1074,18 @@ impl<B: StorageBackend> Executor<B> {
                         remaining -= per_bucket_buf;
                     }
                     // Remainder accumulates; approximate by carrying it
-                    // into the next block (tracked via bucket_fill[0]).
-                    bucket_fill[0] += remaining;
-                    if bucket_fill[0] >= per_bucket_buf {
-                        let f = this.sm.alloc(spill, bucket_fill[0])?;
-                        this.sm.write(f, 0, bucket_fill[0])?;
-                        bucket_fill[0] = 0;
+                    // into the next block.
+                    carry += remaining;
+                    if carry >= per_bucket_buf {
+                        let f = this.sm.alloc(spill, carry)?;
+                        this.sm.write(f, 0, carry)?;
+                        carry = 0;
                     }
                     idx += n.max(1);
                 }
-                for fill in bucket_fill.iter() {
-                    if *fill > 0 {
-                        let f = this.sm.alloc(spill, *fill)?;
-                        this.sm.write(f, 0, *fill)?;
-                    }
+                if carry > 0 {
+                    let f = this.sm.alloc(spill, carry)?;
+                    this.sm.write(f, 0, carry)?;
                 }
                 Ok(())
             };
@@ -1329,10 +1311,8 @@ impl<B: StorageBackend> Executor<B> {
         // Level 0 reads the input; later levels read the previous scratch
         // region. Each level: runs shrink by `fan_in`; reads alternate
         // between the merged runs (seeking), writes stream to fresh extents.
-        let mut runs = n;
         let mut first = true;
         for _level in 0..levels {
-            let groups = runs.div_ceil(fan_in);
             // Read side: merging consumes each tuple once, in b_in-tuple
             // chunks alternating across the fan-in runs (non-contiguous ⇒
             // the HDD model charges a seek per chunk).
@@ -1366,7 +1346,6 @@ impl<B: StorageBackend> Executor<B> {
             }
             self.sm.truncate_device(scratch, mark)?;
             *compares += n * (fan_in as f64).log2().ceil() as u64;
-            runs = groups;
             first = false;
         }
 

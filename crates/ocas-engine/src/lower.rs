@@ -239,14 +239,6 @@ fn lower_join(program: &Expr, cross: bool, cx: &LowerCtx) -> Result<Plan, LowerE
         Some(o) if o == *names[1] => (names[1].clone(), names[0].clone()),
         _ => (names[0].clone(), names[1].clone()),
     };
-    if k1 == 1 && k2 == 1 {
-        return Ok(Plan::NaiveJoin {
-            outer: rel_index(cx, &outer)?,
-            inner: rel_index(cx, &inner)?,
-            pred,
-            output: cx.output.clone(),
-        });
-    }
     Ok(Plan::BnlJoin {
         outer: rel_index(cx, &outer)?,
         inner: rel_index(cx, &inner)?,
@@ -475,6 +467,32 @@ mod tests {
         match plan {
             Plan::BnlJoin { k1, k2, .. } => assert_eq!((k1, k2), (512, 256)),
             other => panic!("expected BNL through the curried wrapper, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_ordered_join_whose_blocks_tune_to_one_keeps_its_order_inputs() {
+        let p = parse(
+            "(\\q. for (xB [k0] <- q.1) for (yB [k1] <- q.2) for (x <- xB) for (y <- yB) \
+             if x.1 == y.1 then [<x, y>] else [])\
+             (if length(R) <= length(S) then <R, S> else <S, R>)",
+        )
+        .unwrap();
+        let mut cx = cx_two();
+        cx.params.insert("k0".to_string(), 1);
+        cx.params.insert("k1".to_string(), 1);
+        let plan = lower(&p, WorkloadHint::Join { cross: false }, &cx).unwrap();
+        match plan {
+            Plan::BnlJoin {
+                k1,
+                k2,
+                order_inputs,
+                ..
+            } => {
+                assert_eq!((k1, k2), (1, 1));
+                assert!(order_inputs, "the order-inputs wrapper was dropped");
+            }
+            other => panic!("expected BNL, got {other:?}"),
         }
     }
 

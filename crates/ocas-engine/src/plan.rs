@@ -120,18 +120,6 @@ pub enum Plan {
         /// Output destination.
         output: Output,
     },
-    /// Tuple-at-a-time nested loops (the naive specification; executable at
-    /// small scale for validation).
-    NaiveJoin {
-        /// Outer relation index.
-        outer: usize,
-        /// Inner relation index.
-        inner: usize,
-        /// Join predicate.
-        pred: JoinPred,
-        /// Output destination.
-        output: Output,
-    },
     /// GRACE hash join: partition both sides to the spill device, then join
     /// co-buckets in memory.
     GraceJoin {
@@ -210,7 +198,6 @@ impl Plan {
     pub fn name(&self) -> &'static str {
         match self {
             Plan::BnlJoin { .. } => "bnl-join",
-            Plan::NaiveJoin { .. } => "naive-join",
             Plan::GraceJoin { .. } => "grace-join",
             Plan::ExternalSort { .. } => "external-sort",
             Plan::MergePass { .. } => "merge-pass",
@@ -249,7 +236,6 @@ impl Plan {
     pub fn output(&self) -> &Output {
         match self {
             Plan::BnlJoin { output, .. }
-            | Plan::NaiveJoin { output, .. }
             | Plan::GraceJoin { output, .. }
             | Plan::ExternalSort { output, .. }
             | Plan::MergePass { output, .. }

@@ -36,8 +36,6 @@ pub struct PoolConfig {
     pub page_bytes: usize,
     /// Frames per device pool.
     pub frames: usize,
-    /// Eviction policy.
-    pub policy: PolicyKind,
     /// Timing mode (buffered page-cache I/O vs fsync/`O_DIRECT`-bounded).
     pub timing: TimingMode,
 }
@@ -47,7 +45,6 @@ impl Default for PoolConfig {
         PoolConfig {
             page_bytes: 0,
             frames: 256,
-            policy: PolicyKind::Lru,
             timing: TimingMode::Buffered,
         }
     }
@@ -346,7 +343,7 @@ impl FileBackend {
                 name: props.name.clone(),
                 dev_track: format!("dev:{}", props.name),
                 pool_track: format!("pool:{}", props.name),
-                pool: BufferPool::new(file, page, cfg.frames, cfg.policy)
+                pool: BufferPool::new(file, page, cfg.frames, PolicyKind::Lru)
                     .with_direct(direct)
                     .with_label(&props.name),
                 stats: DeviceStats::default(),

@@ -10,9 +10,8 @@
 //!
 //! Three layers:
 //!
-//! * [`BufferPool`] — a page-granular cache over one backing file:
-//!   pluggable eviction ([`PolicyKind`]: LRU, CLOCK, FIFO), dirty-page
-//!   write-back, per-page checksums.
+//! * [`BufferPool`] — a page-granular cache over one backing file: LRU
+//!   eviction, dirty-page write-back, per-page checksums.
 //! * [`FileBackend`] — the [`ocas_storage::StorageBackend`] implementation:
 //!   one sparse temp file per hierarchy device, bump-allocated extents
 //!   (the simulator's allocator, re-enacted on disk), per-device I/O
@@ -42,5 +41,5 @@ pub mod pool;
 pub mod runtime;
 
 pub use backend::{FileBackend, PoolConfig, TimingMode};
-pub use pool::{BufferPool, EvictionPolicy, PolicyKind, PoolStats};
+pub use pool::{BufferPool, PolicyKind, PoolStats};
 pub use runtime::{RealReport, Runtime, RuntimeError};

@@ -1,11 +1,11 @@
 //! A page-granular buffer pool over one backing file.
 //!
 //! Every read and write the [`FileBackend`](crate::FileBackend) issues goes
-//! through a pool: fixed-size page frames cached in memory, a pluggable
-//! [`EvictionPolicy`] choosing victims, and dirty pages written back lazily
-//! (on eviction or [`BufferPool::flush`]). This is the real-I/O counterpart
-//! of the storage simulator's free RAM level: the pool is the "memory" of
-//! the hierarchy, the backing file is the device.
+//! through a pool: fixed-size page frames cached in memory, the least
+//! recently used frame evicted to make room, and dirty pages written back
+//! lazily (on eviction or [`BufferPool::flush`]). This is the real-I/O
+//! counterpart of the storage simulator's free RAM level: the pool is the
+//! "memory" of the hierarchy, the backing file is the device.
 //!
 //! # What a page costs
 //!
@@ -30,8 +30,8 @@
 //!   never masks a torn write-back.
 //! * **No per-page allocation, seek or scan.** Page I/O is positional
 //!   (`read_at`/`write_all_at`), a miss reads into a spare buffer that is
-//!   swapped with the victim's, and the LRU and FIFO policies keep their
-//!   frames in stamp order, so a victim is the head of a list.
+//!   swapped with the victim's, and the frames are kept in stamp order, so
+//!   a victim is the head of a list.
 //!
 //! None of this is visible in [`PoolStats`] or in the order of evictions
 //! and write-backs: a whole page served by a run or claimed by an
@@ -109,22 +109,6 @@ pub struct PoolStats {
     pub checksum_failures: u64,
 }
 
-/// Chooses which resident page to evict. Implementations see frames by
-/// index and are told about every admit/touch/removal.
-pub trait EvictionPolicy: std::fmt::Debug {
-    /// Policy name (for reports).
-    fn name(&self) -> &'static str;
-    /// A page was loaded into `frame`.
-    fn admit(&mut self, frame: usize);
-    /// The page in `frame` was accessed.
-    fn touch(&mut self, frame: usize);
-    /// The page in `frame` left the pool.
-    fn remove(&mut self, frame: usize);
-    /// Picks a victim among the resident frames. The pool asks only when
-    /// it is full, so there is at least one.
-    fn victim(&mut self) -> usize;
-}
-
 /// Frames ordered by logical timestamp, as an index: a doubly linked list
 /// threaded through one array of neighbour pairs, oldest stamp at the head.
 /// A frame gets the newest stamp by moving to the tail; the victim is the
@@ -180,131 +164,14 @@ impl StampOrder {
     }
 }
 
-/// Least-recently-used eviction: every access stamps its frame anew.
-#[derive(Debug, Default)]
-pub struct LruPolicy {
-    order: StampOrder,
-}
-
-impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn admit(&mut self, frame: usize) {
-        self.order.stamp(frame);
-    }
-
-    fn touch(&mut self, frame: usize) {
-        self.order.stamp(frame);
-    }
-
-    fn remove(&mut self, frame: usize) {
-        self.order.clear(frame);
-    }
-
-    fn victim(&mut self) -> usize {
-        self.order.oldest()
-    }
-}
-
-/// CLOCK (second-chance) eviction: one reference bit per frame, a rotating
-/// hand that clears bits until it finds an unreferenced frame.
-#[derive(Debug, Default)]
-pub struct ClockPolicy {
-    referenced: Vec<bool>,
-    resident: Vec<bool>,
-    hand: usize,
-}
-
-impl EvictionPolicy for ClockPolicy {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn admit(&mut self, frame: usize) {
-        if frame >= self.resident.len() {
-            self.resident.resize(frame + 1, false);
-            self.referenced.resize(frame + 1, false);
-        }
-        self.resident[frame] = true;
-        self.referenced[frame] = true;
-    }
-
-    fn touch(&mut self, frame: usize) {
-        self.referenced[frame] = true;
-    }
-
-    fn remove(&mut self, frame: usize) {
-        self.resident[frame] = false;
-        self.referenced[frame] = false;
-    }
-
-    fn victim(&mut self) -> usize {
-        // Two sweeps at most: the first clears reference bits, the second
-        // finds a resident frame whose bit it cleared.
-        loop {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % self.resident.len();
-            if !self.resident[f] {
-                continue;
-            }
-            if self.referenced[f] {
-                self.referenced[f] = false;
-            } else {
-                return f;
-            }
-        }
-    }
-}
-
-/// First-in-first-out eviction (admission order, ignores accesses).
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    order: StampOrder,
-}
-
-impl EvictionPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn admit(&mut self, frame: usize) {
-        self.order.stamp(frame);
-    }
-
-    fn touch(&mut self, _frame: usize) {}
-
-    fn remove(&mut self, frame: usize) {
-        self.order.clear(frame);
-    }
-
-    fn victim(&mut self) -> usize {
-        self.order.oldest()
-    }
-}
-
-/// Which eviction policy a pool should use.
+/// The pool's eviction policy. Least recently used is the only one; the
+/// enum stays only so [`BufferPool::new`] keeps the signature the benchmark
+/// crate (`bench/`) still calls it with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
-    /// Least recently used (default).
+    /// Least recently used.
     #[default]
     Lru,
-    /// CLOCK / second chance.
-    Clock,
-    /// First in, first out.
-    Fifo,
-}
-
-impl PolicyKind {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
-        match self {
-            PolicyKind::Lru => Box::<LruPolicy>::default(),
-            PolicyKind::Clock => Box::<ClockPolicy>::default(),
-            PolicyKind::Fifo => Box::<FifoPolicy>::default(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -322,7 +189,9 @@ pub struct BufferPool {
     frames: Vec<Frame>,
     /// page number → frame index.
     table: BTreeMap<u64, usize>,
-    policy: Box<dyn EvictionPolicy>,
+    /// Least-recently-used order: a frame is stamped when admitted and
+    /// on every hit, and the oldest stamp is the victim.
+    order: StampOrder,
     stats: PoolStats,
     /// The buffer a single-page miss fetches into before anything is
     /// evicted; swapped with the claimed frame's, so a miss allocates
@@ -351,7 +220,6 @@ impl std::fmt::Debug for BufferPool {
             .field("page_bytes", &self.page_bytes)
             .field("capacity", &self.capacity)
             .field("resident", &self.table.len())
-            .field("policy", &self.policy.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -380,7 +248,9 @@ fn read_zero_filled(file: &File, dst: &mut [u8], offset: u64) -> Result<(), Stor
 
 impl BufferPool {
     /// Builds a pool of `capacity` frames of `page_bytes` each over `file`.
-    pub fn new(file: File, page_bytes: usize, capacity: usize, policy: PolicyKind) -> BufferPool {
+    /// Eviction is always least recently used; [`PolicyKind`] has no other
+    /// value to select.
+    pub fn new(file: File, page_bytes: usize, capacity: usize, _: PolicyKind) -> BufferPool {
         let page_bytes = page_bytes.max(1);
         BufferPool {
             file,
@@ -388,7 +258,7 @@ impl BufferPool {
             capacity: capacity.max(1),
             frames: Vec::new(),
             table: BTreeMap::new(),
-            policy: policy.build(),
+            order: StampOrder::default(),
             stats: PoolStats::default(),
             spare: vec![0u8; page_bytes],
             direct: false,
@@ -441,7 +311,7 @@ impl BufferPool {
     fn hit(&mut self, page: u64) -> Option<usize> {
         let f = *self.table.get(&page)?;
         self.stats.hits += 1;
-        self.policy.touch(f);
+        self.order.stamp(f);
         Some(f)
     }
 
@@ -477,8 +347,8 @@ impl BufferPool {
     }
 
     /// Makes `page` resident in a frame of its own — a free one while the
-    /// pool is below capacity, else the policy's victim, written back first
-    /// if dirty — and returns it clean. The frame's bytes are
+    /// pool is below capacity, else the least recently used one, written
+    /// back first if dirty — and returns it clean. The frame's bytes are
     /// stale: the caller fills them before anything reads the frame.
     fn claim_frame(&mut self, page: u64) -> Result<usize, StorageError> {
         let frame = if self.frames.len() < self.capacity {
@@ -489,16 +359,16 @@ impl BufferPool {
             });
             self.frames.len() - 1
         } else {
-            let victim = self.policy.victim();
+            let victim = self.order.oldest();
             self.stats.evictions += 1;
             self.write_back(victim)?;
             self.table.remove(&self.frames[victim].page);
-            self.policy.remove(victim);
+            self.order.clear(victim);
             self.frames[victim].page = page;
             victim
         };
         self.table.insert(page, frame);
-        self.policy.admit(frame);
+        self.order.stamp(frame);
         Ok(frame)
     }
 
@@ -667,14 +537,14 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    fn temp_pool(capacity: usize, policy: PolicyKind) -> BufferPool {
+    fn temp_pool(capacity: usize) -> BufferPool {
         let dir = std::env::temp_dir().join(format!(
             "ocas-pool-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{policy:?}-{capacity}.bin"));
+        let path = dir.join(format!("pool-{capacity}.bin"));
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -683,7 +553,7 @@ mod tests {
             .open(path)
             .unwrap();
         file.set_len(1 << 20).unwrap();
-        BufferPool::new(file, 64, capacity, policy)
+        BufferPool::new(file, 64, capacity, PolicyKind::Lru)
     }
 
     /// The per-frame timestamps and per-eviction scan that [`StampOrder`]
@@ -753,7 +623,7 @@ mod tests {
 
     #[test]
     fn read_back_what_was_written() {
-        let mut p = temp_pool(8, PolicyKind::Lru);
+        let mut p = temp_pool(8);
         let data: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
         p.write(100, &data).unwrap();
         let mut buf = vec![0u8; 300];
@@ -763,7 +633,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_survive_eviction() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         // Write 8 pages through a 2-frame pool, forcing write-backs.
         for page in 0u64..8 {
             p.write(page * 64, &[page as u8 + 1; 64]).unwrap();
@@ -780,7 +650,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let mut p = temp_pool(4, PolicyKind::Lru);
+        let mut p = temp_pool(4);
         let mut buf = [0u8; 64];
         p.read(0, &mut buf).unwrap();
         p.read(0, &mut buf).unwrap();
@@ -791,7 +661,7 @@ mod tests {
 
     #[test]
     fn lru_keeps_the_hot_page() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         let mut buf = [0u8; 64];
         p.read(0, &mut buf).unwrap(); // page 0
         p.read(64, &mut buf).unwrap(); // page 1
@@ -805,37 +675,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_admission_order_even_if_hot() {
-        let mut p = temp_pool(2, PolicyKind::Fifo);
-        let mut buf = [0u8; 64];
-        p.read(0, &mut buf).unwrap(); // page 0 first in
-        p.read(64, &mut buf).unwrap(); // page 1
-        p.read(0, &mut buf).unwrap(); // touching does not help under FIFO
-        p.read(128, &mut buf).unwrap(); // evicts page 0
-        let before = p.stats().misses;
-        p.read(0, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before + 1, "page 0 was evicted");
-    }
-
-    #[test]
-    fn clock_grants_second_chance() {
-        let mut p = temp_pool(2, PolicyKind::Clock);
-        let mut buf = [0u8; 64];
-        p.read(0, &mut buf).unwrap();
-        p.read(64, &mut buf).unwrap();
-        // Both referenced; the hand clears page 0's bit first, then page
-        // 1's, then evicts page 0 (first unreferenced found).
-        p.read(128, &mut buf).unwrap();
-        let before = p.stats().misses;
-        p.read(64, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before, "page 1 got its second chance");
-        p.read(0, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before + 1, "page 0 was the victim");
-    }
-
-    #[test]
     fn torn_write_back_detected_as_corrupt_page() {
-        let mut p = temp_pool(2, PolicyKind::Lru).with_label("HDD");
+        let mut p = temp_pool(2).with_label("HDD");
         // Dirty page 0 with content whose halves differ, tear its
         // write-back, then force it out and back in.
         let mut content = [0xAAu8; 64];
@@ -857,7 +698,7 @@ mod tests {
 
     #[test]
     fn clean_write_backs_verify_on_reload() {
-        let mut p = temp_pool(2, PolicyKind::Lru).with_label("HDD");
+        let mut p = temp_pool(2).with_label("HDD");
         let content = [0x5Au8; 64];
         p.write(0, &content).unwrap();
         let mut buf = [0u8; 64];
@@ -922,7 +763,7 @@ mod tests {
 
     #[test]
     fn zero_and_never_written_pages_behave_as_before() {
-        let mut p = temp_pool(2, PolicyKind::Lru).with_label("HDD");
+        let mut p = temp_pool(2).with_label("HDD");
         let mut buf = [1u8; 64];
         // Never written: nothing recorded, nothing verified, reads zeros
         // (sparse file) however often it is evicted and reloaded.
@@ -951,7 +792,7 @@ mod tests {
 
     #[test]
     fn whole_page_overwrite_fetches_only_to_verify() {
-        let mut p = temp_pool(2, PolicyKind::Lru).with_label("HDD");
+        let mut p = temp_pool(2).with_label("HDD");
         let mut buf = [0u8; 64];
         let mut content = [0xAAu8; 64];
         content[32..].fill(0xBB);
@@ -979,7 +820,7 @@ mod tests {
 
     #[test]
     fn flush_persists_dirty_pages() {
-        let mut p = temp_pool(8, PolicyKind::Lru);
+        let mut p = temp_pool(8);
         p.write(10, b"hello pool").unwrap();
         assert_eq!(p.stats().write_backs, 0);
         p.flush().unwrap();

@@ -5,9 +5,11 @@
 //! `seek` + `read` and one fresh buffer per miss, every page fetched before
 //! it is touched), kept here as the oracle: same returned bytes, same six
 //! [`PoolStats`] counters after every operation, same typed error at the
-//! same operation, same file bytes after a flush.
+//! same operation, same file bytes after a flush. Its eviction order is
+//! its own least-recently-used scan, so a pool that evicts in any other
+//! order shows up as a different hit or miss.
 
-use ocas_runtime::{BufferPool, EvictionPolicy, PolicyKind, PoolStats};
+use ocas_runtime::{BufferPool, PolicyKind, PoolStats};
 use ocas_storage::StorageError;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,6 +38,8 @@ struct RefFrame {
     page: u64,
     data: Vec<u8>,
     dirty: bool,
+    /// The tick of the frame's last admission or hit.
+    last_use: u64,
 }
 
 /// The page-at-a-time buffer pool, as it was before run reads.
@@ -44,7 +48,8 @@ struct RefPool {
     capacity: usize,
     frames: Vec<RefFrame>,
     table: BTreeMap<u64, usize>,
-    policy: Box<dyn EvictionPolicy>,
+    /// Counts admissions and hits; every one gets a tick of its own.
+    tick: u64,
     stats: PoolStats,
     label: String,
     checksums: BTreeMap<u64, u64>,
@@ -52,13 +57,13 @@ struct RefPool {
 }
 
 impl RefPool {
-    fn new(file: File, capacity: usize, policy: PolicyKind, label: &str) -> RefPool {
+    fn new(file: File, capacity: usize, label: &str) -> RefPool {
         RefPool {
             file,
             capacity,
             frames: Vec::new(),
             table: BTreeMap::new(),
-            policy: policy.build(),
+            tick: 0,
             stats: PoolStats::default(),
             label: label.to_string(),
             checksums: BTreeMap::new(),
@@ -69,7 +74,8 @@ impl RefPool {
     fn load_page(&mut self, page: u64) -> Result<usize, StorageError> {
         if let Some(&f) = self.table.get(&page) {
             self.stats.hits += 1;
-            self.policy.touch(f);
+            self.tick += 1;
+            self.frames[f].last_use = self.tick;
             return Ok(f);
         }
         self.stats.misses += 1;
@@ -93,25 +99,28 @@ impl RefPool {
                 });
             }
         }
+        self.tick += 1;
         let fresh = RefFrame {
             page,
             data,
             dirty: false,
+            last_use: self.tick,
         };
         let frame = if self.frames.len() < self.capacity {
             self.frames.push(fresh);
             self.frames.len() - 1
         } else {
-            let victim = self.policy.victim();
+            // Least recently used: the frame with the oldest tick.
+            let victim = (0..self.frames.len())
+                .min_by_key(|&f| self.frames[f].last_use)
+                .expect("a full pool has a frame");
             self.stats.evictions += 1;
             self.write_back(victim)?;
             self.table.remove(&self.frames[victim].page);
-            self.policy.remove(victim);
             self.frames[victim] = fresh;
             victim
         };
         self.table.insert(page, frame);
-        self.policy.admit(frame);
         Ok(frame)
     }
 
@@ -188,7 +197,7 @@ struct Twins {
 impl Twins {
     /// `file_pages` pages of identical non-zero bytes under both pools; the
     /// ops address more than that, so some reads run past EOF.
-    fn new(tag: &str, frames: usize, policy: PolicyKind, file_pages: usize) -> Twins {
+    fn new(tag: &str, frames: usize, file_pages: usize) -> Twins {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
@@ -210,8 +219,9 @@ impl Twins {
             f.write_all(&initial).unwrap();
             f
         };
-        let pool = BufferPool::new(open("pool.bin"), PAGE, frames, policy).with_label("DEV");
-        let reference = RefPool::new(open("ref.bin"), frames, policy, "DEV");
+        let pool =
+            BufferPool::new(open("pool.bin"), PAGE, frames, PolicyKind::Lru).with_label("DEV");
+        let reference = RefPool::new(open("ref.bin"), frames, "DEV");
         Twins {
             dir,
             pool,
@@ -300,7 +310,7 @@ proptest! {
 
     #[test]
     fn pool_equals_the_page_at_a_time_reference(
-        (frames_kind, policy, align_bias) in (0usize..6, 0u32..3, 0u64..4),
+        (frames_kind, align_bias) in (0usize..6, 0u64..4),
         ops in proptest::collection::vec((0u32..13, 0u64..1 << 20, 0u64..1 << 20, 0u64..251), 1..90),
     ) {
         // 1-4 frames over a dozen pages, or 256 frames over 600: both under
@@ -309,8 +319,7 @@ proptest! {
             k @ 0..=3 => (k + 1, 12usize),
             _ => (256, 600),
         };
-        let policy = [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::Fifo][policy as usize];
-        let mut t = Twins::new("prop", frames, policy, span_pages * 2 / 3);
+        let mut t = Twins::new("prop", frames, span_pages * 2 / 3);
         let span = (span_pages * PAGE) as u64;
         for (n, (kind, at, len_draw, fill)) in ops.into_iter().enumerate() {
             let len = length(len_draw, len_draw / 6);
@@ -318,7 +327,7 @@ proptest! {
             if at % 4 < align_bias {
                 offset -= offset % PAGE as u64;
             }
-            let what = format!("op {n}: kind {kind} at {offset} len {len} ({frames} frames, {policy:?})");
+            let what = format!("op {n}: kind {kind} at {offset} len {len} ({frames} frames)");
             match kind {
                 0..=5 => {
                     let _ = t.read(offset, len, &what);
@@ -342,7 +351,7 @@ proptest! {
 /// back — the spill-stream shape, against the reference.
 #[test]
 fn sequential_stream_through_a_full_size_pool_matches_the_reference() {
-    let mut t = Twins::new("stream", 256, PolicyKind::Lru, 0);
+    let mut t = Twins::new("stream", 256, 0);
     let chunk = 16 * PAGE;
     for i in 0..64u64 {
         let data: Vec<u8> = (0..chunk).map(|b| (b as u64 * 31 + i) as u8).collect();
@@ -364,30 +373,21 @@ fn sequential_stream_through_a_full_size_pool_matches_the_reference() {
 /// content from before it, and not a frame that no longer holds the page.
 #[test]
 fn a_dirty_page_evicted_by_its_own_request_is_re_read_not_served_stale() {
-    for policy in [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::Fifo] {
-        let mut t = Twins::new("stale", 2, policy, 8);
-        let fresh = [0xC3u8; PAGE];
-        // Frames: page 3 (dirty, the older one) and page 5.
-        t.write(3 * PAGE as u64, &fresh, "dirtying page 3").unwrap();
-        t.read(5 * PAGE as u64, PAGE, "loading page 5").unwrap();
-        let before = t.pool.stats();
-        // Pages 0..=3: the run 0-2 stops at resident page 3; admitting
-        // page 0 evicts page 3 (write-back), so page 3 forms a second run.
-        let got = t.read(0, 4 * PAGE, "the spanning read").unwrap();
-        assert_eq!(
-            &got[3 * PAGE..],
-            &fresh[..],
-            "{policy:?}: page 3 served stale"
-        );
-        let after = t.pool.stats();
-        assert_eq!(after.misses - before.misses, 4, "{policy:?}");
-        assert_eq!(
-            after.hits, before.hits,
-            "{policy:?}: page 3 was gone by then"
-        );
-        assert_eq!(after.write_backs - before.write_backs, 1, "{policy:?}");
-        t.flush("the flush");
-    }
+    let mut t = Twins::new("stale", 2, 8);
+    let fresh = [0xC3u8; PAGE];
+    // Frames: page 3 (dirty, the older one) and page 5.
+    t.write(3 * PAGE as u64, &fresh, "dirtying page 3").unwrap();
+    t.read(5 * PAGE as u64, PAGE, "loading page 5").unwrap();
+    let before = t.pool.stats();
+    // Pages 0..=3: the run 0-2 stops at resident page 3; admitting
+    // page 0 evicts page 3 (write-back), so page 3 forms a second run.
+    let got = t.read(0, 4 * PAGE, "the spanning read").unwrap();
+    assert_eq!(&got[3 * PAGE..], &fresh[..], "page 3 served stale");
+    let after = t.pool.stats();
+    assert_eq!(after.misses - before.misses, 4);
+    assert_eq!(after.hits, before.hits, "page 3 was gone by then");
+    assert_eq!(after.write_backs - before.write_backs, 1);
+    t.flush("the flush");
 }
 
 /// A torn write-back surfaces as the same `CorruptPage` at the same
@@ -397,7 +397,7 @@ fn a_dirty_page_evicted_by_its_own_request_is_re_read_not_served_stale() {
 #[test]
 fn a_torn_page_fails_the_same_operation_in_every_access_shape() {
     for shape in 0..4 {
-        let mut t = Twins::new("torn", 2, PolicyKind::Lru, 8);
+        let mut t = Twins::new("torn", 2, 8);
         let mut content = [0x11u8; PAGE];
         content[PAGE / 2..].fill(0x22);
         t.write(2 * PAGE as u64, &content, "dirtying page 2")

@@ -13,7 +13,7 @@
 //! numbers"): they compare returned payload with written payload.
 
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
-use ocas_runtime::{FileBackend, PolicyKind, PoolConfig, PoolStats};
+use ocas_runtime::{FileBackend, PoolConfig, PoolStats};
 use ocas_storage::{read_data_loop, FileId, StorageBackend, StorageError};
 use proptest::prelude::*;
 
@@ -38,7 +38,6 @@ fn backend(hdd_bytes: u64, frames: usize) -> FileBackend {
     let pool = PoolConfig {
         page_bytes: PAGE as usize,
         frames,
-        policy: PolicyKind::Lru,
         ..PoolConfig::default()
     };
     FileBackend::from_hierarchy(&hierarchy(hdd_bytes), pool).unwrap()

@@ -6,7 +6,7 @@ use crate::experiments::{ExpError, Experiment};
 use crate::synth::Synthesis;
 use ocas_engine::{lower, Output, RelSpec, WorkloadHint};
 use ocas_hierarchy::Hierarchy;
-use ocas_runtime::{PoolConfig, RealReport, Runtime};
+use ocas_runtime::{RealReport, Runtime};
 use std::collections::BTreeMap;
 
 /// Everything a synthesis result needs to run against real files: the
@@ -27,8 +27,6 @@ pub struct RealRunSetup {
     pub scratch: String,
     /// Base RNG seed (relation `i` uses `seed + i`).
     pub seed: u64,
-    /// Buffer-pool configuration for the real backend.
-    pub pool: PoolConfig,
 }
 
 impl Synthesis {
@@ -53,7 +51,7 @@ impl Synthesis {
             scratch: setup.scratch.clone(),
         };
         let plan = lower(&self.best.program, setup.hint, &cx)?;
-        let rt = Runtime::new(setup.hierarchy.clone()).with_pool(setup.pool);
+        let rt = Runtime::new(setup.hierarchy.clone());
         Ok(rt.run_plan(&plan, &setup.rel_specs, setup.seed)?)
     }
 }
@@ -70,7 +68,6 @@ impl Experiment {
             output: self.output.clone(),
             scratch: self.scratch.clone(),
             seed,
-            pool: PoolConfig::default(),
         }
     }
 
