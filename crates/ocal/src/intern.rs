@@ -1,4 +1,4 @@
-//! A hash-consed term arena for OCAL expressions.
+//! A hash-consed term arena that computes the synthesizer's dedup key.
 //!
 //! The synthesizer's search generates (and re-generates) hundreds of
 //! thousands of candidate programs, most of which differ from an already
@@ -7,16 +7,16 @@
 //! candidate pays an α-canonicalizing clone, a parameter-renaming clone and
 //! an `O(size)` tree hash per set operation.
 //!
-//! This module fixes that with a classic hash-consing arena:
+//! This module fixes that with a classic hash-consing arena. Each id names
+//! one shallow constructor node whose children are ids and whose variable
+//! and parameter names are interned, so node equality and hashing are word
+//! compares with no string traffic. Structure is shared: interning a
+//! candidate that reuses subterms of an existing program allocates only the
+//! nodes along the changed spine. The nodes are private; the API is:
 //!
 //! * [`ExprId`] — a dense 32-bit handle. Two interned terms are
 //!   structurally equal **iff their ids are equal**, so equality and
 //!   hashing are O(1) and a dedup set is `HashSet<ExprId>`.
-//! * [`Node`] — one expression constructor with [`ExprId`] children and
-//!   [`NameId`]-interned variable/parameter names, so node equality and
-//!   hashing are word compares with no string traffic. Structure is
-//!   shared: interning a candidate that reuses subterms of an existing
-//!   program allocates only the nodes along the changed spine.
 //! * [`Interner::canonical`] — the search's dedup key
 //!   (α-canonicalization plus block-size-parameter renaming in
 //!   first-occurrence order, exactly `ocas-rewrite`'s legacy `dedup_key`)
@@ -24,22 +24,23 @@
 //!   `Expr` trees — and [`Interner::canonical_at`], the same key for
 //!   "parent tree with a rewrite spliced in at a path", so duplicate
 //!   search candidates are rejected without ever being constructed.
-//! * memoized per-id [`Interner::size`] and root [`Interner::typecheck`]
-//!   results, so repeated queries on the same term are O(1).
+//! * [`Interner::find_canonical`] — the read-only lookup of that key.
+//! * [`Interner::new`], [`Interner::len`] (the number of distinct nodes,
+//!   which the search reports as `arena_nodes`) and [`Interner::is_empty`].
+//! * [`FxHasher`] and [`FxBuildHasher`] — the hasher of the arena's index,
+//!   which the search's seen-set uses too.
 //!
 //! The interner is deliberately not thread-safe (`&mut self` to intern):
 //! the parallel search keeps one interner on the merge thread and hands
 //! workers read-only [`Interner::find_canonical`] snapshots, which is what
 //! keeps merged statistics deterministic.
 
-use crate::ast::{BlockSize, DefName, Expr, PrimOp, SeqAnnot, SizeHint, TypeEnv};
-use crate::typecheck::{typecheck, TypeError};
-use crate::types::Type;
+use crate::ast::{BlockSize, DefName, Expr, PrimOp, SeqAnnot, SizeHint};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast, non-cryptographic word-at-a-time hasher (the rustc `FxHash`
-/// recipe). Interning hashes one shallow [`Node`] per tree position on the
+/// recipe). Interning hashes one shallow node per tree position on the
 /// search's hottest path; SipHash's per-byte mixing is measurable overhead
 /// there and DoS resistance buys nothing for compiler-internal keys.
 #[derive(Default)]
@@ -100,36 +101,20 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(u32);
 
-impl ExprId {
-    /// The dense index of this id (0-based insertion order).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A handle to an interned variable/parameter name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NameId(u32);
-
-impl NameId {
-    /// The dense index of this id.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct NameId(u32);
 
 /// An interned [`BlockSize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum IBlock {
+enum IBlock {
     Const(u64),
     Param(NameId),
 }
 
 /// An interned [`DefName`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum IDef {
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum IDef {
     Head,
     Tail,
     Length,
@@ -146,9 +131,8 @@ pub enum IDef {
 /// One interned expression constructor; children are [`ExprId`]s, names are
 /// [`NameId`]s. Mirrors [`Expr`] — see the corresponding variant there for
 /// semantics.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Node {
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Node {
     Var(NameId),
     Int(i64),
     Bool(bool),
@@ -207,14 +191,9 @@ pub enum Node {
 /// The hash-consing arena.
 #[derive(Debug, Default)]
 pub struct Interner {
-    nodes: Vec<Node>,
-    sizes: Vec<u32>,
+    /// Every distinct node with its id; ids are dense in insertion order.
     index: HashMap<Node, ExprId, FxBuildHasher>,
-    names: Vec<String>,
-    name_index: HashMap<String, NameId, FxBuildHasher>,
-    type_memo: HashMap<ExprId, Result<Type, TypeError>>,
-    /// Fingerprint of the environment `type_memo` is valid for.
-    type_env_tag: Option<u64>,
+    names: HashMap<String, NameId, FxBuildHasher>,
     /// Cached canonical binder name ids (`%0`, `%1`, …).
     canon_vars: Vec<NameId>,
     /// Cached canonical parameter name ids (`%p0`, `%p1`, …).
@@ -259,150 +238,30 @@ impl Interner {
 
     /// Number of distinct interned nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.index.len()
     }
 
     /// True when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.index.is_empty()
     }
 
-    /// The constructor node behind `id`.
-    pub fn node(&self, id: ExprId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
-    /// The string behind an interned name.
-    pub fn name(&self, id: NameId) -> &str {
-        &self.names[id.index()]
-    }
-
-    /// Memoized node count of the term (computed once at intern time).
-    pub fn size(&self, id: ExprId) -> usize {
-        self.sizes[id.index()] as usize
-    }
-
-    /// Interns a name.
-    pub fn name_id(&mut self, s: &str) -> NameId {
-        if let Some(&id) = self.name_index.get(s) {
+    fn name_id(&mut self, s: &str) -> NameId {
+        if let Some(&id) = self.names.get(s) {
             return id;
         }
         let id = NameId(self.names.len() as u32);
-        self.names.push(s.to_string());
-        self.name_index.insert(s.to_string(), id);
+        self.names.insert(s.to_string(), id);
         id
     }
 
-    /// Read-only name lookup.
-    pub fn find_name(&self, s: &str) -> Option<NameId> {
-        self.name_index.get(s).copied()
+    fn find_name(&self, s: &str) -> Option<NameId> {
+        self.names.get(s).copied()
     }
 
     fn insert(&mut self, node: Node) -> ExprId {
-        if let Some(&id) = self.index.get(&node) {
-            return id;
-        }
-        let size = 1 + node_children(&node)
-            .into_iter()
-            .map(|c| self.sizes[c.index()])
-            .sum::<u32>();
-        let id = ExprId(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.sizes.push(size);
-        self.index.insert(node, id);
-        id
-    }
-
-    fn iblock(&mut self, b: &BlockSize) -> IBlock {
-        match b {
-            BlockSize::Const(n) => IBlock::Const(*n),
-            BlockSize::Param(p) => IBlock::Param(self.name_id(p)),
-        }
-    }
-
-    fn iblock_find(&self, b: &BlockSize) -> Option<IBlock> {
-        match b {
-            BlockSize::Const(n) => Some(IBlock::Const(*n)),
-            BlockSize::Param(p) => Some(IBlock::Param(self.find_name(p)?)),
-        }
-    }
-
-    fn idef(&mut self, d: &DefName) -> IDef {
-        match d {
-            DefName::Head => IDef::Head,
-            DefName::Tail => IDef::Tail,
-            DefName::Length => IDef::Length,
-            DefName::Avg => IDef::Avg,
-            DefName::TreeFold(k) => IDef::TreeFold(self.iblock(k)),
-            DefName::UnfoldR { b_in, b_out } => {
-                let b_in = self.iblock(b_in);
-                let b_out = self.iblock(b_out);
-                IDef::UnfoldR { b_in, b_out }
-            }
-            DefName::Mrg => IDef::Mrg,
-            DefName::Zip(n) => IDef::Zip(*n),
-            DefName::Partition => IDef::Partition,
-            DefName::HashPartition(k) => IDef::HashPartition(self.iblock(k)),
-            DefName::FuncPow(k) => IDef::FuncPow(*k),
-        }
-    }
-
-    fn idef_find(&self, d: &DefName) -> Option<IDef> {
-        Some(match d {
-            DefName::Head => IDef::Head,
-            DefName::Tail => IDef::Tail,
-            DefName::Length => IDef::Length,
-            DefName::Avg => IDef::Avg,
-            DefName::TreeFold(k) => IDef::TreeFold(self.iblock_find(k)?),
-            DefName::UnfoldR { b_in, b_out } => IDef::UnfoldR {
-                b_in: self.iblock_find(b_in)?,
-                b_out: self.iblock_find(b_out)?,
-            },
-            DefName::Mrg => IDef::Mrg,
-            DefName::Zip(n) => IDef::Zip(*n),
-            DefName::Partition => IDef::Partition,
-            DefName::HashPartition(k) => IDef::HashPartition(self.iblock_find(k)?),
-            DefName::FuncPow(k) => IDef::FuncPow(*k),
-        })
-    }
-
-    fn block_back(&self, b: IBlock) -> BlockSize {
-        match b {
-            IBlock::Const(n) => BlockSize::Const(n),
-            IBlock::Param(p) => BlockSize::Param(self.name(p).to_string()),
-        }
-    }
-
-    fn def_back(&self, d: &IDef) -> DefName {
-        match d {
-            IDef::Head => DefName::Head,
-            IDef::Tail => DefName::Tail,
-            IDef::Length => DefName::Length,
-            IDef::Avg => DefName::Avg,
-            IDef::TreeFold(k) => DefName::TreeFold(self.block_back(*k)),
-            IDef::UnfoldR { b_in, b_out } => DefName::UnfoldR {
-                b_in: self.block_back(*b_in),
-                b_out: self.block_back(*b_out),
-            },
-            IDef::Mrg => DefName::Mrg,
-            IDef::Zip(n) => DefName::Zip(*n),
-            IDef::Partition => DefName::Partition,
-            IDef::HashPartition(k) => DefName::HashPartition(self.block_back(*k)),
-            IDef::FuncPow(k) => DefName::FuncPow(*k),
-        }
-    }
-
-    /// Interns `e` as-is (no canonicalization). O(size) the first time, with
-    /// every already-known subterm shared.
-    pub fn intern(&mut self, e: &Expr) -> ExprId {
-        let node = self.shallow(e, |this, c| this.intern(c));
-        self.insert(node)
-    }
-
-    /// Read-only lookup of an already interned term.
-    pub fn find(&self, e: &Expr) -> Option<ExprId> {
-        let node = self.try_shallow(e, |this, c| this.find(c))?;
-        self.index.get(&node).copied()
+        let next = ExprId(self.index.len() as u32);
+        *self.index.entry(node).or_insert(next)
     }
 
     fn canon_var(&mut self, i: usize) -> NameId {
@@ -435,10 +294,10 @@ impl Interner {
     /// variables are renamed `%0`, `%1`, … in binding order and block-size
     /// parameters `%p0`, `%p1`, … in first-occurrence (pre-order) order.
     ///
-    /// The result equals `intern(&dedup_key(e))` for the legacy
-    /// `ocas-rewrite` key, but without materializing the three intermediate
-    /// trees that function builds — this is the search's per-candidate hot
-    /// path.
+    /// Two terms get the same id iff the legacy `ocas-rewrite` `dedup_key`
+    /// gives them equal keys, but without materializing the three
+    /// intermediate trees that function builds — this is the search's
+    /// per-candidate hot path.
     pub fn canonical(&mut self, e: &Expr) -> ExprId {
         let mut cx = CanonCx::default();
         self.canon_go(e, &mut cx)
@@ -470,19 +329,6 @@ impl Interner {
                 let pos = cx.param_pos(p);
                 IBlock::Param(self.canon_param(pos))
             }
-        }
-    }
-
-    fn canon_def<'e>(&mut self, d: &'e DefName, cx: &mut CanonCx<'e>) -> IDef {
-        match d {
-            DefName::TreeFold(k) => IDef::TreeFold(self.canon_block(k, cx)),
-            DefName::HashPartition(k) => IDef::HashPartition(self.canon_block(k, cx)),
-            DefName::UnfoldR { b_in, b_out } => {
-                let b_in = self.canon_block(b_in, cx);
-                let b_out = self.canon_block(b_out, cx);
-                IDef::UnfoldR { b_in, b_out }
-            }
-            other => self.idef(other),
         }
     }
 
@@ -528,11 +374,10 @@ impl Interner {
                     seq: self.iseq(seq),
                 }
             }
-            Expr::DefRef(d) => Node::DefRef(self.canon_def(d, cx)),
-            other => {
-                let node = self.shallow(other, |this, c| this.canon_go(c, cx));
-                return self.insert(node);
-            }
+            Expr::DefRef(d) => Node::DefRef(
+                idef(d, |b| Some(self.canon_block(b, cx))).expect("interning never fails"),
+            ),
+            other => shallow(other, |c| Some(self.canon_go(c, cx))).expect("interning never fails"),
         };
         self.insert(node)
     }
@@ -592,16 +437,16 @@ impl Interner {
             }
             other => {
                 let mut i = 0usize;
-                let node = self.shallow(other, |this, c| {
+                shallow(other, |c| {
                     let id = if i == target {
-                        this.canon_go_at(c, cx, rest, replacement)
+                        self.canon_go_at(c, cx, rest, replacement)
                     } else {
-                        this.canon_go(c, cx)
+                        self.canon_go(c, cx)
                     };
                     i += 1;
-                    id
-                });
-                return self.insert(node);
+                    Some(id)
+                })
+                .expect("interning never fails")
             }
         };
         self.insert(node)
@@ -649,19 +494,8 @@ impl Interner {
                     seq: self.iseq_find(seq)?,
                 }
             }
-            Expr::DefRef(d) => {
-                let d = match d {
-                    DefName::TreeFold(k) => IDef::TreeFold(self.canon_block_find(k, cx)?),
-                    DefName::HashPartition(k) => IDef::HashPartition(self.canon_block_find(k, cx)?),
-                    DefName::UnfoldR { b_in, b_out } => IDef::UnfoldR {
-                        b_in: self.canon_block_find(b_in, cx)?,
-                        b_out: self.canon_block_find(b_out, cx)?,
-                    },
-                    other => self.idef_find(other)?,
-                };
-                Node::DefRef(d)
-            }
-            other => self.try_shallow(other, |this, c| this.canon_find(c, cx))?,
+            Expr::DefRef(d) => Node::DefRef(idef(d, |b| self.canon_block_find(b, cx))?),
+            other => shallow(other, |c| self.canon_find(c, cx))?,
         };
         self.index.get(&node).copied()
     }
@@ -691,314 +525,82 @@ impl Interner {
             Some(s) => Some(Some((self.find_name(&s.from)?, self.find_name(&s.to)?))),
         }
     }
-
-    /// Rebuilds the owned [`Expr`] tree behind `id`.
-    pub fn to_expr(&self, id: ExprId) -> Expr {
-        match self.node(id) {
-            Node::Var(v) => Expr::Var(self.name(*v).to_string()),
-            Node::Int(n) => Expr::Int(*n),
-            Node::Bool(b) => Expr::Bool(*b),
-            Node::Str(s) => Expr::Str(s.clone()),
-            Node::Lam { param, body } => Expr::Lam {
-                param: self.name(*param).to_string(),
-                body: Box::new(self.to_expr(*body)),
-            },
-            Node::App { func, arg } => Expr::App {
-                func: Box::new(self.to_expr(*func)),
-                arg: Box::new(self.to_expr(*arg)),
-            },
-            Node::Tuple(items) => Expr::Tuple(items.iter().map(|i| self.to_expr(*i)).collect()),
-            Node::Proj { tuple, index } => Expr::Proj {
-                tuple: Box::new(self.to_expr(*tuple)),
-                index: *index,
-            },
-            Node::Singleton(e) => Expr::Singleton(Box::new(self.to_expr(*e))),
-            Node::Empty => Expr::Empty,
-            Node::Union { left, right } => Expr::Union {
-                left: Box::new(self.to_expr(*left)),
-                right: Box::new(self.to_expr(*right)),
-            },
-            Node::FlatMap { func } => Expr::FlatMap {
-                func: Box::new(self.to_expr(*func)),
-            },
-            Node::FoldL { init, func } => Expr::FoldL {
-                init: Box::new(self.to_expr(*init)),
-                func: Box::new(self.to_expr(*func)),
-            },
-            Node::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => Expr::If {
-                cond: Box::new(self.to_expr(*cond)),
-                then_branch: Box::new(self.to_expr(*then_branch)),
-                else_branch: Box::new(self.to_expr(*else_branch)),
-            },
-            Node::Prim { op, args } => Expr::Prim {
-                op: *op,
-                args: args.iter().map(|a| self.to_expr(*a)).collect(),
-            },
-            Node::For {
-                var,
-                block,
-                source,
-                out_block,
-                body,
-                seq,
-            } => Expr::For {
-                var: self.name(*var).to_string(),
-                block: self.block_back(*block),
-                source: Box::new(self.to_expr(*source)),
-                out_block: self.block_back(*out_block),
-                body: Box::new(self.to_expr(*body)),
-                seq: seq.map(|(from, to)| SeqAnnot {
-                    from: self.name(from).to_string(),
-                    to: self.name(to).to_string(),
-                }),
-            },
-            Node::DefRef(d) => Expr::DefRef(self.def_back(d)),
-            Node::Sized { expr, hint } => Expr::Sized {
-                expr: Box::new(self.to_expr(*expr)),
-                hint: hint.clone(),
-            },
-        }
-    }
-
-    /// Memoized whole-term typecheck against `env`. The memo is keyed per
-    /// id and tagged with a fingerprint of `env`; checking against a
-    /// different environment transparently resets it.
-    pub fn typecheck(&mut self, id: ExprId, env: &TypeEnv) -> Result<Type, TypeError> {
-        let tag = env_fingerprint(env);
-        if self.type_env_tag != Some(tag) {
-            self.type_memo.clear();
-            self.type_env_tag = Some(tag);
-        }
-        if let Some(cached) = self.type_memo.get(&id) {
-            return cached.clone();
-        }
-        let result = typecheck(&self.to_expr(id), env);
-        self.type_memo.insert(id, result.clone());
-        result
-    }
-
-    /// Builds the [`Node`] for `e`'s root, interning children via `child`.
-    fn shallow<'e>(
-        &mut self,
-        e: &'e Expr,
-        mut child: impl FnMut(&mut Self, &'e Expr) -> ExprId,
-    ) -> Node {
-        match e {
-            Expr::Var(v) => Node::Var(self.name_id(v)),
-            Expr::Int(n) => Node::Int(*n),
-            Expr::Bool(b) => Node::Bool(*b),
-            Expr::Str(s) => Node::Str(s.clone()),
-            Expr::Lam { param, body } => {
-                let param = self.name_id(param);
-                let body = child(self, body);
-                Node::Lam { param, body }
-            }
-            Expr::App { func, arg } => {
-                let func = child(self, func);
-                let arg = child(self, arg);
-                Node::App { func, arg }
-            }
-            Expr::Tuple(items) => Node::Tuple(items.iter().map(|i| child(self, i)).collect()),
-            Expr::Proj { tuple, index } => {
-                let tuple = child(self, tuple);
-                Node::Proj {
-                    tuple,
-                    index: *index,
-                }
-            }
-            Expr::Singleton(e) => {
-                let e = child(self, e);
-                Node::Singleton(e)
-            }
-            Expr::Empty => Node::Empty,
-            Expr::Union { left, right } => {
-                let left = child(self, left);
-                let right = child(self, right);
-                Node::Union { left, right }
-            }
-            Expr::FlatMap { func } => {
-                let func = child(self, func);
-                Node::FlatMap { func }
-            }
-            Expr::FoldL { init, func } => {
-                let init = child(self, init);
-                let func = child(self, func);
-                Node::FoldL { init, func }
-            }
-            Expr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let cond = child(self, cond);
-                let then_branch = child(self, then_branch);
-                let else_branch = child(self, else_branch);
-                Node::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                }
-            }
-            Expr::Prim { op, args } => Node::Prim {
-                op: *op,
-                args: args.iter().map(|a| child(self, a)).collect(),
-            },
-            Expr::For {
-                var,
-                block,
-                source,
-                out_block,
-                body,
-                seq,
-            } => {
-                let var = self.name_id(var);
-                let block = self.iblock(block);
-                let out_block = self.iblock(out_block);
-                let seq = self.iseq(seq);
-                let source = child(self, source);
-                let body = child(self, body);
-                Node::For {
-                    var,
-                    block,
-                    source,
-                    out_block,
-                    body,
-                    seq,
-                }
-            }
-            Expr::DefRef(d) => {
-                let d = self.idef(d);
-                Node::DefRef(d)
-            }
-            Expr::Sized { expr, hint } => {
-                let expr = child(self, expr);
-                Node::Sized {
-                    expr,
-                    hint: hint.clone(),
-                }
-            }
-        }
-    }
-
-    /// Read-only twin of [`Interner::shallow`]; `None` bubbles up when any
-    /// child or name is unknown.
-    fn try_shallow<'e>(
-        &self,
-        e: &'e Expr,
-        mut child: impl FnMut(&Self, &'e Expr) -> Option<ExprId>,
-    ) -> Option<Node> {
-        Some(match e {
-            Expr::Var(v) => Node::Var(self.find_name(v)?),
-            Expr::Int(n) => Node::Int(*n),
-            Expr::Bool(b) => Node::Bool(*b),
-            Expr::Str(s) => Node::Str(s.clone()),
-            Expr::Lam { param, body } => Node::Lam {
-                param: self.find_name(param)?,
-                body: child(self, body)?,
-            },
-            Expr::App { func, arg } => Node::App {
-                func: child(self, func)?,
-                arg: child(self, arg)?,
-            },
-            Expr::Tuple(items) => Node::Tuple(
-                items
-                    .iter()
-                    .map(|i| child(self, i))
-                    .collect::<Option<_>>()?,
-            ),
-            Expr::Proj { tuple, index } => Node::Proj {
-                tuple: child(self, tuple)?,
-                index: *index,
-            },
-            Expr::Singleton(e) => Node::Singleton(child(self, e)?),
-            Expr::Empty => Node::Empty,
-            Expr::Union { left, right } => Node::Union {
-                left: child(self, left)?,
-                right: child(self, right)?,
-            },
-            Expr::FlatMap { func } => Node::FlatMap {
-                func: child(self, func)?,
-            },
-            Expr::FoldL { init, func } => Node::FoldL {
-                init: child(self, init)?,
-                func: child(self, func)?,
-            },
-            Expr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => Node::If {
-                cond: child(self, cond)?,
-                then_branch: child(self, then_branch)?,
-                else_branch: child(self, else_branch)?,
-            },
-            Expr::Prim { op, args } => Node::Prim {
-                op: *op,
-                args: args.iter().map(|a| child(self, a)).collect::<Option<_>>()?,
-            },
-            Expr::For {
-                var,
-                block,
-                source,
-                out_block,
-                body,
-                seq,
-            } => Node::For {
-                var: self.find_name(var)?,
-                block: self.iblock_find(block)?,
-                source: child(self, source)?,
-                out_block: self.iblock_find(out_block)?,
-                body: child(self, body)?,
-                seq: self.iseq_find(seq)?,
-            },
-            Expr::DefRef(d) => Node::DefRef(self.idef_find(d)?),
-            Expr::Sized { expr, hint } => Node::Sized {
-                expr: child(self, expr)?,
-                hint: hint.clone(),
-            },
-        })
-    }
 }
 
-/// The direct children of a node.
-fn node_children(node: &Node) -> Vec<ExprId> {
-    match node {
-        Node::Var(_)
-        | Node::Int(_)
-        | Node::Bool(_)
-        | Node::Str(_)
-        | Node::Empty
-        | Node::DefRef(_) => vec![],
-        Node::Lam { body, .. } => vec![*body],
-        Node::App { func, arg } => vec![*func, *arg],
-        Node::Tuple(items) => items.clone(),
-        Node::Proj { tuple, .. } => vec![*tuple],
-        Node::Singleton(e) => vec![*e],
-        Node::Union { left, right } => vec![*left, *right],
-        Node::FlatMap { func } => vec![*func],
-        Node::FoldL { init, func } => vec![*init, *func],
-        Node::If {
+/// The [`IDef`] of `d`, with each block size (in pre-order) from `block`;
+/// `None` when `block` returns `None`.
+fn idef<'e>(
+    d: &'e DefName,
+    mut block: impl FnMut(&'e BlockSize) -> Option<IBlock>,
+) -> Option<IDef> {
+    Some(match d {
+        DefName::Head => IDef::Head,
+        DefName::Tail => IDef::Tail,
+        DefName::Length => IDef::Length,
+        DefName::Avg => IDef::Avg,
+        DefName::TreeFold(k) => IDef::TreeFold(block(k)?),
+        DefName::UnfoldR { b_in, b_out } => IDef::UnfoldR {
+            b_in: block(b_in)?,
+            b_out: block(b_out)?,
+        },
+        DefName::Mrg => IDef::Mrg,
+        DefName::Zip(n) => IDef::Zip(*n),
+        DefName::Partition => IDef::Partition,
+        DefName::HashPartition(k) => IDef::HashPartition(block(k)?),
+        DefName::FuncPow(k) => IDef::FuncPow(*k),
+    })
+}
+
+/// The [`Node`] of a constructor that binds and names nothing, with each
+/// child's id (in [`Expr::children`] order) from `child`; `None` when
+/// `child` returns `None`. `Var`, `Lam`, `For` and `DefRef` carry names or
+/// block sizes, which only the canonicalizing walkers can intern.
+fn shallow<'e>(e: &'e Expr, mut child: impl FnMut(&'e Expr) -> Option<ExprId>) -> Option<Node> {
+    Some(match e {
+        Expr::Int(n) => Node::Int(*n),
+        Expr::Bool(b) => Node::Bool(*b),
+        Expr::Str(s) => Node::Str(s.clone()),
+        Expr::App { func, arg } => Node::App {
+            func: child(func)?,
+            arg: child(arg)?,
+        },
+        Expr::Tuple(items) => Node::Tuple(items.iter().map(&mut child).collect::<Option<_>>()?),
+        Expr::Proj { tuple, index } => Node::Proj {
+            tuple: child(tuple)?,
+            index: *index,
+        },
+        Expr::Singleton(e) => Node::Singleton(child(e)?),
+        Expr::Empty => Node::Empty,
+        Expr::Union { left, right } => Node::Union {
+            left: child(left)?,
+            right: child(right)?,
+        },
+        Expr::FlatMap { func } => Node::FlatMap { func: child(func)? },
+        Expr::FoldL { init, func } => Node::FoldL {
+            init: child(init)?,
+            func: child(func)?,
+        },
+        Expr::If {
             cond,
             then_branch,
             else_branch,
-        } => vec![*cond, *then_branch, *else_branch],
-        Node::Prim { args, .. } => args.clone(),
-        Node::For { source, body, .. } => vec![*source, *body],
-        Node::Sized { expr, .. } => vec![*expr],
-    }
-}
-
-fn env_fingerprint(env: &TypeEnv) -> u64 {
-    let mut h = FxHasher::default();
-    for (k, v) in env {
-        k.hash(&mut h);
-        v.to_string().hash(&mut h);
-    }
-    h.finish()
+        } => Node::If {
+            cond: child(cond)?,
+            then_branch: child(then_branch)?,
+            else_branch: child(else_branch)?,
+        },
+        Expr::Prim { op, args } => Node::Prim {
+            op: *op,
+            args: args.iter().map(&mut child).collect::<Option<_>>()?,
+        },
+        Expr::Sized { expr, hint } => Node::Sized {
+            expr: child(expr)?,
+            hint: hint.clone(),
+        },
+        Expr::Var(_) | Expr::Lam { .. } | Expr::For { .. } | Expr::DefRef(_) => {
+            unreachable!("named constructors are interned by the canonicalizing walkers")
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1010,25 +612,20 @@ mod tests {
     fn interning_is_hash_consed() {
         let mut it = Interner::new();
         let a = parse("for (x <- R) [x]").unwrap();
-        let b = parse("for (x <- R) [x]").unwrap();
-        let ia = it.intern(&a);
-        let ib = it.intern(&b);
-        assert_eq!(ia, ib, "structurally equal terms share one id");
+        let ia = it.canonical(&a);
         let nodes_before = it.len();
-        // A superterm reuses every existing node plus the new spine.
+        let b = parse("for (x <- R) [x]").unwrap();
+        assert_eq!(
+            it.canonical(&b),
+            ia,
+            "structurally equal terms share one id"
+        );
+        assert_eq!(it.len(), nodes_before, "a known term adds no node");
+        // A superterm reuses every existing node and adds only its new
+        // spine: the outer loop, its body `[y]` and the variable `y`.
         let c = parse("for (y <- for (x <- R) [x]) [y]").unwrap();
-        let ic = it.intern(&c);
-        assert_ne!(ic, ia);
-        assert!(it.len() > nodes_before);
-        assert_eq!(it.to_expr(ic), c);
-    }
-
-    #[test]
-    fn size_is_memoized_node_count() {
-        let mut it = Interner::new();
-        let e = parse("for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []").unwrap();
-        let id = it.intern(&e);
-        assert_eq!(it.size(id), e.node_count());
+        assert_ne!(it.canonical(&c), ia);
+        assert_eq!(it.len(), nodes_before + 3);
     }
 
     #[test]
@@ -1054,49 +651,42 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_alpha_class() {
+    fn canonical_id_is_the_alpha_class() {
         let mut it = Interner::new();
-        let e = parse("foldL([], unfoldR(mrg))(R)").unwrap();
-        let id = it.canonical(&e);
-        let back = it.to_expr(id);
-        assert!(back.alpha_eq(&e.alpha_canonical()));
+        for src in [
+            "foldL([], unfoldR(mrg))(R)",
+            "treeFold[4](<[], unfoldR(funcPow[2](mrg))>)(R)",
+            "for (xB [k1] <- R) for (x <- xB) for (y <- S) [<x, y>]",
+        ] {
+            let e = parse(src).unwrap();
+            let id = it.canonical(&e);
+            assert_eq!(it.canonical(&e.alpha_canonical()), id, "{src}");
+        }
     }
 
     #[test]
-    fn seq_annotations_intern_and_roundtrip() {
-        use crate::ast::SeqAnnot;
+    fn seq_annotations_separate_canonical_terms() {
         let mut it = Interner::new();
-        let mut e = parse("for (x <- R) [x]").unwrap();
-        if let Expr::For { seq, .. } = &mut e {
+        let plain = parse("for (x <- R) [x]").unwrap();
+        let mut annotated = plain.clone();
+        if let Expr::For { seq, .. } = &mut annotated {
             *seq = Some(SeqAnnot {
                 from: "HDD".into(),
                 to: "RAM".into(),
             });
         }
-        let id = it.intern(&e);
-        assert_eq!(it.to_expr(id), e);
-        // The annotation distinguishes terms.
-        let plain = parse("for (x <- R) [x]").unwrap();
-        assert_ne!(it.intern(&plain), id);
-    }
-
-    #[test]
-    fn typecheck_is_memoized() {
-        use crate::Type;
-        let mut it = Interner::new();
-        let e = parse("for (x <- R) [x]").unwrap();
-        let env: TypeEnv = [("R".to_string(), Type::list(Type::Int))]
-            .into_iter()
-            .collect();
-        let id = it.intern(&e);
-        let t1 = it.typecheck(id, &env).unwrap();
-        let t2 = it.typecheck(id, &env).unwrap();
-        assert_eq!(t1, t2);
-        // A different env invalidates transparently.
-        let env2: TypeEnv = [("R".to_string(), Type::list(Type::Bool))]
-            .into_iter()
-            .collect();
-        let t3 = it.typecheck(id, &env2).unwrap();
-        assert_ne!(t1, t3);
+        let id = it.canonical(&annotated);
+        assert_ne!(
+            it.canonical(&plain),
+            id,
+            "the annotation distinguishes terms"
+        );
+        assert_eq!(it.find_canonical(&annotated), Some(id));
+        // The same holds for an annotated loop on the path of a splice.
+        let repl = parse("[1]").unwrap();
+        assert_ne!(
+            it.canonical_at(&annotated, &[1], &repl),
+            it.canonical_at(&plain, &[1], &repl),
+        );
     }
 }

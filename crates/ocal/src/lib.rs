@@ -9,12 +9,13 @@
 //! Components:
 //!
 //! * [`ast`] — expressions, definitions, block sizes, annotations;
-//! * [`types`] + [`typecheck`] — the Figure 1 type system with unification;
+//! * [`types`] + [`typecheck`](mod@typecheck) — the Figure 1 type system
+//!   with unification;
 //! * [`value`] + [`eval`] — the reference interpreter (memory-hierarchy
 //!   oblivious denotational semantics; ground truth for every rewrite);
 //! * [`defs`] — base-language expansions of definitions, with tests that the
 //!   efficient built-ins agree with them;
-//! * [`parser`] + [`pretty`] — concrete syntax in both directions;
+//! * [`parser`] + [`pretty`](mod@pretty) — concrete syntax in both directions;
 //! * [`gen`] — deterministic type-driven value generation for the rewrite
 //!   rules' conservative side-condition checks.
 //!

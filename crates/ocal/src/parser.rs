@@ -1,6 +1,6 @@
 //! Parser for the ASCII concrete syntax of OCAL.
 //!
-//! The syntax is what [`crate::pretty`] prints:
+//! The syntax is what [`crate::pretty()`] prints:
 //!
 //! ```text
 //! program  := expr

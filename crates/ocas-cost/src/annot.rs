@@ -32,8 +32,8 @@ pub enum Annot {
         card: Sym,
     },
     /// The zero annotation — the result size of `[]` (paper Figure 4 gives
-    /// `R(Γ, []) = 0`). Identity for [`Annot::add`] and bottom for
-    /// [`Annot::join`].
+    /// `R(Γ, []) = 0`). Identity for `Annot::add` and bottom for
+    /// `Annot::join`.
     Zero,
 }
 

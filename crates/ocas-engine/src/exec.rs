@@ -1601,10 +1601,10 @@ impl<B: StorageBackend> Executor<B> {
 
     /// The faithful arm of [`run_merge`](Executor::run_merge): two block
     /// cursors and, for the set union, the last emitted row — the online
-    /// form of [`merge_bufs`], which the tests hold it to. A cursor is
-    /// refilled only when its block is exhausted, and a difference stops
-    /// reading its right input once the left one is dry; between refills
-    /// and flushes, [`merge_pass`] takes the steps.
+    /// form of the tests' reference `merge_bufs`, which they hold it to. A
+    /// cursor is refilled only when its block is exhausted, and a difference
+    /// stops reading its right input once the left one is dry; between
+    /// refills and flushes, [`merge_pass`] takes the steps.
     fn merge_faithful(
         &mut self,
         (left, l): (usize, Relation),
@@ -2060,96 +2060,10 @@ fn ensure<B: StorageBackend>(
     }
 }
 
-/// Batch-level reference semantics of the merge operators (faithful mode):
-/// merges two sorted flat batches into a fresh one, comparing and copying
-/// row slices (no per-tuple allocation).
-pub fn merge_bufs(a: &RowBuf, b: &RowBuf, kind: MergeKind) -> RowBuf {
-    let width = a.width().max(b.width());
-    let mut out = RowBuf::with_capacity(width, a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    match kind {
-        MergeKind::MultisetUnionSorted => {
-            while i < a.len() || j < b.len() {
-                let take_a = j >= b.len() || (i < a.len() && a.row(i) <= b.row(j));
-                if take_a {
-                    out.push(a.row(i));
-                    i += 1;
-                } else {
-                    out.push(b.row(j));
-                    j += 1;
-                }
-            }
-        }
-        MergeKind::SetUnion => {
-            while i < a.len() || j < b.len() {
-                let take_a = j >= b.len() || (i < a.len() && a.row(i) <= b.row(j));
-                let row = if take_a {
-                    let r = a.row(i);
-                    i += 1;
-                    r
-                } else {
-                    let r = b.row(j);
-                    j += 1;
-                    r
-                };
-                if out.is_empty() || out.row(out.len() - 1) != row {
-                    out.push(row);
-                }
-            }
-        }
-        MergeKind::MultisetUnionVm => {
-            // Rows are <value, multiplicity> sorted by value.
-            while i < a.len() || j < b.len() {
-                if i < a.len() && j < b.len() && a.row(i)[0] == b.row(j)[0] {
-                    out.push(&[a.row(i)[0], a.row(i)[1] + b.row(j)[1]]);
-                    i += 1;
-                    j += 1;
-                } else if j >= b.len() || (i < a.len() && a.row(i)[0] < b.row(j)[0]) {
-                    out.push(a.row(i));
-                    i += 1;
-                } else {
-                    out.push(b.row(j));
-                    j += 1;
-                }
-            }
-        }
-        MergeKind::MultisetDiffSorted => {
-            while i < a.len() {
-                if j < b.len() && b.row(j) < a.row(i) {
-                    j += 1;
-                } else if j < b.len() && b.row(j) == a.row(i) {
-                    i += 1;
-                    j += 1;
-                } else {
-                    out.push(a.row(i));
-                    i += 1;
-                }
-            }
-        }
-        MergeKind::MultisetDiffVm => {
-            while i < a.len() {
-                if j < b.len() && b.row(j)[0] < a.row(i)[0] {
-                    j += 1;
-                } else if j < b.len() && b.row(j)[0] == a.row(i)[0] {
-                    let m = a.row(i)[1] - b.row(j)[1];
-                    if m > 0 {
-                        out.push(&[a.row(i)[0], m]);
-                    }
-                    i += 1;
-                    j += 1;
-                } else {
-                    out.push(a.row(i));
-                    i += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge_oracle::merge_bufs;
     use crate::rel::{RelSpec, Row, RowGen};
     use ocas_hierarchy::presets;
     use rand::{rngs::StdRng, Rng, SeedableRng};

@@ -166,13 +166,16 @@ mod key_index;
 mod key_scan;
 pub mod lower;
 mod merge_kernel;
+#[cfg(test)]
+#[path = "../tests/merge_oracle/mod.rs"]
+mod merge_oracle;
 pub mod plan;
 pub mod rel;
 mod sorted_window;
 mod spill;
 mod stream_kernel;
 
-pub use exec::{merge_bufs, ExecError, ExecStats, Executor};
+pub use exec::{ExecError, ExecStats, Executor};
 pub use lower::{lower, LowerError, WorkloadHint};
 pub use merge_kernel::{MergeHeads, MergeStop};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};

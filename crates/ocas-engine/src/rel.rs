@@ -488,7 +488,7 @@ const SORT_BUCKETS: u64 = 4096;
 ///
 /// Sorted specs stream in *output* (sorted) order: construction takes one
 /// counting pass recording how many tuples fall into each of
-/// [`SORT_BUCKETS`] first-column value buckets, which maps any output rank
+/// `SORT_BUCKETS` first-column value buckets, which maps any output rank
 /// to a value range; a window of ranks is then regenerated by one pass over
 /// the stream that keeps the tuples whose first column falls in that range.
 /// Since bucket boundaries are on the first column — the lexicographically

@@ -4,7 +4,7 @@
 //! possibly non-linear function of block and buffer sizes (`k1`, `k2`,
 //! `b_in`, `b_out`, `s1`, …) subject to capacity constraints (paper §1:
 //! "We have also implemented the non-linear optimization solver described in
-//! [19] (Liuzzi, Lucidi, Sciandrone) to tune the values of parameters so as
+//! \[19\] (Liuzzi, Lucidi, Sciandrone) to tune the values of parameters so as
 //! to minimize the cost estimate").
 //!
 //! This crate implements that scheme as a **sequential-penalty,

@@ -746,8 +746,8 @@ mod tests {
 
     #[test]
     fn interned_canonical_matches_legacy_dedup_key() {
-        // The fused canonicalize-and-intern pass must agree with
-        // intern(dedup_key(·)) — same id iff same legacy key.
+        // The fused canonicalize-and-intern pass must partition terms like
+        // the legacy key: same id iff same legacy key.
         let exprs = [
             "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
             "for (xB [k4] <- R) for (x <- xB) [x]",
@@ -755,15 +755,26 @@ mod tests {
             "foldL([], unfoldR(mrg))(R)",
             "treeFold[4](<[], unfoldR(funcPow[2](mrg))>)(R)",
             "avg(for (pB_1 [k0] <- L) for (p <- pB_1) [p])",
+            "avg(for (qB [k5] <- L) for (q <- qB) [q])",
         ];
         let mut it = Interner::new();
-        for src in exprs {
-            let e = parse(src).unwrap();
-            assert_eq!(
-                it.canonical(&e),
-                it.intern(&dedup_key(&e)),
-                "fused canonical disagrees with legacy key on {src}"
-            );
+        let keyed: Vec<(ExprId, Expr)> = exprs
+            .iter()
+            .map(|src| {
+                let e = parse(src).unwrap();
+                (it.canonical(&e), dedup_key(&e))
+            })
+            .collect();
+        for (i, (id_a, key_a)) in keyed.iter().enumerate() {
+            for (j, (id_b, key_b)) in keyed.iter().enumerate() {
+                assert_eq!(
+                    id_a == id_b,
+                    key_a == key_b,
+                    "fused canonical disagrees with legacy key on {} vs {}",
+                    exprs[i],
+                    exprs[j]
+                );
+            }
         }
     }
 

@@ -13,14 +13,16 @@
 //! generator, so these are "follows the file" tests: the rows can only have
 //! come from the bytes the block reads returned.
 
-use ocas_engine::{
-    merge_bufs, CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf,
-};
+use ocas_engine::{CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig, Runtime, TimingMode};
 use ocas_storage::StorageBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../../ocas-engine/tests/merge_oracle/mod.rs"]
+mod merge_oracle;
+use merge_oracle::merge_bufs;
 
 /// Generates a sorted relation of `card` tuples directly on the backend,
 /// in bounded chunks — the relation is attached, without in-memory rows, so

@@ -17,13 +17,17 @@
 //! runs between creating the relations and harvesting the output).
 
 use ocas_engine::{
-    merge_bufs, CpuModel, ExecError, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec,
-    Relation, RowBuf, RowGen,
+    CpuModel, ExecError, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation,
+    RowBuf, RowGen,
 };
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
 use ocas_runtime::{FileBackend, PoolConfig, Runtime};
 use ocas_storage::{StorageBackend, StorageSim};
 use proptest::prelude::*;
+
+#[path = "../../ocas-engine/tests/merge_oracle/mod.rs"]
+mod merge_oracle;
+use merge_oracle::merge_bufs;
 
 /// RAM + HDD with byte-granular pages (no page rounding in the simulator).
 fn unit_page_hierarchy() -> Hierarchy {

@@ -187,9 +187,10 @@ pub trait StorageBackend {
     /// wall-clock seconds spent in I/O for a real backend.
     fn clock(&self) -> f64;
 
-    /// Which [`ocas_obs`] clock domain this backend's [`clock`]
-    /// (StorageBackend::clock) advances in: [`ocas_obs::Clock::Sim`] by
-    /// default; real backends override with [`ocas_obs::Clock::Wall`].
+    /// Which [`ocas_obs`] clock domain this backend's
+    /// [`clock`](StorageBackend::clock) advances in:
+    /// [`ocas_obs::Clock::Sim`] by default; real backends override with
+    /// [`ocas_obs::Clock::Wall`].
     fn obs_clock(&self) -> ocas_obs::Clock {
         ocas_obs::Clock::Sim
     }

@@ -8,9 +8,14 @@
 //! * result-size estimation is a sound upper bound on actual sizes.
 
 use ocal::{parse, Evaluator, Value};
+use ocas_engine::{MergeKind, RowBuf};
 use ocas_symbolic::{eval as sym_eval, simplify, Env, Expr as Sym};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+#[path = "../crates/ocas-engine/tests/merge_oracle/mod.rs"]
+mod merge_oracle;
+use merge_oracle::merge_bufs;
 
 fn pair_value(items: &[(i64, i64)]) -> Value {
     Value::pair_list(items)
@@ -80,7 +85,6 @@ proptest! {
         mut a in proptest::collection::vec(0i64..30, 0..50),
         mut b in proptest::collection::vec(0i64..30, 0..50),
     ) {
-        use ocas_engine::{merge_bufs, MergeKind, RowBuf};
         a.sort();
         b.sort();
         let merge = |a: &[i64], b: &[i64], kind| {
