@@ -454,10 +454,10 @@ impl RelSpec {
         u64::from(self.width) * u64::from(self.col_bytes)
     }
 
-    /// The one layout check, which [`Relation::create`] makes before it
-    /// allocates anything: at least one column, of 1 to 8 bytes each (the
-    /// generator draws `width` values a tuple, and a file holds each as its
-    /// `col_bytes` low-order bytes).
+    /// The one layout check, which every [`Relation`] constructor makes
+    /// before it allocates anything: at least one column, of 1 to 8 bytes
+    /// each (the generator draws `width` values a tuple, and a file holds
+    /// each as its `col_bytes` low-order bytes).
     fn check(&self) -> Result<(), StorageError> {
         if self.width == 0 || !(1..=8).contains(&self.col_bytes) {
             return Err(StorageError::BadLayout {
@@ -509,8 +509,9 @@ const SORT_BUCKETS: u64 = 4096;
 /// for twin comparisons a few multiples past the RAM device, but scans get
 /// quadratically slower as the relation-to-cache ratio grows. Unsorted
 /// windows regenerate in O(window) via the O(1) draw skip. A generator is
-/// built once per relation and shared by its clones and by a simulator twin
-/// ([`Relation::rebind`]), which therefore generates nothing at set-up.
+/// built once per relation and shared, as an `Arc`, by its clones and by a
+/// simulator twin ([`Relation::twin`]), which therefore generates nothing at
+/// set-up.
 #[derive(Debug, Clone)]
 pub struct RowGen {
     seed: u64,
@@ -811,11 +812,18 @@ struct BlockCache {
 }
 
 impl BlockCache {
-    fn new(width: usize, budget_tuples: u64) -> BlockCache {
+    /// An empty cache of `spec`'s budget ([`RelSpec::with_cache_bytes`]).
+    fn for_spec(spec: &RelSpec) -> BlockCache {
+        let budget_bytes = if spec.cache_bytes == 0 {
+            DEFAULT_CACHE_BYTES
+        } else {
+            spec.cache_bytes
+        };
+        let width = spec.width as usize;
         BlockCache {
             start: 0,
             buf: RowBuf::new(width),
-            budget_tuples: budget_tuples.max(1),
+            budget_tuples: (budget_bytes / (width as u64 * 8)).max(1),
             peak_bytes: 0,
         }
     }
@@ -886,87 +894,99 @@ pub struct Relation {
 
 impl Relation {
     /// Allocates a relation per `spec`; when `faithful`, its rows come from
-    /// a [`RowGen`] seeded with `seed` behind a bounded block cache.
-    ///
-    /// Faithful rows are also *materialized* into the backing file
-    /// (uncharged setup writes), block by block, so setup memory stays
-    /// bounded by the cache budget: the simulator keeps nothing of them,
-    /// while a real backend ends up with genuine tuple bytes on disk.
-    /// Columns narrower than 8 bytes are truncated to the declared width —
-    /// the in-memory rows stay authoritative; the file holds the on-disk
-    /// representation. A layout without columns, or with columns outside 1
-    /// to 8 bytes, is [`StorageError::BadLayout`] before anything is
-    /// allocated.
+    /// a [`RowGen`] seeded with `seed` ([`Relation::generated`]), else it is
+    /// virtual: cardinality and width only. A layout without columns, or
+    /// with columns outside 1 to 8 bytes, is [`StorageError::BadLayout`]
+    /// before anything is allocated.
     pub fn create<B: StorageBackend>(
         sm: &mut B,
         spec: &RelSpec,
         faithful: bool,
         seed: u64,
     ) -> Result<Relation, StorageError> {
-        spec.check()?;
-        let bytes = spec.card * spec.tuple_bytes();
-        let file = sm.alloc(&spec.device, bytes.max(1))?;
-        let width = spec.width as usize;
+        if faithful {
+            return Relation::generated(sm, spec, Arc::new(RowGen::from_spec(spec, seed)));
+        }
+        let file = Relation::extent(sm, spec)?;
+        Ok(Relation::over(file, spec, RowSource::Virtual))
+    }
+
+    /// Allocates a relation per `spec` whose rows come from `gen` behind a
+    /// bounded block cache, and *materializes* them into the backing file
+    /// (uncharged setup writes), block by block, so setup memory stays
+    /// bounded by the cache budget: the simulator keeps nothing of them,
+    /// while a real backend ends up with genuine tuple bytes on disk.
+    /// Columns narrower than 8 bytes are truncated to the declared width —
+    /// the in-memory rows stay authoritative; the file holds the on-disk
+    /// representation.
+    ///
+    /// `gen` is shared, not copied: a simulator twin of a run over this
+    /// relation ([`Relation::twin`]) takes the same `Arc`, so a sorted
+    /// relation's counting pass runs once for both.
+    pub fn generated<B: StorageBackend>(
+        sm: &mut B,
+        spec: &RelSpec,
+        gen: Arc<RowGen>,
+    ) -> Result<Relation, StorageError> {
+        let file = Relation::extent(sm, spec)?;
         let cb = spec.col_bytes as usize;
-        let source = if faithful {
-            let gen = RowGen::from_spec(spec, seed);
-            let budget_bytes = if spec.cache_bytes == 0 {
-                DEFAULT_CACHE_BYTES
-            } else {
-                spec.cache_bytes
-            };
-            let budget_tuples = (budget_bytes / (width as u64 * 8)).max(1);
-            let mut cache = BlockCache::new(width, budget_tuples);
-            // The transient is one window plus its encoding, never the
-            // whole relation.
-            let tb = spec.tuple_bytes();
-            let mut encoded = Vec::new();
-            let mut at = 0u64;
-            while at < spec.card {
-                let take = budget_tuples.min(spec.card - at);
-                encoded.clear();
-                cache.serve(&gen, at, take).encode_into(cb, &mut encoded);
-                sm.materialize(file, at * tb, &encoded)?;
-                at += take;
-            }
-            cache.release();
-            RowSource::Streamed {
-                gen: Arc::new(gen),
-                cache,
-            }
-        } else {
-            RowSource::Virtual
-        };
-        Ok(Relation {
+        let mut cache = BlockCache::for_spec(spec);
+        // The transient is one window plus its encoding, never the whole
+        // relation.
+        let tb = spec.tuple_bytes();
+        let mut encoded = Vec::new();
+        let mut at = 0u64;
+        while at < spec.card {
+            let take = cache.budget_tuples.min(spec.card - at);
+            encoded.clear();
+            cache.serve(&gen, at, take).encode_into(cb, &mut encoded);
+            sm.materialize(file, at * tb, &encoded)?;
+            at += take;
+        }
+        cache.release();
+        Ok(Relation::over(
+            file,
+            spec,
+            RowSource::Streamed { gen, cache },
+        ))
+    }
+
+    /// The relation [`Relation::generated`] gives for `spec` and `gen`, on a
+    /// simulator: an extent of the same length on `spec`'s device, allocated
+    /// as `generated` allocates it, and an empty block cache of the same
+    /// budget. Nothing is generated or placed — the simulator keeps nothing
+    /// of an input anyway, and serves every block of it from the generator
+    /// — so a simulator twin of a real run costs no window at set-up and
+    /// reads exactly the rows the run's files were written from.
+    pub fn twin(
+        sim: &mut StorageSim,
+        spec: &RelSpec,
+        gen: Arc<RowGen>,
+    ) -> Result<Relation, StorageError> {
+        let file = Relation::extent(sim, spec)?;
+        let cache = BlockCache::for_spec(spec);
+        Ok(Relation::over(
+            file,
+            spec,
+            RowSource::Streamed { gen, cache },
+        ))
+    }
+
+    /// `spec`'s extent on its device, once its layout checks out.
+    fn extent<B: StorageBackend>(sm: &mut B, spec: &RelSpec) -> Result<FileId, StorageError> {
+        spec.check()?;
+        sm.alloc(&spec.device, (spec.card * spec.tuple_bytes()).max(1))
+    }
+
+    fn over(file: FileId, spec: &RelSpec, source: RowSource) -> Relation {
+        Relation {
             file,
             card: spec.card,
             tuple_bytes: spec.tuple_bytes(),
             width: spec.width,
             key_range: spec.effective_range(),
             source,
-        })
-    }
-
-    /// This relation on a simulator: a fresh extent of the same length on
-    /// `device` of `sim`, allocated as [`Relation::create`] allocates it,
-    /// the same generator, and an empty block cache of the same budget.
-    /// Nothing is generated or placed — the simulator keeps nothing of an
-    /// input anyway, and serves every block of it from the generator — so a
-    /// simulator twin of a run over this relation's file costs no window at
-    /// set-up and reads exactly the rows a second `create` would give it.
-    pub fn rebind(&self, sim: &mut StorageSim, device: &str) -> Result<Relation, StorageError> {
-        let source = match &self.source {
-            RowSource::Virtual => RowSource::Virtual,
-            RowSource::Streamed { gen, cache } => RowSource::Streamed {
-                gen: Arc::clone(gen),
-                cache: BlockCache::new(gen.width(), cache.budget_tuples),
-            },
-        };
-        Ok(Relation {
-            file: sim.alloc(device, self.bytes().max(1))?,
-            source,
-            ..*self
-        })
+        }
     }
 
     /// Wraps an already-populated file extent as a virtual relation (no

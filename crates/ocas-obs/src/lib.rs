@@ -21,7 +21,10 @@
 //! belongs to the thread that [`start`]ed it, and multi-threaded layers
 //! (search/cost workers) measure locally and *record* on the owning
 //! thread during their deterministic merge, which is also what keeps
-//! traces independent of the worker count.
+//! traces independent of the worker count. A worker that runs a whole job
+//! for its owner (the real run's simulator twin) records with the owner's
+//! [`cap`] instead, and the owner [`absorb`]s that trace after the join,
+//! folding it through the same cap as if it had recorded the calls itself.
 //!
 //! Recording is bounded: beyond a per-`(track, name)` cap (default
 //! [`DEFAULT_EVENT_CAP`]), further occurrences fold into the last
@@ -120,7 +123,8 @@ struct Recorder {
     tracks: Vec<String>,
     track_ids: HashMap<String, u16>,
     events: Vec<Event>,
-    /// `(track, name, is_span)` → (occurrences so far, last event index).
+    /// `(track, name, is_span)` → (events recorded so far, last retained
+    /// event index).
     keys: HashMap<(u16, &'static str, bool), (u64, usize)>,
 }
 
@@ -228,26 +232,86 @@ fn record(
     args: &[(&'static str, f64)],
 ) {
     RECORDER.with(|r| {
+        if let Some(rec) = r.borrow_mut().as_mut() {
+            rec.push(kind, clock, track, name, start, dur, args, 0);
+        }
+    });
+}
+
+/// The per-`(track, name)` retained-event cap of this thread's recorder
+/// (`None` when none is active). A worker recording on this thread's
+/// behalf starts its recorder with it ([`start_with_cap`]), so that
+/// [`absorb`]ing the worker's trace folds exactly as recording the same
+/// calls here would.
+pub fn cap() -> Option<u64> {
+    if !enabled() {
+        return None;
+    }
+    RECORDER.with(|r| r.borrow().as_ref().map(|rec| rec.cap))
+}
+
+/// Appends `trace`, recorded on another thread, to this thread's recorder
+/// as if its events had been recorded here, in order: tracks are matched
+/// by name, ids continue this recorder's sequence, and every event counts
+/// against the per-`(track, name)` cap — an event past it, with the
+/// occurrences already folded into it, folds into this recorder's last
+/// retained event of its pair. Counts and argument totals are those of the
+/// inline recording; a folded sum is added as one term, so float totals may
+/// round differently unless their terms are integers, as byte counts are.
+/// [`Clock::Wall`] instants stay on the recording thread's epoch. No-op when
+/// disabled.
+pub fn absorb(trace: &Trace) {
+    if !enabled() {
+        return;
+    }
+    RECORDER.with(|r| {
         let mut r = r.borrow_mut();
         let Some(rec) = r.as_mut() else { return };
-        let track = match rec.track_ids.get(track) {
+        for e in &trace.events {
+            let track = trace.track(e);
+            rec.push(
+                e.kind, e.clock, track, e.name, e.start, e.dur, &e.args, e.merged,
+            );
+        }
+    });
+}
+
+impl Recorder {
+    /// Records one event standing for `1 + merged` occurrences: retained
+    /// while its pair is within the cap, else folded into the pair's last
+    /// retained event. The pair's count is of events, not occurrences: an
+    /// event carries folds only once its pair has reached the cap, and
+    /// past it every further event folds whatever the count.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        kind: EventKind,
+        clock: Clock,
+        track: &str,
+        name: &'static str,
+        start: f64,
+        dur: f64,
+        args: &[(&'static str, f64)],
+        merged: u64,
+    ) {
+        let track = match self.track_ids.get(track) {
             Some(&t) => t,
             None => {
-                let t = u16::try_from(rec.tracks.len()).unwrap_or(u16::MAX);
-                rec.tracks.push(track.to_string());
-                rec.track_ids.insert(track.to_string(), t);
+                let t = u16::try_from(self.tracks.len()).unwrap_or(u16::MAX);
+                self.tracks.push(track.to_string());
+                self.track_ids.insert(track.to_string(), t);
                 t
             }
         };
         let key = (track, name, kind == EventKind::Span);
-        let entry = rec.keys.entry(key).or_insert((0, usize::MAX));
+        let entry = self.keys.entry(key).or_insert((0, usize::MAX));
         entry.0 += 1;
-        if entry.0 > rec.cap {
+        if entry.0 > self.cap {
             // Fold into the last retained event of this pair: durations
             // and argument values keep summing, so totals stay exact.
-            let e = &mut rec.events[entry.1];
+            let e = &mut self.events[entry.1];
             e.dur += dur;
-            e.merged += 1;
+            e.merged += 1 + merged;
             for (k, v) in args {
                 match e.args.iter_mut().find(|(n, _)| n == k) {
                     Some((_, total)) => *total += v,
@@ -256,9 +320,9 @@ fn record(
             }
             return;
         }
-        entry.1 = rec.events.len();
-        rec.events.push(Event {
-            id: rec.events.len() as u64,
+        entry.1 = self.events.len();
+        self.events.push(Event {
+            id: self.events.len() as u64,
             kind,
             clock,
             track,
@@ -266,9 +330,9 @@ fn record(
             start,
             dur,
             args: args.to_vec(),
-            merged: 0,
+            merged,
         });
-    });
+    }
 }
 
 impl Trace {
@@ -446,6 +510,63 @@ mod tests {
         let t = finish().unwrap();
         assert_eq!(t.tracks, vec!["b".to_string()]);
         assert_eq!(t.events.len(), 1);
+    }
+
+    /// The calls a worker makes on its owner's behalf: a pair the owner
+    /// records too, pushed past the cap, and a track only the worker uses.
+    fn worker_calls() {
+        for i in 0..10 {
+            span(
+                Clock::Sim,
+                "dev:HDD",
+                "read",
+                i as f64,
+                1.0,
+                &[("bytes", 8.0 * i as f64)],
+            );
+            counter(Clock::Sim, "pool", "misses", i as f64, 2.0);
+        }
+        span(Clock::Sim, "engine", "sort", 0.0, 10.0, &[("rows", 5.0)]);
+    }
+
+    fn owner_calls() {
+        for i in 0..3 {
+            span(Clock::Sim, "dev:HDD", "read", i as f64, 0.5, &[]);
+        }
+        counter(Clock::Sim, "pool", "misses", 0.0, 1.0);
+    }
+
+    #[test]
+    fn absorbing_a_trace_from_another_thread_equals_recording_inline() {
+        for cap in [1, 4, 64] {
+            start_with_cap(cap);
+            owner_calls();
+            worker_calls();
+            let inline = finish().unwrap();
+
+            start_with_cap(cap);
+            owner_calls();
+            let owner_cap = super::cap().unwrap();
+            let worker = std::thread::spawn(move || {
+                assert!(!enabled());
+                start_with_cap(owner_cap);
+                worker_calls();
+                finish().unwrap()
+            });
+            absorb(&worker.join().unwrap());
+            let absorbed = finish().unwrap();
+
+            assert_eq!(absorbed.tracks, inline.tracks, "cap {cap}");
+            assert_eq!(
+                format!("{:?}", absorbed.events),
+                format!("{:?}", inline.events),
+                "cap {cap}"
+            );
+            assert_eq!(absorbed.metrics(), inline.metrics(), "cap {cap}");
+        }
+        assert_eq!(cap(), None);
+        absorb(&Trace::default());
+        assert!(finish().is_none());
     }
 
     #[test]

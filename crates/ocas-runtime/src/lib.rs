@@ -22,7 +22,10 @@
 //!   template, the external merge sort's spilled runs and the GRACE join's
 //!   spilled buckets included, through the engine's executor over block
 //!   cursors — the code its simulated twin runs — with peak resident tuple
-//!   memory metered, returning a [`RealReport`] with both.
+//!   memory metered, returning a [`RealReport`] with both. The simulated
+//!   twin of [`Runtime::run_plan`] runs at the same time as the real run,
+//!   on a long-lived worker thread of the calling thread's own, over the
+//!   same shared generators.
 //!   [`Runtime::execute`] runs a plan on any backend, `Faulted` ones
 //!   included, and rolls a failed run back.
 //!   [`TimingMode::DiskBounded`] bounds wall-clock by the disk (fsync +

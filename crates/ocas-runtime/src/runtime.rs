@@ -1,13 +1,17 @@
 //! The runtime entry point: execute one physical plan for real, with a
-//! twin simulated run for side-by-side seconds.
+//! twin simulated run, beside it on a worker thread, for side-by-side
+//! seconds.
 
 use crate::backend::{FileBackend, PoolConfig};
 use crate::pool::PoolStats;
 use ocas_engine::{
-    CpuModel, ExecError, ExecStats, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf,
+    CpuModel, ExecError, ExecStats, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf, RowGen,
 };
 use ocas_hierarchy::Hierarchy;
 use ocas_storage::{DeviceStats, RecoveryCounters, StorageBackend, StorageError, StorageSim};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Instant;
 
 /// Runtime failures.
@@ -92,8 +96,8 @@ pub struct RealReport {
     /// Wall-clock seconds spent inside charged I/O requests.
     pub io_seconds: f64,
     /// Simulated seconds of the identical plan on the device simulator,
-    /// over the real run's relations rebound to simulator extents (the
-    /// same generators, so the same rows as generating them again).
+    /// over simulator extents served by the real run's generators
+    /// ([`Relation::twin`]: the same rows as generating them again).
     pub sim_seconds: f64,
     /// Output rows of the real execution, one flat batch. A device-bound
     /// output is read back from its device after the measured window
@@ -132,7 +136,8 @@ impl RealReport {
     }
 }
 
-/// Executes plans against real temp files (and their simulated twins).
+/// Executes plans against real temp files, and their simulated twins on a
+/// worker thread of the calling thread's own ([`Runtime::run_plan`]).
 #[derive(Debug, Clone)]
 pub struct Runtime {
     /// Target hierarchy: devices become files, sizes become capacities.
@@ -241,27 +246,69 @@ impl Runtime {
         }
     }
 
-    /// Runs `plan` for real against temp files, then runs the identical
-    /// plan faithfully on the device simulator, and reports both.
+    /// Runs `plan` for real against temp files and, at the same time, the
+    /// identical plan faithfully on the device simulator, and reports both.
     ///
     /// `rel_specs` are instantiated in order (plan relation indices refer
-    /// to that order) with per-relation seeds `seed + index`, once: each
-    /// relation's generator writes its file, and the twin's relations are
-    /// the same relations [rebound](Relation::rebind) to simulator extents
-    /// allocated as the files were. So the real run computes on what its
-    /// files hold and the twin on the generators' rows, and
-    /// [`RealReport::outputs_match`] compares the two.
+    /// to that order) with per-relation seeds `seed + index`: each
+    /// relation's [`RowGen`] is built once and shared. The simulator twin —
+    /// a fresh [`StorageSim`], a faithful executor and
+    /// [twin relations](Relation::twin) over those generators, allocated in
+    /// `rel_specs` order — goes to the calling thread's twin worker before
+    /// the files are written ([`Relation::generated`]); this thread then
+    /// creates the files, executes, flushes and harvests, and joins the
+    /// twin last. So the real run computes on what its files hold and the
+    /// twin on the generators' rows, and [`RealReport::outputs_match`]
+    /// compares the two.
+    ///
+    /// The worker is one long-lived thread per calling thread, started by
+    /// its first `run_plan` and ended when that thread exits; it runs one
+    /// twin at a time, so a run never overlaps the previous call's twin.
+    /// A real-run error is returned whatever the twin did; otherwise a twin
+    /// error is. A twin panic is resumed on the calling thread. While this
+    /// thread records an [`ocas_obs`] trace, the twin records on the worker
+    /// with the same cap, and its events are [absorbed](ocas_obs::absorb)
+    /// after the real run's, as if the twin had run here afterwards.
     pub fn run_plan(
         &self,
         plan: &Plan,
         rel_specs: &[RelSpec],
         seed: u64,
     ) -> Result<RealReport, RuntimeError> {
-        // Real execution.
+        let gens: Vec<Arc<RowGen>> = rel_specs
+            .iter()
+            .zip(seed..)
+            .map(|(spec, seed)| Arc::new(RowGen::from_spec(spec, seed)))
+            .collect();
+        let twin = Twin::start(&self.hierarchy, plan, rel_specs, &gens);
+        let real = self.run_real(plan, rel_specs, gens);
+        let (twin, trace) = twin.join();
+        let mut report = real?;
+        // The twin's events follow the real run's, as if it had run here
+        // afterwards; a failed real run records no twin.
+        if let Some(trace) = trace {
+            ocas_obs::absorb(&trace);
+        }
+        let twin = twin?;
+        report.sim_seconds = twin.seconds;
+        report.sim_output = twin.output;
+        report.sim_devices = twin.devices;
+        Ok(report)
+    }
+
+    /// The real half of [`Runtime::run_plan`]: files written from `gens`,
+    /// the measured run, then the uncharged harvest. The twin's fields are
+    /// left empty.
+    fn run_real(
+        &self,
+        plan: &Plan,
+        rel_specs: &[RelSpec],
+        gens: Vec<Arc<RowGen>>,
+    ) -> Result<RealReport, RuntimeError> {
         let mut fb = FileBackend::from_hierarchy(&self.hierarchy, self.pool)?;
         let mut rels = Vec::new();
-        for (i, spec) in rel_specs.iter().enumerate() {
-            rels.push(Relation::create(&mut fb, spec, true, seed + i as u64)?);
+        for (spec, gen) in rel_specs.iter().zip(gens) {
+            rels.push(Relation::generated(&mut fb, spec, gen)?);
         }
         let t0 = Instant::now();
         let (mut fb, run) = Self::execute::<FileBackend>(fb, &rels, plan);
@@ -275,42 +322,136 @@ impl Runtime {
         // runs read their output extent back for verification.
         let peak_resident_bytes = Some(run.peak_resident_bytes);
         let output = Self::harvest(&mut fb, run)?;
-        let io_seconds = fb.clock();
-        let real_devices = fb.all_device_stats();
-        let pools = fb.pool_stats();
-        let direct_io = fb.any_direct();
-        let recovery = fb.recovery_counters();
-        drop(fb);
-
-        // Simulated twin: identical plan over the same generators.
-        let sm = StorageSim::from_hierarchy(&self.hierarchy);
-        let mut ex = Executor::new(sm, Mode::Faithful, CpuModel::default());
-        for (rel, spec) in rels.iter().zip(rel_specs) {
-            let twin = rel.rebind(&mut ex.sm, &spec.device)?;
-            ex.add_relation(twin);
-        }
-        let sim_stats = ex.run(plan)?;
-        let sim_devices: Vec<(String, DeviceStats)> = self
-            .hierarchy
-            .ids()
-            .filter_map(|id| {
-                let name = &self.hierarchy.node(id).name;
-                ocas_storage::StorageSim::device_stats(&ex.sm, name).map(|s| (name.clone(), s))
-            })
-            .collect();
-
         Ok(RealReport {
             wall_seconds,
-            io_seconds,
-            sim_seconds: sim_stats.seconds,
+            io_seconds: fb.clock(),
+            sim_seconds: 0.0,
             output,
-            sim_output: sim_stats.output.unwrap_or_default(),
+            sim_output: RowBuf::default(),
             peak_resident_bytes,
-            real_devices,
-            sim_devices,
-            pools,
-            direct_io,
-            recovery,
+            real_devices: fb.all_device_stats(),
+            sim_devices: Vec::new(),
+            pools: fb.pool_stats(),
+            direct_io: fb.any_direct(),
+            recovery: fb.recovery_counters(),
         })
     }
+}
+
+/// What the simulator twin of a real run reports.
+struct TwinReport {
+    seconds: f64,
+    output: RowBuf,
+    devices: Vec<(String, DeviceStats)>,
+}
+
+/// What comes back from the worker: the twin's outcome (`Err` holds a
+/// panic's payload) and, when the caller was recording, its trace.
+type TwinDone = (
+    thread::Result<Result<TwinReport, RuntimeError>>,
+    Option<ocas_obs::Trace>,
+);
+
+/// A simulator twin running on the calling thread's worker.
+struct Twin(mpsc::Receiver<TwinDone>);
+
+impl Twin {
+    /// Queues the twin of `plan` over `specs` on this thread's worker.
+    fn start(h: &Hierarchy, plan: &Plan, specs: &[RelSpec], gens: &[Arc<RowGen>]) -> Twin {
+        let (h, plan, specs, gens) = (h.clone(), plan.clone(), specs.to_vec(), gens.to_vec());
+        let cap = ocas_obs::cap();
+        let (done, answer) = mpsc::sync_channel(1);
+        let job = move || {
+            if let Some(cap) = cap {
+                ocas_obs::start_with_cap(cap);
+            }
+            let run = panic::catch_unwind(AssertUnwindSafe(|| Twin::run(&h, &plan, &specs, gens)));
+            // Stops the worker's recorder after a panic too.
+            let trace = ocas_obs::finish();
+            // The caller may be gone (it panicked); nobody needs the answer.
+            let _ = done.send((run, trace));
+        };
+        TWIN_WORKER.with(|w| w.submit(Box::new(job)));
+        Twin(answer)
+    }
+
+    /// Waits for the twin and returns its outcome and, when the caller was
+    /// recording, its trace. A panic on the worker is resumed here.
+    fn join(self) -> (Result<TwinReport, RuntimeError>, Option<ocas_obs::Trace>) {
+        let (run, trace) = self.0.recv().expect("the twin worker answers");
+        let run = run.unwrap_or_else(|payload| panic::resume_unwind(payload));
+        (run, trace)
+    }
+
+    /// The twin itself: a fresh simulator, a faithful executor with the
+    /// default CPU model, and twin relations over `gens`.
+    fn run(
+        h: &Hierarchy,
+        plan: &Plan,
+        specs: &[RelSpec],
+        gens: Vec<Arc<RowGen>>,
+    ) -> Result<TwinReport, RuntimeError> {
+        let sm = StorageSim::from_hierarchy(h);
+        let mut ex = Executor::new(sm, Mode::Faithful, CpuModel::default());
+        for (spec, gen) in specs.iter().zip(gens) {
+            let rel = Relation::twin(&mut ex.sm, spec, gen)?;
+            ex.add_relation(rel);
+        }
+        let stats = ex.run(plan)?;
+        let devices = h
+            .ids()
+            .filter_map(|id| {
+                let name = &h.node(id).name;
+                ex.sm.device_stats(name).map(|s| (name.clone(), s))
+            })
+            .collect();
+        Ok(TwinReport {
+            seconds: stats.seconds,
+            output: stats.output.unwrap_or_default(),
+            devices,
+        })
+    }
+}
+
+type Job = Box<dyn FnOnce() + Send>;
+
+/// One long-lived thread that runs its owner thread's twins, in order.
+/// Dropped with its owner's thread-locals: closing the queue ends the
+/// worker's loop, and the drop waits for it.
+struct TwinWorker {
+    jobs: Option<mpsc::Sender<Job>>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl TwinWorker {
+    fn spawn() -> TwinWorker {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let thread = thread::Builder::new()
+            .name("ocas-twin".into())
+            .spawn(move || queue.into_iter().for_each(|job| job()))
+            .expect("spawn the twin worker");
+        TwinWorker {
+            jobs: Some(jobs),
+            thread: Some(thread),
+        }
+    }
+
+    fn submit(&self, job: Job) {
+        let jobs = self.jobs.as_ref().expect("the queue is open until drop");
+        jobs.send(job).expect("the twin worker is running");
+    }
+}
+
+impl Drop for TwinWorker {
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+thread_local! {
+    /// The calling thread's twin worker, spawned by its first `run_plan`.
+    static TWIN_WORKER: TwinWorker = TwinWorker::spawn();
 }

@@ -8,7 +8,8 @@
 //! requests, 512 to the page) against `b_in = 512` (one request a page),
 //! same relation, same executor, best of five each — through
 //! `Executor<FileBackend>`, and through `Executor<StorageSim>` over the same
-//! relation rebound to the simulator, as `Runtime::run_plan`'s twin runs it.
+//! relation's twin on the simulator (`Relation::twin`, the same generator),
+//! as `Runtime::run_plan`'s twin runs it.
 //! A ratio, so the runner's speed cancels. The aggregate issues its
 //! one-tuple requests as data runs of a page, which the file backend serves
 //! from its read-ahead window with one copy and the simulator answers with
@@ -22,10 +23,11 @@
 //! asserted in optimised builds; a debug build runs one pass a side and
 //! checks the average and the device counters alone.
 
-use ocas_engine::{CpuModel, Executor, Mode, Plan, RelSpec, Relation};
+use ocas_engine::{CpuModel, Executor, Mode, Plan, RelSpec, Relation, RowGen};
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig};
 use ocas_storage::{DeviceStats, StorageBackend, StorageSim};
+use std::sync::Arc;
 use std::time::Instant;
 
 const CARD: u64 = 1 << 22;
@@ -71,7 +73,8 @@ fn a_one_tuple_sequential_request_costs_little_more_than_its_share_of_a_page() {
     let fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
     let mut ex = Executor::new(fb, Mode::Faithful, CpuModel::disabled());
     let spec = RelSpec::ints("L", "HDD", CARD).with_key_range(1 << 30);
-    let rel = Relation::create(&mut ex.sm, &spec, true, 21).unwrap();
+    let gen = Arc::new(RowGen::from_spec(&spec, 21));
+    let rel = Relation::generated(&mut ex.sm, &spec, Arc::clone(&gen)).unwrap();
     let rows = rel.collect_rows().unwrap();
     let want_avg = rows.as_slice().iter().sum::<i64>() / CARD as i64;
     let mut twin = Executor::new(
@@ -79,8 +82,8 @@ fn a_one_tuple_sequential_request_costs_little_more_than_its_share_of_a_page() {
         Mode::Faithful,
         CpuModel::disabled(),
     );
-    let rebound = rel.rebind(&mut twin.sm, "HDD").unwrap();
-    twin.add_relation(rebound);
+    let shared = Relation::twin(&mut twin.sm, &spec, gen).unwrap();
+    twin.add_relation(shared);
     ex.add_relation(rel);
 
     // On files the block is decoded from the bytes read; on the simulator

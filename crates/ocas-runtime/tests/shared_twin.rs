@@ -1,11 +1,12 @@
 //! The simulator twin of `Runtime::run_plan` shares the real run's
-//! generators: each relation created on the real files is rebound to a
-//! simulator extent (`Relation::rebind`) instead of being generated a second
-//! time. This holds that twin to the one it replaced — every relation created
-//! afresh on a new `StorageSim`, kept here as [`twin_created_afresh`] — for
-//! one plan of each template: simulated seconds to the bit, every device's
-//! counters, and the output rows. Sorted inputs run with a small generator
-//! cache, so the twin rebuilds its windows while it reads.
+//! generators: each relation's generator is built once, writes the real
+//! file, and serves a simulator extent (`Relation::twin`) on the run's twin
+//! worker instead of being generated a second time. This holds that twin to
+//! the one it replaced — every relation created afresh on a new
+//! `StorageSim`, kept here as [`twin_created_afresh`] — for one plan of each
+//! template: simulated seconds to the bit, every device's counters, and the
+//! output rows. Sorted inputs run with a small generator cache, so the twin
+//! rebuilds its windows while it reads.
 
 use ocas_engine::{
     CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf,

@@ -1,6 +1,7 @@
 //! Running synthesis results for real: lower the winning program and
 //! execute it through the `ocas-runtime` file backend, with the simulated
-//! twin alongside.
+//! twin alongside — it runs at the same time, on the calling thread's twin
+//! worker ([`Runtime::run_plan`]).
 
 use crate::experiments::{ExpError, Experiment};
 use crate::synth::Synthesis;
@@ -32,8 +33,9 @@ pub struct RealRunSetup {
 impl Synthesis {
     /// Lowers the winning program to a physical plan and executes it **for
     /// real**: actual temp files, page-granular buffer pools, wall-clock
-    /// seconds — plus the identical plan on the device simulator, so the
-    /// report carries both numbers and both outputs.
+    /// seconds — plus the identical plan on the device simulator, run beside
+    /// it on a worker thread, so the report carries both numbers and both
+    /// outputs.
     pub fn run_real(&self, setup: &RealRunSetup) -> Result<RealReport, ExpError> {
         let mut params = self.best.params.clone();
         params.entry("b_out".to_string()).or_insert(1 << 16);
