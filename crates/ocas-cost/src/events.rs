@@ -20,7 +20,7 @@ use crate::size::{
 use crate::CostError;
 use ocal::{BlockSize, DefName, Expr, SeqAnnot};
 use ocas_hierarchy::{Hierarchy, NodeId};
-use ocas_symbolic::{Compiled, Env, Expr as Sym, Normal, Rat, Slots};
+use ocas_symbolic::{Compiled, Env, Expr as Sym, Normal, Slots};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Symbolic event totals for one directed edge.
@@ -142,8 +142,8 @@ impl Events {
         for ((from, to), ev) in &self.edges {
             let pair = h.edge(*from, *to).map_err(CostError::Hierarchy)?;
             let (init, bytes) = (Normal::of(&ev.init), Normal::of(&ev.bytes));
-            total.add_scaled(Rat::new(pair.init_com.num(), pair.init_com.den()), &init);
-            total.add_scaled(Rat::new(pair.unit_tr.num(), pair.unit_tr.den()), &bytes);
+            total.add_scaled(pair.init_com, &init);
+            total.add_scaled(pair.unit_tr, &bytes);
             edges.insert(
                 (*from, *to),
                 EdgeEvents {

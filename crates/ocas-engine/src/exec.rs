@@ -9,6 +9,16 @@
 //! operator inner loops work on borrowed row slices ([`RowsView`]) — no
 //! per-tuple heap allocation anywhere between a relation's buffer and the
 //! output sink.
+//!
+//! **One arm per template, where an oracle exists.** The block-nested-loops
+//! join, column zip, sorted dedup and aggregate are each one loop issuing
+//! the faithful requests in both modes. Where a request brings rows back the
+//! kernel computes on them; where simulated mode elides the data a few-line
+//! oracle stands in (expected matches, a zip's block of rows, expected
+//! distinct rows, nothing), and requests with nothing computed or flushed
+//! between them go out as one run. Merge pass, external sort and GRACE join
+//! keep a simulated emulation until they get an oracle for refill order and
+//! bucket sizes.
 
 use crate::key_index::{self, KeyIndex};
 use crate::key_scan::KeyColumns;
@@ -16,7 +26,7 @@ use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
 use crate::spill::{stage_rows, Extent, SpillAlloc};
-use crate::stream_kernel::{dedup, merge_pass, zip};
+use crate::stream_kernel::{dedup, merge_pass, zip, Took};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
 
@@ -57,15 +67,17 @@ impl From<StorageError> for ExecError {
 /// What one plan execution produced.
 #[derive(Debug, Clone)]
 pub struct ExecStats {
-    /// Simulated seconds (I/O + modeled CPU).
+    /// Backend seconds: the requests issued (the same in both modes for a
+    /// template with one arm) plus the modeled CPU.
     pub seconds: f64,
-    /// Rows produced (exact in faithful mode, modeled in simulated mode).
+    /// Rows produced: the kernel's in faithful mode, the oracle's (expected
+    /// matches or distinct rows, a zip's shortest column) in simulated mode.
     pub output_rows: u64,
-    /// Tuple comparisons performed/modeled. A faithful block-nested-loops
-    /// join counts the pairs its synthesized loops range over (outer block
-    /// x inner block, per block pair) — the quantity the cost model and the
-    /// CPU model reason about — however the executor finds the matches
-    /// among them.
+    /// Tuple comparisons the model counts, in both modes. A block-nested-
+    /// loops join counts the pairs its synthesized loops range over (outer
+    /// block x inner block, per block pair) — the quantity the cost model
+    /// reasons about — however the executor finds the matches among them;
+    /// its CPU charge is a block join's build and probes instead.
     pub compares: u64,
     /// Output rows materialized in faithful mode, one flat batch (`None`
     /// in simulated mode or when the executor's output collection is
@@ -155,15 +167,33 @@ fn column0_sum(bytes: &[u8], width: usize) -> i64 {
     rows.fold(0i64, |sum, row| sum.wrapping_add(first(row)))
 }
 
+/// The share of `a` x `b` pairs a join under `pred` emits, for keys drawn
+/// uniformly from the larger key range.
+fn density(pred: JoinPred, a: &Relation, b: &Relation) -> f64 {
+    match pred {
+        JoinPred::Cross => 1.0,
+        JoinPred::KeyEq => 1.0 / a.key_range.max(b.key_range).max(1) as f64,
+    }
+}
+
 /// Expected matches between an outer block of `on` tuples and an inner
-/// block of `in_n` tuples at match `density` (simulated mode).
+/// block of `in_n` tuples at match `density`: the join's oracle where
+/// simulated mode elides the rows.
 fn expected_rows(on: u64, in_n: u64, density: f64) -> f64 {
     on as f64 * in_n as f64 * density
 }
 
+/// Expected distinct values among `card` uniform draws from `range` values,
+/// `K·(1 − (1 − 1/K)^card)`: the duplicate removal's oracle where simulated
+/// mode elides the rows.
+fn expected_distinct(range: u64, card: u64) -> f64 {
+    let k = range.max(1) as f64;
+    -k * (card as f64 * (-1.0 / k).ln_1p()).exp_m1()
+}
+
 /// One step of simulated mode's emission recurrence: `c` expected rows
 /// join the fractional `carry`; the whole part is emitted now, the rest
-/// carried to the next inner block.
+/// carried to the next block.
 fn emit_step(c: f64, carry: f64) -> (u64, f64) {
     let expected = c + carry;
     let whole = expected.floor() as u64;
@@ -742,6 +772,9 @@ impl<B: StorageBackend> Executor<B> {
         })
     }
 
+    /// An outer block of `k1` tuples, then every inner block of `k2` past
+    /// it: [`join_tile`](Executor::join_tile) where the rows came back, else
+    /// the expected-rows recurrence.
     #[allow(clippy::too_many_arguments)]
     fn run_bnl(
         &mut self,
@@ -762,112 +795,97 @@ impl<B: StorageBackend> Executor<B> {
         };
         let mut o = self.rel(oi)?.clone();
         let mut i = self.rel(ii)?.clone();
-        let out_width = o.tuple_bytes + i.tuple_bytes;
-        let out_cols = (o.width + i.width) as usize;
-        let mut sink = self.sink(output, out_width, out_cols);
-        // Expected match density for simulated mode.
-        let density = match pred {
-            JoinPred::Cross => 1.0,
-            JoinPred::KeyEq => 1.0 / o.key_range.max(i.key_range).max(1) as f64,
-        };
+        let (otb, itb) = (o.tuple_bytes, i.tuple_bytes);
+        let mut sink = self.sink(output, otb + itb, (o.width + i.width) as usize);
+        let density = density(pred, &o, &i);
         let inner_blocks = i.card.div_ceil(k2);
-        let mut emits: u64 = 0;
-        if self.faithful() {
-            emits = self.bnl_faithful(&mut o, &mut i, k1, k2, tiling, pred, &mut sink, compares)?;
-        } else {
-            let mut carry = 0.0f64;
-            let mut oidx = 0;
-            while oidx < o.card {
-                let on = o.read_block(&mut self.sm, oidx, k1)?;
-                // At paper scale the per-pair count is astronomically
-                // CPU-bound; real block joins hash the resident block (build
-                // once per outer block amortized + one probe per inner
-                // tuple), which is what simulated mode models per inner
-                // block.
-                let build_share = on / inner_blocks.max(1);
-                let pass = Some(emitted_over(on, k2, i.card, density, carry))
-                    .filter(|(rows, _)| sink.absorbs(*rows));
-                if let Some((rows, carry_after)) = pass {
-                    // The sink cannot flush before the pass ends, so the
-                    // device sees nothing but the inner scan: issue it as
-                    // one run.
-                    i.read_scan(&mut self.sm, k2)?;
-                    *compares += i.card + inner_blocks * build_share;
-                    carry = carry_after;
-                    emits += rows;
-                    sink.emit_bulk(&mut self.sm, rows)?;
-                } else {
-                    let mut iidx = 0;
-                    while iidx < i.card {
-                        let in_n = i.read_block(&mut self.sm, iidx, k2)?;
-                        *compares += in_n + build_share;
+        let (mut emits, mut probes, mut carry) = (0u64, 0u64, 0.0f64);
+        let mut keys = KeyColumns::default();
+        let (mut oblock, mut iblock) = (BlockBuf::default(), BlockBuf::default());
+        for oidx in (0..o.card).step_by(k1 as usize) {
+            let on = k1.min(o.card - oidx);
+            // `compares` is what the model counts: the pairs the synthesized
+            // loops range over. The CPU is charged for what a block join
+            // does: hash the resident outer block (the build, amortized
+            // over the inner blocks) and probe it once per inner tuple.
+            *compares += on * i.card;
+            probes += i.card + inner_blocks * (on / inner_blocks.max(1));
+            let orows = self.load(&mut o, oidx, on, &mut oblock)?;
+            if let Some(orows) = orows {
+                keys.set_outer(orows);
+            } else if let Some((rows, after)) = Some(emitted_over(on, k2, i.card, density, carry))
+                .filter(|(rows, _)| sink.absorbs(*rows))
+            {
+                // Nothing is computed, and the sink cannot flush before the
+                // pass ends: the inner scan is the only request, one run.
+                i.read_scan(&mut self.sm, k2)?;
+                (emits, carry) = (emits + rows, after);
+                sink.emit_bulk(&mut self.sm, rows)?;
+                continue;
+            }
+            // High-water mark of what streams past the outer block: the
+            // inner block (or the window it is generated from) plus the
+            // sink's staging.
+            let mut streamed = None;
+            for iidx in (0..i.card).step_by(k2 as usize) {
+                let in_n = k2.min(i.card - iidx);
+                match (orows, self.load(&mut i, iidx, in_n, &mut iblock)?) {
+                    (Some(orows), Some(irows)) => {
+                        keys.set_inner(irows);
+                        self.join_tile(
+                            orows, irows, &mut keys, oidx, iidx, otb, itb, tiling, pred, &mut sink,
+                            &mut emits,
+                        )?;
+                        streamed = streamed.max(Some(
+                            i.resident_bytes() + iblock.resident_bytes() + sink.resident_bytes(),
+                        ));
+                    }
+                    _ => {
                         let whole;
                         (whole, carry) = emit_step(expected_rows(on, in_n, density), carry);
                         emits += whole;
                         sink.emit_bulk(&mut self.sm, whole)?;
-                        iidx += in_n.max(1);
                     }
                 }
-                oidx += on.max(1);
-            }
-        }
-        self.charge_cpu(*compares, emits, 0);
-        sink.finish(&mut self.sm)
-    }
-
-    /// The faithful arm of [`run_bnl`](Executor::run_bnl): every block is
-    /// a [`Relation::load_block`], so on a backend that holds the payload
-    /// the join is computed on the bytes it read. Returns the emitted rows.
-    #[allow(clippy::too_many_arguments)]
-    fn bnl_faithful(
-        &mut self,
-        o: &mut Relation,
-        i: &mut Relation,
-        k1: u64,
-        k2: u64,
-        tiling: Option<crate::plan::Tiling>,
-        pred: JoinPred,
-        sink: &mut Sink,
-        compares: &mut u64,
-    ) -> Result<u64, ExecError> {
-        let (otb, itb) = (o.tuple_bytes, i.tuple_bytes);
-        let mut emits: u64 = 0;
-        let mut keys = KeyColumns::default();
-        let (mut oblock, mut iblock) = (BlockBuf::default(), BlockBuf::default());
-        let mut oidx = 0;
-        while oidx < o.card {
-            // The outer block is resolved, and its key column taken,
-            // once; every inner block then streams past it. Matches are
-            // found by scanning key columns (see `key_scan`), but
-            // `compares` stays what the model counts: the pairs the
-            // synthesized loops range over.
-            let on = k1.min(o.card - oidx);
-            let orows = o.load_block(&mut self.sm, oidx, k1, &mut oblock)?;
-            keys.set_outer(orows);
-            // High-water mark of what streams past the outer block:
-            // the inner block (or the window it is generated from) plus
-            // the sink's staging.
-            let mut streamed = None;
-            let mut iidx = 0;
-            while iidx < i.card {
-                let in_n = k2.min(i.card - iidx);
-                let irows = i.load_block(&mut self.sm, iidx, k2, &mut iblock)?;
-                *compares += on * in_n;
-                keys.set_inner(irows);
-                self.join_tile(
-                    orows, irows, &mut keys, oidx, iidx, otb, itb, tiling, pred, sink, &mut emits,
-                )?;
-                streamed = streamed.max(Some(
-                    i.resident_bytes() + iblock.resident_bytes() + sink.resident_bytes(),
-                ));
-                iidx += in_n;
             }
             if let Some(streamed) = streamed {
                 self.note_peak(o.resident_bytes() + oblock.resident_bytes() + streamed);
             }
-            oidx += on;
         }
-        Ok(emits)
+        self.charge_cpu(probes, emits, 0);
+        sink.finish(&mut self.sm)
+    }
+
+    /// [`Relation::load_block`]'s request: the block's rows in faithful
+    /// mode, `None` where simulated mode elides them.
+    fn load<'a>(
+        &mut self,
+        rel: &'a mut Relation,
+        index: u64,
+        count: u64,
+        buf: &'a mut BlockBuf,
+    ) -> Result<Option<RowsView<'a>>, ExecError> {
+        if !self.faithful() {
+            rel.read_block(&mut self.sm, index, count)?;
+            return Ok(None);
+        }
+        Ok(Some(rel.load_block(&mut self.sm, index, count, buf)?))
+    }
+
+    /// [`BlockCursor::ensure`] for the cursor over relation `rel`: `true`
+    /// while it holds rows — a request that comes back without any is
+    /// `MissingRows`, a relation only a backend holding its payload can
+    /// read. In simulated mode the next block's request goes out with the
+    /// data elided ([`BlockCursor::elide`]), and the answer is `false`.
+    fn ensure(&mut self, cursor: &mut BlockCursor, rel: usize) -> Result<bool, ExecError> {
+        if !self.faithful() {
+            cursor.elide(&mut self.sm)?;
+            return Ok(false);
+        }
+        match cursor.ensure(&mut self.sm)? {
+            true => Ok(true),
+            false => Err(ExecError::MissingRows(rel)),
+        }
     }
 
     /// Joins one outer block with one inner block, tile pair by tile pair,
@@ -1094,10 +1112,7 @@ impl<B: StorageBackend> Executor<B> {
         spill_partition(self, &r, &mut hashes)?;
 
         // Join pass: read each co-bucket pair back and join in memory.
-        let density = match pred {
-            JoinPred::Cross => 1.0,
-            JoinPred::KeyEq => 1.0 / l.key_range.max(r.key_range).max(1) as f64,
-        };
+        let density = density(pred, &l, &r);
         let mut carry = 0.0f64;
         for _ in 0..partitions {
             let lcard = l.card / partitions;
@@ -1114,9 +1129,8 @@ impl<B: StorageBackend> Executor<B> {
             }
             hashes += lcard + rcard;
             *compares += lcard + rcard; // hash probes, not pairs
-            let expected = lcard as f64 * rcard as f64 * density + carry;
-            let whole = expected.floor() as u64;
-            carry = expected - whole as f64;
+            let whole;
+            (whole, carry) = emit_step(expected_rows(lcard, rcard, density), carry);
             emits += whole;
             sink.emit_bulk(&mut self.sm, whole)?;
         }
@@ -1497,7 +1511,7 @@ impl<B: StorageBackend> Executor<B> {
         };
         let mut cursors: Vec<BlockCursor> = runs.iter().map(over).collect();
         for cursor in cursors.iter_mut() {
-            ensure(&mut self.sm, cursor, input)?;
+            self.ensure(cursor, input)?;
         }
         fn rests(cursors: &[BlockCursor]) -> Vec<&[i64]> {
             cursors.iter().map(BlockCursor::rest).collect()
@@ -1530,7 +1544,7 @@ impl<B: StorageBackend> Executor<B> {
                 MergeStop::Dry(i) => {
                     // The kernel took every buffered row: the cursor is due.
                     cursors[i].drain();
-                    ensure(&mut self.sm, &mut cursors[i], input)?;
+                    self.ensure(&mut cursors[i], input)?;
                 }
                 MergeStop::Done => return Ok(()),
             }
@@ -1633,9 +1647,9 @@ impl<B: StorageBackend> Executor<B> {
         let mut last: Vec<i64> = Vec::new();
         let mut out: Vec<i64> = Vec::new();
         loop {
-            ensure(&mut self.sm, &mut a, left)?;
+            self.ensure(&mut a, left)?;
             if !(diff && a.head().is_none()) {
-                ensure(&mut self.sm, &mut b, right)?;
+                self.ensure(&mut b, right)?;
             }
             // The loop notes what is resident before each step.
             let held = a.resident_bytes() + b.resident_bytes();
@@ -1678,9 +1692,9 @@ impl<B: StorageBackend> Executor<B> {
         let mut b = BlockCursor::new(r, b_in);
         let mut last: Vec<i64> = Vec::new();
         loop {
-            ensure(&mut self.sm, &mut a, left)?;
+            self.ensure(&mut a, left)?;
             if !(diff && a.head().is_none()) {
-                ensure(&mut self.sm, &mut b, right)?;
+                self.ensure(&mut b, right)?;
             }
             self.note_peak(a.resident_bytes() + b.resident_bytes() + sink.resident_bytes());
             let (ha, hb) = (a.head(), b.head());
@@ -1741,6 +1755,9 @@ impl<B: StorageBackend> Executor<B> {
         }
     }
 
+    /// A block of every column in column order, up to the shortest column:
+    /// zipped a buffered stretch at a time where the rows came back, else
+    /// emitted as they are counted.
     fn run_columns(
         &mut self,
         columns: &[usize],
@@ -1755,73 +1772,59 @@ impl<B: StorageBackend> Executor<B> {
         let out_bytes: u64 = rels.iter().map(|r| r.tuple_bytes).sum();
         let out_cols: usize = rels.iter().map(|r| r.width.max(1) as usize).sum();
         let mut sink = self.sink(output, out_bytes, out_cols);
-        if self.faithful() {
-            // One cursor per column, advanced in lock-step; the zip stops
-            // at the shortest column.
-            sink.reserve(card);
-            let over = |mut r: Relation| {
-                r.card = card;
-                BlockCursor::new(r, b_in)
-            };
-            let cursors: Vec<BlockCursor> = rels.into_iter().map(over).collect();
-            self.zip_faithful(cursors, columns, card, &mut sink)?;
-        } else {
-            // Round-robin block reads across the columns (seeks between
-            // files).
-            let mut idx = 0;
-            while idx < card {
-                let mut n = 0;
-                for r in &rels {
-                    n = r.read_block(&mut self.sm, idx, b_in)?;
+        sink.reserve(card);
+        let over = |mut r: Relation| {
+            r.card = card;
+            BlockCursor::new(r, b_in)
+        };
+        let mut cursors: Vec<BlockCursor> = rels.into_iter().map(over).collect();
+        let widths: Vec<usize> = cursors.iter().map(BlockCursor::width).collect();
+        let mut out: Vec<i64> = Vec::new();
+        for idx in (0..card).step_by(b_in as usize) {
+            let mut rows = true;
+            for (cursor, column) in cursors.iter_mut().zip(columns) {
+                rows &= self.ensure(cursor, *column)?;
+            }
+            if !rows {
+                sink.emit_bulk(&mut self.sm, b_in.min(card - idx))?;
+            }
+            // Every cursor holds the block's rows, or none.
+            while !cursors[0].rest().is_empty() {
+                let rests: Vec<&[i64]> = cursors.iter().map(BlockCursor::rest).collect();
+                out.clear();
+                let took = zip(&rests, &widths, sink.room(), &mut out);
+                for cursor in &mut cursors {
+                    cursor.skip(took.rows[0]);
                 }
-                sink.emit_bulk(&mut self.sm, n)?;
-                idx += n.max(1);
+                let held = cursors.iter().map(BlockCursor::resident_bytes).sum();
+                self.emit_took(&mut sink, &out, took, held)?;
             }
         }
         self.charge_cpu(0, card, 0);
         sink.finish(&mut self.sm)
     }
 
-    /// The faithful arm of [`run_columns`](Executor::run_columns): the
-    /// first `card` rows of every column's cursor, zipped by [`zip`] a
-    /// buffered stretch at a time. Every cursor is refilled when its block
-    /// is exhausted, in column order.
-    fn zip_faithful(
+    /// Hands a streaming kernel's rows to the sink in two parts, noting the
+    /// resident bytes the per-row loop notes after each step: `held` by the
+    /// cursors, plus the sink's staging — after the step before the last
+    /// one, and after the last.
+    fn emit_took(
         &mut self,
-        mut cursors: Vec<BlockCursor>,
-        columns: &[usize],
-        card: u64,
         sink: &mut Sink,
+        out: &[i64],
+        took: Took,
+        held: u64,
     ) -> Result<(), ExecError> {
-        let widths: Vec<usize> = cursors.iter().map(BlockCursor::width).collect();
-        let mut out: Vec<i64> = Vec::new();
-        let mut done = 0;
-        while done < card {
-            for (cursor, column) in cursors.iter_mut().zip(columns) {
-                ensure(&mut self.sm, cursor, *column)?;
-            }
-            let rests: Vec<&[i64]> = cursors.iter().map(BlockCursor::rest).collect();
-            let limit = (card - done).min(sink.room() as u64) as usize;
-            out.clear();
-            let took = zip(&rests, &widths, limit, &mut out);
-            assert!(took.steps > 0, "every column holds a row within card");
-            for cursor in &mut cursors {
-                cursor.skip(took.rows[0]);
-            }
-            // The loop notes what is resident after each step.
-            let held: u64 = cursors.iter().map(BlockCursor::resident_bytes).sum();
-            sink.emit_rows(&mut self.sm, &out[..took.before_last])?;
-            if took.steps > 1 {
-                self.note_peak(held + sink.resident_bytes());
-            }
-            sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
+        sink.emit_rows(&mut self.sm, &out[..took.before_last])?;
+        if took.steps > 1 {
             self.note_peak(held + sink.resident_bytes());
-            done += took.steps as u64;
         }
+        sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
+        self.note_peak(held + sink.resident_bytes());
         Ok(())
     }
 
-    /// The per-row loop [`zip_faithful`](Executor::zip_faithful) runs as
+    /// The per-row loop [`run_columns`](Executor::run_columns) runs as
     /// [`zip`] calls: the oracle the kernel is held to.
     #[cfg(test)]
     fn zip_literal(
@@ -1835,7 +1838,7 @@ impl<B: StorageBackend> Executor<B> {
         for _ in 0..card {
             zipped.clear();
             for (cursor, column) in cursors.iter_mut().zip(columns) {
-                ensure(&mut self.sm, cursor, *column)?;
+                self.ensure(cursor, *column)?;
                 zipped.extend_from_slice(cursor.head().expect("within card"));
                 cursor.advance();
             }
@@ -1847,6 +1850,9 @@ impl<B: StorageBackend> Executor<B> {
         Ok(())
     }
 
+    /// Every block of the sorted input read once: each row unequal to the
+    /// last one emitted kept where the rows came back, else the expected
+    /// distinct count spread over the blocks.
     fn run_dedup(
         &mut self,
         input: usize,
@@ -1855,62 +1861,33 @@ impl<B: StorageBackend> Executor<B> {
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
         let rel = self.rel(input)?.clone();
+        let card = rel.card;
+        let per_row = expected_distinct(rel.key_range, card) / card as f64;
         let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
-        *compares += rel.card;
-        if self.faithful() {
-            sink.reserve(rel.card);
-            self.dedup_faithful(BlockCursor::new(rel, b_in), input, &mut sink)?;
-        } else {
-            let mut idx = 0;
-            while idx < rel.card {
-                let n = rel.read_block(&mut self.sm, idx, b_in)?;
-                // The staggered formulation (⟨tail(L), L⟩) maintains a second
-                // cursor one element behind: a literal implementation streams
-                // the list twice.
-                let _ = rel.read_block(&mut self.sm, idx.saturating_sub(1), b_in)?;
-                // Modeling assumption: half the sorted input is duplicated;
-                // emit as the stream advances so writes interleave.
-                sink.emit_bulk(&mut self.sm, n / 2)?;
-                idx += n.max(1);
+        sink.reserve(card);
+        *compares += card;
+        let mut cursor = BlockCursor::new(rel, b_in);
+        let width = cursor.width();
+        // The last emitted row: empty, which no row is, until there is one.
+        let (mut last, mut out, mut carry) = (Vec::new(), Vec::new(), 0.0f64);
+        for idx in (0..card).step_by(b_in as usize) {
+            if !self.ensure(&mut cursor, input)? {
+                let whole;
+                (whole, carry) = emit_step(b_in.min(card - idx) as f64 * per_row, carry);
+                sink.emit_bulk(&mut self.sm, whole)?;
+            }
+            while !cursor.rest().is_empty() {
+                out.clear();
+                let took = dedup(width, cursor.rest(), &mut last, sink.room(), &mut out);
+                cursor.skip(took.rows[0]);
+                self.emit_took(&mut sink, &out, took, cursor.resident_bytes())?;
             }
         }
         self.charge_cpu(*compares, sink.rows, 0);
         sink.finish(&mut self.sm)
     }
 
-    /// The faithful arm of [`run_dedup`](Executor::run_dedup): one cursor
-    /// over relation `input`, every block read once, and the last emitted
-    /// row (empty, which no row is, until there is one), the rows between
-    /// refills deduplicated by [`dedup`].
-    fn dedup_faithful(
-        &mut self,
-        mut cursor: BlockCursor,
-        input: usize,
-        sink: &mut Sink,
-    ) -> Result<(), ExecError> {
-        let width = cursor.width();
-        let mut last: Vec<i64> = Vec::new();
-        let mut out: Vec<i64> = Vec::new();
-        loop {
-            ensure(&mut self.sm, &mut cursor, input)?;
-            out.clear();
-            let took = dedup(width, cursor.rest(), &mut last, sink.room(), &mut out);
-            if took.steps == 0 {
-                return Ok(());
-            }
-            cursor.skip(took.rows[0]);
-            // The loop notes what is resident after each step.
-            let held = cursor.resident_bytes();
-            sink.emit_rows(&mut self.sm, &out[..took.before_last])?;
-            if took.steps > 1 {
-                self.note_peak(held + sink.resident_bytes());
-            }
-            sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
-            self.note_peak(held + sink.resident_bytes());
-        }
-    }
-
-    /// The per-row loop [`dedup_faithful`](Executor::dedup_faithful) runs
+    /// The per-row loop [`run_dedup`](Executor::run_dedup) runs
     /// as [`dedup`] calls: the oracle the kernel is held to.
     #[cfg(test)]
     fn dedup_literal(
@@ -1921,7 +1898,7 @@ impl<B: StorageBackend> Executor<B> {
     ) -> Result<(), ExecError> {
         let mut last: Vec<i64> = Vec::new();
         loop {
-            ensure(&mut self.sm, &mut cursor, input)?;
+            self.ensure(&mut cursor, input)?;
             let Some(row) = cursor.head() else { break };
             if last != row {
                 sink.emit_rows(&mut self.sm, row)?;
@@ -1934,64 +1911,32 @@ impl<B: StorageBackend> Executor<B> {
         Ok(())
     }
 
+    /// The request of [`Relation::load_block`] per `b_in` tuples, column 0
+    /// averaged as they arrive. The requests go out as data runs of at most
+    /// one device page (a block longer than that, or the shorter last block,
+    /// is a run of one), so a backend that serves sequential requests
+    /// together sees them together — all the full blocks at once where
+    /// simulated mode elides the data. The rows are decoded from a run's bytes
+    /// where the backend handed them back (8-byte columns), else they are the
+    /// generator's: the run's from the window at once when it holds them
+    /// all, else block by block, so the window moves where it always did.
+    /// Either way residency is counted as the block read that way would
+    /// hold it — a run's byte staging is the memory level's, like the
+    /// backend's read-ahead, not an operator's.
     fn run_aggregate(
         &mut self,
         input: usize,
         b_in: u64,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        let rel = self.rel(input)?.clone();
-        if self.faithful() {
-            return self.aggregate_faithful(rel, b_in, compares);
-        }
-        // Simulated mode coalesces the single sequential stream into ~4 MiB
-        // requests: for one cursor moving forward, every device model
-        // charges by the page-rounded high-water mark, so the totals (bytes,
-        // seeks, seconds) are identical at any request granularity — but the
-        // paper-scale scans (4 GiB in b_in-tuple blocks) stop costing 10⁸
-        // host-side calls.
-        let chunk_tuples = ((4u64 << 20) / rel.tuple_bytes.max(1)).max(1);
-        let step = b_in.max(chunk_tuples.next_multiple_of(b_in));
-        let mut idx = 0;
-        while idx < rel.card {
-            let n = rel.read_block(&mut self.sm, idx, step)?;
-            *compares += n;
-            idx += n.max(1);
-        }
-        self.charge_cpu(*compares, 1, 0);
-        Ok(OpResult {
-            rows: 1,
-            width: 1,
-            ..OpResult::default()
-        })
-    }
-
-    /// The faithful arm of [`run_aggregate`](Executor::run_aggregate): the
-    /// request of [`Relation::load_block`] per `b_in` tuples, averaged as
-    /// they arrive. The requests go out as data runs of at most one device
-    /// page (a block longer than that, or the shorter last block, is a run
-    /// of one), so a backend that serves sequential requests together sees
-    /// them together. The rows are decoded from a run's bytes where the
-    /// backend handed them back (8-byte columns), else they are the
-    /// generator's: the run's from the window at once when it holds them
-    /// all, else block by block, so the window moves where it always did.
-    /// Either way residency is counted as the block read that way would
-    /// hold it — a run's byte staging is the memory level's, like the
-    /// backend's read-ahead, not an operator's.
-    fn aggregate_faithful(
-        &mut self,
-        mut rel: Relation,
-        b_in: u64,
-        compares: &mut u64,
-    ) -> Result<OpResult, ExecError> {
+        let mut rel = self.rel(input)?.clone();
         let tb = rel.tuple_bytes;
         let width = rel.width.max(1) as usize;
         let decodes = tb == width as u64 * 8;
         let page = self.sm.page_bytes(self.sm.device_of(rel.file))?;
         let per_run = (page / (b_in * tb).max(1)).max(1);
         let mut bytes: Vec<u8> = Vec::new();
-        let mut sum: i64 = 0;
-        let mut count: i64 = 0;
+        let (mut sum, mut count) = (0i64, 0i64);
         // Residency changes with the block or the generator's window, not
         // with the executor: tracked here, reported once.
         let mut peak = 0;
@@ -2000,9 +1945,16 @@ impl<B: StorageBackend> Executor<B> {
             let full = (rel.card - idx) / b_in;
             let (block, blocks) = match full {
                 0 => (rel.card - idx, 1),
+                _ if !self.faithful() => (b_in, full),
                 _ => (b_in, full.min(per_run)),
             };
-            let len = (block * blocks * tb) as usize;
+            let n = block * blocks;
+            if !self.faithful() {
+                self.sm.read_run(rel.file, idx * tb, block * tb, blocks)?;
+                idx += n;
+                continue;
+            }
+            let len = (n * tb) as usize;
             if bytes.len() < len {
                 bytes.resize(len, 0);
             }
@@ -2012,9 +1964,9 @@ impl<B: StorageBackend> Executor<B> {
                 .read_data_run(rel.file, idx * tb, block * tb, blocks, run)?;
             if held && decodes {
                 sum = sum.wrapping_add(column0_sum(run, width));
-                count += (block * blocks) as i64;
+                count += n as i64;
                 peak = peak.max(rel.resident_bytes() + block * width as u64 * 8);
-            } else if let Some(rows) = rel.cached_rows(idx, block * blocks) {
+            } else if let Some(rows) = rel.cached_rows(idx, n) {
                 // Every block of the run in the window already generated.
                 sum = rows.iter().fold(sum, |s, row| s.wrapping_add(row[0]));
                 count += rows.len() as i64;
@@ -2026,37 +1978,27 @@ impl<B: StorageBackend> Executor<B> {
                     peak = peak.max(rel.resident_bytes());
                 }
             }
-            idx += block * blocks;
+            idx += n;
         }
         *compares += rel.card;
         self.note_peak(peak);
         self.charge_cpu(*compares, 1, 0);
-        let avg = if count > 0 { sum / count } else { 0 };
-        // One witness, like a sink's: the row, or else its digest.
-        let output = self.collect_output.then(|| RowBuf::from_vec(vec![avg], 1));
+        // A faithful run's one witness, like a sink's: the row, or else its
+        // digest.
+        let avg = self
+            .faithful()
+            .then(|| if count > 0 { sum / count } else { 0 });
+        let output =
+            (avg.filter(|_| self.collect_output)).map(|avg| RowBuf::from_vec(vec![avg], 1));
         Ok(OpResult {
             rows: 1,
             width: 1,
-            digest: output.is_none().then(|| fnv_values(FNV_OFFSET, &[avg])),
+            digest: avg
+                .filter(|_| output.is_none())
+                .map(|avg| fnv_values(FNV_OFFSET, &[avg])),
             output,
             extent: None,
         })
-    }
-}
-
-/// [`BlockCursor::ensure`] for the cursor over relation `rel`: a request
-/// that comes back without rows means the relation can only be read on a
-/// backend that holds its payload.
-#[inline]
-fn ensure<B: StorageBackend>(
-    sm: &mut B,
-    cursor: &mut BlockCursor,
-    rel: usize,
-) -> Result<(), ExecError> {
-    if cursor.ensure(sm)? {
-        Ok(())
-    } else {
-        Err(ExecError::MissingRows(rel))
     }
 }
 
@@ -2107,7 +2049,8 @@ mod tests {
 
     /// The simulated block-nested-loops join as it ran before inner passes
     /// were issued as run requests: one `read_block` and one emission step
-    /// per inner block, every time. Returns `(seconds, output rows,
+    /// per inner block, every time, with the pairs counted and the build and
+    /// probes charged per inner block. Returns `(seconds, output rows,
     /// compares)`. Kept as the oracle for
     /// [`simulated_bnl_equals_the_per_request_reference`].
     fn reference_sim_bnl(
@@ -2120,18 +2063,16 @@ mod tests {
         let t0 = ex.sm.clock();
         let (o, i) = (ex.rels[outer].clone(), ex.rels[inner].clone());
         let mut sink = ex.sink(output, o.tuple_bytes + i.tuple_bytes, 4);
-        let density = match pred {
-            JoinPred::Cross => 1.0,
-            JoinPred::KeyEq => 1.0 / o.key_range.max(i.key_range).max(1) as f64,
-        };
-        let (mut compares, mut emits, mut carry) = (0u64, 0u64, 0.0f64);
+        let density = density(pred, &o, &i);
+        let (mut compares, mut probes, mut emits, mut carry) = (0u64, 0u64, 0u64, 0.0f64);
         let mut oidx = 0;
         while oidx < o.card {
             let on = o.read_block(&mut ex.sm, oidx, k1).unwrap();
             let mut iidx = 0;
             while iidx < i.card {
                 let in_n = i.read_block(&mut ex.sm, iidx, k2).unwrap();
-                compares += in_n + on / (i.card.div_ceil(k2)).max(1);
+                compares += on * in_n;
+                probes += in_n + on / (i.card.div_ceil(k2)).max(1);
                 let expected = on as f64 * in_n as f64 * density + carry;
                 let whole = expected.floor() as u64;
                 carry = expected - whole as f64;
@@ -2141,7 +2082,7 @@ mod tests {
             }
             oidx += on.max(1);
         }
-        ex.charge_cpu(compares, emits, 0);
+        ex.charge_cpu(probes, emits, 0);
         let output_rows = sink.finish(&mut ex.sm).unwrap().rows;
         (ex.sm.clock() - t0, output_rows, compares)
     }
@@ -3585,6 +3526,64 @@ mod tests {
         let mut expect = rows;
         expect.dedup();
         assert_eq!(stats.output.unwrap(), expect);
+    }
+
+    /// A zip stops at its shortest column in both modes, whichever column
+    /// that is: 10 rows out of columns of 10 and 12 ints, in blocks of 4,
+    /// and exactly the first 10 tuples of each column read.
+    #[test]
+    fn a_column_zip_reads_and_emits_its_shortest_column_in_both_modes() {
+        for (faithful, mode) in [(true, Mode::Faithful), (false, Mode::Simulated)] {
+            let h = presets::hdd_ram(1 << 25);
+            let sm = Recording::new(StorageSim::from_hierarchy(&h), false);
+            let mut ex = Executor::new(sm, mode, CpuModel::default());
+            for card in [10, 12] {
+                let spec = RelSpec::ints("C", "HDD", card);
+                let rel = Relation::create(&mut ex.sm, &spec, faithful, 3).unwrap();
+                ex.add_relation(rel);
+            }
+            let plan = Plan::ColumnZip {
+                columns: vec![0, 1],
+                b_in: 4,
+                output: Output::Discard,
+            };
+            assert_eq!(ex.run(&plan).unwrap().output_rows, 10, "{mode:?}");
+            for rel in &ex.rels {
+                let reads = ex.sm.log.iter().filter(|r| !r.0 && r.1 == rel.file.0);
+                assert_eq!(reads.map(|r| r.3).sum::<u64>(), 80, "{mode:?}");
+            }
+        }
+    }
+
+    /// The duplicate removal's oracle is what a faithful run over uniform
+    /// keys emits: 2^20 sorted ints drawn from half as many, as many and
+    /// four times as many keys, within 1% of [`expected_distinct`] — which
+    /// a simulated run emits, its last fraction dropped.
+    #[test]
+    fn the_dedup_oracle_is_the_faithful_distinct_count() {
+        let card = 1u64 << 20;
+        for range in [card / 2, card, 4 * card] {
+            let spec = RelSpec::ints("L", "HDD", card)
+                .sorted()
+                .with_key_range(range);
+            let rows = |faithful: bool| {
+                let mut ex = setup(faithful, 1 << 25).with_output_collection(false);
+                let rel = Relation::create(&mut ex.sm, &spec, faithful, 5).unwrap();
+                ex.add_relation(rel);
+                let plan = Plan::DedupSorted {
+                    input: 0,
+                    b_in: 1 << 12,
+                    output: Output::Discard,
+                };
+                ex.run(&plan).unwrap().output_rows
+            };
+            let (want, got) = (expected_distinct(range, card), rows(true) as f64);
+            assert!(
+                (got / want - 1.0).abs() < 0.01,
+                "{got} of {range} keys, expected {want}"
+            );
+            assert_eq!(rows(false), want.floor() as u64, "{range} keys");
+        }
     }
 
     #[test]

@@ -8,10 +8,18 @@
 //!   algorithm end-to-end and their outputs are validated against the OCAL
 //!   reference interpreter in the test suite. Used at small scale.
 //! * **Simulated** — relations are cardinality + width only; every I/O
-//!   request is still accounted block by block by the device simulators
-//!   (so seeks, erase blocks and read/write interference are enacted
-//!   exactly), while the in-memory inner loops are accounted analytically
-//!   through the CPU model. Used at the paper's multi-gigabyte scales.
+//!   request is still accounted by the device simulators (so seeks, erase
+//!   blocks and read/write interference are enacted exactly), while the
+//!   in-memory work is accounted through the CPU model. Used at the
+//!   paper's multi-gigabyte scales. For the block-nested-loops join, column
+//!   zip, sorted duplicate removal and aggregate it is the faithful
+//!   schedule with the data elided: one loop issues the same requests in
+//!   both modes, and where a request brings no rows back a few-line oracle
+//!   stands in for the kernel — the expected matches of a block pair, a
+//!   zip's block of rows, the expected distinct count spread over the
+//!   blocks, nothing. Merge pass, external sort and GRACE join keep a
+//!   hand-written emulation until they get an oracle for refill order and
+//!   bucket sizes.
 //!
 //! **Run requests in simulated mode.** The cost of simulating a plan must
 //! not grow with how finely the plan slices a sequential scan — the paper's
@@ -22,17 +30,17 @@
 //! instead of one `read` per block: the inner pass of a simulated
 //! block-nested-loops join whenever the output sink cannot flush before the
 //! pass ends (always for `Output::Discard`; for `Output::ToDevice` when the
-//! rows the pass emits still fit the output buffer). Compares and emitted
-//! rows for such a pass are taken in closed form (the emission recurrence
-//! in fixed point when that is exact, replayed without touching the device
-//! when it is not), and the simulator answers the run with the same clock,
-//! counters and head position as the loop, to the last bit. Everything else
-//! keeps the per-request loop, because there the request *order* is the
-//! experiment: a pass during which the sink flushes interleaves writes with
-//! the reads (the paper's read/write interference rows), and faithful mode
-//! moves real rows per block and must issue the same stream on the
-//! simulator and on real files. A parity test holds the two paths
-//! bit-equal. The sink's flushes are runs too, without changing the order:
+//! rows the pass emits still fit the output buffer), and every full block
+//! of a simulated aggregate. Emitted rows for such a pass are taken in
+//! closed form (the emission recurrence in fixed point when that is exact,
+//! replayed without touching the device when it is not), and the simulator
+//! answers the run with the same clock, counters and head position as the
+//! loop, to the last bit. Everything else keeps the per-request loop,
+//! because there the request *order* is the experiment: a pass during
+//! which the sink flushes interleaves writes with the reads (the paper's
+//! read/write interference rows), and faithful mode moves real rows per
+//! block and must issue the same stream on the simulator and on real
+//! files. A parity test holds the two paths bit-equal. The sink's flushes are runs too, without changing the order:
 //! the whole buffers one emission fills go out as one
 //! [`StorageBackend::write_run`](ocas_storage::StorageBackend::write_run),
 //! split where the sink's 1 GiB extent wraps, and the simulator charges it
@@ -42,7 +50,7 @@
 //! **Block cursors.** Every faithful operator reads its rows with one
 //! [`StorageBackend::read_data`](ocas_storage::StorageBackend::read_data)
 //! per block — charged, counted and faulted exactly like the accounting
-//! read the simulated arm issues. One function in `rel.rs` asks whether the
+//! read simulated mode issues. One function in `rel.rs` asks whether the
 //! backend handed a payload back, and it is the only place that does: if so
 //! (real files, 8-byte columns) the block is decoded from those bytes — the
 //! operator computes on what it read, a [`Relation::attach`]ed file needs no
@@ -57,12 +65,12 @@
 //! duplicate removal pull rows through one [`BlockCursor`] per input,
 //! refilled when its block is exhausted, and that loop is their only
 //! implementation, on the simulator and on real files.
-//! So *faithful* mode issues what a real run issues (a difference stops
-//! reading its right input once the left one is dry, a duplicate removal
-//! reads each block once), while *simulated* mode models the paper-scale
-//! pattern the estimator prices (both merge inputs in alternating blocks to
-//! the end, a second, staggered scan for the duplicate removal) and never
-//! touches a cursor.
+//! Simulated mode issues the same cursor requests for the column zip and
+//! the duplicate removal, with the data elided ([`BlockCursor::elide`]).
+//! For the merge pass it still models the paper-scale pattern the estimator
+//! prices (both inputs in alternating blocks to the end, where a faithful
+//! difference stops reading its right input once the left one is dry) and
+//! never touches a cursor.
 //!
 //! **External sort.** The faithful sort is the out-of-core algorithm
 //! itself, on every backend: sorted runs of `fan_in * b_in + b_out` tuples
@@ -106,6 +114,9 @@
 //! pair, peak residency counts tuple bytes (key columns are scratch), and
 //! block reads, emits and sink flushes happen in the same order — the
 //! simulated clocks, Table 1 and the cache-miss experiment do not move.
+//! The CPU model is charged for what a block join does, the same count in
+//! both modes: a build of the resident outer block, amortized over the
+//! inner blocks, and one probe per inner tuple.
 //! Cross joins are emit-bound and keep the plain loop; the literal pair
 //! loop survives as the test oracle the kernel is held to.
 //!

@@ -47,9 +47,15 @@ pub enum MergeKind {
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Real rows, exact outputs (small scale).
+    /// Real rows, exact outputs (small scale): every request brings its
+    /// block's rows back and the template's kernel computes on them.
     Faithful,
-    /// Virtual rows, exact I/O, modeled CPU (paper scale).
+    /// The same schedule with the data elided (paper scale): requests bring
+    /// no rows, an oracle stands in for the kernel (expected matches,
+    /// distinct counts), and the CPU is modeled. Block-nested loops, column
+    /// zip, sorted dedup and aggregate issue the faithful requests; merge
+    /// pass, external sort and GRACE join still run a per-template
+    /// emulation.
     Simulated,
 }
 

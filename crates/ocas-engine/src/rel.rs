@@ -1226,6 +1226,14 @@ impl BlockCursor {
         Ok(full)
     }
 
+    /// Issues the request [`ensure`](BlockCursor::ensure) issues for the
+    /// next block — charged and counted the same — with the data elided:
+    /// the cursor moves past the block and holds no rows of it.
+    pub fn elide<B: StorageBackend>(&mut self, sm: &mut B) -> Result<(), StorageError> {
+        self.next += self.rel.read_block(sm, self.next, self.b_in)?;
+        Ok(())
+    }
+
     /// The row under the cursor (no I/O; call `ensure` first): `None` once
     /// the relation is exhausted.
     #[inline]

@@ -11,8 +11,9 @@
 //!   disks, an *erase* for flash),
 //! * **UnitTr** — the cost of transferring one byte.
 //!
-//! Costs are exact rationals in seconds (resp. seconds/byte), so the cost
-//! estimator can simplify formulas deterministically.
+//! Costs are exact rationals in seconds (resp. seconds/byte) — the cost
+//! estimator's own [`Rat`], so it simplifies formulas over them
+//! deterministically, with no conversion.
 //!
 //! [`presets`] reproduces every hierarchy used in the paper's evaluation
 //! with the constants of Figure 7.
@@ -22,9 +23,7 @@
 
 use std::fmt;
 
-mod rat;
-
-pub use rat::Rat;
+pub use ocas_symbolic::Rat;
 
 /// Identifies a node within a [`Hierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,7 +109,14 @@ impl CostPair {
     };
 
     /// Builds a cost pair.
+    ///
+    /// # Panics
+    /// Panics if either cost is negative.
     pub fn new(init_com: Rat, unit_tr: Rat) -> CostPair {
+        assert!(
+            !init_com.is_negative() && !unit_tr.is_negative(),
+            "cost constants must be non-negative"
+        );
         CostPair { init_com, unit_tr }
     }
 }
@@ -462,6 +468,12 @@ pub mod presets {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_cost_rejected() {
+        let _ = CostPair::new(Rat::new(-1, 2), Rat::ZERO);
+    }
 
     #[test]
     fn figure7_constants() {

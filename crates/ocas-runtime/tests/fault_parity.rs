@@ -332,17 +332,17 @@ proptest! {
     }
 }
 
-/// Blocks of the simulated duplicate removal in
+/// Blocks of the simulated column zip in
 /// `a_write_fault_inside_a_sink_run_fires_at_its_request_on_both_backends`,
-/// and the whole output buffers each block fills: 64 ints a block, half of
-/// them emitted, 16 bytes a buffer.
+/// and the whole output buffers each block fills: 64 ints a block, every
+/// one emitted, 32 bytes a buffer.
 const SINK_BLOCKS: u64 = 4;
 const RUN_WRITES: u64 = 16;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A simulated duplicate removal fills [`RUN_WRITES`] output buffers
+    /// A simulated column zip fills [`RUN_WRITES`] output buffers
     /// with each block it reads, and its sink issues them as one
     /// `write_run`. A write fault planted at any request of such a run
     /// fires at that request on both backends, with the same outcome and
@@ -363,16 +363,16 @@ proptest! {
         };
         let policy = if retry == 0 { RetryPolicy::none() } else { RetryPolicy::default() };
         let b_in = 64;
-        let plan = Plan::DedupSorted {
-            input: 0,
+        let plan = Plan::ColumnZip {
+            columns: vec![0],
             b_in,
-            output: Output::ToDevice { device: "HDD".into(), buffer_bytes: 16 },
+            output: Output::ToDevice { device: "HDD".into(), buffer_bytes: 32 },
         };
-        let specs = vec![RelSpec::ints("L", "HDD", SINK_BLOCKS * b_in).sorted()];
-        // Per-device indices: 0 allocates the input; each block is two
-        // reads (the staggered formulation reads the list twice), then its
-        // run; the first run follows the sink extent's allocation (3).
-        let at = 4 + block * (2 + RUN_WRITES) + w;
+        let specs = vec![RelSpec::ints("L", "HDD", SINK_BLOCKS * b_in)];
+        // Per-device indices: 0 allocates the input; each block is one
+        // read, then its run; the first run follows the sink extent's
+        // allocation (2).
+        let at = 3 + block * (1 + RUN_WRITES) + w;
         let faults = FaultPlan::new().with("HDD", FaultOp::Write, at, kind);
         let h = presets::hdd_ram(1 << 22);
         let sim = Faulted::new(StorageSim::from_hierarchy(&h), faults.clone(), policy);
@@ -385,7 +385,7 @@ proptest! {
         prop_assert_eq!(counters.faults_injected, 1, "the spec at request {} never fired", at);
         match (kind, retry) {
             (FaultKind::Latency(_), _) | (_, 1) => {
-                prop_assert_eq!(outcome, format!("ok: {} rows", SINK_BLOCKS * b_in / 2))
+                prop_assert_eq!(outcome, format!("ok: {} rows", SINK_BLOCKS * b_in))
             }
             _ => prop_assert!(
                 outcome.contains(&format!("write request {at} on `HDD`")),

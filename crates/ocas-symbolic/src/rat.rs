@@ -59,6 +59,16 @@ impl Rat {
         Rat { num: n, den: 1 }
     }
 
+    /// `ms` milliseconds, in seconds: `Rat::millis(15)` is 3/200.
+    pub fn millis(ms: i128) -> Rat {
+        Rat::new(ms, 1000)
+    }
+
+    /// `1 second / bytes`: a transfer rate of `bytes` a second, as s/byte.
+    pub fn per_bytes_of_second(bytes: i128) -> Rat {
+        Rat::new(1, bytes)
+    }
+
     /// Numerator (sign-carrying).
     pub fn num(self) -> i128 {
         self.num
@@ -255,6 +265,13 @@ mod tests {
         assert_eq!(Rat::new(1, -2), Rat::new(-1, 2));
         assert_eq!(Rat::new(-3, -9), Rat::new(1, 3));
         assert_eq!(Rat::new(0, 5), Rat::ZERO);
+    }
+
+    #[test]
+    fn constructors() {
+        assert_eq!(Rat::millis(15), Rat::new(3, 200));
+        assert_eq!(Rat::per_bytes_of_second(4), Rat::new(1, 4));
+        assert!(Rat::ZERO.is_zero());
     }
 
     #[test]

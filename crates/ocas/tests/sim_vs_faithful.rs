@@ -1,7 +1,9 @@
 //! Table 1's "act" against the algorithm that runs: every row's winner,
-//! synthesized at paper scale, runs in `Mode::Simulated` (the per-template
-//! emulation Table 1 reports) and in `Mode::Faithful` (the algorithm a real
-//! run executes) on a fresh `StorageSim` with `CpuModel::default()`, over
+//! synthesized at paper scale, runs in `Mode::Simulated` (what Table 1
+//! reports: the faithful schedule with the data elided for BNL, column zip,
+//! dedup and aggregate, a per-template emulation for merge, sort and GRACE)
+//! and in `Mode::Faithful` (the algorithm a real run executes) on a fresh
+//! `StorageSim` with `CpuModel::default()`, over
 //! the row's relations with `card` and `key_range` divided by 1024 (seeds
 //! 7, 8, … per relation).
 //!
@@ -39,17 +41,15 @@ enum Today {
 /// Today's table, in `experiments::table1()` order. Target for every row:
 /// `Same(1.00)`.
 const TODAY: [(&str, Today); 16] = [
-    // The simulated arm charges `card + blocks` compares per outer block
-    // (a hash probe); the faithful one every pair the loops range over.
-    ("BNL - No writeout", Today::Same(3.497)),
-    ("BNL with cache - No writeout", Today::Same(3.497)),
+    ("BNL - No writeout", Today::Same(1.000)),
+    ("BNL with cache - No writeout", Today::Same(1.000)),
     // Seeks 1,203 against 276, 3.70 MB read against 2.17: the simulated
     // arm models 8 output rows, the faithful run emits 1,984.
     ("(GRACE) hash join - No writeout", Today::Differs(4.269)),
     // Act/opt 0.136: the estimator's error, not the emulation's.
     ("BNL writing to HDD", Today::Same(1.000)),
-    ("BNL wr. to other HDD", Today::Same(1.001)),
-    ("BNL writing to flash", Today::Same(1.001)),
+    ("BNL wr. to other HDD", Today::Same(1.000)),
+    ("BNL writing to flash", Today::Same(1.000)),
     // The row's 1-byte columns; with 8-byte columns the ping-pong
     // emulation reads 109 MB against the faithful sort's 16.8.
     (
@@ -65,14 +65,13 @@ const TODAY: [(&str, Today); 16] = [
     ("Multiset Diff. (value-multiplicity)", Today::Differs(1.101)),
     ("Column Store Read 5 cols.", Today::Same(1.000)),
     ("Column Store Read 10 cols.", Today::Same(1.000)),
-    // The simulated arm's ping-pong passes read 50.3 MB against 16.8.
+    // Same reads and seeks; the faithful run writes the distinct keys its
+    // data holds (7,258,112 B), the oracle their expected count (7,254,016).
     (
         "Duplicate Removal from a Sorted List",
-        Today::Differs(0.291),
+        Today::Differs(1.000),
     ),
-    // Same bytes and seeks; `busy_seconds` differs in its last bits (one
-    // charge a request against one a run).
-    ("Aggregation", Today::Differs(1.000)),
+    ("Aggregation", Today::Same(1.000)),
 ];
 
 type Run = Result<(f64, Vec<(String, DeviceStats)>), ExecError>;
