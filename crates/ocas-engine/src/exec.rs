@@ -10,22 +10,24 @@
 //! per-tuple heap allocation anywhere between a relation's buffer and the
 //! output sink.
 //!
-//! **One arm per template, where an oracle exists.** The block-nested-loops
-//! join, column zip, sorted dedup and aggregate are each one loop issuing
-//! the faithful requests in both modes. Where a request brings rows back the
-//! kernel computes on them; where simulated mode elides the data a few-line
-//! oracle stands in (expected matches, a zip's block of rows, expected
-//! distinct rows, nothing), and requests with nothing computed or flushed
-//! between them go out as one run. Merge pass, external sort and GRACE join
-//! keep a simulated emulation until they get an oracle for refill order and
-//! bucket sizes.
+//! **One arm per template.** Every template is one loop issuing the
+//! faithful requests in both modes. Where a request brings rows back the
+//! kernel computes on them; where simulated mode elides the data an oracle
+//! for uniform keys stands in for what the data decides: expected matches
+//! (a GRACE co-bucket pair's at `partitions` times the relations' density),
+//! a zip's block of rows, expected distinct rows, a merge's expected output,
+//! the cursor a merge refills next (`Refills`) and the rows each GRACE
+//! bucket gets (`card / partitions`, the staging buffers filling in turn).
+//! Requests with nothing computed or flushed between them go out as one
+//! run. So a template's simulated seconds are its faithful schedule's, the
+//! data aside; the spill layout (`SpillAlloc`) is the same in both modes.
 
 use crate::key_index::{self, KeyIndex};
 use crate::key_scan::KeyColumns;
 use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
-use crate::spill::{stage_rows, Extent, SpillAlloc};
+use crate::spill::{stage_rows, Extent, Payload, SpillAlloc};
 use crate::stream_kernel::{dedup, merge_pass, zip, Took};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
@@ -67,17 +69,20 @@ impl From<StorageError> for ExecError {
 /// What one plan execution produced.
 #[derive(Debug, Clone)]
 pub struct ExecStats {
-    /// Backend seconds: the requests issued (the same in both modes for a
-    /// template with one arm) plus the modeled CPU.
+    /// Backend seconds: the requests issued (the same in both modes where
+    /// the data is what the oracle expects) plus the modeled CPU.
     pub seconds: f64,
     /// Rows produced: the kernel's in faithful mode, the oracle's (expected
-    /// matches or distinct rows, a zip's shortest column) in simulated mode.
+    /// matches, distinct rows or merge output, a zip's shortest column, a
+    /// sort's input) in simulated mode.
     pub output_rows: u64,
     /// Tuple comparisons the model counts, in both modes. A block-nested-
     /// loops join counts the pairs its synthesized loops range over (outer
     /// block x inner block, per block pair) — the quantity the cost model
     /// reasons about — however the executor finds the matches among them;
-    /// its CPU charge is a block join's build and probes instead.
+    /// its CPU charge is a block join's build and probes instead. A GRACE
+    /// join counts the pairs it emits, a merge pass its input rows and an
+    /// external sort its merge levels over singleton runs.
     pub compares: u64,
     /// Output rows materialized in faithful mode, one flat batch (`None`
     /// in simulated mode or when the executor's output collection is
@@ -101,10 +106,9 @@ pub struct ExecStats {
     /// High-water mark of resident tuple bytes the faithful data path
     /// held during this run: relation cache windows, decoded blocks and
     /// the sink's staging/collected rows — for an external sort, its
-    /// batch, cursors and output batch (see `sort_faithful`); for a GRACE
-    /// join, an input block and the bucket staging buffers, then the build
-    /// bucket, one probe extent and the sink's staging (see
-    /// `grace_faithful`). 0 in simulated mode.
+    /// batch, cursors and output batch; for a GRACE join, an input block and
+    /// the bucket staging buffers, then the build bucket, one probe extent
+    /// and the sink's staging. 0 in simulated mode.
     pub peak_resident_bytes: u64,
     /// Cache statistics, when a cache simulator was attached.
     pub cache: Option<CacheStats>,
@@ -183,12 +187,125 @@ fn expected_rows(on: u64, in_n: u64, density: f64) -> f64 {
     on as f64 * in_n as f64 * density
 }
 
-/// Expected distinct values among `card` uniform draws from `range` values,
-/// `K·(1 − (1 − 1/K)^card)`: the duplicate removal's oracle where simulated
-/// mode elides the rows.
-fn expected_distinct(range: u64, card: u64) -> f64 {
-    let k = range.max(1) as f64;
+/// Expected distinct values among `card` uniform draws from `keys` values,
+/// `K·(1 − (1 − 1/K)^card)`: the duplicate removal's and the set union's
+/// oracle where simulated mode elides the rows.
+fn expected_distinct(keys: f64, card: u64) -> f64 {
+    let k = keys.clamp(1.0, 1e300);
     -k * (card as f64 * (-1.0 / k).ln_1p()).exp_m1()
+}
+
+/// Expected pairs between `a` and `b` uniform draws from `keys` values when
+/// each value pairs as often as it occurs on its rarer side: `K·E[min(X,
+/// Y)]` for Poisson `X` and `Y` of means `a/K` and `b/K`, summed as
+/// `Σ_{t≥1} P(X ≥ t)·P(Y ≥ t)` up to ten deviations past the smaller mean.
+fn expected_pairs(keys: f64, a: u64, b: u64) -> f64 {
+    let k = keys.clamp(1.0, 1e300);
+    let (x, y) = (a as f64 / k, b as f64 / k);
+    let last = x.min(y) + 10.0 * x.min(y).sqrt() + 10.0;
+    // ln P(· = t), then P(· > t).
+    let (mut lx, mut ly, mut gx, mut gy, mut sum, mut t) = (-x, -y, 1.0f64, 1.0f64, 0.0, 0.0);
+    while t < last {
+        (gx, gy) = ((gx - lx.exp()).max(0.0), (gy - ly.exp()).max(0.0));
+        sum += gx * gy;
+        t += 1.0;
+        (lx, ly) = (lx + (x / t).ln(), ly + (y / t).ln());
+    }
+    k * sum
+}
+
+/// Expected rows a merge pass of `kind` emits over sorted inputs of
+/// uniform keys, every column drawn from the larger key range: the merge's
+/// oracle where simulated mode elides the rows. A row is a key of the whole
+/// row, except for the value-multiplicity kinds, which pair rows on the
+/// value; a difference keeps the excess multiplicity of a paired row half
+/// the time.
+fn expected_merge_rows(kind: MergeKind, a: &Relation, b: &Relation) -> u64 {
+    let k = a.key_range.max(b.key_range).max(1) as f64;
+    let rows = k.powi(a.width.max(1) as i32);
+    let (na, nb) = (a.card as f64, b.card as f64);
+    let expected = match kind {
+        MergeKind::MultisetUnionSorted => na + nb,
+        MergeKind::SetUnion => expected_distinct(rows, a.card + b.card),
+        MergeKind::MultisetUnionVm => na + nb - expected_pairs(k, a.card, b.card),
+        MergeKind::MultisetDiffSorted => na - expected_pairs(rows, a.card, b.card),
+        MergeKind::MultisetDiffVm => na - expected_pairs(k, a.card, b.card) * (k + 1.0) / (2.0 * k),
+    };
+    expected.round().max(0.0) as u64
+}
+
+/// Where simulated mode refills the cursors of a merge over uniform keys.
+/// Cursor `i` holds `cards[i]` rows, read `b_in` at a time; its block `j`
+/// runs dry — and block `j + 1` is read — once the output fraction `(j +
+/// 1)·b_in / cards[i]` is out. To the row: cursor `i`'s `n`-th row has key
+/// `n / cards[i]`, a tie going to the lower cursor as in a stable merge, so
+/// equally long inputs interleave round-robin; `total` rows come out.
+struct Refills {
+    cards: Vec<u64>,
+    b_in: u64,
+    total: u64,
+    /// Blocks read per cursor (the first ones before the merge starts).
+    read: Vec<u64>,
+    /// Per cursor, the input rows merged when its next refill falls due.
+    due: Vec<Option<u64>>,
+}
+
+/// `a · b / c` rounded down, and the remainder (`c > 0`), in 64 bits where
+/// the product fits; no division when `b == c` (equal inputs, or an output
+/// of every input row).
+fn mul_div(a: u64, b: u64, c: u64) -> (u64, u64) {
+    match a.checked_mul(b) {
+        _ if b == c => (a, 0),
+        Some(p) => (p / c, p % c),
+        None => {
+            let (p, c) = (u128::from(a) * u128::from(b), u128::from(c));
+            ((p / c) as u64, (p % c) as u64)
+        }
+    }
+}
+
+impl Refills {
+    fn new(cards: Vec<u64>, b_in: u64, total: u64) -> Refills {
+        let read = vec![1; cards.len()];
+        let mut refills = Refills {
+            cards,
+            b_in,
+            total,
+            read,
+            due: Vec::new(),
+        };
+        refills.due = (0..refills.cards.len()).map(|i| refills.due(i)).collect();
+        refills
+    }
+
+    /// Input rows merged once cursor `i`'s current block has run dry, if
+    /// another block follows: its last row's rank among every cursor's rows.
+    fn due(&self, i: usize) -> Option<u64> {
+        let (n, card) = (self.read[i] * self.b_in, self.cards[i]);
+        let rank = |(k, &other): (usize, &u64)| match k {
+            k if k == i => n,
+            // Rows with a lower key, and with the same key from a lower cursor.
+            k => match mul_div(n, other, card) {
+                (0, 0) => 0,
+                (below, 0) => below - u64::from(k > i),
+                (below, _) => below,
+            },
+        };
+        (n < card).then(|| self.cards.iter().enumerate().map(rank).sum())
+    }
+
+    /// The next refill: the cursor whose block runs dry first, and the rows
+    /// out by then (rounded half up); `None` once every block has been read.
+    fn next(&mut self) -> Option<(usize, u64)> {
+        let (merged, i) = (self.due.iter().enumerate())
+            .filter_map(|(i, due)| Some(((*due)?, i)))
+            .min()?;
+        self.read[i] += 1;
+        self.due[i] = self.due(i);
+        let inputs = self.cards.iter().sum::<u64>();
+        let (out, rest) = mul_div(merged, self.total, inputs);
+        Some((i, out + u64::from(2 * rest >= inputs)))
+    }
 }
 
 /// One step of simulated mode's emission recurrence: `c` expected rows
@@ -616,9 +733,12 @@ impl<B: StorageBackend> Executor<B> {
         self
     }
 
-    /// Records an observation of currently resident faithful tuple bytes.
+    /// Records an observation of currently resident faithful tuple bytes
+    /// (simulated mode holds none).
     fn note_peak(&mut self, bytes: u64) {
-        self.peak_resident = self.peak_resident.max(bytes);
+        if self.faithful() {
+            self.peak_resident = self.peak_resident.max(bytes);
+        }
     }
 
     /// The sink for one operator under the executor's mode and collection
@@ -1038,6 +1158,31 @@ impl<B: StorageBackend> Executor<B> {
         Ok(())
     }
 
+    /// The out-of-core GRACE hash join; `compares` counts the pairs emitted.
+    ///
+    /// Each side is partitioned by [`partition_pass`](Executor::partition_pass)
+    /// into bucket streams on the `spill` device — one [`SpillAlloc`] for
+    /// both, so a failover while the left side spills holds for the right
+    /// one. Then, bucket by bucket, the left (build) side's extents are read
+    /// back, one request for each extent's filled prefix, and indexed by key
+    /// ([`KeyIndex`]); the right (probe) side's extents are read the same
+    /// way, one at a time, and each is probed as it arrives, so the probe
+    /// bucket is never held whole. Rows leave in the order of a loop over
+    /// the probe rows and, inside, the build rows that match (every build row
+    /// of a cross product). Where simulated mode elides the rows, each probe
+    /// extent emits its expected matches against the build bucket instead:
+    /// matching keys hash into the same bucket, so a co-bucket pair matches
+    /// at `partitions` times the relations' density (at most every pair).
+    ///
+    /// The buckets come back from the backend that was given them — real
+    /// files, or the simulator, which keeps what a data write carries — so
+    /// the simulator twin issues the real run's requests and joins the same
+    /// buckets. What is metered is what the join holds: an input block and
+    /// the staging buffers while the sides partition, the build bucket, one
+    /// probe extent and the sink's staged bytes while they join. Neither the
+    /// generator window an input comes from on a backend without its payload
+    /// nor the rows a `Discard` run collects count, so both twins, and a
+    /// collected and a digested run, meter the same bytes.
     #[allow(clippy::too_many_arguments)]
     fn run_grace(
         &mut self,
@@ -1052,134 +1197,16 @@ impl<B: StorageBackend> Executor<B> {
     ) -> Result<OpResult, ExecError> {
         let l = self.rel(left)?.clone();
         let r = self.rel(right)?.clone();
-        let out_width = l.tuple_bytes + r.tuple_bytes;
-        let out_cols = (l.width + r.width) as usize;
-        let mut sink = self.sink(output, out_width, out_cols);
-        if self.faithful() {
-            let hashes = self.grace_faithful(
-                (left, l),
-                (right, r),
-                (partitions, buffer_bytes),
-                spill,
-                pred,
-                &mut sink,
-                compares,
-            )?;
-            self.charge_cpu(*compares, sink.rows, hashes);
-            return sink.finish(&mut self.sm);
+        for rel in [&l, &r] {
+            self.decodable(rel, "GRACE join needs 8-byte columns")?;
         }
-        let mut emits = 0u64;
-        let mut hashes = 0u64;
-
-        // Partition pass: stream each relation, spill bucket buffers as
-        // they fill.
-        let spill_partition =
-            |this: &mut Executor<B>, rel: &Relation, hashes: &mut u64| -> Result<(), ExecError> {
-                let tb = rel.tuple_bytes;
-                let mut carry = 0u64;
-                let per_bucket_buf = (buffer_bytes / partitions.max(1)).max(tb);
-                let block = (buffer_bytes / tb).max(1);
-                let mut idx = 0;
-                while idx < rel.card {
-                    let n = rel.read_block(&mut this.sm, idx, block)?;
-                    *hashes += n;
-                    // Uniform buckets: charge the same writes in bulk.
-                    let bytes = n * rel.tuple_bytes;
-                    let mut remaining = bytes;
-                    while remaining >= per_bucket_buf {
-                        let f = this.sm.alloc(spill, per_bucket_buf)?;
-                        this.sm.write(f, 0, per_bucket_buf)?;
-                        remaining -= per_bucket_buf;
-                    }
-                    // Remainder accumulates; approximate by carrying it
-                    // into the next block.
-                    carry += remaining;
-                    if carry >= per_bucket_buf {
-                        let f = this.sm.alloc(spill, carry)?;
-                        this.sm.write(f, 0, carry)?;
-                        carry = 0;
-                    }
-                    idx += n.max(1);
-                }
-                if carry > 0 {
-                    let f = this.sm.alloc(spill, carry)?;
-                    this.sm.write(f, 0, carry)?;
-                }
-                Ok(())
-            };
-
-        spill_partition(self, &l, &mut hashes)?;
-        spill_partition(self, &r, &mut hashes)?;
-
-        // Join pass: read each co-bucket pair back and join in memory.
-        let density = density(pred, &l, &r);
-        let mut carry = 0.0f64;
-        for _ in 0..partitions {
-            let lcard = l.card / partitions;
-            let rcard = r.card / partitions;
-            let lbytes = lcard * l.tuple_bytes;
-            let rbytes = rcard * r.tuple_bytes;
-            if lbytes > 0 {
-                let f = self.sm.alloc(spill, lbytes)?;
-                self.sm.read(f, 0, lbytes)?;
-            }
-            if rbytes > 0 {
-                let f = self.sm.alloc(spill, rbytes)?;
-                self.sm.read(f, 0, rbytes)?;
-            }
-            hashes += lcard + rcard;
-            *compares += lcard + rcard; // hash probes, not pairs
-            let whole;
-            (whole, carry) = emit_step(expected_rows(lcard, rcard, density), carry);
-            emits += whole;
-            sink.emit_bulk(&mut self.sm, whole)?;
-        }
-        self.charge_cpu(*compares, emits, hashes);
-        sink.finish(&mut self.sm)
-    }
-
-    /// The faithful arm of [`run_grace`](Executor::run_grace), on every
-    /// backend: the out-of-core GRACE hash join itself. Returns the rows it
-    /// hashed (once when partitioned, once when joined), for the CPU model.
-    ///
-    /// Each side is partitioned by [`partition_pass`](Executor::partition_pass)
-    /// into bucket streams on the `spill` device — one [`SpillAlloc`] for
-    /// both, so a failover while the left side spills holds for the right
-    /// one. Then, bucket by bucket, the left (build) side's extents are read
-    /// back, one request for each extent's filled prefix, and indexed by key
-    /// ([`KeyIndex`]); the right (probe) side's extents are read the same
-    /// way, one at a time, and each is probed as it arrives, so the probe
-    /// bucket is never held whole. Rows leave in the order of a loop over
-    /// the probe rows and, inside, the build rows that match (every build row
-    /// of a cross product); `compares` counts one per pair emitted.
-    ///
-    /// The buckets come back from the backend that was given them — real
-    /// files, or the simulator, which keeps what a data write carries — so
-    /// the simulator twin issues the real run's requests and joins the same
-    /// buckets. What is metered is what the join holds: an input block and
-    /// the staging buffers while the sides partition, the build bucket, one
-    /// probe extent and the sink's staged bytes while they join. Neither the
-    /// generator window an input comes from on a backend without its payload
-    /// nor the rows a `Discard` run collects count, so both twins, and a
-    /// collected and a digested run, meter the same bytes. Columns narrower
-    /// than 8 bytes are refused before any request.
-    #[allow(clippy::too_many_arguments)]
-    fn grace_faithful(
-        &mut self,
-        (left, l): (usize, Relation),
-        (right, r): (usize, Relation),
-        buckets: (u64, u64),
-        spill: &str,
-        pred: JoinPred,
-        sink: &mut Sink,
-        compares: &mut u64,
-    ) -> Result<u64, ExecError> {
         let (lw, rw) = (l.width.max(1) as usize, r.width.max(1) as usize);
-        if l.tuple_bytes != lw as u64 * 8 || r.tuple_bytes != rw as u64 * 8 {
-            return Err(ExecError::BadParameter("GRACE join needs 8-byte columns"));
-        }
+        let (ltb, rtb) = (l.tuple_bytes, r.tuple_bytes);
+        let mut sink = self.sink(output, ltb + rtb, lw + rw);
+        let density = (partitions as f64 * density(pred, &l, &r)).min(1.0);
         let mut hashes = 0u64;
         let mut alloc = SpillAlloc::new(&self.sm, spill);
+        let buckets = (partitions, buffer_bytes);
         let lstreams = self.partition_pass((left, l), buckets, &mut alloc, &mut hashes)?;
         let rstreams = self.partition_pass((right, r), buckets, &mut alloc, &mut hashes)?;
 
@@ -1187,22 +1214,33 @@ impl<B: StorageBackend> Executor<B> {
         let mut index = KeyIndex::new();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let cross = pred == JoinPred::Cross;
+        let mut carry = 0.0f64;
         for (lstream, rstream) in lstreams.iter().zip(&rstreams) {
             build.clear();
+            let mut built_rows = 0u64;
             for extent in lstream {
-                let rows = self.extent_rows(left, extent, lw, &mut block)?;
-                build.extend_raw(rows.as_slice());
+                if let Some(rows) = self.extent_rows(left, extent, lw, &mut block)? {
+                    build.extend_raw(rows.as_slice());
+                }
+                built_rows += extent.filled / ltb;
             }
             if !cross {
                 index.build(&build);
             }
-            hashes += build.len() as u64;
+            hashes += built_rows;
             let built = build.as_slice();
             let held = built.len() as u64 * 8;
             for extent in rstream {
-                let rows = self.extent_rows(right, extent, rw, &mut block)?;
+                let probed = extent.filled / rtb;
+                hashes += probed;
+                let Some(rows) = self.extent_rows(right, extent, rw, &mut block)? else {
+                    let whole;
+                    (whole, carry) = emit_step(expected_rows(built_rows, probed, density), carry);
+                    *compares += whole;
+                    sink.emit_bulk(&mut self.sm, whole)?;
+                    continue;
+                };
                 let probe = rows.as_slice();
-                hashes += rows.len() as u64;
                 let mut from = 0;
                 while from < rows.len() {
                     pairs.clear();
@@ -1220,16 +1258,33 @@ impl<B: StorageBackend> Executor<B> {
             }
             self.note_peak(held + sink.encoded.len() as u64);
         }
-        Ok(hashes)
+        self.charge_cpu(*compares, sink.rows, hashes);
+        sink.finish(&mut self.sm)
+    }
+
+    /// Refuses, in faithful mode, a relation whose rows cannot be decoded
+    /// from its bytes (columns narrower than 8 bytes) before any request is
+    /// issued. Simulated mode brings no rows back and runs it.
+    fn decodable(&self, rel: &Relation, what: &'static str) -> Result<(), ExecError> {
+        if self.faithful() && rel.tuple_bytes != u64::from(rel.width.max(1)) * 8 {
+            return Err(ExecError::BadParameter(what));
+        }
+        Ok(())
     }
 
     /// One side's partition pass: the relation read `buffer_bytes` at a time
-    /// through [`Relation::load_block`] — so on a backend that holds the
-    /// payload it is the file's rows that are hashed — each row staged in
-    /// its bucket's buffer of `buffer_bytes / partitions` bytes, and a
-    /// buffer appended to its bucket's stream of page-aligned extents
+    /// through [`Executor::load`] — so on a backend that holds the payload
+    /// it is the file's rows that are hashed — each row staged in its
+    /// bucket's buffer of `buffer_bytes / partitions` bytes, and a buffer
+    /// appended to its bucket's stream of page-aligned extents
     /// ([`SpillAlloc::append_to_stream`]) by the row that fills it; what is
-    /// left of each is appended at the end. Returns each bucket's extents.
+    /// left of each is appended at the end, in bucket order. Returns each
+    /// bucket's extents.
+    ///
+    /// Where simulated mode elides the rows, they take the buckets in turn:
+    /// every bucket gets `card / partitions` rows and every staging buffer
+    /// fills at the same rate, so bucket `b`'s `k`-th flush falls due with
+    /// input row `(k·s − 1)·partitions + b + 1`, `s` the rows a buffer holds.
     fn partition_pass(
         &mut self,
         (input, mut rel): (usize, Relation),
@@ -1237,56 +1292,123 @@ impl<B: StorageBackend> Executor<B> {
         spill: &mut SpillAlloc,
         hashes: &mut u64,
     ) -> Result<Vec<Vec<Extent>>, ExecError> {
-        let (tb, width) = (rel.tuple_bytes, rel.width.max(1) as usize);
+        let (tb, width, card) = (rel.tuple_bytes, rel.width.max(1) as usize, rel.card);
         let block = (buffer_bytes / tb).max(1);
         let flush_at = (buffer_bytes / partitions).max(tb);
         // A staging buffer is flushed by the tuple that fills it.
         let stage_bytes = flush_at.div_ceil(tb) * tb;
         let mut staged: Vec<Vec<u8>> = vec![Vec::new(); partitions as usize];
         let mut streams: Vec<Vec<Extent>> = vec![Vec::new(); partitions as usize];
+        // Simulated mode's next flush: (k, b).
+        let (s, mut due) = (stage_bytes / tb, (1u64, 0u64));
         let mut buf = BlockBuf::default();
         let mut at = 0;
-        while at < rel.card {
-            let take = block.min(rel.card - at);
-            let rows = rel.load_block(&mut self.sm, at, block, &mut buf)?;
-            if rows.len() as u64 != take {
-                return Err(ExecError::MissingRows(input));
-            }
-            let mut rest = rows.as_slice();
-            while let Some((b, n)) =
-                stage_rows(rest, width, partitions, &mut staged, flush_at as usize)
-            {
-                spill.append_to_stream(&mut self.sm, &mut streams[b], &staged[b], stage_bytes)?;
-                staged[b].clear();
-                rest = &rest[n * width..];
+        while at < card {
+            let take = block.min(card - at);
+            match self.load(&mut rel, at, block, &mut buf)? {
+                Some(rows) if rows.len() as u64 != take => {
+                    return Err(ExecError::MissingRows(input))
+                }
+                Some(rows) => {
+                    let mut rest = rows.as_slice();
+                    while let Some((b, n)) =
+                        stage_rows(rest, width, partitions, &mut staged, flush_at as usize)
+                    {
+                        let rows = Payload::Bytes(&staged[b]);
+                        spill.append_to_stream(&mut self.sm, &mut streams[b], rows, stage_bytes)?;
+                        staged[b].clear();
+                        rest = &rest[n * width..];
+                    }
+                    let staging = staged.iter().map(|s| s.len() as u64).sum::<u64>();
+                    self.note_peak(take * tb + staging);
+                }
+                None => {
+                    while (due.0 * s - 1) * partitions + due.1 < at + take {
+                        let stream = &mut streams[due.1 as usize];
+                        let rows = Payload::Elided(stage_bytes);
+                        spill.append_to_stream(&mut self.sm, stream, rows, stage_bytes)?;
+                        due = match due.1 + 1 {
+                            b if b == partitions => (due.0 + 1, 0),
+                            b => (due.0, b),
+                        };
+                    }
+                }
             }
             *hashes += take;
-            let staging = staged.iter().map(|s| s.len() as u64).sum::<u64>();
-            self.note_peak(take * tb + staging);
             at += take;
         }
-        for (stream, stage) in streams.iter_mut().zip(&staged) {
-            if !stage.is_empty() {
-                spill.append_to_stream(&mut self.sm, stream, stage, stage_bytes)?;
+        for (b, (stream, stage)) in (0..).zip(streams.iter_mut().zip(&staged)) {
+            let rows = match self.faithful() {
+                true => Payload::Bytes(stage),
+                false => {
+                    let flushed = due.0 - 1 + u64::from(b < due.1);
+                    let share = (card + partitions - 1 - b) / partitions;
+                    Payload::Elided((share - flushed * s) * tb)
+                }
+            };
+            if rows.len() > 0 {
+                spill.append_to_stream(&mut self.sm, stream, rows, stage_bytes)?;
             }
         }
         Ok(streams)
     }
 
-    /// The tuples of one spill extent: one data read of its filled prefix.
+    /// The tuples of one spill extent: one data read of its filled prefix,
+    /// decoded; `None` where simulated mode elides them.
     fn extent_rows<'a>(
         &mut self,
         input: usize,
         extent: &Extent,
         width: usize,
         block: &'a mut BlockBuf,
-    ) -> Result<&'a RowBuf, ExecError> {
+    ) -> Result<Option<&'a RowBuf>, ExecError> {
+        if !self.faithful() {
+            self.sm.read(extent.file, 0, extent.filled)?;
+            return Ok(None);
+        }
         let card = extent.filled / (width as u64 * 8);
         let mut rel = Relation::attach(extent.file, card, width as u32, 1);
         let rows = rel.load_rows(&mut self.sm, 0, card, block)?;
-        rows.map(|rows| &*rows).ok_or(ExecError::MissingRows(input))
+        rows.map(|rows| Some(&*rows))
+            .ok_or(ExecError::MissingRows(input))
     }
 
+    /// [`Relation::load_rows`]'s request for the `n > 0` tuples at `index`:
+    /// the rows, to sort in place, in faithful mode; `None` where simulated
+    /// mode elides them.
+    fn load_rows<'a>(
+        &mut self,
+        (input, rel): (usize, &mut Relation),
+        index: u64,
+        n: u64,
+        buf: &'a mut BlockBuf,
+    ) -> Result<Option<&'a mut RowBuf>, ExecError> {
+        if !self.faithful() {
+            rel.read_block(&mut self.sm, index, n)?;
+            return Ok(None);
+        }
+        let rows = rel.load_rows(&mut self.sm, index, n, buf)?;
+        rows.map(Some).ok_or(ExecError::MissingRows(input))
+    }
+
+    /// The 2ᵏ-way external merge sort. Runs of `fan_in * b_in + b_out`
+    /// tuples — the merge's memory — are sorted and spilled to `scratch`
+    /// through a [`SpillAlloc`] (shrinking, or failing over, when the device
+    /// is full), then merged `fan_in` at a time by
+    /// [`merge_runs`](Executor::merge_runs) until one more pass leaves a
+    /// single run. That pass is the output pass: its batches go to one
+    /// extent on the output device, or to the sink's witness, not to a
+    /// scratch run that would have to be copied out; an input that forms a
+    /// single run is never spilled.
+    ///
+    /// The runs come back from the backend that was given them — real
+    /// files, or the simulator, which keeps what a run writes — so the
+    /// twin issues the real run's requests and computes on the same runs.
+    /// What is metered is what the sort holds: a batch and its encoding
+    /// while runs form, the run cursors and one output batch (and its
+    /// encoding, when it is written) while they merge. The generator window
+    /// the input comes from on a backend without its payload stands in for
+    /// the file and is not counted, so both twins meter the same bytes.
     // The parameters mirror Plan::ExternalSort field-for-field; bundling
     // them into a struct would just duplicate that variant.
     #[allow(clippy::too_many_arguments)]
@@ -1300,187 +1422,104 @@ impl<B: StorageBackend> Executor<B> {
         output: &Output,
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
-        let rel = self.rel(input)?.clone();
-        let n = rel.card;
-        let tb = rel.tuple_bytes;
-
-        // Number of 2^k-way merge levels over n singleton runs.
-        let levels = if n <= 1 {
-            0
-        } else {
-            ((n as f64).log2() / (fan_in as f64).log2()).ceil() as u64
-        };
-        if self.faithful() {
-            // What the model counts — the levels above — not the merge
-            // kernel's comparisons.
-            *compares += levels * n * (fan_in as f64).log2().ceil() as u64;
-            let mut sink = self.sink(output, tb, rel.width.max(1) as usize);
-            sink.extent =
-                self.sort_faithful(input, rel, (fan_in, b_in, b_out), scratch, &mut sink)?;
-            sink.rows = n;
-            self.charge_cpu(*compares, n, 0);
-            return sink.finish(&mut self.sm);
-        }
-
-        // Level 0 reads the input; later levels read the previous scratch
-        // region. Each level: runs shrink by `fan_in`; reads alternate
-        // between the merged runs (seeking), writes stream to fresh extents.
-        let mut first = true;
-        for _level in 0..levels {
-            // Read side: merging consumes each tuple once, in b_in-tuple
-            // chunks alternating across the fan-in runs (non-contiguous ⇒
-            // the HDD model charges a seek per chunk).
-            let total_chunks = n.div_ceil(b_in);
-            let chunk_bytes = (b_in * tb).min(n * tb);
-            let mark = self.sm.watermark(scratch).unwrap_or(0);
-            // A k-way merge alternates between its input runs, so
-            // consecutive chunk reads land at different positions: emulate
-            // by ping-ponging between two cursors half the data apart.
-            for c in 0..total_chunks {
-                if first {
-                    let half = (total_chunks / 2).max(1);
-                    let pos = if c % 2 == 0 { c / 2 } else { half + c / 2 };
-                    let offset = (pos * b_in) % n.max(1);
-                    let len = chunk_bytes.min((n - offset.min(n)) * tb).max(tb.min(8));
-                    self.sm.read(rel.file, offset * tb, len.min(rel.bytes()))?;
-                } else {
-                    // Two alternating scratch extents: every read seeks,
-                    // matching the estimator's one-InitCom-per-b_in-block.
-                    let f1 = self.sm.alloc(scratch, chunk_bytes.max(1))?;
-                    let f2 = self.sm.alloc(scratch, chunk_bytes.max(1))?;
-                    self.sm.read(f2, 0, chunk_bytes.max(1))?;
-                    self.sm.read(f1, 0, chunk_bytes.max(1))?;
-                }
-            }
-            // Write side: merged output in b_out chunks, streaming.
-            let out_chunks = n.div_ceil(b_out);
-            for _ in 0..out_chunks {
-                let f = self.sm.alloc(scratch, (b_out * tb).max(1))?;
-                self.sm.write(f, 0, (b_out * tb).max(1))?;
-            }
-            self.sm.truncate_device(scratch, mark)?;
-            *compares += n * (fan_in as f64).log2().ceil() as u64;
-            first = false;
-        }
-
-        // Final output: stream the sorted relation in b_out-tuple blocks.
-        let mut sink = self.sink(output, tb, rel.width.max(1) as usize);
-        sink.emit_bulk(&mut self.sm, n)?;
-        self.charge_cpu(*compares, n, 0);
-        sink.finish(&mut self.sm)
-    }
-
-    /// The faithful arm of [`run_sort`](Executor::run_sort), on every
-    /// backend: the 2ᵏ-way external merge sort itself. Runs of `fan_in *
-    /// b_in + b_out` tuples — the merge's memory — are sorted and spilled
-    /// to `scratch` through a [`SpillAlloc`] (shrinking, or failing over,
-    /// when the device is full), then merged `fan_in` at a time by
-    /// [`merge_runs`](Executor::merge_runs) until one more pass leaves a
-    /// single run. That pass is the output pass: its batches go to one
-    /// extent on the output device, or to the sink's witness, not to a
-    /// scratch run that would have to be copied out; an input that forms a
-    /// single run is never spilled. Returns the output extent of a
-    /// device-bound output.
-    ///
-    /// The runs come back from the backend that was given them — real
-    /// files, or the simulator, which keeps what a run writes — so the
-    /// twin issues the real run's requests and computes on the same runs.
-    /// What is metered is what the sort holds: a batch and its encoding
-    /// while runs form, the run cursors and one output batch (and its
-    /// encoding, when it is written) while they merge. The generator window
-    /// the input comes from on a backend without its payload stands in for
-    /// the file and is not counted, so both twins meter the same bytes.
-    fn sort_faithful(
-        &mut self,
-        input: usize,
-        mut rel: Relation,
-        (fan_in, b_in, b_out): (u64, u64, u64),
-        scratch: &str,
-        sink: &mut Sink,
-    ) -> Result<Option<(FileId, u64)>, ExecError> {
+        let mut rel = self.rel(input)?.clone();
+        self.decodable(&rel, "external sort needs 8-byte columns")?;
         let (card, tb, width) = (rel.card, rel.tuple_bytes, rel.width.max(1) as usize);
-        if tb != width as u64 * 8 {
-            return Err(ExecError::BadParameter(
-                "external sort needs 8-byte columns",
-            ));
-        }
-        let device = match &sink.output {
-            Output::ToDevice { device, .. } => Some(device.clone()),
+        // What the model counts — 2^k-way merge levels over singleton runs
+        // — not the merge kernel's comparisons.
+        let levels = match card {
+            0 | 1 => 0,
+            n => ((n as f64).log2() / (fan_in as f64).log2()).ceil() as u64,
+        };
+        *compares += levels * card * (fan_in as f64).log2().ceil() as u64;
+        let mut sink = self.sink(output, tb, width);
+        let device = match output {
+            Output::ToDevice { device, .. } => Some(device.as_str()),
             Output::Discard => None,
         };
         let run_tuples = fan_in * b_in + b_out;
         let (mut block, mut encoded) = (BlockBuf::default(), Vec::new());
-        if card <= run_tuples {
+        let out = if card == 0 {
+            None
+        } else if card <= run_tuples {
             // One run: from the sorted batch to the sink, nothing spilled.
-            if card == 0 {
-                return Ok(None);
+            let mut rows = self.load_rows((input, &mut rel), 0, card, &mut block)?;
+            if let Some(rows) = rows.as_deref_mut() {
+                rows.sort();
+                sink.witness(rows.as_slice());
             }
-            let rows = rel.load_rows(&mut self.sm, 0, card, &mut block)?;
-            let rows = rows.ok_or(ExecError::MissingRows(input))?;
-            rows.sort();
-            sink.witness(rows.as_slice());
-            let Some(device) = device else {
-                self.note_peak(card * tb);
-                return Ok(None);
-            };
-            rows.encode_into(8, &mut encoded);
-            self.note_peak(card * tb * 2);
-            let out = self.sm.alloc(&device, card * tb)?;
-            self.sm.write_bytes(out, 0, &encoded)?;
-            return Ok(Some((out, card * tb)));
-        }
-
-        // Run formation: a sorted batch is one run, or several smaller
-        // (still sorted) ones when the spill allocator has to shrink.
-        let mut spill = SpillAlloc::new(&self.sm, scratch);
-        let mut runs: Vec<(FileId, u64)> = Vec::new();
-        let mut at = 0u64;
-        while at < card {
-            let take = run_tuples.min(card - at);
-            let rows = rel.load_rows(&mut self.sm, at, take, &mut block)?;
-            let rows = rows.ok_or(ExecError::MissingRows(input))?;
-            rows.sort();
-            encoded.clear();
-            rows.encode_into(8, &mut encoded);
-            self.note_peak(take * tb * 2);
-            spill.spill_rows(&mut self.sm, &encoded, tb, &mut runs)?;
-            at += take;
-        }
-        drop((rel, block)); // the merges hold cursors and one output batch
-
-        // Merge passes onto the scratch device, fan_in runs at a time, until
-        // one more pass leaves a single run.
-        let buffers = (b_in, b_out);
-        while runs.len() > fan_in as usize {
-            let mut next = Vec::new();
-            for group in runs.chunks(fan_in as usize) {
-                if let [run] = group {
-                    next.push(*run);
-                    continue;
+            match device {
+                Some(device) => {
+                    let rows = match rows {
+                        Some(rows) => {
+                            rows.encode_into(8, &mut encoded);
+                            Payload::Bytes(&encoded)
+                        }
+                        None => Payload::Elided(card * tb),
+                    };
+                    self.note_peak(card * tb * 2);
+                    let out = self.sm.alloc(device, card * tb)?;
+                    rows.write(&mut self.sm, out, 0)?;
+                    Some(out)
                 }
-                let total = group.iter().map(|run| run.1).sum::<u64>();
-                let merged = spill.alloc(&mut self.sm, (total * tb).max(1))?;
-                self.merge_runs(
-                    input,
-                    group,
-                    width,
-                    buffers,
-                    Some(merged),
-                    None,
-                    &mut encoded,
-                )?;
-                next.push((merged, total));
+                None => {
+                    self.note_peak(card * tb);
+                    None
+                }
             }
-            runs = next;
-        }
-        // That pass is the output pass.
-        let out = match device {
-            Some(device) => Some(self.sm.alloc(&device, card * tb)?),
-            None => None,
+        } else {
+            // Run formation: a sorted batch is one run, or several smaller
+            // (still sorted) ones when the spill allocator has to shrink.
+            let mut spill = SpillAlloc::new(&self.sm, scratch);
+            let mut runs: Vec<(FileId, u64)> = Vec::new();
+            let mut at = 0u64;
+            while at < card {
+                let take = run_tuples.min(card - at);
+                let rows = match self.load_rows((input, &mut rel), at, take, &mut block)? {
+                    Some(rows) => {
+                        rows.sort();
+                        encoded.clear();
+                        rows.encode_into(8, &mut encoded);
+                        Payload::Bytes(&encoded)
+                    }
+                    None => Payload::Elided(take * tb),
+                };
+                self.note_peak(take * tb * 2);
+                spill.spill_rows(&mut self.sm, rows, tb, &mut runs)?;
+                at += take;
+            }
+            drop((rel, block)); // the merges hold cursors and one output batch
+
+            // Merge passes onto the scratch device, fan_in runs at a time,
+            // until one more pass leaves a single run.
+            let shape = ((width, tb), (b_in, b_out));
+            while runs.len() > fan_in as usize {
+                let mut next = Vec::new();
+                for group in runs.chunks(fan_in as usize) {
+                    if let [run] = group {
+                        next.push(*run);
+                        continue;
+                    }
+                    let total = group.iter().map(|run| run.1).sum::<u64>();
+                    let merged = spill.alloc(&mut self.sm, (total * tb).max(1))?;
+                    self.merge_runs(input, group, shape, Some(merged), None, &mut encoded)?;
+                    next.push((merged, total));
+                }
+                runs = next;
+            }
+            // That pass is the output pass.
+            let out = match device {
+                Some(device) => Some(self.sm.alloc(device, card * tb)?),
+                None => None,
+            };
+            sink.reserve(card);
+            self.merge_runs(input, &runs, shape, out, Some(&mut sink), &mut encoded)?;
+            out
         };
-        sink.reserve(card);
-        self.merge_runs(input, &runs, width, buffers, out, Some(sink), &mut encoded)?;
-        Ok(out.map(|file| (file, card * tb)))
+        sink.extent = out.map(|file| (file, card * tb));
+        sink.rows = card;
+        self.charge_cpu(*compares, card, 0);
+        sink.finish(&mut self.sm)
     }
 
     /// Merges the sorted `runs` (run file, tuples) — one `b_in`-tuple
@@ -1491,23 +1530,23 @@ impl<B: StorageBackend> Executor<B> {
     /// The request order is that of a loop which refills every cursor
     /// before picking each row: a cursor is refilled only once its last
     /// buffered row is out, and a batch which that row completed is written
-    /// *before* the refill is read. Every batch — the last, partial one too
-    /// — is metered: the cursors' blocks, the batch, and its encoding when
-    /// it is written.
-    #[allow(clippy::too_many_arguments)]
+    /// *before* the refill is read. Where simulated mode elides the rows,
+    /// [`Refills`] names the cursor that runs dry next and the rows out by
+    /// then. Every batch — the last, partial one too — is metered: the
+    /// cursors' blocks, the batch, and its encoding when it is written.
     fn merge_runs(
         &mut self,
         input: usize,
         runs: &[(FileId, u64)],
-        width: usize,
-        (b_in, b_out): (u64, u64),
+        ((width, tb), (b_in, b_out)): ((usize, u64), (u64, u64)),
         to: Option<FileId>,
         mut sink: Option<&mut Sink>,
         encoded: &mut Vec<u8>,
     ) -> Result<(), ExecError> {
-        let tb = width as u64 * 8;
         let over = |&(file, card): &(FileId, u64)| {
-            BlockCursor::new(Relation::attach(file, card, width as u32, 1), b_in)
+            let mut run = Relation::attach(file, card, width as u32, 1);
+            run.tuple_bytes = tb;
+            BlockCursor::new(run, b_in)
         };
         let mut cursors: Vec<BlockCursor> = runs.iter().map(over).collect();
         for cursor in cursors.iter_mut() {
@@ -1516,33 +1555,55 @@ impl<B: StorageBackend> Executor<B> {
         fn rests(cursors: &[BlockCursor]) -> Vec<&[i64]> {
             cursors.iter().map(BlockCursor::rest).collect()
         }
+        let cards: Vec<u64> = runs.iter().map(|run| run.1).collect();
+        let total = cards.iter().sum::<u64>();
+        let mut refills = (!self.faithful()).then(|| Refills::new(cards, b_in, total));
         let mut heads = MergeHeads::new(width, &rests(&cursors));
-        let mut batch = RowBuf::with_capacity(width, b_out as usize);
+        let capacity = if refills.is_some() { 0 } else { b_out as usize };
+        let mut batch = RowBuf::with_capacity(width, capacity);
         let mut written = 0u64;
         loop {
-            let room = (b_out - batch.len() as u64) as usize;
-            let stop = heads.fill(&rests(&cursors), room, &mut batch);
-            let rows = batch.len() as u64;
-            if rows == b_out || (stop == MergeStop::Done && rows > 0) {
-                let held: u64 = cursors.iter().map(BlockCursor::resident_bytes).sum();
-                if let Some(file) = to {
-                    self.note_peak(held + 2 * rows * tb);
-                    encoded.clear();
-                    batch.encode_into(8, encoded);
-                    self.sm.write_bytes(file, written * tb, encoded)?;
-                } else {
-                    self.note_peak(held + rows * tb);
+            let stop = match &mut refills {
+                Some(refills) => {
+                    let next = refills.next();
+                    let out = next.map_or(total, |(_, out)| out);
+                    // The batches out by then, and the partial last one.
+                    while written < out && (written + b_out <= out || next.is_none()) {
+                        let rows = b_out.min(out - written);
+                        if let Some(file) = to {
+                            Payload::Elided(rows * tb).write(&mut self.sm, file, written * tb)?;
+                        }
+                        written += rows;
+                    }
+                    next.map_or(MergeStop::Done, |(i, _)| MergeStop::Dry(i))
                 }
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.witness(batch.as_slice());
+                None => {
+                    let room = (b_out - batch.len() as u64) as usize;
+                    let stop = heads.fill(&rests(&cursors), room, &mut batch);
+                    let rows = batch.len() as u64;
+                    if rows == b_out || (stop == MergeStop::Done && rows > 0) {
+                        let held: u64 = cursors.iter().map(BlockCursor::resident_bytes).sum();
+                        if let Some(file) = to {
+                            self.note_peak(held + 2 * rows * tb);
+                            encoded.clear();
+                            batch.encode_into(8, encoded);
+                            self.sm.write_bytes(file, written * tb, encoded)?;
+                        } else {
+                            self.note_peak(held + rows * tb);
+                        }
+                        if let Some(sink) = sink.as_deref_mut() {
+                            sink.witness(batch.as_slice());
+                        }
+                        written += rows;
+                        batch.clear();
+                    }
+                    stop
                 }
-                written += rows;
-                batch.clear();
-            }
+            };
             match stop {
                 MergeStop::Full => {}
                 MergeStop::Dry(i) => {
-                    // The kernel took every buffered row: the cursor is due.
+                    // Every buffered row is out: the cursor is due.
                     cursors[i].drain();
                     self.ensure(&mut cursors[i], input)?;
                 }
@@ -1551,6 +1612,14 @@ impl<B: StorageBackend> Executor<B> {
         }
     }
 
+    /// Two block cursors and, for the set union, the last emitted row — the
+    /// online form of the tests' reference `merge_bufs`, which they hold it
+    /// to. A cursor is refilled only when its block is exhausted, and a
+    /// difference stops reading its right input once the left one is dry.
+    /// Between refills and flushes, [`merge_pass`] takes the steps where the
+    /// rows came back; where simulated mode elides them, [`Refills`] names
+    /// the cursor that runs dry next and the expected rows out by then
+    /// ([`expected_merge_rows`]).
     fn run_merge(
         &mut self,
         left: usize,
@@ -1562,71 +1631,6 @@ impl<B: StorageBackend> Executor<B> {
     ) -> Result<OpResult, ExecError> {
         let l = self.rel(left)?.clone();
         let r = self.rel(right)?.clone();
-        let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize);
-        *compares += l.card + r.card;
-        if self.faithful() {
-            self.merge_faithful((left, l), (right, r), kind, b_in, &mut sink)?;
-            self.charge_cpu(*compares, sink.rows, 0);
-            return sink.finish(&mut self.sm);
-        }
-
-        // Read both inputs in alternating b_in blocks (streaming merge),
-        // emitting output as the stream advances so writes interleave with
-        // the reads (the head-interference behaviour a real merge has).
-        let out_fraction = match kind {
-            MergeKind::SetUnion | MergeKind::MultisetUnionSorted | MergeKind::MultisetUnionVm => {
-                1.0
-            }
-            // Documented modeling assumption: on random inputs about half
-            // of the left multiset survives the difference — the paper's
-            // worst-case estimate (all of it) then overshoots, reproducing
-            // §7.3's overestimation discussion.
-            MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm => 0.5,
-        };
-        let mut li = 0;
-        let mut ri = 0;
-        let mut emits = 0u64;
-        while li < l.card || ri < r.card {
-            let mut consumed = 0u64;
-            if li < l.card {
-                let n = l.read_block(&mut self.sm, li, b_in)?;
-                li += n.max(1);
-                consumed += n;
-            }
-            if ri < r.card {
-                let n = r.read_block(&mut self.sm, ri, b_in)?;
-                ri += n.max(1);
-                if matches!(
-                    kind,
-                    MergeKind::SetUnion
-                        | MergeKind::MultisetUnionSorted
-                        | MergeKind::MultisetUnionVm
-                ) {
-                    consumed += n;
-                }
-            }
-            let e = (consumed as f64 * out_fraction) as u64;
-            emits += e;
-            sink.emit_bulk(&mut self.sm, e)?;
-        }
-        self.charge_cpu(*compares, emits, 0);
-        sink.finish(&mut self.sm)
-    }
-
-    /// The faithful arm of [`run_merge`](Executor::run_merge): two block
-    /// cursors and, for the set union, the last emitted row — the online
-    /// form of the tests' reference `merge_bufs`, which they hold it to. A
-    /// cursor is refilled only when its block is exhausted, and a difference
-    /// stops reading its right input once the left one is dry; between
-    /// refills and flushes, [`merge_pass`] takes the steps.
-    fn merge_faithful(
-        &mut self,
-        (left, l): (usize, Relation),
-        (right, r): (usize, Relation),
-        kind: MergeKind,
-        b_in: u64,
-        sink: &mut Sink,
-    ) -> Result<(), ExecError> {
         // Rows of <value, multiplicity>, keyed by the value.
         let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
         if l.width != r.width || (vm && l.width != 2) {
@@ -1638,18 +1642,38 @@ impl<B: StorageBackend> Executor<B> {
             kind,
             MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
         );
+        let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize);
         sink.reserve(l.card + if diff { 0 } else { r.card });
+        *compares += l.card + r.card;
         let width = l.width.max(1) as usize;
+        let total = expected_merge_rows(kind, &l, &r);
+        let cards = vec![l.card, r.card];
+        let mut refills = (!self.faithful()).then(|| Refills::new(cards, b_in, total));
+        let left_empty = l.card == 0;
         let mut a = BlockCursor::new(l, b_in);
         let mut b = BlockCursor::new(r, b_in);
         // The last emitted row (set-union dedup); empty — which no row is —
         // until there is one.
         let mut last: Vec<i64> = Vec::new();
         let mut out: Vec<i64> = Vec::new();
+        let mut due = [true, true];
         loop {
-            self.ensure(&mut a, left)?;
-            if !(diff && a.head().is_none()) {
+            if due[0] {
+                self.ensure(&mut a, left)?;
+            }
+            // Simulated mode holds no rows: its left input is dry if empty.
+            let left_dry = a.head().is_none() && (refills.is_none() || left_empty);
+            if due[1] && !(diff && left_dry) {
                 self.ensure(&mut b, right)?;
+            }
+            if let Some(refills) = &mut refills {
+                let Some((i, out)) = refills.next() else {
+                    sink.emit_bulk(&mut self.sm, total - sink.rows)?;
+                    break;
+                };
+                sink.emit_bulk(&mut self.sm, out - sink.rows)?;
+                due = [i == 0, i == 1];
+                continue;
             }
             // The loop notes what is resident before each step.
             let held = a.resident_bytes() + b.resident_bytes();
@@ -1658,7 +1682,7 @@ impl<B: StorageBackend> Executor<B> {
             let rests = (a.rest(), b.rest());
             let took = merge_pass(kind, width, rests, &mut last, sink.room(), &mut out);
             if took.steps == 0 {
-                return Ok(());
+                break;
             }
             a.skip(took.rows[0]);
             b.skip(took.rows[1]);
@@ -1667,11 +1691,14 @@ impl<B: StorageBackend> Executor<B> {
                 self.note_peak(held + sink.resident_bytes());
             }
             sink.emit_rows(&mut self.sm, &out[took.before_last..])?;
+            due = [a.rest().is_empty(), b.rest().is_empty()];
         }
+        self.charge_cpu(*compares, sink.rows, 0);
+        sink.finish(&mut self.sm)
     }
 
-    /// The per-row loop [`merge_faithful`](Executor::merge_faithful) runs
-    /// as [`merge_pass`] calls: the oracle the kernel is held to.
+    /// The per-row loop [`run_merge`](Executor::run_merge) runs as
+    /// [`merge_pass`] calls: the oracle the kernel is held to.
     #[cfg(test)]
     fn merge_literal(
         &mut self,
@@ -1862,7 +1889,8 @@ impl<B: StorageBackend> Executor<B> {
     ) -> Result<OpResult, ExecError> {
         let rel = self.rel(input)?.clone();
         let card = rel.card;
-        let per_row = expected_distinct(rel.key_range, card) / card as f64;
+        let rows = (rel.key_range as f64).powi(rel.width.max(1) as i32);
+        let per_row = expected_distinct(rows, card) / card as f64;
         let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
         sink.reserve(card);
         *compares += card;
@@ -2858,8 +2886,7 @@ mod tests {
         ex.merge_runs(
             0,
             &runs,
-            1,
-            (2, 100),
+            ((1, 8), (2, 100)),
             None,
             Some(&mut sink),
             &mut Vec::new(),
@@ -3002,12 +3029,13 @@ mod tests {
 
             let want: Vec<i64> = tagged.iter().flat_map(|(row, _)| row.iter().copied()).collect();
             let mut sink = ex.sink(&Output::Discard, width as u64 * 8, width);
-            ex.merge_runs(0, &runs, width, (b_in, b_out), None, Some(&mut sink), &mut Vec::new())
+            let shape = ((width, width as u64 * 8), (b_in, b_out));
+            ex.merge_runs(0, &runs, shape, None, Some(&mut sink), &mut Vec::new())
                 .unwrap();
             let done = sink.finish(&mut ex.sm).unwrap();
             proptest::prop_assert_eq!(done.output.unwrap().as_slice(), want.as_slice());
             let merged = ex.sm.alloc("HDD", (want.len() as u64 * 8).max(1)).unwrap();
-            ex.merge_runs(0, &runs, width, (b_in, b_out), Some(merged), None, &mut Vec::new())
+            ex.merge_runs(0, &runs, shape, Some(merged), None, &mut Vec::new())
                 .unwrap();
             let mut bytes = vec![0u8; want.len() * 8];
             let kept = ex.sm.read_data(merged, 0, &mut bytes).unwrap();
@@ -3146,6 +3174,14 @@ mod tests {
             vec![vec![1, 2]]
         );
     }
+
+    const MERGE_KINDS: [MergeKind; 5] = [
+        MergeKind::MultisetUnionSorted,
+        MergeKind::SetUnion,
+        MergeKind::MultisetUnionVm,
+        MergeKind::MultisetDiffSorted,
+        MergeKind::MultisetDiffVm,
+    ];
 
     /// One charged request: `(is_write, file, offset, len)`.
     type Request = (bool, usize, u64, u64);
@@ -3417,13 +3453,7 @@ mod tests {
             };
             let (specs, plan) = match template {
                 0..=4 => {
-                    let kind = [
-                        MergeKind::MultisetUnionSorted,
-                        MergeKind::SetUnion,
-                        MergeKind::MultisetUnionVm,
-                        MergeKind::MultisetDiffSorted,
-                        MergeKind::MultisetDiffVm,
-                    ][template as usize];
+                    let kind = MERGE_KINDS[template as usize];
                     let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
                     let width = if vm { 2 } else { width };
                     let specs = vec![spec("A", cards.0, width), spec("B", cards.1, width)];
@@ -3557,15 +3587,25 @@ mod tests {
 
     /// The duplicate removal's oracle is what a faithful run over uniform
     /// keys emits: 2^20 sorted ints drawn from half as many, as many and
-    /// four times as many keys, within 1% of [`expected_distinct`] — which
-    /// a simulated run emits, its last fraction dropped.
+    /// four times as many keys, and 2^16 pairs from half as many (a row is a
+    /// duplicate only if both columns are), within 1% of
+    /// [`expected_distinct`] — which a simulated run emits, its last
+    /// fraction dropped.
     #[test]
     fn the_dedup_oracle_is_the_faithful_distinct_count() {
-        let card = 1u64 << 20;
-        for range in [card / 2, card, 4 * card] {
-            let spec = RelSpec::ints("L", "HDD", card)
-                .sorted()
-                .with_key_range(range);
+        let ints = 1u64 << 20;
+        for (width, card, range) in [
+            (1, ints, ints / 2),
+            (1, ints, ints),
+            (1, ints, 4 * ints),
+            (2, 1 << 16, 1 << 15),
+        ] {
+            let spec = RelSpec {
+                width,
+                ..RelSpec::ints("L", "HDD", card)
+                    .sorted()
+                    .with_key_range(range)
+            };
             let rows = |faithful: bool| {
                 let mut ex = setup(faithful, 1 << 25).with_output_collection(false);
                 let rel = Relation::create(&mut ex.sm, &spec, faithful, 5).unwrap();
@@ -3577,12 +3617,295 @@ mod tests {
                 };
                 ex.run(&plan).unwrap().output_rows
             };
-            let (want, got) = (expected_distinct(range, card), rows(true) as f64);
+            let keys = (range as f64).powi(width as i32);
+            let (want, got) = (expected_distinct(keys, card), rows(true) as f64);
             assert!(
                 (got / want - 1.0).abs() < 0.01,
                 "{got} of {range} keys, expected {want}"
             );
             assert_eq!(rows(false), want.floor() as u64, "{range} keys");
+        }
+    }
+
+    /// The GRACE join's and the merge pass's oracles are what a faithful run
+    /// over uniform keys emits, within 3%: an equi-join (a co-bucket pair
+    /// matches at `partitions` times the relations' density) and a cross
+    /// product of co-buckets, and the five merge kinds over sorted inputs
+    /// drawn from as many keys as rows and from a quarter as many.
+    #[test]
+    fn the_grace_and_merge_oracles_are_the_faithful_counts() {
+        let mut cases = Vec::new();
+        for (pred, card) in [(JoinPred::KeyEq, 1 << 14), (JoinPred::Cross, 2048)] {
+            let specs = ["R", "S"].map(|n| RelSpec::pairs(n, "HDD", card).with_key_range(card / 4));
+            let (partitions, buffer_bytes, spill) = (8, 1 << 12, "HDD".into());
+            let output = Output::Discard;
+            let plan = Plan::GraceJoin {
+                left: 0,
+                right: 1,
+                partitions,
+                buffer_bytes,
+                spill,
+                pred,
+                output,
+            };
+            cases.push((specs, plan));
+        }
+        let card = 1u64 << 15;
+        for (kind, range) in MERGE_KINDS.iter().flat_map(|&k| [(k, card), (k, card / 4)]) {
+            let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
+            let spec = if vm { RelSpec::pairs } else { RelSpec::ints };
+            let specs = ["A", "B"].map(|n| spec(n, "HDD", card).sorted().with_key_range(range));
+            let (b_in, output) = (1 << 10, Output::Discard);
+            cases.push((
+                specs,
+                Plan::MergePass {
+                    left: 0,
+                    right: 1,
+                    kind,
+                    b_in,
+                    output,
+                },
+            ));
+        }
+        for (specs, plan) in cases {
+            let rows = |faithful: bool| {
+                let mut ex = setup(faithful, 1 << 25).with_output_collection(false);
+                for (spec, seed) in specs.iter().zip(21..) {
+                    let rel = Relation::create(&mut ex.sm, spec, faithful, seed).unwrap();
+                    ex.add_relation(rel);
+                }
+                ex.run(&plan).unwrap().output_rows as f64
+            };
+            let (want, got) = (rows(false), rows(true));
+            assert!(
+                (got / want - 1.0).abs() < 0.03,
+                "{plan:?}: {got} rows, the oracle's {want}"
+            );
+        }
+    }
+
+    /// The stable merge order of runs of `cards` rows under the refill
+    /// oracle's model: run `i`'s `n`-th row has key `n / cards[i]`, a tie
+    /// going to the lower run. Returns the run of each merged row.
+    fn model_order(cards: &[u64]) -> Vec<usize> {
+        let rows = (0..cards.len()).flat_map(|i| (1..=cards[i]).map(move |n| (n, i)));
+        let mut rows: Vec<(u64, usize)> = rows.collect();
+        rows.sort_by(|&(n, i), &(m, j)| (n * cards[j]).cmp(&(m * cards[i])).then(i.cmp(&j)));
+        rows.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// An external sort's runs: a formed run, or a group it merges, with
+    /// their tuples.
+    enum Runs {
+        Formed(usize),
+        Merged(Vec<(u64, Runs)>),
+    }
+
+    /// Hands the sorted `keys` of `runs` down to the formed runs, in the
+    /// order the refill oracle's model merges each group.
+    fn deal(keys: Vec<i64>, runs: Runs, formed: &mut [Vec<i64>]) {
+        match runs {
+            Runs::Formed(i) => formed[i] = keys,
+            Runs::Merged(group) => {
+                let order = model_order(&group.iter().map(|run| run.0).collect::<Vec<_>>());
+                let mut parts = vec![Vec::new(); group.len()];
+                for (key, i) in keys.into_iter().zip(order) {
+                    parts[i].push(key);
+                }
+                for (part, (_, runs)) in parts.into_iter().zip(group) {
+                    deal(part, runs, formed);
+                }
+            }
+        }
+    }
+
+    /// Where the data is what the oracles assume, leaving it out is the only
+    /// difference between the modes: the same requests in the same order
+    /// (`Recording`, runs issued request by request), the same rows and the
+    /// same seconds, for
+    /// - every merge kind over even keys on the left and odd ones on the
+    ///   right (values, for the value-multiplicity kinds), from a key range
+    ///   large enough that the expected output is every row (of the left
+    ///   input, for a difference), flushing mid-block;
+    /// - an external sort of three merge levels whose last groups are
+    ///   short (a pair of runs, one of them short, and a run alone), over
+    ///   runs whose keys interleave at every level as the refill oracle
+    ///   spaces them — round-robin among runs of one length;
+    /// - a GRACE cross product of co-buckets whose keys take the buckets in
+    ///   turn, so that every bucket gets the same rows, writing its output.
+    #[test]
+    fn the_modes_issue_the_same_requests_where_the_oracle_is_exact() {
+        let mut cases: Vec<(Vec<RowBuf>, Plan)> = Vec::new();
+        let device = |buffer_bytes| Output::ToDevice {
+            device: "HDD2".into(),
+            buffer_bytes,
+        };
+        for kind in MERGE_KINDS {
+            let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
+            let width = 1 + usize::from(vm);
+            let side = |parity: i64| {
+                let rows = (0..64).flat_map(|n| [2 * n + parity, n % 5 + 1]);
+                RowBuf::from_vec(rows.step_by(3 - width).collect(), width)
+            };
+            let (b_in, output) = (8, device(56 * width as u64));
+            let plan = Plan::MergePass {
+                left: 0,
+                right: 1,
+                kind,
+                b_in,
+                output,
+            };
+            cases.push((vec![side(0), side(1)], plan));
+        }
+
+        // Eleven runs of 9 tuples (fan-in 3 x 2 + 3), the last of 5: merged
+        // as [27, 27, 27, 14], then [81, 14], then by the output pass.
+        let (fan_in, b_in, b_out, card) = (3, 2, 3, 95u64);
+        let run = fan_in * b_in + b_out;
+        let mut level: Vec<(u64, Runs)> = (0..card.div_ceil(run))
+            .map(|i| (run.min(card - i * run), Runs::Formed(i as usize)))
+            .collect();
+        let mut merges = 0;
+        while level.len() > 1 {
+            let size = level
+                .len()
+                .min(fan_in as usize + usize::from(level.len() <= 3));
+            let mut groups = level.into_iter().peekable();
+            level = Vec::new();
+            while groups.peek().is_some() {
+                let mut group: Vec<(u64, Runs)> = groups.by_ref().take(size).collect();
+                merges += usize::from(group.len() > 1);
+                level.push(match group.len() {
+                    1 => group.pop().expect("one run"),
+                    _ => (group.iter().map(|run| run.0).sum(), Runs::Merged(group)),
+                });
+            }
+        }
+        assert_eq!(merges, 6, "five merges and the output pass");
+        let mut formed = vec![Vec::new(); card.div_ceil(run) as usize];
+        let runs = level.pop().expect("the output pass").1;
+        deal((0..card as i64).collect(), runs, &mut formed);
+        let input = formed.into_iter().flat_map(|keys| keys.into_iter().rev());
+        let (scratch, output) = ("HDD".into(), device(40));
+        let plan = Plan::ExternalSort {
+            input: 0,
+            fan_in,
+            b_in,
+            b_out,
+            scratch,
+            output,
+        };
+        cases.push((vec![RowBuf::from_vec(input.collect(), 1)], plan));
+
+        // Keys that take four buckets in turn.
+        let (partitions, mut next) = (4, 0i64);
+        let mut key_for = |bucket: u64| loop {
+            next += 1;
+            if ocal::stable_hash(&ocal::Value::Int(next)) % partitions == bucket {
+                return next;
+            }
+        };
+        let mut side = |card: u64| {
+            let rows = (0..card).flat_map(|n| [key_for(n % partitions), n as i64]);
+            RowBuf::from_vec(rows.collect(), 2)
+        };
+        let (buffer_bytes, spill, pred, output) = (192, "HDD".into(), JoinPred::Cross, device(96));
+        let plan = Plan::GraceJoin {
+            left: 0,
+            right: 1,
+            partitions,
+            buffer_bytes,
+            spill,
+            pred,
+            output,
+        };
+        cases.push((vec![side(80), side(28)], plan));
+
+        for (rows, plan) in cases {
+            let log = |mode: Mode| {
+                let h = presets::two_hdd_ram(1 << 25);
+                let sm = Recording::new(StorageSim::from_hierarchy(&h), false);
+                let mut ex = Executor::new(sm, mode, CpuModel::default());
+                for rows in &rows {
+                    let file = file_of(&mut ex.sm, "HDD", rows);
+                    let card = rows.len() as u64;
+                    ex.add_relation(Relation::attach(file, card, rows.width() as u32, 1 << 40));
+                }
+                ex.sm.log.clear();
+                let stats = ex.run(&plan).unwrap();
+                (ex.sm.log, stats.output_rows, stats.seconds.to_bits())
+            };
+            let (want, got) = (log(Mode::Faithful), log(Mode::Simulated));
+            assert!(want.0.len() > 20, "{plan:?}: {} requests", want.0.len());
+            assert_eq!(
+                (got.1, got.2),
+                (want.1, want.2),
+                "{plan:?}: rows and seconds"
+            );
+            assert!(got.0 == want.0, "{plan:?}: the request sequences differ");
+        }
+    }
+
+    /// Columns narrower than 8 bytes: the external sort and the GRACE join
+    /// run their one schedule over them in simulated mode, which brings no
+    /// rows back — the sort spills its 13 full formed runs of 384 one-byte
+    /// tuples, the join appends its buckets to extents of their own — and
+    /// refuse them in faithful mode before any request.
+    #[test]
+    fn narrow_columns_run_simulated_and_are_refused_faithfully() {
+        let (spill, output) = ("HDD".to_string(), Output::Discard);
+        let (fan_in, b_in, b_out, scratch) = (4, 64, 128, spill.clone());
+        let sort = Plan::ExternalSort {
+            input: 0,
+            fan_in,
+            b_in,
+            b_out,
+            scratch,
+            output: output.clone(),
+        };
+        let (partitions, buffer_bytes, pred) = (4, 1024, JoinPred::KeyEq);
+        let grace = Plan::GraceJoin {
+            left: 0,
+            right: 1,
+            partitions,
+            buffer_bytes,
+            spill,
+            pred,
+            output,
+        };
+        let formed_runs: fn(&[Request]) -> bool =
+            |log| log.iter().filter(|r| r.0 && r.3 == 384).count() == 13;
+        let bucket_streams: fn(&[Request]) -> bool = |log| log.iter().any(|r| r.0 && r.2 > 0);
+        for (plan, why, schedule) in [
+            (sort, "external sort needs 8-byte columns", formed_runs),
+            (grace, "GRACE join needs 8-byte columns", bucket_streams),
+        ] {
+            for mode in [Mode::Simulated, Mode::Faithful] {
+                let h = presets::hdd_ram(1 << 16);
+                let sm = Recording::new(StorageSim::from_hierarchy(&h), false);
+                let mut ex = Executor::new(sm, mode, CpuModel::default());
+                for name in ["R", "S"] {
+                    let spec = RelSpec {
+                        col_bytes: 1,
+                        ..RelSpec::ints(name, "HDD", 5000)
+                    };
+                    let faithful = mode == Mode::Faithful;
+                    let rel = Relation::create(&mut ex.sm, &spec.with_key_range(1000), faithful, 1);
+                    ex.add_relation(rel.unwrap());
+                }
+                match (mode, ex.run(&plan)) {
+                    (Mode::Simulated, Ok(stats)) => {
+                        assert!(stats.output_rows > 0 && schedule(&ex.sm.log), "{why}")
+                    }
+                    (Mode::Faithful, Err(ExecError::BadParameter(w))) => {
+                        assert_eq!(w, why);
+                        assert!(ex.sm.log.is_empty(), "{why}: requests before refusing");
+                    }
+                    (mode, other) => {
+                        panic!("{why}: {mode:?} gave {:?}", other.map(|s| s.output_rows))
+                    }
+                }
+            }
         }
     }
 

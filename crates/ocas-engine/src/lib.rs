@@ -11,15 +11,15 @@
 //!   request is still accounted by the device simulators (so seeks, erase
 //!   blocks and read/write interference are enacted exactly), while the
 //!   in-memory work is accounted through the CPU model. Used at the
-//!   paper's multi-gigabyte scales. For the block-nested-loops join, column
-//!   zip, sorted duplicate removal and aggregate it is the faithful
-//!   schedule with the data elided: one loop issues the same requests in
-//!   both modes, and where a request brings no rows back a few-line oracle
-//!   stands in for the kernel — the expected matches of a block pair, a
-//!   zip's block of rows, the expected distinct count spread over the
-//!   blocks, nothing. Merge pass, external sort and GRACE join keep a
-//!   hand-written emulation until they get an oracle for refill order and
-//!   bucket sizes.
+//!   paper's multi-gigabyte scales. It is the faithful schedule with the
+//!   data elided: every template is one loop issuing the same requests in
+//!   both modes, and where a request brings no rows back an oracle for
+//!   uniform keys stands in for what the data decides — the expected
+//!   matches of a block pair or a GRACE co-bucket pair, a zip's block of
+//!   rows, the expected distinct count spread over the blocks, a merge's
+//!   expected output and the cursor it refills next, the rows each GRACE
+//!   bucket gets. The spill layout (runs, bucket extents) is the same in
+//!   both modes.
 //!
 //! **Run requests in simulated mode.** The cost of simulating a plan must
 //! not grow with how finely the plan slices a sequential scan — the paper's

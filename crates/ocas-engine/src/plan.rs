@@ -50,12 +50,11 @@ pub enum Mode {
     /// Real rows, exact outputs (small scale): every request brings its
     /// block's rows back and the template's kernel computes on them.
     Faithful,
-    /// The same schedule with the data elided (paper scale): requests bring
-    /// no rows, an oracle stands in for the kernel (expected matches,
-    /// distinct counts), and the CPU is modeled. Block-nested loops, column
-    /// zip, sorted dedup and aggregate issue the faithful requests; merge
-    /// pass, external sort and GRACE join still run a per-template
-    /// emulation.
+    /// The same schedule with the data elided (paper scale): every template
+    /// issues the faithful requests, which bring no rows; an oracle for
+    /// uniform keys stands in for what the data decides (expected matches
+    /// and distinct counts, the cursor a merge refills next, the rows a
+    /// GRACE bucket gets), and the CPU is modeled.
     Simulated,
 }
 

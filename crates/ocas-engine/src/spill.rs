@@ -21,6 +21,10 @@
 //!   and checksums every partition page on eviction — which is also why a
 //!   torn partition page still surfaces as `CorruptPage` on the bucket read
 //!   that reaches it.
+//!
+//! Both executor modes lay their spills out here. A write carries a
+//! [`Payload`]: the tuples' bytes, or where simulated mode elides the data
+//! their length alone, which places and charges the same request.
 
 use ocas_storage::{FileId, StorageBackend, StorageError};
 
@@ -55,6 +59,46 @@ pub(crate) struct Extent {
     pub(crate) file: FileId,
     cap: u64,
     pub(crate) filled: u64,
+}
+
+/// What a spill write carries: the tuples' bytes, or only their length
+/// where simulated mode elides the data. Either way it is the same request.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Payload<'a> {
+    Bytes(&'a [u8]),
+    Elided(u64),
+}
+
+impl Payload<'_> {
+    /// Bytes written.
+    pub(crate) fn len(&self) -> u64 {
+        match self {
+            Payload::Bytes(bytes) => bytes.len() as u64,
+            Payload::Elided(len) => *len,
+        }
+    }
+
+    /// Bytes `start..end` of the payload.
+    fn slice(&self, start: u64, end: u64) -> Payload<'_> {
+        match self {
+            Payload::Bytes(bytes) => Payload::Bytes(&bytes[start as usize..end as usize]),
+            Payload::Elided(_) => Payload::Elided(end - start),
+        }
+    }
+
+    /// Writes the payload at `offset` of `file`: a data write, or the same
+    /// request without the data.
+    pub(crate) fn write<B: StorageBackend>(
+        self,
+        sm: &mut B,
+        file: FileId,
+        offset: u64,
+    ) -> Result<(), StorageError> {
+        match self {
+            Payload::Bytes(bytes) => sm.write_bytes(file, offset, bytes),
+            Payload::Elided(len) => sm.write(file, offset, len),
+        }
+    }
 }
 
 impl SpillAlloc {
@@ -100,28 +144,24 @@ impl SpillAlloc {
         }
     }
 
-    /// Writes `bytes` (whole `tb`-byte tuples, one sorted batch) as one run,
+    /// Writes `rows` (whole `tb`-byte tuples, one sorted batch) as one run,
     /// appending `(file, tuples)` to `runs`. On capacity exhaustion the
     /// extent halves — a contiguous slice of a sorted batch is still a sorted
     /// run — and when single-tuple extents no longer fit it fails over.
     pub(crate) fn spill_rows<B: StorageBackend>(
         &mut self,
         sm: &mut B,
-        bytes: &[u8],
+        rows: Payload<'_>,
         tb: u64,
         runs: &mut Vec<(FileId, u64)>,
     ) -> Result<(), StorageError> {
-        let rows = bytes.len() as u64 / tb;
-        let (mut start, mut chunk) = (0u64, rows);
-        while start < rows {
-            let n = chunk.min(rows - start);
+        let (count, mut start) = (rows.len() / tb, 0u64);
+        let mut chunk = count;
+        while start < count {
+            let n = chunk.min(count - start);
             match sm.alloc(&self.device, n * tb) {
                 Ok(f) => {
-                    sm.write_bytes(
-                        f,
-                        0,
-                        &bytes[(start * tb) as usize..((start + n) * tb) as usize],
-                    )?;
+                    rows.slice(start * tb, (start + n) * tb).write(sm, f, 0)?;
                     runs.push((f, n));
                     start += n;
                 }
@@ -132,7 +172,7 @@ impl SpillAlloc {
                 Err(e) if e.is_capacity() => {
                     self.fail_over(sm, e)?;
                     // Fresh device: back to full-size extents.
-                    chunk = rows;
+                    chunk = count;
                 }
                 Err(e) => return Err(e),
             }
@@ -185,22 +225,22 @@ impl SpillAlloc {
         }
     }
 
-    /// Appends `bytes` (whole tuples, at most `stage_bytes` of them) to a
+    /// Appends `rows` (whole tuples, at most `stage_bytes` of them) to a
     /// spill stream: into the room left in its last extent, or into a fresh
     /// reservation when they do not fit there.
     pub(crate) fn append_to_stream<B: StorageBackend>(
         &mut self,
         sm: &mut B,
         stream: &mut Vec<Extent>,
-        bytes: &[u8],
+        rows: Payload<'_>,
         stage_bytes: u64,
     ) -> Result<(), StorageError> {
-        let len = bytes.len() as u64;
+        let len = rows.len();
         if !stream.last().is_some_and(|e| e.cap - e.filled >= len) {
             stream.push(self.reserve(sm, stage_bytes)?);
         }
         let extent = stream.last_mut().expect("just reserved");
-        sm.write_bytes(extent.file, extent.filled, bytes)?;
+        rows.write(sm, extent.file, extent.filled)?;
         extent.filled += len;
         Ok(())
     }

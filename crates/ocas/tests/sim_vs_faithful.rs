@@ -1,19 +1,18 @@
 //! Table 1's "act" against the algorithm that runs: every row's winner,
 //! synthesized at paper scale, runs in `Mode::Simulated` (what Table 1
-//! reports: the faithful schedule with the data elided for BNL, column zip,
-//! dedup and aggregate, a per-template emulation for merge, sort and GRACE)
-//! and in `Mode::Faithful` (the algorithm a real run executes) on a fresh
-//! `StorageSim` with `CpuModel::default()`, over
-//! the row's relations with `card` and `key_range` divided by 1024 (seeds
-//! 7, 8, … per relation).
+//! reports) and in `Mode::Faithful` (what a real run executes) on a fresh
+//! `StorageSim` with `CpuModel::default()`, over the row's relations with
+//! `card` and `key_range` divided by 1024 (seeds 7, 8, … per relation).
 //!
-//! This is a ratchet, not a statement of the target. [`TODAY`] holds what
-//! the two arms do today: where their per-device counters are equal the
-//! test requires them equal, and for every row it requires today's
-//! faithful/simulated seconds to ±2%. The target for every row is equal
-//! `DeviceStats` and a ratio of 1.00 (ROADMAP direction 1: one arm per
-//! template); a change that moves a row towards it updates the row here,
-//! and one that moves a row away fails. `-- --nocapture` prints the table.
+//! Every template is one loop in both modes: simulated mode issues the
+//! faithful requests with the data elided, and an oracle stands in for
+//! what the data decides — expected matches and distinct rows, the cursor
+//! a merge refills next, the rows a GRACE bucket gets. So the arms can only
+//! differ where the data departs from its oracle. [`TODAY`] says, for each
+//! row, that they do not (equal `DeviceStats` on every device) or how they
+//! do, with the reason written beside it; either way it pins the
+//! faithful/simulated seconds to ±2%, and a row that differs must stay
+//! inside [`BAND`]. `-- --nocapture` prints the table.
 
 use ocas::experiments::{self, Experiment};
 use ocas_engine::{lower, CpuModel, ExecError, Executor, Mode, Plan, RelSpec, Relation};
@@ -26,43 +25,56 @@ const SCALE: u64 = 1024;
 /// How far a row's faithful/simulated ratio may move from today's.
 const RATIO_TOLERANCE: f64 = 0.02;
 
+/// Where the faithful/simulated ratio of a row whose arms differ must lie:
+/// the data against its oracle, not a second schedule.
+const BAND: (f64, f64) = (0.9, 1.1);
+
 /// What the two arms of a row do today.
 #[derive(Debug, Clone, Copy)]
 enum Today {
     /// Equal `DeviceStats` on every device; the seconds differ by the CPU
     /// charge alone, at this faithful/simulated ratio.
     Same(f64),
-    /// Different requests, at this faithful/simulated ratio.
+    /// Different requests, because the data is not its oracle, at this
+    /// faithful/simulated ratio.
     Differs(f64),
     /// The faithful arm refuses the plan with this `BadParameter`.
     Refused(&'static str),
 }
 
-/// Today's table, in `experiments::table1()` order. Target for every row:
-/// `Same(1.00)`.
+/// Today's table, in `experiments::table1()` order.
 const TODAY: [(&str, Today); 16] = [
     ("BNL - No writeout", Today::Same(1.000)),
     ("BNL with cache - No writeout", Today::Same(1.000)),
-    // Seeks 1,203 against 276, 3.70 MB read against 2.17: the simulated
-    // arm models 8 output rows, the faithful run emits 1,984.
-    ("(GRACE) hash join - No writeout", Today::Differs(4.269)),
-    // Act/opt 0.136: the estimator's error, not the emulation's.
+    // The data's buckets are uneven (256 left rows each on average): 75 of
+    // 256 never fill a 248-row staging buffer, so the faithful run writes
+    // 437 left flushes against the oracle's 512 (1,203 seeks against
+    // 1,282), and its uneven buckets straddle more pages (3.70 MB read
+    // against 3.18).
+    ("(GRACE) hash join - No writeout", Today::Differs(0.940)),
+    // Act/opt 0.136: the estimator's error, not the executor's.
     ("BNL writing to HDD", Today::Same(1.000)),
     ("BNL wr. to other HDD", Today::Same(1.000)),
     ("BNL writing to flash", Today::Same(1.000)),
-    // The row's 1-byte columns; with 8-byte columns the ping-pong
-    // emulation reads 109 MB against the faithful sort's 16.8.
+    // The row's 1-byte columns run in simulated mode only.
     (
         "External sorting",
         Today::Refused("external sort needs 8-byte columns"),
     ),
-    // The simulated arm writes every input row, the faithful one the
-    // distinct ones.
-    ("Set Union", Today::Differs(0.940)),
-    ("Multiset Union (sorted list)", Today::Differs(1.317)),
-    ("Multiset Union (value-multiplicity)", Today::Differs(1.075)),
-    ("Multiset Diff. (sorted list)", Today::Differs(0.959)),
-    ("Multiset Diff. (value-multiplicity)", Today::Differs(1.101)),
+    // Output writes only: the distinct keys the data holds (1,818,624 B)
+    // against their expected count (1,814,528), and one seek.
+    ("Set Union", Today::Differs(0.997)),
+    ("Multiset Union (sorted list)", Today::Same(1.000)),
+    // The data's refills drift apart from the oracle's evenly interleaved
+    // ones, so output flushes fall between them (415 seeks against 383);
+    // output writes differ by the matched values' count.
+    ("Multiset Union (value-multiplicity)", Today::Differs(1.080)),
+    // The data lets one input run a block ahead of the other, so some
+    // refills follow one another without a seek (24 of 386), and the
+    // device reads 5.67 MB of pages against 5.77.
+    ("Multiset Diff. (sorted list)", Today::Differs(0.950)),
+    // Output writes (1,605,632 B against 1,601,536) and one seek.
+    ("Multiset Diff. (value-multiplicity)", Today::Differs(0.997)),
     ("Column Store Read 5 cols.", Today::Same(1.000)),
     ("Column Store Read 10 cols.", Today::Same(1.000)),
     // Same reads and seeks; the faithful run writes the distinct keys its
@@ -161,6 +173,12 @@ fn every_table1_winner_runs_both_arms_as_it_does_today() {
         };
         let ratio = fa_s / sim_s;
         println!("{name:40} faithful {fa_s:.6e} s, simulated {sim_s:.6e} s, ratio {ratio:.4}");
+        if let Today::Differs(_) = today {
+            assert!(
+                (BAND.0..=BAND.1).contains(&ratio),
+                "{name}: faithful/simulated {ratio:.4} is outside {BAND:?}"
+            );
+        }
         assert!(
             (ratio / want - 1.0).abs() <= RATIO_TOLERANCE,
             "{name}: faithful/simulated {ratio:.4}, today {want}"
