@@ -26,7 +26,7 @@ use crate::key_index::{self, KeyIndex};
 use crate::key_scan::KeyColumns;
 use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
-use crate::rel::{BlockBuf, BlockCursor, Relation, RowBuf, RowsView};
+use crate::rel::{BlockBuf, BlockCursor, Layout, Relation, RowBuf, RowsView};
 use crate::spill::{stage_rows, Extent, Payload, SpillAlloc};
 use crate::stream_kernel::{dedup, merge_pass, zip, Took};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
@@ -95,13 +95,13 @@ pub struct ExecStats {
     /// twins — simulator and real backend — be compared without
     /// materializing either output.
     pub output_digest: Option<u64>,
-    /// Columns per output row.
-    pub output_width: usize,
+    /// Columns per output row and their bytes in `output_extent`.
+    pub output_layout: Layout,
     /// Where a faithful run's [`Output::ToDevice`] rows can be read back
     /// from: `(file, bytes)`, the rows in emission order from the file's
-    /// start, `output_width` 8-byte columns each. `None` for narrower
-    /// columns and for an output that outgrew the sink's wrap-around
-    /// window (witnessed by its row count and digest).
+    /// start, in [`output_layout`](ExecStats::output_layout). `None` for an
+    /// output that outgrew the sink's wrap-around window (witnessed by its
+    /// row count and digest).
     pub output_extent: Option<(FileId, u64)>,
     /// High-water mark of resident tuple bytes the faithful data path
     /// held during this run: relation cache windows, decoded blocks and
@@ -161,14 +161,6 @@ fn fnv_values(mut h: u64, values: &[i64]) -> u64 {
         }
     }
     h
-}
-
-/// The wrapping sum of column 0 over `bytes`, rows of `width` little-endian
-/// 8-byte columns: the aggregate's inner loop over a data run, compiled once.
-fn column0_sum(bytes: &[u8], width: usize) -> i64 {
-    let first = |row: &[u8]| i64::from_le_bytes(row[..8].try_into().expect("an 8-byte column"));
-    let rows = bytes.chunks_exact(8 * width);
-    rows.fold(0i64, |sum, row| sum.wrapping_add(first(row)))
 }
 
 /// The share of `a` x `b` pairs a join under `pred` emits, for keys drawn
@@ -371,11 +363,13 @@ fn emitted_over(on: u64, k2: u64, card: u64, density: f64, carry: f64) -> (u64, 
 /// interference experiment.
 ///
 /// Rows arrive as borrowed slices; they are appended to the flat
-/// `collected` batch and encoded straight into the staging byte buffer — no
-/// per-tuple allocation. (An external sort writes its own output extent and
-/// hands the sink only its batches to witness.)
+/// `collected` batch and encoded straight into the staging byte buffer, in
+/// the output's [`Layout`] — no per-tuple allocation. (An external sort
+/// writes its own output extent and hands the sink its batches to witness.)
 struct Sink {
     output: Output,
+    /// The output's tuple format: its inputs' layouts, concatenated.
+    layout: Layout,
     tuple_bytes: u64,
     pending: u64,
     rows: u64,
@@ -383,16 +377,10 @@ struct Sink {
     /// outputs, and the emitted rows are witnessed — kept in `collected`,
     /// or else folded into `digest`.
     faithful: bool,
-    /// Columns per output row.
-    width: usize,
     collected: Option<RowBuf>,
     /// Running FNV-1a digest over emitted rows (faithful mode, when they
     /// are not collected).
     digest: u64,
-    /// `Some(col_bytes)` when every column encodes as the same number of
-    /// little-endian bytes (`tuple_bytes / columns`); `None` falls back to
-    /// padding/trimming full 8-byte columns to the declared tuple size.
-    codec: Option<usize>,
     /// Encoded-but-unflushed row bytes (faithful mode only): flushes carry
     /// this payload so a real backend writes genuine tuples, not filler.
     encoded: Vec<u8>,
@@ -407,38 +395,20 @@ struct Sink {
 const SINK_EXTENT: u64 = 1 << 30;
 
 impl Sink {
-    fn new(
-        output: &Output,
-        tuple_bytes: u64,
-        out_cols: usize,
-        faithful: bool,
-        collect: bool,
-    ) -> Sink {
-        let want = tuple_bytes.max(1) as usize;
-        let ncols = out_cols.max(1);
-        let codec = if want % ncols == 0 && (1..=8).contains(&(want / ncols)) {
-            Some(want / ncols)
-        } else {
-            None
-        };
+    fn new(output: &Output, layout: Layout, faithful: bool, collect: bool) -> Sink {
         Sink {
             output: output.clone(),
-            tuple_bytes: tuple_bytes.max(1),
+            tuple_bytes: layout.tuple_bytes(),
+            collected: (faithful && collect).then(|| RowBuf::new(layout.width())),
+            layout,
             pending: 0,
             rows: 0,
             faithful,
-            width: ncols,
-            collected: (faithful && collect).then(|| RowBuf::new(ncols)),
             digest: FNV_OFFSET,
-            codec,
             encoded: Vec::new(),
             extent: None,
             cursor: 0,
         }
-    }
-
-    fn encoding(&self) -> bool {
-        matches!(self.output, Output::ToDevice { .. }) && self.faithful
     }
 
     /// Resident staging bytes: encoded-but-unflushed payload plus (when
@@ -452,45 +422,11 @@ impl Sink {
         self.encoded.len() as u64 + collected
     }
 
-    /// Encodes the columns of one row in the on-disk tuple format
-    /// `Relation::create` materializes.
-    fn encode_cols<'a>(&mut self, cols: impl Iterator<Item = &'a i64>) {
-        match self.codec {
-            Some(8) => {
-                for col in cols {
-                    self.encoded.extend_from_slice(&col.to_le_bytes());
-                }
-            }
-            Some(cb) => {
-                for col in cols {
-                    self.encoded.extend_from_slice(&col.to_le_bytes()[..cb]);
-                }
-            }
-            None => {
-                // Mixed-width tuples have no uniform column encoding; keep
-                // the byte accounting exact by padding/trimming full
-                // 8-byte columns to the declared tuple size.
-                let want = self.tuple_bytes as usize;
-                let mut n = 0usize;
-                for col in cols {
-                    if n >= want {
-                        break;
-                    }
-                    let take = (want - n).min(8);
-                    self.encoded.extend_from_slice(&col.to_le_bytes()[..take]);
-                    n += take;
-                }
-                self.encoded
-                    .extend(std::iter::repeat(0u8).take(want - n.min(want)));
-            }
-        }
-    }
-
     /// Makes room for `rows` collected rows at once: the bound an operator
     /// knows on its output, so that collecting does not grow by doubling.
     fn reserve(&mut self, rows: u64) {
         if let Some(c) = &mut self.collected {
-            c.raw_mut().reserve(rows as usize * self.width);
+            c.raw_mut().reserve(rows as usize * self.layout.width());
         }
     }
 
@@ -532,20 +468,13 @@ impl Sink {
             return Ok(());
         }
         self.witness(values);
-        let n = (values.len() / self.width) as u64;
+        let n = (values.len() / self.layout.width()) as u64;
         if matches!(self.output, Output::Discard) {
             self.rows += n;
             return Ok(());
         }
         if self.faithful {
-            match self.codec {
-                Some(8) => self.encode_cols(values.iter()),
-                _ => {
-                    for row in values.chunks_exact(self.width) {
-                        self.encode_cols(row.iter());
-                    }
-                }
-            }
+            self.layout.encode(values, &mut self.encoded);
         }
         self.emit_bulk(sm, n)
     }
@@ -557,8 +486,8 @@ impl Sink {
         a: &[i64],
         b: &[i64],
     ) -> Result<(), ExecError> {
-        if self.encoding() {
-            self.encode_cols(a.iter().chain(b.iter()));
+        if self.faithful && matches!(self.output, Output::ToDevice { .. }) {
+            self.layout.encode_concat(a, b, &mut self.encoded);
         }
         self.witness(a);
         self.witness(b);
@@ -678,14 +607,14 @@ impl Sink {
         let pending = self.pending;
         self.flush_bytes(sm, pending)?;
         let bytes = self.rows * self.tuple_bytes;
-        // Real rows, all of them still there, eight bytes a column.
+        // Real rows, all of them still there.
         let extent = self
             .extent
-            .filter(|(_, len)| self.faithful && self.codec == Some(8) && bytes <= *len)
+            .filter(|(_, len)| self.faithful && bytes <= *len)
             .map(|(file, _)| (file, bytes));
         Ok(OpResult {
             rows: self.rows,
-            width: self.width,
+            layout: self.layout,
             digest: (self.faithful && self.collected.is_none()).then_some(self.digest),
             output: self.collected,
             extent,
@@ -696,10 +625,9 @@ impl Sink {
 /// What one operator produced: emitted rows, their witness (the collected
 /// batch or else the emission digest, in faithful mode) and the extent a
 /// device-bound output can be read back from.
-#[derive(Default)]
 struct OpResult {
     rows: u64,
-    width: usize,
+    layout: Layout,
     output: Option<RowBuf>,
     digest: Option<u64>,
     extent: Option<(FileId, u64)>,
@@ -743,14 +671,8 @@ impl<B: StorageBackend> Executor<B> {
 
     /// The sink for one operator under the executor's mode and collection
     /// policy.
-    fn sink(&self, output: &Output, tuple_bytes: u64, out_cols: usize) -> Sink {
-        Sink::new(
-            output,
-            tuple_bytes,
-            out_cols,
-            self.faithful(),
-            self.collect_output,
-        )
+    fn sink(&self, output: &Output, layout: Layout) -> Sink {
+        Sink::new(output, layout, self.faithful(), self.collect_output)
     }
 
     /// Registers a relation, returning its plan index.
@@ -884,7 +806,7 @@ impl<B: StorageBackend> Executor<B> {
             compares,
             output: op.output,
             output_digest: op.digest,
-            output_width: op.width,
+            output_layout: op.layout,
             output_extent: op.extent,
             peak_resident_bytes: self.peak_resident,
             cache: self.cache.as_ref().map(|c| c.stats()),
@@ -916,7 +838,7 @@ impl<B: StorageBackend> Executor<B> {
         let mut o = self.rel(oi)?.clone();
         let mut i = self.rel(ii)?.clone();
         let (otb, itb) = (o.tuple_bytes, i.tuple_bytes);
-        let mut sink = self.sink(output, otb + itb, (o.width + i.width) as usize);
+        let mut sink = self.sink(output, o.layout().then(&i.layout()));
         let density = density(pred, &o, &i);
         let inner_blocks = i.card.div_ceil(k2);
         let (mut emits, mut probes, mut carry) = (0u64, 0u64, 0.0f64);
@@ -1197,18 +1119,15 @@ impl<B: StorageBackend> Executor<B> {
     ) -> Result<OpResult, ExecError> {
         let l = self.rel(left)?.clone();
         let r = self.rel(right)?.clone();
-        for rel in [&l, &r] {
-            self.decodable(rel, "GRACE join needs 8-byte columns")?;
-        }
         let (lw, rw) = (l.width.max(1) as usize, r.width.max(1) as usize);
         let (ltb, rtb) = (l.tuple_bytes, r.tuple_bytes);
-        let mut sink = self.sink(output, ltb + rtb, lw + rw);
+        let mut sink = self.sink(output, l.layout().then(&r.layout()));
         let density = (partitions as f64 * density(pred, &l, &r)).min(1.0);
         let mut hashes = 0u64;
         let mut alloc = SpillAlloc::new(&self.sm, spill);
         let buckets = (partitions, buffer_bytes);
-        let lstreams = self.partition_pass((left, l), buckets, &mut alloc, &mut hashes)?;
-        let rstreams = self.partition_pass((right, r), buckets, &mut alloc, &mut hashes)?;
+        let lstreams = self.partition_pass((left, l.clone()), buckets, &mut alloc, &mut hashes)?;
+        let rstreams = self.partition_pass((right, r.clone()), buckets, &mut alloc, &mut hashes)?;
 
         let (mut build, mut block) = (RowBuf::new(lw), BlockBuf::default());
         let mut index = KeyIndex::new();
@@ -1219,7 +1138,7 @@ impl<B: StorageBackend> Executor<B> {
             build.clear();
             let mut built_rows = 0u64;
             for extent in lstream {
-                if let Some(rows) = self.extent_rows(left, extent, lw, &mut block)? {
+                if let Some(rows) = self.extent_rows(left, extent, &l, &mut block)? {
                     build.extend_raw(rows.as_slice());
                 }
                 built_rows += extent.filled / ltb;
@@ -1233,7 +1152,7 @@ impl<B: StorageBackend> Executor<B> {
             for extent in rstream {
                 let probed = extent.filled / rtb;
                 hashes += probed;
-                let Some(rows) = self.extent_rows(right, extent, rw, &mut block)? else {
+                let Some(rows) = self.extent_rows(right, extent, &r, &mut block)? else {
                     let whole;
                     (whole, carry) = emit_step(expected_rows(built_rows, probed, density), carry);
                     *compares += whole;
@@ -1262,16 +1181,6 @@ impl<B: StorageBackend> Executor<B> {
         sink.finish(&mut self.sm)
     }
 
-    /// Refuses, in faithful mode, a relation whose rows cannot be decoded
-    /// from its bytes (columns narrower than 8 bytes) before any request is
-    /// issued. Simulated mode brings no rows back and runs it.
-    fn decodable(&self, rel: &Relation, what: &'static str) -> Result<(), ExecError> {
-        if self.faithful() && rel.tuple_bytes != u64::from(rel.width.max(1)) * 8 {
-            return Err(ExecError::BadParameter(what));
-        }
-        Ok(())
-    }
-
     /// One side's partition pass: the relation read `buffer_bytes` at a time
     /// through [`Executor::load`] — so on a backend that holds the payload
     /// it is the file's rows that are hashed — each row staged in its
@@ -1292,7 +1201,8 @@ impl<B: StorageBackend> Executor<B> {
         spill: &mut SpillAlloc,
         hashes: &mut u64,
     ) -> Result<Vec<Vec<Extent>>, ExecError> {
-        let (tb, width, card) = (rel.tuple_bytes, rel.width.max(1) as usize, rel.card);
+        let (tb, card) = (rel.tuple_bytes, rel.card);
+        let cols = (rel.width.max(1) as usize, rel.col_bytes());
         let block = (buffer_bytes / tb).max(1);
         let flush_at = (buffer_bytes / partitions).max(tb);
         // A staging buffer is flushed by the tuple that fills it.
@@ -1312,12 +1222,12 @@ impl<B: StorageBackend> Executor<B> {
                 Some(rows) => {
                     let mut rest = rows.as_slice();
                     while let Some((b, n)) =
-                        stage_rows(rest, width, partitions, &mut staged, flush_at as usize)
+                        stage_rows(rest, cols, partitions, &mut staged, flush_at as usize)
                     {
                         let rows = Payload::Bytes(&staged[b]);
                         spill.append_to_stream(&mut self.sm, &mut streams[b], rows, stage_bytes)?;
                         staged[b].clear();
-                        rest = &rest[n * width..];
+                        rest = &rest[n * cols.0..];
                     }
                     let staging = staged.iter().map(|s| s.len() as u64).sum::<u64>();
                     self.note_peak(take * tb + staging);
@@ -1353,22 +1263,21 @@ impl<B: StorageBackend> Executor<B> {
         Ok(streams)
     }
 
-    /// The tuples of one spill extent: one data read of its filled prefix,
-    /// decoded; `None` where simulated mode elides them.
+    /// The tuples of one spill extent, laid out as `run`: one data read of
+    /// its filled prefix, decoded; `None` where simulated mode elides them.
     fn extent_rows<'a>(
         &mut self,
         input: usize,
         extent: &Extent,
-        width: usize,
+        run: &Relation,
         block: &'a mut BlockBuf,
     ) -> Result<Option<&'a RowBuf>, ExecError> {
         if !self.faithful() {
             self.sm.read(extent.file, 0, extent.filled)?;
             return Ok(None);
         }
-        let card = extent.filled / (width as u64 * 8);
-        let mut rel = Relation::attach(extent.file, card, width as u32, 1);
-        let rows = rel.load_rows(&mut self.sm, 0, card, block)?;
+        let mut rel = run.in_file(extent.file, extent.filled / run.tuple_bytes);
+        let rows = rel.load_rows(&mut self.sm, 0, rel.card, block)?;
         rows.map(|rows| Some(&*rows))
             .ok_or(ExecError::MissingRows(input))
     }
@@ -1423,8 +1332,7 @@ impl<B: StorageBackend> Executor<B> {
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
         let mut rel = self.rel(input)?.clone();
-        self.decodable(&rel, "external sort needs 8-byte columns")?;
-        let (card, tb, width) = (rel.card, rel.tuple_bytes, rel.width.max(1) as usize);
+        let (card, tb, cb) = (rel.card, rel.tuple_bytes, rel.col_bytes());
         // What the model counts — 2^k-way merge levels over singleton runs
         // — not the merge kernel's comparisons.
         let levels = match card {
@@ -1432,7 +1340,7 @@ impl<B: StorageBackend> Executor<B> {
             n => ((n as f64).log2() / (fan_in as f64).log2()).ceil() as u64,
         };
         *compares += levels * card * (fan_in as f64).log2().ceil() as u64;
-        let mut sink = self.sink(output, tb, width);
+        let mut sink = self.sink(output, rel.layout());
         let device = match output {
             Output::ToDevice { device, .. } => Some(device.as_str()),
             Output::Discard => None,
@@ -1452,7 +1360,7 @@ impl<B: StorageBackend> Executor<B> {
                 Some(device) => {
                     let rows = match rows {
                         Some(rows) => {
-                            rows.encode_into(8, &mut encoded);
+                            rows.encode_into(cb, &mut encoded);
                             Payload::Bytes(&encoded)
                         }
                         None => Payload::Elided(card * tb),
@@ -1479,7 +1387,7 @@ impl<B: StorageBackend> Executor<B> {
                     Some(rows) => {
                         rows.sort();
                         encoded.clear();
-                        rows.encode_into(8, &mut encoded);
+                        rows.encode_into(cb, &mut encoded);
                         Payload::Bytes(&encoded)
                     }
                     None => Payload::Elided(take * tb),
@@ -1488,11 +1396,11 @@ impl<B: StorageBackend> Executor<B> {
                 spill.spill_rows(&mut self.sm, rows, tb, &mut runs)?;
                 at += take;
             }
+            let (run, shape) = (rel.in_file(rel.file, 0), (b_in, b_out));
             drop((rel, block)); // the merges hold cursors and one output batch
 
             // Merge passes onto the scratch device, fan_in runs at a time,
             // until one more pass leaves a single run.
-            let shape = ((width, tb), (b_in, b_out));
             while runs.len() > fan_in as usize {
                 let mut next = Vec::new();
                 for group in runs.chunks(fan_in as usize) {
@@ -1502,7 +1410,8 @@ impl<B: StorageBackend> Executor<B> {
                     }
                     let total = group.iter().map(|run| run.1).sum::<u64>();
                     let merged = spill.alloc(&mut self.sm, (total * tb).max(1))?;
-                    self.merge_runs(input, group, shape, Some(merged), None, &mut encoded)?;
+                    let to = Some(merged);
+                    self.merge_runs((input, &run), group, shape, to, None, &mut encoded)?;
                     next.push((merged, total));
                 }
                 runs = next;
@@ -1513,7 +1422,8 @@ impl<B: StorageBackend> Executor<B> {
                 None => None,
             };
             sink.reserve(card);
-            self.merge_runs(input, &runs, shape, out, Some(&mut sink), &mut encoded)?;
+            let sink = Some(&mut sink);
+            self.merge_runs((input, &run), &runs, shape, out, sink, &mut encoded)?;
             out
         };
         sink.extent = out.map(|file| (file, card * tb));
@@ -1522,10 +1432,11 @@ impl<B: StorageBackend> Executor<B> {
         sink.finish(&mut self.sm)
     }
 
-    /// Merges the sorted `runs` (run file, tuples) — one `b_in`-tuple
-    /// [`BlockCursor`] each — `b_out` rows a batch with the merge kernel,
-    /// writing each batch to the file `to` (one contiguous extent, batch
-    /// after batch) and handing it to `sink`'s witness, where given.
+    /// Merges the sorted `runs` (run file, tuples) laid out as `run` — one
+    /// `b_in`-tuple [`BlockCursor`] each — `b_out` rows a batch with the
+    /// merge kernel, writing each batch to the file `to` (one contiguous
+    /// extent, batch after batch) and handing it to `sink`'s witness, where
+    /// given.
     ///
     /// The request order is that of a loop which refills every cursor
     /// before picking each row: a cursor is refilled only once its last
@@ -1536,18 +1447,15 @@ impl<B: StorageBackend> Executor<B> {
     /// cursors' blocks, the batch, and its encoding when it is written.
     fn merge_runs(
         &mut self,
-        input: usize,
+        (input, run): (usize, &Relation),
         runs: &[(FileId, u64)],
-        ((width, tb), (b_in, b_out)): ((usize, u64), (u64, u64)),
+        (b_in, b_out): (u64, u64),
         to: Option<FileId>,
         mut sink: Option<&mut Sink>,
         encoded: &mut Vec<u8>,
     ) -> Result<(), ExecError> {
-        let over = |&(file, card): &(FileId, u64)| {
-            let mut run = Relation::attach(file, card, width as u32, 1);
-            run.tuple_bytes = tb;
-            BlockCursor::new(run, b_in)
-        };
+        let (width, tb, cb) = (run.width.max(1) as usize, run.tuple_bytes, run.col_bytes());
+        let over = |&(file, card): &(FileId, u64)| BlockCursor::new(run.in_file(file, card), b_in);
         let mut cursors: Vec<BlockCursor> = runs.iter().map(over).collect();
         for cursor in cursors.iter_mut() {
             self.ensure(cursor, input)?;
@@ -1586,7 +1494,7 @@ impl<B: StorageBackend> Executor<B> {
                         if let Some(file) = to {
                             self.note_peak(held + 2 * rows * tb);
                             encoded.clear();
-                            batch.encode_into(8, encoded);
+                            batch.encode_into(cb, encoded);
                             self.sm.write_bytes(file, written * tb, encoded)?;
                         } else {
                             self.note_peak(held + rows * tb);
@@ -1642,7 +1550,7 @@ impl<B: StorageBackend> Executor<B> {
             kind,
             MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
         );
-        let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize);
+        let mut sink = self.sink(output, l.layout());
         sink.reserve(l.card + if diff { 0 } else { r.card });
         *compares += l.card + r.card;
         let width = l.width.max(1) as usize;
@@ -1796,9 +1704,9 @@ impl<B: StorageBackend> Executor<B> {
             .map(|c| self.rel(*c).cloned())
             .collect::<Result<_, _>>()?;
         let card = rels.iter().map(|r| r.card).min().unwrap_or(0);
-        let out_bytes: u64 = rels.iter().map(|r| r.tuple_bytes).sum();
-        let out_cols: usize = rels.iter().map(|r| r.width.max(1) as usize).sum();
-        let mut sink = self.sink(output, out_bytes, out_cols);
+        // `validate` refuses an empty zip.
+        let layouts = rels.iter().map(Relation::layout);
+        let mut sink = self.sink(output, layouts.reduce(|row, next| row.then(&next)).unwrap());
         sink.reserve(card);
         let over = |mut r: Relation| {
             r.card = card;
@@ -1891,7 +1799,7 @@ impl<B: StorageBackend> Executor<B> {
         let card = rel.card;
         let rows = (rel.key_range as f64).powi(rel.width.max(1) as i32);
         let per_row = expected_distinct(rows, card) / card as f64;
-        let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
+        let mut sink = self.sink(output, rel.layout());
         sink.reserve(card);
         *compares += card;
         let mut cursor = BlockCursor::new(rel, b_in);
@@ -1945,7 +1853,7 @@ impl<B: StorageBackend> Executor<B> {
     /// is a run of one), so a backend that serves sequential requests
     /// together sees them together — all the full blocks at once where
     /// simulated mode elides the data. The rows are decoded from a run's bytes
-    /// where the backend handed them back (8-byte columns), else they are the
+    /// where the backend handed them back, else they are the
     /// generator's: the run's from the window at once when it holds them
     /// all, else block by block, so the window moves where it always did.
     /// Either way residency is counted as the block read that way would
@@ -1958,9 +1866,8 @@ impl<B: StorageBackend> Executor<B> {
         compares: &mut u64,
     ) -> Result<OpResult, ExecError> {
         let mut rel = self.rel(input)?.clone();
-        let tb = rel.tuple_bytes;
+        let (tb, layout) = (rel.tuple_bytes, rel.layout());
         let width = rel.width.max(1) as usize;
-        let decodes = tb == width as u64 * 8;
         let page = self.sm.page_bytes(self.sm.device_of(rel.file))?;
         let per_run = (page / (b_in * tb).max(1)).max(1);
         let mut bytes: Vec<u8> = Vec::new();
@@ -1990,8 +1897,8 @@ impl<B: StorageBackend> Executor<B> {
             let held = self
                 .sm
                 .read_data_run(rel.file, idx * tb, block * tb, blocks, run)?;
-            if held && decodes {
-                sum = sum.wrapping_add(column0_sum(run, width));
+            if held {
+                sum = sum.wrapping_add(layout.column0_sum(run));
                 count += n as i64;
                 peak = peak.max(rel.resident_bytes() + block * width as u64 * 8);
             } else if let Some(rows) = rel.cached_rows(idx, n) {
@@ -2020,7 +1927,7 @@ impl<B: StorageBackend> Executor<B> {
             (avg.filter(|_| self.collect_output)).map(|avg| RowBuf::from_vec(vec![avg], 1));
         Ok(OpResult {
             rows: 1,
-            width: 1,
+            layout: Layout::new(1, 8),
             digest: avg
                 .filter(|_| output.is_none())
                 .map(|avg| fnv_values(FNV_OFFSET, &[avg])),
@@ -2090,7 +1997,7 @@ mod tests {
     ) -> (f64, u64, u64) {
         let t0 = ex.sm.clock();
         let (o, i) = (ex.rels[outer].clone(), ex.rels[inner].clone());
-        let mut sink = ex.sink(output, o.tuple_bytes + i.tuple_bytes, 4);
+        let mut sink = ex.sink(output, o.layout().then(&i.layout()));
         let density = density(pred, &o, &i);
         let (mut compares, mut probes, mut emits, mut carry) = (0u64, 0u64, 0u64, 0.0f64);
         let mut oidx = 0;
@@ -2377,7 +2284,8 @@ mod tests {
         }
         let (o, i) = (case.orows.as_view(), case.irows.as_view());
         let (otb, itb) = (o.width() as u64 * 8, i.width() as u64 * 8);
-        let mut sink = ex.sink(&Output::Discard, otb + itb, o.width() + i.width());
+        let layout = Layout::new(o.width(), 8).then(&Layout::new(i.width(), 8));
+        let mut sink = ex.sink(&Output::Discard, layout);
         let mut emits = 0;
         let (tiling, pred) = (case.tiling, case.pred);
         if literal {
@@ -2797,7 +2705,7 @@ mod tests {
         let (file, bytes) = stats.output_extent.expect("a device-bound output");
         let mut buf = vec![0u8; bytes as usize];
         assert!(ex.sm.read_data(file, 0, &mut buf).unwrap(), "kept");
-        RowBuf::decode(&buf, stats.output_width)
+        stats.output_layout.decode(&buf)
     }
 
     /// The charged requests on `device`'s obs track, in order.
@@ -2882,11 +2790,11 @@ mod tests {
                 )
             })
             .collect();
-        let mut sink = ex.sink(&Output::Discard, 8, 1);
+        let mut sink = ex.sink(&Output::Discard, Layout::new(1, 8));
         ex.merge_runs(
-            0,
+            (0, &Relation::attach(runs[0].0, 0, 1, 1)),
             &runs,
-            ((1, 8), (2, 100)),
+            (2, 100),
             None,
             Some(&mut sink),
             &mut Vec::new(),
@@ -3028,19 +2936,19 @@ mod tests {
             proptest::prop_assert_eq!(&got, &tagged);
 
             let want: Vec<i64> = tagged.iter().flat_map(|(row, _)| row.iter().copied()).collect();
-            let mut sink = ex.sink(&Output::Discard, width as u64 * 8, width);
-            let shape = ((width, width as u64 * 8), (b_in, b_out));
-            ex.merge_runs(0, &runs, shape, None, Some(&mut sink), &mut Vec::new())
+            let mut sink = ex.sink(&Output::Discard, Layout::new(width, 8));
+            let (run, shape) = (Relation::attach(runs[0].0, 0, width as u32, 1), (b_in, b_out));
+            ex.merge_runs((0, &run), &runs, shape, None, Some(&mut sink), &mut Vec::new())
                 .unwrap();
             let done = sink.finish(&mut ex.sm).unwrap();
             proptest::prop_assert_eq!(done.output.unwrap().as_slice(), want.as_slice());
             let merged = ex.sm.alloc("HDD", (want.len() as u64 * 8).max(1)).unwrap();
-            ex.merge_runs(0, &runs, shape, Some(merged), None, &mut Vec::new())
+            ex.merge_runs((0, &run), &runs, shape, Some(merged), None, &mut Vec::new())
                 .unwrap();
             let mut bytes = vec![0u8; want.len() * 8];
             let kept = ex.sm.read_data(merged, 0, &mut bytes).unwrap();
             proptest::prop_assert_eq!(kept, !want.is_empty(), "a written run is kept");
-            proptest::prop_assert_eq!(RowBuf::decode(&bytes, width).as_slice(), want.as_slice());
+            proptest::prop_assert_eq!(Layout::new(width, 8).decode(&bytes).as_slice(), want.as_slice());
         }
 
         /// The whole sort, run formation included, at every buffer geometry:
@@ -3342,7 +3250,7 @@ mod tests {
             } => {
                 let (l, r) = (ex.rels[*left].clone(), ex.rels[*right].clone());
                 let compares = l.card + r.card;
-                let mut sink = ex.sink(output, l.tuple_bytes, l.width.max(1) as usize);
+                let mut sink = ex.sink(output, l.layout());
                 let inputs = ((*left, l), (*right, r));
                 ex.merge_literal(inputs.0, inputs.1, *kind, *b_in, &mut sink)
                     .unwrap();
@@ -3355,9 +3263,8 @@ mod tests {
             } => {
                 let rels: Vec<Relation> = columns.iter().map(|c| ex.rels[*c].clone()).collect();
                 let card = rels.iter().map(|r| r.card).min().unwrap_or(0);
-                let bytes = rels.iter().map(|r| r.tuple_bytes).sum();
-                let cols = rels.iter().map(|r| r.width.max(1) as usize).sum();
-                let mut sink = ex.sink(output, bytes, cols);
+                let layouts = rels.iter().map(Relation::layout);
+                let mut sink = ex.sink(output, layouts.reduce(|a, b| a.then(&b)).unwrap());
                 sink.reserve(card);
                 let over = |mut r: Relation| {
                     r.card = card;
@@ -3374,7 +3281,7 @@ mod tests {
             } => {
                 let rel = ex.rels[*input].clone();
                 let compares = rel.card;
-                let mut sink = ex.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
+                let mut sink = ex.sink(output, rel.layout());
                 sink.reserve(rel.card);
                 let cursor = BlockCursor::new(rel, *b_in);
                 ex.dedup_literal(cursor, *input, &mut sink).unwrap();
@@ -3846,14 +3753,41 @@ mod tests {
         }
     }
 
-    /// Columns narrower than 8 bytes: the external sort and the GRACE join
-    /// run their one schedule over them in simulated mode, which brings no
-    /// rows back — the sort spills its 13 full formed runs of 384 one-byte
-    /// tuples, the join appends its buckets to extents of their own — and
-    /// refuse them in faithful mode before any request.
+    /// Columns narrower than 8 bytes run the one schedule in both modes:
+    /// the external sort spills its 13 full formed runs of 384 one-byte
+    /// tuples and the GRACE join appends its buckets to extents of their
+    /// own, with the data elided in simulated mode and, in faithful mode,
+    /// over the rows the one-byte files hold — the same formed runs, the
+    /// generator's rows sorted, and the nested loop's join as a bag.
     #[test]
-    fn narrow_columns_run_simulated_and_are_refused_faithfully() {
+    fn narrow_columns_run_the_same_schedule_in_both_modes() {
         let (spill, output) = ("HDD".to_string(), Output::Discard);
+        // `plan` over two relations of 5,000 one-byte keys: the output of
+        // either mode, the charged requests and the relations' rows.
+        let run = |plan: &Plan, mode: Mode| {
+            let h = presets::hdd_ram(1 << 16);
+            let sm = Recording::new(StorageSim::from_hierarchy(&h), false);
+            let mut ex = Executor::new(sm, mode, CpuModel::default());
+            let mut inputs = Vec::new();
+            for name in ["R", "S"] {
+                let spec = RelSpec {
+                    col_bytes: 1,
+                    ..RelSpec::ints(name, "HDD", 5000)
+                };
+                let rel = Relation::create(&mut ex.sm, &spec.with_key_range(1000), true, 1);
+                let rel = rel.unwrap();
+                inputs.push(rel.collect_rows().unwrap().to_rows());
+                ex.add_relation(rel);
+            }
+            let stats = ex.run(plan).unwrap();
+            assert!(stats.output_rows > 0, "{} {mode:?}", plan.name());
+            (
+                stats.output.map(|rows| sorted(rows.to_rows())),
+                ex.sm.log,
+                inputs,
+            )
+        };
+
         let (fan_in, b_in, b_out, scratch) = (4, 64, 128, spill.clone());
         let sort = Plan::ExternalSort {
             input: 0,
@@ -3863,6 +3797,15 @@ mod tests {
             scratch,
             output: output.clone(),
         };
+        let formed_runs = |log: &[Request]| -> Vec<Request> {
+            log.iter().filter(|r| r.0 && r.3 == 384).copied().collect()
+        };
+        let (_, simulated, _) = run(&sort, Mode::Simulated);
+        let (rows, faithful, inputs) = run(&sort, Mode::Faithful);
+        assert_eq!(formed_runs(&simulated).len(), 13);
+        assert_eq!(formed_runs(&faithful), formed_runs(&simulated));
+        assert_eq!(rows, Some(sorted(inputs[0].clone())));
+
         let (partitions, buffer_bytes, pred) = (4, 1024, JoinPred::KeyEq);
         let grace = Plan::GraceJoin {
             left: 0,
@@ -3873,40 +3816,11 @@ mod tests {
             pred,
             output,
         };
-        let formed_runs: fn(&[Request]) -> bool =
-            |log| log.iter().filter(|r| r.0 && r.3 == 384).count() == 13;
-        let bucket_streams: fn(&[Request]) -> bool = |log| log.iter().any(|r| r.0 && r.2 > 0);
-        for (plan, why, schedule) in [
-            (sort, "external sort needs 8-byte columns", formed_runs),
-            (grace, "GRACE join needs 8-byte columns", bucket_streams),
-        ] {
-            for mode in [Mode::Simulated, Mode::Faithful] {
-                let h = presets::hdd_ram(1 << 16);
-                let sm = Recording::new(StorageSim::from_hierarchy(&h), false);
-                let mut ex = Executor::new(sm, mode, CpuModel::default());
-                for name in ["R", "S"] {
-                    let spec = RelSpec {
-                        col_bytes: 1,
-                        ..RelSpec::ints(name, "HDD", 5000)
-                    };
-                    let faithful = mode == Mode::Faithful;
-                    let rel = Relation::create(&mut ex.sm, &spec.with_key_range(1000), faithful, 1);
-                    ex.add_relation(rel.unwrap());
-                }
-                match (mode, ex.run(&plan)) {
-                    (Mode::Simulated, Ok(stats)) => {
-                        assert!(stats.output_rows > 0 && schedule(&ex.sm.log), "{why}")
-                    }
-                    (Mode::Faithful, Err(ExecError::BadParameter(w))) => {
-                        assert_eq!(w, why);
-                        assert!(ex.sm.log.is_empty(), "{why}: requests before refusing");
-                    }
-                    (mode, other) => {
-                        panic!("{why}: {mode:?} gave {:?}", other.map(|s| s.output_rows))
-                    }
-                }
-            }
-        }
+        let appends = |log: &[Request]| log.iter().any(|r| r.0 && r.2 > 0);
+        let (_, simulated, _) = run(&grace, Mode::Simulated);
+        let (rows, faithful, inputs) = run(&grace, Mode::Faithful);
+        assert!(appends(&simulated) && appends(&faithful));
+        assert_eq!(rows, Some(sorted(brute_join(&inputs[0], &inputs[1], pred))));
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! per block — charged, counted and faulted exactly like the accounting
 //! read simulated mode issues. One function in `rel.rs` asks whether the
 //! backend handed a payload back, and it is the only place that does: if so
-//! (real files, 8-byte columns) the block is decoded from those bytes — the
+//! (real files, at any column width) the block is decoded from those bytes — the
 //! operator computes on what it read, a [`Relation::attach`]ed file needs no
 //! generator, and a twin comparison can fail because of what is in a file —
 //! else (the simulator) it is the relation's generator's. The nested-loops
@@ -64,13 +64,15 @@
 //! and (on files) traced request by request; merge pass, column zip and
 //! duplicate removal pull rows through one [`BlockCursor`] per input,
 //! refilled when its block is exhausted, and that loop is their only
-//! implementation, on the simulator and on real files.
-//! Simulated mode issues the same cursor requests for the column zip and
-//! the duplicate removal, with the data elided ([`BlockCursor::elide`]).
-//! For the merge pass it still models the paper-scale pattern the estimator
-//! prices (both inputs in alternating blocks to the end, where a faithful
-//! difference stops reading its right input once the left one is dry) and
-//! never touches a cursor.
+//! implementation, on the simulator and on real files; simulated mode
+//! issues the same cursor requests with the data elided
+//! ([`BlockCursor::elide`]).
+//!
+//! **Tuple codec.** Every file the engine writes and reads back — a
+//! relation's, a spilled run or bucket, an output — holds its rows in one
+//! format, a [`Layout`]: each column as its 1 to 8 low-order little-endian
+//! bytes. Nothing else maps columns to bytes, so every template follows
+//! its files at every column width.
 //!
 //! **External sort.** The faithful sort is the out-of-core algorithm
 //! itself, on every backend: sorted runs of `fan_in * b_in + b_out` tuples
@@ -78,13 +80,12 @@
 //! run, or fails over to the backend's
 //! [`spill_fallback`](ocas_storage::StorageBackend::spill_fallback)
 //! device, when the scratch device is full), then merged `fan_in` at a time
-//! through one [`BlockCursor`] per run over
-//! [`Relation::attach`]ed run files, the last pass writing the output. The
-//! runs come back from whichever backend was given them — a real file, or
-//! the simulator, which keeps what a data write carries — so the simulator
-//! twin issues the real run's requests and merges the same runs. Simulated
-//! mode still models ⌈log_fan_in n⌉ merge levels over singleton runs, and
-//! both modes count that model's comparisons.
+//! through one [`BlockCursor`] per run file, the last pass writing the
+//! output. The runs come back from whichever backend was given them — a
+//! real file, or the simulator, which keeps what a data write carries — so
+//! the simulator twin issues the real run's requests and merges the same
+//! runs. Both modes count the model's comparisons: ⌈log_fan_in n⌉ merge
+//! levels over singleton runs.
 //!
 //! **GRACE join.** So is the faithful GRACE join: both inputs hashed into
 //! buckets, each a stream of page-aligned extents of its own on the spill
@@ -191,6 +192,6 @@ pub use lower::{lower, LowerError, WorkloadHint};
 pub use merge_kernel::{MergeHeads, MergeStop};
 pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 pub use rel::{
-    decode_rows, encode_rows, BlockBuf, BlockCursor, RelSpec, Relation, Row, RowBuf, RowGen,
-    RowsView, DEFAULT_CACHE_BYTES,
+    BlockBuf, BlockCursor, Layout, RelSpec, Relation, Row, RowBuf, RowGen, RowsView,
+    DEFAULT_CACHE_BYTES,
 };

@@ -205,12 +205,10 @@ impl RowBuf {
         self.data.truncate(keep);
     }
 
-    /// Encodes every row into `out` in the on-disk format: each column as
-    /// its `col_bytes` low-order little-endian bytes. One linear pass; the
-    /// `col_bytes == 8` fast path compiles to a `memcpy`-like loop on
-    /// little-endian targets.
+    /// Encodes every row into `out` in the on-disk format, every column
+    /// `col_bytes` wide ([`Layout`]).
     pub fn encode_into(&self, col_bytes: usize, out: &mut Vec<u8>) {
-        self.as_view().encode_into(col_bytes, out);
+        encode_cols(&self.data, col_bytes, out);
     }
 
     /// Encodes to a fresh byte buffer (8-byte columns).
@@ -219,26 +217,145 @@ impl RowBuf {
         self.encode_into(8, &mut out);
         out
     }
+}
 
-    /// Appends the 8-byte LE columns in `bytes` (whole rows, the caller's
-    /// promise).
-    #[inline]
-    fn extend_le(&mut self, bytes: &[u8]) {
-        self.data.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-        );
+/// Encodes `values` into `out`, each as its `col_bytes` (1 to 8) low-order
+/// little-endian bytes: [`Layout`]'s column format. The width is checked
+/// once a call; the 8-byte path compiles to a `memcpy`-like loop on
+/// little-endian targets.
+#[inline]
+pub(crate) fn encode_cols(values: &[i64], col_bytes: usize, out: &mut Vec<u8>) {
+    let cb = col_bytes.clamp(1, 8);
+    out.reserve(values.len() * cb);
+    if cb == 8 {
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    } else {
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes()[..cb]);
+        }
+    }
+}
+
+/// Appends the `col_bytes`-byte (1 to 8) columns in `bytes`, zero-extended,
+/// ignoring a trailing partial column: the inverse of [`encode_cols`] below
+/// `256^col_bytes`.
+#[inline]
+pub(crate) fn decode_cols(bytes: &[u8], col_bytes: usize, out: &mut Vec<i64>) {
+    let cb = col_bytes.clamp(1, 8);
+    if cb == 8 {
+        let cols = bytes.chunks_exact(8);
+        out.extend(cols.map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk"))));
+    } else {
+        out.extend(bytes.chunks_exact(cb).map(|c| {
+            let mut word = [0u8; 8];
+            word[..cb].copy_from_slice(c);
+            i64::from_le_bytes(word)
+        }));
+    }
+}
+
+/// The tuple format of a file of rows, and the one place columns become
+/// bytes: stretches of equally wide columns in column order, each column
+/// its 1 to 8 low-order little-endian bytes, read back zero-extended (so a
+/// value below `256^col_bytes`, all a generator draws for such a column,
+/// reads back as written: [`RelSpec::key_range`]). A relation's is
+/// one stretch ([`Relation::layout`]); an operator's output concatenates
+/// its inputs' ([`Layout::then`]: a join row is the outer row's columns,
+/// then the inner row's).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    /// `(columns, bytes a column)`, neighbours of different widths.
+    parts: Vec<(usize, usize)>,
+}
+
+impl Layout {
+    /// `width` columns of `col_bytes` bytes each.
+    pub fn new(width: usize, col_bytes: usize) -> Layout {
+        Layout {
+            parts: vec![(width.max(1), col_bytes.clamp(1, 8))],
+        }
     }
 
-    /// Decodes a fresh batch of the full rows encoded in `bytes` (8-byte LE
-    /// columns, trailing partial rows ignored) for a known tuple width — the
-    /// inverse of [`encode`](RowBuf::encode).
-    pub fn decode(bytes: &[u8], width: usize) -> RowBuf {
-        let mut out = RowBuf::new(width);
-        let row_bytes = out.width * 8;
-        out.extend_le(&bytes[..bytes.len() / row_bytes * row_bytes]);
+    /// This layout's columns, then `next`'s.
+    pub fn then(mut self, next: &Layout) -> Layout {
+        for &(cols, cb) in &next.parts {
+            match self.parts.last_mut() {
+                Some(last) if last.1 == cb => last.0 += cols,
+                _ => self.parts.push((cols, cb)),
+            }
+        }
+        self
+    }
+
+    /// Columns per row.
+    pub fn width(&self) -> usize {
+        self.parts.iter().map(|p| p.0).sum()
+    }
+
+    /// Bytes per row.
+    pub fn tuple_bytes(&self) -> u64 {
+        self.parts.iter().map(|p| (p.0 * p.1) as u64).sum()
+    }
+
+    /// Encodes whole rows, row-major, into `out`: one pass over the batch
+    /// when every column has one width.
+    #[inline]
+    pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
+        self.encode_concat(values, &[], out);
+    }
+
+    /// Encodes the rows `a ++ b` (one row, when `b` is not empty) without
+    /// materializing them.
+    #[inline]
+    pub(crate) fn encode_concat(&self, a: &[i64], b: &[i64], out: &mut Vec<u8>) {
+        if let [(_, cb)] = self.parts[..] {
+            encode_cols(a, cb, out);
+            return encode_cols(b, cb, out);
+        }
+        for (v, cb) in a.iter().chain(b).zip(self.column_bytes().cycle()) {
+            encode_cols(std::slice::from_ref(v), cb, out);
+        }
+    }
+
+    /// A fresh batch of the whole rows encoded in `bytes` (a trailing
+    /// partial row is ignored): the inverse of [`encode`](Layout::encode).
+    pub fn decode(&self, bytes: &[u8]) -> RowBuf {
+        let (tb, mut out) = (self.tuple_bytes() as usize, RowBuf::new(self.width()));
+        let bytes = &bytes[..bytes.len() / tb * tb];
+        if let [(_, cb)] = self.parts[..] {
+            decode_cols(bytes, cb, &mut out.data);
+            return out;
+        }
+        let (mut at, cols) = (0, bytes.len() / tb * out.width);
+        for cb in self.column_bytes().cycle().take(cols) {
+            decode_cols(&bytes[at..at + cb], cb, &mut out.data);
+            at += cb;
+        }
         out
+    }
+
+    /// Each column's bytes, in column order.
+    fn column_bytes(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.parts
+            .iter()
+            .flat_map(|&(n, cb)| std::iter::repeat(cb).take(n))
+    }
+
+    /// The wrapping sum of column 0 over the whole rows in `bytes`: the
+    /// aggregate's inner loop over a data run, compiled once.
+    pub(crate) fn column0_sum(&self, bytes: &[u8]) -> i64 {
+        let rows = bytes.chunks_exact(self.tuple_bytes() as usize);
+        let (cb, mut word) = (self.parts[0].1, [0u8; 8]);
+        if cb == 8 {
+            let first = |row: &[u8]| i64::from_le_bytes(row[..8].try_into().expect("8 bytes"));
+            return rows.fold(0i64, |sum, row| sum.wrapping_add(first(row)));
+        }
+        rows.fold(0i64, |sum, row| {
+            word[..cb].copy_from_slice(&row[..cb]);
+            sum.wrapping_add(i64::from_le_bytes(word))
+        })
     }
 }
 
@@ -288,52 +405,6 @@ impl<'a> RowsView<'a> {
     pub fn as_slice(&self) -> &'a [i64] {
         self.data
     }
-
-    /// Encodes every visible row into `out` in the on-disk format (see
-    /// [`RowBuf::encode_into`]).
-    pub fn encode_into(&self, col_bytes: usize, out: &mut Vec<u8>) {
-        let cb = col_bytes.clamp(1, 8);
-        out.reserve(self.data.len() * cb);
-        if cb == 8 {
-            for v in self.data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        } else {
-            for v in self.data {
-                out.extend_from_slice(&v.to_le_bytes()[..cb]);
-            }
-        }
-    }
-}
-
-/// Serializes boundary rows as little-endian `i64` columns, row-major —
-/// the **reference codec** the proptests pin [`RowBuf::encode`] against.
-/// The hot path uses [`RowBuf::encode_into`] instead.
-pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
-    let width = rows.first().map_or(0, |r| r.len());
-    let mut out = Vec::with_capacity(rows.len() * width * 8);
-    for row in rows {
-        for col in row {
-            out.extend_from_slice(&col.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Inverse of [`encode_rows`] for a known tuple width (in columns) — the
-/// reference decoder mirroring [`RowBuf::decode`].
-pub fn decode_rows(bytes: &[u8], width: usize) -> Vec<Row> {
-    assert!(width > 0, "zero-width tuples");
-    let row_bytes = width * 8;
-    bytes
-        .chunks_exact(row_bytes)
-        .map(|chunk| {
-            chunk
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                .collect()
-        })
-        .collect()
 }
 
 /// The reusable buffers behind [`Relation::load_block`]: the bytes of the
@@ -381,7 +452,10 @@ pub struct RelSpec {
     /// range `0..key_range` (0 means "same as card"). Every generated
     /// value is strictly below `key_range` — the simulated join
     /// selectivity (`1 / key_range`) relies on exactly `key_range`
-    /// distinct possible keys.
+    /// distinct possible keys. Columns narrower than 8 bytes cap the range
+    /// at `256^col_bytes`, the values such a column holds, so that a file
+    /// holds every row the generator draws
+    /// ([`effective_range`](RelSpec::effective_range)).
     pub key_range: u64,
     /// Keep sorted by first column (merges/dedup need sorted inputs).
     pub sorted: bool,
@@ -440,12 +514,16 @@ impl RelSpec {
     }
 
     /// The effective generation range: `0..key_range`, with 0 meaning
-    /// "same as card".
+    /// "same as card", capped at `256^col_bytes` for columns narrower than
+    /// 8 bytes.
     pub fn effective_range(&self) -> u64 {
-        if self.key_range == 0 {
-            self.card.max(1)
-        } else {
-            self.key_range
+        let range = match self.key_range {
+            0 => self.card.max(1),
+            range => range,
+        };
+        match self.col_bytes {
+            cb @ 1..=7 => range.min(1 << (8 * cb)),
+            _ => range,
         }
     }
 
@@ -915,10 +993,10 @@ impl Relation {
     /// bounded block cache, and *materializes* them into the backing file
     /// (uncharged setup writes), block by block, so setup memory stays
     /// bounded by the cache budget: the simulator keeps nothing of them,
-    /// while a real backend ends up with genuine tuple bytes on disk.
-    /// Columns narrower than 8 bytes are truncated to the declared width —
-    /// the in-memory rows stay authoritative; the file holds the on-disk
-    /// representation.
+    /// while a real backend ends up with genuine tuple bytes on disk, in
+    /// the relation's [`Layout`]. Every drawn value fits its column
+    /// ([`RelSpec::effective_range`]), so the file holds the generator's
+    /// rows exactly, at any column width.
     ///
     /// `gen` is shared, not copied: a simulator twin of a run over this
     /// relation ([`Relation::twin`]) takes the same `Arc`, so a sorted
@@ -939,7 +1017,7 @@ impl Relation {
         while at < spec.card {
             let take = cache.budget_tuples.min(spec.card - at);
             encoded.clear();
-            cache.serve(&gen, at, take).encode_into(cb, &mut encoded);
+            encode_cols(cache.serve(&gen, at, take).as_slice(), cb, &mut encoded);
             sm.materialize(file, at * tb, &encoded)?;
             at += take;
         }
@@ -989,15 +1067,9 @@ impl Relation {
         }
     }
 
-    /// Wraps an already-populated file extent as a virtual relation (no
-    /// in-memory rows; real backends read the data through the storage
-    /// seam).
-    ///
-    /// Assumes the native 8-byte-column on-disk layout (`tuple_bytes =
-    /// width * 8`) — the same restriction the external sort and the GRACE
-    /// join enforce. Extents written with narrow
-    /// `col_bytes` need [`Relation::create`] instead, which records the
-    /// declared tuple size.
+    /// Wraps an already-populated file extent of `width` 8-byte columns a
+    /// tuple as a virtual relation (no in-memory rows; real backends read
+    /// the data through the storage seam).
     pub fn attach(file: FileId, card: u64, width: u32, key_range: u64) -> Relation {
         Relation {
             file,
@@ -1007,6 +1079,28 @@ impl Relation {
             key_range: key_range.max(1),
             source: RowSource::Virtual,
         }
+    }
+
+    /// `card` tuples of this relation's layout in `file` alone — a spilled
+    /// run or bucket — as a virtual relation.
+    pub(crate) fn in_file(&self, file: FileId, card: u64) -> Relation {
+        Relation {
+            file,
+            card,
+            source: RowSource::Virtual,
+            ..*self
+        }
+    }
+
+    /// Bytes per column.
+    #[inline]
+    pub fn col_bytes(&self) -> usize {
+        (self.tuple_bytes / u64::from(self.width.max(1))) as usize
+    }
+
+    /// The tuple format of this relation's file.
+    pub fn layout(&self) -> Layout {
+        Layout::new(self.width.max(1) as usize, self.col_bytes())
     }
 
     /// Total size in bytes.
@@ -1033,13 +1127,11 @@ impl Relation {
     /// request, charged and counted the same — and returns its rows.
     ///
     /// The rows are decoded from the bytes the backend handed back when it
-    /// holds a payload (a real file backend): what the operator computes on
-    /// is then what is in the file, whatever the generator would have
-    /// produced. A backend without payload (the simulator) gets the block
-    /// from the relation's generator, as [`block_rows`](Relation::block_rows)
-    /// serves it. So does a relation whose columns are narrower than 8
-    /// bytes: its file holds truncated values and the in-memory rows stay
-    /// authoritative, so it does not follow its file.
+    /// holds a payload (a real file backend), at any column width: what the
+    /// operator computes on is then what is in the file, whatever the
+    /// generator would have produced. A backend without payload (the
+    /// simulator) gets the block from the relation's generator, as
+    /// [`block_rows`](Relation::block_rows) serves it.
     pub fn load_block<'a, B: StorageBackend>(
         &'a mut self,
         sm: &mut B,
@@ -1097,12 +1189,11 @@ impl Relation {
         }
         let bytes = &mut buf.bytes[..len];
         let holds_payload = sm.read_data(self.file, index * self.tuple_bytes, bytes)?;
-        let decode = holds_payload && self.tuple_bytes == u64::from(self.width) * 8;
-        if decode {
+        if holds_payload {
             buf.rows.width = self.width as usize;
-            buf.rows.extend_le(bytes);
+            decode_cols(bytes, self.col_bytes(), &mut buf.rows.data);
         }
-        Ok(decode)
+        Ok(holds_payload)
     }
 
     /// Reads the whole relation front to back in blocks of `count > 0`
@@ -1296,14 +1387,20 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let rows: Vec<Row> = vec![vec![1, -2], vec![i64::MAX, i64::MIN], vec![0, 42]];
-        let bytes = encode_rows(&rows);
-        assert_eq!(bytes.len(), 3 * 2 * 8);
-        assert_eq!(decode_rows(&bytes, 2), rows);
-        assert!(decode_rows(&[], 1).is_empty());
-        // The flat codec agrees with the reference codec both ways.
+        let bytes: Vec<u8> = rows
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         let buf = RowBuf::from_rows(&rows);
         assert_eq!(buf.encode(), bytes);
-        assert_eq!(RowBuf::decode(&bytes, 2), buf);
+        assert_eq!(Layout::new(2, 8).decode(&bytes), buf);
+        assert!(Layout::new(1, 8).decode(&[]).is_empty());
+        // One byte a column: the low-order byte, read back zero-extended.
+        let mut narrow = Vec::new();
+        RowBuf::from_rows(&[vec![300], vec![-1], vec![7]]).encode_into(1, &mut narrow);
+        assert_eq!(narrow, [44, 255, 7]);
+        assert_eq!(Layout::new(1, 1).decode(&narrow).as_slice(), [44, 255, 7]);
     }
 
     #[test]
@@ -1326,14 +1423,6 @@ mod tests {
         let mut joined = RowBuf::new(4);
         joined.push_concat(&[1, 2], &[3, 4]);
         assert_eq!(joined.row(0), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn rowbuf_narrow_encode_matches_reference() {
-        let buf = RowBuf::from_rows(&[vec![300], vec![-1], vec![7]]);
-        let mut narrow = Vec::new();
-        buf.encode_into(1, &mut narrow);
-        assert_eq!(narrow, vec![300i64.to_le_bytes()[0], 255, 7]);
     }
 
     #[test]
@@ -1487,7 +1576,7 @@ mod tests {
             let mut at = 0u64;
             while at < card {
                 let take = block.min(card - at);
-                streamed.block_rows(at, take).encode_into(cb, &mut blockwise);
+                encode_cols(streamed.block_rows(at, take).as_slice(), cb, &mut blockwise);
                 at += take;
             }
             prop_assert_eq!(&blockwise, &whole);

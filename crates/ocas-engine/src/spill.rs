@@ -26,6 +26,7 @@
 //! [`Payload`]: the tuples' bytes, or where simulated mode elides the data
 //! their length alone, which places and charges the same request.
 
+use crate::rel::encode_cols;
 use ocas_storage::{FileId, StorageBackend, StorageError};
 
 /// Allocates a spill stream's extents on one device and, when that device
@@ -247,16 +248,16 @@ impl SpillAlloc {
 }
 
 /// The partition pass's per-row loop: hashes the rows of `rows` (row-major,
-/// `width` 8-byte columns) into `partitions` buckets — the simulator's and
-/// the OCAL `hashPartition` definition's bucket function, so the bucket
-/// contents are theirs — and stages each row's little-endian encoding in
-/// its bucket's buffer. Returns at the first row that brings a buffer to
+/// `width` columns) into `partitions` buckets — the simulator's and the
+/// OCAL `hashPartition` definition's bucket function, so the bucket
+/// contents are theirs — and stages each row's encoding, `col_bytes` a
+/// column, in its bucket's buffer. Returns at the first row that brings a buffer to
 /// `flush_at` bytes, as `(bucket, rows consumed)`, so that the caller
 /// flushes it before the next row is staged; `None` once every row is.
 /// Non-generic and infallible: compiled once for every backend.
 pub(crate) fn stage_rows(
     rows: &[i64],
-    width: usize,
+    (width, col_bytes): (usize, usize),
     partitions: u64,
     staged: &mut [Vec<u8>],
     flush_at: usize,
@@ -264,9 +265,7 @@ pub(crate) fn stage_rows(
     for (n, row) in rows.chunks_exact(width).enumerate() {
         let b = (ocal::stable_hash(&ocal::Value::Int(row[0])) % partitions) as usize;
         let stage = &mut staged[b];
-        for col in row {
-            stage.extend_from_slice(&col.to_le_bytes());
-        }
+        encode_cols(row, col_bytes, stage);
         if stage.len() >= flush_at {
             return Some((b, n + 1));
         }

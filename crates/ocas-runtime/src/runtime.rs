@@ -101,9 +101,9 @@ pub struct RealReport {
     pub sim_seconds: f64,
     /// Output rows of the real execution, one flat batch. A device-bound
     /// output is read back from its device after the measured window
-    /// ([`Runtime::harvest`]); one that cannot be (columns narrower than 8
-    /// bytes, or more than the executor's 1 GiB output window) is left
-    /// empty.
+    /// ([`Runtime::harvest`]), in its layout
+    /// ([`ExecStats::output_layout`]); one that cannot be (more than the
+    /// executor's 1 GiB output window) is left empty.
     pub output: RowBuf,
     /// Output rows of the simulated faithful twin.
     pub sim_output: RowBuf,
@@ -234,15 +234,15 @@ impl Runtime {
     /// written to — none when it has no such extent
     /// ([`ExecStats::output_extent`]).
     pub fn harvest(fb: &mut FileBackend, stats: ExecStats) -> Result<RowBuf, StorageError> {
-        let width = stats.output_width;
+        let layout = stats.output_layout;
         match (stats.output, stats.output_extent) {
             (Some(rows), _) => Ok(rows),
             (None, Some((file, bytes))) => {
                 let mut buf = vec![0; bytes as usize];
                 fb.peek(file, 0, &mut buf)?;
-                Ok(RowBuf::decode(&buf, width))
+                Ok(layout.decode(&buf))
             }
-            (None, None) => Ok(RowBuf::new(width)),
+            (None, None) => Ok(RowBuf::new(layout.width())),
         }
     }
 

@@ -282,7 +282,7 @@ fn streaming_merge_agrees_with_reference_semantics_on_disk_data() {
         .map(|rel| {
             let mut bytes = vec![0; rel.bytes() as usize];
             fb.peek(rel.file, 0, &mut bytes).unwrap();
-            RowBuf::decode(&bytes, rel.width as usize)
+            rel.layout().decode(&bytes)
         })
         .collect();
     for (kind, left) in [

@@ -437,10 +437,13 @@ fn narrow_column_output_uses_the_on_disk_tuple_format() {
     assert_eq!(got, want, "on-disk bytes are col_bytes-wide LE columns");
 }
 
-/// Overwrites `rel`'s file with `rows` (uncharged, like its creation).
+/// Overwrites `rel`'s file with `rows` (uncharged, like its creation), in
+/// its column width.
 fn rewrite(fb: &mut FileBackend, rel: &Relation, rows: &ocas_engine::RowBuf) {
     assert_eq!(rows.len() as u64, rel.card);
-    fb.materialize(rel.file, 0, &rows.encode()).unwrap();
+    let mut bytes = Vec::new();
+    rows.encode_into(rel.col_bytes(), &mut bytes);
+    fb.materialize(rel.file, 0, &bytes).unwrap();
 }
 
 /// A "follows the file" test. The aggregate, one tuple and one page at a
@@ -694,24 +697,36 @@ fn tampered_files_move_the_real_union_zip_and_dedup_and_not_the_twins() {
     }
 }
 
-/// A "follows the file" test for the external sort, on both routes: over an
-/// input file rewritten after its creation — negated, and with duplicates
-/// the generator never drew — the real output is the sort of what the file
-/// now holds, row for row, spilled runs and merge levels included; the
-/// twin's output does not move; `outputs_match` turns false; and the same
-/// bytes are read and written as untampered (which cursor runs dry first,
-/// and so the seeks, follow the data). A faithful sort arm that emits from
-/// the generator fails the direct route.
+/// A "follows the file" test for the external sort, on both routes and at
+/// two column widths: over an input file rewritten after its creation —
+/// negated (8-byte columns) or reversed (1-byte columns), and with
+/// duplicates the generator never drew — the real output is the sort of
+/// what the file now holds, row for row, spilled runs and merge levels
+/// included; the twin's output does not move; `outputs_match` turns false;
+/// and the same bytes are read and written as untampered (which cursor runs
+/// dry first, and so the seeks, follow the data). A faithful sort arm that
+/// emits from the generator fails the direct route, and one that refuses or
+/// truncates 1-byte columns fails both.
 #[test]
 fn tampered_files_move_the_real_sort_and_not_the_twin() {
-    let specs = [RelSpec::pairs("L", "HDD", 900).with_key_range(400)];
+    let wide = RelSpec::pairs("L", "HDD", 900).with_key_range(400);
+    let narrow = RelSpec {
+        col_bytes: 1,
+        ..wide.clone()
+    };
+    tampered_file_moves_the_real_sort(wide, |v| -v / 3);
+    tampered_file_moves_the_real_sort(narrow, |v| 255 - v / 3);
+}
+
+fn tampered_file_moves_the_real_sort(spec: RelSpec, tamper: fn(i64) -> i64) {
+    let specs = [spec];
     let seed = 31;
     let generated = {
         let mut sm = StorageSim::from_hierarchy(&unit_page_hierarchy());
         let rel = Relation::create(&mut sm, &specs[0], true, seed).unwrap();
         rel.collect_rows().unwrap()
     };
-    let tampered = RowBuf::from_vec(generated.as_slice().iter().map(|v| -v / 3).collect(), 2);
+    let tampered = RowBuf::from_vec(generated.as_slice().iter().map(|v| tamper(*v)).collect(), 2);
     let sorted = |rows: &RowBuf| {
         let mut rows = rows.clone();
         rows.sort();
@@ -731,24 +746,28 @@ fn tampered_files_move_the_real_sort_and_not_the_twin() {
             buffer_bytes: 512,
         },
     };
+    let col_bytes = specs[0].col_bytes;
     for route in [Route::Executor, Route::Runtime] {
         let clean = report_over_files(&plan, &specs, seed, route, |_, _| {});
-        assert!(clean.outputs_match(), "{route:?}");
-        assert_eq!(clean.output, sorted(&generated), "{route:?}");
+        assert!(clean.outputs_match(), "{route:?} {col_bytes} B");
+        assert_eq!(clean.output, sorted(&generated), "{route:?} {col_bytes} B");
 
         let moved = report_over_files(&plan, &specs, seed, route, |fb, rels| {
             rewrite(fb, &rels[0], &tampered)
         });
-        assert_eq!(moved.output, sorted(&tampered), "{route:?}");
-        assert_eq!(moved.sim_output, clean.sim_output, "{route:?}");
-        assert!(!moved.outputs_match(), "{route:?}");
+        assert_eq!(moved.output, sorted(&tampered), "{route:?} {col_bytes} B");
+        assert_eq!(
+            moved.sim_output, clean.sim_output,
+            "{route:?} {col_bytes} B"
+        );
+        assert!(!moved.outputs_match(), "{route:?} {col_bytes} B");
         let bytes = |r: &ocas_runtime::RealReport| -> Vec<(u64, u64)> {
             let devices = r.real_devices.iter();
             devices
                 .map(|(_, d)| (d.bytes_read, d.bytes_written))
                 .collect()
         };
-        assert_eq!(bytes(&moved), bytes(&clean), "{route:?}");
+        assert_eq!(bytes(&moved), bytes(&clean), "{route:?} {col_bytes} B");
     }
 }
 
@@ -790,14 +809,27 @@ fn an_attached_file_runs_where_its_payload_is_and_is_missing_rows_elsewhere() {
 /// the join of what the files now hold — as a bag, against a brute-force
 /// nested loop, since the buckets decide the order — the twin's output does
 /// not move, and `outputs_match` turns false; and both passes read the same
-/// bytes as untampered. A faithful GRACE arm that partitions the generator's
-/// rows fails the direct route.
+/// bytes as untampered. So at 8-byte columns, at 4-byte ones, and with
+/// 8-byte columns on the left and 4-byte ones on the right, whose join rows
+/// are read back in that layout. A faithful GRACE arm that partitions the
+/// generator's rows fails the direct route, and one that refuses or
+/// truncates narrow columns fails both.
 #[test]
 fn tampered_files_move_the_real_grace_join_and_not_the_twin() {
-    let specs = [
-        RelSpec::pairs("R", "HDD", 300).with_key_range(50),
-        RelSpec::pairs("S", "HDD", 200).with_key_range(50),
-    ];
+    for col_bytes in [(8, 8), (4, 4), (8, 4)] {
+        let spec = |name, card, col_bytes| RelSpec {
+            col_bytes,
+            ..RelSpec::pairs(name, "HDD", card).with_key_range(50)
+        };
+        tampered_file_moves_the_real_grace_join([
+            spec("R", 300, col_bytes.0),
+            spec("S", 200, col_bytes.1),
+        ]);
+    }
+}
+
+fn tampered_file_moves_the_real_grace_join(specs: [RelSpec; 2]) {
+    let layout = (specs[0].col_bytes, specs[1].col_bytes);
     let seed = 41;
     let generated: Vec<RowBuf> = (0..2)
         .map(|i| {
@@ -846,18 +878,18 @@ fn tampered_files_move_the_real_grace_join_and_not_the_twin() {
     };
     for route in [Route::Executor, Route::Runtime] {
         let clean = report_over_files(&plan, &specs, seed, route, |_, _| {});
-        assert!(clean.outputs_match(), "{route:?}");
-        assert_eq!(bag(&clean.output), want, "{route:?}");
+        assert!(clean.outputs_match(), "{route:?} {layout:?} B");
+        assert_eq!(bag(&clean.output), want, "{route:?} {layout:?} B");
 
         let moved = report_over_files(&plan, &specs, seed, route, |fb, rels| {
             rewrite(fb, &rels[1], &tampered)
         });
-        assert_eq!(bag(&moved.output), want_moved, "{route:?}");
-        assert_eq!(moved.sim_output, clean.sim_output, "{route:?}");
-        assert!(!moved.outputs_match(), "{route:?}");
+        assert_eq!(bag(&moved.output), want_moved, "{route:?} {layout:?} B");
+        assert_eq!(moved.sim_output, clean.sim_output, "{route:?} {layout:?} B");
+        assert!(!moved.outputs_match(), "{route:?} {layout:?} B");
         let reads = |r: &ocas_runtime::RealReport| -> Vec<u64> {
             r.real_devices.iter().map(|(_, d)| d.bytes_read).collect()
         };
-        assert_eq!(reads(&moved), reads(&clean), "{route:?}");
+        assert_eq!(reads(&moved), reads(&clean), "{route:?} {layout:?} B");
     }
 }

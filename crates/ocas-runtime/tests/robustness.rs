@@ -497,14 +497,13 @@ fn torn_input_page_surfaces_on_the_refill_that_reaches_it() {
     assert_eq!((rec.torn_write_backs, rec.corrupt_pages_detected), (1, 1));
 }
 
-/// A parameter no execution can honour — a GRACE join over zero partitions
-/// or over columns narrower than 8 bytes, a sort with a fan-in of one or a
-/// zero buffer — is one typed error on every route, raised before the first
-/// request: `Runtime::execute`, `Runtime::run_plan` (which used to run the
-/// whole real join with one partition and fail only on its simulator twin)
-/// and the generic executor on the simulator (which used to join narrow
-/// columns, on real files from the generator's rows). No device is read,
-/// written or allocated on.
+/// A parameter no execution can honour — a GRACE join over zero
+/// partitions, a sort with a fan-in of one or a zero buffer — is one typed
+/// error on every route, raised before the first request:
+/// `Runtime::execute`, `Runtime::run_plan` (which used to run the whole real
+/// join with one partition and fail only on its simulator twin) and the
+/// generic executor on the simulator. No device is read, written or
+/// allocated on.
 #[test]
 fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request() {
     let h = presets::two_hdd_ram(1 << 22);
@@ -533,13 +532,8 @@ fn a_parameter_no_run_can_honour_is_one_error_on_every_route_before_any_request(
         pred: JoinPred::KeyEq,
         output: output.clone(),
     };
-    let narrow = specs.clone().map(|mut spec| {
-        spec.col_bytes = 4;
-        spec
-    });
     let cases = [
         (join(0), &specs, "zero partitions"),
-        (join(4), &narrow, "GRACE join needs 8-byte columns"),
         (sort(1, 64, 128), &specs, "fan-in must be >= 2"),
         (sort(4, 0, 128), &specs, "zero sort buffer"),
         (sort(4, 64, 0), &specs, "zero sort buffer"),

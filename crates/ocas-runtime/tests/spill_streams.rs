@@ -11,7 +11,7 @@
 //! the backing file itself (after a flush), and the sort's result from its
 //! output extent. Both run through `Runtime::execute`.
 
-use ocas_engine::{JoinPred, Output, Plan, Relation, RowBuf};
+use ocas_engine::{JoinPred, Layout, Output, Plan, Relation, RowBuf};
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig, PoolStats, Runtime};
 use ocas_storage::{DeviceStats, FileId, StorageBackend};
@@ -137,7 +137,7 @@ fn a_grace_bucket_owns_its_pages_and_is_read_back_once() {
     for (n, group) in area.chunks((16 * PAGE) as usize).enumerate() {
         let mut group_owner = None;
         for (p, page) in group.chunks(PAGE as usize).enumerate() {
-            let tuples = RowBuf::decode(page, 2);
+            let tuples = Layout::new(2, 8).decode(page);
             let filled = tuples.iter().take_while(|t| *t != [0, 0]).count();
             assert!(
                 tuples.iter().skip(filled).all(|t| t == [0, 0]),

@@ -136,24 +136,25 @@ fn two_threads_running_plans_at_once_each_get_the_sequential_report() {
 fn a_plan_the_real_run_rejects_is_the_real_runs_typed_error() {
     let h = hierarchy();
     let rt = Runtime::new(h.clone());
-    let mut narrow = sort(4);
-    narrow.1[0].col_bytes = 4;
-    for (plan, specs) in [sort(1), narrow] {
-        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
-        let rels: Vec<Relation> = (specs.iter().zip(9..))
-            .map(|(spec, seed)| Relation::create(&mut fb, spec, true, seed).unwrap())
-            .collect();
-        let (_, real) = Runtime::execute(fb, &rels, &plan);
-        let want = real.expect_err("the real run rejects the plan");
-        assert!(matches!(
-            want,
-            RuntimeError::Exec(ExecError::BadParameter(_))
-        ));
-        let got = rt.run_plan(&plan, &specs, 9).expect_err("run_plan too");
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-    }
-    // The worker outlives a rejected plan: the thread's next call runs.
-    let (plan, specs) = sort(4);
+    let (plan, specs) = sort(1);
+    let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
+    let rels: Vec<Relation> = (specs.iter().zip(9..))
+        .map(|(spec, seed)| Relation::create(&mut fb, spec, true, seed).unwrap())
+        .collect();
+    let (_, real) = Runtime::execute(fb, &rels, &plan);
+    let want = real.expect_err("the real run rejects the plan");
+    assert!(matches!(
+        want,
+        RuntimeError::Exec(ExecError::BadParameter(_))
+    ));
+    let got = rt.run_plan(&plan, &specs, 9).expect_err("run_plan too");
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    // The worker outlives a rejected plan: the thread's next call runs,
+    // over 8-byte columns and over 4-byte ones alike.
+    let (plan, mut specs) = sort(4);
+    let report = rt.run_plan(&plan, &specs, 9).unwrap();
+    assert!(report.outputs_match() && report.output.len() == 6_000);
+    specs[0].col_bytes = 4;
     let report = rt.run_plan(&plan, &specs, 9).unwrap();
     assert!(report.outputs_match() && report.output.len() == 6_000);
 }

@@ -13,7 +13,7 @@
 
 use ocas::experiments;
 use ocas::verify;
-use ocas_engine::{encode_rows, Output, Plan, RelSpec, Relation, Row};
+use ocas_engine::{Output, Plan, RelSpec, Relation, Row};
 use ocas_storage::StorageSim;
 use std::collections::BTreeMap;
 
@@ -115,8 +115,8 @@ fn synthesized_grace_join_runs_on_real_files_three_way_identical() {
     let interp = interpreter_rows(&v);
     assert!(!interp.is_empty(), "degenerate join");
     assert_eq!(
-        encode_rows(&sorted(report.output.to_rows())),
-        encode_rows(&sorted(interp)),
+        sorted(report.output.to_rows()),
+        sorted(interp),
         "real output differs from the OCAL interpreter"
     );
 
@@ -206,8 +206,8 @@ fn synthesized_bnl_join_runs_on_real_files_three_way_identical() {
         let interp = interpreter_rows(&v);
         assert!(!interp.is_empty(), "degenerate join");
         assert_eq!(
-            encode_rows(&report.output.to_rows()),
-            encode_rows(&interp),
+            report.output.to_rows(),
+            interp,
             "k2 = {k2}: real output differs from the OCAL interpreter"
         );
     }
@@ -227,7 +227,6 @@ fn synthesized_external_sort_runs_on_real_files_three_way_identical() {
     // Lower with block parameters scaled to faithful data: small b_in/b_out
     // force multiple runs, so the merge levels really happen on disk.
     let card = 600u64;
-    let rel_specs = vec![RelSpec::ints("R", "HDD", card)];
     let mut params = synth.best.params.clone();
     for b in ["b_in", "b_out"] {
         params.remove(b);
@@ -254,12 +253,22 @@ fn synthesized_external_sort_runs_on_real_files_three_way_identical() {
         panic!("lowered to {plan:?}");
     };
     assert_eq!(*fan_in, fan, "plan fan-in mirrors the treeFold arity");
+    // 8-byte columns, and the row's own 1-byte ones.
+    for col_bytes in [8, 1] {
+        let rel_specs = vec![RelSpec {
+            col_bytes,
+            ..RelSpec::ints("R", "HDD", card)
+        }];
+        sort_runs_three_way_identical(&e, &plan, &rel_specs);
+    }
+}
 
-    let seed = 9;
+/// The external sort `plan` over `rel_specs`, run on real files against the
+/// simulator's faithful twin and the OCAL interpreter.
+fn sort_runs_three_way_identical(e: &experiments::Experiment, plan: &Plan, rel_specs: &[RelSpec]) {
+    let (seed, card) = (9, rel_specs[0].card);
     let rt = ocas_runtime::Runtime::new(e.hierarchy.clone());
-    let report = rt
-        .run_plan(&plan, &rel_specs, seed)
-        .expect("real execution");
+    let report = rt.run_plan(plan, rel_specs, seed).expect("real execution");
 
     // (2) real ≡ simulator faithful mode.
     assert!(report.outputs_match());
@@ -287,8 +296,8 @@ fn synthesized_external_sort_runs_on_real_files_three_way_identical() {
         .map(|x| vec![x.as_int().unwrap()])
         .collect();
     assert_eq!(
-        encode_rows(&report.output.to_rows()),
-        encode_rows(&interp),
+        report.output.to_rows(),
+        interp,
         "real output differs from the OCAL interpreter"
     );
 
@@ -300,5 +309,8 @@ fn synthesized_external_sort_runs_on_real_files_three_way_identical() {
         .find(|(n, _)| n == "HDD")
         .unwrap()
         .clone();
-    assert!(hdd.bytes_written > card * 8, "{hdd:?}");
+    assert!(
+        hdd.bytes_written > card * rel_specs[0].tuple_bytes(),
+        "{hdd:?}"
+    );
 }

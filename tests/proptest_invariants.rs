@@ -159,48 +159,79 @@ proptest! {
         prop_assert_eq!(e.alpha_canonical(), e2.alpha_canonical());
     }
 
-    /// The flat-batch codec is byte-identical to the per-row reference
-    /// codec, both directions, for every width.
+    /// The flat-batch codec is byte-identical to a per-row, per-column
+    /// reference loop, both directions, for 3-column rows.
     #[test]
     fn rowbuf_codec_matches_reference_codec(
         rows in proptest::collection::vec(
             proptest::collection::vec(-4_000_000_000_000i64..4_000_000_000_000, 3..4), 0..50),
     ) {
-        use ocas_engine::{decode_rows, encode_rows, RowBuf};
+        use ocas_engine::{Layout, RowBuf};
         let buf = RowBuf::from_rows(&rows);
-        let reference = encode_rows(&rows);
+        let mut reference = Vec::new();
+        for row in &rows {
+            for col in row {
+                reference.extend_from_slice(&col.to_le_bytes());
+            }
+        }
         // Encode: flat batch == per-row reference, byte for byte.
         prop_assert_eq!(&buf.encode(), &reference);
-        // Decode: both decoders reconstruct the same rows.
-        prop_assert_eq!(RowBuf::decode(&reference, 3).to_rows(), buf.to_rows());
-        prop_assert_eq!(decode_rows(&reference, 3), buf.to_rows());
-        // Trailing partial rows are dropped by both decoders.
+        // Decode: the rows come back.
+        prop_assert_eq!(Layout::new(3, 8).decode(&reference).to_rows(), rows.clone());
+        // A trailing partial row is dropped.
         if !reference.is_empty() {
             let truncated = &reference[..reference.len() - 5];
-            prop_assert_eq!(
-                RowBuf::decode(truncated, 3).to_rows(),
-                decode_rows(truncated, 3)
-            );
+            prop_assert_eq!(Layout::new(3, 8).decode(truncated).to_rows(), rows[..rows.len() - 1].to_vec());
         }
     }
 
-    /// Narrow-column encoding (col_bytes < 8) agrees with truncating each
-    /// reference-encoded column to its low-order bytes.
+    /// The column codec at every width of 1 to 8 bytes and rows of 1 to 3
+    /// columns: encoding agrees with truncating each reference-encoded
+    /// column to its low-order bytes (negative and wide values included),
+    /// and a value below `256^col_bytes` — all a generator draws for such
+    /// a column — decodes back as it was, through `Layout` too; a trailing
+    /// partial row is dropped.
     #[test]
     fn rowbuf_narrow_encode_matches_reference(
         vals in proptest::collection::vec(-4_000_000_000_000i64..4_000_000_000_000, 0..60),
-        cb in 1usize..8,
+        cb in 1usize..9,
+        width in 1usize..4,
     ) {
-        use ocas_engine::RowBuf;
-        let rows: Vec<Vec<i64>> = vals.iter().map(|v| vec![*v]).collect();
-        let buf = RowBuf::from_rows(&rows);
+        use ocas_engine::{Layout, RowBuf};
+        let vals = &vals[..vals.len() / width * width];
+        let buf = RowBuf::from_vec(vals.to_vec(), width);
         let mut got = Vec::new();
         buf.encode_into(cb, &mut got);
         let want: Vec<u8> = vals
             .iter()
             .flat_map(|v| v.to_le_bytes()[..cb].to_vec())
             .collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
+
+        let fits: Vec<i64> = match cb {
+            8 => vals.to_vec(),
+            cb => vals.iter().map(|v| v & ((1 << (8 * cb)) - 1)).collect(),
+        };
+        let mut bytes = Vec::new();
+        let layout = Layout::new(width, cb);
+        layout.encode(&fits, &mut bytes);
+        prop_assert_eq!(bytes.len(), fits.len() * cb);
+        prop_assert_eq!(layout.decode(&bytes), RowBuf::from_vec(fits.clone(), width));
+        if !bytes.is_empty() {
+            let partial = layout.decode(&bytes[..bytes.len() - 1]);
+            prop_assert_eq!(partial.as_slice(), &fits[..fits.len() - width]);
+        }
+        // A join row's layout: an 8-byte column, then these.
+        let mixed = Layout::new(1, 8).then(&layout);
+        let rows: Vec<i64> = fits
+            .chunks_exact(width)
+            .zip(vals.iter().step_by(width))
+            .flat_map(|(row, first)| std::iter::once(*first).chain(row.iter().copied()))
+            .collect();
+        let mut bytes = Vec::new();
+        mixed.encode(&rows, &mut bytes);
+        prop_assert_eq!(bytes.len() as u64, rows.len() as u64 / (width as u64 + 1) * mixed.tuple_bytes());
+        prop_assert_eq!(mixed.decode(&bytes), RowBuf::from_vec(rows, width + 1));
     }
 
     /// In-place flat sort and dedup agree with the boundary-row semantics
