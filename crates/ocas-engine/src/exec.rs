@@ -27,7 +27,7 @@ use crate::key_scan::KeyColumns;
 use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Layout, Relation, RowBuf, RowsView};
-use crate::spill::{stage_rows, Extent, Payload, SpillAlloc};
+use crate::spill::{stage_rows, Extent, SpillAlloc};
 use crate::stream_kernel::{dedup, merge_pass, zip, Took};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
@@ -204,6 +204,16 @@ fn expected_pairs(keys: f64, a: u64, b: u64) -> f64 {
         (lx, ly) = (lx + (x / t).ln(), ly + (y / t).ln());
     }
     k * sum
+}
+
+/// The rows a merge of `kind` emits, laid out: the left input's, except
+/// that a value-multiplicity union's summed multiplicity gets 8 bytes,
+/// which hold every sum whatever the inputs' column width.
+fn merge_layout(kind: MergeKind, l: &Relation) -> Layout {
+    match kind {
+        MergeKind::MultisetUnionVm => Layout::new(1, l.col_bytes()).then(&Layout::new(1, 8)),
+        _ => l.layout(),
+    }
 }
 
 /// Expected rows a merge pass of `kind` emits over sorted inputs of
@@ -506,22 +516,16 @@ impl Sink {
         }
     }
 
-    /// Counts `n` more rows and flushes every buffer they fill: one
-    /// `flush_bytes` a buffer while the staged payload lasts, then the
-    /// buffers that carry none — all of them in simulated mode — as runs
-    /// (see [`flush_run`](Sink::flush_run)).
+    /// Counts `n` more rows and flushes every buffer they fill (see
+    /// [`flush`](Sink::flush)).
     fn emit_bulk<B: StorageBackend>(&mut self, sm: &mut B, n: u64) -> Result<(), ExecError> {
         self.rows += n;
         if let Output::ToDevice { buffer_bytes, .. } = &self.output {
             self.pending += n * self.tuple_bytes;
             let cap = (*buffer_bytes).max(self.tuple_bytes);
-            while self.pending >= cap && !self.encoded.is_empty() {
-                self.flush_bytes(sm, cap)?;
-                self.pending -= cap;
-            }
             let whole = self.pending / cap;
             if whole > 0 {
-                self.flush_run(sm, cap, whole)?;
+                self.flush(sm, cap, whole)?;
                 self.pending -= whole * cap;
             }
         }
@@ -542,70 +546,73 @@ impl Sink {
         Ok((file, SINK_EXTENT))
     }
 
-    /// Flushes `count` whole buffers of `cap` bytes that carry no payload:
-    /// the requests `count` calls of `flush_bytes(cap)` issue, with the
-    /// buffers that fit before the extent wraps issued as one
-    /// [`write_run`](StorageBackend::write_run). A buffer that straddles
-    /// the wrap is split by `flush_bytes`, as the loop splits it.
-    fn flush_run<B: StorageBackend>(
+    /// Flushes `count` buffers of `unit` bytes — the whole buffers an
+    /// emission fills, or the partial last one — carrying their bytes in
+    /// faithful mode: the requests flushing one buffer at a time issues,
+    /// with the buffers that fit before the extent wraps issued as one run
+    /// and a buffer that straddles the wrap split where it wraps.
+    fn flush<B: StorageBackend>(
         &mut self,
         sm: &mut B,
-        cap: u64,
+        unit: u64,
         mut count: u64,
     ) -> Result<(), ExecError> {
+        if unit == 0 || count == 0 {
+            return Ok(());
+        }
         let (file, len) = self.extent(sm)?;
+        let mut drained = 0;
         while count > 0 {
             if self.cursor >= len {
                 self.cursor = 0;
             }
-            let fit = ((len - self.cursor) / cap).min(count);
-            if fit == 0 {
-                self.flush_bytes(sm, cap)?;
-                count -= 1;
-            } else {
-                sm.write_run(file, self.cursor, cap, fit)?;
-                self.cursor += fit * cap;
+            let fit = ((len - self.cursor) / unit).min(count);
+            if fit > 0 {
+                self.put(sm, file, (unit, fit), &mut drained)?;
                 count -= fit;
+                continue;
             }
-        }
-        Ok(())
-    }
-
-    fn flush_bytes<B: StorageBackend>(&mut self, sm: &mut B, bytes: u64) -> Result<(), ExecError> {
-        if bytes == 0 {
-            return Ok(());
-        }
-        if let Output::ToDevice { .. } = &self.output {
-            let (file, len) = self.extent(sm)?;
-            let mut remaining = bytes;
-            let mut drained = 0usize;
-            while remaining > 0 {
+            // A buffer that straddles the wrap: a piece up to it, the rest
+            // past it.
+            let mut rest = unit;
+            while rest > 0 {
                 if self.cursor >= len {
                     self.cursor = 0;
                 }
-                let chunk = remaining.min(len - self.cursor);
-                let available = self.encoded.len() - drained;
-                if available > 0 {
-                    let take = (chunk as usize).min(available);
-                    sm.write_bytes(file, self.cursor, &self.encoded[drained..drained + take])?;
-                    drained += take;
-                    if (take as u64) < chunk {
-                        sm.write(file, self.cursor + take as u64, chunk - take as u64)?;
-                    }
-                } else {
-                    sm.write(file, self.cursor, chunk)?;
-                }
-                self.cursor += chunk;
-                remaining -= chunk;
+                let piece = rest.min(len - self.cursor);
+                self.put(sm, file, (piece, 1), &mut drained)?;
+                rest -= piece;
             }
-            self.encoded.drain(..drained);
+            count -= 1;
         }
+        self.encoded.drain(..drained);
+        Ok(())
+    }
+
+    /// Writes a run of `count` requests of `unit` bytes at the cursor,
+    /// carrying the staged bytes from `drained` on in faithful mode.
+    fn put<B: StorageBackend>(
+        &mut self,
+        sm: &mut B,
+        file: FileId,
+        (unit, count): (u64, u64),
+        drained: &mut usize,
+    ) -> Result<(), StorageError> {
+        let bytes = unit * count;
+        let data = self
+            .faithful
+            .then(|| &self.encoded[*drained..*drained + bytes as usize]);
+        sm.write(file, self.cursor, unit, count, data)?;
+        if data.is_some() {
+            *drained += bytes as usize;
+        }
+        self.cursor += bytes;
         Ok(())
     }
 
     fn finish<B: StorageBackend>(mut self, sm: &mut B) -> Result<OpResult, ExecError> {
         let pending = self.pending;
-        self.flush_bytes(sm, pending)?;
+        self.flush(sm, pending, 1)?;
         let bytes = self.rows * self.tuple_bytes;
         // Real rows, all of them still there.
         let extent = self
@@ -1224,7 +1231,7 @@ impl<B: StorageBackend> Executor<B> {
                     while let Some((b, n)) =
                         stage_rows(rest, cols, partitions, &mut staged, flush_at as usize)
                     {
-                        let rows = Payload::Bytes(&staged[b]);
+                        let rows = (Some(&staged[b][..]), staged[b].len() as u64);
                         spill.append_to_stream(&mut self.sm, &mut streams[b], rows, stage_bytes)?;
                         staged[b].clear();
                         rest = &rest[n * cols.0..];
@@ -1235,7 +1242,7 @@ impl<B: StorageBackend> Executor<B> {
                 None => {
                     while (due.0 * s - 1) * partitions + due.1 < at + take {
                         let stream = &mut streams[due.1 as usize];
-                        let rows = Payload::Elided(stage_bytes);
+                        let rows = (None, stage_bytes);
                         spill.append_to_stream(&mut self.sm, stream, rows, stage_bytes)?;
                         due = match due.1 + 1 {
                             b if b == partitions => (due.0 + 1, 0),
@@ -1249,22 +1256,22 @@ impl<B: StorageBackend> Executor<B> {
         }
         for (b, (stream, stage)) in (0..).zip(streams.iter_mut().zip(&staged)) {
             let rows = match self.faithful() {
-                true => Payload::Bytes(stage),
+                true => (Some(&stage[..]), stage.len() as u64),
                 false => {
                     let flushed = due.0 - 1 + u64::from(b < due.1);
                     let share = (card + partitions - 1 - b) / partitions;
-                    Payload::Elided((share - flushed * s) * tb)
+                    (None, (share - flushed * s) * tb)
                 }
             };
-            if rows.len() > 0 {
+            if rows.1 > 0 {
                 spill.append_to_stream(&mut self.sm, stream, rows, stage_bytes)?;
             }
         }
         Ok(streams)
     }
 
-    /// The tuples of one spill extent, laid out as `run`: one data read of
-    /// its filled prefix, decoded; `None` where simulated mode elides them.
+    /// The tuples of one spill extent, laid out as `run`: one read of its
+    /// filled prefix, decoded; `None` where simulated mode elides them.
     fn extent_rows<'a>(
         &mut self,
         input: usize,
@@ -1272,14 +1279,11 @@ impl<B: StorageBackend> Executor<B> {
         run: &Relation,
         block: &'a mut BlockBuf,
     ) -> Result<Option<&'a RowBuf>, ExecError> {
-        if !self.faithful() {
-            self.sm.read(extent.file, 0, extent.filled)?;
-            return Ok(None);
-        }
         let mut rel = run.in_file(extent.file, extent.filled / run.tuple_bytes);
-        let rows = rel.load_rows(&mut self.sm, 0, rel.card, block)?;
-        rows.map(|rows| Some(&*rows))
-            .ok_or(ExecError::MissingRows(input))
+        let card = rel.card;
+        Ok(self
+            .load_rows((input, &mut rel), 0, card, block)?
+            .map(|rows| &*rows))
     }
 
     /// [`Relation::load_rows`]'s request for the `n > 0` tuples at `index`:
@@ -1358,16 +1362,13 @@ impl<B: StorageBackend> Executor<B> {
             }
             match device {
                 Some(device) => {
-                    let rows = match rows {
-                        Some(rows) => {
-                            rows.encode_into(cb, &mut encoded);
-                            Payload::Bytes(&encoded)
-                        }
-                        None => Payload::Elided(card * tb),
-                    };
+                    let rows = rows.map(|rows| {
+                        rows.encode_into(cb, &mut encoded);
+                        &encoded[..]
+                    });
                     self.note_peak(card * tb * 2);
                     let out = self.sm.alloc(device, card * tb)?;
-                    rows.write(&mut self.sm, out, 0)?;
+                    self.sm.write(out, 0, card * tb, 1, rows)?;
                     Some(out)
                 }
                 None => {
@@ -1383,17 +1384,15 @@ impl<B: StorageBackend> Executor<B> {
             let mut at = 0u64;
             while at < card {
                 let take = run_tuples.min(card - at);
-                let rows = match self.load_rows((input, &mut rel), at, take, &mut block)? {
-                    Some(rows) => {
-                        rows.sort();
-                        encoded.clear();
-                        rows.encode_into(cb, &mut encoded);
-                        Payload::Bytes(&encoded)
-                    }
-                    None => Payload::Elided(take * tb),
-                };
+                let rows = self.load_rows((input, &mut rel), at, take, &mut block)?;
+                let rows = rows.map(|rows| {
+                    rows.sort();
+                    encoded.clear();
+                    rows.encode_into(cb, &mut encoded);
+                    &encoded[..]
+                });
                 self.note_peak(take * tb * 2);
-                spill.spill_rows(&mut self.sm, rows, tb, &mut runs)?;
+                spill.spill_rows(&mut self.sm, (rows, take * tb), tb, &mut runs)?;
                 at += take;
             }
             let (run, shape) = (rel.in_file(rel.file, 0), (b_in, b_out));
@@ -1479,7 +1478,7 @@ impl<B: StorageBackend> Executor<B> {
                     while written < out && (written + b_out <= out || next.is_none()) {
                         let rows = b_out.min(out - written);
                         if let Some(file) = to {
-                            Payload::Elided(rows * tb).write(&mut self.sm, file, written * tb)?;
+                            self.sm.write(file, written * tb, rows * tb, 1, None)?;
                         }
                         written += rows;
                     }
@@ -1495,7 +1494,8 @@ impl<B: StorageBackend> Executor<B> {
                             self.note_peak(held + 2 * rows * tb);
                             encoded.clear();
                             batch.encode_into(cb, encoded);
-                            self.sm.write_bytes(file, written * tb, encoded)?;
+                            let len = encoded.len() as u64;
+                            self.sm.write(file, written * tb, len, 1, Some(encoded))?;
                         } else {
                             self.note_peak(held + rows * tb);
                         }
@@ -1550,7 +1550,7 @@ impl<B: StorageBackend> Executor<B> {
             kind,
             MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
         );
-        let mut sink = self.sink(output, l.layout());
+        let mut sink = self.sink(output, merge_layout(kind, &l));
         sink.reserve(l.card + if diff { 0 } else { r.card });
         *compares += l.card + r.card;
         let width = l.width.max(1) as usize;
@@ -1848,7 +1848,7 @@ impl<B: StorageBackend> Executor<B> {
     }
 
     /// The request of [`Relation::load_block`] per `b_in` tuples, column 0
-    /// averaged as they arrive. The requests go out as data runs of at most
+    /// averaged as they arrive. The requests go out as runs of at most
     /// one device page (a block longer than that, or the shorter last block,
     /// is a run of one), so a backend that serves sequential requests
     /// together sees them together — all the full blocks at once where
@@ -1883,20 +1883,18 @@ impl<B: StorageBackend> Executor<B> {
                 _ if !self.faithful() => (b_in, full),
                 _ => (b_in, full.min(per_run)),
             };
-            let n = block * blocks;
-            if !self.faithful() {
-                self.sm.read_run(rel.file, idx * tb, block * tb, blocks)?;
+            let (n, faithful) = (block * blocks, self.faithful());
+            let len = (n * tb) as usize;
+            if faithful && bytes.len() < len {
+                bytes.resize(len, 0);
+            }
+            let run = faithful.then(|| &mut bytes[..len]);
+            let held = self.sm.read(rel.file, idx * tb, block * tb, blocks, run)?;
+            if !faithful {
                 idx += n;
                 continue;
             }
-            let len = (n * tb) as usize;
-            if bytes.len() < len {
-                bytes.resize(len, 0);
-            }
-            let run = &mut bytes[..len];
-            let held = self
-                .sm
-                .read_data_run(rel.file, idx * tb, block * tb, blocks, run)?;
+            let run = &bytes[..len];
             if held {
                 sum = sum.wrapping_add(layout.column0_sum(run));
                 count += n as i64;
@@ -1941,6 +1939,7 @@ impl<B: StorageBackend> Executor<B> {
 mod tests {
     use super::*;
     use crate::merge_oracle::merge_bufs;
+    use crate::recording::{Recording, Request};
     use crate::rel::{RelSpec, Row, RowGen};
     use ocas_hierarchy::presets;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -2088,7 +2087,7 @@ mod tests {
     }
 
     /// The writes a sink that flushes `bytes` in buffers of `cap` issues
-    /// one `flush_bytes` at a time: each buffer at the cursor, split where
+    /// one buffer at a time: each buffer at the cursor, split where
     /// the cursor wraps at the end of the extent, the partial last buffer
     /// at the end — as `(offset, len)`.
     fn buffer_flushes(bytes: u64, cap: u64) -> Vec<(u64, u64)> {
@@ -2113,8 +2112,8 @@ mod tests {
     /// split where the cursor wraps at the end of the 1 GiB extent. A BNL
     /// product join and a sorted duplicate removal, writing 2 GiB and 1.25
     /// GiB, at buffer sizes that divide 2^30 and ones that do not (Table
-    /// 1's 20 KiB among them), and one larger than the extent, which only
-    /// `flush_bytes` can flush. On the simulator with the runs and on the
+    /// 1's 20 KiB among them), and one larger than the extent, which goes
+    /// out in pieces. On the simulator with the runs and on the
     /// recording wrapper that keeps the loop of writes: the same requests
     /// in order (runs expanded), clock bits, rows and counters of every
     /// device; and the writes are the ones flushing a buffer at a time
@@ -2173,7 +2172,7 @@ mod tests {
                         (stats, stats.busy_seconds.to_bits())
                     });
                     let seen = (stats.seconds.to_bits(), stats.output_rows, devices);
-                    (seen, ex.sm.log, ex.sm.write_runs)
+                    (seen, ex.sm.log, ex.sm.runs)
                 };
                 let ((got, got_log, write_runs), (want, want_log, _)) = (run(true), run(false));
                 let what = format!("{name} writing {buffer_bytes} B buffers to {device}");
@@ -2191,11 +2190,108 @@ mod tests {
                     "{what}: the writes"
                 );
                 assert_eq!(
-                    write_runs > 0,
+                    write_runs > Some(0),
                     buffer_bytes <= SINK_EXTENT,
                     "{what}: write runs"
                 );
             }
+        }
+    }
+
+    /// The faithful sibling, below the extent's wrap: buffers that carry
+    /// their rows still go out as the writes flushing one buffer at a time
+    /// issues ([`buffer_flushes`], runs expanded), the partial last buffer
+    /// included, and the output file reads back as the rows' encoding. A
+    /// sorted duplicate removal and a BNL product join — whose kernels fill
+    /// at most one buffer an emission — and a sink handed one batch of many
+    /// buffers, a run carrying them all; at buffer sizes that divide the
+    /// output and ones that do not.
+    #[test]
+    fn faithful_sink_writes_carry_the_rows_a_buffer_a_request() {
+        let dedup: fn(Output) -> Plan = |output| Plan::DedupSorted {
+            input: 0,
+            b_in: 1 << 12,
+            output,
+        };
+        let bnl: fn(Output) -> Plan = |output| Plan::BnlJoin {
+            outer: 0,
+            inner: 1,
+            k1: 16,
+            k2: 1 << 10,
+            tiling: None,
+            pred: JoinPred::Cross,
+            order_inputs: false,
+            output,
+        };
+        let dedup_specs = vec![RelSpec::ints("L", "HDD", 1 << 18)
+            .sorted()
+            .with_key_range(1 << 20)];
+        let bnl_specs = vec![
+            RelSpec::pairs("R", "HDD", 32),
+            RelSpec::pairs("S", "HDD", 1 << 12),
+        ];
+        let sim = || {
+            Recording::new(
+                StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 22)),
+                true,
+            )
+        };
+        // The file `extent` names: written as `buffer_flushes` says, and
+        // read back as `rows` encoded.
+        fn check(
+            sm: &mut Recording<StorageSim>,
+            (file, bytes): (FileId, u64),
+            layout: &Layout,
+            rows: &[i64],
+            cap: u64,
+            what: &str,
+        ) {
+            let writes = sm.log.iter().filter(|r| r.0 && r.1 == file.0);
+            let writes: Vec<_> = writes.map(|r| (r.2, r.3)).collect();
+            assert!(writes == buffer_flushes(bytes, cap), "{what}: the writes");
+            let mut buf = vec![0u8; bytes as usize];
+            let kept = sm.read(file, 0, bytes, 1, Some(&mut buf)).unwrap();
+            let mut want = Vec::new();
+            layout.encode(rows, &mut want);
+            assert!(kept && buf == want, "{what}: the file");
+        }
+        for buffer_bytes in [1 << 16, 20 * 1024, 300_001] {
+            let output = Output::ToDevice {
+                device: "HDD2".into(),
+                buffer_bytes,
+            };
+            for (name, plan, specs) in [("dedup", dedup, &dedup_specs), ("bnl", bnl, &bnl_specs)] {
+                let mut ex = Executor::new(sim(), Mode::Faithful, CpuModel::disabled());
+                for (i, spec) in specs.iter().enumerate() {
+                    let rel = Relation::create(&mut ex.sm, spec, true, 7 + i as u64).unwrap();
+                    ex.add_relation(rel);
+                }
+                let stats = ex.run(&plan(output.clone())).unwrap();
+                let rows = stats.output.expect("collected");
+                let extent = stats.output_extent.expect("a device-bound output");
+                assert!(
+                    extent.1 % buffer_bytes != 0 || buffer_bytes == 1 << 16,
+                    "{name}"
+                );
+                let what = format!("{name} writing {buffer_bytes} B buffers");
+                check(
+                    &mut ex.sm,
+                    extent,
+                    &stats.output_layout,
+                    rows.as_slice(),
+                    buffer_bytes,
+                    &what,
+                );
+            }
+            let mut sm = sim();
+            let layout = Layout::new(2, 8);
+            let mut sink = Sink::new(&output, layout.clone(), true, false);
+            let values: Vec<i64> = (0..1 << 18).collect();
+            sink.emit_rows(&mut sm, &values).unwrap();
+            let extent = sink.finish(&mut sm).unwrap().extent.expect("written");
+            let what = format!("one batch in {buffer_bytes} B buffers");
+            check(&mut sm, extent, &layout, &values, buffer_bytes, &what);
+            assert!(sm.runs > Some(0), "{what}: a run");
         }
     }
 
@@ -2695,7 +2791,8 @@ mod tests {
     fn file_of<B: StorageBackend>(sm: &mut B, device: &str, rows: &RowBuf) -> FileId {
         let bytes = rows.encode();
         let file = sm.alloc(device, (bytes.len() as u64).max(1)).unwrap();
-        sm.write_bytes(file, 0, &bytes).unwrap();
+        sm.write(file, 0, bytes.len() as u64, 1, Some(&bytes))
+            .unwrap();
         file
     }
 
@@ -2704,7 +2801,10 @@ mod tests {
     fn written(ex: &mut Executor, stats: &ExecStats) -> RowBuf {
         let (file, bytes) = stats.output_extent.expect("a device-bound output");
         let mut buf = vec![0u8; bytes as usize];
-        assert!(ex.sm.read_data(file, 0, &mut buf).unwrap(), "kept");
+        assert!(
+            ex.sm.read(file, 0, bytes, 1, Some(&mut buf)).unwrap(),
+            "kept"
+        );
         stats.output_layout.decode(&buf)
     }
 
@@ -2946,7 +3046,8 @@ mod tests {
             ex.merge_runs((0, &run), &runs, shape, Some(merged), None, &mut Vec::new())
                 .unwrap();
             let mut bytes = vec![0u8; want.len() * 8];
-            let kept = ex.sm.read_data(merged, 0, &mut bytes).unwrap();
+            let len = bytes.len() as u64;
+            let kept = ex.sm.read(merged, 0, len, 1, Some(&mut bytes)).unwrap();
             proptest::prop_assert_eq!(kept, !want.is_empty(), "a written run is kept");
             proptest::prop_assert_eq!(Layout::new(width, 8).decode(&bytes).as_slice(), want.as_slice());
         }
@@ -3091,134 +3192,6 @@ mod tests {
         MergeKind::MultisetDiffVm,
     ];
 
-    /// One charged request: `(is_write, file, offset, len)`.
-    type Request = (bool, usize, u64, u64);
-
-    /// The simulator, logging every charged request — the wrapper
-    /// `ocas-runtime`'s `stream_requests.rs` records real runs with. Run
-    /// requests keep the trait's loops unless `runs` is set; then they go
-    /// to the simulator whole, logged request by request (write runs
-    /// counted in `write_runs`).
-    struct Recording {
-        inner: StorageSim,
-        log: Vec<Request>,
-        runs: bool,
-        write_runs: u64,
-    }
-
-    impl Recording {
-        fn new(inner: StorageSim, runs: bool) -> Recording {
-            Recording {
-                inner,
-                log: Vec::new(),
-                runs,
-                write_runs: 0,
-            }
-        }
-
-        fn log_run(&mut self, write: bool, file: FileId, offset: u64, unit: u64, count: u64) {
-            self.write_runs += u64::from(write);
-            let requests = (0..count).map(|j| (write, file.0, offset + j * unit, unit));
-            self.log.extend(requests);
-        }
-    }
-
-    impl StorageBackend for Recording {
-        fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
-            self.inner.alloc(device, len)
-        }
-        fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-            self.log.push((false, file.0, offset, len));
-            StorageBackend::read(&mut self.inner, file, offset, len)
-        }
-        fn read_run(
-            &mut self,
-            file: FileId,
-            offset: u64,
-            unit: u64,
-            count: u64,
-        ) -> Result<(), StorageError> {
-            if !self.runs {
-                for j in 0..count {
-                    self.read(file, offset + j * unit, unit)?;
-                }
-                return Ok(());
-            }
-            self.log_run(false, file, offset, unit, count);
-            self.inner.read_run(file, offset, unit, count)
-        }
-        fn write_run(
-            &mut self,
-            file: FileId,
-            offset: u64,
-            unit: u64,
-            count: u64,
-        ) -> Result<(), StorageError> {
-            if !self.runs {
-                for j in 0..count {
-                    self.write(file, offset + j * unit, unit)?;
-                }
-                return Ok(());
-            }
-            self.log_run(true, file, offset, unit, count);
-            self.inner.write_run(file, offset, unit, count)
-        }
-        fn read_data(
-            &mut self,
-            file: FileId,
-            offset: u64,
-            buf: &mut [u8],
-        ) -> Result<bool, StorageError> {
-            self.log.push((false, file.0, offset, buf.len() as u64));
-            self.inner.read_data(file, offset, buf)
-        }
-        fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-            self.log.push((true, file.0, offset, len));
-            StorageBackend::write(&mut self.inner, file, offset, len)
-        }
-        fn write_bytes(
-            &mut self,
-            file: FileId,
-            offset: u64,
-            data: &[u8],
-        ) -> Result<(), StorageError> {
-            self.log.push((true, file.0, offset, data.len() as u64));
-            self.inner.write_bytes(file, offset, data)
-        }
-        fn materialize(
-            &mut self,
-            file: FileId,
-            offset: u64,
-            data: &[u8],
-        ) -> Result<(), StorageError> {
-            self.inner.materialize(file, offset, data)
-        }
-        fn charge_cpu(&mut self, seconds: f64) {
-            StorageBackend::charge_cpu(&mut self.inner, seconds)
-        }
-        fn clock(&self) -> f64 {
-            StorageBackend::clock(&self.inner)
-        }
-        fn len(&self, file: FileId) -> u64 {
-            StorageBackend::len(&self.inner, file)
-        }
-        fn device_of(&self, file: FileId) -> &str {
-            StorageBackend::device_of(&self.inner, file)
-        }
-        fn device_stats(&self, device: &str) -> Option<ocas_storage::DeviceStats> {
-            StorageBackend::device_stats(&self.inner, device)
-        }
-        fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
-            StorageBackend::truncate_device(&mut self.inner, device, mark)
-        }
-        fn watermark(&self, device: &str) -> Option<u64> {
-            StorageBackend::watermark(&self.inner, device)
-        }
-        fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
-            StorageBackend::page_bytes(&self.inner, device)
-        }
-    }
-
     /// What a streaming plan's run is held to: the collected rows, the
     /// digest, the rows emitted, the comparisons, the peak resident bytes,
     /// every request in order and the device's counters.
@@ -3250,7 +3223,7 @@ mod tests {
             } => {
                 let (l, r) = (ex.rels[*left].clone(), ex.rels[*right].clone());
                 let compares = l.card + r.card;
-                let mut sink = ex.sink(output, l.layout());
+                let mut sink = ex.sink(output, merge_layout(*kind, &l));
                 let inputs = ((*left, l), (*right, r));
                 ex.merge_literal(inputs.0, inputs.1, *kind, *b_in, &mut sink)
                     .unwrap();

@@ -21,13 +21,20 @@
 //!   bucket gets. The spill layout (runs, bucket extents) is the same in
 //!   both modes.
 //!
-//! **Run requests in simulated mode.** The cost of simulating a plan must
-//! not grow with how finely the plan slices a sequential scan — the paper's
-//! cost model charges the scan by what the device does, and the worst
-//! candidates are exactly the ones that block their loops badly. So where
-//! the executor can prove that a whole pass is nothing but a scan, it issues
-//! the pass as one [`StorageBackend::read_run`](ocas_storage::StorageBackend::read_run)
-//! instead of one `read` per block: the inner pass of a simulated
+//! **One request, with or without its data.** Every transfer the engine
+//! issues is one [`StorageBackend::read`](ocas_storage::StorageBackend::read)
+//! or [`StorageBackend::write`](ocas_storage::StorageBackend::write): a run
+//! of `count` requests of `unit` bytes laid end to end (a single request is
+//! a run of one) that carries its bytes in faithful mode and elides them in
+//! simulated mode. Both modes issue the same requests in the same order;
+//! only the bytes are left out.
+//!
+//! **Runs in simulated mode.** The cost of simulating a plan must not grow
+//! with how finely the plan slices a sequential scan — the paper's cost
+//! model charges the scan by what the device does, and the worst candidates
+//! are exactly the ones that block their loops badly. So where the executor
+//! can prove that a whole pass is nothing but a scan, it issues the pass as
+//! one run instead of one call per block: the inner pass of a simulated
 //! block-nested-loops join whenever the output sink cannot flush before the
 //! pass ends (always for `Output::Discard`; for `Output::ToDevice` when the
 //! rows the pass emits still fit the output buffer), and every full block
@@ -38,35 +45,30 @@
 //! loop, to the last bit. Everything else keeps the per-request loop,
 //! because there the request *order* is the experiment: a pass during
 //! which the sink flushes interleaves writes with the reads (the paper's
-//! read/write interference rows), and faithful mode moves real rows per
-//! block and must issue the same stream on the simulator and on real
-//! files. A parity test holds the two paths bit-equal. The sink's flushes are runs too, without changing the order:
-//! the whole buffers one emission fills go out as one
-//! [`StorageBackend::write_run`](ocas_storage::StorageBackend::write_run),
-//! split where the sink's 1 GiB extent wraps, and the simulator charges it
-//! with the loop's sums; a flush that carries payload (faithful mode) stays
-//! one `write_bytes` a buffer.
+//! read/write interference rows). A parity test holds the two paths
+//! bit-equal. The sink's flushes are runs too, without changing the order:
+//! the whole buffers one emission fills go out as one write run, split
+//! where the sink's 1 GiB extent wraps, carrying their bytes in faithful
+//! mode, and the simulator charges it with the loop's sums.
 //!
-//! **Block cursors.** Every faithful operator reads its rows with one
-//! [`StorageBackend::read_data`](ocas_storage::StorageBackend::read_data)
-//! per block — charged, counted and faulted exactly like the accounting
-//! read simulated mode issues. One function in `rel.rs` asks whether the
-//! backend handed a payload back, and it is the only place that does: if so
-//! (real files, at any column width) the block is decoded from those bytes — the
-//! operator computes on what it read, a [`Relation::attach`]ed file needs no
-//! generator, and a twin comparison can fail because of what is in a file —
-//! else (the simulator) it is the relation's generator's. The nested-loops
-//! join takes whole blocks ([`Relation::load_block`]); the aggregation issues
-//! the same block requests as data runs of at most one device page
-//! ([`StorageBackend::read_data_run`](ocas_storage::StorageBackend::read_data_run)),
-//! which the file backend serves from its read-ahead window with one copy
-//! and the simulator answers with one run request — still counted, faulted
-//! and (on files) traced request by request; merge pass, column zip and
-//! duplicate removal pull rows through one [`BlockCursor`] per input,
-//! refilled when its block is exhausted, and that loop is their only
-//! implementation, on the simulator and on real files; simulated mode
-//! issues the same cursor requests with the data elided
-//! ([`BlockCursor::elide`]).
+//! **Block cursors.** Every faithful operator reads its rows with one read
+//! carrying its bytes per block — charged, counted and faulted exactly like
+//! the read simulated mode issues with them elided. One function in
+//! `rel.rs` asks whether the backend handed the bytes back, and it is the
+//! only place that does: if so (real files, at any column width) the block
+//! is decoded from those bytes — the operator computes on what it read, a
+//! [`Relation::attach`]ed file needs no generator, and a twin comparison
+//! can fail because of what is in a file — else (the simulator) it is the
+//! relation's generator's. The nested-loops join takes whole blocks
+//! ([`Relation::load_block`]); the aggregation issues the same block
+//! requests as runs of at most one device page, which the file backend
+//! serves from its read-ahead window with one copy and the simulator
+//! answers whole — still counted, faulted and (on files) traced request by
+//! request; merge pass, column zip and duplicate removal pull rows through
+//! one [`BlockCursor`] per input, refilled when its block is exhausted, and
+//! that loop is their only implementation, on the simulator and on real
+//! files; simulated mode issues the same cursor requests with the data
+//! elided ([`BlockCursor::elide`]).
 //!
 //! **Tuple codec.** Every file the engine writes and reads back — a
 //! relation's, a spilled run or bucket, an output — holds its rows in one
@@ -182,6 +184,9 @@ mod merge_kernel;
 #[path = "../tests/merge_oracle/mod.rs"]
 mod merge_oracle;
 pub mod plan;
+#[cfg(test)]
+#[path = "../tests/recording/mod.rs"]
+mod recording;
 pub mod rel;
 mod sorted_window;
 mod spill;

@@ -344,7 +344,7 @@ impl Layout {
     }
 
     /// The wrapping sum of column 0 over the whole rows in `bytes`: the
-    /// aggregate's inner loop over a data run, compiled once.
+    /// aggregate's inner loop over a run's bytes, compiled once.
     pub(crate) fn column0_sum(&self, bytes: &[u8]) -> i64 {
         let rows = bytes.chunks_exact(self.tuple_bytes() as usize);
         let (cb, mut word) = (self.parts[0].1, [0u8; 8]);
@@ -1109,7 +1109,7 @@ impl Relation {
     }
 
     /// Reads a block of `count` tuples starting at tuple `index`, charging
-    /// the device; returns the actual count read.
+    /// the device, with the data elided; returns the actual count read.
     pub fn read_block<B: StorageBackend>(
         &self,
         sm: &mut B,
@@ -1118,7 +1118,7 @@ impl Relation {
     ) -> Result<u64, StorageError> {
         let n = count.min(self.card.saturating_sub(index));
         if n > 0 {
-            sm.read(self.file, index * self.tuple_bytes, n * self.tuple_bytes)?;
+            self.fetch_block(sm, index, n, None)?;
         }
         Ok(n)
     }
@@ -1144,7 +1144,7 @@ impl Relation {
             buf.rows.data.clear();
             return Ok(RowsView::empty());
         }
-        if self.fetch_block(sm, index, n, buf)? {
+        if self.fetch_block(sm, index, n, Some(buf))? {
             Ok(buf.rows.as_view())
         } else {
             Ok(self.block_rows(index, n))
@@ -1164,34 +1164,40 @@ impl Relation {
         buf: &'a mut BlockBuf,
     ) -> Result<Option<&'a mut RowBuf>, StorageError> {
         buf.rows.width = self.width.max(1) as usize;
-        if !self.fetch_block(sm, index, n, buf)? {
+        if !self.fetch_block(sm, index, n, Some(buf))? {
             let rows = self.block_rows(index, n);
             buf.rows.data.extend_from_slice(rows.as_slice());
         }
         Ok(Some(&mut buf.rows).filter(|rows| rows.len() as u64 == n))
     }
 
-    /// The one payload-or-generator decision (see `load_block`): the data
-    /// read of the `n > 0` tuples at `index`, decoded into `buf` when that
-    /// returns `true`; `false` leaves `buf` empty — the generator's block.
-    #[inline]
+    /// A block's one request and the one payload-or-generator decision
+    /// (see `load_block`): the read of the `n > 0` tuples at `index`, into
+    /// `buf` and decoded there when it returns `true`, with the data elided
+    /// where there is no `buf`; `false` leaves `buf` empty — the
+    /// generator's block. Always inlined, so that the elided read of
+    /// [`read_block`](Relation::read_block) is the request and nothing else.
+    #[inline(always)]
     fn fetch_block<B: StorageBackend>(
         &self,
         sm: &mut B,
         index: u64,
         n: u64,
-        buf: &mut BlockBuf,
+        mut buf: Option<&mut BlockBuf>,
     ) -> Result<bool, StorageError> {
-        buf.rows.data.clear();
         let len = (n * self.tuple_bytes) as usize;
-        if buf.bytes.len() < len {
-            buf.bytes.resize(len, 0);
-        }
-        let bytes = &mut buf.bytes[..len];
-        let holds_payload = sm.read_data(self.file, index * self.tuple_bytes, bytes)?;
-        if holds_payload {
+        let bytes = buf.as_deref_mut().map(|buf| {
+            buf.rows.data.clear();
+            if buf.bytes.len() < len {
+                buf.bytes.resize(len, 0);
+            }
+            &mut buf.bytes[..len]
+        });
+        let at = index * self.tuple_bytes;
+        let holds_payload = sm.read(self.file, at, len as u64, 1, bytes)?;
+        if let Some(buf) = buf.filter(|_| holds_payload) {
             buf.rows.width = self.width as usize;
-            decode_cols(bytes, self.col_bytes(), &mut buf.rows.data);
+            decode_cols(&buf.bytes[..len], self.col_bytes(), &mut buf.rows.data);
         }
         Ok(holds_payload)
     }
@@ -1199,11 +1205,11 @@ impl Relation {
     /// Reads the whole relation front to back in blocks of `count > 0`
     /// tuples, charging the device: the request stream of calling
     /// [`read_block`](Relation::read_block) at `0, count, 2 * count, …`,
-    /// issued as one run request for the full blocks plus a read for the
-    /// shorter last block, if any.
+    /// issued as one run of the full blocks plus a read for the shorter
+    /// last block, if any, with the data elided.
     pub fn read_scan<B: StorageBackend>(&self, sm: &mut B, count: u64) -> Result<(), StorageError> {
         let full = self.card / count;
-        sm.read_run(self.file, 0, count * self.tuple_bytes, full)?;
+        sm.read(self.file, 0, count * self.tuple_bytes, full, None)?;
         self.read_block(sm, full * count, count)?;
         Ok(())
     }
@@ -1267,7 +1273,7 @@ impl Relation {
 /// input side of the streaming operators (merge pass, column zip, duplicate
 /// removal) and of the external sort's merges, on every backend.
 ///
-/// When its block runs dry the cursor issues **one** data read for the next
+/// When its block runs dry the cursor issues **one** read for the next
 /// `b_in` tuples — [`Relation::load_block`]'s request, under its
 /// payload-or-generator rule — and keeps the rows: decoded from the file on
 /// a backend that holds it (so a [`Relation::attach`]ed file works), copied

@@ -22,9 +22,9 @@
 //!   torn partition page still surfaces as `CorruptPage` on the bucket read
 //!   that reaches it.
 //!
-//! Both executor modes lay their spills out here. A write carries a
-//! [`Payload`]: the tuples' bytes, or where simulated mode elides the data
-//! their length alone, which places and charges the same request.
+//! Both executor modes lay their spills out here. A write carries the
+//! tuples' bytes, or where simulated mode elides the data their length
+//! alone, which places and charges the same request.
 
 use crate::rel::encode_cols;
 use ocas_storage::{FileId, StorageBackend, StorageError};
@@ -60,46 +60,6 @@ pub(crate) struct Extent {
     pub(crate) file: FileId,
     cap: u64,
     pub(crate) filled: u64,
-}
-
-/// What a spill write carries: the tuples' bytes, or only their length
-/// where simulated mode elides the data. Either way it is the same request.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Payload<'a> {
-    Bytes(&'a [u8]),
-    Elided(u64),
-}
-
-impl Payload<'_> {
-    /// Bytes written.
-    pub(crate) fn len(&self) -> u64 {
-        match self {
-            Payload::Bytes(bytes) => bytes.len() as u64,
-            Payload::Elided(len) => *len,
-        }
-    }
-
-    /// Bytes `start..end` of the payload.
-    fn slice(&self, start: u64, end: u64) -> Payload<'_> {
-        match self {
-            Payload::Bytes(bytes) => Payload::Bytes(&bytes[start as usize..end as usize]),
-            Payload::Elided(_) => Payload::Elided(end - start),
-        }
-    }
-
-    /// Writes the payload at `offset` of `file`: a data write, or the same
-    /// request without the data.
-    pub(crate) fn write<B: StorageBackend>(
-        self,
-        sm: &mut B,
-        file: FileId,
-        offset: u64,
-    ) -> Result<(), StorageError> {
-        match self {
-            Payload::Bytes(bytes) => sm.write_bytes(file, offset, bytes),
-            Payload::Elided(len) => sm.write(file, offset, len),
-        }
-    }
 }
 
 impl SpillAlloc {
@@ -145,24 +105,26 @@ impl SpillAlloc {
         }
     }
 
-    /// Writes `rows` (whole `tb`-byte tuples, one sorted batch) as one run,
-    /// appending `(file, tuples)` to `runs`. On capacity exhaustion the
+    /// Writes `len` bytes of `rows` (whole `tb`-byte tuples, one sorted
+    /// batch; `None` where the data is elided) as one run, appending
+    /// `(file, tuples)` to `runs`. On capacity exhaustion the
     /// extent halves — a contiguous slice of a sorted batch is still a sorted
     /// run — and when single-tuple extents no longer fit it fails over.
     pub(crate) fn spill_rows<B: StorageBackend>(
         &mut self,
         sm: &mut B,
-        rows: Payload<'_>,
+        (rows, len): (Option<&[u8]>, u64),
         tb: u64,
         runs: &mut Vec<(FileId, u64)>,
     ) -> Result<(), StorageError> {
-        let (count, mut start) = (rows.len() / tb, 0u64);
+        let (count, mut start) = (len / tb, 0u64);
         let mut chunk = count;
         while start < count {
             let n = chunk.min(count - start);
             match sm.alloc(&self.device, n * tb) {
                 Ok(f) => {
-                    rows.slice(start * tb, (start + n) * tb).write(sm, f, 0)?;
+                    let part = rows.map(|r| &r[(start * tb) as usize..((start + n) * tb) as usize]);
+                    sm.write(f, 0, n * tb, 1, part)?;
                     runs.push((f, n));
                     start += n;
                 }
@@ -226,22 +188,22 @@ impl SpillAlloc {
         }
     }
 
-    /// Appends `rows` (whole tuples, at most `stage_bytes` of them) to a
-    /// spill stream: into the room left in its last extent, or into a fresh
-    /// reservation when they do not fit there.
+    /// Appends `len` bytes of `rows` (whole tuples, at most `stage_bytes`
+    /// of them; `None` where the data is elided) to a spill stream: into the
+    /// room left in its last extent, or into a fresh reservation when they
+    /// do not fit there.
     pub(crate) fn append_to_stream<B: StorageBackend>(
         &mut self,
         sm: &mut B,
         stream: &mut Vec<Extent>,
-        rows: Payload<'_>,
+        (rows, len): (Option<&[u8]>, u64),
         stage_bytes: u64,
     ) -> Result<(), StorageError> {
-        let len = rows.len();
         if !stream.last().is_some_and(|e| e.cap - e.filled >= len) {
             stream.push(self.reserve(sm, stage_bytes)?);
         }
         let extent = stream.last_mut().expect("just reserved");
-        rows.write(sm, extent.file, extent.filled)?;
+        sm.write(extent.file, extent.filled, len, 1, rows)?;
         extent.filled += len;
         Ok(())
     }

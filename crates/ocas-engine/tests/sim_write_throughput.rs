@@ -7,9 +7,9 @@
 //! inner blocks of 256 tuples, writing its 2^32 rows through a 20 KiB
 //! output buffer onto the disk it reads from — 6.7M buffer flushes, ~410
 //! after each inner block. `Executor<StorageSim>` in `Mode::Simulated`
-//! issues each inner block's flushes as one `write_run`; the same plan over
-//! [`Looped`], which keeps the trait's default `write_run`, issues them one
-//! `write` at a time. Both must end on the same clock bits and device
+//! issues each inner block's flushes as one write run; the same plan over
+//! [`Looped`], which splits a write run into its writes, issues them one
+//! write at a time. Both must end on the same clock bits and device
 //! counters; best of three passes each, taking turns, the runs must be at
 //! least [`MIN_SPEEDUP`] times faster.
 //!
@@ -36,7 +36,7 @@ const INNER: u64 = if cfg!(debug_assertions) {
 #[cfg(not(debug_assertions))]
 const MIN_SPEEDUP: f64 = 6.0;
 
-/// The simulator with the trait's default `write_run`: the loop of writes.
+/// The simulator, with each write run issued as the loop of its writes.
 /// Everything else goes straight through, read runs included, so the two
 /// sides differ in how the sink's flushes reach the device and nothing else.
 struct Looped(StorageSim);
@@ -45,23 +45,29 @@ impl StorageBackend for Looped {
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
         self.0.alloc(device, len)
     }
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.0.read(file, offset, len)
-    }
-    fn read_run(
+    fn read(
         &mut self,
         file: FileId,
         offset: u64,
         unit: u64,
         count: u64,
+        buf: Option<&mut [u8]>,
+    ) -> Result<bool, StorageError> {
+        self.0.read(file, offset, unit, count, buf)
+    }
+    fn write(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        data: Option<&[u8]>,
     ) -> Result<(), StorageError> {
-        self.0.read_run(file, offset, unit, count)
-    }
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.0.write(file, offset, len)
-    }
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.0.write_bytes(file, offset, data)
+        for j in 0..count {
+            let part = data.map(|d| &d[(j * unit) as usize..((j + 1) * unit) as usize]);
+            self.0.write(file, offset + j * unit, unit, 1, part)?;
+        }
+        Ok(())
     }
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
         self.0.materialize(file, offset, data)

@@ -65,7 +65,9 @@ fn executor(inputs: &[Vec<i64>]) -> Executor<StorageSim> {
     for rows in inputs {
         let bytes = RowBuf::from_vec(rows.clone(), 1).encode();
         let file = ex.sm.alloc("HDD", bytes.len() as u64).unwrap();
-        ex.sm.write_bytes(file, 0, &bytes).unwrap();
+        ex.sm
+            .write(file, 0, bytes.len() as u64, 1, Some(&bytes))
+            .unwrap();
         ex.add_relation(Relation::attach(file, rows.len() as u64, 1, 1));
     }
     ex

@@ -1,14 +1,12 @@
 //! The real-I/O storage backend: one temp file per hierarchy device, each
 //! fronted by a page-granular [`BufferPool`] and a small read-ahead window
 //! for forward cursors, implementing the engine's [`StorageBackend`] seam —
-//! data reads hand back what the file holds — with per-device I/O counters
-//! that mirror the simulator's [`DeviceStats`].
+//! a read carrying its bytes hands back what the file holds — with
+//! per-device I/O counters that mirror the simulator's [`DeviceStats`].
 
 use crate::pool::{BufferPool, PolicyKind, PoolStats};
 use ocas_hierarchy::Hierarchy;
-use ocas_storage::{
-    read_data_loop, DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError,
-};
+use ocas_storage::{DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -96,8 +94,8 @@ struct Located {
     extent_end: u64,
 }
 
-/// Longest transfer one request moves; longer accounting and data requests
-/// are issued as a sequence of these.
+/// Longest transfer one read, or one write with the data elided, moves; a
+/// longer request is issued as a sequence of these.
 const CHUNK: usize = 1 << 20;
 
 /// Pages in a device's read-ahead window (see [`FileBackend`]). At least
@@ -249,13 +247,15 @@ impl DeviceFile {
 /// * *Not timed:* a request served from the window reads no clock — there
 ///   is no I/O in it to time. The refill is timed like any pool read, on
 ///   the request that caused it.
-/// * *Served together in a data run:* `read_data_run` is the loop of its
-///   requests, except that the ones the window holds are one copy and one
-///   bulk update of the counters (still one obs span each while tracing).
-///   The requests that find the window short take the single-request path,
-///   so the window refills at the same requests, and the bytes, counters,
-///   pool statistics and window afterwards are the loop's.
-/// * *Dropped by:* any `write`/`write_bytes`/`materialize` on the device
+/// * *Served together in a run:* a read run carrying its bytes is the loop
+///   of its requests, except that the ones the window holds are one copy
+///   and one bulk update of the counters (still one obs span each while
+///   tracing). The requests that find the window short take the
+///   single-request path, so the window refills at the same requests, and
+///   the bytes, counters, pool statistics and window afterwards are the
+///   loop's. A run with the data elided, or whose requests are empty or
+///   longer than a transfer, is the loop itself.
+/// * *Dropped by:* any `write` or `materialize` on the device
 ///   (its bytes change), `truncate_device` (its extents change), and any
 ///   read that is not such a sequential sub-page one (the position moves
 ///   some other way). So the window never holds a byte the pool would not
@@ -418,16 +418,35 @@ impl FileBackend {
         }
     }
 
-    /// Charged read of real bytes into `buf` — the data path the
-    /// out-of-core algorithms use.
-    pub fn read_into(
+    /// One charged read request of `len` bytes at `offset` of `file`,
+    /// moved in transfers of at most a [`CHUNK`] — into `buf`, or through
+    /// the scratch buffer where the data is elided.
+    fn read_request(
         &mut self,
         file: FileId,
         offset: u64,
-        buf: &mut [u8],
+        len: u64,
+        mut buf: Option<&mut [u8]>,
     ) -> Result<(), StorageError> {
-        let at = self.locate(file, offset, buf.len() as u64)?;
-        self.read_device(at, buf)
+        let mut done = 0;
+        while done < len {
+            let n = (len - done).min(CHUNK as u64) as usize;
+            let at = self.locate(file, offset + done, n as u64)?;
+            match buf.as_deref_mut() {
+                Some(buf) => self.read_device(at, &mut buf[done as usize..done as usize + n])?,
+                None => {
+                    if self.scratch.len() < n {
+                        self.scratch.resize(n, 0);
+                    }
+                    let mut scratch = std::mem::take(&mut self.scratch);
+                    let r = self.read_device(at, &mut scratch[..n]);
+                    self.scratch = scratch;
+                    r?;
+                }
+            }
+            done += n as u64;
+        }
+        Ok(())
     }
 
     /// One charged read at a located position.
@@ -442,7 +461,7 @@ impl FileBackend {
         Ok(())
     }
 
-    /// [`StorageBackend::read_data_run`] within one file's extent, with
+    /// A run of reads carrying their bytes within one file's extent, with
     /// `unit` from 1 B to a [`CHUNK`], so that each request is one
     /// [`read_device`](FileBackend::read_device): the requests the window
     /// holds are served together, and each one that finds it short takes
@@ -501,11 +520,6 @@ impl FileBackend {
         d.obs_request("read", w0, dt, buf.len() as u64, seek);
         self.clock_seconds += dt;
         Ok(())
-    }
-
-    fn write_impl(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let at = self.locate(file, offset, data.len() as u64)?;
-        self.write_device(at.device, at.pos, data)
     }
 
     /// One charged write at device position `pos`.
@@ -603,85 +617,83 @@ impl StorageBackend for FileBackend {
         Ok(id)
     }
 
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        // Accounting read: really fetch the bytes (through the pool, off
-        // the file) into a scratch buffer, in bounded chunks.
-        let mut remaining = len;
-        let mut at = offset;
-        while remaining > 0 {
-            let chunk = remaining.min(CHUNK as u64) as usize;
-            if self.scratch.len() < chunk {
-                self.scratch.resize(chunk, 0);
-            }
-            let mut buf = std::mem::take(&mut self.scratch);
-            let r = self.read_into(file, at, &mut buf[..chunk]);
-            self.scratch = buf;
-            r?;
-            at += chunk as u64;
-            remaining -= chunk as u64;
-        }
-        Ok(())
-    }
-
-    fn read_data(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<bool, StorageError> {
-        // The requests `read` issues for this length, into the caller's
-        // buffer instead of the scratch.
-        let mut at = offset;
-        for chunk in buf.chunks_mut(CHUNK) {
-            self.read_into(file, at, chunk)?;
-            at += chunk.len() as u64;
-        }
-        Ok(true)
-    }
-
-    fn read_data_run(
+    fn read(
         &mut self,
         file: FileId,
         offset: u64,
         unit: u64,
         count: u64,
-        buf: &mut [u8],
+        mut buf: Option<&mut [u8]>,
     ) -> Result<bool, StorageError> {
-        // The loop itself where a request is empty or chunked, and where the
-        // run leaves the file: it serves the prefix and fails where the
-        // loop fails.
-        let fits =
-            (1..=CHUNK as u64).contains(&unit) && unit.checked_mul(count) == Some(buf.len() as u64);
-        match self.locate(file, offset, buf.len() as u64) {
-            Ok(at) if fits && count > 0 => {
+        let held = buf.is_some();
+        if let Some(buf) = buf.as_deref_mut() {
+            assert!(
+                unit.checked_mul(count) == Some(buf.len() as u64),
+                "a run of {count} x {unit} B carries {} B",
+                buf.len()
+            );
+            // Served together where each request is one transfer and the
+            // run stays in the file.
+            let at = self.locate(file, offset, buf.len() as u64).ok();
+            if let Some(at) = at.filter(|_| (1..=CHUNK as u64).contains(&unit)) {
                 self.read_device_run(at, unit as usize, buf)?;
-                Ok(true)
+                return Ok(true);
             }
-            _ => read_data_loop(self, file, offset, unit, count, buf),
         }
+        // Else the loop itself, which serves a run leaving the file up to
+        // where it fails; with the data elided, the bytes are really
+        // fetched (through the pool, off the file) and dropped.
+        for j in 0..count {
+            let from = (j * unit) as usize;
+            let request = buf
+                .as_deref_mut()
+                .map(|b| &mut b[from..from + unit as usize]);
+            self.read_request(file, offset + j * unit, unit, request)?;
+        }
+        Ok(held)
     }
 
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        // Accounting write: move that many real filler bytes.
-        let mut remaining = len;
-        let mut at = offset;
-        while remaining > 0 {
-            let chunk = remaining.min(CHUNK as u64) as usize;
-            if self.scratch.len() < chunk {
-                self.scratch.resize(chunk, 0);
-            }
-            let buf = std::mem::take(&mut self.scratch);
-            let r = self.write_impl(file, at, &buf[..chunk]);
-            self.scratch = buf;
-            r?;
-            at += chunk as u64;
-            remaining -= chunk as u64;
+    fn write(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        data: Option<&[u8]>,
+    ) -> Result<(), StorageError> {
+        if let Some(data) = data {
+            assert!(
+                unit.checked_mul(count) == Some(data.len() as u64),
+                "a run of {count} x {unit} B carries {} B",
+                data.len()
+            );
+        }
+        for j in 0..count {
+            let at = offset + j * unit;
+            let Some(data) = data else {
+                // Elided: move that many real filler bytes, in transfers
+                // of at most a chunk.
+                let mut done = 0;
+                while done < unit {
+                    let n = (unit - done).min(CHUNK as u64) as usize;
+                    if self.scratch.len() < n {
+                        self.scratch.resize(n, 0);
+                    }
+                    let l = self.locate(file, at + done, n as u64)?;
+                    let scratch = std::mem::take(&mut self.scratch);
+                    let r = self.write_device(l.device, l.pos, &scratch[..n]);
+                    self.scratch = scratch;
+                    r?;
+                    done += n as u64;
+                }
+                continue;
+            };
+            // With the bytes, a request is one transfer however long.
+            let l = self.locate(file, at, unit)?;
+            let from = (j * unit) as usize;
+            self.write_device(l.device, l.pos, &data[from..from + unit as usize])?;
         }
         Ok(())
-    }
-
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.write_impl(file, offset, data)
     }
 
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
@@ -797,7 +809,7 @@ mod tests {
         let mut b = backend();
         let f = b.alloc("HDD", 4096).unwrap();
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8).collect();
-        b.write_bytes(f, 0, &data).unwrap();
+        b.write(f, 0, 4096, 1, Some(&data)).unwrap();
         b.flush().unwrap();
         // The bytes are really on disk (read only the prefix — the device
         // file is sparse up to the hierarchy capacity).
@@ -810,7 +822,7 @@ mod tests {
             .unwrap();
         assert_eq!(on_disk, data);
         let mut buf = vec![0u8; 4096];
-        b.read_into(f, 0, &mut buf).unwrap();
+        assert!(b.read(f, 0, 4096, 1, Some(&mut buf)).unwrap());
         assert_eq!(buf, data);
     }
 
@@ -818,10 +830,10 @@ mod tests {
     fn counters_mirror_device_stats() {
         let mut b = backend();
         let f = b.alloc("HDD", 1 << 16).unwrap();
-        b.write(f, 0, 1 << 16).unwrap();
-        b.read(f, 0, 1 << 16).unwrap();
+        b.write(f, 0, 1 << 16, 1, None).unwrap();
+        b.read(f, 0, 1 << 16, 1, None).unwrap();
         // Jump back: a second read from 0 is a seek.
-        b.read(f, 0, 4096).unwrap();
+        b.read(f, 0, 4096, 1, None).unwrap();
         let s = b.device_stats("HDD").unwrap();
         assert_eq!(s.bytes_written, 1 << 16);
         assert_eq!(s.bytes_read, (1 << 16) + 4096);
@@ -839,7 +851,7 @@ mod tests {
         let s = b.device_stats("HDD").unwrap();
         assert_eq!((s.bytes_read, s.bytes_written), (0, 0));
         let mut buf = [0u8; 16];
-        b.read_into(f, 100, &mut buf).unwrap();
+        b.read(f, 100, 16, 1, Some(&mut buf)).unwrap();
         assert_eq!(buf, [5u8; 16]);
     }
 
@@ -848,7 +860,7 @@ mod tests {
         let mut b = backend();
         let f = b.alloc("HDD", 100).unwrap();
         assert!(matches!(
-            b.read(f, 64, 100),
+            b.read(f, 64, 100, 1, None),
             Err(StorageError::OutOfBounds { .. })
         ));
         assert!(matches!(
@@ -871,11 +883,11 @@ mod tests {
         let mut b = backend();
         let stale = ocas_storage::FileId(999);
         assert!(matches!(
-            b.read_into(stale, 0, &mut [0u8; 8]),
+            b.read(stale, 0, 8, 1, Some(&mut [0u8; 8])),
             Err(StorageError::UnknownFile(999))
         ));
         assert!(matches!(
-            b.write_bytes(stale, 0, &[0u8; 8]),
+            b.write(stale, 0, 8, 1, Some(&[0u8; 8])),
             Err(StorageError::UnknownFile(999))
         ));
         assert_eq!(StorageBackend::len(&b, stale), 0);
@@ -897,9 +909,9 @@ mod tests {
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 13) as u8).collect();
         // alloc = HDD request 0; this write fires the fault, retries, and
         // the data still lands intact.
-        b.write_bytes(f, 0, &data).unwrap();
+        b.write(f, 0, 4096, 1, Some(&data)).unwrap();
         let mut buf = vec![0u8; 4096];
-        assert!(b.read_data(f, 0, &mut buf).unwrap());
+        assert!(b.read(f, 0, 4096, 1, Some(&mut buf)).unwrap());
         assert_eq!(buf, data);
         let c = b.recovery_counters().unwrap();
         assert_eq!(c.transient_faults, 1);
@@ -938,14 +950,14 @@ mod tests {
         let mut data = vec![0x11u8; page as usize];
         data[page as usize / 2..].fill(0x22);
         // Request 1 schedules the tear; the write itself succeeds.
-        b.write_bytes(f, 0, &data).unwrap();
+        b.write(f, 0, page, 1, Some(&data)).unwrap();
         // Push the page out through a 2-frame pool and pull it back in.
         for i in 1..6u64 {
-            b.write_bytes(f, i * page, &data).unwrap();
+            b.write(f, i * page, page, 1, Some(&data)).unwrap();
         }
         let mut buf = vec![0u8; page as usize];
         let got = (0..8u64)
-            .map(|i| b.read_data(f, i * page, &mut buf))
+            .map(|i| b.read(f, i * page, page, 1, Some(&mut buf)))
             .find(|r| r.is_err());
         let err = got
             .expect("torn page must surface on some re-read")

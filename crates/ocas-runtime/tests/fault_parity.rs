@@ -6,8 +6,8 @@
 //! shared; what these tests hold to it is that the two backends issue,
 //! fail and recover the same requests.
 //!
-//! A run request (`read_run`, or the `write_run` an output sink flushes its
-//! whole buffers with) is its requests, one by one, on both: a spec at an
+//! A run of requests (a scan's blocks, or the whole buffers an output sink
+//! flushes in one call) is its requests, one by one, on both: a spec at an
 //! index inside a run fires there, not at the run's first request and not
 //! never.
 //!
@@ -86,7 +86,7 @@ fn drive<B: StorageBackend>(b: &mut B, ops: &[Op]) -> Vec<String> {
                 }
                 false => {
                     let (f, cap) = files[slot % files.len()];
-                    b.write(f, 0, len.min(cap))
+                    b.write(f, 0, len.min(cap), 1, None)
                 }
             },
             Op::Read(slot, len) => match files.is_empty() {
@@ -96,7 +96,7 @@ fn drive<B: StorageBackend>(b: &mut B, ops: &[Op]) -> Vec<String> {
                 }
                 false => {
                     let (f, cap) = files[slot % files.len()];
-                    b.read(f, 0, len.min(cap))
+                    b.read(f, 0, len.min(cap), 1, None).map(|_| ())
                 }
             },
         };
@@ -183,9 +183,9 @@ proptest! {
     }
 
     /// A fault scheduled *inside* a run request fires at that request on
-    /// both backends, with the same outcome and counters: neither
-    /// overrides `read_run`, so each issues the run as single reads, every
-    /// one of which consumes a per-device index. (`Faulted` handing the
+    /// both backends, with the same outcome and counters: `Faulted` numbers
+    /// the run's requests itself, each a single read that consumes a
+    /// per-device index. (`Faulted` handing the
     /// run to the simulator's fast path would skip the index entirely —
     /// most requests of this run are read-ahead hits the HDD model never
     /// visits.)
@@ -343,11 +343,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A simulated column zip fills [`RUN_WRITES`] output buffers
-    /// with each block it reads, and its sink issues them as one
-    /// `write_run`. A write fault planted at any request of such a run
-    /// fires at that request on both backends, with the same outcome and
-    /// counters: `Faulted` keeps the run's loop of writes, each of which
-    /// consumes a per-device index. (`Faulted` handing the run to its inner
+    /// with each block it reads, and its sink issues them as one write run.
+    /// A write fault planted at any request of such a run fires at that
+    /// request on both backends, with the same outcome and counters:
+    /// `Faulted` issues the run's writes one by one, each of which consumes
+    /// a per-device index. (`Faulted` handing the run to its inner
     /// backend would let all sixteen writes past injection and shift every
     /// later index.)
     #[test]
@@ -462,21 +462,23 @@ fn a_torn_page_fails_the_first_tuple_on_it_and_none_before() {
 
     let mut tuple = [0u8; 8];
     for at in [0, 8] {
-        assert!(fb.read_data(f, at, &mut tuple).unwrap());
+        assert!(fb
+            .read(f, at, tuple.len() as u64, 1, Some(&mut tuple))
+            .unwrap());
         assert_eq!(tuple, old[at as usize..at as usize + 8]);
     }
     // Page 3 is rewritten, and torn on its way out of the two-frame pool.
-    fb.write_bytes(f, 3 * PAGE, &vec![0xAB; PAGE as usize])
+    fb.write(f, 3 * PAGE, PAGE, 1, Some(&vec![0xAB; PAGE as usize]))
         .unwrap();
     for page in [5, 6] {
-        fb.write_bytes(f, page * PAGE, &vec![0xCD; PAGE as usize])
+        fb.write(f, page * PAGE, PAGE, 1, Some(&vec![0xCD; PAGE as usize]))
             .unwrap();
     }
     assert_eq!(fb.recovery_counters().unwrap().torn_write_backs, 1);
 
     let mut at = 16;
     let err = loop {
-        match fb.read_data(f, at, &mut tuple) {
+        match fb.read(f, at, tuple.len() as u64, 1, Some(&mut tuple)) {
             Ok(_) => assert_eq!(tuple, old[at as usize..at as usize + 8], "tuple at {at}"),
             Err(e) => break e,
         }
@@ -489,7 +491,7 @@ fn a_torn_page_fails_the_first_tuple_on_it_and_none_before() {
     );
     // Still corrupt, still typed, on the next attempt.
     assert!(matches!(
-        fb.read_data(f, at, &mut tuple),
+        fb.read(f, at, tuple.len() as u64, 1, Some(&mut tuple)),
         Err(StorageError::CorruptPage { page: 3, .. })
     ));
 }
@@ -505,8 +507,8 @@ fn drive_run<B: StorageBackend>(b: &mut B) -> (String, ocas_storage::RecoveryCou
     let f = b
         .alloc("HDD", unit * RUN_REQUESTS)
         .expect("alloc is not faulted");
-    let outcome = match b.read_run(f, 0, unit, RUN_REQUESTS) {
-        Ok(()) => "ok".to_string(),
+    let outcome = match b.read(f, 0, unit, RUN_REQUESTS, None) {
+        Ok(_) => "ok".to_string(),
         Err(e) => format!("err: {e}"),
     };
     (outcome, b.recovery_counters().expect("injector present"))
@@ -522,12 +524,12 @@ fn an_overflowing_request_end_is_out_of_bounds_on_both_backends() {
         let f = b.alloc("HDD", 4096).expect("fits");
         let (offset, len) = (u64::MAX - 1, 8);
         let mut outcomes = vec![
-            b.read(f, offset, len),
-            b.write(f, offset, len),
-            b.write_bytes(f, offset, &[0u8; 8]),
+            b.read(f, offset, len, 1, None).map(|_| ()),
+            b.write(f, offset, len, 1, None),
+            b.write(f, offset, 8, 1, Some(&[0u8; 8])),
         ];
         // The ordinary case on the same file, for contrast: one byte past.
-        outcomes.push(b.read(f, 4090, 7));
+        outcomes.push(b.read(f, 4090, 7, 1, None).map(|_| ()));
         outcomes
             .into_iter()
             .map(|r| match r {
@@ -557,22 +559,25 @@ impl StorageBackend for WithFallback {
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
         self.0.alloc(device, len)
     }
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        StorageBackend::read(&mut self.0, file, offset, len)
-    }
-    fn read_data(
+    fn read(
         &mut self,
         file: FileId,
         offset: u64,
-        buf: &mut [u8],
+        unit: u64,
+        count: u64,
+        buf: Option<&mut [u8]>,
     ) -> Result<bool, StorageError> {
-        self.0.read_data(file, offset, buf)
+        self.0.read(file, offset, unit, count, buf)
     }
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        StorageBackend::write(&mut self.0, file, offset, len)
-    }
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.0.write_bytes(file, offset, data)
+    fn write(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        data: Option<&[u8]>,
+    ) -> Result<(), StorageError> {
+        self.0.write(file, offset, unit, count, data)
     }
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
         self.0.materialize(file, offset, data)

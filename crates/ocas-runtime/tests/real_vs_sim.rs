@@ -437,6 +437,38 @@ fn narrow_column_output_uses_the_on_disk_tuple_format() {
     assert_eq!(got, want, "on-disk bytes are col_bytes-wide LE columns");
 }
 
+/// A value-multiplicity union over 1-byte columns sums multiplicities past
+/// what a byte holds, and its output file keeps every sum whole: the
+/// harvested real output is the twin's (a multiplicity written in the
+/// inputs' column width would read back truncated).
+#[test]
+fn a_value_multiplicity_union_of_narrow_columns_keeps_its_sums() {
+    let rt = Runtime::new(unit_page_hierarchy());
+    let spec = |name| RelSpec {
+        col_bytes: 1,
+        ..RelSpec::pairs(name, "HDD", 400)
+            .sorted()
+            .with_key_range(200)
+    };
+    let plan = Plan::MergePass {
+        left: 0,
+        right: 1,
+        kind: MergeKind::MultisetUnionVm,
+        b_in: 64,
+        output: Output::ToDevice {
+            device: "HDD".into(),
+            buffer_bytes: 1 << 10,
+        },
+    };
+    let report = rt.run_plan(&plan, &[spec("A"), spec("B")], 3).unwrap();
+    assert_eq!(report.output.len(), 559);
+    assert!(
+        report.sim_output.iter().any(|row| row[1] > 255),
+        "a sum a byte does not hold"
+    );
+    assert!(report.outputs_match());
+}
+
 /// Overwrites `rel`'s file with `rows` (uncharged, like its creation), in
 /// its column width.
 fn rewrite(fb: &mut FileBackend, rel: &Relation, rows: &ocas_engine::RowBuf) {

@@ -43,7 +43,7 @@ fn relation(fb: &mut FileBackend, rows: &RowBuf) -> Relation {
 /// on its inputs.
 fn flood_pool(fb: &mut FileBackend) {
     let junk: FileId = fb.alloc("HDD", 2 * FRAMES * PAGE).unwrap();
-    fb.read(junk, 0, 2 * FRAMES * PAGE).unwrap();
+    fb.read(junk, 0, 2 * FRAMES * PAGE, 1, None).unwrap();
 }
 
 fn hdd(fb: &FileBackend) -> (DeviceStats, PoolStats) {

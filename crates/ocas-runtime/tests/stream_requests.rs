@@ -27,74 +27,12 @@
 use ocas_engine::{CpuModel, Executor, MergeKind, Mode, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::presets;
 use ocas_runtime::{FileBackend, PoolConfig, PoolStats, Runtime};
-use ocas_storage::{DeviceStats, FileId, StorageBackend, StorageError, StorageSim};
+use ocas_storage::{DeviceStats, StorageBackend, StorageSim};
 use std::collections::BTreeSet;
 
-/// One charged request: `(is_write, file, offset, len)`.
-type Request = (bool, usize, u64, u64);
-
-/// Forwards everything to `inner`, keeping a log of the charged requests.
-struct Recording<B> {
-    inner: B,
-    log: Vec<Request>,
-}
-
-impl<B: StorageBackend> StorageBackend for Recording<B> {
-    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
-        self.inner.alloc(device, len)
-    }
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.log.push((false, file.0, offset, len));
-        self.inner.read(file, offset, len)
-    }
-    fn read_data(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<bool, StorageError> {
-        self.log.push((false, file.0, offset, buf.len() as u64));
-        self.inner.read_data(file, offset, buf)
-    }
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.log.push((true, file.0, offset, len));
-        self.inner.write(file, offset, len)
-    }
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.log.push((true, file.0, offset, data.len() as u64));
-        self.inner.write_bytes(file, offset, data)
-    }
-    fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.inner.materialize(file, offset, data)
-    }
-    fn charge_cpu(&mut self, seconds: f64) {
-        self.inner.charge_cpu(seconds)
-    }
-    fn clock(&self) -> f64 {
-        self.inner.clock()
-    }
-    fn obs_clock(&self) -> ocas_obs::Clock {
-        self.inner.obs_clock()
-    }
-    fn len(&self, file: FileId) -> u64 {
-        self.inner.len(file)
-    }
-    fn device_of(&self, file: FileId) -> &str {
-        self.inner.device_of(file)
-    }
-    fn device_stats(&self, device: &str) -> Option<DeviceStats> {
-        self.inner.device_stats(device)
-    }
-    fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
-        self.inner.truncate_device(device, mark)
-    }
-    fn watermark(&self, device: &str) -> Option<u64> {
-        self.inner.watermark(device)
-    }
-    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
-        self.inner.page_bytes(device)
-    }
-}
+#[path = "../../ocas-engine/tests/recording/mod.rs"]
+mod recording;
+use recording::{Recording, Request};
 
 /// What relation `i` of a case holds.
 enum Input {
@@ -142,10 +80,7 @@ fn recorded<B: StorageBackend>(
     inputs: &[Input],
     plan: &Plan,
 ) -> (Vec<Request>, u64, Vec<(bool, u64)>) {
-    let mut sm = Recording {
-        inner: sm,
-        log: Vec::new(),
-    };
+    let mut sm = Recording::new(sm, false);
     let rels = relations(&mut sm, inputs, SEED);
     let mut ex =
         Executor::new(sm, Mode::Faithful, CpuModel::disabled()).with_output_collection(false);

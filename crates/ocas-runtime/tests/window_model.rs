@@ -14,7 +14,7 @@
 
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
 use ocas_runtime::{FileBackend, PoolConfig, PoolStats};
-use ocas_storage::{read_data_loop, FileId, StorageBackend, StorageError};
+use ocas_storage::{FileId, StorageBackend, StorageError};
 use proptest::prelude::*;
 
 const PAGE: u64 = 64;
@@ -96,7 +96,10 @@ impl Twins {
     fn read(&mut self, slot: usize, offset: u64, len: u64, what: &str) -> Vec<u8> {
         let (file, at, _) = self.files[slot];
         let mut buf = vec![0xEE; len as usize];
-        let held = self.fb.read_data(file, offset, &mut buf).unwrap();
+        let held = self
+            .fb
+            .read(file, offset, buf.len() as u64, 1, Some(&mut buf))
+            .unwrap();
         assert!(held, "{what}: a file backend holds its payload");
         let pos = (at + offset) as usize;
         assert_eq!(buf, self.device[pos..pos + len as usize], "{what}");
@@ -108,7 +111,9 @@ impl Twins {
 
     fn write(&mut self, slot: usize, offset: u64, data: &[u8], what: &str) {
         let (file, at, _) = self.files[slot];
-        self.fb.write_bytes(file, offset, data).unwrap();
+        self.fb
+            .write(file, offset, data.len() as u64, 1, Some(data))
+            .unwrap();
         let pos = (at + offset) as usize;
         self.device[pos..pos + data.len()].copy_from_slice(data);
         self.charge(at + offset, data.len() as u64);
@@ -220,7 +225,7 @@ proptest! {
                     let (file, at, len) = t.files[other];
                     let off = a % len;
                     let take = (1 + b % PAGE).min(len - off);
-                    t.fb.read(file, off, take).unwrap();
+                    t.fb.read(file, off, take, 1, None).unwrap();
                     t.charge(at + off, take);
                     t.bytes_read += take;
                     t.check(&what);
@@ -260,11 +265,29 @@ type Seen = (
     usize,
 );
 
+/// The loop of single reads carrying their bytes that a read run carrying
+/// them stands for: `true` when every request handed the file's bytes back.
+fn read_data_loop(
+    fb: &mut FileBackend,
+    file: FileId,
+    offset: u64,
+    unit: u64,
+    count: u64,
+    buf: &mut [u8],
+) -> Result<bool, StorageError> {
+    let mut held = true;
+    for j in 0..count {
+        let request = &mut buf[(j * unit) as usize..((j + 1) * unit) as usize];
+        held &= fb.read(file, offset + j * unit, unit, 1, Some(request))?;
+    }
+    Ok(held)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// `read_data_run` on the file backend against the loop of `read_data`
-    /// calls it stands for, on two backends that saw the same requests
+    /// A read run carrying its bytes on the file backend against the loop of
+    /// single reads it stands for, on two backends that saw the same requests
     /// before it: the same outcome and bytes, the same `DeviceStats` and
     /// `PoolStats`, the same obs event count when tracing — and the same
     /// window afterwards, which the tuple stream after the run shows: its
@@ -311,14 +334,16 @@ proptest! {
             fb.materialize(f, 0, &data).unwrap();
             let mut tuple = [0u8; 8];
             for k in 0..stream {
-                fb.read_data(f, 8 * k, &mut tuple).unwrap();
+                fb.read(f, 8 * k, tuple.len() as u64, 1, Some(&mut tuple)).unwrap();
             }
             let near = (position + draw % WINDOW).min(len - 8);
             match prior {
                 0 => {}
-                1 => fb.write_bytes(f, near, &[0x5A; 8]).unwrap(),
+                1 => fb.write(f, near, 8, 1, Some(&[0x5A; 8])).unwrap(),
                 2 => fb.materialize(f, near, &[0xA5; 8]).unwrap(),
-                _ => fb.read(f, draw % (len - PAGE), PAGE).unwrap(),
+                _ => {
+                    fb.read(f, draw % (len - PAGE), PAGE, 1, None).unwrap();
+                }
             }
             if tracing == 1 {
                 ocas_obs::start();
@@ -327,13 +352,13 @@ proptest! {
             let outcome = if looped {
                 read_data_loop(&mut fb, f, start, unit, count, &mut buf)
             } else {
-                fb.read_data_run(f, start, unit, count, &mut buf)
+                fb.read(f, start, unit, count, Some(&mut buf))
             };
             let s = fb.device_stats("HDD").unwrap();
             let pool = fb.pool_stats()[1].1;
             let end = start + unit * count;
             let after: Vec<String> = (0..20)
-                .map(|k| format!("{:?}", fb.read_data(f, end + 8 * k, &mut tuple).map(|_| tuple)))
+                .map(|k| format!("{:?}", fb.read(f, end + 8 * k, tuple.len() as u64, 1, Some(&mut tuple)).map(|_| tuple)))
                 .collect();
             let events = match tracing {
                 1 => ocas_obs::finish().expect("recording").events.len(),
@@ -430,7 +455,7 @@ fn a_window_stops_at_the_files_extent_and_at_the_devices_end() {
     }
     let (file, _, _) = t.files[tail];
     assert!(matches!(
-        t.fb.read_data(file, rest - 1, &mut [0u8; 2]),
+        t.fb.read(file, rest - 1, 2, 1, Some(&mut [0u8; 2])),
         Err(StorageError::OutOfBounds { .. })
     ));
     t.check("an out-of-bounds request is not counted");

@@ -10,56 +10,45 @@ use crate::device::DeviceStats;
 use crate::fault::RecoveryCounters;
 use crate::manager::{FileId, StorageError, StorageSim};
 
-/// A clocked storage layer: named devices, extent allocation, read/write
-/// request accounting and (for real backends) actual data transfer.
+/// A clocked storage layer: named devices, extent allocation, charged
+/// requests and (for real backends) actual data transfer.
 ///
-/// Four kinds of request coexist:
+/// **One request.** The paper prices every transfer between two levels of
+/// the hierarchy as one request: an initiation cost plus its bytes. Here a
+/// request is one [`read`](StorageBackend::read) or
+/// [`write`](StorageBackend::write) of `unit` bytes, and a call issues a
+/// *run* of `count` of them laid end to end — request `j` covers
+/// `[offset + j * unit, offset + (j + 1) * unit)` of `file` — so a scan
+/// issued block by block, or an output sink's whole buffers flushed back to
+/// back, is one call; a single request is a run of one. A run either
+/// carries its bytes or elides them, and the choice changes nothing about
+/// what is charged, counted or faulted:
 ///
-/// * **Accounting requests** ([`read`](StorageBackend::read) /
-///   [`write`](StorageBackend::write)) carry no payload. The simulator
-///   charges modeled time; a real backend moves that many actual bytes
-///   (reading and dropping them, writing filler) so wall-clock time is
-///   honest even where the engine models data flow analytically.
-/// * **Data writes** ([`write_bytes`](StorageBackend::write_bytes))
-///   additionally carry the payload, so faithful-mode outputs land
-///   byte-for-byte in real files. The simulator charges them exactly like
-///   the accounting variant — both backends see identical request streams —
-///   and keeps the payload, so a run hands back what it was given: an
+/// * **With the bytes** (faithful mode): a write hands over `unit * count`
+///   bytes, and real files receive them byte for byte; a read hands over a
+///   buffer of that length and answers `true` when the backend filled it
+///   with the file's bytes. A real backend always does. The simulator keeps
+///   what writes carried, so a file written with data reads back (an
 ///   external sort's runs, written by one pass, are what the next pass
-///   merges, on the simulator as on real files.
-/// * **Data reads** ([`read_data`](StorageBackend::read_data)) are the
-///   other direction: an accounting read that also hands the payload back
-///   where the backend holds one. A real backend fills the caller's buffer
-///   and says so, and the faithful operators then compute on those bytes;
-///   the simulator does the same for a file written with data, and
-///   otherwise — an input relation, placed by `materialize` — charges the
-///   read and answers "no payload", and the caller falls back to the
-///   relation's generator. Either way the request is charged, counted and
-///   faulted exactly like the accounting read of the same length.
-/// * **Run requests** ([`read_run`](StorageBackend::read_run) /
-///   [`write_run`](StorageBackend::write_run)) stand for a sequence of
-///   equal accounting requests laid end to end — a scan issued block by
-///   block, or an output sink's whole buffers flushed back to back. They
-///   are shorthand, not a new kind of I/O: the default body issues the
-///   requests one by one, and only the simulator answers the whole run at
-///   once (same clock and counters, to the last bit).
-/// * **Data runs** ([`read_data_run`](StorageBackend::read_data_run)) are
-///   to run requests what data reads are to accounting reads: a sequence of
-///   equal data reads laid end to end, each filling its slice of one
-///   buffer. Shorthand again: the default body is the loop of data reads.
-///   The simulator answers a data run with its run request plus the kept
-///   payload; the file backend serves the requests its read-ahead window
-///   already holds with one copy, still counting (and, when tracing,
-///   recording) each, and sends exactly the requests that refill the
-///   window down the single-request path.
+///   merges), and answers `false` for an input relation placed by
+///   `materialize`: the caller then falls back to the relation's generator.
+/// * **Elided** (simulated mode, `None`): only the length travels. The
+///   simulator charges exactly what it charges with the bytes; a real
+///   backend moves that many actual bytes (reading and dropping them,
+///   writing filler) so that wall-clock time stays honest.
 ///
-/// Who may override a run: a backend that gives the same clock, counters,
-/// bytes and device state as the loop without visiting each request — the
-/// simulator overrides all three. A backend whose behaviour depends on
-/// seeing every request one at a time — above all
-/// [`Faulted`](crate::Faulted), which numbers them for its
-/// [`FaultPlan`](crate::FaultPlan), and the file backend's write path,
-/// which moves bytes per request — keeps the default loops.
+/// **Who may answer a run whole.** A run stands for the loop of its single
+/// requests, and every backend must behave as that loop does, to the bit.
+/// The simulator answers a run with one bounds check and one file lookup
+/// (same clock bits, counters and device state as the loop; one
+/// difference: a run that leaves the file is rejected before anything is
+/// charged, where the loop charges the in-bounds prefix first). The file
+/// backend serves the requests its read-ahead window holds with one copy,
+/// counting each. A backend whose behaviour depends on seeing every request
+/// one at a time answers it request by request — above all
+/// [`Faulted`](crate::Faulted), which numbers each request of a run for its
+/// [`FaultPlan`](crate::FaultPlan) before handing it to its inner backend,
+/// so a plan fires at the same index on every backend.
 ///
 /// [`materialize`](StorageBackend::materialize) is the setup path: it
 /// places input data into a file *without* charging the clock or counters,
@@ -69,111 +58,40 @@ pub trait StorageBackend {
     /// Allocates a file of `len` bytes on the named device.
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError>;
 
-    /// Reads `len` bytes at `offset` within `file` (accounting request).
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError>;
-
-    /// A run request: `count` sequential accounting reads of `unit` bytes,
-    /// request `j` covering `[offset + j * unit, offset + (j + 1) * unit)`
-    /// of `file`.
+    /// Reads a run of `count` requests of `unit` bytes from `offset` of
+    /// `file`, into `buf` (`unit * count` bytes, request `j` filling
+    /// `buf[j * unit..(j + 1) * unit]`) or with the data elided (`None`).
+    /// `Ok(true)` means `buf` holds the file's bytes (vacuously so for an
+    /// empty run); `Ok(false)`, that the data was elided or that this
+    /// backend holds no payload for the file, and `buf` is unspecified.
     ///
-    /// The default body *is* that loop of [`read`](StorageBackend::read)
-    /// calls, and every backend whose behaviour depends on seeing requests
-    /// one at a time must keep it: a real backend moves bytes per request,
-    /// and [`Faulted`](crate::Faulted) numbers requests per device so that
-    /// a [`FaultPlan`](crate::FaultPlan) fires at the same index on every
-    /// backend — it must not forward a run to its inner backend, or the
-    /// requests inside the run would bypass injection and shift every later
-    /// index. Only a backend that can *prove* the same clock, counters and
-    /// device state without visiting each request may override it;
-    /// [`StorageSim`] does (an HDD charges nothing for the requests its
-    /// read-ahead window already covers), with one documented difference:
-    /// it rejects a run that leaves the file before charging anything,
-    /// where the loop charges the in-bounds prefix first.
-    fn read_run(
+    /// # Panics
+    ///
+    /// Where `buf` is not `unit * count` bytes long.
+    fn read(
         &mut self,
         file: FileId,
         offset: u64,
         unit: u64,
         count: u64,
-    ) -> Result<(), StorageError> {
-        for j in 0..count {
-            self.read(file, offset + j * unit, unit)?;
-        }
-        Ok(())
-    }
+        buf: Option<&mut [u8]>,
+    ) -> Result<bool, StorageError>;
 
-    /// Reads `buf.len()` bytes at `offset` within `file` (data read).
-    /// Charged and counted exactly like [`read`](StorageBackend::read) of
-    /// `buf.len()` bytes. `Ok(true)` means `buf` now holds the file's
-    /// bytes; `Ok(false)` — the default — means this backend holds no
-    /// payload and `buf` is unspecified.
-    fn read_data(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<bool, StorageError> {
-        self.read(file, offset, buf.len() as u64)?;
-        Ok(false)
-    }
-
-    /// A data run: `count` sequential data reads of `unit` bytes, request
-    /// `j` filling `buf[j * unit..(j + 1) * unit]` from `offset + j * unit`
-    /// of `file`; `buf` is `unit * count` bytes long. `Ok(true)` means `buf`
-    /// holds the file's bytes (vacuously so for an empty run), as for
-    /// [`read_data`](StorageBackend::read_data).
+    /// Writes a run of `count` requests of `unit` bytes from `offset` of
+    /// `file`, carrying `data` (`unit * count` bytes, request `j` writing
+    /// `data[j * unit..(j + 1) * unit]`) or with the data elided (`None`).
     ///
-    /// The default body *is* that loop of `read_data` calls
-    /// ([`read_data_loop`]), and the rule for overriding it is
-    /// [`read_run`](StorageBackend::read_run)'s: the same clock, counters,
-    /// bytes and device state as the loop, or keep the loop.
-    /// [`Faulted`](crate::Faulted) keeps it. [`StorageSim`] overrides it
-    /// with its run request and the kept payload (and so shares the run
-    /// request's one difference: a run leaving the file is rejected before
-    /// anything is charged).
-    fn read_data_run(
+    /// # Panics
+    ///
+    /// Where `data` is not `unit * count` bytes long.
+    fn write(
         &mut self,
         file: FileId,
         offset: u64,
         unit: u64,
         count: u64,
-        buf: &mut [u8],
-    ) -> Result<bool, StorageError> {
-        read_data_loop(self, file, offset, unit, count, buf)
-    }
-
-    /// Writes `len` bytes at `offset` within `file` (accounting request).
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError>;
-
-    /// A write run: `count` sequential accounting writes of `unit` bytes,
-    /// request `j` covering `[offset + j * unit, offset + (j + 1) * unit)`
-    /// of `file` — an output sink's whole buffers, flushed back to back.
-    ///
-    /// The default body *is* that loop of [`write`](StorageBackend::write)
-    /// calls, and the rule for overriding it is
-    /// [`read_run`](StorageBackend::read_run)'s: the same clock, counters and
-    /// device state as the loop, or keep the loop. A real backend keeps it
-    /// (it moves bytes per request), and so does [`Faulted`](crate::Faulted)
-    /// (it numbers them). [`StorageSim`] overrides it with one bounds check
-    /// and one file lookup for the run, and shares the run request's one
-    /// difference: a run leaving the file is rejected before anything is
-    /// charged.
-    fn write_run(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        unit: u64,
-        count: u64,
-    ) -> Result<(), StorageError> {
-        for j in 0..count {
-            self.write(file, offset + j * unit, unit)?;
-        }
-        Ok(())
-    }
-
-    /// Writes `data` at `offset` within `file` (data request). Charged
-    /// exactly like [`write`](StorageBackend::write) of `data.len()` bytes.
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError>;
+        data: Option<&[u8]>,
+    ) -> Result<(), StorageError>;
 
     /// Places `data` at `offset` within `file` without charging the clock
     /// or the I/O counters (test/input setup, not measured work).
@@ -197,11 +115,6 @@ pub trait StorageBackend {
 
     /// File length in bytes.
     fn len(&self, file: FileId) -> u64;
-
-    /// True if the file is empty.
-    fn is_empty(&self, file: FileId) -> bool {
-        self.len(file) == 0
-    }
 
     /// Device name holding the file.
     fn device_of(&self, file: FileId) -> &str;
@@ -255,39 +168,11 @@ pub trait StorageBackend {
     }
 }
 
-/// The loop of [`read_data`](StorageBackend::read_data) calls a data run
-/// stands for: the default body of
-/// [`read_data_run`](StorageBackend::read_data_run), the fallback of a
-/// backend that overrides it, and the oracle every override is held to.
-/// `Ok(true)` when every request handed the file's bytes back.
-///
-/// # Panics
-///
-/// Unless `buf` is `unit * count` bytes long.
-pub fn read_data_loop<B: StorageBackend + ?Sized>(
-    backend: &mut B,
-    file: FileId,
-    offset: u64,
-    unit: u64,
-    count: u64,
-    buf: &mut [u8],
-) -> Result<bool, StorageError> {
-    check_run_buffer(unit, count, buf);
-    let mut held = true;
-    for j in 0..count {
-        let at = (j * unit) as usize;
-        let request = &mut buf[at..at + unit as usize];
-        held &= backend.read_data(file, offset + j * unit, request)?;
-    }
-    Ok(held)
-}
-
-/// Panics unless `buf` is the `unit * count` bytes a data run fills.
-fn check_run_buffer(unit: u64, count: u64, buf: &[u8]) {
+/// Panics unless `bytes` is the `unit * count` bytes a run carries.
+pub(crate) fn check_run_bytes(unit: u64, count: u64, bytes: usize) {
     assert!(
-        unit.checked_mul(count) == Some(buf.len() as u64),
-        "a data run of {count} x {unit} B fills {} B",
-        buf.len()
+        unit.checked_mul(count) == Some(bytes as u64),
+        "a run of {count} x {unit} B carries {bytes} B"
     );
 }
 
@@ -296,60 +181,36 @@ impl StorageBackend for StorageSim {
         StorageSim::alloc(self, device, len)
     }
 
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        StorageSim::read(self, file, offset, len)
-    }
-
-    fn read_run(
+    fn read(
         &mut self,
         file: FileId,
         offset: u64,
         unit: u64,
         count: u64,
-    ) -> Result<(), StorageError> {
-        StorageSim::read_run(self, file, offset, unit, count)
-    }
-
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        StorageSim::write(self, file, offset, len)
-    }
-
-    fn write_run(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        unit: u64,
-        count: u64,
-    ) -> Result<(), StorageError> {
-        StorageSim::write_run(self, file, offset, unit, count)
-    }
-
-    fn read_data(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
+        buf: Option<&mut [u8]>,
     ) -> Result<bool, StorageError> {
-        StorageSim::read(self, file, offset, buf.len() as u64)?;
-        Ok(self.load(file, offset, buf))
+        if let Some(buf) = &buf {
+            check_run_bytes(unit, count, buf.len());
+        }
+        self.charge(false, file, offset, unit, count)?;
+        Ok(buf.is_some_and(|buf| count == 0 || self.load(file, offset, buf)))
     }
 
-    fn read_data_run(
+    fn write(
         &mut self,
         file: FileId,
         offset: u64,
         unit: u64,
         count: u64,
-        buf: &mut [u8],
-    ) -> Result<bool, StorageError> {
-        check_run_buffer(unit, count, buf);
-        StorageSim::read_run(self, file, offset, unit, count)?;
-        Ok(count == 0 || self.load(file, offset, buf))
-    }
-
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        StorageSim::write(self, file, offset, data.len() as u64)?;
-        self.store(file, offset, data);
+        data: Option<&[u8]>,
+    ) -> Result<(), StorageError> {
+        if let Some(data) = data {
+            check_run_bytes(unit, count, data.len());
+        }
+        self.charge(true, file, offset, unit, count)?;
+        if let Some(data) = data.filter(|_| count > 0) {
+            self.store(file, offset, data);
+        }
         Ok(())
     }
 
@@ -406,15 +267,14 @@ mod tests {
 
     fn dyn_roundtrip(b: &mut dyn StorageBackend) {
         let f = b.alloc("HDD", 4096).unwrap();
-        b.read(f, 0, 4096).unwrap();
-        b.write_bytes(f, 0, &[7u8; 128]).unwrap();
+        b.read(f, 0, 4096, 1, None).unwrap();
+        b.write(f, 0, 128, 1, Some(&[7u8; 128])).unwrap();
         b.materialize(f, 0, &[1u8; 64]).unwrap();
         assert_eq!(b.len(f), 4096);
-        assert!(!b.is_empty(f));
         assert_eq!(b.device_of(f), "HDD");
         assert!(b.clock() > 0.0);
         let stats = b.device_stats("HDD").unwrap();
-        // materialize is uncharged; write_bytes charges page-rounded bytes.
+        // materialize is uncharged; a write charges page-rounded bytes.
         assert_eq!(stats.bytes_read, 4096);
         assert_eq!(stats.bytes_written, 4096);
     }
@@ -438,19 +298,23 @@ mod tests {
         let mark = sm.watermark("HDD").unwrap();
         let runs = [sm.alloc("HDD", 32).unwrap(), sm.alloc("HDD", 32).unwrap()];
         for (i, run) in runs.into_iter().enumerate() {
-            sm.write_bytes(run, 8, &[i as u8 + 1; 8]).unwrap();
+            sm.write(run, 8, 8, 1, Some(&[i as u8 + 1; 8])).unwrap();
         }
         let mut buf = [7u8; 24];
-        assert!(!sm.read_data(input, 0, &mut buf).unwrap());
-        assert!(sm.read_data(runs[1], 0, &mut buf).unwrap());
+        fn read(sm: &mut StorageSim, file: FileId, offset: u64, buf: &mut [u8]) -> bool {
+            let len = buf.len() as u64;
+            sm.read(file, offset, len, 1, Some(buf)).unwrap()
+        }
+        assert!(!read(&mut sm, input, 0, &mut buf));
+        assert!(read(&mut sm, runs[1], 0, &mut buf));
         assert_eq!(buf, [[0u8; 8], [2; 8], [0; 8]].concat()[..]);
 
         sm.truncate_device("HDD", mark + 32).unwrap();
-        assert!(sm.read_data(runs[0], 8, &mut buf[..8]).unwrap());
+        assert!(read(&mut sm, runs[0], 8, &mut buf[..8]));
         assert_eq!(buf[..8], [1; 8]);
-        assert!(!sm.read_data(runs[1], 0, &mut buf).unwrap());
+        assert!(!read(&mut sm, runs[1], 0, &mut buf));
         sm.truncate_device("HDD", mark).unwrap();
-        assert!(!sm.read_data(runs[0], 0, &mut buf).unwrap());
+        assert!(!read(&mut sm, runs[0], 0, &mut buf));
     }
 
     #[test]

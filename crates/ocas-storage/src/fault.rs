@@ -8,8 +8,9 @@
 //!
 //! [`Faulted<B>`](Faulted) is the one injector: it wraps a backend — the
 //! simulator or a real one — and applies a plan at the [`StorageBackend`]
-//! trait seam, one index per trait-level request whatever the inner
-//! backend does with it, recovering where policy allows:
+//! trait seam, one index per request — each request of a run numbered and
+//! handed to the inner backend on its own, whatever the inner backend does
+//! with it — recovering where policy allows:
 //!
 //! * [`FaultKind::Transient`] and short transfers are retried under a
 //!   [`RetryPolicy`] with exponential backoff charged to the backend's
@@ -31,7 +32,7 @@
 //! `retry:<device>` / `degrade:<device>` observability tracks, recorded on
 //! the calling (owning) thread so traces stay deterministic.
 
-use crate::backend::StorageBackend;
+use crate::backend::{check_run_bytes, StorageBackend};
 use crate::device::DeviceStats;
 use crate::manager::{FileId, StorageError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -40,9 +41,9 @@ use std::collections::BTreeMap;
 /// Which storage operation a [`FaultSpec`] matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Accounting or data reads.
+    /// Reads, with their bytes or elided.
     Read,
-    /// Accounting or data writes (including `write_bytes`).
+    /// Writes, with their bytes or elided.
     Write,
     /// Extent allocation.
     Alloc,
@@ -483,10 +484,9 @@ impl<B: StorageBackend> Faulted<B> {
     }
 }
 
-// `read_run`, `read_data_run` and `write_run` are deliberately left at the
-// trait's default loops over `read`, `read_data` and `write`: every request
-// of a run must consume a per-device index and pass through `run_charged`,
-// so plans fire at the same index on every backend.
+// A run is answered request by request: every request of a run consumes a
+// per-device index and passes through `run_charged` on its own, as a run of
+// one, so plans fire at the same index on every backend.
 impl<B: StorageBackend> StorageBackend for Faulted<B> {
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
         self.run_charged(device, FaultOp::Alloc, len, |inner, _| {
@@ -494,37 +494,57 @@ impl<B: StorageBackend> StorageBackend for Faulted<B> {
         })
     }
 
-    fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        let device = self.inner.device_of(file).to_string();
-        self.run_charged(&device, FaultOp::Read, len, |inner, take| {
-            inner.read(file, offset, take)
-        })
-    }
-
-    fn read_data(
+    fn read(
         &mut self,
         file: FileId,
         offset: u64,
-        buf: &mut [u8],
+        unit: u64,
+        count: u64,
+        mut buf: Option<&mut [u8]>,
     ) -> Result<bool, StorageError> {
+        if let Some(buf) = &buf {
+            check_run_bytes(unit, count, buf.len());
+        }
+        if count == 0 {
+            return Ok(buf.is_some());
+        }
         let device = self.inner.device_of(file).to_string();
-        self.run_charged(&device, FaultOp::Read, buf.len() as u64, |inner, take| {
-            inner.read_data(file, offset, &mut buf[..take as usize])
-        })
+        let mut held = true;
+        for j in 0..count {
+            let (at, from) = (offset + j * unit, (j * unit) as usize);
+            held &= self.run_charged(&device, FaultOp::Read, unit, |inner, take| {
+                let part = buf
+                    .as_deref_mut()
+                    .map(|b| &mut b[from..from + take as usize]);
+                inner.read(file, at, take, 1, part)
+            })?;
+        }
+        Ok(held && buf.is_some())
     }
 
-    fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+    fn write(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        data: Option<&[u8]>,
+    ) -> Result<(), StorageError> {
+        if let Some(data) = data {
+            check_run_bytes(unit, count, data.len());
+        }
+        if count == 0 {
+            return Ok(());
+        }
         let device = self.inner.device_of(file).to_string();
-        self.run_charged(&device, FaultOp::Write, len, |inner, take| {
-            inner.write(file, offset, take)
-        })
-    }
-
-    fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let device = self.inner.device_of(file).to_string();
-        self.run_charged(&device, FaultOp::Write, data.len() as u64, |inner, take| {
-            inner.write_bytes(file, offset, &data[..take as usize])
-        })
+        for j in 0..count {
+            let (at, from) = (offset + j * unit, (j * unit) as usize);
+            self.run_charged(&device, FaultOp::Write, unit, |inner, take| {
+                let part = data.map(|d| &d[from..from + take as usize]);
+                inner.write(file, at, take, 1, part)
+            })?;
+        }
+        Ok(())
     }
 
     fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
@@ -615,8 +635,8 @@ mod tests {
     fn clean_plan_is_passthrough() {
         let mut f = Faulted::new(sim(), FaultPlan::new(), RetryPolicy::default());
         let file = f.alloc("HDD", 4096).unwrap();
-        f.read(file, 0, 4096).unwrap();
-        f.write(file, 0, 4096).unwrap();
+        f.read(file, 0, 4096, 1, None).unwrap();
+        f.write(file, 0, 4096, 1, None).unwrap();
         assert_eq!(f.counters(), RecoveryCounters::default());
     }
 
@@ -628,7 +648,7 @@ mod tests {
         let mut f = Faulted::new(sim(), plan, RetryPolicy::default());
         let file = f.alloc("HDD", 4096).unwrap();
         let clock0 = f.clock();
-        f.read(file, 0, 4096).unwrap();
+        f.read(file, 0, 4096, 1, None).unwrap();
         let c = f.counters();
         assert_eq!(c.transient_faults, 1);
         assert_eq!(c.retries, 1);
@@ -653,7 +673,7 @@ mod tests {
         let mut f = Faulted::new(sim(), plan, RetryPolicy::default());
         let file = f.alloc("HDD", 4096).unwrap();
         // alloc consumed index 0; reads churn through 1..=4 and give up.
-        let err = f.read(file, 0, 4096).unwrap_err();
+        let err = f.read(file, 0, 4096, 1, None).unwrap_err();
         assert!(matches!(err, StorageError::Transient { ref device, op, .. }
                 if device == "HDD" && op == "read"));
         assert!(err.is_transient());
@@ -666,7 +686,7 @@ mod tests {
         let plan = FaultPlan::new().with("HDD", FaultOp::Read, 1, FaultKind::ShortRead);
         let mut f = Faulted::new(sim(), plan, RetryPolicy::default());
         let file = f.alloc("HDD", 8192).unwrap();
-        f.read(file, 0, 8192).unwrap();
+        f.read(file, 0, 8192, 1, None).unwrap();
         let stats = f.device_stats("HDD").unwrap();
         // Half the request moved before the failure; the full retry pays
         // only the tail the HDD read-ahead window doesn't already cover,
@@ -702,7 +722,7 @@ mod tests {
         let mut f = Faulted::new(sim(), plan, RetryPolicy::default());
         let file = f.alloc("HDD", 4096).unwrap();
         let clock0 = f.clock();
-        f.write(file, 0, 4096).unwrap();
+        f.write(file, 0, 4096, 1, None).unwrap();
         assert!(f.clock() - clock0 >= 0.25);
         assert_eq!(f.counters().latency_spikes, 1);
         assert_eq!(f.counters().retries, 0);

@@ -22,7 +22,7 @@ pub mod device;
 pub mod fault;
 pub mod manager;
 
-pub use backend::{read_data_loop, StorageBackend};
+pub use backend::StorageBackend;
 pub use cache::{CacheSim, CacheStats};
 pub use device::{DeviceSim, DeviceStats, FlashSim, HddSim, RamSim};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultSpec, Faulted, RecoveryCounters, RetryPolicy};

@@ -228,28 +228,48 @@ impl StorageSim {
         Ok(())
     }
 
-    /// Reads `len` bytes at `offset` within `file`, advancing the clock.
-    pub fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.check(file, offset, len)?;
+    /// Charges a run of `count` requests of `unit` bytes from `offset` of
+    /// `file` — reads, or writes if `write` — advancing the clock. A single
+    /// request is charged on its own, and records one `read`/`write` span
+    /// while tracing; a longer run is [`charge_run`](StorageSim::charge_run).
+    #[inline]
+    pub(crate) fn charge(
+        &mut self,
+        write: bool,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        if count != 1 {
+            return self.charge_run(write, file, offset, unit, count);
+        }
+        self.check(file, offset, unit)?;
         let m = *self.meta(file);
         let d = m.device as usize;
         let seeks0 = self.obs_seeks(d);
-        let t = self.devices[d].read(m.offset + offset, len);
-        self.obs_span("read", d, t, len, seeks0, None);
+        let (device, at) = (&mut self.devices[d], m.offset + offset);
+        let (name, t) = match write {
+            false => ("read", device.read(at, unit)),
+            true => ("write", device.write(at, unit)),
+        };
+        self.obs_span(name, d, t, unit, seeks0, None);
         self.clock_seconds += t;
         Ok(())
     }
 
-    /// `count` sequential reads of `unit` bytes starting at `offset`
-    /// within `file`: clock and device statistics end up bit-identical to
-    /// `count` calls of [`read`](StorageSim::read), but the bounds check
-    /// and file lookup happen once and an HDD is consulted only for the
-    /// requests it charges (see [`DeviceSim::read_run`]). One difference
-    /// from the loop: a run that would leave the file is rejected before
-    /// anything is charged, where the loop charges the in-bounds prefix
-    /// first. While tracing, the run records one `read_run` span.
-    pub fn read_run(
+    /// [`charge`](StorageSim::charge) for a run of `count != 1` requests:
+    /// clock and device statistics end up bit-identical to charging the
+    /// requests one by one, but the bounds check and file lookup happen
+    /// once, an HDD is consulted only for the reads it charges (see
+    /// [`DeviceSim::read_run`]) and a page-aligned write run is charged in
+    /// closed form ([`DeviceSim::write_run`]). One difference from the
+    /// loop: a run that would leave the file is rejected before anything is
+    /// charged, where the loop charges the in-bounds prefix first. While
+    /// tracing, the run records one `read_run`/`write_run` span.
+    fn charge_run(
         &mut self,
+        write: bool,
         file: FileId,
         offset: u64,
         unit: u64,
@@ -262,59 +282,25 @@ impl StorageSim {
         let m = *self.meta(file);
         let d = m.device as usize;
         let seeks0 = self.obs_seeks(d);
-        let t0 = self.clock_seconds;
-        let mut clock = t0;
-        self.devices[d].read_run(m.offset + offset, unit, count, &mut clock);
-        let bytes = unit * count;
-        self.obs_span("read_run", d, clock - t0, bytes, seeks0, Some(count));
-        self.clock_seconds = clock;
-        Ok(())
-    }
-
-    /// Writes `len` bytes at `offset` within `file`, advancing the clock.
-    pub fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.check(file, offset, len)?;
-        let m = *self.meta(file);
-        let d = m.device as usize;
-        let seeks0 = self.obs_seeks(d);
-        let t = self.devices[d].write(m.offset + offset, len);
-        self.obs_span("write", d, t, len, seeks0, None);
-        self.clock_seconds += t;
-        Ok(())
-    }
-
-    /// `count` sequential writes of `unit` bytes starting at `offset`
-    /// within `file`: clock and device statistics end up bit-identical to
-    /// `count` calls of [`write`](StorageSim::write), with the bounds check
-    /// and file lookup done once (see [`DeviceSim::write_run`]). As for
-    /// [`read_run`](StorageSim::read_run), a run that would leave the file
-    /// is rejected before anything is charged. While tracing, the run
-    /// records one `write_run` span.
-    pub fn write_run(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        unit: u64,
-        count: u64,
-    ) -> Result<(), StorageError> {
-        if count == 0 {
-            return Ok(());
-        }
-        self.check(file, offset, unit.saturating_mul(count))?;
-        let m = *self.meta(file);
-        let d = m.device as usize;
-        let seeks0 = self.obs_seeks(d);
-        let t0 = self.clock_seconds;
-        let mut clock = t0;
-        self.devices[d].write_run(m.offset + offset, unit, count, &mut clock);
-        let bytes = unit * count;
-        self.obs_span("write_run", d, clock - t0, bytes, seeks0, Some(count));
+        let (t0, mut clock) = (self.clock_seconds, self.clock_seconds);
+        let (device, at) = (&mut self.devices[d], m.offset + offset);
+        let name = match write {
+            false => {
+                device.read_run(at, unit, count, &mut clock);
+                "read_run"
+            }
+            true => {
+                device.write_run(at, unit, count, &mut clock);
+                "write_run"
+            }
+        };
+        self.obs_span(name, d, clock - t0, unit * count, seeks0, Some(count));
         self.clock_seconds = clock;
         Ok(())
     }
 
     /// Keeps `data` as the bytes at `offset` of `file` (the payload of a
-    /// charged data write; the caller has bounds-checked the request). The
+    /// charged write; the caller has bounds-checked the request). The
     /// file's payload grows to the end of its last write.
     pub(crate) fn store(&mut self, file: FileId, offset: u64, data: &[u8]) {
         let m = &mut self.files[file.0];
@@ -414,11 +400,6 @@ impl StorageSim {
         self.meta(file).len
     }
 
-    /// True if the file is empty.
-    pub fn is_empty(&self, file: FileId) -> bool {
-        self.len(file) == 0
-    }
-
     /// Device name holding the file.
     pub fn device_of(&self, file: FileId) -> &str {
         self.devices[self.meta(file).device as usize].name()
@@ -474,6 +455,7 @@ impl StorageSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StorageBackend;
     use ocas_hierarchy::presets;
 
     #[test]
@@ -481,11 +463,11 @@ mod tests {
         let h = presets::hdd_ram(1 << 25);
         let mut sm = StorageSim::from_hierarchy(&h);
         let f = sm.alloc("HDD", 1 << 20).unwrap();
-        sm.read(f, 0, 1 << 20).unwrap();
+        sm.read(f, 0, 1 << 20, 1, None).unwrap();
         let t1 = sm.clock();
         assert!(t1 > 0.0);
         // Sequential second read seeks back (head moved past the extent).
-        sm.read(f, 0, 1 << 20).unwrap();
+        sm.read(f, 0, 1 << 20, 1, None).unwrap();
         assert!(sm.clock() > 2.0 * t1 * 0.99);
         let stats = sm.device_stats("HDD").unwrap();
         assert_eq!(stats.bytes_read, 2 << 20);
@@ -498,7 +480,7 @@ mod tests {
         let mut sm = StorageSim::from_hierarchy(&h);
         let f = sm.alloc("HDD", 100).unwrap();
         assert!(matches!(
-            sm.read(f, 64, 100),
+            sm.read(f, 64, 100, 1, None),
             Err(StorageError::OutOfBounds { .. })
         ));
     }
@@ -523,8 +505,8 @@ mod tests {
         let h = presets::hdd_ram(1 << 25);
         let mut sm = StorageSim::from_hierarchy(&h);
         let f = sm.alloc("RAM", 1 << 20).unwrap();
-        sm.read(f, 0, 1 << 20).unwrap();
-        sm.write(f, 0, 1 << 20).unwrap();
+        sm.read(f, 0, 1 << 20, 1, None).unwrap();
+        sm.write(f, 0, 1 << 20, 1, None).unwrap();
         assert_eq!(sm.clock(), 0.0);
     }
 
@@ -548,7 +530,7 @@ mod tests {
         let h = presets::hdd_flash_ram(1 << 25);
         let mut sm = StorageSim::from_hierarchy(&h);
         let f = sm.alloc("SSD", 1 << 20).unwrap();
-        sm.write(f, 0, 1 << 20).unwrap();
+        sm.write(f, 0, 1 << 20, 1, None).unwrap();
         let stats = sm.device_stats("SSD").unwrap();
         assert_eq!(stats.erases, 4, "1 MiB / 256 KiB erase blocks");
     }

@@ -1,13 +1,12 @@
-//! `StorageSim::read_run` against the loop of `read` it stands for,
-//! `StorageSim::read_data_run` against the loop of `read_data`, and
-//! `StorageSim::write_run` against the loop of `write`: same clock, same
-//! device counters, same device state afterwards — to the last bit, on
-//! every device kind — the same bytes handed back, and the one documented
-//! difference (a run leaving the file is rejected before anything is
-//! charged).
+//! `StorageSim`'s read runs — with the data elided or carrying it — and its
+//! write runs against the loop of single requests they stand for: same
+//! clock, same device counters, same device state afterwards — to the last
+//! bit, on every device kind — the same bytes handed back, and the one
+//! documented difference (a run leaving the file is rejected before
+//! anything is charged).
 
 use ocas_hierarchy::presets;
-use ocas_storage::{read_data_loop, DeviceStats, FileId, StorageBackend, StorageError, StorageSim};
+use ocas_storage::{DeviceStats, FileId, StorageBackend, StorageError, StorageSim};
 use proptest::prelude::*;
 
 const PAGE: u64 = 4096;
@@ -26,6 +25,24 @@ fn sim() -> (StorageSim, [(&'static str, FileId); 3]) {
         (device, sm.alloc(device, FILE_LEN).expect("file fits"))
     });
     (sm, files)
+}
+
+/// The loop of single reads carrying their bytes that a read run carrying
+/// them stands for: `true` when every request handed the file's bytes back.
+fn read_data_loop(
+    sm: &mut StorageSim,
+    file: FileId,
+    offset: u64,
+    unit: u64,
+    count: u64,
+    buf: &mut [u8],
+) -> Result<bool, StorageError> {
+    let mut held = true;
+    for j in 0..count {
+        let request = &mut buf[(j * unit) as usize..((j + 1) * unit) as usize];
+        held &= sm.read(file, offset + j * unit, unit, 1, Some(request))?;
+    }
+    Ok(held)
 }
 
 /// Everything observable about a device and the clock, floats as bits.
@@ -61,22 +78,26 @@ proptest! {
             // or right where the run starts (the read-ahead overlap case).
             match prior_kind {
                 0 => {}
-                1 => sm.read(file, prior_at, prior_len).unwrap(),
-                2 => sm.write(file, prior_at, prior_len).unwrap(),
-                _ => sm.read(file, offset.saturating_sub(prior_len), prior_len).unwrap(),
+                1 => {
+                    sm.read(file, prior_at, prior_len, 1, None).unwrap();
+                }
+                2 => sm.write(file, prior_at, prior_len, 1, None).unwrap(),
+                _ => {
+                    sm.read(file, offset.saturating_sub(prior_len), prior_len, 1, None).unwrap();
+                }
             }
         }
 
-        run.read_run(file, offset, unit, count).unwrap();
+        run.read(file, offset, unit, count, None).unwrap();
         for j in 0..count {
-            looped.read(file, offset + j * unit, unit).unwrap();
+            looped.read(file, offset + j * unit, unit, 1, None).unwrap();
         }
         prop_assert_eq!(observe(&run, device), observe(&looped, device),
             "{} run of {} x {} B at {}", device, count, unit, offset);
 
         // The next request sees the same device state (head, open block).
         for sm in [&mut run, &mut looped] {
-            sm.read(file, probe_at, PAGE).unwrap();
+            sm.read(file, probe_at, PAGE, 1, None).unwrap();
         }
         prop_assert_eq!(observe(&run, device), observe(&looped, device),
             "{} probe at {} after the run", device, probe_at);
@@ -86,8 +107,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// `StorageSim::read_data_run` against the loop of `read_data` it stands
-    /// for: the same clock to the bit, the same device counters, the same
+    /// A `StorageSim` read run carrying its bytes against the loop of single
+    /// reads carrying them it stands for: the same clock to the bit, the same device counters, the same
     /// answer and — for a file written with data, which the simulator keeps
     /// — the same bytes (zeros past the last write); an input file, placed
     /// without data, has no payload either way. Then the next request sees
@@ -115,14 +136,14 @@ proptest! {
                 // An input: placed, kept nowhere.
                 0 => StorageBackend::materialize(sm, file, write_at, &data).unwrap(),
                 // Written with data, where the run reads or past it.
-                1 => sm.write_bytes(file, write_at, &data).unwrap(),
-                _ => sm.write_bytes(file, FILE_LEN - write_len, &data).unwrap(),
+                1 => sm.write(file, write_at, data.len() as u64, 1, Some(&data)).unwrap(),
+                _ => sm.write(file, FILE_LEN - write_len, data.len() as u64, 1, Some(&data)).unwrap(),
             }
         }
 
         let len = (unit * count) as usize;
         let (mut got, mut want) = (vec![0xEE; len], vec![0xEE; len]);
-        let held = run.read_data_run(file, offset, unit, count, &mut got).unwrap();
+        let held = run.read(file, offset, unit, count, Some(&mut got)).unwrap();
         let looped_held = read_data_loop(&mut looped, file, offset, unit, count, &mut want).unwrap();
         prop_assert_eq!(observe(&run, device), observe(&looped, device),
             "{} run of {} x {} B at {}", device, count, unit, offset);
@@ -133,7 +154,7 @@ proptest! {
         }
 
         for sm in [&mut run, &mut looped] {
-            sm.read(file, probe_at, PAGE).unwrap();
+            sm.read(file, probe_at, PAGE, 1, None).unwrap();
         }
         prop_assert_eq!(observe(&run, device), observe(&looped, device),
             "{} probe at {} after the run", device, probe_at);
@@ -143,7 +164,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
-    /// `StorageSim::write_run` against the loop of `write` it stands for. A
+    /// A `StorageSim` write run against the loop of writes it stands for. A
     /// case is a few steps — write runs interleaved with single reads and
     /// writes, so each run meets the HDD head and the flash drive's open
     /// erase block wherever the step before left them — and after every
@@ -185,19 +206,19 @@ proptest! {
             end = offset + if kind < 2 { unit * count } else { unit };
             match kind {
                 0 | 1 => {
-                    run.write_run(file, offset, unit, count).unwrap();
+                    run.write(file, offset, unit, count, None).unwrap();
                     for j in 0..count {
-                        looped.write(file, offset + j * unit, unit).unwrap();
+                        looped.write(file, offset + j * unit, unit, 1, None).unwrap();
                     }
                 }
                 2 => {
                     for sm in [&mut run, &mut looped] {
-                        sm.read(file, offset, unit.max(1)).unwrap();
+                        sm.read(file, offset, unit.max(1), 1, None).unwrap();
                     }
                 }
                 _ => {
                     for sm in [&mut run, &mut looped] {
-                        sm.write(file, offset, unit).unwrap();
+                        sm.write(file, offset, unit, 1, None).unwrap();
                     }
                 }
             }
@@ -207,8 +228,8 @@ proptest! {
 
         // The next requests see the same device state (head, open block).
         for sm in [&mut run, &mut looped] {
-            sm.write(file, probe_at, PAGE).unwrap();
-            sm.read(file, probe_at / 2, PAGE).unwrap();
+            sm.write(file, probe_at, PAGE, 1, None).unwrap();
+            sm.read(file, probe_at / 2, PAGE, 1, None).unwrap();
         }
         prop_assert_eq!(observe(&run, device), observe(&looped, device),
             "{} probes at {} after the runs", device, probe_at);
@@ -227,16 +248,16 @@ fn out_of_bounds_write_run_is_rejected_before_anything_is_charged() {
         let (device, file) = files[i];
         let untouched = observe(&run, device);
         assert!(matches!(
-            run.write_run(file, 0, unit, count),
+            run.write(file, 0, unit, count, None),
             Err(StorageError::OutOfBounds { .. })
         ));
         assert_eq!(observe(&run, device), untouched, "{device}");
 
-        let failed_at = (0..count).find(|j| looped.write(file, j * unit, unit).is_err());
+        let failed_at = (0..count).find(|j| looped.write(file, j * unit, unit, 1, None).is_err());
         assert_eq!(failed_at, Some(count - 1), "{device}");
         assert!(looped.device_stats(device).unwrap().bytes_written >= FILE_LEN);
 
-        run.write_run(file, FILE_LEN + 1, unit, 0).unwrap();
+        run.write(file, FILE_LEN + 1, unit, 0, None).unwrap();
         assert_eq!(observe(&run, device), untouched, "{device}: an empty run");
     }
 }
@@ -253,12 +274,12 @@ fn out_of_bounds_run_is_rejected_before_anything_is_charged() {
 
     let untouched = observe(&run, device);
     assert!(matches!(
-        run.read_run(file, 0, unit, count),
+        run.read(file, 0, unit, count, None),
         Err(StorageError::OutOfBounds { .. })
     ));
     assert_eq!(observe(&run, device), untouched);
 
-    let failed_at = (0..count).find(|j| looped.read(file, j * unit, unit).is_err());
+    let failed_at = (0..count).find(|j| looped.read(file, j * unit, unit, 1, None).is_err());
     assert_eq!(failed_at, Some(count - 1));
     assert_eq!(
         looped.device_stats(device).unwrap().bytes_read,
@@ -267,6 +288,6 @@ fn out_of_bounds_run_is_rejected_before_anything_is_charged() {
     );
 
     // An empty run asks for nothing, wherever it points.
-    run.read_run(file, FILE_LEN + 1, unit, 0).unwrap();
+    run.read(file, FILE_LEN + 1, unit, 0, None).unwrap();
     assert_eq!(observe(&run, device), untouched);
 }
