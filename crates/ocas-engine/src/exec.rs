@@ -315,7 +315,10 @@ impl Refills {
 /// carried to the next block.
 fn emit_step(c: f64, carry: f64) -> (u64, f64) {
     let expected = c + carry;
-    let whole = expected.floor() as u64;
+    // `as` truncates toward zero and saturates, which for every `f64` is
+    // `expected.floor() as u64` (a negative sum saturates to 0 either way)
+    // — without `floor`'s library call on a target lacking SSE4.1.
+    let whole = expected as u64;
     (whole, expected - whole as f64)
 }
 
@@ -517,14 +520,14 @@ impl Sink {
     }
 
     /// Counts `n` more rows and flushes every buffer they fill (see
-    /// [`flush`](Sink::flush)).
+    /// [`flush`](Sink::flush)); divides only when one is full.
     fn emit_bulk<B: StorageBackend>(&mut self, sm: &mut B, n: u64) -> Result<(), ExecError> {
         self.rows += n;
         if let Output::ToDevice { buffer_bytes, .. } = &self.output {
             self.pending += n * self.tuple_bytes;
             let cap = (*buffer_bytes).max(self.tuple_bytes);
-            let whole = self.pending / cap;
-            if whole > 0 {
+            if self.pending >= cap {
+                let whole = self.pending / cap;
                 self.flush(sm, cap, whole)?;
                 self.pending -= whole * cap;
             }
@@ -566,7 +569,11 @@ impl Sink {
             if self.cursor >= len {
                 self.cursor = 0;
             }
-            let fit = ((len - self.cursor) / unit).min(count);
+            // Divides only when the run reaches the wrap.
+            let fit = match self.cursor + unit * count <= len {
+                true => count,
+                false => (len - self.cursor) / unit,
+            };
             if fit > 0 {
                 self.put(sm, file, (unit, fit), &mut drained)?;
                 count -= fit;

@@ -29,7 +29,7 @@ const INNER: u64 = if cfg!(debug_assertions) {
 } else {
     1 << 20
 };
-/// A 2-vCPU x86-64 VM measures 18-21x (~1 ns a buffer in a run, ~18 ns
+/// A 2-vCPU x86-64 VM measures 12-16x (~1 ns a buffer in a run, ~11-13 ns
 /// through `StorageSim::write`), and 3.3x with runs that visit every
 /// request (`HddSim::write_run` without its page-aligned path): the floor
 /// fails that, and leaves room for slow runners.

@@ -53,12 +53,17 @@ pub struct NodeProps {
     pub name: String,
     /// Capacity in bytes. Must be positive.
     pub size: u64,
-    /// Access granularity in bytes; `1` means byte-addressable.
+    /// Access granularity in bytes; `1` means byte-addressable. A power of
+    /// two (a [`Hierarchy`] refuses other sizes with
+    /// [`HierarchyError::InvalidProps`]), so the simulator rounds requests
+    /// to pages with a mask.
     pub pagesize: u64,
     /// Maximum bytes readable with a single I/O request (`None` = unlimited).
     pub max_seq_read: Option<u64>,
     /// Maximum bytes writable with a single I/O request (`None` = unlimited).
-    /// For flash drives this equals the erase-block size.
+    /// For flash drives this equals the erase-block size. A power of two
+    /// when set (a [`Hierarchy`] refuses others with
+    /// [`HierarchyError::InvalidProps`]).
     pub max_seq_write: Option<u64>,
     /// Device kind for the simulator.
     pub kind: DeviceKind,
@@ -78,13 +83,15 @@ impl NodeProps {
         }
     }
 
-    /// Sets the page size, builder style.
+    /// Sets the page size, builder style. `pagesize` must be a power of
+    /// two: a [`Hierarchy`] refuses the node otherwise.
     pub fn with_pagesize(mut self, pagesize: u64) -> NodeProps {
         self.pagesize = pagesize;
         self
     }
 
-    /// Sets the maximum write-sequence length, builder style.
+    /// Sets the maximum write-sequence length, builder style. `bytes` must
+    /// be a power of two: a [`Hierarchy`] refuses the node otherwise.
     pub fn with_max_seq_write(mut self, bytes: u64) -> NodeProps {
         self.max_seq_write = Some(bytes);
         self
@@ -147,7 +154,8 @@ pub enum HierarchyError {
     DuplicateName(String),
     /// Referenced node does not exist.
     UnknownNode(String),
-    /// A node property is invalid (zero size, zero pagesize, …).
+    /// A node property is invalid (zero size, a pagesize or `maxSeqW` that
+    /// is not a power of two, …).
     InvalidProps {
         /// Node name.
         node: String,
@@ -326,8 +334,8 @@ fn validate_props(p: &NodeProps) -> Result<(), HierarchyError> {
     if p.size == 0 {
         return Err(err("size must be positive"));
     }
-    if p.pagesize == 0 {
-        return Err(err("pagesize must be positive"));
+    if !p.pagesize.is_power_of_two() {
+        return Err(err("pagesize must be a power of two"));
     }
     if let Some(m) = p.max_seq_read {
         if m == 0 {
@@ -335,8 +343,8 @@ fn validate_props(p: &NodeProps) -> Result<(), HierarchyError> {
         }
     }
     if let Some(m) = p.max_seq_write {
-        if m == 0 {
-            return Err(err("maxSeqW must be positive when set"));
+        if !m.is_power_of_two() {
+            return Err(err("maxSeqW must be a power of two when set"));
         }
     }
     Ok(())
@@ -546,6 +554,35 @@ mod tests {
         assert!(matches!(
             h.add_child("RAM", presets::hdd_props("HDD"), presets::hdd_edge()),
             Err(HierarchyError::DuplicateName(_))
+        ));
+    }
+
+    #[test]
+    fn pages_and_erase_blocks_are_powers_of_two() {
+        let node = |props: NodeProps| Hierarchy::new(props).map(|_| ());
+        let refused = |props: NodeProps, why: &str| match node(props) {
+            Err(HierarchyError::InvalidProps { reason, .. }) => assert!(reason.contains(why)),
+            other => panic!("expected InvalidProps ({why}), got {other:?}"),
+        };
+        let hdd = || NodeProps::new("HDD", 1 << 40, DeviceKind::Hdd);
+        let ssd = || NodeProps::new("SSD", 1 << 40, DeviceKind::Flash);
+        refused(hdd().with_pagesize(3000), "pagesize");
+        refused(hdd().with_pagesize(0), "pagesize");
+        refused(ssd().with_max_seq_write(100_000), "maxSeqW");
+        refused(ssd().with_max_seq_write(0), "maxSeqW");
+        for bytes in [1, 512, 4096, 256 * 1024] {
+            assert_eq!(node(hdd().with_pagesize(bytes)), Ok(()), "pagesize {bytes}");
+            assert_eq!(
+                node(ssd().with_max_seq_write(bytes)),
+                Ok(()),
+                "maxSeqW {bytes}"
+            );
+        }
+        // A child is held to the same rule.
+        let mut h = Hierarchy::new(NodeProps::new("RAM", 1 << 20, DeviceKind::Ram)).unwrap();
+        assert!(matches!(
+            h.add_child("RAM", hdd().with_pagesize(3000), presets::hdd_edge()),
+            Err(HierarchyError::InvalidProps { .. })
         ));
     }
 

@@ -20,11 +20,15 @@ pub struct DeviceStats {
 /// Rotating-disk model: moving the head costs a seek (`InitCom`), transfers
 /// run at the edge's `UnitTr` rate, and all accesses are rounded to page
 /// boundaries.
+///
+/// Page sizes are powers of two (the hierarchy refuses others), so the
+/// rounding is a mask: no request divides.
 #[derive(Debug, Clone)]
 pub struct HddSim {
     name: String,
     head: u64,
-    pagesize: u64,
+    /// `pagesize - 1`.
+    page_mask: u64,
     seek_seconds: f64,
     secs_per_byte_read: f64,
     secs_per_byte_write: f64,
@@ -33,11 +37,22 @@ pub struct HddSim {
 
 impl HddSim {
     /// Builds the model from node properties and its edge costs.
+    ///
+    /// # Panics
+    ///
+    /// If `props.pagesize` is not a power of two, which
+    /// [`Hierarchy`](ocas_hierarchy::Hierarchy) never lets through.
     pub fn new(props: &NodeProps, up: CostPair, down: CostPair) -> HddSim {
+        assert!(
+            props.pagesize.is_power_of_two(),
+            "HDD `{}`: pagesize {} is not a power of two",
+            props.name,
+            props.pagesize
+        );
         HddSim {
             name: props.name.clone(),
             head: 0,
-            pagesize: props.pagesize.max(1),
+            page_mask: props.pagesize - 1,
             seek_seconds: up.init_com.to_f64(),
             secs_per_byte_read: up.unit_tr.to_f64(),
             secs_per_byte_write: down.unit_tr.to_f64(),
@@ -45,9 +60,12 @@ impl HddSim {
         }
     }
 
+    /// The whole pages `[start, start + span)` that bytes `[offset, offset
+    /// + len)` touch.
+    #[inline]
     fn page_extent(&self, offset: u64, len: u64) -> (u64, u64) {
-        let start = offset / self.pagesize * self.pagesize;
-        let end = (offset + len).div_ceil(self.pagesize) * self.pagesize;
+        let start = offset & !self.page_mask;
+        let end = (offset + len + self.page_mask) & !self.page_mask;
         (start, end - start)
     }
 
@@ -60,12 +78,13 @@ impl HddSim {
     pub fn read(&mut self, offset: u64, len: u64) -> f64 {
         let (start, span) = self.page_extent(offset, len);
         let end = start + span;
+        let ahead = start >= self.head.saturating_sub(self.page_mask + 1);
         // Fully covered by the page(s) just read: read-ahead hit.
-        if start >= self.head.saturating_sub(self.pagesize) && end <= self.head {
+        if ahead && end <= self.head {
             return 0.0;
         }
         let mut t = 0.0;
-        let charged = if start >= self.head.saturating_sub(self.pagesize) && start < self.head {
+        let charged = if ahead && start < self.head {
             // Overlaps the current read-ahead window: pay only the new
             // pages, no seek.
             end - self.head
@@ -99,8 +118,9 @@ impl HddSim {
         while j < count {
             *clock += self.read(offset + j * unit, unit);
             j += 1;
-            if unit > 0 && self.head > offset {
-                j = j.max(((self.head - offset) / unit).min(count));
+            // Divides only when the next request ends inside the window.
+            if unit > 0 && offset + (j + 1) * unit <= self.head {
+                j = ((self.head - offset) / unit).min(count);
             }
         }
     }
@@ -134,7 +154,7 @@ impl HddSim {
         if count == 0 {
             return;
         }
-        if offset % self.pagesize != 0 || unit % self.pagesize != 0 {
+        if (offset | unit) & self.page_mask != 0 {
             for j in 0..count {
                 *clock += self.write(offset + j * unit, unit);
             }
@@ -153,10 +173,14 @@ impl HddSim {
 
 /// Flash model: reads are seek-free; writing into an erase block not written
 /// since its last erase costs one erase (`InitCom`).
+///
+/// Erase blocks are powers of two (the hierarchy refuses other `maxSeqW`),
+/// so a byte's block is a shift: no request divides.
 #[derive(Debug, Clone)]
 pub struct FlashSim {
     name: String,
-    erase_block: u64,
+    /// `log2` of the erase block size.
+    erase_shift: u32,
     erase_seconds: f64,
     secs_per_byte_read: f64,
     secs_per_byte_write: f64,
@@ -166,11 +190,23 @@ pub struct FlashSim {
 }
 
 impl FlashSim {
-    /// Builds the model from node properties and its edge costs.
+    /// Builds the model from node properties and its edge costs; without
+    /// a `maxSeqW` the erase block is 256 KiB.
+    ///
+    /// # Panics
+    ///
+    /// If `props.max_seq_write` is not a power of two, which
+    /// [`Hierarchy`](ocas_hierarchy::Hierarchy) never lets through.
     pub fn new(props: &NodeProps, up: CostPair, down: CostPair) -> FlashSim {
+        let erase_block = props.max_seq_write.unwrap_or(256 * 1024);
+        assert!(
+            erase_block.is_power_of_two(),
+            "flash `{}`: maxSeqW {erase_block} is not a power of two",
+            props.name
+        );
         FlashSim {
             name: props.name.clone(),
-            erase_block: props.max_seq_write.unwrap_or(256 * 1024).max(1),
+            erase_shift: erase_block.trailing_zeros(),
             erase_seconds: down.init_com.to_f64(),
             secs_per_byte_read: up.unit_tr.to_f64(),
             secs_per_byte_write: down.unit_tr.to_f64(),
@@ -187,10 +223,17 @@ impl FlashSim {
         t
     }
 
+    /// The first and last erase blocks that bytes `[offset, offset + len)`
+    /// touch (a zero-length write touches the block at `offset`).
+    #[inline]
+    fn erase_blocks(&self, offset: u64, len: u64) -> (u64, u64) {
+        let last = offset + len.max(1) - 1;
+        (offset >> self.erase_shift, last >> self.erase_shift)
+    }
+
     /// Writes `len` bytes at `offset`; erases every newly-touched block.
     pub fn write(&mut self, offset: u64, len: u64) -> f64 {
-        let first = offset / self.erase_block;
-        let last = (offset + len.max(1) - 1) / self.erase_block;
+        let (first, last) = self.erase_blocks(offset, len);
         let mut t = len as f64 * self.secs_per_byte_write;
         for b in first..=last {
             if self.open_block != Some(b) {
@@ -326,6 +369,7 @@ impl DeviceSim {
 mod tests {
     use super::*;
     use ocas_hierarchy::presets;
+    use proptest::prelude::*;
 
     fn hdd() -> HddSim {
         let e = presets::hdd_edge();
@@ -400,6 +444,74 @@ mod tests {
             f.write((i % 2) * (1 << 20), 4096);
         }
         assert_eq!(f.stats.erases, 10);
+    }
+
+    /// An HDD with `pagesize`-byte pages and a flash drive with
+    /// `pagesize`-byte erase blocks.
+    fn devices(pagesize: u64) -> (HddSim, FlashSim) {
+        let (h, f) = (presets::hdd_edge(), presets::flash_edge());
+        let hdd = NodeProps::new("HDD", 1 << 50, DeviceKind::Hdd).with_pagesize(pagesize);
+        let ssd = NodeProps::new("SSD", 1 << 50, DeviceKind::Flash).with_max_seq_write(pagesize);
+        (
+            HddSim::new(&hdd, h.up, h.down),
+            FlashSim::new(&ssd, f.up, f.down),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// Page and erase-block rounding by mask and shift equal the
+        /// division form they replaced, at every power-of-two size from 1
+        /// byte to 256 KiB, at and around block boundaries, for lengths of
+        /// 0 and 1 byte, inside one block and across many.
+        #[test]
+        fn mask_rounding_equals_division(
+            (log2, at, near, kind) in (0u32..19, 0u64..1 << 46, 0u32..3, 0u32..4),
+            drawn in 0u64..1 << 22,
+        ) {
+            let size = 1u64 << log2;
+            let offset = match near {
+                0 => at,
+                1 => at / size * size,
+                _ => (at / size * size).saturating_sub(1),
+            };
+            let len = match kind {
+                0 => 0,
+                1 => 1,
+                2 => drawn % (2 * size),
+                _ => drawn,
+            };
+            let (hdd, flash) = devices(size);
+            let start = offset / size * size;
+            let end = (offset + len).div_ceil(size) * size;
+            prop_assert_eq!(hdd.page_extent(offset, len), (start, end - start));
+            let last = (offset + len.max(1) - 1) / size;
+            prop_assert_eq!(flash.erase_blocks(offset, len), (offset / size, last));
+        }
+    }
+
+    #[test]
+    fn a_flash_write_straddling_erase_blocks_erases_each_once() {
+        let (_, mut f) = devices(256 * 1024);
+        // The last 100 bytes of block 0 and the first 200 of block 1.
+        f.write(256 * 1024 - 100, 300);
+        assert_eq!(f.stats.erases, 2);
+        // Block 1 is open: appending to it erases nothing.
+        f.write(256 * 1024 + 200, 4096);
+        assert_eq!(f.stats.erases, 2);
+        // Blocks 1 (open), 2, 3 and 4: three erases.
+        f.write(256 * 1024 + 4296, 3 * 256 * 1024);
+        assert_eq!(f.stats.erases, 5);
+        assert_eq!(f.erase_blocks(256 * 1024 + 4296, 3 * 256 * 1024), (1, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn an_hdd_page_that_is_not_a_power_of_two_is_refused() {
+        let e = presets::hdd_edge();
+        let props = NodeProps::new("HDD", 1 << 40, DeviceKind::Hdd).with_pagesize(3000);
+        HddSim::new(&props, e.up, e.down);
     }
 
     #[test]

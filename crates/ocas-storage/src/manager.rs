@@ -172,7 +172,7 @@ impl StorageSim {
             };
             device_by_name.insert(props.name.clone(), devices.len());
             capacity.push(props.size);
-            page.push(props.pagesize.max(1));
+            page.push(props.pagesize);
             tracks.push(format!("dev:{}", props.name));
             devices.push(DeviceSim::for_node(props, up, down));
         }
@@ -215,8 +215,11 @@ impl StorageSim {
         &self.files[file.0]
     }
 
-    fn check(&self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        let m = self.meta(file);
+    /// The metadata of `file`, once `len` bytes at `offset` are known to
+    /// lie inside it: one lookup for the check and the request.
+    #[inline]
+    fn extent(&self, file: FileId, offset: u64, len: u64) -> Result<FileMeta, StorageError> {
+        let m = self.files[file.0];
         let end = offset.saturating_add(len);
         if end > m.len {
             return Err(StorageError::OutOfBounds {
@@ -225,14 +228,15 @@ impl StorageSim {
                 len: m.len,
             });
         }
-        Ok(())
+        Ok(m)
     }
 
     /// Charges a run of `count` requests of `unit` bytes from `offset` of
     /// `file` — reads, or writes if `write` — advancing the clock. A single
-    /// request is charged on its own, and records one `read`/`write` span
-    /// while tracing; a longer run is [`charge_run`](StorageSim::charge_run).
-    #[inline]
+    /// request is charged on its own: one file lookup, one read of the
+    /// tracing flag, and one `read`/`write` span while tracing; a longer run
+    /// is [`charge_run`](StorageSim::charge_run).
+    #[inline(always)]
     pub(crate) fn charge(
         &mut self,
         write: bool,
@@ -244,8 +248,7 @@ impl StorageSim {
         if count != 1 {
             return self.charge_run(write, file, offset, unit, count);
         }
-        self.check(file, offset, unit)?;
-        let m = *self.meta(file);
+        let m = self.extent(file, offset, unit)?;
         let d = m.device as usize;
         let seeks0 = self.obs_seeks(d);
         let (device, at) = (&mut self.devices[d], m.offset + offset);
@@ -253,7 +256,9 @@ impl StorageSim {
             false => ("read", device.read(at, unit)),
             true => ("write", device.write(at, unit)),
         };
-        self.obs_span(name, d, t, unit, seeks0, None);
+        if let Some(seeks0) = seeks0 {
+            self.obs_span(name, d, t, unit, seeks0, None);
+        }
         self.clock_seconds += t;
         Ok(())
     }
@@ -266,7 +271,10 @@ impl StorageSim {
     /// closed form ([`DeviceSim::write_run`]). One difference from the
     /// loop: a run that would leave the file is rejected before anything is
     /// charged, where the loop charges the in-bounds prefix first. While
-    /// tracing, the run records one `read_run`/`write_run` span.
+    /// tracing, the run records one `read_run`/`write_run` span. Kept out
+    /// of line, so that `charge`'s single request inlines where it is
+    /// called.
+    #[inline(never)]
     fn charge_run(
         &mut self,
         write: bool,
@@ -278,8 +286,7 @@ impl StorageSim {
         if count == 0 {
             return Ok(());
         }
-        self.check(file, offset, unit.saturating_mul(count))?;
-        let m = *self.meta(file);
+        let m = self.extent(file, offset, unit.saturating_mul(count))?;
         let d = m.device as usize;
         let seeks0 = self.obs_seeks(d);
         let (t0, mut clock) = (self.clock_seconds, self.clock_seconds);
@@ -294,7 +301,9 @@ impl StorageSim {
                 "write_run"
             }
         };
-        self.obs_span(name, d, clock - t0, unit * count, seeks0, Some(count));
+        if let Some(seeks0) = seeks0 {
+            self.obs_span(name, d, clock - t0, unit * count, seeks0, Some(count));
+        }
         self.clock_seconds = clock;
         Ok(())
     }
@@ -332,21 +341,20 @@ impl StorageSim {
         true
     }
 
-    /// Seek count of a device, read only while tracing (the disabled-path
-    /// cost of each request is the one `enabled()` check).
-    fn obs_seeks(&self, device: usize) -> u64 {
-        if ocas_obs::enabled() {
-            self.devices[device].stats().seeks
-        } else {
-            0
-        }
+    /// Seek count of a device while tracing, `None` when not: the one
+    /// `enabled()` check a request pays, whose answer says whether to
+    /// [`obs_span`](StorageSim::obs_span) it.
+    #[inline]
+    fn obs_seeks(&self, device: usize) -> Option<u64> {
+        ocas_obs::enabled().then(|| self.devices[device].stats().seeks)
     }
 
     /// Records one request — or one run of `requests` requests — as a span
     /// of `t` seconds starting at the current clock on the device's
-    /// simulated-clock track. The span durations on each `dev:*` track
-    /// (plus the `cpu` track) sum to the clock advance — the attribution
-    /// property the acceptance test pins.
+    /// simulated-clock track; called while tracing only (see
+    /// [`obs_seeks`](StorageSim::obs_seeks)). The span durations on each
+    /// `dev:*` track (plus the `cpu` track) sum to the clock advance — the
+    /// attribution property the acceptance test pins.
     fn obs_span(
         &self,
         name: &'static str,
@@ -356,23 +364,21 @@ impl StorageSim {
         seeks0: u64,
         requests: Option<u64>,
     ) {
-        if ocas_obs::enabled() {
-            let seeks = self.devices[device].stats().seeks - seeks0;
-            let args = [
-                ("bytes", bytes as f64),
-                ("seeks", seeks as f64),
-                ("requests", requests.unwrap_or(1) as f64),
-            ];
-            ocas_obs::span(
-                ocas_obs::Clock::Sim,
-                &self.tracks[device],
-                name,
-                self.clock_seconds,
-                t,
-                // Single requests keep their two-argument shape.
-                &args[..if requests.is_some() { 3 } else { 2 }],
-            );
-        }
+        let seeks = self.devices[device].stats().seeks - seeks0;
+        let args = [
+            ("bytes", bytes as f64),
+            ("seeks", seeks as f64),
+            ("requests", requests.unwrap_or(1) as f64),
+        ];
+        ocas_obs::span(
+            ocas_obs::Clock::Sim,
+            &self.tracks[device],
+            name,
+            self.clock_seconds,
+            t,
+            // Single requests keep their two-argument shape.
+            &args[..if requests.is_some() { 3 } else { 2 }],
+        );
     }
 
     /// Adds pure computation time to the clock (the engine's CPU model).
