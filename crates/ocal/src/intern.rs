@@ -24,16 +24,13 @@
 //!   `Expr` trees — and [`Interner::canonical_at`], the same key for
 //!   "parent tree with a rewrite spliced in at a path", so duplicate
 //!   search candidates are rejected without ever being constructed.
-//! * [`Interner::find_canonical`] — the read-only lookup of that key.
 //! * [`Interner::new`], [`Interner::len`] (the number of distinct nodes,
 //!   which the search reports as `arena_nodes`) and [`Interner::is_empty`].
 //! * [`FxHasher`] and [`FxBuildHasher`] — the hasher of the arena's index,
 //!   which the search's seen-set uses too.
 //!
-//! The interner is deliberately not thread-safe (`&mut self` to intern):
-//! the parallel search keeps one interner on the merge thread and hands
-//! workers read-only [`Interner::find_canonical`] snapshots, which is what
-//! keeps merged statistics deterministic.
+//! Interning takes `&mut self`: the search owns one interner and interns
+//! every candidate's key on its one thread.
 
 use crate::ast::{BlockSize, DefName, Expr, PrimOp, SeqAnnot, SizeHint};
 use std::collections::HashMap;
@@ -255,10 +252,6 @@ impl Interner {
         id
     }
 
-    fn find_name(&self, s: &str) -> Option<NameId> {
-        self.names.get(s).copied()
-    }
-
     fn insert(&mut self, node: Node) -> ExprId {
         let next = ExprId(self.index.len() as u32);
         *self.index.entry(node).or_insert(next)
@@ -282,14 +275,6 @@ impl Interner {
         self.canon_params[i]
     }
 
-    fn canon_var_find(&self, i: usize) -> Option<NameId> {
-        self.canon_vars.get(i).copied()
-    }
-
-    fn canon_param_find(&self, i: usize) -> Option<NameId> {
-        self.canon_params.get(i).copied()
-    }
-
     /// Interns the **canonical form** of `e` in a single pass: bound
     /// variables are renamed `%0`, `%1`, … in binding order and block-size
     /// parameters `%p0`, `%p1`, … in first-occurrence (pre-order) order.
@@ -301,15 +286,6 @@ impl Interner {
     pub fn canonical(&mut self, e: &Expr) -> ExprId {
         let mut cx = CanonCx::default();
         self.canon_go(e, &mut cx)
-    }
-
-    /// Read-only twin of [`Interner::canonical`]: returns the canonical id
-    /// if (and only if) that canonical term is already interned. Used by
-    /// parallel search workers to skip re-validating duplicates without
-    /// mutating the shared arena.
-    pub fn find_canonical(&self, e: &Expr) -> Option<ExprId> {
-        let mut cx = CanonCx::default();
-        self.canon_find(e, &mut cx)
     }
 
     /// [`Interner::canonical`] of "`root` with the subterm at `path`
@@ -374,10 +350,8 @@ impl Interner {
                     seq: self.iseq(seq),
                 }
             }
-            Expr::DefRef(d) => Node::DefRef(
-                idef(d, |b| Some(self.canon_block(b, cx))).expect("interning never fails"),
-            ),
-            other => shallow(other, |c| Some(self.canon_go(c, cx))).expect("interning never fails"),
+            Expr::DefRef(d) => Node::DefRef(idef(d, |b| self.canon_block(b, cx))),
+            other => shallow(other, |c| self.canon_go(c, cx)),
         };
         self.insert(node)
     }
@@ -444,163 +418,89 @@ impl Interner {
                         self.canon_go(c, cx)
                     };
                     i += 1;
-                    Some(id)
+                    id
                 })
-                .expect("interning never fails")
             }
         };
         self.insert(node)
-    }
-
-    fn canon_find<'e>(&self, e: &'e Expr, cx: &mut CanonCx<'e>) -> Option<ExprId> {
-        let node = match e {
-            Expr::Var(v) => match cx.lookup(v) {
-                Some(id) => Node::Var(id),
-                None => Node::Var(self.find_name(v)?),
-            },
-            Expr::Lam { param, body } => {
-                let canon = self.canon_var_find(cx.counter)?;
-                cx.counter += 1;
-                cx.scope.push((param, canon));
-                let body = self.canon_find(body, cx);
-                cx.scope.pop();
-                Node::Lam {
-                    param: canon,
-                    body: body?,
-                }
-            }
-            Expr::For {
-                var,
-                block,
-                source,
-                out_block,
-                body,
-                seq,
-            } => {
-                let block = self.canon_block_find(block, cx)?;
-                let out_block = self.canon_block_find(out_block, cx)?;
-                let source = self.canon_find(source, cx);
-                let canon = self.canon_var_find(cx.counter)?;
-                cx.counter += 1;
-                cx.scope.push((var, canon));
-                let body = self.canon_find(body, cx);
-                cx.scope.pop();
-                Node::For {
-                    var: canon,
-                    block,
-                    source: source?,
-                    out_block,
-                    body: body?,
-                    seq: self.iseq_find(seq)?,
-                }
-            }
-            Expr::DefRef(d) => Node::DefRef(idef(d, |b| self.canon_block_find(b, cx))?),
-            other => shallow(other, |c| self.canon_find(c, cx))?,
-        };
-        self.index.get(&node).copied()
-    }
-
-    fn canon_block_find<'e>(&self, b: &'e BlockSize, cx: &mut CanonCx<'e>) -> Option<IBlock> {
-        match b {
-            BlockSize::Const(n) => Some(IBlock::Const(*n)),
-            BlockSize::Param(p) => {
-                let pos = cx.param_pos(p);
-                Some(IBlock::Param(self.canon_param_find(pos)?))
-            }
-        }
     }
 
     fn iseq(&mut self, seq: &Option<SeqAnnot>) -> Option<(NameId, NameId)> {
         seq.as_ref()
             .map(|s| (self.name_id(&s.from), self.name_id(&s.to)))
     }
-
-    /// `Some(None)`-free read-only twin of [`Interner::iseq`]: `None` when
-    /// an annotation name is unknown (so the term cannot be interned yet),
-    /// `Some(opt)` otherwise.
-    #[allow(clippy::option_option)]
-    fn iseq_find(&self, seq: &Option<SeqAnnot>) -> Option<Option<(NameId, NameId)>> {
-        match seq {
-            None => Some(None),
-            Some(s) => Some(Some((self.find_name(&s.from)?, self.find_name(&s.to)?))),
-        }
-    }
 }
 
-/// The [`IDef`] of `d`, with each block size (in pre-order) from `block`;
-/// `None` when `block` returns `None`.
-fn idef<'e>(
-    d: &'e DefName,
-    mut block: impl FnMut(&'e BlockSize) -> Option<IBlock>,
-) -> Option<IDef> {
-    Some(match d {
+/// The [`IDef`] of `d`, with each block size (in pre-order) from `block`.
+fn idef<'e>(d: &'e DefName, mut block: impl FnMut(&'e BlockSize) -> IBlock) -> IDef {
+    match d {
         DefName::Head => IDef::Head,
         DefName::Tail => IDef::Tail,
         DefName::Length => IDef::Length,
         DefName::Avg => IDef::Avg,
-        DefName::TreeFold(k) => IDef::TreeFold(block(k)?),
+        DefName::TreeFold(k) => IDef::TreeFold(block(k)),
         DefName::UnfoldR { b_in, b_out } => IDef::UnfoldR {
-            b_in: block(b_in)?,
-            b_out: block(b_out)?,
+            b_in: block(b_in),
+            b_out: block(b_out),
         },
         DefName::Mrg => IDef::Mrg,
         DefName::Zip(n) => IDef::Zip(*n),
         DefName::Partition => IDef::Partition,
-        DefName::HashPartition(k) => IDef::HashPartition(block(k)?),
+        DefName::HashPartition(k) => IDef::HashPartition(block(k)),
         DefName::FuncPow(k) => IDef::FuncPow(*k),
-    })
+    }
 }
 
 /// The [`Node`] of a constructor that binds and names nothing, with each
-/// child's id (in [`Expr::children`] order) from `child`; `None` when
-/// `child` returns `None`. `Var`, `Lam`, `For` and `DefRef` carry names or
-/// block sizes, which only the canonicalizing walkers can intern.
-fn shallow<'e>(e: &'e Expr, mut child: impl FnMut(&'e Expr) -> Option<ExprId>) -> Option<Node> {
-    Some(match e {
+/// child's id (in [`Expr::children`] order) from `child`. `Var`, `Lam`,
+/// `For` and `DefRef` carry names or block sizes, which only the
+/// canonicalizing walkers can intern.
+fn shallow<'e>(e: &'e Expr, mut child: impl FnMut(&'e Expr) -> ExprId) -> Node {
+    match e {
         Expr::Int(n) => Node::Int(*n),
         Expr::Bool(b) => Node::Bool(*b),
         Expr::Str(s) => Node::Str(s.clone()),
         Expr::App { func, arg } => Node::App {
-            func: child(func)?,
-            arg: child(arg)?,
+            func: child(func),
+            arg: child(arg),
         },
-        Expr::Tuple(items) => Node::Tuple(items.iter().map(&mut child).collect::<Option<_>>()?),
+        Expr::Tuple(items) => Node::Tuple(items.iter().map(&mut child).collect()),
         Expr::Proj { tuple, index } => Node::Proj {
-            tuple: child(tuple)?,
+            tuple: child(tuple),
             index: *index,
         },
-        Expr::Singleton(e) => Node::Singleton(child(e)?),
+        Expr::Singleton(e) => Node::Singleton(child(e)),
         Expr::Empty => Node::Empty,
         Expr::Union { left, right } => Node::Union {
-            left: child(left)?,
-            right: child(right)?,
+            left: child(left),
+            right: child(right),
         },
-        Expr::FlatMap { func } => Node::FlatMap { func: child(func)? },
+        Expr::FlatMap { func } => Node::FlatMap { func: child(func) },
         Expr::FoldL { init, func } => Node::FoldL {
-            init: child(init)?,
-            func: child(func)?,
+            init: child(init),
+            func: child(func),
         },
         Expr::If {
             cond,
             then_branch,
             else_branch,
         } => Node::If {
-            cond: child(cond)?,
-            then_branch: child(then_branch)?,
-            else_branch: child(else_branch)?,
+            cond: child(cond),
+            then_branch: child(then_branch),
+            else_branch: child(else_branch),
         },
         Expr::Prim { op, args } => Node::Prim {
             op: *op,
-            args: args.iter().map(&mut child).collect::<Option<_>>()?,
+            args: args.iter().map(&mut child).collect(),
         },
         Expr::Sized { expr, hint } => Node::Sized {
-            expr: child(expr)?,
+            expr: child(expr),
             hint: hint.clone(),
         },
         Expr::Var(_) | Expr::Lam { .. } | Expr::For { .. } | Expr::DefRef(_) => {
             unreachable!("named constructors are interned by the canonicalizing walkers")
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -639,18 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn find_canonical_is_read_only_twin() {
-        let mut it = Interner::new();
-        let a = parse("for (xB [k1] <- R) for (x <- xB) [x]").unwrap();
-        let b = parse("for (yB [k9] <- R) for (z <- yB) [z]").unwrap();
-        assert_eq!(it.find_canonical(&a), None, "not interned yet");
-        let id = it.canonical(&a);
-        let n = it.len();
-        assert_eq!(it.find_canonical(&b), Some(id));
-        assert_eq!(it.len(), n, "find_canonical must not intern");
-    }
-
-    #[test]
     fn canonical_id_is_the_alpha_class() {
         let mut it = Interner::new();
         for src in [
@@ -681,7 +569,7 @@ mod tests {
             id,
             "the annotation distinguishes terms"
         );
-        assert_eq!(it.find_canonical(&annotated), Some(id));
+        assert_eq!(it.canonical(&annotated.clone()), id);
         // The same holds for an annotated loop on the path of a splice.
         let repl = parse("[1]").unwrap();
         assert_ne!(

@@ -746,11 +746,9 @@ pub fn synthesis_stats() -> Vec<SynthesisRow> {
                 .run_search(true, 1, None)
                 .expect("reference search must succeed");
             best_ref = best_ref.min(reference.stats.seconds);
-            // workers = 1: the committed ratio isolates the arena engine
-            // itself (zipper dedup, interned keys, check exemptions) and
-            // stays comparable across machines with different core counts;
-            // parallel frontier expansion is a further machine-dependent
-            // win on top.
+            // Both engines run on one thread, so the committed ratio is the
+            // arena engine's own (zipper dedup, interned keys, check
+            // exemptions) and comparable across machines.
             let arena = e
                 .run_search(false, 1, None)
                 .expect("arena search must succeed");

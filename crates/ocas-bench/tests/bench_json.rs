@@ -152,7 +152,7 @@ fn committed_trajectory_point_validates() {
             "committed engine entry regressed vs its before-number: {e:?}"
         );
     }
-    // The synthesis section records the interned/parallel search rework:
+    // The synthesis section records the interned search rework:
     // the two largest-search Table 1 rows must commit a ≥4x search
     // wall-clock speedup of the arena engine over the legacy reference.
     let synthesis = doc.get("synthesis").unwrap().as_arr().unwrap();

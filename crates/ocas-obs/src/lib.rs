@@ -19,7 +19,7 @@
 //! a disabled probe costs a few nanoseconds (pinned by a test in
 //! `ocas-bench`). There are no atomics, locks or globals — a recorder
 //! belongs to the thread that [`start`]ed it, and multi-threaded layers
-//! (search/cost workers) measure locally and *record* on the owning
+//! (the synthesizer's cost workers) measure locally and *record* on the owning
 //! thread during their deterministic merge, which is also what keeps
 //! traces independent of the worker count. A worker that runs a whole job
 //! for its owner (the real run's simulator twin) records with the owner's

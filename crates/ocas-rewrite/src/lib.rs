@@ -28,12 +28,11 @@
 //!
 //! [`search`] is a level-synchronous BFS over a hash-consed term arena
 //! (`ocal::Interner`): dedup keys are canonical `ocal::ExprId`s computed in
-//! one canonicalize-and-intern pass, frontier levels are expanded by
-//! `std::thread::scope` worker threads, and worker results are merged in
-//! frontier order so statistics and the program list are bit-identical for
-//! every worker count. [`search_with`] additionally takes a callback that
+//! one canonicalize-and-intern pass, and each level is expanded in-line in
+//! frontier order, a candidate being built, typechecked and validated only
+//! once its key is new. [`search_with`] additionally takes a callback that
 //! sees each accepted program in index order, which the synthesizer uses to
-//! pipeline cost estimation into the search loop. [`reference_search`] keeps the original single-queue
+//! feed its cost workers while the search runs. [`reference_search`] keeps the original single-queue
 //! engine as the parity oracle, and [`dedup_key`] its owned-`Expr` dedup
 //! key; regression tests hold both engines to identical statistics on every
 //! Table 1 row.

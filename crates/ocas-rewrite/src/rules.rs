@@ -124,10 +124,8 @@ impl RuleCtx<'_> {
 
 /// A transformation rule `e₁ ⇒ e₂` with its applicability conditions.
 ///
-/// Rules are `Send + Sync` so the search can apply them from parallel
-/// frontier-expansion workers; rules are stateless (all mutable context
-/// lives in [`RuleCtx`]), so implementations are trivially both.
-pub trait Rule: Send + Sync {
+/// Rules are stateless: all mutable context lives in [`RuleCtx`].
+pub trait Rule {
     /// The paper's rule name.
     fn name(&self) -> &'static str;
 
@@ -171,8 +169,7 @@ pub trait Rule: Send + Sync {
 /// safe starting value for [`RuleCtx::fresh`] that cannot collide with any
 /// name already in the program. This is what makes per-frontier-item fresh
 /// counters deterministic and collision-free regardless of how many other
-/// programs were expanded before this one (the search's parallel workers
-/// rely on it).
+/// programs were expanded before this one.
 pub fn next_fresh_index(e: &Expr) -> u32 {
     fn param_idx(p: &str) -> Option<u32> {
         let rest = p.strip_prefix('k').or_else(|| p.strip_prefix('s'))?;

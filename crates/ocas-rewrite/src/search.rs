@@ -7,12 +7,11 @@
 //! The engine is a **level-synchronous BFS over a hash-consed term arena**
 //! ([`ocal::Interner`]):
 //!
-//! * Each frontier level is expanded by `cfg.workers` scoped threads
-//!   (`std::thread::scope`; no extra dependencies). Workers apply the rules,
-//!   typecheck and differentially validate candidates concurrently; the
-//!   merge step consumes their results in frontier order, so every
-//!   statistic and the `programs` list itself are **bit-identical to the
-//!   sequential run** regardless of worker count.
+//! * Each frontier level is expanded in-line, item by item in frontier
+//!   order, so every statistic and the `programs` list are a function of
+//!   the specification and the rules alone. The synthesizer's concurrency
+//!   is its cost pool (`ocas::Synthesizer`), which the search feeds through
+//!   [`search_with`]'s callback.
 //! * Candidates are enumerated as rewrite *sites* (position path +
 //!   replacement subterm); the dedup key is interned by walking the parent
 //!   tree with the replacement spliced in logically
@@ -21,8 +20,7 @@
 //!   built. The seen-set is a `HashSet<ExprId>` with O(1) equality.
 //! * Fresh-name counters are derived per frontier item
 //!   ([`next_fresh_index`]) instead of threading one global counter through
-//!   the whole search, which is what allows items to be expanded in any
-//!   order (and in parallel) without changing the outcome.
+//!   the whole search, so an item's candidates depend on the item alone.
 //! * Rules that are typed identities skip re-typechecking, and rules that
 //!   are unconditional equivalences skip differential validation (see
 //!   [`Rule::preserves_type`] / [`Rule::preserves_semantics`]); debug
@@ -36,11 +34,9 @@
 use crate::conditions::{differential_check, Equivalence, ValidationCfg};
 use crate::rules::{next_fresh_index, Rule, RuleCtx};
 use ocal::intern::FxBuildHasher;
-use ocal::{typecheck, BlockSize, DefName, Expr, ExprId, Interner, Type, TypeEnv};
+use ocal::{typecheck, BlockSize, DefName, Expr, ExprId, Interner, TypeEnv};
 use ocas_hierarchy::Hierarchy;
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Search configuration.
@@ -53,10 +49,6 @@ pub struct SearchConfig {
     /// Differential validation of every candidate against the spec;
     /// `None` trusts the rules' syntactic guards alone.
     pub validation: Option<ValidationCfg>,
-    /// Frontier-expansion worker threads: `0` picks the machine's available
-    /// parallelism, `1` runs in-line. The result is identical for every
-    /// setting; only wall-clock changes.
-    pub workers: usize,
 }
 
 impl Default for SearchConfig {
@@ -65,7 +57,6 @@ impl Default for SearchConfig {
             max_depth: 7,
             max_programs: 20_000,
             validation: None,
-            workers: 0,
         }
     }
 }
@@ -93,8 +84,8 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// The deterministic subset of the statistics — everything except the
-    /// wall clock. Two runs of the same search (any worker count, either
-    /// engine) must agree on this.
+    /// wall clock. Two runs of the same search (either engine) must agree
+    /// on this.
     pub fn deterministic(&self) -> (usize, usize, usize, usize, u32) {
         (
             self.explored,
@@ -150,22 +141,6 @@ struct RuleInfo {
     preserves_semantics: bool,
 }
 
-/// One candidate as produced (and possibly pre-evaluated) by a worker: the
-/// rewrite site (`path` of `Expr::children` indices into the frontier item)
-/// plus the replacement subterm. The full candidate tree is only
-/// materialized once the dedup key turns out to be new.
-struct CandEval {
-    path: Vec<usize>,
-    repl: Expr,
-    info: RuleInfo,
-    /// Worker-materialized candidate (parallel mode).
-    materialized: Option<Expr>,
-    /// Worker-computed typecheck verdict (None = not computed).
-    ty_ok: Option<bool>,
-    /// Worker-computed differential-validation verdict.
-    sem_ok: Option<bool>,
-}
-
 /// Rebuilds "`e` with the subterm at `path` replaced by `repl`".
 fn splice(e: &Expr, path: &[usize], repl: &Expr) -> Expr {
     match path.split_first() {
@@ -185,85 +160,11 @@ fn splice(e: &Expr, path: &[usize], repl: &Expr) -> Expr {
     }
 }
 
-/// Everything a frontier-expansion worker needs, shared immutably.
-struct ExpandShared<'a> {
-    rules: &'a [Box<dyn Rule>],
-    hierarchy: &'a Hierarchy,
-    env: &'a TypeEnv,
-    input_nodes: &'a BTreeMap<String, String>,
-    output: &'a Option<String>,
-    spec: &'a Expr,
-    spec_ty: &'a Type,
-    validation: Option<&'a ValidationCfg>,
-}
-
-/// Expands one frontier item: applies every rule at every position. When
-/// `snapshot` is given (parallel mode), the expensive per-candidate checks
-/// are evaluated eagerly — except for candidates whose canonical form is
-/// already in the seen-set snapshot, which the merge step will drop anyway.
-fn expand_item(
-    program: &Expr,
-    shared: &ExpandShared<'_>,
-    snapshot: Option<(&Interner, &HashSet<ExprId, FxBuildHasher>)>,
-) -> Vec<CandEval> {
-    let mut cx = RuleCtx {
-        hierarchy: shared.hierarchy,
-        env: shared.env,
-        input_nodes: shared.input_nodes,
-        output: shared.output.clone(),
-        fresh: next_fresh_index(program),
-        bound: Vec::new(),
-    };
-    let mut out = Vec::new();
-    let eq = shared.validation.map(|v| v.equivalence);
-    rewrite_sites(
-        program,
-        shared.rules,
-        &mut cx,
-        eq,
-        &mut |path, repl, info| {
-            out.push(CandEval {
-                path: path.to_vec(),
-                repl,
-                info,
-                materialized: None,
-                ty_ok: None,
-                sem_ok: None,
-            })
-        },
-    );
-    if let Some((interner, seen)) = snapshot {
-        for ev in &mut out {
-            let cand = splice(program, &ev.path, &ev.repl);
-            let known_dup = interner
-                .find_canonical(&cand)
-                .is_some_and(|id| seen.contains(&id));
-            if known_dup {
-                continue; // Merge will dedup it; don't waste the checks.
-            }
-            let ty_ok = if ev.info.preserves_type {
-                true
-            } else {
-                let ok = matches!(typecheck(&cand, shared.env), Ok(ref t) if t == shared.spec_ty);
-                ev.ty_ok = Some(ok);
-                ok
-            };
-            if ty_ok && !ev.info.preserves_semantics {
-                if let Some(v) = shared.validation {
-                    ev.sem_ok = Some(differential_check(shared.spec, &cand, v));
-                }
-            }
-            ev.materialized = Some(cand);
-        }
-    }
-    out
-}
-
 /// Runs the BFS, calling `on_program(index, program, depth)` once per
 /// accepted program as soon as it enters the space (index 0 is the
 /// specification) — the entry point the synthesizer uses to pipeline cost
-/// estimation into the search loop. The callback runs on the merge thread
-/// in program-index order, never concurrently.
+/// estimation into the search loop. The callback runs on the calling
+/// thread, in program-index order.
 #[allow(clippy::too_many_arguments)]
 pub fn search_with(
     spec: &Expr,
@@ -286,37 +187,16 @@ pub fn search_with(
     seen.insert(interner.canonical(spec));
     programs.push((spec.clone(), 0));
     on_program(0, spec, 0);
-    let mut frontier: Vec<(Expr, u32)> = Vec::new();
-    if cfg.max_depth > 0 {
-        frontier.push((spec.clone(), 0));
-    }
+    let mut frontier: Vec<Expr> = vec![spec.clone()];
+    let equivalence = cfg.validation.as_ref().map(|v| v.equivalence);
 
-    let shared = ExpandShared {
-        rules,
-        hierarchy,
-        env,
-        input_nodes,
-        output: &output,
-        spec,
-        spec_ty: &spec_ty,
-        validation: cfg.validation.as_ref(),
-    };
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.workers
-    };
-
-    while !frontier.is_empty() {
-        let depth = frontier[0].1;
-        debug_assert!(frontier.iter().all(|(_, d)| *d == depth));
-        if depth >= cfg.max_depth || programs.len() >= cfg.max_programs {
+    // Level `depth` expands the programs found at `depth`.
+    for depth in 0..cfg.max_depth {
+        if frontier.is_empty() || programs.len() >= cfg.max_programs {
             break;
         }
-        // Tracing: spans/counters are only recorded here in the
-        // deterministic merge (below), never on workers, so traces are
-        // bit-identical for any worker count. The level span lives on the
-        // programs-explored axis (a deterministic "clock").
+        // Tracing: the level span lives on the programs-explored axis (a
+        // deterministic "clock").
         let tracing = ocas_obs::enabled();
         let explored0 = programs.len();
         let generated0 = stats.generated;
@@ -324,123 +204,86 @@ pub fn search_with(
         // Per-rule `(candidates, deduped, rejected_type, rejected_sem)`.
         let mut rule_stats: BTreeMap<&'static str, [u64; 4]> = BTreeMap::new();
 
-        // Expand the whole level (in parallel when it pays).
-        let mut expansions: Vec<(usize, Vec<CandEval>)> = if workers <= 1 || frontier.len() < 2 {
-            frontier
-                .iter()
-                .enumerate()
-                .map(|(i, (p, _))| (i, expand_item(p, &shared, None)))
-                .collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let sink: Mutex<Vec<(usize, Vec<CandEval>)>> =
-                Mutex::new(Vec::with_capacity(frontier.len()));
-            let interner_ref = &interner;
-            let seen_ref = &seen;
-            let frontier_ref = &frontier;
-            let shared_ref = &shared;
-            std::thread::scope(|s| {
-                for _ in 0..workers.min(frontier_ref.len()) {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= frontier_ref.len() {
-                            break;
-                        }
-                        let exp = expand_item(
-                            &frontier_ref[i].0,
-                            shared_ref,
-                            Some((interner_ref, seen_ref)),
-                        );
-                        sink.lock().unwrap().push((i, exp));
-                    });
-                }
-            });
-            sink.into_inner().unwrap()
-        };
-        expansions.sort_unstable_by_key(|(i, _)| *i);
-
-        // Merge in frontier order: statistics and acceptance decisions are
-        // made here only, so they cannot depend on worker scheduling.
-        let mut next_frontier: Vec<(Expr, u32)> = Vec::new();
-        for ((item, _), (_, evals)) in frontier.iter().zip(expansions) {
+        let mut next_frontier: Vec<Expr> = Vec::new();
+        for item in &frontier {
             // Mirrors the reference engine: an item popped after the cap is
             // reached contributes nothing, not even `generated`.
             if programs.len() >= cfg.max_programs {
-                continue;
+                break;
             }
-            stats.generated += evals.len();
-            for ev in evals {
-                if programs.len() >= cfg.max_programs {
-                    break;
-                }
-                if tracing {
-                    rule_stats.entry(ev.info.name).or_insert([0; 4])[0] += 1;
-                }
-                // Dedup without building the candidate: canonicalize the
-                // item tree with the rewrite spliced in at its path.
-                let key = interner.canonical_at(item, &ev.path, &ev.repl);
-                if seen.contains(&key) {
-                    if tracing {
-                        rule_stats.entry(ev.info.name).or_insert([0; 4])[1] += 1;
+            let mut cx = RuleCtx {
+                hierarchy,
+                env,
+                input_nodes,
+                output: output.clone(),
+                fresh: next_fresh_index(item),
+                bound: Vec::new(),
+            };
+            rewrite_sites(
+                item,
+                rules,
+                &mut cx,
+                equivalence,
+                &mut |path, repl, info| {
+                    stats.generated += 1;
+                    if programs.len() >= cfg.max_programs {
+                        return;
                     }
-                    continue;
-                }
-                let cand = ev
-                    .materialized
-                    .unwrap_or_else(|| splice(item, &ev.path, &ev.repl));
-                // Type preservation.
-                let ty_ok = if ev.info.preserves_type {
-                    debug_assert!(
-                        matches!(typecheck(&cand, env), Ok(ref t) if *t == spec_ty),
-                        "rule flagged preserves_type produced an ill-typed candidate: {cand:?}"
-                    );
-                    true
-                } else {
-                    match ev.ty_ok {
-                        Some(ok) => ok,
-                        None => matches!(typecheck(&cand, env), Ok(ref t) if *t == spec_ty),
+                    let mut count = |slot: usize| {
+                        if tracing {
+                            rule_stats.entry(info.name).or_insert([0; 4])[slot] += 1;
+                        }
+                    };
+                    count(0);
+                    // Dedup without building the candidate: canonicalize the
+                    // item tree with the rewrite spliced in at its path.
+                    let key = interner.canonical_at(item, path, &repl);
+                    if !seen.insert(key) {
+                        count(1);
+                        return;
                     }
-                };
-                if !ty_ok {
-                    stats.rejected_type += 1;
-                    if tracing {
-                        rule_stats.entry(ev.info.name).or_insert([0; 4])[2] += 1;
-                    }
-                    seen.insert(key);
-                    continue;
-                }
-                // Semantic preservation (conservative differential testing).
-                let sem_ok = match cfg.validation.as_ref() {
-                    None => true,
-                    Some(_) if ev.info.preserves_semantics => {
+                    let cand = splice(item, path, &repl);
+                    // Type preservation.
+                    let ty_ok = if info.preserves_type {
                         debug_assert!(
-                            differential_check(spec, &cand, cfg.validation.as_ref().unwrap()),
-                            "rule flagged preserves_semantics produced a diverging candidate: {cand:?}"
+                            matches!(typecheck(&cand, env), Ok(ref t) if *t == spec_ty),
+                            "rule flagged preserves_type produced an ill-typed candidate: {cand:?}"
                         );
                         true
+                    } else {
+                        matches!(typecheck(&cand, env), Ok(ref t) if *t == spec_ty)
+                    };
+                    if !ty_ok {
+                        stats.rejected_type += 1;
+                        count(2);
+                        return;
                     }
-                    Some(v) => match ev.sem_ok {
-                        Some(ok) => ok,
-                        None => differential_check(spec, &cand, v),
-                    },
-                };
-                if !sem_ok {
-                    stats.rejected_semantics += 1;
-                    if tracing {
-                        rule_stats.entry(ev.info.name).or_insert([0; 4])[3] += 1;
+                    // Semantic preservation (conservative differential testing).
+                    let sem_ok = match cfg.validation.as_ref() {
+                        None => true,
+                        Some(v) if info.preserves_semantics => {
+                            debug_assert!(
+                            differential_check(spec, &cand, v),
+                            "rule flagged preserves_semantics produced a diverging candidate: {cand:?}"
+                        );
+                            true
+                        }
+                        Some(v) => differential_check(spec, &cand, v),
+                    };
+                    if !sem_ok {
+                        stats.rejected_semantics += 1;
+                        count(3);
+                        return;
                     }
-                    seen.insert(key);
-                    continue;
-                }
-                seen.insert(key);
-                stats.depth_reached = stats.depth_reached.max(depth + 1);
-                let index = programs.len();
-                on_program(index, &cand, depth + 1);
-                if depth + 1 < cfg.max_depth {
-                    next_frontier.push((cand.clone(), depth + 1));
-                }
-                programs.push((cand, depth + 1));
-            }
+                    stats.depth_reached = depth + 1;
+                    let index = programs.len();
+                    on_program(index, &cand, depth + 1);
+                    if depth + 1 < cfg.max_depth {
+                        next_frontier.push(cand.clone());
+                    }
+                    programs.push((cand, depth + 1));
+                },
+            );
         }
         if tracing {
             ocas_obs::span(
@@ -801,7 +644,6 @@ mod tests {
             max_depth: 5,
             max_programs: 4000,
             validation: Some(ValidationCfg::new(env.clone(), Equivalence::Bag)),
-            workers: 0,
         };
         let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
         assert!(result.stats.explored > 10, "{:?}", result.stats);
@@ -854,7 +696,6 @@ mod tests {
             validation: Some(
                 ValidationCfg::new(env.clone(), Equivalence::Exact).with_sorted_inputs(),
             ),
-            workers: 0,
         };
         let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
         let widths: Vec<u64> = result
@@ -897,7 +738,6 @@ mod tests {
             max_depth: 2,
             max_programs: 500,
             validation: Some(ValidationCfg::new(env.clone(), Equivalence::Bag)),
-            workers: 0,
         };
         let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
         assert!(
@@ -924,7 +764,6 @@ mod tests {
             max_depth: 3,
             max_programs: 200,
             validation: None,
-            workers: 0,
         };
         let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
         assert!(result.stats.explored >= 2);
@@ -933,32 +772,23 @@ mod tests {
         assert_eq!(result.programs[0].1, 0, "spec first at depth 0");
     }
 
-    /// Deterministic-merge guarantee: any worker count gives bit-identical
-    /// programs and statistics, and both agree with the reference engine's
-    /// deterministic statistics.
+    /// The arena engine reports the reference engine's deterministic
+    /// statistics and explores the same programs up to the canonical key.
     #[test]
-    fn worker_count_does_not_change_the_result() {
+    fn arena_engine_agrees_with_the_reference_engine() {
         let h = presets::hdd_ram(8 << 20);
         let env = join_env();
         let inputs = hdd_inputs(&["R", "S"]);
         let spec = parse("for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []").unwrap();
-        let mk = |workers| SearchConfig {
+        let cfg = SearchConfig {
             max_depth: 4,
             max_programs: 3000,
             validation: Some(ValidationCfg::new(env.clone(), Equivalence::Bag)),
-            workers,
         };
-        let seq = search(&spec, &env, &h, &inputs, None, &default_rules(), &mk(1)).unwrap();
-        let par = search(&spec, &env, &h, &inputs, None, &default_rules(), &mk(4)).unwrap();
-        assert_eq!(seq.stats.deterministic(), par.stats.deterministic());
-        assert_eq!(seq.programs.len(), par.programs.len());
-        for ((a, da), (b, db)) in seq.programs.iter().zip(&par.programs) {
-            assert_eq!(da, db);
-            assert_eq!(a, b, "program lists must match exactly");
-        }
+        let arena = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
         let reference =
-            reference_search(&spec, &env, &h, &inputs, None, &default_rules(), &mk(1)).unwrap();
-        assert_eq!(reference.stats.deterministic(), seq.stats.deterministic());
+            reference_search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
+        assert_eq!(reference.stats.deterministic(), arena.stats.deterministic());
         // Reference and arena engines number fresh names differently, but
         // candidate sets must agree up to the canonical key.
         let keys = |r: &SearchResult| {
@@ -966,7 +796,7 @@ mod tests {
             ks.sort();
             ks
         };
-        assert_eq!(keys(&reference), keys(&seq));
+        assert_eq!(keys(&reference), keys(&arena));
     }
 
     /// The callback fires once per explored program, in index order.
@@ -980,7 +810,6 @@ mod tests {
             max_depth: 3,
             max_programs: 500,
             validation: None,
-            workers: 1,
         };
         let mut seen: Vec<(usize, Expr, u32)> = Vec::new();
         let result = search_with(

@@ -40,7 +40,6 @@ fn space(depth: u32) -> Vec<String> {
             env.clone(),
             Equivalence::BagModuloFieldOrder,
         )),
-        workers: 0,
     };
     let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
     result.programs.iter().map(|(p, _)| pretty(p)).collect()
@@ -119,7 +118,6 @@ fn sort_derivation_reaches_every_intermediate() {
         max_depth: 7,
         max_programs: 500,
         validation: Some(ValidationCfg::new(env.clone(), Equivalence::Exact).with_sorted_inputs()),
-        workers: 0,
     };
     let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
     let programs: Vec<String> = result.programs.iter().map(|(p, _)| pretty(p)).collect();
@@ -158,7 +156,6 @@ fn every_program_in_the_space_is_semantically_valid() {
             env.clone(),
             Equivalence::BagModuloFieldOrder,
         )),
-        workers: 0,
     };
     let result = search(&spec, &env, &h, &inputs, None, &default_rules(), &cfg).unwrap();
     let mut recheck = ValidationCfg::new(env.clone(), Equivalence::BagModuloFieldOrder);

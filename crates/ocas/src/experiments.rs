@@ -154,11 +154,12 @@ impl Experiment {
     /// `ocas-bench` `synthesis` section; `max_programs` optionally lowers
     /// the row's exploration cap (the parity regression tests use a small
     /// cap so debug runs stay fast). Both engines must report identical
-    /// deterministic statistics.
+    /// deterministic statistics. `_workers` is accepted and ignored: the
+    /// search runs on the calling thread.
     pub fn run_search(
         &self,
         reference: bool,
-        workers: usize,
+        _workers: usize,
         max_programs: Option<usize>,
     ) -> Result<ocas_rewrite::SearchResult, ExpError> {
         let mut validation =
@@ -170,7 +171,6 @@ impl Experiment {
             max_depth: self.depth,
             max_programs: max_programs.unwrap_or(self.max_programs),
             validation: Some(validation),
-            workers,
         };
         let rules: Vec<Box<dyn ocas_rewrite::Rule>> = ocas_rewrite::default_rules()
             .into_iter()

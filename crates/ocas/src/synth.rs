@@ -1,12 +1,13 @@
 //! The synthesizer pipeline: search → cost → parameter tuning → best plan.
 //!
 //! Cost estimation is **pipelined into the search loop** instead of being a
-//! post-hoc pass over the explored space: the callback handed to
-//! [`ocas_rewrite::search_with`] sends each accepted program to a pool of
-//! scoped cost-worker threads (cost analysis + ladder screening) while the
-//! frontier keeps expanding. The search is exhaustive, and results are
-//! merged by program index, so the outcome is bit-identical to a sequential
-//! search-then-cost pass for every worker count. The five candidates the
+//! post-hoc pass over the explored space: the search runs on the calling
+//! thread, and the callback handed to [`ocas_rewrite::search_with`] sends
+//! each accepted program to a pool of scoped cost-worker threads (cost
+//! analysis + ladder screening) while the frontier keeps expanding. That
+//! pool is the synthesizer's only parallelism. The search is exhaustive,
+//! and results are merged by program index, so the outcome is bit-identical
+//! to a sequential search-then-cost pass for every worker count. The five candidates the
 //! ladder ranks cheapest are then refined with the full pattern search, on
 //! the problems the workers built for them — a program is costed once.
 
@@ -91,9 +92,8 @@ pub struct Synthesizer {
     /// Rule names to exclude (per-experiment scoping, e.g. disabling
     /// *hash-part* to study plain BNL).
     pub exclude_rules: Vec<String>,
-    /// Search frontier-expansion workers (0 = available parallelism).
-    pub search_workers: usize,
-    /// Pipelined cost-estimation workers (0 = available parallelism).
+    /// Pipelined cost-estimation workers (0 = available parallelism), the
+    /// synthesizer's only threads besides the one that searches.
     pub cost_workers: usize,
 }
 
@@ -187,7 +187,6 @@ impl Synthesizer {
             max_depth: 6,
             max_programs: 2000,
             exclude_rules: Vec::new(),
-            search_workers: 0,
             cost_workers: 0,
         }
     }
@@ -210,9 +209,8 @@ impl Synthesizer {
         self
     }
 
-    /// Fixes the worker counts (searching, costing), builder style.
-    pub fn with_workers(mut self, search: usize, cost: usize) -> Synthesizer {
-        self.search_workers = search;
+    /// Fixes the cost-worker count, builder style.
+    pub fn with_workers(mut self, cost: usize) -> Synthesizer {
         self.cost_workers = cost;
         self
     }
@@ -234,7 +232,6 @@ impl Synthesizer {
             max_depth: self.max_depth,
             max_programs: self.max_programs,
             validation: Some(validation),
-            workers: self.search_workers,
         };
         let rules = self.rules();
         // One engine per synthesis, shared by reference with the workers.
@@ -392,5 +389,44 @@ impl Synthesizer {
             costed: costed.len(),
             uncosted,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Cost workers offer candidates in whatever order they finish, so the
+    /// shortlist must break equal estimates by program index, the order of
+    /// the index-merged results.
+    #[test]
+    fn the_shortlist_breaks_equal_estimates_by_program_index() {
+        let offer = |cheapest: &mut Cheapest, index: usize, seconds: f64| {
+            let cand = Candidate {
+                program: Expr::Int(index as i64),
+                depth: 1,
+                params: BTreeMap::new(),
+                seconds,
+                formula: Sym::int(0),
+            };
+            let problem = Problem {
+                objective: Sym::int(0),
+                params: Vec::new(),
+                constraints: Vec::new(),
+                fixed: Default::default(),
+            };
+            cheapest.offer(index, &cand, problem);
+        };
+        let mut cheapest = Cheapest::default();
+        for index in [6, 2, 7, 0, 3, 5, 1, 4] {
+            offer(&mut cheapest, index, 1.0);
+        }
+        offer(&mut cheapest, 9, 0.5);
+        offer(&mut cheapest, 8, 2.0);
+        let order: Vec<usize> = cheapest.0.iter().map(|(i, _, _)| *i).collect();
+        assert_eq!(order, [9, 0, 1, 2, 3]);
+        for (i, cand, _) in &cheapest.0 {
+            assert_eq!(cand.program, Expr::Int(*i as i64));
+        }
     }
 }

@@ -1,23 +1,29 @@
-//! Observability integration: worker-count-invariant traces and the
+//! Observability integration: cost-worker-count-invariant traces and the
 //! simulated-clock attribution identity.
 
 use ocas::experiments;
 use ocas_obs::Clock;
 
 /// The deterministic (simulated-clock) event sequence — ids, tracks,
-/// names, timestamps, durations, args, fold counts — must be identical
-/// for 1, 4 and 8 search workers. Workers only measure; recording happens
-/// on the owning thread during the deterministic merge.
+/// names, timestamps, durations, args, fold counts — of a synthesis must
+/// be identical for 1, 3 and 8 cost workers. Workers only measure;
+/// recording happens on the owning thread, the search's level spans and
+/// per-rule counters as it runs and the cost spans at the index-sorted
+/// merge.
 #[test]
-fn trace_is_identical_across_search_worker_counts() {
+fn trace_is_identical_across_cost_worker_counts() {
+    let e = experiments::set_union();
     let mut views = Vec::new();
-    for workers in [1usize, 4, 8] {
+    for workers in [1usize, 3, 8] {
+        let synthesizer = ocas::Synthesizer::new(e.hierarchy.clone(), e.layout.clone())
+            .with_depth(e.depth)
+            .with_max_programs(200)
+            .without_rules(&e.exclude_rules)
+            .with_workers(workers);
         ocas_obs::start();
-        let r = experiments::set_union()
-            .run_search(false, workers, Some(200))
-            .expect("search succeeds");
+        let synth = synthesizer.synthesize(&e.spec).expect("synthesis succeeds");
         let trace = ocas_obs::finish().expect("recorder was active");
-        assert!(r.stats.explored > 0);
+        assert!(synth.stats.explored > 0);
         let view = trace.deterministic_view();
         assert!(
             view.iter().any(|l| l.contains("|search|level|")),
@@ -210,7 +216,7 @@ fn cost_job_spans_say_how_hard_the_candidate_was_to_tune() {
             .with_depth(e.depth)
             .with_max_programs(e.max_programs)
             .without_rules(&e.exclude_rules)
-            .with_workers(1, cost_workers);
+            .with_workers(cost_workers);
         ocas_obs::start();
         let synth = synthesizer.synthesize(&e.spec).expect("synthesis succeeds");
         let trace = ocas_obs::finish().expect("recorder was active");

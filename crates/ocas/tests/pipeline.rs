@@ -79,32 +79,50 @@ fn bnl_join_synthesis_finds_textbook_shape_small_scale() {
 }
 
 /// The synthesizer merges its cost workers' results by program index, so
-/// the winner, its tuned parameters and every count are the same whether
-/// one thread or three search and cost.
+/// on every Table 1 row the winner, its tuned parameters and every count
+/// are the same whether one thread or three cost the candidates. Rows are
+/// searched at their real depth and rule exclusions but with a lowered
+/// program cap so the debug-mode suite stays fast.
 #[test]
 fn synthesis_is_independent_of_the_worker_counts() {
-    let e = experiments::bnl_no_writeout();
-    let run = |workers: usize| {
-        ocas::Synthesizer::new(e.hierarchy.clone(), e.layout.clone())
-            .with_depth(e.depth)
-            .with_max_programs(e.max_programs)
-            .without_rules(&e.exclude_rules)
-            .with_workers(workers, workers)
-            .synthesize(&e.spec)
-            .unwrap_or_else(|err| panic!("synthesis with {workers} workers: {err}"))
-    };
-    let (one, three) = (run(1), run(3));
-    assert!(
-        one.costed >= 2,
-        "the row must rank candidates: {}",
-        one.costed
-    );
-    assert_eq!(one.best.program, three.best.program);
-    assert_eq!(one.best.params, three.best.params);
-    assert_eq!(one.best.seconds.to_bits(), three.best.seconds.to_bits());
-    assert_eq!(one.spec.seconds.to_bits(), three.spec.seconds.to_bits());
-    assert_eq!((one.costed, one.uncosted), (three.costed, three.uncosted));
-    assert_eq!(one.stats.deterministic(), three.stats.deterministic());
+    for e in experiments::table1() {
+        let run = |workers: usize| {
+            ocas::Synthesizer::new(e.hierarchy.clone(), e.layout.clone())
+                .with_depth(e.depth)
+                .with_max_programs(e.max_programs.min(250))
+                .without_rules(&e.exclude_rules)
+                .with_workers(workers)
+                .synthesize(&e.spec)
+                .unwrap_or_else(|err| panic!("`{}` with {workers} workers: {err}", e.name))
+        };
+        let (one, three) = (run(1), run(3));
+        assert_eq!(one.best.program, three.best.program, "`{}`", e.name);
+        assert_eq!(one.best.params, three.best.params, "`{}`", e.name);
+        assert_eq!(
+            one.best.seconds.to_bits(),
+            three.best.seconds.to_bits(),
+            "`{}`",
+            e.name
+        );
+        assert_eq!(
+            one.spec.seconds.to_bits(),
+            three.spec.seconds.to_bits(),
+            "`{}`",
+            e.name
+        );
+        assert_eq!(
+            (one.costed, one.uncosted),
+            (three.costed, three.uncosted),
+            "`{}`",
+            e.name
+        );
+        assert_eq!(
+            one.stats.deterministic(),
+            three.stats.deterministic(),
+            "`{}`",
+            e.name
+        );
+    }
 }
 
 /// Regression for the Table 1 GRACE row: with partition-spill seeks

@@ -63,7 +63,6 @@ fn main() {
             max_depth: 3,
             max_programs: 200,
             validation: None,
-            workers: 0,
         },
     )
     .unwrap();
