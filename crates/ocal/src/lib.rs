@@ -66,4 +66,4 @@ pub use parser::{parse, ParseError};
 pub use pretty::pretty;
 pub use typecheck::{infer_type, typecheck, TypeError};
 pub use types::Type;
-pub use value::{stable_hash, value_cmp, Env, Value};
+pub use value::{stable_hash, stable_hash_int, value_cmp, Env, Value};

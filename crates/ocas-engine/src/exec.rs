@@ -27,7 +27,7 @@ use crate::key_scan::KeyColumns;
 use crate::merge_kernel::{MergeHeads, MergeStop};
 use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
 use crate::rel::{BlockBuf, BlockCursor, Layout, Relation, RowBuf, RowsView};
-use crate::spill::{stage_rows, Extent, SpillAlloc};
+use crate::spill::{bucket_ids, stage_rows, Extent, SpillAlloc};
 use crate::stream_kernel::{dedup, merge_pass, zip, Took};
 use ocas_storage::{CacheSim, CacheStats, FileId, StorageBackend, StorageError, StorageSim};
 use std::fmt;
@@ -505,6 +505,30 @@ impl Sink {
         self.witness(a);
         self.witness(b);
         self.emit_bulk(sm, 1)
+    }
+
+    /// Emits the join rows of `pairs` (see [`key_index::join_rows`]) in
+    /// order, exactly as [`emit_concat`](Sink::emit_concat) a pair at a
+    /// time would: gathered into `joined`, at most [`room`](Sink::room) rows
+    /// at a time, so a device-bound output flushes at the same rows, and
+    /// each stretch witnessed and encoded at once.
+    fn emit_pairs<B: StorageBackend>(
+        &mut self,
+        sm: &mut B,
+        build: (&[i64], usize),
+        probe: (&[i64], usize),
+        pairs: &[(u32, u32)],
+        joined: &mut Vec<i64>,
+    ) -> Result<(), ExecError> {
+        let mut rest = pairs;
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(self.room().min(rest.len()));
+            joined.clear();
+            key_index::join_rows(build, probe, now, joined);
+            self.emit_rows(sm, joined)?;
+            rest = later;
+        }
+        Ok(())
     }
 
     /// True when `n` more rows fit the output buffer without filling it,
@@ -1145,7 +1169,7 @@ impl<B: StorageBackend> Executor<B> {
 
         let (mut build, mut block) = (RowBuf::new(lw), BlockBuf::default());
         let mut index = KeyIndex::new();
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let (mut pairs, mut joined): (Vec<(u32, u32)>, Vec<i64>) = (Vec::new(), Vec::new());
         let cross = pred == JoinPred::Cross;
         let mut carry = 0.0f64;
         for (lstream, rstream) in lstreams.iter().zip(&rstreams) {
@@ -1179,13 +1203,7 @@ impl<B: StorageBackend> Executor<B> {
                     pairs.clear();
                     from = key_index::probe(&index, &build, probe, rw, from, cross, &mut pairs);
                     *compares += pairs.len() as u64;
-                    // Sliced here: `RowBuf::row` would be a call per pair,
-                    // the executor being instantiated in the crate that
-                    // runs it.
-                    for &(x, y) in &pairs {
-                        let (x, y) = (x as usize * lw, y as usize * rw);
-                        sink.emit_concat(&mut self.sm, &built[x..x + lw], &probe[y..y + rw])?;
-                    }
+                    sink.emit_pairs(&mut self.sm, (built, lw), (probe, rw), &pairs, &mut joined)?;
                 }
                 self.note_peak(held + probe.len() as u64 * 8 + sink.encoded.len() as u64);
             }
@@ -1197,12 +1215,13 @@ impl<B: StorageBackend> Executor<B> {
 
     /// One side's partition pass: the relation read `buffer_bytes` at a time
     /// through [`Executor::load`] — so on a backend that holds the payload
-    /// it is the file's rows that are hashed — each row staged in its
-    /// bucket's buffer of `buffer_bytes / partitions` bytes, and a buffer
-    /// appended to its bucket's stream of page-aligned extents
-    /// ([`SpillAlloc::append_to_stream`]) by the row that fills it; what is
-    /// left of each is appended at the end, in bucket order. Returns each
-    /// bucket's extents.
+    /// it is the file's rows that are hashed — each loaded block's bucket
+    /// ids computed in one hash pass ([`bucket_ids`]), then each row staged
+    /// in its bucket's buffer of `buffer_bytes / partitions` bytes
+    /// ([`stage_rows`]), and a buffer appended to its bucket's stream of
+    /// page-aligned extents ([`SpillAlloc::append_to_stream`]) by the row
+    /// that fills it; what is left of each is appended at the end, in bucket
+    /// order. Returns each bucket's extents.
     ///
     /// Where simulated mode elides the rows, they take the buckets in turn:
     /// every bucket gets `card / partitions` rows and every staging buffer
@@ -1225,7 +1244,7 @@ impl<B: StorageBackend> Executor<B> {
         let mut streams: Vec<Vec<Extent>> = vec![Vec::new(); partitions as usize];
         // Simulated mode's next flush: (k, b).
         let (s, mut due) = (stage_bytes / tb, (1u64, 0u64));
-        let mut buf = BlockBuf::default();
+        let (mut buf, mut ids) = (BlockBuf::default(), Vec::new());
         let mut at = 0;
         while at < card {
             let take = block.min(card - at);
@@ -1234,14 +1253,15 @@ impl<B: StorageBackend> Executor<B> {
                     return Err(ExecError::MissingRows(input))
                 }
                 Some(rows) => {
-                    let mut rest = rows.as_slice();
+                    bucket_ids(rows.as_slice(), cols.0, partitions, &mut ids);
+                    let (mut rest, mut rest_ids) = (rows.as_slice(), &ids[..]);
                     while let Some((b, n)) =
-                        stage_rows(rest, cols, partitions, &mut staged, flush_at as usize)
+                        stage_rows(rest, rest_ids, cols, &mut staged, flush_at as usize)
                     {
                         let rows = (Some(&staged[b][..]), staged[b].len() as u64);
                         spill.append_to_stream(&mut self.sm, &mut streams[b], rows, stage_bytes)?;
                         staged[b].clear();
-                        rest = &rest[n * cols.0..];
+                        (rest, rest_ids) = (&rest[n * cols.0..], &rest_ids[n..]);
                     }
                     let staging = staged.iter().map(|s| s.len() as u64).sum::<u64>();
                     self.note_peak(take * tb + staging);
@@ -1312,9 +1332,12 @@ impl<B: StorageBackend> Executor<B> {
     }
 
     /// The 2ᵏ-way external merge sort. Runs of `fan_in * b_in + b_out`
-    /// tuples — the merge's memory — are sorted and spilled to `scratch`
-    /// through a [`SpillAlloc`] (shrinking, or failing over, when the device
-    /// is full), then merged `fan_in` at a time by
+    /// tuples — the merge's memory — are sorted and encoded into the run's
+    /// bytes by [`RowBuf::sort_encode`] (for width-1 tuples one kernel that
+    /// buckets the encodings straight into those bytes and radix sorts each
+    /// bucket in cache, with no scratch of the run's size) and spilled to
+    /// `scratch` through a [`SpillAlloc`] (shrinking, or failing over, when
+    /// the device is full), then merged `fan_in` at a time by
     /// [`merge_runs`](Executor::merge_runs) until one more pass leaves a
     /// single run. That pass is the output pass: its batches go to one
     /// extent on the output device, or to the sink's witness, not to a
@@ -1364,15 +1387,15 @@ impl<B: StorageBackend> Executor<B> {
             // One run: from the sorted batch to the sink, nothing spilled.
             let mut rows = self.load_rows((input, &mut rel), 0, card, &mut block)?;
             if let Some(rows) = rows.as_deref_mut() {
-                rows.sort();
+                match device {
+                    Some(_) => rows.sort_encode(cb, &mut encoded),
+                    None => rows.sort(),
+                }
                 sink.witness(rows.as_slice());
             }
             match device {
                 Some(device) => {
-                    let rows = rows.map(|rows| {
-                        rows.encode_into(cb, &mut encoded);
-                        &encoded[..]
-                    });
+                    let rows = rows.map(|_| &encoded[..]);
                     self.note_peak(card * tb * 2);
                     let out = self.sm.alloc(device, card * tb)?;
                     self.sm.write(out, 0, card * tb, 1, rows)?;
@@ -1393,9 +1416,7 @@ impl<B: StorageBackend> Executor<B> {
                 let take = run_tuples.min(card - at);
                 let rows = self.load_rows((input, &mut rel), at, take, &mut block)?;
                 let rows = rows.map(|rows| {
-                    rows.sort();
-                    encoded.clear();
-                    rows.encode_into(cb, &mut encoded);
+                    rows.sort_encode(cb, &mut encoded);
                     &encoded[..]
                 });
                 self.note_peak(take * tb * 2);
@@ -1945,6 +1966,7 @@ impl<B: StorageBackend> Executor<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key_index::PROBE_PAIRS;
     use crate::merge_oracle::merge_bufs;
     use crate::recording::{Recording, Request};
     use crate::rel::{RelSpec, Row, RowGen};
@@ -2299,6 +2321,93 @@ mod tests {
             let what = format!("one batch in {buffer_bytes} B buffers");
             check(&mut sm, extent, &layout, &values, buffer_bytes, &what);
             assert!(sm.runs > Some(0), "{what}: a run");
+        }
+    }
+
+    /// [`Sink::emit_pairs`] is the per-pair [`Sink::emit_concat`] loop it
+    /// replaced in the GRACE join: the same rows (collected, or folded into
+    /// the digest), the same requests in the same order on the recording
+    /// simulator — one buffer a flush, none gathered into a longer write
+    /// run — and the same output file. For a consumed output and for
+    /// device-bound ones whose buffers end exactly at the end of a
+    /// 4,096-pair probe batch, inside one, and inside one without holding
+    /// whole rows; at one column width and at mixed ones.
+    #[test]
+    fn emit_pairs_is_the_per_pair_emit_concat_loop() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (lw, rw, build_rows, probe_rows) = (2, 3, 500u32, 700u32);
+        let build: Vec<i64> = (0..build_rows as usize * lw)
+            .map(|_| rng.gen_range(0..1 << 20))
+            .collect();
+        let probe: Vec<i64> = (0..probe_rows as usize * rw)
+            .map(|_| rng.gen_range(0..1 << 20))
+            .collect();
+        // Three full probe batches and a short last one.
+        let batches: Vec<Vec<(u32, u32)>> = [PROBE_PAIRS, PROBE_PAIRS, PROBE_PAIRS, 17]
+            .iter()
+            .map(|&n| {
+                let pair = |_| (rng.gen_range(0..build_rows), rng.gen_range(0..probe_rows));
+                (0..n).map(pair).collect()
+            })
+            .collect();
+        for (l, r) in [(8, 8), (8, 4)] {
+            let layout = Layout::new(lw, l).then(&Layout::new(rw, r));
+            let (tb, batch) = (
+                layout.tuple_bytes(),
+                PROBE_PAIRS as u64 * layout.tuple_bytes(),
+            );
+            let to_device = |buffer_bytes| Output::ToDevice {
+                device: "HDD2".into(),
+                buffer_bytes,
+            };
+            let outputs = [
+                Output::Discard,
+                to_device(batch),
+                to_device(batch / 3),
+                to_device(1000 * tb + 7),
+                to_device(2 * batch + tb),
+            ];
+            for (output, collect) in outputs.iter().flat_map(|o| [(o, true), (o, false)]) {
+                let run = |batched: bool| {
+                    // Runs go whole, and are counted: emitting more than
+                    // `room` rows at once would flush several buffers as one.
+                    let sim = StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 22));
+                    let mut sm = Recording::new(sim, true);
+                    let mut sink = Sink::new(output, layout.clone(), true, collect);
+                    let mut joined = Vec::new();
+                    for pairs in &batches {
+                        if batched {
+                            let sides = ((&build[..], lw), (&probe[..], rw));
+                            sink.emit_pairs(&mut sm, sides.0, sides.1, pairs, &mut joined)
+                                .unwrap();
+                            continue;
+                        }
+                        for &(x, y) in pairs {
+                            let (x, y) = (x as usize * lw, y as usize * rw);
+                            let (a, b) = (&build[x..x + lw], &probe[y..y + rw]);
+                            sink.emit_concat(&mut sm, a, b).unwrap();
+                        }
+                    }
+                    let done = sink.finish(&mut sm).unwrap();
+                    let file = done.extent.map(|(file, bytes)| {
+                        let mut buf = vec![0u8; bytes as usize];
+                        assert!(sm.read(file, 0, bytes, 1, Some(&mut buf)).unwrap());
+                        buf
+                    });
+                    let rows = done.output.map(|rows| rows.as_slice().to_vec());
+                    (done.rows, rows, done.digest, file, sm.log, sm.runs)
+                };
+                let (got, want) = (run(true), run(false));
+                let what = format!("{output:?} at {l}/{r} bytes, collected {collect}");
+                assert_eq!(got.0, want.0, "{what}: rows");
+                assert!(got.1 == want.1 && got.2 == want.2, "{what}: the witness");
+                assert!(got.3 == want.3, "{what}: the output file");
+                assert!(got.4 == want.4, "{what}: the requests");
+                assert_eq!(got.5, want.5, "{what}: write runs");
+                let writes = want.4.iter().filter(|r| r.0).count();
+                let device = matches!(output, Output::ToDevice { .. });
+                assert_eq!(writes > 1, device, "{what}: {writes} writes");
+            }
         }
     }
 

@@ -118,7 +118,26 @@ pub(crate) fn probe(
 }
 
 /// Pairs [`probe`] collects before it hands them to the caller.
-const PROBE_PAIRS: usize = 1 << 12;
+pub(crate) const PROBE_PAIRS: usize = 1 << 12;
+
+/// The join rows of `pairs` — build row `x` of `build` (`lw` columns), then
+/// probe row `y` of `probe` (`rw` columns), for each `(x, y)` in order —
+/// appended row-major to `out`. Non-generic and infallible: compiled once
+/// for every backend.
+#[inline(never)]
+pub(crate) fn join_rows(
+    (build, lw): (&[i64], usize),
+    (probe, rw): (&[i64], usize),
+    pairs: &[(u32, u32)],
+    out: &mut Vec<i64>,
+) {
+    out.reserve(pairs.len() * (lw + rw));
+    for &(x, y) in pairs {
+        let (x, y) = (x as usize * lw, y as usize * rw);
+        out.extend_from_slice(&build[x..x + lw]);
+        out.extend_from_slice(&probe[y..y + rw]);
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -87,13 +87,21 @@
 //! real file, or the simulator, which keeps what a data write carries — so
 //! the simulator twin issues the real run's requests and merges the same
 //! runs. Both modes count the model's comparisons: ⌈log_fan_in n⌉ merge
-//! levels over singleton runs.
+//! levels over singleton runs. A width-1 run is sorted and encoded into its
+//! bytes by one kernel (`sort_kernel`, [`RowBuf::sort_encode`]): a bucket
+//! pass writes each key's encoding straight into the run's byte buffer,
+//! then each bucket is radix sorted in cache — the crate's one radix sort,
+//! shared with the sorted generation window.
 //!
 //! **GRACE join.** So is the faithful GRACE join: both inputs hashed into
 //! buckets, each a stream of page-aligned extents of its own on the spill
 //! device (`SpillAlloc`), then, bucket by bucket, the build side indexed
 //! by key and the probe side probed an extent at a time — over the buckets
 //! the backend hands back, so the twin issues the real run's requests too.
+//! A loaded block's bucket ids are computed in one hash pass
+//! ([`ocal::stable_hash_int`]) before its rows are staged, and the join's
+//! pairs reach the sink a probe batch at a time, cut where the output
+//! buffer flushes.
 //!
 //! **Faithful pair loop.** A faithful block-nested-loops join compares every
 //! tuple of the resident outer block with every tuple of the inner block
@@ -188,6 +196,7 @@ pub mod plan;
 #[path = "../tests/recording/mod.rs"]
 mod recording;
 pub mod rel;
+mod sort_kernel;
 mod sorted_window;
 mod spill;
 mod stream_kernel;

@@ -163,7 +163,9 @@ impl RowBuf {
     ///
     /// Width-1 batches sort the raw buffer directly; wider rows sort an
     /// index permutation and gather once (one linear pass, no per-row
-    /// allocation).
+    /// allocation). A batch that is sorted to be written, such as an
+    /// external sort's run, goes through [`sort_encode`](RowBuf::sort_encode)
+    /// instead.
     pub fn sort(&mut self) {
         if self.width == 1 {
             self.data.sort_unstable();
@@ -203,6 +205,25 @@ impl RowBuf {
             }
         }
         self.data.truncate(keep);
+    }
+
+    /// Sorts the rows as [`sort`](RowBuf::sort) does and replaces the
+    /// contents of `out` with their encoding, every column `col_bytes` wide
+    /// ([`Layout`]): an external sort's run formation. A width-1 batch is
+    /// sorted and encoded by one kernel that buckets the keys' encodings
+    /// straight into `out` and radix sorts each bucket in cache, with no
+    /// buffer of the batch's size besides `out`; wider rows are sorted, then
+    /// encoded. Narrow columns must hold values below `256^col_bytes`, as
+    /// every file of them does.
+    pub fn sort_encode(&mut self, col_bytes: usize, out: &mut Vec<u8>) {
+        let cb = col_bytes.clamp(1, 8);
+        if self.width != 1 {
+            self.sort();
+            out.clear();
+            return self.encode_into(cb, out);
+        }
+        out.resize(self.data.len() * cb, 0);
+        crate::sort_kernel::sort_encode(&mut self.data, cb, out);
     }
 
     /// Encodes every row into `out` in the on-disk format, every column

@@ -15,14 +15,15 @@
 //!   whether it is kept), and the kept ones are scattered to the next free
 //!   slot of their group. A small table indexed by the value's high bits
 //!   names the group up to one bound compare;
-//! * then each group, a cache-sized slice, is ordered by an LSD radix sort
-//!   of `value - group_lo` in 6-bit digits (two passes for a 12-bit group),
-//!   with one group's worth of scratch.
+//! * then each group, a cache-sized slice, is ordered by the crate's one
+//!   radix sort ([`radix_sort`]) of `value - group_lo` in 6-bit digits (two
+//!   passes for a 12-bit group), with one group's worth of scratch.
 //!
 //! Nothing here is generic and nothing can fail: the kernel is compiled
 //! once, into this crate, and `tests/window_throughput.rs` gates it against
 //! the literal filter and sort it replaced.
 
+use crate::sort_kernel::radix_sort;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -33,11 +34,6 @@ pub(crate) const GROUP_BITS: u32 = 12;
 pub(crate) const GROUP_TUPLES: u64 = 1 << 15;
 /// Draws compacted before their kept values are scattered.
 const CHUNK: usize = 256;
-/// Bits of one radix digit.
-const DIGIT_BITS: u32 = 6;
-const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
-/// Digit passes that cover any span below 2^63.
-const MAX_PASSES: usize = 11;
 
 /// Fills `out` with the `card` draws of `rng` in `0..range` that fall in
 /// `bounds[0]..bounds[groups]`, ascending. Group `g` is the values
@@ -96,49 +92,6 @@ pub(crate) fn fill_sorted(
     let mut scratch = Vec::new();
     for g in 0..groups {
         let (keys, base) = (&mut out[offs[g]..offs[g + 1]], bounds[g]);
-        radix_sort(keys, base, (bounds[g + 1] - base) as u64, &mut scratch);
-    }
-}
-
-/// Sorts `keys`, every one in `base..base + span`, by an LSD radix sort of
-/// `key - base`, ping-ponging through `scratch`.
-fn radix_sort(keys: &mut [i64], base: i64, span: u64, scratch: &mut Vec<i64>) {
-    if keys.len() < 2 || span < 2 {
-        return;
-    }
-    let passes = (u64::BITS - (span - 1).leading_zeros()).div_ceil(DIGIT_BITS) as usize;
-    if scratch.len() < keys.len() {
-        scratch.resize(keys.len(), 0);
-    }
-    let scratch = &mut scratch[..keys.len()];
-    let mut counts = [[0usize; 1 << DIGIT_BITS]; MAX_PASSES];
-    for &k in keys.iter() {
-        let mut d = (k - base) as u64;
-        for c in &mut counts[..passes] {
-            c[(d & DIGIT_MASK) as usize] += 1;
-            d >>= DIGIT_BITS;
-        }
-    }
-    for (p, c) in counts[..passes].iter_mut().enumerate() {
-        let mut sum = 0;
-        for n in c.iter_mut() {
-            let here = *n;
-            *n = sum;
-            sum += here;
-        }
-        let shift = p as u32 * DIGIT_BITS;
-        let (src, dst) = if p % 2 == 0 {
-            (&*keys, &mut *scratch)
-        } else {
-            (&*scratch, &mut *keys)
-        };
-        for &k in src {
-            let d = (((k - base) as u64 >> shift) & DIGIT_MASK) as usize;
-            dst[c[d]] = k;
-            c[d] += 1;
-        }
-    }
-    if passes % 2 == 1 {
-        keys.copy_from_slice(scratch);
+        radix_sort(keys, base, (bounds[g + 1] - base - 1) as u64, &mut scratch);
     }
 }

@@ -209,28 +209,83 @@ impl SpillAlloc {
     }
 }
 
-/// The partition pass's per-row loop: hashes the rows of `rows` (row-major,
-/// `width` columns) into `partitions` buckets — the simulator's and the
-/// OCAL `hashPartition` definition's bucket function, so the bucket
-/// contents are theirs — and stages each row's encoding, `col_bytes` a
-/// column, in its bucket's buffer. Returns at the first row that brings a buffer to
-/// `flush_at` bytes, as `(bucket, rows consumed)`, so that the caller
-/// flushes it before the next row is staged; `None` once every row is.
-/// Non-generic and infallible: compiled once for every backend.
+/// The partition pass's hash loop: the bucket of every row of `rows`
+/// (row-major, `width` columns), into `ids` — `stable_hash_int(key) %
+/// partitions`, the simulator's and the OCAL `hashPartition` definition's
+/// bucket function, so the bucket contents are theirs. One loop over
+/// independent keys, so the hashes' multiply chains overlap; the remainder
+/// is a mask when `partitions` is a power of two, which gives the same
+/// bucket. Non-generic and infallible: compiled once for every backend.
+#[inline(never)]
+pub(crate) fn bucket_ids(rows: &[i64], width: usize, partitions: u64, ids: &mut Vec<u32>) {
+    assert!(
+        partitions > 0 && partitions <= 1 << 32,
+        "{partitions} partitions"
+    );
+    ids.clear();
+    let keys = rows
+        .chunks_exact(width)
+        .map(|row| ocal::stable_hash_int(row[0]));
+    if partitions.is_power_of_two() {
+        let mask = partitions - 1;
+        ids.extend(keys.map(|h| (h & mask) as u32));
+    } else {
+        ids.extend(keys.map(|h| (h % partitions) as u32));
+    }
+}
+
+/// The partition pass's staging loop: stages each row of `rows` (row-major,
+/// `width` columns) in the buffer of its bucket, `ids` (see [`bucket_ids`]),
+/// as its encoding, `col_bytes` a column. Returns at the first row that
+/// brings a buffer to `flush_at` bytes, as `(bucket, rows consumed)`, so
+/// that the caller flushes it before the next row is staged; `None` once
+/// every row is. Non-generic and infallible: compiled once for every
+/// backend.
 pub(crate) fn stage_rows(
     rows: &[i64],
+    ids: &[u32],
     (width, col_bytes): (usize, usize),
-    partitions: u64,
     staged: &mut [Vec<u8>],
     flush_at: usize,
 ) -> Option<(usize, usize)> {
-    for (n, row) in rows.chunks_exact(width).enumerate() {
-        let b = (ocal::stable_hash(&ocal::Value::Int(row[0])) % partitions) as usize;
-        let stage = &mut staged[b];
+    for (n, (row, &b)) in rows.chunks_exact(width).zip(ids).enumerate() {
+        let stage = &mut staged[b as usize];
         encode_cols(row, col_bytes, stage);
         if stage.len() >= flush_at {
-            return Some((b, n + 1));
+            return Some((b as usize, n + 1));
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every row's bucket is `stable_hash(&Value::Int(key)) % p`, at
+        /// powers of two and at other counts, negative keys included.
+        #[test]
+        fn bucket_ids_are_the_stable_hash_buckets(
+            keys in proptest::collection::vec(-1_000_000i64..1_000_000, 0..300),
+            width in 1usize..4,
+            scale in 0u32..40,
+        ) {
+            let ends = [i64::MIN, i64::MAX, -1];
+            let keys = keys.iter().map(|&k| k << scale).chain(ends);
+            let rows: Vec<i64> = keys.flat_map(|k| std::iter::repeat(k).take(width)).collect();
+            let mut ids = Vec::new();
+            for p in [1u64, 2, 3, 7, 64, 100, 128, 129] {
+                bucket_ids(&rows, width, p, &mut ids);
+                let want: Vec<u32> = rows
+                    .chunks_exact(width)
+                    .map(|row| (ocal::stable_hash(&ocal::Value::Int(row[0])) % p) as u32)
+                    .collect();
+                prop_assert_eq!(&ids, &want, "{} partitions", p);
+            }
+        }
+    }
 }
