@@ -22,10 +22,9 @@
 //! run. So a template's simulated seconds are its faithful schedule's, the
 //! data aside; the spill layout (`SpillAlloc`) is the same in both modes.
 
-use crate::key_index::{self, KeyIndex};
-use crate::key_scan::KeyColumns;
+use crate::key_index::{self, KeyIndex, TileProbe};
 use crate::merge_kernel::{MergeHeads, MergeStop};
-use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
+use crate::plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan, Tiling};
 use crate::rel::{BlockBuf, BlockCursor, Layout, Relation, RowBuf, RowsView};
 use crate::spill::{bucket_ids, stage_rows, Extent, SpillAlloc};
 use crate::stream_kernel::{dedup, merge_pass, zip, Took};
@@ -79,10 +78,11 @@ pub struct ExecStats {
     /// Tuple comparisons the model counts, in both modes. A block-nested-
     /// loops join counts the pairs its synthesized loops range over (outer
     /// block x inner block, per block pair) — the quantity the cost model
-    /// reasons about — however the executor finds the matches among them;
-    /// its CPU charge is a block join's build and probes instead. A GRACE
-    /// join counts the pairs it emits, a merge pass its input rows and an
-    /// external sort its merge levels over singleton runs.
+    /// reasons about — though the executor finds the matches among them by
+    /// probing an index of the outer block, and its CPU charge is that
+    /// block hash join's build and probes. A GRACE join counts the pairs it
+    /// emits, a merge pass its input rows and an external sort its merge
+    /// levels over singleton runs.
     pub compares: u64,
     /// Output rows materialized in faithful mode, one flat batch (`None`
     /// in simulated mode or when the executor's output collection is
@@ -369,6 +369,44 @@ fn emitted_over(on: u64, k2: u64, card: u64, density: f64, carry: f64) -> (u64, 
     }
 }
 
+/// Rows per outer and per inner tile of a BNL block pair of `olen` x
+/// `ilen` rows: the plan's tiling, else the whole blocks.
+fn tile_sizes(tiling: Option<Tiling>, olen: usize, ilen: usize) -> (usize, usize) {
+    match tiling {
+        Some(t) => (t.outer.max(1) as usize, t.inner.max(1) as usize),
+        None => (olen.max(1), ilen.max(1)),
+    }
+}
+
+/// What a faithful BNL join keeps from block to block: one [`KeyIndex`]
+/// per outer tile of the resident block, and the scratch its tile pairs are
+/// matched and joined in. Kernel scratch, like a GRACE join's index: not
+/// metered as resident tuple bytes.
+#[derive(Default)]
+struct TileJoin {
+    indices: Vec<KeyIndex>,
+    probe: TileProbe,
+    pairs: Vec<(u32, u32)>,
+    joined: Vec<i64>,
+}
+
+impl TileJoin {
+    /// Indexes each outer tile of the outer block just read, once (an
+    /// equi-join's; a cross product consults no index).
+    fn index(&mut self, orows: RowsView<'_>, tiling: Option<Tiling>, pred: JoinPred) {
+        let (to, _) = tile_sizes(tiling, orows.len(), 0);
+        let tiles = orows.len().div_ceil(to);
+        if self.indices.len() < tiles {
+            self.indices.resize_with(tiles, KeyIndex::new);
+        }
+        if pred == JoinPred::KeyEq {
+            for (ob, index) in (0..orows.len()).step_by(to).zip(&mut self.indices) {
+                index.build(orows.view(ob, to));
+            }
+        }
+    }
+}
+
 /// Buffered output sink. Each flush allocates a fresh extent right after
 /// the previous one (the storage manager's bump allocator keeps them
 /// contiguous), so writes are sequential on the device *unless* interleaved
@@ -492,26 +530,11 @@ impl Sink {
         self.emit_bulk(sm, n)
     }
 
-    /// Emits the join row `a ++ b` without materializing it first.
-    fn emit_concat<B: StorageBackend>(
-        &mut self,
-        sm: &mut B,
-        a: &[i64],
-        b: &[i64],
-    ) -> Result<(), ExecError> {
-        if self.faithful && matches!(self.output, Output::ToDevice { .. }) {
-            self.layout.encode_concat(a, b, &mut self.encoded);
-        }
-        self.witness(a);
-        self.witness(b);
-        self.emit_bulk(sm, 1)
-    }
-
     /// Emits the join rows of `pairs` (see [`key_index::join_rows`]) in
-    /// order, exactly as [`emit_concat`](Sink::emit_concat) a pair at a
-    /// time would: gathered into `joined`, at most [`room`](Sink::room) rows
-    /// at a time, so a device-bound output flushes at the same rows, and
-    /// each stretch witnessed and encoded at once.
+    /// order, exactly as emitting them a row at a time would: gathered into
+    /// `joined`, at most [`room`](Sink::room) rows at a time, so a
+    /// device-bound output flushes at the same rows, and each stretch
+    /// witnessed and encoded at once. Both joins emit through here.
     fn emit_pairs<B: StorageBackend>(
         &mut self,
         sm: &mut B,
@@ -853,8 +876,9 @@ impl<B: StorageBackend> Executor<B> {
     }
 
     /// An outer block of `k1` tuples, then every inner block of `k2` past
-    /// it: [`join_tile`](Executor::join_tile) where the rows came back, else
-    /// the expected-rows recurrence.
+    /// it: where the rows came back, each outer tile of the block indexed
+    /// once ([`TileJoin::index`]) and [`join_tile`](Executor::join_tile)
+    /// per inner block, else the expected-rows recurrence.
     #[allow(clippy::too_many_arguments)]
     fn run_bnl(
         &mut self,
@@ -862,7 +886,7 @@ impl<B: StorageBackend> Executor<B> {
         inner: usize,
         k1: u64,
         k2: u64,
-        tiling: Option<crate::plan::Tiling>,
+        tiling: Option<Tiling>,
         pred: JoinPred,
         order_inputs: bool,
         output: &Output,
@@ -880,7 +904,7 @@ impl<B: StorageBackend> Executor<B> {
         let density = density(pred, &o, &i);
         let inner_blocks = i.card.div_ceil(k2);
         let (mut emits, mut probes, mut carry) = (0u64, 0u64, 0.0f64);
-        let mut keys = KeyColumns::default();
+        let mut tiles = TileJoin::default();
         let (mut oblock, mut iblock) = (BlockBuf::default(), BlockBuf::default());
         for oidx in (0..o.card).step_by(k1 as usize) {
             let on = k1.min(o.card - oidx);
@@ -892,7 +916,7 @@ impl<B: StorageBackend> Executor<B> {
             probes += i.card + inner_blocks * (on / inner_blocks.max(1));
             let orows = self.load(&mut o, oidx, on, &mut oblock)?;
             if let Some(orows) = orows {
-                keys.set_outer(orows);
+                tiles.index(orows, tiling, pred);
             } else if let Some((rows, after)) = Some(emitted_over(on, k2, i.card, density, carry))
                 .filter(|(rows, _)| sink.absorbs(*rows))
             {
@@ -911,9 +935,14 @@ impl<B: StorageBackend> Executor<B> {
                 let in_n = k2.min(i.card - iidx);
                 match (orows, self.load(&mut i, iidx, in_n, &mut iblock)?) {
                     (Some(orows), Some(irows)) => {
-                        keys.set_inner(irows);
                         self.join_tile(
-                            orows, irows, &mut keys, oidx, iidx, otb, itb, tiling, pred, &mut sink,
+                            (orows, irows),
+                            (oidx, iidx),
+                            (otb, itb),
+                            tiling,
+                            pred,
+                            &mut tiles,
+                            &mut sink,
                             &mut emits,
                         )?;
                         streamed = streamed.max(Some(
@@ -970,25 +999,25 @@ impl<B: StorageBackend> Executor<B> {
 
     /// Joins one outer block with one inner block, tile pair by tile pair,
     /// emitting in the nested loop's order: outer tile, inner tile, outer
-    /// row, inner row. `keys` holds the two blocks' key columns.
+    /// row, inner row. `tiles` holds the outer block's tile indices.
     ///
-    /// Everything the cost and cache models see is the nested loop's — one
-    /// outer-tuple access and one inner-tile sweep per outer row of every
-    /// tile pair — and none of it depends on how the matches are found;
-    /// the literal pair loop is kept as this function's test oracle
-    /// (`join_tile_literal`).
+    /// Each inner row of a tile pair probes its outer tile's [`KeyIndex`],
+    /// and the matches reach the sink a strip of outer rows at a time
+    /// ([`key_index::tile_pairs`], [`Sink::emit_pairs`]): the block hash
+    /// join the CPU model charges. Everything the cost and cache models see
+    /// is the nested loop's — one outer-tuple access and one inner-tile
+    /// sweep per outer row of every tile pair — and none of it depends on
+    /// how the matches are found; the literal pair loop is this function's
+    /// test oracle (`tests/literal/mod.rs`).
     #[allow(clippy::too_many_arguments)]
     fn join_tile(
         &mut self,
-        orows: RowsView<'_>,
-        irows: RowsView<'_>,
-        keys: &mut KeyColumns,
-        obase: u64,
-        ibase: u64,
-        otb: u64,
-        itb: u64,
-        tiling: Option<crate::plan::Tiling>,
+        (orows, irows): (RowsView<'_>, RowsView<'_>),
+        (obase, ibase): (u64, u64),
+        (otb, itb): (u64, u64),
+        tiling: Option<Tiling>,
         pred: JoinPred,
+        tiles: &mut TileJoin,
         sink: &mut Sink,
         emits: &mut u64,
     ) -> Result<(), ExecError> {
@@ -996,124 +1025,39 @@ impl<B: StorageBackend> Executor<B> {
         // region; in-RAM block bases reflect the on-disk tuple positions.
         let oaddr = |idx: usize| (1u64 << 42) + (obase + idx as u64) * otb;
         let iaddr = |idx: usize| (2u64 << 42) + (ibase + idx as u64) * itb;
-        let (to, ti) = match tiling {
-            Some(t) => (t.outer.max(1) as usize, t.inner.max(1) as usize),
-            None => (orows.len().max(1), irows.len().max(1)),
-        };
+        let (to, ti) = tile_sizes(tiling, orows.len(), irows.len());
         let (olen, ilen) = (orows.len(), irows.len());
         let (ow, iw) = (orows.width(), irows.width());
-        let mut ob = 0;
-        while ob < olen {
-            let oend = (ob + to).min(olen);
-            let mut ib = 0;
-            while ib < ilen {
-                let iend = (ib + ti).min(ilen);
+        let cross = pred == JoinPred::Cross;
+        let TileJoin {
+            indices,
+            probe,
+            pairs,
+            joined,
+        } = tiles;
+        for (ob, index) in (0..olen).step_by(to).zip(indices.iter()) {
+            let otile = orows.view(ob, to);
+            for ib in (0..ilen).step_by(ti) {
+                let itile = irows.view(ib, ti);
                 // With a cache simulator attached, accounting is batched
                 // per outer row: one `access` for the outer tuple, one
                 // `access_tuples` for the whole inner tile — exactly the
                 // per-tuple access stream (pinned by a parity test in
                 // `ocas-storage`) at per-line instead of per-tuple cost.
                 if let Some(c) = &mut self.cache {
-                    for x in ob..oend {
+                    for x in ob..ob + otile.len() {
                         c.access(oaddr(x), otb);
-                        c.access_tuples(iaddr(ib), itb, (iend - ib) as u64);
+                        c.access_tuples(iaddr(ib), itb, itile.len() as u64);
                     }
                 }
-                match pred {
-                    // Emit-bound: every pair is a row.
-                    JoinPred::Cross => {
-                        let osub = &orows.as_slice()[ob * ow..oend * ow];
-                        let isub = &irows.as_slice()[ib * iw..iend * iw];
-                        for x in osub.chunks_exact(ow) {
-                            for y in isub.chunks_exact(iw) {
-                                *emits += 1;
-                                sink.emit_concat(&mut self.sm, x, y)?;
-                            }
-                        }
-                    }
-                    JoinPred::KeyEq => {
-                        let mut from = 0;
-                        while from < oend - ob {
-                            from = keys.find(ob..oend, ib..iend, from);
-                            for (x, y) in keys.pairs() {
-                                *emits += 1;
-                                sink.emit_concat(
-                                    &mut self.sm,
-                                    orows.row(ob + x),
-                                    irows.row(ib + y),
-                                )?;
-                            }
-                        }
-                    }
+                let mut from = 0;
+                while from < otile.len() {
+                    from = key_index::tile_pairs(index, (otile, itile), cross, from, probe, pairs);
+                    *emits += pairs.len() as u64;
+                    let sides = ((otile.as_slice(), ow), (itile.as_slice(), iw));
+                    sink.emit_pairs(&mut self.sm, sides.0, sides.1, pairs, joined)?;
                 }
-                ib = iend;
             }
-            ob = oend;
-        }
-        Ok(())
-    }
-
-    /// The faithful pair loop as every BNL plan ran it before the
-    /// key-column scan: row-major, one strided compare and one branch per
-    /// pair. Kept as the oracle [`join_tile`](Executor::join_tile) is held
-    /// to — same rows in the same order, same emit count, same cache
-    /// statistics.
-    #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
-    fn join_tile_literal(
-        &mut self,
-        orows: RowsView<'_>,
-        irows: RowsView<'_>,
-        obase: u64,
-        ibase: u64,
-        otb: u64,
-        itb: u64,
-        tiling: Option<crate::plan::Tiling>,
-        pred: JoinPred,
-        sink: &mut Sink,
-        emits: &mut u64,
-    ) -> Result<(), ExecError> {
-        let oaddr = |idx: usize| (1u64 << 42) + (obase + idx as u64) * otb;
-        let iaddr = |idx: usize| (2u64 << 42) + (ibase + idx as u64) * itb;
-        let (to, ti) = match tiling {
-            Some(t) => (t.outer.max(1) as usize, t.inner.max(1) as usize),
-            None => (orows.len().max(1), irows.len().max(1)),
-        };
-        let (ow, iw) = (orows.width(), irows.width());
-        let mut ob = 0;
-        while ob < orows.len() {
-            let oend = (ob + to).min(orows.len());
-            let mut ib = 0;
-            while ib < irows.len() {
-                let iend = (ib + ti).min(irows.len());
-                let osub = &orows.as_slice()[ob * ow..oend * ow];
-                let isub = &irows.as_slice()[ib * iw..iend * iw];
-                for (i, x) in osub.chunks_exact(ow).enumerate() {
-                    if let Some(c) = &mut self.cache {
-                        c.access(oaddr(ob + i), otb);
-                        c.access_tuples(iaddr(ib), itb, (iend - ib) as u64);
-                    }
-                    match pred {
-                        JoinPred::Cross => {
-                            for y in isub.chunks_exact(iw) {
-                                *emits += 1;
-                                sink.emit_concat(&mut self.sm, x, y)?;
-                            }
-                        }
-                        JoinPred::KeyEq => {
-                            let x0 = x[0];
-                            for y in isub.chunks_exact(iw) {
-                                if x0 == y[0] {
-                                    *emits += 1;
-                                    sink.emit_concat(&mut self.sm, x, y)?;
-                                }
-                            }
-                        }
-                    }
-                }
-                ib = iend;
-            }
-            ob = oend;
         }
         Ok(())
     }
@@ -1182,7 +1126,7 @@ impl<B: StorageBackend> Executor<B> {
                 built_rows += extent.filled / ltb;
             }
             if !cross {
-                index.build(&build);
+                index.build(build.as_view());
             }
             hashes += built_rows;
             let built = build.as_slice();
@@ -1633,91 +1577,6 @@ impl<B: StorageBackend> Executor<B> {
         sink.finish(&mut self.sm)
     }
 
-    /// The per-row loop [`run_merge`](Executor::run_merge) runs as
-    /// [`merge_pass`] calls: the oracle the kernel is held to.
-    #[cfg(test)]
-    fn merge_literal(
-        &mut self,
-        (left, l): (usize, Relation),
-        (right, r): (usize, Relation),
-        kind: MergeKind,
-        b_in: u64,
-        sink: &mut Sink,
-    ) -> Result<(), ExecError> {
-        use std::cmp::Ordering::{Equal, Less};
-        let vm = matches!(kind, MergeKind::MultisetUnionVm | MergeKind::MultisetDiffVm);
-        let diff = matches!(
-            kind,
-            MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
-        );
-        sink.reserve(l.card + if diff { 0 } else { r.card });
-        let mut a = BlockCursor::new(l, b_in);
-        let mut b = BlockCursor::new(r, b_in);
-        let mut last: Vec<i64> = Vec::new();
-        loop {
-            self.ensure(&mut a, left)?;
-            if !(diff && a.head().is_none()) {
-                self.ensure(&mut b, right)?;
-            }
-            self.note_peak(a.resident_bytes() + b.resident_bytes() + sink.resident_bytes());
-            let (ha, hb) = (a.head(), b.head());
-            match kind {
-                MergeKind::MultisetUnionSorted | MergeKind::SetUnion => {
-                    let take_a = hb.map_or(true, |y| ha.is_some_and(|x| x <= y));
-                    let Some(row) = (if take_a { ha } else { hb }) else {
-                        return Ok(());
-                    };
-                    if kind == MergeKind::MultisetUnionSorted || last != row {
-                        sink.emit_rows(&mut self.sm, row)?;
-                        if kind == MergeKind::SetUnion {
-                            last.clear();
-                            last.extend_from_slice(row);
-                        }
-                    }
-                    if take_a {
-                        a.advance();
-                    } else {
-                        b.advance();
-                    }
-                }
-                MergeKind::MultisetUnionVm => match (ha, hb) {
-                    (None, None) => return Ok(()),
-                    (Some(x), Some(y)) if x[0] == y[0] => {
-                        sink.emit_rows(&mut self.sm, &[x[0], x[1] + y[1]])?;
-                        a.advance();
-                        b.advance();
-                    }
-                    (Some(x), y) if y.map_or(true, |y| x[0] < y[0]) => {
-                        sink.emit_rows(&mut self.sm, x)?;
-                        a.advance();
-                    }
-                    (_, y) => {
-                        sink.emit_rows(&mut self.sm, y.expect("the side that remains"))?;
-                        b.advance();
-                    }
-                },
-                MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm => {
-                    let Some(x) = ha else { return Ok(()) };
-                    let key = if vm { 1 } else { x.len() };
-                    match hb.map(|y| (y[..key].cmp(&x[..key]), y)) {
-                        Some((Less, _)) => b.advance(),
-                        Some((Equal, y)) => {
-                            if vm && x[1] > y[1] {
-                                sink.emit_rows(&mut self.sm, &[x[0], x[1] - y[1]])?;
-                            }
-                            a.advance();
-                            b.advance();
-                        }
-                        _ => {
-                            sink.emit_rows(&mut self.sm, x)?;
-                            a.advance();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// A block of every column in column order, up to the shortest column:
     /// zipped a buffered stretch at a time where the rows came back, else
     /// emitted as they are counted.
@@ -1787,32 +1646,6 @@ impl<B: StorageBackend> Executor<B> {
         Ok(())
     }
 
-    /// The per-row loop [`run_columns`](Executor::run_columns) runs as
-    /// [`zip`] calls: the oracle the kernel is held to.
-    #[cfg(test)]
-    fn zip_literal(
-        &mut self,
-        mut cursors: Vec<BlockCursor>,
-        columns: &[usize],
-        card: u64,
-        sink: &mut Sink,
-    ) -> Result<(), ExecError> {
-        let mut zipped: Vec<i64> = Vec::new();
-        for _ in 0..card {
-            zipped.clear();
-            for (cursor, column) in cursors.iter_mut().zip(columns) {
-                self.ensure(cursor, *column)?;
-                zipped.extend_from_slice(cursor.head().expect("within card"));
-                cursor.advance();
-            }
-            sink.emit_rows(&mut self.sm, &zipped)?;
-            let res = cursors.iter().map(BlockCursor::resident_bytes).sum::<u64>()
-                + sink.resident_bytes();
-            self.note_peak(res);
-        }
-        Ok(())
-    }
-
     /// Every block of the sorted input read once: each row unequal to the
     /// last one emitted kept where the rows came back, else the expected
     /// distinct count spread over the blocks.
@@ -1849,30 +1682,6 @@ impl<B: StorageBackend> Executor<B> {
         }
         self.charge_cpu(*compares, sink.rows, 0);
         sink.finish(&mut self.sm)
-    }
-
-    /// The per-row loop [`run_dedup`](Executor::run_dedup) runs
-    /// as [`dedup`] calls: the oracle the kernel is held to.
-    #[cfg(test)]
-    fn dedup_literal(
-        &mut self,
-        mut cursor: BlockCursor,
-        input: usize,
-        sink: &mut Sink,
-    ) -> Result<(), ExecError> {
-        let mut last: Vec<i64> = Vec::new();
-        loop {
-            self.ensure(&mut cursor, input)?;
-            let Some(row) = cursor.head() else { break };
-            if last != row {
-                sink.emit_rows(&mut self.sm, row)?;
-                last.clear();
-                last.extend_from_slice(row);
-            }
-            cursor.advance();
-            self.note_peak(cursor.resident_bytes() + sink.resident_bytes());
-        }
-        Ok(())
     }
 
     /// The request of [`Relation::load_block`] per `b_in` tuples, column 0
@@ -1967,6 +1776,7 @@ impl<B: StorageBackend> Executor<B> {
 mod tests {
     use super::*;
     use crate::key_index::PROBE_PAIRS;
+    use crate::literal::{self, Step};
     use crate::merge_oracle::merge_bufs;
     use crate::recording::{Recording, Request};
     use crate::rel::{RelSpec, Row, RowGen};
@@ -2324,8 +2134,9 @@ mod tests {
         }
     }
 
-    /// [`Sink::emit_pairs`] is the per-pair [`Sink::emit_concat`] loop it
-    /// replaced in the GRACE join: the same rows (collected, or folded into
+    /// [`Sink::emit_pairs`] is the per-pair loop it replaced in both
+    /// joins — [`Sink::emit_rows`] on each pair's concatenated row: the
+    /// same rows (collected, or folded into
     /// the digest), the same requests in the same order on the recording
     /// simulator — one buffer a flush, none gathered into a longer write
     /// run — and the same output file. For a consumed output and for
@@ -2333,7 +2144,7 @@ mod tests {
     /// 4,096-pair probe batch, inside one, and inside one without holding
     /// whole rows; at one column width and at mixed ones.
     #[test]
-    fn emit_pairs_is_the_per_pair_emit_concat_loop() {
+    fn emit_pairs_is_the_per_pair_emit_rows_loop() {
         let mut rng = StdRng::seed_from_u64(9);
         let (lw, rw, build_rows, probe_rows) = (2, 3, 500u32, 700u32);
         let build: Vec<i64> = (0..build_rows as usize * lw)
@@ -2384,8 +2195,10 @@ mod tests {
                         }
                         for &(x, y) in pairs {
                             let (x, y) = (x as usize * lw, y as usize * rw);
-                            let (a, b) = (&build[x..x + lw], &probe[y..y + rw]);
-                            sink.emit_concat(&mut sm, a, b).unwrap();
+                            joined.clear();
+                            joined.extend_from_slice(&build[x..x + lw]);
+                            joined.extend_from_slice(&probe[y..y + rw]);
+                            sink.emit_rows(&mut sm, &joined).unwrap();
                         }
                     }
                     let done = sink.finish(&mut sm).unwrap();
@@ -2469,7 +2282,7 @@ mod tests {
     struct TileCase {
         orows: RowBuf,
         irows: RowBuf,
-        tiling: Option<crate::plan::Tiling>,
+        tiling: Option<Tiling>,
         pred: JoinPred,
         cache: bool,
     }
@@ -2486,8 +2299,8 @@ mod tests {
         RowBuf::from_vec(data, width)
     }
 
-    /// Runs one tile join through the key-column kernel or the literal
-    /// pair loop; returns the emit count, the emitted rows in order and the
+    /// Runs one tile join through the block hash join or the literal pair
+    /// loop; returns the emit count, the emitted rows in order and the
     /// cache statistics.
     fn run_tile(case: &TileCase, literal: bool) -> (u64, RowBuf, Option<CacheStats>) {
         let mut ex = setup(true, 1 << 25);
@@ -2501,13 +2314,34 @@ mod tests {
         let mut emits = 0;
         let (tiling, pred) = (case.tiling, case.pred);
         if literal {
-            ex.join_tile_literal(o, i, 40, 7, otb, itb, tiling, pred, &mut sink, &mut emits)
+            let cache = ex.cache.as_mut();
+            literal::join_tile(
+                &mut ex.sm,
+                (o, i),
+                (40, 7),
+                (otb, itb),
+                tiling,
+                pred,
+                cache,
+                |sm, step| {
+                    let Step::Emit(row) = step else { return Ok(()) };
+                    emits += 1;
+                    sink.emit_rows(sm, row)
+                },
+            )
         } else {
-            let mut keys = KeyColumns::default();
-            keys.set_outer(o);
-            keys.set_inner(i);
+            let mut tiles = TileJoin::default();
+            tiles.index(o, tiling, pred);
+            let (blocks, at) = ((o, i), (40, 7));
             ex.join_tile(
-                o, i, &mut keys, 40, 7, otb, itb, tiling, pred, &mut sink, &mut emits,
+                blocks,
+                at,
+                (otb, itb),
+                tiling,
+                pred,
+                &mut tiles,
+                &mut sink,
+                &mut emits,
             )
         }
         .unwrap();
@@ -2520,12 +2354,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
 
-        /// The key-column kernel against the literal pair loop it replaced:
+        /// The block hash join against the literal pair loop it replaced:
         /// the same rows in the same order (from width 2 every row carries
         /// its row number, so that is the same (outer row, inner row)
         /// pairs), the same emit count and — with a cache simulator
         /// attached — the same cache statistics. Every pair of
-        /// tile shapes around the chunk width and at the tuned block size,
+        /// tile shapes from empty to the tuned block size,
         /// each with its own draw of widths, tiling (tiles that do not
         /// divide the block), key density, key sign and domain end.
         #[test]
@@ -2554,8 +2388,8 @@ mod tests {
                 };
                 let tiling = match rng.gen_range(0..4u32) {
                     0 | 1 => None,
-                    2 => Some(crate::plan::Tiling { outer: 7, inner: 33 }),
-                    _ => Some(crate::plan::Tiling { outer: 100, inner: 3 }),
+                    2 => Some(Tiling { outer: 7, inner: 33 }),
+                    _ => Some(Tiling { outer: 100, inner: 3 }),
                 };
                 let case = TileCase {
                     orows: tile_block(on, rng.gen_range(1..5), range, base, &mut rng),
@@ -2613,8 +2447,7 @@ mod tests {
 
     /// An executor is reused across plans: the second of two BNL joins
     /// over *different* relations of the *same* cardinalities must not see
-    /// anything of the first (a key column kept by position or length
-    /// would).
+    /// anything of the first (an index kept by position or length would).
     #[test]
     fn a_reused_executor_joins_the_relations_in_front_of_it() {
         for k2 in [1, 3] {
@@ -3022,93 +2855,6 @@ mod tests {
         assert_eq!(ex.peak_resident, (2 + 6) * 8);
     }
 
-    /// True when cursor `a`'s head is merged before cursor `b`'s: the
-    /// smaller row, the lower cursor on a tie (which keeps the merge
-    /// stable), and any row before an exhausted cursor.
-    fn merges_first(cursors: &[BlockCursor], a: usize, b: usize) -> bool {
-        match (cursors[a].head(), cursors[b].head()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// A tournament tree over the cursors of one merge: `nodes[0]` is the
-    /// cursor whose head is merged next, `nodes[1..]` the loser of each
-    /// match on the way up (heap layout; cursor `i` is leaf `k + i`). After
-    /// the winner advances only its own path is replayed — `log2(k)`
-    /// comparisons a row instead of a scan of every cursor.
-    struct LoserTree {
-        nodes: Vec<usize>,
-    }
-
-    impl LoserTree {
-        fn new(cursors: &[BlockCursor]) -> LoserTree {
-            let k = cursors.len();
-            // Play every match bottom-up; `winners[n]` is who left node `n`.
-            let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
-            let mut nodes = vec![0; k];
-            for n in (1..k).rev() {
-                let (a, b) = (winners[2 * n], winners[2 * n + 1]);
-                let a_wins = merges_first(cursors, a, b);
-                winners[n] = if a_wins { a } else { b };
-                nodes[n] = if a_wins { b } else { a };
-            }
-            nodes[0] = winners[1];
-            LoserTree { nodes }
-        }
-
-        fn winner(&self) -> usize {
-            self.nodes[0]
-        }
-
-        /// Replays the matches of cursor `i` (the last winner) after its
-        /// head changed.
-        fn replay(&mut self, cursors: &[BlockCursor], i: usize) {
-            let mut winner = i;
-            let mut n = (cursors.len() + i) / 2;
-            while n > 0 {
-                if merges_first(cursors, self.nodes[n], winner) {
-                    std::mem::swap(&mut self.nodes[n], &mut winner);
-                }
-                n /= 2;
-            }
-            self.nodes[0] = winner;
-        }
-    }
-
-    /// The literal merge: merges the sorted runs behind `cursors` (at least
-    /// one) into one sorted stream, handing `emit` the cursors and the index
-    /// of the one whose head is the next row. A refill is issued only for
-    /// the cursor that just advanced, and only after `emit` returned — so
-    /// whatever `emit` writes precedes the read, as it would in a loop that
-    /// refilled every cursor before each pick.
-    fn literal_merge<B: StorageBackend>(
-        sm: &mut B,
-        cursors: &mut [BlockCursor],
-        mut emit: impl FnMut(&[BlockCursor], usize),
-    ) {
-        for c in cursors.iter_mut() {
-            assert!(c.ensure(sm).unwrap());
-        }
-        let mut tree = LoserTree::new(cursors);
-        loop {
-            let i = tree.winner();
-            if cursors[i].head().is_none() {
-                return; // the best cursor is exhausted: all are
-            }
-            emit(cursors, i);
-            cursors[i].advance();
-            assert!(cursors[i].ensure(sm).unwrap());
-            tree.replay(cursors, i);
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
 
@@ -3145,9 +2891,10 @@ mod tests {
                 runs.push((file, len as u64));
             }
             let mut got: Vec<(Vec<i64>, usize)> = Vec::new();
-            literal_merge(&mut ex.sm, &mut cursors, |cursors, i| {
+            literal::merge_runs(&mut ex.sm, &mut cursors, |cursors, i| {
                 got.push((cursors[i].head().expect("has a head").to_vec(), i));
-            });
+            })
+            .unwrap();
             tagged.sort(); // by row, then by run: the stable order
             proptest::prop_assert_eq!(&got, &tagged);
 
@@ -3321,6 +3068,21 @@ mod tests {
         Option<ocas_storage::DeviceStats>,
     );
 
+    /// A literal loop's [`Step`]s into `sink`: rows emitted, peaks noted
+    /// with the sink's staging added, as the executor notes them.
+    fn into_sink<'s, B: StorageBackend>(
+        sink: &'s mut Sink,
+        peak: &'s mut u64,
+    ) -> impl FnMut(&mut B, Step<'_>) -> Result<(), ExecError> + 's {
+        move |sm, step| match step {
+            Step::Emit(row) => sink.emit_rows(sm, row),
+            Step::Peak(held) => {
+                *peak = (*peak).max(held + sink.resident_bytes());
+                Ok(())
+            }
+        }
+    }
+
     /// `plan` — a merge pass, column zip or duplicate removal — run by the
     /// per-row loop its kernel replaced, set up as `Executor::run` sets it
     /// up: `(output, digest, rows, compares, peak)`.
@@ -3328,7 +3090,7 @@ mod tests {
         ex: &mut Executor<B>,
         plan: &Plan,
     ) -> (Option<RowBuf>, Option<u64>, u64, u64, u64) {
-        ex.peak_resident = 0;
+        let mut peak = 0;
         let (sink, compares) = match plan {
             Plan::MergePass {
                 left,
@@ -3338,11 +3100,17 @@ mod tests {
                 output,
             } => {
                 let (l, r) = (ex.rels[*left].clone(), ex.rels[*right].clone());
+                let diff = matches!(
+                    kind,
+                    MergeKind::MultisetDiffSorted | MergeKind::MultisetDiffVm
+                );
                 let compares = l.card + r.card;
                 let mut sink = ex.sink(output, merge_layout(*kind, &l));
-                let inputs = ((*left, l), (*right, r));
-                ex.merge_literal(inputs.0, inputs.1, *kind, *b_in, &mut sink)
-                    .unwrap();
+                sink.reserve(l.card + if diff { 0 } else { r.card });
+                let mut a = BlockCursor::new(l, *b_in);
+                let mut b = BlockCursor::new(r, *b_in);
+                let step = into_sink(&mut sink, &mut peak);
+                literal::merge_pass(&mut ex.sm, (&mut a, &mut b), *kind, step).unwrap();
                 (sink, compares)
             }
             Plan::ColumnZip {
@@ -3359,8 +3127,9 @@ mod tests {
                     r.card = card;
                     BlockCursor::new(r, *b_in)
                 };
-                let cursors = rels.into_iter().map(over).collect();
-                ex.zip_literal(cursors, columns, card, &mut sink).unwrap();
+                let mut cursors: Vec<BlockCursor> = rels.into_iter().map(over).collect();
+                let step = into_sink(&mut sink, &mut peak);
+                literal::zip(&mut ex.sm, &mut cursors, card, step).unwrap();
                 (sink, 0)
             }
             Plan::DedupSorted {
@@ -3372,14 +3141,15 @@ mod tests {
                 let compares = rel.card;
                 let mut sink = ex.sink(output, rel.layout());
                 sink.reserve(rel.card);
-                let cursor = BlockCursor::new(rel, *b_in);
-                ex.dedup_literal(cursor, *input, &mut sink).unwrap();
+                let mut cursor = BlockCursor::new(rel, *b_in);
+                let step = into_sink(&mut sink, &mut peak);
+                literal::dedup(&mut ex.sm, &mut cursor, step).unwrap();
                 (sink, compares)
             }
             other => unreachable!("not a streaming plan: {}", other.name()),
         };
         let op = sink.finish(&mut ex.sm).unwrap();
-        (op.output, op.digest, op.rows, compares, ex.peak_resident)
+        (op.output, op.digest, op.rows, compares, peak)
     }
 
     /// Runs `plan` over relations made from `specs` on a fresh recording
@@ -4013,7 +3783,7 @@ mod tests {
 
     #[test]
     fn cache_tiling_cuts_misses() {
-        let run = |tiling: Option<crate::plan::Tiling>| -> CacheStats {
+        let run = |tiling: Option<Tiling>| -> CacheStats {
             let h = presets::hdd_ram(1 << 30);
             let sm = StorageSim::from_hierarchy(&h);
             // 16 KiB cache vs a 64 KiB inner relation: the untiled loop
@@ -4051,7 +3821,7 @@ mod tests {
             .unwrap()
         };
         let untiled = run(None);
-        let tiled = run(Some(crate::plan::Tiling {
+        let tiled = run(Some(Tiling {
             outer: 256,
             inner: 256,
         }));

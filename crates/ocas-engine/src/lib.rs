@@ -108,28 +108,28 @@
 //! streaming past it, and the plan the synthesizer tunes gives all of RAM
 //! to the outer block and streams the inner relation a tuple at a time —
 //! so a literal row-major pair loop would spend its time setting up inner
-//! loops of length one. Instead the executor copies each block's join keys
-//! (column 0) into a contiguous column when the block is read — the outer
-//! block's once per outer block, the inner block's once per inner block,
-//! never kept across blocks or runs — and finds the matches of a tile pair
-//! by scanning the column of the **longer** side for a key of the shorter
-//! one, 32 keys to a branch-free fold that compiles to vector compares
-//! (`key_scan`, safe Rust at the baseline target, compiled once for every
-//! backend). The matches are emitted in exactly the nested loop's order
-//! (outer row, then inner row; when the outer side was scanned they are put
-//! back in that order first), so the output is row for row what the OCAL
-//! interpreter produces for the same loop nest. And everything the models
-//! see is still the nested loop's: [`ExecStats::compares`] counts the pairs
-//! the synthesized loops range over, the cache simulator is fed one
-//! outer-tuple access and one inner-tile sweep per outer row of every tile
-//! pair, peak residency counts tuple bytes (key columns are scratch), and
-//! block reads, emits and sink flushes happen in the same order — the
-//! simulated clocks, Table 1 and the cache-miss experiment do not move.
-//! The CPU model is charged for what a block join does, the same count in
-//! both modes: a build of the resident outer block, amortized over the
-//! inner blocks, and one probe per inner tuple.
-//! Cross joins are emit-bound and keep the plain loop; the literal pair
-//! loop survives as the test oracle the kernel is held to.
+//! loops of length one. Instead the executor runs the block hash join its
+//! CPU model charges, over the index the GRACE join builds (`key_index`):
+//! each outer tile of the resident block is indexed once, when the block is
+//! read, and each inner row of a tile pair probes its outer tile's index.
+//! The matches reach the sink through the call the GRACE join emits
+//! through, a strip of outer rows at a time: each inner row's chain resumes
+//! where the last strip stopped, and a strip's pairs are sorted into the
+//! nested loop's order (outer row, then inner row) before they are emitted,
+//! so the output is row for row what the OCAL interpreter produces for the
+//! same loop nest. The probe loop is non-generic, cannot fail and is
+//! compiled once into this crate. And everything the models see is still
+//! the nested loop's: [`ExecStats::compares`] counts the pairs the
+//! synthesized loops range over, the cache simulator is fed one outer-tuple
+//! access and one inner-tile sweep per outer row of every tile pair, peak
+//! residency counts tuple bytes (the index is kernel scratch), and block
+//! reads, emits and sink flushes happen in the same order — the simulated
+//! clocks, Table 1 and the cache-miss experiment do not move. The CPU
+//! model is charged for what the join does, the same count in both modes:
+//! a build of the resident outer block, amortized over the inner blocks,
+//! and one probe per inner tuple. A cross product emits every pair of a
+//! strip through the same call; the literal pair loop survives as the test
+//! oracle the join is held to (`tests/literal/mod.rs`).
 //!
 //! **Merge kernel.** The k-way merge of the external sort is a batch
 //! kernel too ([`MergeHeads`], `merge_kernel`): the head key of every run's
@@ -143,10 +143,11 @@
 //! on liveness. The call returns as soon as the run that just advanced is
 //! out of buffered rows: refilling it is the caller's I/O, and happens
 //! after the caller has flushed a batch the same row completed. Like the
-//! key-column scan it is non-generic, cannot fail, and is compiled once
+//! join's probe loop it is non-generic, cannot fail, and is compiled once
 //! into this crate; `tests/merge_throughput.rs` gates it against the
 //! literal loser-tree loop (at least 1.3x at 8 runs, no slower at 2 and at
-//! 32), and the literal loop survives as the test oracle.
+//! 32), and the literal loop survives as the test oracle
+//! (`tests/literal/mod.rs`, whose loser tree both use).
 //!
 //! **Streaming kernels.** Merge pass (all five kinds), column zip and
 //! duplicate removal move a batch per call too (`stream_kernel`): between
@@ -162,7 +163,7 @@
 //! duplicate test are branch-free, and nothing in them is generic over a
 //! backend or can fail. `tests/stream_throughput.rs` gates them against
 //! the per-row loops (at least 1.5x together at `real-stream`'s sizes), and
-//! the loops survive as the in-crate oracles of
+//! the loops survive in `tests/literal/mod.rs` as the oracles of
 //! `streaming_kernels_equal_their_literal_loops`.
 //!
 //! **Sorted windows.** A sorted relation's generator rebuilds a window of
@@ -185,7 +186,9 @@
 
 pub mod exec;
 mod key_index;
-mod key_scan;
+#[cfg(test)]
+#[path = "../tests/literal/mod.rs"]
+mod literal;
 pub mod lower;
 mod merge_kernel;
 #[cfg(test)]
@@ -204,7 +207,7 @@ mod stream_kernel;
 pub use exec::{ExecError, ExecStats, Executor};
 pub use lower::{lower, LowerError, WorkloadHint};
 pub use merge_kernel::{MergeHeads, MergeStop};
-pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan};
+pub use plan::{CpuModel, JoinPred, MergeKind, Mode, Output, Plan, Tiling};
 pub use rel::{
     BlockBuf, BlockCursor, Layout, RelSpec, Relation, Row, RowBuf, RowGen, RowsView,
     DEFAULT_CACHE_BYTES,

@@ -121,13 +121,6 @@ impl RowBuf {
         &mut self.data
     }
 
-    /// Appends the concatenation `a ++ b` as one row (joins).
-    pub fn push_concat(&mut self, a: &[i64], b: &[i64]) {
-        debug_assert_eq!(a.len() + b.len(), self.width, "row width mismatch");
-        self.data.extend_from_slice(a);
-        self.data.extend_from_slice(b);
-    }
-
     /// Appends raw row-major data of the same width.
     pub fn extend_raw(&mut self, rows: &[i64]) {
         debug_assert_eq!(rows.len() % self.width, 0, "partial row");
@@ -142,13 +135,7 @@ impl RowBuf {
 
     /// A borrowed view of rows `start .. start + count` (clamped).
     pub fn view(&self, start: usize, count: usize) -> RowsView<'_> {
-        let n = self.len();
-        let start = start.min(n);
-        let end = (start + count).min(n);
-        RowsView {
-            data: &self.data[start * self.width..end * self.width],
-            width: self.width,
-        }
+        self.as_view().view(start, count)
     }
 
     /// A view of the whole batch.
@@ -324,18 +311,10 @@ impl Layout {
     /// when every column has one width.
     #[inline]
     pub fn encode(&self, values: &[i64], out: &mut Vec<u8>) {
-        self.encode_concat(values, &[], out);
-    }
-
-    /// Encodes the rows `a ++ b` (one row, when `b` is not empty) without
-    /// materializing them.
-    #[inline]
-    pub(crate) fn encode_concat(&self, a: &[i64], b: &[i64], out: &mut Vec<u8>) {
         if let [(_, cb)] = self.parts[..] {
-            encode_cols(a, cb, out);
-            return encode_cols(b, cb, out);
+            return encode_cols(values, cb, out);
         }
-        for (v, cb) in a.iter().chain(b).zip(self.column_bytes().cycle()) {
+        for (v, cb) in values.iter().zip(self.column_bytes().cycle()) {
             encode_cols(std::slice::from_ref(v), cb, out);
         }
     }
@@ -425,6 +404,17 @@ impl<'a> RowsView<'a> {
     /// The raw row-major data.
     pub fn as_slice(&self) -> &'a [i64] {
         self.data
+    }
+
+    /// The rows `start .. start + count` of this view (clamped).
+    pub fn view(&self, start: usize, count: usize) -> RowsView<'a> {
+        let n = self.len();
+        let start = start.min(n);
+        let end = start.saturating_add(count).min(n);
+        RowsView {
+            data: &self.data[start * self.width..end * self.width],
+            width: self.width,
+        }
     }
 }
 
@@ -1447,9 +1437,6 @@ mod tests {
         let mut out = RowBuf::new(2);
         out.extend_view(v);
         assert_eq!(out.len(), 2);
-        let mut joined = RowBuf::new(4);
-        joined.push_concat(&[1, 2], &[3, 4]);
-        assert_eq!(joined.row(0), &[1, 2, 3, 4]);
     }
 
     #[test]

@@ -15,11 +15,16 @@
 //! both sides once, over a tenth of the rows, and checks that they emit the
 //! same rows in the same order.
 
-use ocas_engine::{MergeHeads, MergeStop, RowBuf};
+use ocas_engine::{
+    BlockCursor, ExecError, JoinPred, MergeHeads, MergeKind, MergeStop, RowBuf, RowsView, Tiling,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::cmp::Ordering;
 use std::hint::black_box;
 use std::time::Instant;
+
+#[path = "literal/mod.rs"]
+mod literal;
+use literal::LoserTree;
 
 /// Passes per side.
 const PASSES: usize = if cfg!(debug_assertions) { 1 } else { 5 };
@@ -97,17 +102,9 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// True when reader `a`'s head is merged before reader `b`'s.
 fn merges_first(readers: &[Reader<'_>], a: usize, b: usize) -> bool {
-    match (readers[a].head(), readers[b].head()) {
-        (Some(x), Some(y)) => match x.cmp(y) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => a < b,
-        },
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (None, None) => a < b,
-    }
+    literal::merges_first((readers[a].head(), a), (readers[b].head(), b))
 }
 
 /// The literal loop: a loser tree over the readers' head rows, replayed
@@ -123,15 +120,7 @@ fn merge_literal(runs: &[Vec<i64>], mut sink: impl FnMut(&[i64])) {
             pos: 0,
         })
         .collect();
-    let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
-    let mut nodes = vec![0; k];
-    for n in (1..k).rev() {
-        let (a, b) = (winners[2 * n], winners[2 * n + 1]);
-        let a_wins = merges_first(&readers, a, b);
-        winners[n] = if a_wins { a } else { b };
-        nodes[n] = if a_wins { b } else { a };
-    }
-    nodes[0] = winners[1];
+    let mut tree = LoserTree::new(k, |a, b| merges_first(&readers, a, b));
     let mut batch: Vec<i64> = Vec::with_capacity(BUFFER_ROWS);
     let mut emit = |row: &[i64]| {
         batch.extend_from_slice(row);
@@ -141,20 +130,12 @@ fn merge_literal(runs: &[Vec<i64>], mut sink: impl FnMut(&[i64])) {
         }
     };
     loop {
-        let i = nodes[0];
+        let i = tree.winner();
         let Some(row) = readers[i].head() else { break };
         emit(row);
         readers[i].pos += 1;
         readers[i].ensure();
-        let mut winner = i;
-        let mut n = (k + i) / 2;
-        while n > 0 {
-            if merges_first(&readers, nodes[n], winner) {
-                std::mem::swap(&mut nodes[n], &mut winner);
-            }
-            n /= 2;
-        }
-        nodes[0] = winner;
+        tree.replay(i, |a, b| merges_first(&readers, a, b));
     }
     if !batch.is_empty() {
         sink(&batch);

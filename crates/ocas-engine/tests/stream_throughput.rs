@@ -8,9 +8,10 @@
 //! union of two 2^21-int lists, a zip of five 2^20-int columns and a
 //! duplicate removal over a sorted 2^21-int list, each output consumed and
 //! collected. The kernel side is `Executor<StorageSim>::run`; the literal
-//! side is the loop the executor ran before, written out here over the same
-//! public `BlockCursor`: refill what is due, look at the heads, keep the row,
-//! advance, note the resident bytes — a row at a time. Best of five passes
+//! side is the loop the executor ran before, the tests' one copy of it
+//! (`literal/mod.rs`) over the same public `BlockCursor`: refill what is
+//! due, look at the heads, keep the row, advance, note the resident bytes —
+//! a row at a time. Best of five passes
 //! each, taking turns; the three templates together must run at least
 //! [`MIN_SPEEDUP`] times faster through the kernels.
 //!
@@ -19,12 +20,17 @@
 //! the same rows and peak.
 
 use ocas_engine::{
-    BlockCursor, CpuModel, ExecStats, Executor, MergeKind, Mode, Output, Plan, Relation, RowBuf,
+    BlockCursor, CpuModel, ExecError, ExecStats, Executor, JoinPred, MergeKind, Mode, Output, Plan,
+    Relation, RowBuf, RowsView, Tiling,
 };
 use ocas_hierarchy::presets;
 use ocas_storage::{StorageBackend, StorageSim};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Instant;
+
+#[path = "literal/mod.rs"]
+mod literal;
+use literal::Step;
 
 /// Passes per side.
 const PASSES: usize = if cfg!(debug_assertions) { 1 } else { 5 };
@@ -73,93 +79,50 @@ fn executor(inputs: &[Vec<i64>]) -> Executor<StorageSim> {
     ex
 }
 
-/// One template: its plan, its inputs and its literal loop, which returns
-/// the rows it kept and the peak resident bytes it noted.
+/// One template: its plan and its inputs.
 struct Template {
     name: &'static str,
     plan: Plan,
     inputs: Vec<Vec<i64>>,
-    literal: fn(&mut Executor<StorageSim>, &Plan) -> (Vec<i64>, u64),
 }
 
-fn cursor(ex: &Executor<StorageSim>, rel: usize, b_in: u64) -> BlockCursor {
-    BlockCursor::new(ex.rels[rel].clone(), b_in)
-}
-
-/// The sorted multiset union's loop.
-fn union_literal(ex: &mut Executor<StorageSim>, plan: &Plan) -> (Vec<i64>, u64) {
-    let Plan::MergePass { b_in, .. } = *plan else {
-        unreachable!()
-    };
-    let (mut a, mut b) = (cursor(ex, 0, b_in), cursor(ex, 1, b_in));
-    let mut kept = Vec::with_capacity((ex.rels[0].card + ex.rels[1].card) as usize);
-    let mut peak = 0;
-    loop {
-        assert!(a.ensure(&mut ex.sm).unwrap() && b.ensure(&mut ex.sm).unwrap());
-        peak = peak.max(a.resident_bytes() + b.resident_bytes() + kept.len() as u64 * 8);
-        let (ha, hb) = (a.head(), b.head());
-        let take_a = hb.map_or(true, |y| ha.is_some_and(|x| x <= y));
-        let Some(row) = (if take_a { ha } else { hb }) else {
-            return (kept, peak);
-        };
-        kept.extend_from_slice(row);
-        if take_a {
-            a.advance();
-        } else {
-            b.advance();
+/// `plan`'s literal loop over cursors on `ex`'s relations: the rows it
+/// keeps and the peak resident bytes it notes (the kept rows count as the
+/// sink's staging, as a collected output's do).
+fn literal_loop(ex: &mut Executor<StorageSim>, plan: &Plan) -> (Vec<i64>, u64) {
+    let cursor =
+        |ex: &Executor<StorageSim>, rel: usize, b_in| BlockCursor::new(ex.rels[rel].clone(), b_in);
+    // Room for every input value: the most any of the three keeps.
+    let values: u64 = ex.rels.iter().map(|r| r.card * r.width as u64).sum();
+    let (mut kept, mut peak) = (Vec::with_capacity(values as usize), 0);
+    let step = |_: &mut StorageSim, step: Step<'_>| {
+        match step {
+            Step::Emit(row) => kept.extend_from_slice(row),
+            Step::Peak(held) => peak = u64::max(peak, held + kept.len() as u64 * 8),
         }
-    }
-}
-
-/// The column zip's loop.
-fn zip_literal(ex: &mut Executor<StorageSim>, plan: &Plan) -> (Vec<i64>, u64) {
-    let Plan::ColumnZip {
-        ref columns, b_in, ..
-    } = *plan
-    else {
-        unreachable!()
+        Ok(())
     };
-    let mut cursors: Vec<BlockCursor> = columns.iter().map(|&c| cursor(ex, c, b_in)).collect();
-    let card = ex.rels[0].card;
-    let mut kept = Vec::with_capacity((card * columns.len() as u64) as usize);
-    let mut zipped = Vec::new();
-    let mut peak = 0;
-    for _ in 0..card {
-        zipped.clear();
-        for c in &mut cursors {
-            assert!(c.ensure(&mut ex.sm).unwrap());
-            zipped.extend_from_slice(c.head().unwrap());
-            c.advance();
+    match *plan {
+        Plan::MergePass { kind, b_in, .. } => {
+            let (mut a, mut b) = (cursor(ex, 0, b_in), cursor(ex, 1, b_in));
+            literal::merge_pass(&mut ex.sm, (&mut a, &mut b), kind, step)
         }
-        kept.extend_from_slice(&zipped);
-        let held: u64 = cursors.iter().map(BlockCursor::resident_bytes).sum();
-        peak = peak.max(held + kept.len() as u64 * 8);
+        Plan::ColumnZip {
+            ref columns, b_in, ..
+        } => {
+            let mut cursors: Vec<BlockCursor> =
+                columns.iter().map(|&c| cursor(ex, c, b_in)).collect();
+            let card = ex.rels[0].card;
+            literal::zip(&mut ex.sm, &mut cursors, card, step)
+        }
+        Plan::DedupSorted { b_in, .. } => {
+            let mut c = cursor(ex, 0, b_in);
+            literal::dedup(&mut ex.sm, &mut c, step)
+        }
+        _ => unreachable!(),
     }
+    .unwrap();
     (kept, peak)
-}
-
-/// The duplicate removal's loop.
-fn dedup_literal(ex: &mut Executor<StorageSim>, plan: &Plan) -> (Vec<i64>, u64) {
-    let Plan::DedupSorted { b_in, .. } = *plan else {
-        unreachable!()
-    };
-    let mut c = cursor(ex, 0, b_in);
-    let mut kept = Vec::with_capacity(ex.rels[0].card as usize);
-    let mut last: Vec<i64> = Vec::new();
-    let mut peak = 0;
-    loop {
-        assert!(c.ensure(&mut ex.sm).unwrap());
-        let Some(row) = c.head() else {
-            return (kept, peak);
-        };
-        if last != row {
-            kept.extend_from_slice(row);
-            last.clear();
-            last.extend_from_slice(row);
-        }
-        c.advance();
-        peak = peak.max(c.resident_bytes() + kept.len() as u64 * 8);
-    }
 }
 
 fn templates() -> Vec<Template> {
@@ -175,7 +138,6 @@ fn templates() -> Vec<Template> {
                 output: Output::Discard,
             },
             inputs: vec![ints(ROWS, ROWS, true, 1), ints(ROWS, ROWS, true, 2)],
-            literal: union_literal,
         },
         Template {
             name: "column zip",
@@ -185,7 +147,6 @@ fn templates() -> Vec<Template> {
                 output: Output::Discard,
             },
             inputs: (0..5).map(|i| ints(half, half, false, 3 + i)).collect(),
-            literal: zip_literal,
         },
         Template {
             name: "dedup",
@@ -195,7 +156,6 @@ fn templates() -> Vec<Template> {
                 output: Output::Discard,
             },
             inputs: vec![ints(ROWS, half, true, 8)],
-            literal: dedup_literal,
         },
     ]
 }
@@ -210,7 +170,7 @@ fn one_pass(t: &Template) -> (f64, f64) {
 
     let mut ex = executor(&t.inputs);
     let t0 = Instant::now();
-    let (rows, peak) = (t.literal)(&mut ex, &t.plan);
+    let (rows, peak) = literal_loop(&mut ex, &t.plan);
     let literal = t0.elapsed().as_secs_f64();
 
     let out = stats.output.expect("collected");

@@ -1,18 +1,21 @@
-//! The faithful BNL pair loop's throughput against the literal nested loop
-//! it replaced, in the same test — a ratio, so the runner's speed cancels
+//! The faithful BNL join's throughput against the literal nested loop it
+//! replaced, in the same test — a ratio, so the runner's speed cancels
 //! (the pattern of `ocas-runtime`'s `pool_bandwidth.rs`).
 //!
 //! Two shapes, best of five passes each, the executor and the literal loop
 //! taking turns: the shape the synthesizer tunes — a 4096-tuple outer block
 //! with the inner relation streaming past it a tuple at a time, 20,000
-//! tile joins of 4096 x 1 — where scanning the block's key column must be
-//! at least [`MIN_SPEEDUP`] times faster than one inner-loop set-up per
-//! pair; and 512 x 512 tiles, where the literal loop is at its best and the
-//! scan must not be slower. The executor side is the whole public path
-//! (`Executor::run` over a `StorageSim`: block reads, views, key columns,
-//! sink), so the gate also notices per-block work creeping back into
-//! `run_bnl` — and it is what notices when a `?` or an emit inside the
-//! chunk fold stops the compiler vectorising it.
+//! tile joins of 4096 x 1 — where probing an index of the outer block once
+//! per inner tuple must be at least [`MIN_SPEEDUP`] times faster than one
+//! inner-loop set-up and compare per pair; and 512 x 512 tiles, where the
+//! literal loop is at its best and the block hash join must not be slower.
+//! The executor side is the whole public path (`Executor::run` over a
+//! `StorageSim`: block reads, views, the outer block's index, its probes,
+//! the sink), so the gate also notices per-block or per-pair work creeping
+//! back into `run_bnl`. The literal side is the pair loop at its leanest,
+//! over plain slices: the executor's differential oracle
+//! (`literal/mod.rs`) also feeds a cache simulator and a sink, which would
+//! flatter the ratio.
 //!
 //! The ratios are only asserted in optimised builds; a debug build runs
 //! both sides once, over a tenth of the inner rows, and checks that they
@@ -28,27 +31,30 @@ use std::time::Instant;
 const PASSES: usize = if cfg!(debug_assertions) { 1 } else { 5 };
 /// What the inner cardinalities are divided by.
 const SHRINK: u64 = if cfg!(debug_assertions) { 10 } else { 1 };
+/// Under half of what a 2-vCPU x86-64 host measures on 4096 x 1 tiles,
+/// 49-52x.
 #[cfg(not(debug_assertions))]
-const MIN_SPEEDUP: f64 = 3.0;
+const MIN_SPEEDUP: f64 = 20.0;
 
 /// The literal pair loop over whole relations: block pair by block pair,
 /// row-major within one, one strided compare and one branch per pair.
 fn literal_bnl(outer: &RowBuf, inner: &RowBuf, k1: usize, k2: usize) -> RowBuf {
     let (ow, iw) = (outer.width(), inner.width());
-    let mut out = RowBuf::new(ow + iw);
+    let mut out = Vec::new();
     for oblock in outer.as_slice().chunks(k1 * ow) {
         for iblock in inner.as_slice().chunks(k2 * iw) {
             for x in oblock.chunks_exact(ow) {
                 let x0 = x[0];
                 for y in iblock.chunks_exact(iw) {
                     if x0 == y[0] {
-                        out.push_concat(x, y);
+                        out.extend_from_slice(x);
+                        out.extend_from_slice(y);
                     }
                 }
             }
         }
     }
-    out
+    RowBuf::from_vec(out, ow + iw)
 }
 
 /// Best seconds of the executor and of the literal loop joining `ocard` x
@@ -100,7 +106,7 @@ fn best_seconds(ocard: u64, icard: u64, k1: u64, k2: u64) -> (f64, f64) {
 }
 
 #[test]
-fn key_column_scan_beats_the_literal_pair_loop_where_it_has_to() {
+fn block_hash_join_beats_the_literal_pair_loop_where_it_has_to() {
     let (tuned_inner, square_inner) = (20_000 / SHRINK, 8192 / SHRINK);
     let (tuned_kernel, tuned_literal) = best_seconds(4096, tuned_inner, 4096, 1);
     let (square_kernel, square_literal) = best_seconds(2048, square_inner, 512, 512);
@@ -119,12 +125,12 @@ fn key_column_scan_beats_the_literal_pair_loop_where_it_has_to() {
     {
         assert!(
             tuned_literal >= MIN_SPEEDUP * tuned_kernel,
-            "4096 x 1 tiles: the key-column scan is only {:.1}x the literal pair loop, under {MIN_SPEEDUP}x",
+            "4096 x 1 tiles: the block hash join is only {:.1}x the literal pair loop, under {MIN_SPEEDUP}x",
             tuned_literal / tuned_kernel
         );
         assert!(
             square_literal >= square_kernel,
-            "512 x 512 tiles: the key-column scan is slower than the literal pair loop ({:.2}x)",
+            "512 x 512 tiles: the block hash join is slower than the literal pair loop ({:.2}x)",
             square_literal / square_kernel
         );
     }

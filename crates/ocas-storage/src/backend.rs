@@ -1,14 +1,14 @@
 //! The backend seam: one trait over which the execution engine issues every
 //! storage request, implemented by both the device *simulator*
-//! ([`StorageSim`]) and — in the `ocas-runtime` crate — a real-I/O file
-//! backend. The engine is generic over this trait, so every faithful-mode
-//! plan execution can run unchanged against simulated devices or actual
-//! files on disk, and the two executions issue the *same* request stream
-//! (the property the cross-backend equivalence tests pin down).
+//! ([`StorageSim`](crate::StorageSim)) and — in the `ocas-runtime` crate —
+//! a real-I/O file backend. The engine is generic over this trait, so every
+//! faithful-mode plan execution can run unchanged against simulated devices
+//! or actual files on disk, and the two executions issue the *same* request
+//! stream (the property the cross-backend equivalence tests pin down).
 
 use crate::device::DeviceStats;
 use crate::fault::RecoveryCounters;
-use crate::manager::{FileId, StorageError, StorageSim};
+use crate::manager::{FileId, StorageError};
 
 /// A clocked storage layer: named devices, extent allocation, charged
 /// requests and (for real backends) actual data transfer.
@@ -176,93 +176,10 @@ pub(crate) fn check_run_bytes(unit: u64, count: u64, bytes: usize) {
     );
 }
 
-impl StorageBackend for StorageSim {
-    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
-        StorageSim::alloc(self, device, len)
-    }
-
-    fn read(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        unit: u64,
-        count: u64,
-        buf: Option<&mut [u8]>,
-    ) -> Result<bool, StorageError> {
-        if let Some(buf) = &buf {
-            check_run_bytes(unit, count, buf.len());
-        }
-        self.charge(false, file, offset, unit, count)?;
-        Ok(buf.is_some_and(|buf| count == 0 || self.load(file, offset, buf)))
-    }
-
-    fn write(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        unit: u64,
-        count: u64,
-        data: Option<&[u8]>,
-    ) -> Result<(), StorageError> {
-        if let Some(data) = data {
-            check_run_bytes(unit, count, data.len());
-        }
-        self.charge(true, file, offset, unit, count)?;
-        if let Some(data) = data.filter(|_| count > 0) {
-            self.store(file, offset, data);
-        }
-        Ok(())
-    }
-
-    fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        // The simulator keeps no data; setup only needs the extent to exist.
-        let end = offset + data.len() as u64;
-        if end > StorageSim::len(self, file) {
-            return Err(StorageError::OutOfBounds {
-                file: file.0,
-                end,
-                len: StorageSim::len(self, file),
-            });
-        }
-        Ok(())
-    }
-
-    fn charge_cpu(&mut self, seconds: f64) {
-        StorageSim::charge_cpu(self, seconds)
-    }
-
-    fn clock(&self) -> f64 {
-        StorageSim::clock(self)
-    }
-
-    fn len(&self, file: FileId) -> u64 {
-        StorageSim::len(self, file)
-    }
-
-    fn device_of(&self, file: FileId) -> &str {
-        StorageSim::device_of(self, file)
-    }
-
-    fn device_stats(&self, device: &str) -> Option<DeviceStats> {
-        StorageSim::device_stats(self, device)
-    }
-
-    fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
-        StorageSim::truncate_device(self, device, mark)
-    }
-
-    fn watermark(&self, device: &str) -> Option<u64> {
-        StorageSim::watermark(self, device)
-    }
-
-    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
-        StorageSim::page_bytes(self, device)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::StorageSim;
     use ocas_hierarchy::presets;
 
     fn dyn_roundtrip(b: &mut dyn StorageBackend) {

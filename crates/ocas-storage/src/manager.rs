@@ -1,5 +1,6 @@
 //! File allocation and clocked access across the simulated devices.
 
+use crate::backend::{check_run_bytes, StorageBackend};
 use crate::device::{DeviceSim, DeviceStats};
 use ocas_hierarchy::{CostPair, Hierarchy};
 use std::collections::BTreeMap;
@@ -190,27 +191,6 @@ impl StorageSim {
         }
     }
 
-    /// Allocates a file of `len` bytes on the named device.
-    pub fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
-        let d = *self
-            .device_by_name
-            .get(device)
-            .ok_or_else(|| StorageError::UnknownDevice(device.to_string()))?;
-        if self.allocated[d] + len > self.capacity[d] {
-            return Err(StorageError::Full(device.to_string()));
-        }
-        let offset = self.allocated[d];
-        self.allocated[d] += len;
-        let id = FileId(self.files.len());
-        self.files.push(FileMeta {
-            device: d as u32,
-            payload: 0,
-            offset,
-            len,
-        });
-        Ok(id)
-    }
-
     fn meta(&self, file: FileId) -> &FileMeta {
         &self.files[file.0]
     }
@@ -381,8 +361,84 @@ impl StorageSim {
         );
     }
 
+    /// Statistics for a device by name.
+    pub fn device_stats(&self, device: &str) -> Option<DeviceStats> {
+        self.device_by_name
+            .get(device)
+            .map(|d| self.devices[*d].stats())
+    }
+}
+
+impl StorageBackend for StorageSim {
+    /// Allocates a file of `len` bytes on the named device.
+    fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
+        let d = *self
+            .device_by_name
+            .get(device)
+            .ok_or_else(|| StorageError::UnknownDevice(device.to_string()))?;
+        if self.allocated[d] + len > self.capacity[d] {
+            return Err(StorageError::Full(device.to_string()));
+        }
+        let offset = self.allocated[d];
+        self.allocated[d] += len;
+        let id = FileId(self.files.len());
+        self.files.push(FileMeta {
+            device: d as u32,
+            payload: 0,
+            offset,
+            len,
+        });
+        Ok(id)
+    }
+
+    fn read(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        buf: Option<&mut [u8]>,
+    ) -> Result<bool, StorageError> {
+        if let Some(buf) = &buf {
+            check_run_bytes(unit, count, buf.len());
+        }
+        self.charge(false, file, offset, unit, count)?;
+        Ok(buf.is_some_and(|buf| count == 0 || self.load(file, offset, buf)))
+    }
+
+    fn write(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+        data: Option<&[u8]>,
+    ) -> Result<(), StorageError> {
+        if let Some(data) = data {
+            check_run_bytes(unit, count, data.len());
+        }
+        self.charge(true, file, offset, unit, count)?;
+        if let Some(data) = data.filter(|_| count > 0) {
+            self.store(file, offset, data);
+        }
+        Ok(())
+    }
+
+    fn materialize(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        // The simulator keeps no data; setup only needs the extent to exist.
+        let end = offset + data.len() as u64;
+        if end > self.len(file) {
+            return Err(StorageError::OutOfBounds {
+                file: file.0,
+                end,
+                len: self.len(file),
+            });
+        }
+        Ok(())
+    }
+
     /// Adds pure computation time to the clock (the engine's CPU model).
-    pub fn charge_cpu(&mut self, seconds: f64) {
+    fn charge_cpu(&mut self, seconds: f64) {
         if ocas_obs::enabled() && seconds > 0.0 {
             ocas_obs::span(
                 ocas_obs::Clock::Sim,
@@ -397,31 +453,28 @@ impl StorageSim {
     }
 
     /// Simulated seconds elapsed so far.
-    pub fn clock(&self) -> f64 {
+    fn clock(&self) -> f64 {
         self.clock_seconds
     }
 
     /// File length in bytes.
-    pub fn len(&self, file: FileId) -> u64 {
+    fn len(&self, file: FileId) -> u64 {
         self.meta(file).len
     }
 
     /// Device name holding the file.
-    pub fn device_of(&self, file: FileId) -> &str {
+    fn device_of(&self, file: FileId) -> &str {
         self.devices[self.meta(file).device as usize].name()
     }
 
-    /// Statistics for a device by name.
-    pub fn device_stats(&self, device: &str) -> Option<DeviceStats> {
-        self.device_by_name
-            .get(device)
-            .map(|d| self.devices[*d].stats())
+    fn device_stats(&self, device: &str) -> Option<DeviceStats> {
+        StorageSim::device_stats(self, device)
     }
 
     /// Frees the *most recent* allocations down to `mark` bytes on a device
     /// (simple region deallocation for scratch space between merge levels),
     /// and the bytes written to the files that lay there.
-    pub fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
+    fn truncate_device(&mut self, device: &str, mark: u64) -> Result<(), StorageError> {
         let d = *self
             .device_by_name
             .get(device)
@@ -444,13 +497,13 @@ impl StorageSim {
     }
 
     /// Current allocation watermark of a device (pair with
-    /// [`StorageSim::truncate_device`]).
-    pub fn watermark(&self, device: &str) -> Option<u64> {
+    /// [`truncate_device`](StorageBackend::truncate_device)).
+    fn watermark(&self, device: &str) -> Option<u64> {
         self.device_by_name.get(device).map(|d| self.allocated[*d])
     }
 
     /// The hierarchy `pagesize` of a device, in bytes.
-    pub(crate) fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
+    fn page_bytes(&self, device: &str) -> Result<u64, StorageError> {
         self.device_by_name
             .get(device)
             .map(|d| self.page[*d])
@@ -461,7 +514,6 @@ impl StorageSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::StorageBackend;
     use ocas_hierarchy::presets;
 
     #[test]
